@@ -12,14 +12,19 @@
 //!   --assert-scaling 2.0    fail unless max-threads packed ≥ 2.0x its
 //!                           1-thread row at the largest size ≥ 512
 //!                           (soft-warns instead when the host has
-//!                           fewer cores than the top thread count)
+//!                           fewer cores than the top thread count),
+//!                           and unless `reference` ≥ 1.5x `ikj` there
+//!                           (soft-warns on hosts without AVX2)
 //! ```
 //!
 //! The packed kernel is benched per microkernel implementation
 //! (`packed-scalar-*` forced onto the portable 4×8 tile,
 //! `packed-simd-*` on the AVX2+FMA 6×8 tile when the host has it) and
 //! per thread count, with a machine-readable `speedup_vs_1t` column so
-//! CI can assert parallel scaling. `--smoke` runs small sizes only,
+//! CI can assert parallel scaling. The `reference` row times
+//! `gemm::reference` itself — the host re-multiply every front door
+//! verifies against: the `blocked64` loop plus its output allocation.
+//! `--smoke` runs small sizes only,
 //! cross-checks every kernel against the naive product, and exits
 //! non-zero on mismatch — a cheap guard that keeps the kernel and bench
 //! code from bit-rotting. The full run performs the same verification
@@ -27,9 +32,9 @@
 
 use std::time::Instant;
 
-use cubemm_dense::gemm::{gemm_acc_with_microkernel, Kernel, PAR_MIN_ELEMS};
+use cubemm_dense::gemm::{self, gemm_acc_with_microkernel, Kernel, ReferenceIsa, PAR_MIN_ELEMS};
 use cubemm_dense::microkernel::MicrokernelImpl;
-use cubemm_dense::Matrix;
+use cubemm_dense::{tune, Matrix};
 
 struct KernelSpec {
     name: String,
@@ -38,6 +43,20 @@ struct KernelSpec {
     /// Name of this spec's single-thread sibling for the speedup column
     /// (its own name for 1t and non-packed rows).
     base_1t: String,
+    /// Time `gemm::reference` itself (fresh output and all) rather
+    /// than `kernel` into a caller-zeroed `C`.
+    via_reference: bool,
+}
+
+impl KernelSpec {
+    /// One product into `c` (zeroed by the caller).
+    fn run(&self, c: &mut Matrix, a: &Matrix, b: &Matrix) {
+        if self.via_reference {
+            *c = gemm::reference(a, b);
+        } else {
+            gemm_acc_with_microkernel(c, a, b, self.kernel, self.mk);
+        }
+    }
 }
 
 fn kernels(threads: &[usize]) -> Vec<KernelSpec> {
@@ -48,18 +67,28 @@ fn kernels(threads: &[usize]) -> Vec<KernelSpec> {
             kernel: Kernel::Naive,
             mk: scalar,
             base_1t: "naive".into(),
+            via_reference: false,
         },
         KernelSpec {
             name: "ikj".into(),
             kernel: Kernel::Ikj,
             mk: scalar,
             base_1t: "ikj".into(),
+            via_reference: false,
         },
         KernelSpec {
             name: "blocked64".into(),
             kernel: Kernel::Blocked(64),
             mk: scalar,
             base_1t: "blocked64".into(),
+            via_reference: false,
+        },
+        KernelSpec {
+            name: "reference".into(),
+            kernel: Kernel::Blocked(64),
+            mk: scalar,
+            base_1t: "reference".into(),
+            via_reference: true,
         },
     ];
     let mut impls = vec![("packed-scalar", scalar)];
@@ -73,6 +102,7 @@ fn kernels(threads: &[usize]) -> Vec<KernelSpec> {
                 kernel: Kernel::packed_mt(t),
                 mk,
                 base_1t: format!("{family}-1t"),
+                via_reference: false,
             });
         }
     }
@@ -85,12 +115,12 @@ fn time_product(n: usize, spec: &KernelSpec, reps: usize) -> f64 {
     let b = Matrix::random(n, n, 2);
     let mut c = Matrix::zeros(n, n);
     // Warm-up (and pool/buffer spin-up).
-    gemm_acc_with_microkernel(&mut c, &a, &b, spec.kernel, spec.mk);
+    spec.run(&mut c, &a, &b);
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
             let mut c = Matrix::zeros(n, n);
             let t = Instant::now();
-            gemm_acc_with_microkernel(&mut c, &a, &b, spec.kernel, spec.mk);
+            spec.run(&mut c, &a, &b);
             let dt = t.elapsed().as_secs_f64();
             std::hint::black_box(&c);
             dt
@@ -107,15 +137,17 @@ fn verify(n: usize, spec: &KernelSpec) -> Result<(), String> {
     let mut want = Matrix::zeros(n, n);
     gemm_acc_with_microkernel(&mut want, &a, &b, Kernel::Naive, MicrokernelImpl::Scalar);
     let mut got = Matrix::zeros(n, n);
-    gemm_acc_with_microkernel(&mut got, &a, &b, spec.kernel, spec.mk);
+    spec.run(&mut got, &a, &b);
     let err = got.max_abs_diff(&want);
-    if err > 1e-9 * n as f64 {
-        return Err(format!(
+    // Accept-if-within: a NaN error is a mismatch.
+    if err <= 1e-9 * n as f64 {
+        Ok(())
+    } else {
+        Err(format!(
             "kernel {} mismatch at n={n}: max |Δ| = {err:.2e}",
             spec.name
-        ));
+        ))
     }
-    Ok(())
 }
 
 fn parse_list(raw: &str, flag: &str) -> Vec<usize> {
@@ -171,8 +203,9 @@ fn main() {
         }
     }
     println!(
-        "all kernels verified against naive (microkernel: {}, host cores: {host_cores})",
-        MicrokernelImpl::active().name()
+        "all kernels verified against naive (microkernel: {}, reference: {}, host cores: {host_cores})",
+        MicrokernelImpl::active().name(),
+        ReferenceIsa::active().name()
     );
 
     let mut rows: Vec<String> = Vec::new();
@@ -222,10 +255,16 @@ fn main() {
     }
 
     if !smoke {
+        // Who measured (ROADMAP item 1): cores, the two runtime ISA
+        // dispatches, and the cache sizes the blocking was pruned to.
+        let caches = tune::detect_caches();
         let json = format!(
-            "{{\n  \"bench\": \"local_gemm_kernels\",\n  \"flops_formula\": \"2*n^3\",\n  \"microkernel\": \"{}\",\n  \"host_cores\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"local_gemm_kernels\",\n  \"flops_formula\": \"2*n^3\",\n  \"microkernel\": \"{}\",\n  \"reference_isa\": \"{}\",\n  \"host_cores\": {},\n  \"l1d_bytes\": {},\n  \"l2_bytes\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
             MicrokernelImpl::active().name(),
+            ReferenceIsa::active().name(),
             host_cores,
+            caches.l1d,
+            caches.l2,
             rows.join(",\n")
         );
         match std::fs::write("BENCH_kernels.json", &json) {
@@ -254,6 +293,22 @@ fn main() {
                 .find(|(t, bn, _)| t == name && *bn == n)
                 .map(|&(_, _, g)| g)
         };
+        // The reference-kernel floor: the 4-row AVX2 instantiation must
+        // stay well clear of the plain `ikj` loop it verifies beside.
+        if let (Some(reference), Some(ikj)) = (find("reference"), find("ikj")) {
+            let ratio = reference / ikj;
+            println!("reference: reference / ikj = {ratio:.2}x at n={n} (want >= 1.50x)");
+            if ratio < 1.5 {
+                if ReferenceIsa::active() == ReferenceIsa::Avx2 {
+                    eprintln!("error: reference kernel regression: {ratio:.2}x < 1.50x over ikj");
+                    std::process::exit(1);
+                }
+                println!(
+                    "warning: reference below target, but this host runs the baseline \
+                     instantiation (no AVX2, or CUBEMM_FORCE_SCALAR) — soft-failing"
+                );
+            }
+        }
         let (one, multi) = (
             find(&format!("{family}-1t")),
             find(&format!("{family}-{top}t")),

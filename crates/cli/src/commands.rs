@@ -387,15 +387,25 @@ pub fn run(argv: &[String]) -> i32 {
     if let Err(e) = algo.check(n, p) {
         return fail(&format!("{algo} cannot run n={n} on p={p}: {e}"));
     }
-    let res = match algo.multiply(&a, &b, p, &cfg) {
-        Ok(r) => r,
+    // The host reference runs beside the simulated product and its
+    // fingerprint (on a second thread once n is big enough to pay for
+    // one), and is joined before any outcome — error or not — is judged.
+    let (run, reference) = gemm::alongside_reference(&a, &b, || {
+        algo.multiply(&a, &b, p, &cfg)
+            .map(|res| (cubemm_serve::fingerprint_hex(&res.c), res))
+    });
+    let (fingerprint, res) = match run {
+        Ok(v) => v,
         Err(AlgoError::Sim(e @ RunError::Deadlock { .. })) => {
             eprintln!("error: {e}");
             return 3;
         }
         Err(e) => return fail(&e.to_string()),
     };
-    let err = res.c.max_abs_diff(&gemm::reference(&a, &b));
+    let err = match reference {
+        Ok(reference) => res.c.max_abs_diff(&reference),
+        Err(e) => return fail(&e),
+    };
     println!(
         "{algo}: n = {n}, p = {p}, {} nodes, {} engine, ts = {ts}, tw = {tw}",
         cfg.port, cfg.engine
@@ -403,10 +413,7 @@ pub fn run(argv: &[String]) -> i32 {
     println!("  verified:              max |Δ| = {err:.2e}");
     // The same identity `cubemm serve` reports: FNV-1a 64 over the
     // product's bits, for byte-exact comparison across modes.
-    println!(
-        "  fingerprint:           {}",
-        cubemm_serve::fingerprint_hex(&res.c)
-    );
+    println!("  fingerprint:           {fingerprint}");
     println!("  simulated comm time:   {:.1}", res.stats.elapsed);
     println!("  messages injected:     {}", res.stats.total_messages());
     println!("  word·hops moved:       {}", res.stats.total_word_hops());
@@ -439,10 +446,12 @@ pub fn run(argv: &[String]) -> i32 {
             res.stats.elapsed - baseline,
         );
     }
-    if err > 1e-9 * n as f64 {
-        return fail("verification FAILED");
+    // Accept-if-within rather than reject-if-beyond: a NaN error fails.
+    if err <= 1e-9 * n as f64 {
+        0
+    } else {
+        fail("verification FAILED")
     }
-    0
 }
 
 /// The `--abft` arm of `cubemm run`: checksum-protected multiplication
@@ -468,7 +477,11 @@ fn run_abft(
         max_attempts: attempts,
         ..RecoveryPolicy::default()
     };
-    let (res, report) = match multiply_with_recovery(algo, a, b, p, cfg, &policy) {
+    let (run, reference) = gemm::alongside_reference(a, b, || {
+        multiply_with_recovery(algo, a, b, p, cfg, &policy)
+            .map(|(res, report)| (cubemm_serve::fingerprint_hex(&res.c), res, report))
+    });
+    let (fingerprint, res, report) = match run {
         Ok(v) => v,
         Err(RecoveryError::Fatal(AlgoError::Sim(e @ RunError::Deadlock { .. }))) => {
             eprintln!("error: {e}");
@@ -476,7 +489,10 @@ fn run_abft(
         }
         Err(e) => return fail(&e.to_string()),
     };
-    let err = res.c.max_abs_diff(&gemm::reference(a, b));
+    let err = match reference {
+        Ok(reference) => res.c.max_abs_diff(&reference),
+        Err(e) => return fail(&e),
+    };
     println!(
         "{algo}: n = {n} (ABFT-augmented to {}), p = {p}, {} nodes, ts = {}, tw = {}",
         res.augmented, cfg.port, cfg.cost.ts, cfg.cost.tw
@@ -523,10 +539,7 @@ fn run_abft(
     for act in &report.actions {
         println!("    recovery:            {act}");
     }
-    println!(
-        "  fingerprint:           {}",
-        cubemm_serve::fingerprint_hex(&res.c)
-    );
+    println!("  fingerprint:           {fingerprint}");
     println!(
         "  payloads corrupted:    {} (final attempt)",
         res.stats.total_corrupted()
@@ -535,10 +548,12 @@ fn run_abft(
         "  simulated comm time:   {:.1} (final attempt)",
         res.stats.elapsed
     );
-    if err > 1e-9 * n as f64 {
-        return fail("verification FAILED");
+    // Accept-if-within rather than reject-if-beyond: a NaN error fails.
+    if err <= 1e-9 * n as f64 {
+        0
+    } else {
+        fail("verification FAILED")
     }
-    0
 }
 
 /// `cubemm sweep --n N [--p list] ...`.
@@ -598,10 +613,11 @@ pub fn sweep(argv: &[String]) -> i32 {
             Err(_) => Cell::Inapplicable,
             Ok(()) => match algo.multiply(&a, &b, p, &cfg) {
                 Ok(res) => {
-                    if res.c.max_abs_diff(&reference) > 1e-9 * n as f64 {
-                        Cell::WrongProduct
-                    } else {
+                    // Accept-if-within, so a NaN error is a wrong product.
+                    if res.c.max_abs_diff(&reference) <= 1e-9 * n as f64 {
                         Cell::Elapsed(res.stats.elapsed)
+                    } else {
+                        Cell::WrongProduct
                     }
                 }
                 Err(e) => Cell::Failed(e.to_string()),

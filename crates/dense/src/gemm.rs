@@ -26,6 +26,8 @@
 //! rounding — so reproducible deployments pin `kc` (or rely on the
 //! shared untuned default). See DESIGN.md §9.
 
+use std::sync::OnceLock;
+
 use crate::microkernel::MicrokernelImpl;
 use crate::pack::{pack_a, pack_a_panel, pack_b, pack_b_panel, packed_a_len, packed_b_len};
 use crate::pool::{take_scratch, ThreadPool};
@@ -57,7 +59,10 @@ pub enum Kernel {
     Naive,
     /// Loop-reordered `ikj`: streams rows of `B`, vectorizes well.
     Ikj,
-    /// Cache-tiled `ikj` with the given square tile size.
+    /// Cache-tiled `ikj`, four rows of `C` at a time, over `B` tiles
+    /// `tile` deep and `4·tile` wide — unpacked and FMA-free: the
+    /// independent path [`reference`] verifies against. The tile size
+    /// never changes the bits.
     Blocked(usize),
     /// Panel-packed, register-tiled GEMM (the fast path; the default).
     ///
@@ -138,9 +143,7 @@ pub fn gemm_acc_with_microkernel(
     kernel: Kernel,
     mk: MicrokernelImpl,
 ) {
-    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-    assert_eq!(c.rows(), a.rows(), "C row mismatch");
-    assert_eq!(c.cols(), b.cols(), "C col mismatch");
+    assert_conformable(c, a, b);
     if mk == MicrokernelImpl::Avx2 {
         assert_eq!(
             MicrokernelImpl::detect(),
@@ -151,7 +154,7 @@ pub fn gemm_acc_with_microkernel(
     match kernel {
         Kernel::Naive => naive(c, a, b),
         Kernel::Ikj => ikj(c, a, b),
-        Kernel::Blocked(tile) => blocked(c, a, b, tile.max(1)),
+        Kernel::Blocked(tile) => blocked(c, a, b, tile, ReferenceIsa::active()),
         Kernel::Packed {
             mc,
             kc,
@@ -159,6 +162,12 @@ pub fn gemm_acc_with_microkernel(
             threads,
         } => packed(c, a, b, mc, kc, nc, threads, mk),
     }
+}
+
+fn assert_conformable(c: &Matrix, a: &Matrix, b: &Matrix) {
+    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
+    assert_eq!(c.rows(), a.rows(), "C row mismatch");
+    assert_eq!(c.cols(), b.cols(), "C col mismatch");
 }
 
 /// `A·B` into a fresh matrix with the default kernel.
@@ -169,13 +178,56 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// Sequential reference product used to verify every distributed run.
-/// Deliberately a *different* kernel (plain cache-tiled `ikj`) from the
-/// packed default the algorithms run with, so verification exercises
-/// two independent code paths.
+///
+/// Deliberately a *different* code path from the packed default the
+/// algorithms run with — the unpacked, non-FMA [`Kernel::Blocked`] loop,
+/// sharing nothing with `pack.rs`/`microkernel.rs`/`tune.rs` — so
+/// verification exercises two independent implementations. Every
+/// `C[i][j]` is `c += a·b` for ascending `l`, each product and sum
+/// separately rounded, whatever the tile size or instruction set (the
+/// contract pinned by `tests/reference.rs`; DESIGN.md §9).
 pub fn reference(a: &Matrix, b: &Matrix) -> Matrix {
     let mut c = Matrix::zeros(a.rows(), b.cols());
     gemm_acc(&mut c, a, b, Kernel::Blocked(64));
     c
+}
+
+/// Runs `work` and computes [`reference`]`(a, b)`, overlapping the two
+/// when the product is big enough to pay for a thread.
+///
+/// Above [`PAR_MIN_ELEMS`] (an input property — the same line the packed
+/// driver draws before it fans out) the reference runs on a scoped
+/// thread while `work` runs on the caller; at or below it both run in
+/// sequence on the caller with no thread traffic. The scope joins the
+/// reference thread before this returns or unwinds, so `work` may fail
+/// or panic freely. A panic inside the reference comes back as
+/// `Err(message)` on either path, for the caller to report as a typed
+/// verification failure.
+pub fn alongside_reference<R>(
+    a: &Matrix,
+    b: &Matrix,
+    work: impl FnOnce() -> R,
+) -> (R, Result<Matrix, String>) {
+    let elems = a.rows().saturating_mul(a.cols()).saturating_mul(b.cols());
+    let (out, reference) = if elems > PAR_MIN_ELEMS {
+        std::thread::scope(|s| {
+            let handle = s.spawn(|| reference(a, b));
+            (work(), handle.join())
+        })
+    } else {
+        let out = work();
+        let reference = std::panic::catch_unwind(|| reference(a, b));
+        (out, reference)
+    };
+    let reference = reference.map_err(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "unknown panic".into());
+        format!("host reference panicked: {msg}")
+    });
+    (out, reference)
 }
 
 fn naive(c: &mut Matrix, a: &Matrix, b: &Matrix) {
@@ -208,26 +260,176 @@ fn ikj(c: &mut Matrix, a: &Matrix, b: &Matrix) {
     }
 }
 
-fn blocked(c: &mut Matrix, a: &Matrix, b: &Matrix, tile: usize) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    for i0 in (0..m).step_by(tile) {
-        let imax = (i0 + tile).min(m);
-        for l0 in (0..k).step_by(tile) {
-            let lmax = (l0 + tile).min(k);
-            for j0 in (0..n).step_by(tile) {
-                let jmax = (j0 + tile).min(n);
-                for i in i0..imax {
-                    for l in l0..lmax {
-                        let aval = a[(i, l)];
-                        let brow = &b.row(l)[j0..jmax];
-                        let crow = &mut c.as_mut_slice()[i * n + j0..i * n + jmax];
-                        for (cv, bv) in crow.iter_mut().zip(brow) {
-                            *cv += aval * bv;
+/// Which compiled instantiation of the [`Kernel::Blocked`] loop runs.
+///
+/// One `#[inline(always)]` body is compiled twice — for the baseline
+/// target and under `#[target_feature(enable = "avx2")]` (wider
+/// vectors, still no FMA) — so the two differ in speed only, never in
+/// bits. Ordinary callers get [`ReferenceIsa::active`] through
+/// [`gemm_acc`]/[`reference`]; the equivalence suite and the kernel
+/// bench pin one with [`blocked_acc_with_isa`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReferenceIsa {
+    /// The build target's baseline instruction set.
+    Baseline,
+    /// 256-bit AVX2 vectors (x86_64, runtime-detected).
+    Avx2,
+}
+
+impl ReferenceIsa {
+    /// The best instantiation the host can run, ignoring the
+    /// `CUBEMM_FORCE_SCALAR` override.
+    pub fn detect() -> ReferenceIsa {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return ReferenceIsa::Avx2;
+            }
+        }
+        ReferenceIsa::Baseline
+    }
+
+    /// The process-wide selection: [`ReferenceIsa::detect`] unless
+    /// `CUBEMM_FORCE_SCALAR` pins the baseline (read once).
+    pub fn active() -> ReferenceIsa {
+        static ACTIVE: OnceLock<ReferenceIsa> = OnceLock::new();
+        *ACTIVE.get_or_init(|| {
+            if crate::force_scalar() {
+                ReferenceIsa::Baseline
+            } else {
+                ReferenceIsa::detect()
+            }
+        })
+    }
+
+    /// Stable name for bench output.
+    pub const fn name(self) -> &'static str {
+        match self {
+            ReferenceIsa::Baseline => "baseline",
+            ReferenceIsa::Avx2 => "avx2",
+        }
+    }
+}
+
+/// `C += A·B` through the [`Kernel::Blocked`] loop on an explicit
+/// instantiation (see [`ReferenceIsa`]).
+///
+/// # Panics
+/// Panics on dimension mismatch, and if `Avx2` is passed on a host
+/// without AVX2.
+pub fn blocked_acc_with_isa(
+    c: &mut Matrix,
+    a: &Matrix,
+    b: &Matrix,
+    tile: usize,
+    isa: ReferenceIsa,
+) {
+    assert_conformable(c, a, b);
+    blocked(c, a, b, tile, isa);
+}
+
+fn blocked(c: &mut Matrix, a: &Matrix, b: &Matrix, tile: usize, isa: ReferenceIsa) {
+    let (k, n) = (a.cols(), b.cols());
+    if a.rows() == 0 || k == 0 || n == 0 {
+        return;
+    }
+    // `tile` is the depth of a `B` tile; its width is four times that
+    // (64 × 256 doubles = 128 KiB at the reference's `Blocked(64)`).
+    let lt = tile.max(1);
+    let jt = lt.saturating_mul(4);
+    let (c, a, b) = (c.as_mut_slice(), a.as_slice(), b.as_slice());
+    match isa {
+        ReferenceIsa::Baseline => blocked_body(c, a, b, k, n, lt, jt),
+        ReferenceIsa::Avx2 => {
+            assert_eq!(
+                ReferenceIsa::detect(),
+                ReferenceIsa::Avx2,
+                "AVX2 reference kernel requested on a host without AVX2"
+            );
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            // SAFETY: AVX2 support was just checked at runtime.
+            unsafe {
+                blocked_avx2(c, a, b, k, n, lt, jt)
+            }
+        }
+    }
+}
+
+/// # Safety
+/// The host must support AVX2.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+unsafe fn blocked_avx2(
+    c: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    k: usize,
+    n: usize,
+    lt: usize,
+    jt: usize,
+) {
+    blocked_body(c, a, b, k, n, lt, jt);
+}
+
+/// The [`Kernel::Blocked`] loop: `jt`-column × `lt`-deep tiles of `B`
+/// (L2-resident), swept by four rows of `C` at a time so one load of a
+/// `B` row segment feeds four `C` row segments (L1-resident). Unpacked
+/// and FMA-free on purpose; see [`reference`]. `k`/`n` are the row
+/// strides of `a` and of `b`/`c`, all non-empty.
+#[inline(always)]
+fn blocked_body(c: &mut [f64], a: &[f64], b: &[f64], k: usize, n: usize, lt: usize, jt: usize) {
+    // Shift the tile grid so every full tile starts on a cache-line
+    // boundary of `C`'s first row (of every row when `n % 8 == 0`). An
+    // allocator only promises 16 bytes, which leaves every other 32-byte
+    // vector of the inner loop straddling two lines: 63 ms became
+    // 85–94 ms at n = 768 whenever `C` landed that way.
+    let lead = c.as_ptr().align_offset(64).min(n);
+    let mut j0 = 0;
+    while j0 < n {
+        let j1 = if j0 < lead { lead } else { (j0 + jt).min(n) };
+        for l0 in (0..k).step_by(lt) {
+            let l1 = (l0 + lt).min(k);
+            let brows = || b[l0 * n..l1 * n].chunks_exact(n).map(|row| &row[j0..j1]);
+            for (quad, arows) in c.chunks_mut(4 * n).zip(a.chunks(4 * k)) {
+                if quad.len() < 4 * n {
+                    // Ragged bottom edge: fewer than four rows left.
+                    for (crow, arow) in quad.chunks_exact_mut(n).zip(arows.chunks_exact(k)) {
+                        let crow = &mut crow[j0..j1];
+                        for (&a0, brow) in arow[l0..l1].iter().zip(brows()) {
+                            for (cv, bv) in crow.iter_mut().zip(brow) {
+                                *cv += a0 * bv;
+                            }
                         }
+                    }
+                    continue;
+                }
+                let (c0, rest) = quad.split_at_mut(n);
+                let (c1, rest) = rest.split_at_mut(n);
+                let (c2, c3) = rest.split_at_mut(n);
+                let (c0, c1, c2, c3) = (
+                    &mut c0[j0..j1],
+                    &mut c1[j0..j1],
+                    &mut c2[j0..j1],
+                    &mut c3[j0..j1],
+                );
+                let (a0, a1, a2, a3) = (
+                    &arows[l0..l1],
+                    &arows[k + l0..k + l1],
+                    &arows[2 * k + l0..2 * k + l1],
+                    &arows[3 * k + l0..3 * k + l1],
+                );
+                for (l, brow) in brows().enumerate() {
+                    let (a0, a1, a2, a3) = (a0[l], a1[l], a2[l], a3[l]);
+                    for (j, &bv) in brow.iter().enumerate() {
+                        c0[j] += a0 * bv;
+                        c1[j] += a1 * bv;
+                        c2[j] += a2 * bv;
+                        c3[j] += a3 * bv;
                     }
                 }
             }
         }
+        j0 = j1;
     }
 }
 

@@ -31,3 +31,11 @@ pub mod pool;
 pub mod tune;
 
 pub use matrix::Matrix;
+
+/// Whether `CUBEMM_FORCE_SCALAR` (set to anything but `0`/empty) pins
+/// every runtime-dispatched kernel to its portable instantiation.
+pub(crate) fn force_scalar() -> bool {
+    std::env::var("CUBEMM_FORCE_SCALAR")
+        .map(|v| !v.is_empty() && v != "0")
+        .unwrap_or(false)
+}

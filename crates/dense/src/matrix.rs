@@ -193,14 +193,22 @@ impl Matrix {
     }
 
     /// Maximum absolute element-wise difference; the correctness metric
-    /// used by every end-to-end test.
+    /// used by every end-to-end test. NaN-propagating: if any difference
+    /// is NaN (a NaN on either side, or `inf − inf`) the result is NaN,
+    /// so callers must accept with `err <= tol` — which NaN fails — and
+    /// never reject with `err > tol`, which NaN slips through.
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        self.data
+        // Sign-cleared doubles order like their bit patterns, with every
+        // NaN above +inf — so an integer max is a float max that keeps a
+        // NaN (`f64::max` would drop it) and still vectorizes.
+        let bits = self
+            .data
             .iter()
             .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
+            .map(|(a, b)| (a - b).abs().to_bits())
+            .fold(0, u64::max);
+        f64::from_bits(bits)
     }
 
     /// Copies the contents into a shared payload for the simulator.
@@ -306,6 +314,31 @@ mod tests {
         assert_eq!(m[(1, 1)], 2.0);
         assert_eq!(m[(2, 2)], 2.0);
         assert_eq!(m[(0, 0)], 0.0);
+    }
+
+    #[test]
+    fn max_abs_diff_propagates_nan() {
+        let want = Matrix::from_vec(1, 3, vec![1.0, 5.0, 2.0]);
+        // The old `f64::max` fold read all three of these as 0.
+        for bad in [f64::NAN, -f64::NAN] {
+            for at in 0..3 {
+                let mut got = want.clone();
+                got.as_mut_slice()[at] = bad;
+                assert!(got.max_abs_diff(&want).is_nan(), "NaN at {at}");
+                assert!(want.max_abs_diff(&got).is_nan(), "NaN at {at} (flipped)");
+            }
+        }
+        // inf against the same inf is a NaN difference, not agreement.
+        let inf = Matrix::from_vec(1, 2, vec![f64::INFINITY, 0.0]);
+        assert!(inf.max_abs_diff(&inf).is_nan());
+        // A NaN never masks itself behind a later, larger finite gap.
+        let got = Matrix::from_vec(1, 3, vec![f64::NAN, 5.0, 9.0]);
+        assert!(got.max_abs_diff(&want).is_nan());
+        // Finite inputs are unchanged.
+        let got = Matrix::from_vec(1, 3, vec![1.5, 5.0, -1.0]);
+        assert_eq!(got.max_abs_diff(&want), 3.0);
+        assert_eq!(want.max_abs_diff(&want), 0.0);
+        assert_eq!(Matrix::zeros(0, 0).max_abs_diff(&Matrix::zeros(0, 0)), 0.0);
     }
 
     #[test]

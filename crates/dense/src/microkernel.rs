@@ -86,10 +86,7 @@ impl MicrokernelImpl {
     pub fn active() -> MicrokernelImpl {
         static ACTIVE: OnceLock<MicrokernelImpl> = OnceLock::new();
         *ACTIVE.get_or_init(|| {
-            let forced = std::env::var("CUBEMM_FORCE_SCALAR")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false);
-            if forced {
+            if crate::force_scalar() {
                 MicrokernelImpl::Scalar
             } else {
                 MicrokernelImpl::detect()

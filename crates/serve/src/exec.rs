@@ -239,44 +239,54 @@ fn execute_plain(
             machine_fault: false,
         };
     }
-    match algo.multiply(a, b, req.p, cfg) {
-        Ok(res) => {
-            // Unprotected runs still never answer `ok` unverified: the
-            // product is checked against the host reference.
-            let err = res.c.max_abs_diff(&gemm::reference(a, b));
-            if err > 1e-9 * req.n as f64 {
-                return failed(
-                    req,
-                    format!("verification failed: max |Δ| = {err:.2e}"),
-                    true,
-                );
-            }
-            if let Some(status) = deadline_status(req, res.stats.elapsed) {
-                return ExecOutcome {
-                    response: respond(req, status),
-                    machine_fault: false,
-                };
-            }
-            ExecOutcome {
-                response: respond(
-                    req,
-                    JobStatus::Ok {
-                        algo: algo.name(),
-                        engine: cfg.engine,
-                        elapsed: res.stats.elapsed,
-                        backoff: 0.0,
-                        attempts: 1,
-                        outcome: "verified",
-                        fingerprint: fingerprint_hex(&res.c),
-                    },
-                ),
-                machine_fault: false,
-            }
-        }
+    // Unprotected runs still never answer `ok` unverified: the product
+    // is checked against the host reference, computed beside the run
+    // (on a second thread once n is big enough to pay for one).
+    let (run, reference) = gemm::alongside_reference(a, b, || {
+        algo.multiply(a, b, req.p, cfg)
+            .map(|res| (fingerprint_hex(&res.c), res))
+    });
+    let (fingerprint, res) = match run {
+        Ok(v) => v,
         Err(e) => {
             let fault = is_machine_fault(&e);
-            failed(req, e.to_string(), fault)
+            return failed(req, e.to_string(), fault);
         }
+    };
+    let err = match reference {
+        Ok(reference) => res.c.max_abs_diff(&reference),
+        // The host failed, not the simulated machine: no quarantine.
+        Err(e) => return failed(req, format!("verification failed: {e}"), false),
+    };
+    // Accept-if-within rather than reject-if-beyond: a NaN error fails.
+    let verified = err <= 1e-9 * req.n as f64;
+    if !verified {
+        return failed(
+            req,
+            format!("verification failed: max |Δ| = {err:.2e}"),
+            true,
+        );
+    }
+    if let Some(status) = deadline_status(req, res.stats.elapsed) {
+        return ExecOutcome {
+            response: respond(req, status),
+            machine_fault: false,
+        };
+    }
+    ExecOutcome {
+        response: respond(
+            req,
+            JobStatus::Ok {
+                algo: algo.name(),
+                engine: cfg.engine,
+                elapsed: res.stats.elapsed,
+                backoff: 0.0,
+                attempts: 1,
+                outcome: "verified",
+                fingerprint,
+            },
+        ),
+        machine_fault: false,
     }
 }
 
@@ -443,6 +453,67 @@ mod tests {
             JobStatus::Failed { ref error } => assert!(error.contains("exhausted"), "{error}"),
             ref other => panic!("expected failed, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn nan_only_damage_is_a_verification_failure_not_ok() {
+        // Flipping bit 62 of a word in [1, 2) sets every exponent bit:
+        // the word becomes NaN. On a reduce-phase partial sum that
+        // poisons exactly one entry of the product and leaves the rest
+        // exact — damage the old `f64::max` fold read as max |Δ| = 0 and
+        // the old `err > tol` predicate could not have rejected anyway.
+        // Search DNS's schedule for such a site, then serve the job.
+        let (n, p) = (24, 8);
+        let a = Matrix::random(n, n, 5);
+        let b = Matrix::random(n, n, 6);
+        let want = gemm::reference(&a, &b);
+        let sites = (0..p)
+            .flat_map(|from| (0..3).map(move |bit| (from, from ^ (1 << bit))))
+            .flat_map(|(from, to)| (0..4u64).map(move |k| (from, to, k)))
+            .flat_map(|(from, to, k)| (0..8).map(move |word| (from, to, k, word)));
+        let mut served = 0;
+        for (from, to, k, word) in sites {
+            let plan = FaultPlan::new().with_corruption(
+                from,
+                to,
+                k,
+                Corruption {
+                    word,
+                    kind: CorruptKind::BitFlip { bit: 62 },
+                },
+            );
+            let cfg = MachineConfig::builder().faults(plan.clone()).build();
+            let Ok(res) = Algorithm::Dns.multiply(&a, &b, p, &cfg) else {
+                continue;
+            };
+            let nans = res.c.as_slice().iter().filter(|v| v.is_nan()).count();
+            let rest_exact = res
+                .c
+                .as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .all(|(g, w)| g.is_nan() || (g - w).abs() <= 1e-9 * n as f64);
+            if nans == 0 || !rest_exact {
+                continue;
+            }
+            let line = format!(
+                r#"{{"id":"nan","n":{n},"p":{p},"algo":"dns","abft":false,"seed":5,"faults":{}}}"#,
+                plan.to_json()
+            );
+            let out = execute(&req(&line));
+            assert!(out.machine_fault, "a poisoned product must quarantine");
+            match out.response.status {
+                JobStatus::Failed { ref error } => {
+                    assert_eq!(error, "verification failed: max |Δ| = NaN")
+                }
+                ref other => panic!("NaN-only damage answered {other:?}"),
+            }
+            served += 1;
+            if served == 3 {
+                break;
+            }
+        }
+        assert!(served > 0, "no NaN-only corruption site found to test");
     }
 
     #[test]
