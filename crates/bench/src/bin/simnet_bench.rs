@@ -3,8 +3,12 @@
 //! Measures host-time cost of the simnet execution core itself — machine
 //! spin-up, neighbor ping-pong latency, and a full recursive-doubling
 //! all-gather — under both execution engines (thread-per-node and
-//! event-driven), and writes the results as `BENCH_simnet.json` in the
-//! working directory, mirroring the `BENCH_kernels.json` format.
+//! event-driven), plus the collective data path at p = 4096 (all-gather,
+//! reduce-scatter and all-to-all on 64 rows of 64 nodes, both port
+//! models, as ns and heap allocations per message), and writes the
+//! results as `BENCH_simnet.json` in the working directory, mirroring
+//! the `BENCH_kernels.json` format (host cores, ISA and cache sizes in
+//! the header).
 //!
 //! ```text
 //! cargo run --release -p cubemm-bench --bin simnet_bench              # full run
@@ -24,13 +28,20 @@
 //! `--baseline FILE` reads a previously written `BENCH_simnet.json` and
 //! emits a `speedup_vs_baseline` column, the before/after evidence for
 //! engine changes (rows from pre-engine-column baselines count as
-//! threaded).
+//! threaded); a case with no baseline row reports `null`, not zero.
 
 use std::time::Instant;
 
+use cubemm_bench::alloc_count::{allocations_during, CountingAlloc};
+use cubemm_bench::rows::{self, RowCollective};
 use cubemm_collectives::allgather;
-use cubemm_simnet::{CostParams, Engine, Machine, Proc, RunOutcome};
+use cubemm_simnet::{CostParams, Engine, Machine, PortModel, Proc, RunStats};
 use cubemm_topology::Subcube;
+
+/// Counts allocations so the collective rows can report them per
+/// message next to the time.
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const COST: CostParams = CostParams { ts: 10.0, tw: 2.0 };
 
@@ -41,15 +52,52 @@ const PINGPONG_ROUNDS: usize = 512;
 /// Words per all-gather contribution.
 const ALLGATHER_WORDS: usize = 64;
 
-#[derive(Clone, Copy)]
-struct Case {
-    name: &'static str,
-    p: usize,
-    engine: Engine,
+/// The row collectives run as `run_comm` uses them: 64-node rows (64 of
+/// them at p = 4096), 16-word blocks.
+const ROW_NODES: usize = 64;
+const ROW_WORDS: usize = 16;
+
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    /// Machine spin-up and tear-down with no communication.
+    Spinup,
+    /// Two nodes volleying a 4-word message `PINGPONG_ROUNDS` times.
+    Pingpong,
+    /// Full-cube recursive-doubling all-gather of `ALLGATHER_WORDS`-word
+    /// contributions.
+    Allgather,
+    /// One collective on every `ROW_NODES`-node row at once.
+    Rows(RowCollective),
 }
 
-/// Boots a healthy one-port machine under `engine` and runs `program`.
-fn run<O, F, Fut>(p: usize, engine: Engine, program: F) -> RunOutcome<O>
+#[derive(Clone, Copy)]
+struct Case {
+    kind: Kind,
+    p: usize,
+    engine: Engine,
+    port: PortModel,
+}
+
+impl Case {
+    fn name(&self) -> String {
+        match self.kind {
+            Kind::Spinup => "spinup".to_string(),
+            Kind::Pingpong => "pingpong".to_string(),
+            Kind::Allgather => "allgather".to_string(),
+            Kind::Rows(kind) => format!("rows{ROW_NODES}_{}", kind.name()),
+        }
+    }
+
+    fn port_name(&self) -> &'static str {
+        match self.port {
+            PortModel::OnePort => "one",
+            PortModel::MultiPort => "multi",
+        }
+    }
+}
+
+/// Boots `machine` and runs `program` on every node.
+fn run<O, F, Fut>(machine: &Machine, program: F) -> RunStats
 where
     O: Send,
     F: Fn(Proc, ()) -> Fut + Sync,
@@ -57,62 +105,57 @@ where
 {
     #[allow(
         clippy::expect_used,
+        reason = "bench programs are healthy by construction; failure is a bench bug"
+    )]
+    machine
+        .run(vec![(); machine.p()], program)
+        .expect("healthy bench run")
+        .stats
+}
+
+/// Builds the case's machine and inputs, untimed, and returns the run
+/// itself for the caller to time.
+fn prepare(case: Case) -> Box<dyn FnOnce() -> RunStats> {
+    #[allow(
+        clippy::expect_used,
         reason = "bench machine shapes are fixed and valid; failure is a bench bug"
     )]
-    Machine::builder(p)
+    let machine = Machine::builder(case.p)
         .cost(COST)
-        .engine(engine)
+        .port(case.port)
+        .engine(case.engine)
         .build()
-        .expect("valid bench machine")
-        .run(vec![(); p], program)
-        .expect("healthy bench run")
-}
-
-/// One `p`-node machine spin-up and tear-down with no communication.
-fn spinup(p: usize, engine: Engine) -> f64 {
-    let out = run(p, engine, |proc, ()| async move { proc.id() });
-    assert_eq!(out.outputs.len(), p);
-    out.stats.elapsed
-}
-
-/// Two nodes volleying a 4-word message `PINGPONG_ROUNDS` times.
-fn pingpong(engine: Engine) -> f64 {
-    let out = run(2, engine, |mut proc, ()| async move {
-        let msg = vec![proc.id() as f64; 4];
-        for r in 0..PINGPONG_ROUNDS as u64 {
-            if proc.id() == 0 {
-                proc.send(1, r, msg.clone());
-                let _ = proc.recv(1, r).await;
-            } else {
-                let got = proc.recv(0, r).await;
-                proc.send(0, r, got);
-            }
+        .expect("valid bench machine");
+    let p = case.p;
+    match case.kind {
+        Kind::Spinup => Box::new(move || run(&machine, |proc, ()| async move { proc.id() })),
+        Kind::Pingpong => Box::new(move || {
+            run(&machine, |mut proc, ()| async move {
+                let msg = vec![proc.id() as f64; 4];
+                for r in 0..PINGPONG_ROUNDS as u64 {
+                    if proc.id() == 0 {
+                        proc.send(1, r, msg.clone());
+                        let _ = proc.recv(1, r).await;
+                    } else {
+                        let got = proc.recv(0, r).await;
+                        proc.send(0, r, got);
+                    }
+                }
+            })
+        }),
+        Kind::Allgather => Box::new(move || {
+            run(&machine, move |mut proc, ()| async move {
+                let sc = Subcube::whole(proc.dim());
+                let mine: Vec<f64> = vec![proc.id() as f64; ALLGATHER_WORDS];
+                let got = allgather(&mut proc, &sc, 0, mine.into()).await;
+                assert_eq!(got.len(), p);
+                got[p - 1].len()
+            })
+        }),
+        Kind::Rows(kind) => {
+            let inputs = rows::inputs(kind, p, ROW_NODES, ROW_WORDS);
+            Box::new(move || rows::run(&machine, kind, ROW_NODES, inputs))
         }
-        proc.clock()
-    });
-    out.stats.elapsed
-}
-
-/// Full-cube recursive-doubling all-gather of `ALLGATHER_WORDS`-word
-/// contributions.
-fn allgather_run(p: usize, engine: Engine) -> f64 {
-    let dim = p.trailing_zeros();
-    let out = run(p, engine, move |mut proc, ()| async move {
-        let sc = Subcube::whole(dim);
-        let mine: Vec<f64> = vec![proc.id() as f64; ALLGATHER_WORDS];
-        let got = allgather(&mut proc, &sc, 0, mine.into()).await;
-        assert_eq!(got.len(), p);
-        got[p - 1].len()
-    });
-    out.stats.elapsed
-}
-
-fn run_case(case: Case) -> f64 {
-    match case.name {
-        "spinup" => spinup(case.p, case.engine),
-        "pingpong" => pingpong(case.engine),
-        "allgather" => allgather_run(case.p, case.engine),
-        other => unreachable!("unknown case {other}"),
     }
 }
 
@@ -121,47 +164,66 @@ fn run_case(case: Case) -> f64 {
 /// The closed forms don't mention the engine: threaded and event runs
 /// are bitwise equivalent.
 fn verify(case: Case) -> Result<(), String> {
-    let elapsed = run_case(case);
-    let want = match case.name {
-        "spinup" => 0.0,
+    let elapsed = prepare(case)().elapsed;
+    let want = match case.kind {
+        Kind::Spinup => 0.0,
         // Each volley is two serialized 4-word hops.
-        "pingpong" => PINGPONG_ROUNDS as f64 * 2.0 * (COST.ts + COST.tw * 4.0),
+        Kind::Pingpong => PINGPONG_ROUNDS as f64 * 2.0 * (COST.ts + COST.tw * 4.0),
         // Table 1, one-port: ts·log p + tw·(p−1)·M.
-        "allgather" => {
+        Kind::Allgather => {
             COST.ts * f64::from(case.p.trailing_zeros())
                 + COST.tw * ((case.p - 1) * ALLGATHER_WORDS) as f64
         }
-        other => unreachable!("unknown case {other}"),
+        Kind::Rows(kind) => kind.closed_form(COST, case.port, ROW_NODES, ROW_WORDS),
     };
     if elapsed != want {
         return Err(format!(
-            "{}/p={}/{}: virtual time {elapsed} != closed form {want}",
-            case.name, case.p, case.engine
+            "{}/p={}/{}/{}: virtual time {elapsed} != closed form {want}",
+            case.name(),
+            case.p,
+            case.engine,
+            case.port_name()
         ));
     }
     Ok(())
 }
 
-/// Median-of-`reps` wall seconds for one execution of `case`.
-fn time_case(case: Case, reps: usize) -> f64 {
-    let _ = run_case(case); // warm-up
+/// One measured case: median wall seconds, messages injected, and the
+/// heap allocations of one run (exact on the event engine, where every
+/// node runs on the measuring thread; not counted for threaded cases).
+struct Measured {
+    seconds: f64,
+    messages: usize,
+    allocations: Option<u64>,
+}
+
+fn measure(case: Case, reps: usize) -> Measured {
+    let (stats, allocations) = allocations_during(prepare(case)); // also the warm-up
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
+            let job = prepare(case);
             let t = Instant::now();
-            std::hint::black_box(run_case(case));
+            std::hint::black_box(job());
             t.elapsed().as_secs_f64()
         })
         .collect();
     samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    Measured {
+        seconds: samples[samples.len() / 2],
+        messages: stats.total_messages(),
+        allocations: (case.engine == Engine::Event).then_some(allocations),
+    }
 }
 
-/// Pulls `(case, p, engine) -> seconds` rows back out of a previously
-/// written `BENCH_simnet.json` (the format this binary emits; no JSON
-/// stack in the workspace, so this is a line scanner keyed on the known
-/// shape). Rows without an `engine` field — written before the event
-/// engine existed — count as threaded.
-fn parse_baseline(text: &str) -> Vec<(String, usize, String, f64)> {
+/// A `(case, p, engine, port) -> seconds` row of a baseline file.
+type BaselineRow = (String, usize, String, String, f64);
+
+/// Pulls the rows back out of a previously written `BENCH_simnet.json`
+/// (the format this binary emits; no JSON stack in the workspace, so
+/// this is a line scanner keyed on the known shape). Rows without an
+/// `engine` field — written before the event engine existed — count as
+/// threaded, rows without a `port` as one-port.
+fn parse_baseline(text: &str) -> Vec<BaselineRow> {
     let mut rows = Vec::new();
     for line in text.lines() {
         let get = |key: &str| -> Option<&str> {
@@ -173,21 +235,29 @@ fn parse_baseline(text: &str) -> Vec<(String, usize, String, f64)> {
         };
         if let (Some(case), Some(p), Some(secs)) = (get("case"), get("p"), get("seconds")) {
             let engine = get("engine").unwrap_or("threaded").to_string();
+            let port = get("port").unwrap_or("one").to_string();
             if let (Ok(p), Ok(secs)) = (p.parse(), secs.parse()) {
-                rows.push((case.to_string(), p, engine, secs));
+                rows.push((case.to_string(), p, engine, port, secs));
             }
         }
     }
     rows
 }
 
+/// `x` to `digits` decimals, or `absent` when there is nothing to
+/// report (no baseline row, no messages, allocations not counted).
+fn num_or(x: Option<f64>, digits: usize, absent: &str) -> String {
+    x.map_or_else(|| absent.to_string(), |x| format!("{x:.digits$}"))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let baseline: Vec<(String, usize, String, f64)> = args
+    let baseline_path = args
         .iter()
         .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1))
+        .and_then(|i| args.get(i + 1));
+    let baseline: Vec<BaselineRow> = baseline_path
         .map(|path| match std::fs::read_to_string(path) {
             Ok(text) => parse_baseline(&text),
             Err(e) => {
@@ -197,36 +267,60 @@ fn main() {
         })
         .unwrap_or_default();
 
-    let case = |name: &'static str, p: usize, engine: Engine| Case { name, p, engine };
+    let case = |kind: Kind, p: usize, engine: Engine| Case {
+        kind,
+        p,
+        engine,
+        port: PortModel::OnePort,
+    };
+    let rows_case = |kind: RowCollective, port: PortModel| Case {
+        kind: Kind::Rows(kind),
+        p: ROW_NODES * ROW_NODES,
+        engine: Engine::Event,
+        port,
+    };
     let cases: Vec<Case> = if smoke {
         vec![
-            case("spinup", 8, Engine::Threaded),
-            case("pingpong", 2, Engine::Threaded),
-            case("allgather", 8, Engine::Threaded),
+            case(Kind::Spinup, 8, Engine::Threaded),
+            case(Kind::Pingpong, 2, Engine::Threaded),
+            case(Kind::Allgather, 8, Engine::Threaded),
             // The event engine's smoke coverage: same closed forms, one
             // host thread, plus a spin-up far past any thread budget.
-            case("allgather", 8, Engine::Event),
-            case("spinup", 4096, Engine::Event),
+            case(Kind::Allgather, 8, Engine::Event),
+            case(Kind::Spinup, 4096, Engine::Event),
+            // One collective at the scale the data path is tuned for.
+            rows_case(RowCollective::Allgather, PortModel::MultiPort),
         ]
     } else {
-        vec![
-            case("spinup", 8, Engine::Threaded),
-            case("spinup", 64, Engine::Threaded),
-            case("spinup", 256, Engine::Threaded),
-            case("pingpong", 2, Engine::Threaded),
-            case("allgather", 8, Engine::Threaded),
-            case("allgather", 64, Engine::Threaded),
-            case("allgather", 256, Engine::Threaded),
-            case("spinup", 256, Engine::Event),
-            case("pingpong", 2, Engine::Event),
-            case("allgather", 8, Engine::Event),
-            case("allgather", 64, Engine::Event),
-            case("allgather", 256, Engine::Event),
+        let mut cases = vec![
+            case(Kind::Spinup, 8, Engine::Threaded),
+            case(Kind::Spinup, 64, Engine::Threaded),
+            case(Kind::Spinup, 256, Engine::Threaded),
+            case(Kind::Pingpong, 2, Engine::Threaded),
+            case(Kind::Allgather, 8, Engine::Threaded),
+            case(Kind::Allgather, 64, Engine::Threaded),
+            case(Kind::Allgather, 256, Engine::Threaded),
+            case(Kind::Spinup, 256, Engine::Event),
+            case(Kind::Pingpong, 2, Engine::Event),
+            case(Kind::Allgather, 8, Engine::Event),
+            case(Kind::Allgather, 64, Engine::Event),
+            case(Kind::Allgather, 256, Engine::Event),
             // Only the event engine reaches these machine sizes: no
             // thread-per-node engine spawns 4096+ OS threads.
-            case("spinup", 4096, Engine::Event),
-            case("spinup", 65536, Engine::Event),
-        ]
+            case(Kind::Spinup, 4096, Engine::Event),
+            case(Kind::Spinup, 65536, Engine::Event),
+        ];
+        // The collective data path at p = 4096: 64 rows of 64 nodes.
+        for kind in [
+            RowCollective::Allgather,
+            RowCollective::ReduceScatter,
+            RowCollective::Alltoall,
+        ] {
+            for port in [PortModel::OnePort, PortModel::MultiPort] {
+                cases.push(rows_case(kind, port));
+            }
+        }
+        cases
     };
 
     // Correctness first: a fast engine that simulates wrong times is
@@ -242,46 +336,75 @@ fn main() {
     let reps = if smoke { 3 } else { 9 };
     let mut rows: Vec<String> = Vec::new();
     println!(
-        "{:<12} {:>6} {:>9} {:>12} {:>10}",
-        "case", "p", "engine", "seconds", "vs base"
+        "{:<22} {:>6} {:>9} {:>6} {:>12} {:>10} {:>11} {:>10}",
+        "case", "p", "engine", "port", "seconds", "ns/msg", "allocs/msg", "vs base"
     );
     for &case in &cases {
-        let secs = time_case(case, reps);
-        let engine = case.engine.to_string();
+        let m = measure(case, reps);
+        let (name, engine, port) = (case.name(), case.engine.to_string(), case.port_name());
         let base = baseline
             .iter()
-            .find(|(n, p, e, _)| n == case.name && *p == case.p && *e == engine)
+            .find(|(n, p, e, pt, _)| *n == name && *p == case.p && *e == engine && pt == port)
             .or_else(|| {
                 // Pre-event baselines only carry threaded rows; scoring
                 // an event case against the threaded row at the same
                 // shape is exactly the engine-vs-engine comparison the
                 // file exists to record.
-                baseline
-                    .iter()
-                    .find(|(n, p, e, _)| n == case.name && *p == case.p && e == "threaded")
+                baseline.iter().find(|(n, p, e, pt, _)| {
+                    *n == name && *p == case.p && e == "threaded" && pt == port
+                })
             })
-            .map(|&(_, _, _, s)| s);
-        let speedup = base.map_or(0.0, |b| b / secs);
+            .map(|&(.., s)| s);
+        let per_msg = |total: f64| (m.messages > 0).then(|| total / m.messages as f64);
+        let ns_per_msg = per_msg(m.seconds * 1e9);
+        let allocs_per_msg = m.allocations.and_then(|a| per_msg(a as f64));
+        let speedup = base.map(|b| b / m.seconds);
         println!(
-            "{:<12} {:>6} {:>9} {:>12.6} {:>10}",
-            case.name,
+            "{:<22} {:>6} {:>9} {:>6} {:>12.6} {:>10} {:>11} {:>10}",
+            name,
             case.p,
             engine,
-            secs,
-            base.map_or_else(|| "-".to_string(), |_| format!("{speedup:.2}x")),
+            port,
+            m.seconds,
+            num_or(ns_per_msg, 0, "-"),
+            num_or(allocs_per_msg, 2, "-"),
+            speedup.map_or_else(|| "-".to_string(), |s| format!("{s:.2}x")),
         );
         rows.push(format!(
-            "    {{\"case\": \"{}\", \"p\": {}, \"engine\": \"{}\", \"seconds\": {:.6}, \"speedup_vs_baseline\": {:.3}}}",
-            case.name, case.p, engine, secs, speedup
+            "    {{\"case\": \"{name}\", \"p\": {}, \"engine\": \"{engine}\", \"port\": \"{port}\", \
+             \"seconds\": {:.6}, \"messages\": {}, \"ns_per_msg\": {}, \"allocs_per_msg\": {}, \
+             \"speedup_vs_baseline\": {}}}",
+            case.p,
+            m.seconds,
+            m.messages,
+            num_or(ns_per_msg, 1, "null"),
+            num_or(allocs_per_msg, 2, "null"),
+            num_or(speedup, 3, "null"),
         ));
     }
 
     if !smoke {
+        let caches = cubemm_dense::tune::detect_caches();
         let json = format!(
-            "{{\n  \"bench\": \"simnet_engine\",\n  \"baseline\": \
-             \"thread-per-node engine with progress ledger (PR 4)\",\n  \"results\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"simnet_engine\",\n  \"baseline\": \"{}\",\n  \
+             \"host_cores\": {},\n  \"host_arch\": \"{}\",\n  \"host_isa\": \"{}\",\n  \
+             \"l1d_bytes\": {},\n  \"l2_bytes\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+            // The file the speedups are against, by name: say in the
+            // name which commit and host it was measured on.
+            baseline_path
+                .and_then(|path| std::path::Path::new(path).file_name())
+                .map_or("none".into(), |name| name.to_string_lossy()),
+            std::thread::available_parallelism().map_or(1, usize::from),
+            std::env::consts::ARCH,
+            cubemm_dense::gemm::ReferenceIsa::detect().name(),
+            caches.l1d,
+            caches.l2,
             rows.join(",\n")
         );
+        #[allow(
+            clippy::expect_used,
+            reason = "a bench that cannot write its result file has nothing else to do"
+        )]
         std::fs::write("BENCH_simnet.json", &json).expect("write BENCH_simnet.json");
         println!("wrote BENCH_simnet.json");
     }

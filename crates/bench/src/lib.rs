@@ -5,7 +5,9 @@
 //! `results/` relative to the working directory), writes the same rows
 //! as CSV for diffing against the paper.
 
+pub mod alloc_count;
 pub mod microbench;
+pub mod rows;
 
 use std::fs;
 use std::io::Write;

@@ -4,24 +4,8 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::plan::{execute, CollectiveRun, PacketStore, Plan, RecvMode, Xfer};
-use crate::{chunk, chunk_bounds, round_tag, unchunk};
-
-fn ncopies_for(port: PortModel, d: usize) -> usize {
-    match port {
-        PortModel::OnePort => 1,
-        PortModel::MultiPort => d.max(1),
-    }
-}
-
-fn slice_lens(part_len: usize, ncopies: usize, n: usize) -> Vec<usize> {
-    let mut lens = Vec::with_capacity(ncopies * n);
-    for c in 0..ncopies {
-        let (lo, hi) = chunk_bounds(part_len, ncopies, c);
-        lens.extend(std::iter::repeat_n(hi - lo, n));
-    }
-    lens
-}
+use crate::plan::{execute, CollectiveRun, Plan, RecvMode, Xfer};
+use crate::{chunk, copies, round_tag, sliced_store, submasks};
 
 /// A planned all-gather, ready to execute (possibly fused with others).
 #[derive(Debug)]
@@ -29,7 +13,6 @@ pub struct AllgatherRun {
     inner: CollectiveRun,
     ncopies: usize,
     n: usize,
-    part_len: usize,
 }
 
 impl AllgatherRun {
@@ -40,16 +23,11 @@ impl AllgatherRun {
 
     /// Extracts all contributions, indexed by rank, after execution.
     pub fn finish(mut self) -> Vec<Payload> {
-        (0..self.n)
+        let (n, store) = (self.n, &mut self.inner.store);
+        (0..n)
             .map(|r| {
-                let parts: Vec<Payload> = (0..self.ncopies)
-                    .map(|c| {
-                        self.inner
-                            .store
-                            .delivered(c * self.n + r, "all-gather slice delivered")
-                    })
-                    .collect();
-                unchunk(self.part_len, &parts)
+                let slices = (0..self.ncopies).map(|c| c * n + r);
+                store.bundle(slices, true, format_args!("all-gather finish"))
             })
             .collect()
     }
@@ -67,10 +45,11 @@ pub fn allgather_plan(
     let d = sc.dim() as usize;
     let n = sc.size();
     let v = sc.rank_of(me);
-    let part_len = mine.len();
 
-    let ncopies = ncopies_for(port, d);
-    let mut store = PacketStore::new(slice_lens(part_len, ncopies, n));
+    let ncopies = copies(port, d);
+    let mut store = sliced_store(mine.len(), ncopies, n);
+    // Half the row arrives in the last round (see `reserve`).
+    store.reserve(ncopies * n / 2);
     for c in 0..ncopies {
         store.put(c * n + v, chunk(&mine, ncopies, c));
     }
@@ -82,20 +61,18 @@ pub fn allgather_plan(
             let processed: usize = (0..s).map(|i| 1usize << ((c + i) % d)).sum();
             let peer_rank = v ^ (1 << o_s);
             let tag = round_tag(base, s as u32, c as u32);
-            let held: Vec<usize> = (0..n)
-                .filter(|r| r & !processed == v & !processed)
-                .collect();
-            let incoming: Vec<usize> = (0..n)
-                .filter(|r| r & !processed == peer_rank & !processed)
-                .collect();
+            // Everything gathered so far: the ranks that agree with the
+            // holder outside the dimensions already exchanged.
+            let gathered_at =
+                |rank: usize| submasks(rank & !processed, processed).map(move |r| c * n + r);
             plan.push(
                 s,
                 Xfer {
                     peer: sc.member(peer_rank),
                     tag,
-                    send: held.iter().map(|&r| c * n + r).collect(),
+                    send: gathered_at(v).collect(),
                     consume_sends: false,
-                    recv: incoming.iter().map(|&r| c * n + r).collect(),
+                    recv: gathered_at(peer_rank).collect(),
                     recv_mode: RecvMode::Fill,
                 },
             );
@@ -106,7 +83,6 @@ pub fn allgather_plan(
         inner: CollectiveRun::new(plan, store),
         ncopies,
         n,
-        part_len,
     }
 }
 
@@ -128,7 +104,6 @@ pub struct ReduceScatterRun {
     ncopies: usize,
     n: usize,
     v: usize,
-    part_len: usize,
 }
 
 impl ReduceScatterRun {
@@ -139,14 +114,10 @@ impl ReduceScatterRun {
 
     /// Extracts this node's summed part after execution.
     pub fn finish(mut self) -> Payload {
-        let parts: Vec<Payload> = (0..self.ncopies)
-            .map(|c| {
-                self.inner
-                    .store
-                    .delivered(c * self.n + self.v, "reduced part delivered")
-            })
-            .collect();
-        unchunk(self.part_len, &parts)
+        let slices = (0..self.ncopies).map(|c| c * self.n + self.v);
+        self.inner
+            .store
+            .bundle(slices, true, format_args!("reduce-scatter finish"))
     }
 }
 
@@ -173,8 +144,9 @@ pub fn reduce_scatter_plan(
         );
     }
 
-    let ncopies = ncopies_for(port, d);
-    let mut store = PacketStore::new(slice_lens(part_len, ncopies, n));
+    let ncopies = copies(port, d);
+    let mut store = sliced_store(part_len, ncopies, n);
+    store.reserve(ncopies * n);
     for (r, part) in parts.iter().enumerate() {
         for c in 0..ncopies {
             store.put(c * n + r, chunk(part, ncopies, c));
@@ -190,21 +162,20 @@ pub fn reduce_scatter_plan(
             let processed: usize = (0..step).map(|i| 1usize << ((c + d - 1 - i) % d)).sum();
             let peer_rank = v ^ (1 << o);
             let tag = round_tag(base, step as u32, c as u32);
-            let alive = |r: usize| r & processed == v & processed;
-            let send_set: Vec<usize> = (0..n)
-                .filter(|&r| alive(r) && (r >> o) & 1 == (peer_rank >> o) & 1)
-                .collect();
-            let keep_set: Vec<usize> = (0..n)
-                .filter(|&r| alive(r) && (r >> o) & 1 == (v >> o) & 1)
-                .collect();
+            // Parts still alive here agree with me on the dimensions
+            // already halved; this round splits them by bit `o` — the
+            // peer's side leaves, my side stays and accumulates.
+            let free = (n - 1) & !(processed | 1 << o);
+            let side_of =
+                |rank: usize| submasks(v & processed | rank & 1 << o, free).map(move |r| c * n + r);
             plan.push(
                 step,
                 Xfer {
                     peer: sc.member(peer_rank),
                     tag,
-                    send: send_set.iter().map(|&r| c * n + r).collect(),
+                    send: side_of(peer_rank).collect(),
                     consume_sends: true,
-                    recv: keep_set.iter().map(|&r| c * n + r).collect(),
+                    recv: side_of(v).collect(),
                     recv_mode: RecvMode::Accumulate,
                 },
             );
@@ -216,7 +187,6 @@ pub fn reduce_scatter_plan(
         ncopies,
         n,
         v,
-        part_len,
     }
 }
 

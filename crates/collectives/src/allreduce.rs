@@ -32,15 +32,11 @@ pub async fn allreduce_sum(proc: &mut Proc, sc: &Subcube, base: u64, mine: Paylo
         // Reduce-scatter my chunks, then all-gather the reduced pieces.
         let each = m / n;
         let parts: Vec<Payload> = (0..n)
-            .map(|r| Payload::from(&mine[r * each..(r + 1) * each]))
+            .map(|r| mine.slice(r * each, (r + 1) * each))
             .collect();
         let reduced = reduce_scatter(proc, sc, base, parts).await;
         let gathered = allgather(proc, sc, base + TAG_SPACE, reduced).await;
-        let mut out = Vec::with_capacity(m);
-        for piece in gathered {
-            out.extend_from_slice(&piece);
-        }
-        Payload::from(out.into_boxed_slice())
+        Payload::concat(m, gathered.iter().map(|piece| &piece[..]))
     } else {
         // Rooted reduce at rank 0, then broadcast.
         let port = proc.port_model();

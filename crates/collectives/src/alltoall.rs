@@ -13,8 +13,8 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::plan::{execute, CollectiveRun, PacketStore, Plan, RecvMode, Xfer};
-use crate::{chunk, chunk_bounds, round_tag, unchunk};
+use crate::plan::{execute, CollectiveRun, Plan, RecvMode, Xfer};
+use crate::{chunk, copies, round_tag, sliced_store, submasks};
 
 /// A planned all-to-all personalized exchange.
 #[derive(Debug)]
@@ -23,7 +23,6 @@ pub struct AlltoallRun {
     ncopies: usize,
     n: usize,
     v: usize,
-    part_len: usize,
 }
 
 impl AlltoallRun {
@@ -34,17 +33,11 @@ impl AlltoallRun {
 
     /// Extracts the received messages, indexed by origin rank.
     pub fn finish(mut self) -> Vec<Payload> {
-        let n = self.n;
+        let (n, store) = (self.n, &mut self.inner.store);
         (0..n)
             .map(|origin| {
-                let parts: Vec<Payload> = (0..self.ncopies)
-                    .map(|c| {
-                        self.inner
-                            .store
-                            .delivered(c * n * n + self.v * n + origin, "packet for me delivered")
-                    })
-                    .collect();
-                unchunk(self.part_len, &parts)
+                let slices = (0..self.ncopies).map(|c| c * n * n + self.v * n + origin);
+                store.bundle(slices, true, format_args!("all-to-all finish"))
             })
             .collect()
     }
@@ -69,16 +62,10 @@ pub fn alltoall_plan(
         assert_eq!(p.len(), part_len, "alltoall parts must have equal length");
     }
 
-    let ncopies = match port {
-        PortModel::OnePort => 1,
-        PortModel::MultiPort => d.max(1),
-    };
-    let mut lens = Vec::with_capacity(ncopies * n * n);
-    for c in 0..ncopies {
-        let (lo, hi) = chunk_bounds(part_len, ncopies, c);
-        lens.extend(std::iter::repeat_n(hi - lo, n * n));
-    }
-    let mut store = PacketStore::new(lens);
+    let ncopies = copies(port, d);
+    let mut store = sliced_store(part_len, ncopies, n * n);
+    // Every round trades half of a copy's n packets for as many others.
+    store.reserve(ncopies * n);
     for (dest, part) in parts.iter().enumerate() {
         for c in 0..ncopies {
             store.put(c * n * n + dest * n + v, chunk(part, ncopies, c));
@@ -94,29 +81,26 @@ pub fn alltoall_plan(
             let tag = round_tag(base, i as u32, c as u32);
             // A packet (dest, origin) resides at the node whose processed
             // bits come from dest and whose other bits come from origin.
-            let at = |node: usize, dest: usize, origin: usize| {
-                dest & processed == node & processed && origin & !processed == node & !processed
-            };
-            let mut send_ids = Vec::new();
-            let mut recv_ids = Vec::new();
-            for dest in 0..n {
-                for origin in 0..n {
-                    if at(v, dest, origin) && (dest >> o_i) & 1 != (v >> o_i) & 1 {
-                        send_ids.push(c * n * n + dest * n + origin);
-                    }
-                    if at(peer_rank, dest, origin) && (dest >> o_i) & 1 == (v >> o_i) & 1 {
-                        recv_ids.push(c * n * n + dest * n + origin);
-                    }
+            // Of those at `holder`, this round moves the ones whose dest
+            // sits on `side`'s half of dimension o_i: dest is free in
+            // the dimensions still to come, origin in those already done.
+            let unrouted = (n - 1) & !(processed | 1 << o_i);
+            let crossing = |holder: usize, side: usize| {
+                let origins = submasks(holder & !processed, processed);
+                let mut ids = Vec::with_capacity(n / 2);
+                for dest in submasks(holder & processed | side & 1 << o_i, unrouted) {
+                    ids.extend(origins.clone().map(|origin| c * n * n + dest * n + origin));
                 }
-            }
+                ids
+            };
             plan.push(
                 i,
                 Xfer {
                     peer: sc.member(peer_rank),
                     tag,
-                    send: send_ids,
+                    send: crossing(v, peer_rank),
                     consume_sends: true,
-                    recv: recv_ids,
+                    recv: crossing(peer_rank, v),
                     recv_mode: RecvMode::Fill,
                 },
             );
@@ -128,7 +112,6 @@ pub fn alltoall_plan(
         ncopies,
         n,
         v,
-        part_len,
     }
 }
 

@@ -3,15 +3,14 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::plan::{execute, CollectiveRun, PacketStore, Plan, RecvMode, Xfer};
-use crate::{chunk, chunk_bounds, round_tag, unchunk};
+use crate::plan::{execute, CollectiveRun, Plan, RecvMode, Xfer};
+use crate::{chunk, copies, round_tag, sliced_store};
 
 /// A planned broadcast, ready to execute (possibly fused with others).
 #[derive(Debug)]
 pub struct BcastRun {
     inner: CollectiveRun,
     ncopies: usize,
-    len: usize,
 }
 
 impl BcastRun {
@@ -22,10 +21,10 @@ impl BcastRun {
 
     /// Extracts the broadcast payload after execution.
     pub fn finish(mut self) -> Payload {
-        let parts: Vec<Payload> = (0..self.ncopies)
-            .map(|c| self.inner.store.delivered(c, "broadcast slice delivered"))
-            .collect();
-        unchunk(self.len, &parts)
+        let slices = 0..self.ncopies;
+        self.inner
+            .store
+            .bundle(slices, true, format_args!("broadcast finish"))
     }
 }
 
@@ -58,17 +57,8 @@ pub fn bcast_plan(
         assert!(data.is_none(), "non-root nodes must not supply data");
     }
 
-    let ncopies = match port {
-        PortModel::OnePort => 1,
-        PortModel::MultiPort => d.max(1),
-    };
-    let lens: Vec<usize> = (0..ncopies)
-        .map(|c| {
-            let (lo, hi) = chunk_bounds(len, ncopies, c);
-            hi - lo
-        })
-        .collect();
-    let mut store = PacketStore::new(lens);
+    let ncopies = copies(port, d);
+    let mut store = sliced_store(len, ncopies, 1);
     if let Some(full) = &data {
         for c in 0..ncopies {
             store.put(c, chunk(full, ncopies, c));
@@ -114,7 +104,6 @@ pub fn bcast_plan(
     BcastRun {
         inner: CollectiveRun::new(plan, store),
         ncopies,
-        len,
     }
 }
 

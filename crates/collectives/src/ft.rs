@@ -27,12 +27,12 @@
 //! hops honestly; a hypercube is bipartite, so the shortest detour for a
 //! neighbor edge is 3 hops).
 
-use cubemm_simnet::{Op, Payload, Proc, RetryPolicy, SendError};
+use cubemm_simnet::{Payload, Proc, RetryPolicy, SendError};
 use cubemm_topology::Subcube;
 
 use crate::allgather::allgather_plan;
 use crate::bcast::bcast_plan;
-use crate::plan::{CollectiveRun, RecvMode};
+use crate::plan::{execute_rounds, CollectiveRun};
 
 /// Executes a single collective with dead-edge relay fallback.
 ///
@@ -42,87 +42,19 @@ use crate::plan::{CollectiveRun, RecvMode};
 /// their receives still match on the original `(peer, tag)`, because the
 /// simulator delivers relayed messages under the origin's label.
 pub async fn execute_ft(proc: &mut Proc, run: &mut CollectiveRun) -> Result<(), SendError> {
-    let me = proc.id();
     let policy = RetryPolicy::default();
-    for r in 0..run.plan.rounds.len() {
-        let xfers = run.plan.rounds[r].clone();
-
-        // Relay sends whose direct edge is dead, then batch the rest.
-        let mut ops: Vec<Op> = Vec::new();
-        let mut recv_order: Vec<usize> = Vec::new();
-        for (xi, xfer) in xfers.iter().enumerate() {
-            if !xfer.send.is_empty() {
-                let mut bundle: Vec<f64> = Vec::new();
-                for &id in &xfer.send {
-                    let pkt = if xfer.consume_sends {
-                        run.store.take(id)
-                    } else {
-                        run.store.get(id)
-                    };
-                    let pkt = pkt
-                        .unwrap_or_else(|| panic!("round {r}: packet {id} not present for send"));
-                    bundle.extend_from_slice(&pkt);
-                }
-                let bundle = Payload::from(bundle.into_boxed_slice());
-                let dead = proc
-                    .fault_plan()
-                    .is_some_and(|plan| plan.is_dead(me, xfer.peer));
-                if dead {
-                    relay(proc, xfer.peer, xfer.tag, bundle, policy)?;
-                } else {
-                    ops.push(Op::Send {
-                        to: xfer.peer,
-                        tag: xfer.tag,
-                        data: bundle,
-                    });
-                }
-            }
-            if !xfer.recv.is_empty() {
-                recv_order.push(xi);
-            }
+    execute_rounds(proc, &mut [run], |proc, xfer, bundle| {
+        let dead = proc
+            .fault_plan()
+            .is_some_and(|plan| plan.is_dead(proc.id(), xfer.peer));
+        if dead {
+            relay(proc, xfer.peer, xfer.tag, bundle, policy)?;
+            Ok(None)
+        } else {
+            Ok(Some(bundle))
         }
-        for &xi in &recv_order {
-            ops.push(Op::Recv {
-                from: xfers[xi].peer,
-                tag: xfers[xi].tag,
-            });
-        }
-
-        let results = proc.multi(ops).await;
-        let mut received = results.into_iter().flatten();
-        for xi in recv_order {
-            #[allow(
-                clippy::expect_used,
-                reason = "engine contract: multi returns one Some per Op::Recv"
-            )]
-            let bundle = received.next().expect("engine recv result");
-            let xfer = &xfers[xi];
-            let expected: usize = xfer.recv.iter().map(|&id| run.store.expected_len(id)).sum();
-            assert_eq!(
-                bundle.len(),
-                expected,
-                "round {r}: bundle length mismatch from node {}",
-                xfer.peer
-            );
-            let mut offset = 0;
-            for &id in &xfer.recv {
-                let len = run.store.expected_len(id);
-                let piece = Payload::from(&bundle[offset..offset + len]);
-                offset += len;
-                match xfer.recv_mode {
-                    RecvMode::Fill => run.store.put(id, piece),
-                    RecvMode::Accumulate => {
-                        let cur = run
-                            .store
-                            .take(id)
-                            .unwrap_or_else(|| panic!("accumulate target {id} missing"));
-                        run.store.put(id, crate::add_payloads(&cur, &piece));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
+    })
+    .await
 }
 
 /// Sends `data` to `peer` over a live detour, retrying dropped attempts

@@ -5,9 +5,9 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::plan::{execute, CollectiveRun, PacketStore, Plan, RecvMode, Xfer};
+use crate::plan::{execute, CollectiveRun, Plan, RecvMode, Xfer};
 use crate::scatter::subtree;
-use crate::{chunk, chunk_bounds, round_tag, unchunk};
+use crate::{chunk, copies, round_tag, sliced_store};
 
 /// A planned gather, ready to execute (possibly fused with others).
 #[derive(Debug)]
@@ -17,7 +17,6 @@ pub struct GatherRun {
     n: usize,
     is_root: bool,
     root: usize,
-    part_len: usize,
 }
 
 impl GatherRun {
@@ -32,19 +31,13 @@ impl GatherRun {
         if !self.is_root {
             return None;
         }
-        let n = self.n;
+        let (n, store) = (self.n, &mut self.inner.store);
         Some(
             (0..n)
                 .map(|rank| {
                     let u = rank ^ self.root; // relative rank
-                    let parts: Vec<Payload> = (0..self.ncopies)
-                        .map(|c| {
-                            self.inner
-                                .store
-                                .delivered(c * n + u, "gathered part delivered")
-                        })
-                        .collect();
-                    unchunk(self.part_len, &parts)
+                    let slices = (0..self.ncopies).map(|c| c * n + u);
+                    store.bundle(slices, true, format_args!("gather finish at the root"))
                 })
                 .collect(),
         )
@@ -65,18 +58,9 @@ pub fn gather_plan(
     let n = sc.size();
     let my_rank = sc.rank_of(me);
     let v = my_rank ^ root;
-    let part_len = mine.len();
 
-    let ncopies = match port {
-        PortModel::OnePort => 1,
-        PortModel::MultiPort => d.max(1),
-    };
-    let mut lens = Vec::with_capacity(ncopies * n);
-    for c in 0..ncopies {
-        let (lo, hi) = chunk_bounds(part_len, ncopies, c);
-        lens.extend(std::iter::repeat_n(hi - lo, n));
-    }
-    let mut store = PacketStore::new(lens);
+    let ncopies = copies(port, d);
+    let mut store = sliced_store(mine.len(), ncopies, n);
     for c in 0..ncopies {
         store.put(c * n + v, chunk(&mine, ncopies, c));
     }
@@ -100,7 +84,7 @@ pub fn gather_plan(
                     Xfer {
                         peer: sc.member((v ^ (1 << u_dim)) ^ root),
                         tag,
-                        send: members.iter().map(|&u| c * n + u).collect(),
+                        send: members.map(|u| c * n + u).collect(),
                         consume_sends: true,
                         recv: vec![],
                         recv_mode: RecvMode::Fill,
@@ -116,7 +100,7 @@ pub fn gather_plan(
                         tag,
                         send: vec![],
                         consume_sends: false,
-                        recv: members.iter().map(|&u| c * n + u).collect(),
+                        recv: members.map(|u| c * n + u).collect(),
                         recv_mode: RecvMode::Fill,
                     },
                 );
@@ -130,7 +114,6 @@ pub fn gather_plan(
         n,
         is_root: v == 0,
         root,
-        part_len,
     }
 }
 

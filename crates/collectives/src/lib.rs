@@ -84,7 +84,7 @@ pub use reduce::{reduce_plan, reduce_sum, reduce_sum_checked, ChecksumMismatch, 
 pub use scatter::{scatter, scatter_plan, ScatterRun};
 pub use schema::{CollKind, CollSchema, RoundSpec, VolSchema, WireSpec};
 
-use cubemm_simnet::Payload;
+use cubemm_simnet::{Payload, PortModel};
 
 /// Minimum spacing between the `base` tags of two collective calls whose
 /// messages could be in flight concurrently.
@@ -97,11 +97,34 @@ pub(crate) fn round_tag(base: u64, r: u32, c: u32) -> u64 {
     base + u64::from(r) * 64 + u64::from(c)
 }
 
-/// Splits `data` into `parts` near-equal contiguous word chunks; chunk
-/// `c` covers `[c·len/parts, (c+1)·len/parts)`.
-pub(crate) fn chunk(data: &[f64], parts: usize, c: usize) -> Payload {
+/// Rotated copies of its schedule a collective runs over a
+/// `d`-dimensional subcube: one on one-port nodes, `d` — every link
+/// busy in every round — on multi-port nodes.
+pub(crate) fn copies(port: PortModel, d: usize) -> usize {
+    match port {
+        PortModel::OnePort => 1,
+        PortModel::MultiPort => d.max(1),
+    }
+}
+
+/// An empty store for messages of `len` words cut into `ncopies` slices
+/// (see [`chunk`]), `per_copy` packets per slice.
+pub(crate) fn sliced_store(len: usize, ncopies: usize, per_copy: usize) -> PacketStore {
+    let lens = (0..ncopies)
+        .map(|c| {
+            let (lo, hi) = chunk_bounds(len, ncopies, c);
+            hi - lo
+        })
+        .collect();
+    PacketStore::new(lens, per_copy)
+}
+
+/// Chunk `c` of `data` split into `parts` near-equal contiguous word
+/// ranges, `[c·len/parts, (c+1)·len/parts)` — a window of `data`, not a
+/// copy.
+pub(crate) fn chunk(data: &Payload, parts: usize, c: usize) -> Payload {
     let (lo, hi) = chunk_bounds(data.len(), parts, c);
-    Payload::from(&data[lo..hi])
+    data.slice(lo, hi)
 }
 
 /// The bounds of chunk `c` of a `len`-word message split `parts` ways.
@@ -110,44 +133,47 @@ pub(crate) fn chunk_bounds(len: usize, parts: usize, c: usize) -> (usize, usize)
     (c * len / parts, (c + 1) * len / parts)
 }
 
-/// Reassembles chunks produced by [`chunk`].
-pub(crate) fn unchunk(total_len: usize, parts: &[Payload]) -> Payload {
-    let mut out = Vec::with_capacity(total_len);
-    for p in parts {
-        out.extend_from_slice(p);
+/// Every `fixed | s` for `s` a subset of the bits of `free`, ascending
+/// (`fixed` and `free` must be disjoint). This is how the plan
+/// generators name "all ranks that agree with me outside these
+/// dimensions" in time proportional to the answer, not to the subcube;
+/// the length is exact, so collecting allocates once.
+pub(crate) fn submasks(fixed: usize, free: usize) -> Submasks {
+    debug_assert_eq!(fixed & free, 0);
+    Submasks {
+        fixed,
+        free,
+        sub: 0,
+        left: 1 << free.count_ones(),
     }
-    debug_assert_eq!(out.len(), total_len);
-    Payload::from(out.into_boxed_slice())
 }
 
-/// Concatenates whole payloads into one message.
-#[allow(dead_code)] // used by unit tests and kept for schedule builders
-pub(crate) fn concat(parts: impl IntoIterator<Item = Payload>) -> Payload {
-    let mut out: Vec<f64> = Vec::new();
-    for p in parts {
-        out.extend_from_slice(&p);
-    }
-    Payload::from(out.into_boxed_slice())
+/// The iterator behind [`submasks`].
+#[derive(Debug, Clone)]
+pub(crate) struct Submasks {
+    fixed: usize,
+    free: usize,
+    sub: usize,
+    left: usize,
 }
 
-/// Splits a received bundle into `count` equal-length payloads.
-#[allow(dead_code)] // used by unit tests and kept for schedule builders
-pub(crate) fn split_equal(bundle: &[f64], count: usize) -> Vec<Payload> {
-    if count == 0 {
-        return Vec::new();
+impl Iterator for Submasks {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        self.left = self.left.checked_sub(1)?;
+        let out = self.fixed | self.sub;
+        // The standard successor of a sub-mask (wraps to 0 after `free`).
+        self.sub = self.sub.wrapping_sub(self.free) & self.free;
+        Some(out)
     }
-    assert_eq!(bundle.len() % count, 0, "bundle not equally divisible");
-    let each = bundle.len() / count;
-    (0..count)
-        .map(|i| Payload::from(&bundle[i * each..(i + 1) * each]))
-        .collect()
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
 }
 
-/// Element-wise sum of two equal-length payloads.
-pub(crate) fn add_payloads(a: &[f64], b: &[f64]) -> Payload {
-    assert_eq!(a.len(), b.len(), "reduction operand length mismatch");
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
-}
+impl ExactSizeIterator for Submasks {}
 
 #[cfg(test)]
 pub(crate) mod testutil {
@@ -198,19 +224,19 @@ mod tests {
 
     #[test]
     fn chunks_cover_exactly() {
-        let data: Vec<f64> = (0..13).map(|x| x as f64).collect();
+        let data: Payload = (0..13).map(|x| x as f64).collect();
         for parts in 1..6 {
             let pieces: Vec<Payload> = (0..parts).map(|c| chunk(&data, parts, c)).collect();
             let total: usize = pieces.iter().map(|p| p.len()).sum();
             assert_eq!(total, 13);
-            let back = unchunk(13, &pieces);
+            let back = Payload::concat(13, pieces.iter().map(|p| &p[..]));
             assert_eq!(&back[..], &data[..]);
         }
     }
 
     #[test]
     fn chunk_handles_fewer_words_than_parts() {
-        let data = [1.0, 2.0];
+        let data = Payload::from([1.0, 2.0]);
         let pieces: Vec<Payload> = (0..5).map(|c| chunk(&data, 5, c)).collect();
         assert_eq!(pieces.iter().map(|p| p.len()).sum::<usize>(), 2);
         assert!(pieces.iter().any(|p| p.is_empty()));
@@ -218,17 +244,22 @@ mod tests {
 
     #[test]
     fn split_equal_roundtrip() {
-        let a: Payload = Payload::from(vec![1.0, 2.0].into_boxed_slice());
-        let b: Payload = Payload::from(vec![3.0, 4.0].into_boxed_slice());
-        let bundle = concat([a.clone(), b.clone()]);
-        let back = split_equal(&bundle, 2);
-        assert_eq!(&back[0][..], &a[..]);
-        assert_eq!(&back[1][..], &b[..]);
+        // Bundling then windowing gives back the packets, word for word.
+        let a: Payload = (0..12).map(f64::from).collect();
+        let b: Payload = (12..24).map(f64::from).collect();
+        let bundle = Payload::concat(24, [&a[..], &b[..]]);
+        assert_eq!(bundle.slice(0, 12), a);
+        assert_eq!(bundle.slice(12, 24), b);
     }
 
     #[test]
-    fn add_payloads_sums() {
-        let s = add_payloads(&[1.0, 2.0], &[10.0, 20.0]);
-        assert_eq!(&s[..], &[11.0, 22.0]);
+    fn submasks_ascend_and_cover() {
+        let got: Vec<usize> = submasks(0b0100, 0b1010).collect();
+        assert_eq!(got, vec![0b0100, 0b0110, 0b1100, 0b1110]);
+        assert_eq!(submasks(5, 0).collect::<Vec<_>>(), vec![5]);
+        for free in 0..64usize {
+            let want: Vec<usize> = (0..64).filter(|r| r & !free == 0).collect();
+            assert_eq!(submasks(0, free).collect::<Vec<_>>(), want);
+        }
     }
 }

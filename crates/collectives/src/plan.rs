@@ -11,6 +11,9 @@
 //! execution serializes automatically through the port semantics of
 //! [`Proc::multi`].
 
+use std::convert::Infallible;
+use std::sync::Arc;
+
 use cubemm_simnet::{Op, Payload, Proc};
 use cubemm_topology::bits::hamming;
 
@@ -60,27 +63,117 @@ impl std::error::Error for PacketError {}
 /// Packet storage for one in-flight collective. Packet lengths are known
 /// at plan time (every caller knows its block shapes), so received
 /// bundles can be split without headers.
+///
+/// Ids are dense in the plan's id space (`copies × per_copy`, for
+/// all-to-all `copies × N²`), but a node only ever holds the packets its
+/// own transfers name — a scatter leaf one per copy. So the store is
+/// sized by what the node holds: a slot exists exactly while its packet
+/// is present, and lengths are kept once per copy, not per id.
 #[derive(Debug)]
 pub struct PacketStore {
-    lens: Vec<usize>,
-    slots: Vec<Option<Payload>>,
+    /// Packet length of each copy; copy `c` owns ids
+    /// `c·per_copy .. (c + 1)·per_copy`.
+    copy_lens: Vec<usize>,
+    per_copy: usize,
+    /// The packets present, as `(id, packet)` in no particular order.
+    held: Vec<(usize, Payload)>,
+    /// Open-addressed map from id to its position in `held`, plus one
+    /// (0 marks a vacant cell): linear probing, deletion by backward
+    /// shift. Length is a power of two, at least twice `held.len()`.
+    index: Vec<u32>,
 }
 
 impl PacketStore {
-    /// Creates a store for packets of the given lengths, all empty.
-    pub fn new(lens: Vec<usize>) -> Self {
-        let slots = vec![None; lens.len()];
-        PacketStore { lens, slots }
+    /// Creates an empty store of `copy_lens.len()` copies of `per_copy`
+    /// packets each, every packet of copy `c` being `copy_lens[c]` words
+    /// long.
+    ///
+    /// # Panics
+    /// Panics if `per_copy` is zero.
+    pub fn new(copy_lens: Vec<usize>, per_copy: usize) -> Self {
+        assert!(
+            per_copy > 0,
+            "PacketStore: a copy holds at least one packet"
+        );
+        PacketStore {
+            copy_lens,
+            per_copy,
+            held: Vec::new(),
+            index: Vec::new(),
+        }
     }
 
-    /// Number of packet slots.
+    /// Number of packet ids the store addresses.
     pub fn len(&self) -> usize {
-        self.lens.len()
+        self.copy_lens.len() * self.per_copy
     }
 
-    /// Whether the store has no slots.
+    /// Whether the store addresses no packet ids.
     pub fn is_empty(&self) -> bool {
-        self.lens.is_empty()
+        self.len() == 0
+    }
+
+    /// The index cell probing for `id` starts at (Fibonacci hashing:
+    /// the top bits of the product are the well-mixed ones).
+    fn home(&self, id: usize) -> usize {
+        let bits = self.index.len().trailing_zeros();
+        ((id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize
+    }
+
+    /// The cell after `cell`, cyclically.
+    fn after(&self, cell: usize) -> usize {
+        (cell + 1) & (self.index.len() - 1)
+    }
+
+    /// The index cell naming packet `id`, if the packet is present.
+    fn cell_of(&self, id: usize) -> Option<usize> {
+        if self.index.is_empty() {
+            return None;
+        }
+        let mut cell = self.home(id);
+        loop {
+            match self.index[cell] as usize {
+                0 => return None,
+                at if self.held[at - 1].0 == id => return Some(cell),
+                _ => cell = self.after(cell),
+            }
+        }
+    }
+
+    /// Position in `held` of packet `id`, if present.
+    fn position(&self, id: usize) -> Option<usize> {
+        self.cell_of(id).map(|cell| self.index[cell] as usize - 1)
+    }
+
+    /// Enters `held[at]` into the index.
+    fn link(&mut self, at: usize) {
+        let mut cell = self.home(self.held[at].0);
+        while self.index[cell] != 0 {
+            cell = self.after(cell);
+        }
+        #[allow(
+            clippy::expect_used,
+            reason = "a node holding 2^32 packets is far outside any simulated machine"
+        )]
+        let entry = u32::try_from(at + 1).expect("held packet count fits u32");
+        self.index[cell] = entry;
+    }
+
+    /// Vacates `cell`, then closes the gap: every entry further along
+    /// the probe run whose home lies at or before the gap moves back
+    /// into it, so no later lookup meets a vacant cell too early.
+    fn unlink(&mut self, mut cell: usize) {
+        let mask = self.index.len() - 1;
+        let mut probe = self.after(cell);
+        while self.index[probe] != 0 {
+            let home = self.home(self.held[self.index[probe] as usize - 1].0);
+            if probe.wrapping_sub(home) & mask >= probe.wrapping_sub(cell) & mask {
+                self.index[cell] = self.index[probe];
+                cell = probe;
+            }
+            probe = self.after(probe);
+        }
+        self.index[cell] = 0;
     }
 
     /// The expected length of packet `id`.
@@ -96,10 +189,13 @@ impl PacketStore {
     /// The expected length of packet `id`, or a typed error if the slot
     /// does not exist.
     pub fn try_expected_len(&self, id: usize) -> Result<usize, PacketError> {
-        self.lens.get(id).copied().ok_or(PacketError::OutOfRange {
-            id,
-            slots: self.lens.len(),
-        })
+        self.copy_lens
+            .get(id / self.per_copy)
+            .copied()
+            .ok_or(PacketError::OutOfRange {
+                id,
+                slots: self.len(),
+            })
     }
 
     /// Fills slot `id` with an initial payload.
@@ -125,11 +221,35 @@ impl PacketStore {
                 want,
             });
         }
-        if self.slots[id].is_some() {
+        if self.cell_of(id).is_some() {
             return Err(PacketError::AlreadyFilled { id });
         }
-        self.slots[id] = Some(payload);
+        self.held.push((id, payload));
+        if self.held.len() * 2 > self.index.len() {
+            self.reindex(self.index.len() * 2);
+        } else {
+            self.link(self.held.len() - 1);
+        }
         Ok(())
+    }
+
+    /// Replaces the index with one of at least `cells` cells.
+    fn reindex(&mut self, cells: usize) {
+        self.index = vec![0; cells.next_power_of_two().max(8)];
+        (0..self.held.len()).for_each(|at| self.link(at));
+    }
+
+    /// Makes room for `more` packets beyond those present. Worth calling
+    /// with what a node is about to put anyway; reserving for arrivals
+    /// of the *last* round costs memory instead — grown on demand, that
+    /// last doubling lives from one node's final round to its finish,
+    /// reserved it is resident on every node for the whole collective.
+    pub(crate) fn reserve(&mut self, more: usize) {
+        self.held.reserve_exact(more);
+        let cells = (self.held.len() + more) * 2;
+        if cells > self.index.len() {
+            self.reindex(cells);
+        }
     }
 
     /// Removes and returns packet `id` (`None` when the slot is empty).
@@ -145,37 +265,70 @@ impl PacketStore {
     /// Fallible [`PacketStore::take`]: `Ok(None)` when the slot exists
     /// but is empty, `Err` when the slot does not exist at all.
     pub fn try_take(&mut self, id: usize) -> Result<Option<Payload>, PacketError> {
-        match self.slots.get_mut(id) {
-            Some(slot) => Ok(slot.take()),
-            None => Err(PacketError::OutOfRange {
-                id,
-                slots: self.lens.len(),
-            }),
+        self.try_expected_len(id)?;
+        let Some(cell) = self.cell_of(id) else {
+            return Ok(None);
+        };
+        let at = self.index[cell] as usize - 1;
+        self.unlink(cell);
+        // `swap_remove` moves the last packet into the hole: re-point
+        // its cell first, while `held` still agrees with the index.
+        let last = self.held.len() - 1;
+        if at != last {
+            if let Some(cell) = self.cell_of(self.held[last].0) {
+                self.index[cell] = at as u32 + 1;
+            }
         }
+        Ok(Some(self.held.swap_remove(at).1))
     }
 
     /// Returns a clone of packet `id` if present.
     pub fn get(&self, id: usize) -> Option<Payload> {
-        self.slots.get(id).cloned().flatten()
+        self.peek(id).cloned()
     }
 
-    /// Removes and returns packet `id`, panicking with `what` if absent.
+    /// Borrows packet `id` if present.
+    fn peek(&self, id: usize) -> Option<&Payload> {
+        self.position(id).map(|at| &self.held[at].1)
+    }
+
+    /// Mutably borrows packet `id` if present.
+    fn peek_mut(&mut self, id: usize) -> Option<&mut Payload> {
+        self.position(id).map(|at| &mut self.held[at].1)
+    }
+
+    /// Packets `ids` as one payload, in order, leaving the store if
+    /// `consume`. A single packet is returned as stored; several are
+    /// bundled with one exactly-sized allocation and one copy of each
+    /// word.
     ///
-    /// For the finish paths of completed collectives: once a plan's
-    /// rounds have all executed, every slot the collective's result
-    /// reads from is filled by construction of the plan. An empty slot
-    /// there is a plan-builder bug, not a runtime condition — and node
-    /// panics surface as structured run failures, not process aborts.
+    /// Both callers — a round's sends and the finish paths — only name
+    /// packets the plan has put in this store by then, so an absent one
+    /// is a plan-builder bug, not a runtime condition: it panics, naming
+    /// `context` and the packet (node panics surface as structured run
+    /// failures, not process aborts).
     ///
     /// # Panics
-    /// Panics if the slot is empty or out of range.
-    #[track_caller]
-    #[allow(
-        clippy::expect_used,
-        reason = "plan invariant: finish only runs after the rounds that fill these slots"
-    )]
-    pub fn delivered(&mut self, id: usize, what: &str) -> Payload {
-        self.take(id).expect(what)
+    /// Panics if a packet is absent or out of range.
+    pub(crate) fn bundle(
+        &mut self,
+        ids: impl Iterator<Item = usize> + Clone,
+        consume: bool,
+        context: std::fmt::Arguments<'_>,
+    ) -> Payload {
+        let absent = |id: usize| -> ! { panic!("{context}: packet {id} not present") };
+        let mut probe = ids.clone();
+        if let (Some(id), None) = (probe.next(), probe.next()) {
+            let packet = if consume { self.take(id) } else { self.get(id) };
+            return packet.unwrap_or_else(|| absent(id));
+        }
+        let len = ids.clone().map(|id| self.expected_len(id)).sum();
+        let words = |id| &self.peek(id).unwrap_or_else(|| absent(id))[..];
+        let bundle = Payload::concat(len, ids.clone().map(words));
+        if consume {
+            ids.for_each(|id| drop(self.take(id)));
+        }
+        bundle
     }
 }
 
@@ -298,10 +451,57 @@ impl CollectiveRun {
     }
 }
 
-/// Executes one or more collectives *fused*: round `r` of every run is
-/// issued in a single [`Proc::multi`] batch. All participating nodes
-/// must fuse the same set of collectives in the same order.
-pub async fn execute_fused(proc: &mut Proc, runs: &mut [&mut CollectiveRun]) {
+/// Delivers the `bundle` received for `xfer` in round `r` into the
+/// store. The packets are windows of the bundle: no word is copied.
+fn deliver(store: &mut PacketStore, xfer: &Xfer, bundle: &Payload, r: usize) {
+    let expected: usize = xfer.recv.iter().map(|&id| store.expected_len(id)).sum();
+    assert_eq!(
+        bundle.len(),
+        expected,
+        "round {r}: bundle length mismatch from node {}",
+        xfer.peer
+    );
+    let mut offset = 0;
+    for &id in &xfer.recv {
+        let len = store.expected_len(id);
+        let piece = bundle.slice(offset, offset + len);
+        offset += len;
+        match xfer.recv_mode {
+            RecvMode::Fill => store.put(id, piece),
+            RecvMode::Accumulate => {
+                let sum = store
+                    .peek_mut(id)
+                    .unwrap_or_else(|| panic!("accumulate target {id} missing"));
+                accumulate(sum, &piece);
+            }
+        }
+    }
+}
+
+/// `sum[i] = sum[i] + piece[i]`: in place when `sum` owns its words
+/// outright, into a fresh allocation when something else (the caller's
+/// input, a sibling window) still shares them. Same operand order either
+/// way, so reductions are bit-identical whichever path runs.
+fn accumulate(sum: &mut Payload, piece: &[f64]) {
+    assert_eq!(sum.len(), piece.len(), "reduction operand length mismatch");
+    match sum.unique_mut() {
+        Some(words) => words.iter_mut().zip(piece).for_each(|(s, p)| *s += p),
+        None => {
+            let fresh: Arc<[f64]> = sum.iter().zip(piece).map(|(s, p)| s + p).collect();
+            *sum = Payload::from(fresh);
+        }
+    }
+}
+
+/// The one executor body: round `r` of every run is issued in a single
+/// [`Proc::multi`] batch. Each outgoing payload first passes through
+/// `divert`, which either returns it for the batch or disposes of it
+/// some other way (the degraded-mode relay of [`crate::execute_ft`]).
+pub(crate) async fn execute_rounds<E>(
+    proc: &mut Proc,
+    runs: &mut [&mut CollectiveRun],
+    mut divert: impl FnMut(&mut Proc, &Xfer, Payload) -> Result<Option<Payload>, E>,
+) -> Result<(), E> {
     // Self-check every compiled plan in debug builds: a malformed plan
     // fails here with a named round/peer instead of deep inside the
     // engine (release builds skip the scan; `cubemm-analyze` carries the
@@ -313,35 +513,34 @@ pub async fn execute_fused(proc: &mut Proc, runs: &mut [&mut CollectiveRun]) {
         }
     }
     let max_rounds = runs.iter().map(|r| r.plan.rounds.len()).max().unwrap_or(0);
+    // (run index, xfer index) for each receive of a round, in op order.
+    let mut recv_order: Vec<(usize, usize)> = Vec::new();
     for r in 0..max_rounds {
         // Build the batch: all sends (across runs), then all receives.
         let mut ops: Vec<Op> = Vec::new();
-        // (run index, xfer index) for each receive, in op order.
-        let mut recv_order: Vec<(usize, usize)> = Vec::new();
+        recv_order.clear();
 
         for (ri, run) in runs.iter_mut().enumerate() {
-            if r >= run.plan.rounds.len() {
+            let CollectiveRun { plan, store } = &mut **run;
+            let Some(round) = plan.rounds.get(r) else {
                 continue;
-            }
-            for (xi, xfer) in run.plan.rounds[r].iter().enumerate() {
+            };
+            for (xi, xfer) in round.iter().enumerate() {
                 if !xfer.send.is_empty() {
-                    let mut bundle: Vec<f64> = Vec::new();
-                    for &id in &xfer.send {
-                        let pkt = if xfer.consume_sends {
-                            run.store.take(id)
-                        } else {
-                            run.store.get(id)
-                        };
-                        let pkt = pkt.unwrap_or_else(|| {
-                            panic!("round {r}: packet {id} not present for send")
+                    // One packet travels as stored; several are bundled —
+                    // the single copy a word sees on its way to the peer.
+                    let data = store.bundle(
+                        xfer.send.iter().copied(),
+                        xfer.consume_sends,
+                        format_args!("round {r} send"),
+                    );
+                    if let Some(data) = divert(proc, xfer, data)? {
+                        ops.push(Op::Send {
+                            to: xfer.peer,
+                            tag: xfer.tag,
+                            data,
                         });
-                        bundle.extend_from_slice(&pkt);
                     }
-                    ops.push(Op::Send {
-                        to: xfer.peer,
-                        tag: xfer.tag,
-                        data: Payload::from(bundle.into_boxed_slice()),
-                    });
                 }
                 if !xfer.recv.is_empty() {
                     recv_order.push((ri, xi));
@@ -358,38 +557,27 @@ pub async fn execute_fused(proc: &mut Proc, runs: &mut [&mut CollectiveRun]) {
 
         let results = proc.multi(ops).await;
         let mut received = results.into_iter().flatten();
-        for (ri, xi) in recv_order {
+        for &(ri, xi) in &recv_order {
             #[allow(
                 clippy::expect_used,
                 reason = "engine contract: multi returns one Some per Op::Recv"
             )]
             let bundle = received.next().expect("engine recv result");
-            let run = &mut *runs[ri];
-            let xfer = run.plan.rounds[r][xi].clone();
-            let expected: usize = xfer.recv.iter().map(|&id| run.store.expected_len(id)).sum();
-            assert_eq!(
-                bundle.len(),
-                expected,
-                "round {r}: bundle length mismatch from node {}",
-                xfer.peer
-            );
-            let mut offset = 0;
-            for &id in &xfer.recv {
-                let len = run.store.expected_len(id);
-                let piece = Payload::from(&bundle[offset..offset + len]);
-                offset += len;
-                match xfer.recv_mode {
-                    RecvMode::Fill => run.store.put(id, piece),
-                    RecvMode::Accumulate => {
-                        let cur = run
-                            .store
-                            .take(id)
-                            .unwrap_or_else(|| panic!("accumulate target {id} missing"));
-                        run.store.put(id, crate::add_payloads(&cur, &piece));
-                    }
-                }
-            }
+            let CollectiveRun { plan, store } = &mut *runs[ri];
+            deliver(store, &plan.rounds[r][xi], &bundle, r);
         }
+    }
+    Ok(())
+}
+
+/// Executes one or more collectives *fused*: round `r` of every run is
+/// issued in a single [`Proc::multi`] batch. All participating nodes
+/// must fuse the same set of collectives in the same order.
+pub async fn execute_fused(proc: &mut Proc, runs: &mut [&mut CollectiveRun]) {
+    let batch_all = |_: &mut Proc, _: &Xfer, data| Ok::<_, Infallible>(Some(data));
+    match execute_rounds(proc, runs, batch_all).await {
+        Ok(()) => {}
+        Err(never) => match never {},
     }
 }
 
@@ -408,7 +596,7 @@ mod tests {
 
     #[test]
     fn try_put_reports_length_mismatch() {
-        let mut store = PacketStore::new(vec![4, 2]);
+        let mut store = PacketStore::new(vec![4, 2], 1);
         assert_eq!(
             store.try_put(1, payload(3)),
             Err(PacketError::LengthMismatch {
@@ -424,7 +612,7 @@ mod tests {
 
     #[test]
     fn try_put_reports_double_fill() {
-        let mut store = PacketStore::new(vec![4]);
+        let mut store = PacketStore::new(vec![4], 1);
         store.put(0, payload(4));
         assert_eq!(
             store.try_put(0, payload(4)),
@@ -436,7 +624,7 @@ mod tests {
 
     #[test]
     fn out_of_range_ids_are_typed_errors() {
-        let mut store = PacketStore::new(vec![4, 2]);
+        let mut store = PacketStore::new(vec![4, 2], 1);
         let oob = PacketError::OutOfRange { id: 7, slots: 2 };
         assert_eq!(store.try_put(7, payload(1)), Err(oob.clone()));
         assert_eq!(store.try_take(7), Err(oob.clone()));
@@ -446,29 +634,132 @@ mod tests {
 
     #[test]
     fn try_take_distinguishes_empty_from_missing() {
-        let mut store = PacketStore::new(vec![3]);
+        let mut store = PacketStore::new(vec![3], 1);
         assert_eq!(store.try_take(0), Ok(None));
         store.put(0, payload(3));
         assert_eq!(store.try_take(0).map(|p| p.map(|p| p.len())), Ok(Some(3)));
     }
 
     #[test]
+    fn only_present_packets_occupy_the_store() {
+        // 3 copies × 1000 ids, of which this "node" touches four.
+        let mut store = PacketStore::new(vec![4, 2, 3], 1000);
+        assert_eq!(store.len(), 3000);
+        assert_eq!(store.held.len(), 0);
+        for id in [1999, 7, 2000, 1000] {
+            let len = store.expected_len(id);
+            // Empty-but-addressable before the first arrival.
+            assert_eq!(store.try_take(id), Ok(None));
+            assert_eq!(store.try_put(id, payload(len)), Ok(()));
+        }
+        assert_eq!(store.held.len(), 4);
+        // take → put → put on the same id.
+        assert_eq!(store.try_take(7).map(|p| p.map(|p| p.len())), Ok(Some(4)));
+        assert_eq!(store.held.len(), 3);
+        assert_eq!(store.try_take(7), Ok(None));
+        assert_eq!(
+            store.try_put(7, payload(2)),
+            Err(PacketError::LengthMismatch {
+                id: 7,
+                got: 2,
+                want: 4
+            })
+        );
+        assert_eq!(store.try_put(7, payload(4)), Ok(()));
+        assert_eq!(
+            store.try_put(7, payload(4)),
+            Err(PacketError::AlreadyFilled { id: 7 })
+        );
+        assert_eq!(store.held.len(), 4);
+        let oob = PacketError::OutOfRange {
+            id: 3000,
+            slots: 3000,
+        };
+        assert_eq!(store.try_put(3000, payload(3)), Err(oob.clone()));
+        assert_eq!(store.try_take(3000), Err(oob));
+    }
+
+    #[test]
+    fn every_present_id_stays_findable_through_growth_and_removal() {
+        // Strided ids (the all-to-all pattern) through several index
+        // doublings, then an interleaving of removals and arrivals that
+        // exercises the backward shift and the swap-remove re-pointing.
+        let tag = |id: usize| Payload::from([id as f64]);
+        let mut store = PacketStore::new(vec![1], 64 * 64);
+        let mut present: Vec<usize> = (0..64).map(|dest| dest * 64 + 5).collect();
+        for &id in &present {
+            store.put(id, tag(id));
+        }
+        let mut rng = 0x9e37_79b9u64;
+        for step in 0..2000 {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pick = (rng >> 33) as usize;
+            let id = pick % (64 * 64);
+            if let Some(at) = present.iter().position(|&held| held == id) {
+                present.swap_remove(at);
+                assert_eq!(store.take(id), Some(tag(id)));
+            } else if pick % 2 == 0 || present.is_empty() {
+                store.put(id, tag(id));
+                present.push(id);
+            } else {
+                assert_eq!(store.take(id), None);
+                let id = present.swap_remove(pick % present.len());
+                assert_eq!(store.take(id), Some(tag(id)));
+            }
+            assert_eq!(store.held.len(), present.len());
+            for &id in &present {
+                assert_eq!(store.get(id), Some(tag(id)), "step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn accumulate_adds_in_place_only_when_unshared() {
+        let piece: Payload = (0..12).map(|x| f64::from(x) * 0.5).collect();
+        let want: Vec<f64> = (0..12).map(|x| f64::from(x) + f64::from(x) * 0.5).collect();
+
+        // Sole owner: the sum lands in the same allocation.
+        let mut sum = payload(12);
+        let before = sum.as_ptr();
+        accumulate(&mut sum, &piece);
+        assert_eq!(&sum[..], &want[..]);
+        assert_eq!(sum.as_ptr(), before);
+
+        // Shared with a caller's clone: the clone must not see the sum.
+        let held = payload(12);
+        let mut sum = held.clone();
+        accumulate(&mut sum, &piece);
+        assert_eq!(&sum[..], &want[..]);
+        assert_eq!(held, payload(12));
+
+        // Shared with a sibling window of the same bundle.
+        let bundle = payload(24);
+        let (mut low, high) = (bundle.slice(0, 12), bundle.slice(12, 24));
+        drop(bundle);
+        accumulate(&mut low, &piece);
+        assert_eq!(&low[..], &want[..]);
+        assert_eq!(&high[..], &payload(24)[12..]);
+    }
+
+    #[test]
     #[should_panic(expected = "packet 9 out of range (store has 1 slots)")]
     fn put_panic_names_the_offending_packet() {
-        let mut store = PacketStore::new(vec![4]);
+        let mut store = PacketStore::new(vec![4], 1);
         store.put(9, payload(4));
     }
 
     #[test]
     #[should_panic(expected = "packet 5 out of range")]
     fn take_panic_names_the_offending_packet() {
-        let mut store = PacketStore::new(vec![4]);
+        let mut store = PacketStore::new(vec![4], 1);
         let _ = store.take(5);
     }
 
     #[test]
     fn validate_local_accepts_a_well_formed_plan() {
-        let store = PacketStore::new(vec![4, 4]);
+        let store = PacketStore::new(vec![4, 4], 1);
         let mut plan = Plan::with_rounds(1);
         plan.push(
             0,
@@ -486,7 +777,7 @@ mod tests {
 
     #[test]
     fn validate_local_rejects_non_neighbors_and_bad_ids() {
-        let store = PacketStore::new(vec![4]);
+        let store = PacketStore::new(vec![4], 1);
         let mut plan = Plan::with_rounds(1);
         plan.push(
             0,

@@ -4,15 +4,14 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::plan::{execute, CollectiveRun, PacketStore, Plan, RecvMode, Xfer};
-use crate::{chunk, chunk_bounds, round_tag, unchunk};
+use crate::plan::{execute, CollectiveRun, Plan, RecvMode, Xfer};
+use crate::{chunk, copies, round_tag, sliced_store};
 
 /// A planned reduction, ready to execute (possibly fused with others).
 #[derive(Debug)]
 pub struct ReduceRun {
     inner: CollectiveRun,
     ncopies: usize,
-    len: usize,
     is_root: bool,
 }
 
@@ -27,10 +26,12 @@ impl ReduceRun {
         if !self.is_root {
             return None;
         }
-        let parts: Vec<Payload> = (0..self.ncopies)
-            .map(|c| self.inner.store.delivered(c, "root retains all slices"))
-            .collect();
-        Some(unchunk(self.len, &parts))
+        let slices = 0..self.ncopies;
+        Some(
+            self.inner
+                .store
+                .bundle(slices, true, format_args!("reduce finish at the root")),
+        )
     }
 }
 
@@ -47,19 +48,9 @@ pub fn reduce_plan(
     let d = sc.dim() as usize;
     let my_rank = sc.rank_of(me);
     let v = my_rank ^ root;
-    let len = mine.len();
 
-    let ncopies = match port {
-        PortModel::OnePort => 1,
-        PortModel::MultiPort => d.max(1),
-    };
-    let lens: Vec<usize> = (0..ncopies)
-        .map(|c| {
-            let (lo, hi) = chunk_bounds(len, ncopies, c);
-            hi - lo
-        })
-        .collect();
-    let mut store = PacketStore::new(lens);
+    let ncopies = copies(port, d);
+    let mut store = sliced_store(mine.len(), ncopies, 1);
     for c in 0..ncopies {
         store.put(c, chunk(&mine, ncopies, c));
     }
@@ -105,7 +96,6 @@ pub fn reduce_plan(
     ReduceRun {
         inner: CollectiveRun::new(plan, store),
         ncopies,
-        len,
         is_root: v == 0,
     }
 }

@@ -3,8 +3,8 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::plan::{execute, CollectiveRun, PacketStore, Plan, RecvMode, Xfer};
-use crate::{chunk, chunk_bounds, round_tag, unchunk};
+use crate::plan::{execute, CollectiveRun, Plan, RecvMode, Xfer};
+use crate::{chunk, copies, round_tag, sliced_store, submasks};
 
 /// A planned scatter, ready to execute (possibly fused with others).
 #[derive(Debug)]
@@ -13,7 +13,6 @@ pub struct ScatterRun {
     ncopies: usize,
     n: usize,
     v: usize,
-    part_len: usize,
 }
 
 impl ScatterRun {
@@ -24,29 +23,18 @@ impl ScatterRun {
 
     /// Extracts this node's part after execution.
     pub fn finish(mut self) -> Payload {
-        let parts: Vec<Payload> = (0..self.ncopies)
-            .map(|c| {
-                self.inner
-                    .store
-                    .delivered(c * self.n + self.v, "own scatter part delivered")
-            })
-            .collect();
-        unchunk(self.part_len, &parts)
+        let slices = (0..self.ncopies).map(|c| c * self.n + self.v);
+        self.inner
+            .store
+            .bundle(slices, true, format_args!("scatter finish"))
     }
 }
 
 /// Relative ranks in the subtree reached through `child` once the
-/// dimensions in `fixed` are decided — ascending order.
-pub(crate) fn subtree(child: usize, fixed: usize, d: usize) -> Vec<usize> {
-    let mut members = vec![child];
-    for b in 0..d {
-        if fixed & (1 << b) == 0 {
-            let grown: Vec<usize> = members.iter().map(|&m| m | (1 << b)).collect();
-            members.extend(grown);
-        }
-    }
-    members.sort_unstable();
-    members
+/// dimensions in `fixed` (which include every set bit of `child`) are
+/// decided — ascending order.
+pub(crate) fn subtree(child: usize, fixed: usize, d: usize) -> crate::Submasks {
+    submasks(child, ((1 << d) - 1) & !fixed)
 }
 
 /// Compiles the SBT scatter for this node. Packet `(c, u)` is slice `c`
@@ -65,16 +53,8 @@ pub fn scatter_plan(
     let my_rank = sc.rank_of(me);
     let v = my_rank ^ root;
 
-    let ncopies = match port {
-        PortModel::OnePort => 1,
-        PortModel::MultiPort => d.max(1),
-    };
-    let mut lens = Vec::with_capacity(ncopies * n);
-    for c in 0..ncopies {
-        let (lo, hi) = chunk_bounds(part_len, ncopies, c);
-        lens.extend(std::iter::repeat_n(hi - lo, n));
-    }
-    let mut store = PacketStore::new(lens);
+    let ncopies = copies(port, d);
+    let mut store = sliced_store(part_len, ncopies, n);
     if my_rank == root {
         #[allow(
             clippy::expect_used,
@@ -85,6 +65,7 @@ pub fn scatter_plan(
         for part in &parts {
             assert_eq!(part.len(), part_len, "scatter parts must have equal length");
         }
+        store.reserve(ncopies * n);
         for u in 0..n {
             // Relative rank u corresponds to actual rank u ^ root.
             for c in 0..ncopies {
@@ -110,7 +91,7 @@ pub fn scatter_plan(
                     Xfer {
                         peer: sc.member(child ^ root),
                         tag,
-                        send: dests.iter().map(|&u| c * n + u).collect(),
+                        send: dests.map(|u| c * n + u).collect(),
                         consume_sends: true,
                         recv: vec![],
                         recv_mode: RecvMode::Fill,
@@ -125,7 +106,7 @@ pub fn scatter_plan(
                         tag,
                         send: vec![],
                         consume_sends: false,
-                        recv: dests.iter().map(|&u| c * n + u).collect(),
+                        recv: dests.map(|u| c * n + u).collect(),
                         recv_mode: RecvMode::Fill,
                     },
                 );
@@ -138,7 +119,6 @@ pub fn scatter_plan(
         ncopies,
         n,
         v,
-        part_len,
     }
 }
 
@@ -236,6 +216,7 @@ mod tests {
     #[test]
     fn subtree_enumeration() {
         // d=3, child=0b010, fixed={1}: free dims {0,2}.
-        assert_eq!(subtree(0b010, 0b010, 3), vec![0b010, 0b011, 0b110, 0b111]);
+        let members: Vec<usize> = subtree(0b010, 0b010, 3).collect();
+        assert_eq!(members, vec![0b010, 0b011, 0b110, 0b111]);
     }
 }

@@ -34,17 +34,54 @@
 //! node, and unwinding receivers record the `(from, tag)` they were
 //! blocked on for the post-mortem report.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::task::Poll;
 
 use crate::machine::{Blocked, Failure};
 use crate::proc::Envelope;
+use crate::IdMap;
 
 /// Per-node mailbox: FIFO queues indexed by `(from, tag)`. Sender
 /// program order is preserved per key because injection appends under
 /// the global lock.
-type Mailbox = HashMap<(usize, u64), VecDeque<Envelope>>;
+type Mailbox = IdMap<(usize, u64), Queue>;
+
+/// A non-empty FIFO of envelopes. Schedules tag each round uniquely, so
+/// a key almost always holds exactly one message: the head lives in the
+/// map entry itself and only a second message under the same key
+/// allocates.
+struct Queue {
+    head: Envelope,
+    rest: VecDeque<Envelope>,
+}
+
+/// Appends `env` to the queue under its `(from, tag)`.
+fn enqueue(mailbox: &mut Mailbox, env: Envelope) {
+    use std::collections::hash_map::Entry;
+    match mailbox.entry((env.from, env.tag)) {
+        Entry::Occupied(mut queue) => queue.get_mut().rest.push_back(env),
+        Entry::Vacant(slot) => {
+            slot.insert(Queue {
+                head: env,
+                rest: VecDeque::new(),
+            });
+        }
+    }
+}
+
+/// Removes the oldest envelope under `(from, tag)`, dropping the key
+/// with its last message so the map does not accumulate dead keys.
+fn dequeue(mailbox: &mut Mailbox, from: usize, tag: u64) -> Option<Envelope> {
+    use std::collections::hash_map::Entry;
+    let Entry::Occupied(mut queue) = mailbox.entry((from, tag)) else {
+        return None;
+    };
+    Some(match queue.get_mut().rest.pop_front() {
+        Some(next) => std::mem::replace(&mut queue.get_mut().head, next),
+        None => queue.remove().head,
+    })
+}
 
 /// What [`Ledger::inject`] did with a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,8 +121,7 @@ struct State {
     /// Parked receives recorded as nodes unwind, for the deadlock report.
     blocked: Vec<Blocked>,
     /// Event engine only: nodes unparked by a direct handoff since the
-    /// executor last drained the list. Never grows past one entry per
-    /// poll step because the executor drains after every poll.
+    /// executor last took the list (it does after every poll).
     woken: Vec<usize>,
 }
 
@@ -112,7 +148,7 @@ impl Ledger {
     pub(crate) fn new(p: usize, track_wakes: bool) -> Self {
         Ledger {
             state: Mutex::new(State {
-                mailboxes: (0..p).map(|_| HashMap::new()).collect(),
+                mailboxes: (0..p).map(|_| Mailbox::default()).collect(),
                 handoff: (0..p).map(|_| None).collect(),
                 parked: vec![None; p],
                 done: vec![false; p],
@@ -168,7 +204,7 @@ impl Ledger {
             self.signals[to].notify_one();
             return Delivery::Delivered;
         }
-        s.mailboxes[to].entry(key).or_default().push_back(env);
+        enqueue(&mut s.mailboxes[to], env);
         s.in_flight += 1;
         Delivery::Delivered
     }
@@ -178,7 +214,6 @@ impl Ledger {
     /// while waiting (the blocked receive has been recorded for the
     /// post-mortem report); the caller must unwind quietly.
     pub(crate) fn receive(&self, id: usize, from: usize, tag: u64) -> Result<Envelope, ()> {
-        use std::collections::hash_map::Entry;
         // Before parking (a futex wait plus a futex wake on the sender's
         // side), yield the core a couple of times: if the awaited sender
         // is runnable it will usually inject the message into the
@@ -204,16 +239,9 @@ impl Ledger {
                 debug_assert!(env.from == from && env.tag == tag);
                 return Ok(env);
             }
-            if let Entry::Occupied(mut entry) = s.mailboxes[id].entry((from, tag)) {
-                if let Some(env) = entry.get_mut().pop_front() {
-                    if entry.get().is_empty() {
-                        // Keep the slab from accumulating dead keys when
-                        // programs tag each round uniquely.
-                        entry.remove();
-                    }
-                    s.in_flight -= 1;
-                    return Ok(env);
-                }
+            if let Some(env) = dequeue(&mut s.mailboxes[id], from, tag) {
+                s.in_flight -= 1;
+                return Ok(env);
             }
             if yields < PRE_PARK_YIELDS
                 && s.live > 1
@@ -246,7 +274,7 @@ impl Ledger {
     /// The event engine's [`Ledger::receive`]: one non-blocking pass of
     /// the same check-then-park protocol. `Ready(Ok)` hands over the
     /// matching envelope; `Pending` means the node parked (the executor
-    /// suspends its continuation until [`Ledger::drain_woken`] names it);
+    /// suspends its continuation until [`Ledger::after_poll`] names it);
     /// `Ready(Err(()))` means the machine aborted (the blocked receive
     /// has been recorded) and the caller must unwind quietly.
     ///
@@ -260,7 +288,6 @@ impl Ledger {
         from: usize,
         tag: u64,
     ) -> Poll<Result<Envelope, ()>> {
-        use std::collections::hash_map::Entry;
         let mut s = lock(&self.state);
         loop {
             if s.aborting {
@@ -275,14 +302,9 @@ impl Ledger {
                 debug_assert!(env.from == from && env.tag == tag);
                 return Poll::Ready(Ok(env));
             }
-            if let Entry::Occupied(mut entry) = s.mailboxes[id].entry((from, tag)) {
-                if let Some(env) = entry.get_mut().pop_front() {
-                    if entry.get().is_empty() {
-                        entry.remove();
-                    }
-                    s.in_flight -= 1;
-                    return Poll::Ready(Ok(env));
-                }
+            if let Some(env) = dequeue(&mut s.mailboxes[id], from, tag) {
+                s.in_flight -= 1;
+                return Poll::Ready(Ok(env));
             }
             if s.parked[id].is_none() {
                 s.parked[id] = Some((from, tag));
@@ -296,22 +318,18 @@ impl Ledger {
         }
     }
 
-    /// Event engine: takes the nodes unparked by handoffs since the last
-    /// drain. The executor calls this after every poll step.
-    pub(crate) fn drain_woken(&self) -> Vec<usize> {
-        std::mem::take(&mut lock(&self.state).woken)
-    }
-
-    /// Whether the machine is aborting (event-engine executor check).
-    pub(crate) fn is_aborting(&self) -> bool {
-        lock(&self.state).aborting
-    }
-
-    /// Whether `id` is parked in a receive (event-engine sanity check:
-    /// a `Pending` poll from a node that is not parked means the program
-    /// awaited something that is not a simnet primitive).
-    pub(crate) fn is_parked(&self, id: usize) -> bool {
-        lock(&self.state).parked[id].is_some()
+    /// Event engine: everything the executor needs after polling node
+    /// `polled`, in one lock round-trip. Swaps the nodes unparked by
+    /// handoffs since the last call into `woken` (which must come in
+    /// empty; the executor reuses one buffer, so no wake allocates) and
+    /// returns `(aborting, polled is parked)` — the latter backs the
+    /// executor's sanity check that a `Pending` poll came from a simnet
+    /// primitive and not some foreign future.
+    pub(crate) fn after_poll(&self, polled: usize, woken: &mut Vec<usize>) -> (bool, bool) {
+        debug_assert!(woken.is_empty());
+        let mut s = lock(&self.state);
+        std::mem::swap(&mut s.woken, woken);
+        (s.aborting, s.parked[polled].is_some())
     }
 
     /// Every node currently parked in a receive. The event-engine
@@ -367,7 +385,7 @@ impl Ledger {
                 .iter()
                 .enumerate()
                 .filter_map(|(id, key)| key.map(|k| (id, k)))
-                .all(|(id, key)| s.mailboxes[id].get(&key).is_none_or(VecDeque::is_empty)),
+                .all(|(id, key)| !s.mailboxes[id].contains_key(&key)),
             "deadlock declared while a parked node's message was deliverable"
         );
         s.failure.get_or_insert(Failure::Deadlock);

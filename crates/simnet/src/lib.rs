@@ -119,7 +119,48 @@ pub use proc::{Op, Proc};
 pub use stats::{FiredFault, FiredKind, NodeStats, RunStats};
 pub use trace::{TraceEvent, TraceKind};
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// Hasher for maps keyed by simulator-internal integers: node labels,
+/// tags, packet ids. One multiply per word instead of SipHash's rounds.
+///
+/// It is not keyed, which is sound only because such keys never come
+/// from outside the process — they are computed by the schedules
+/// themselves, so there is no adversary to craft collisions. Keep the
+/// default hasher for anything parsed from input.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    /// The multiply mixes upwards only, and `HashMap` picks buckets from
+    /// the low bits: rotate well-mixed bits down to them.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` keyed by simulator-internal integers (see [`IdHasher`]).
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Words a [`Payload`] stores inline, without touching the heap.
 pub const PAYLOAD_INLINE_WORDS: usize = 8;
@@ -129,11 +170,30 @@ pub const PAYLOAD_INLINE_WORDS: usize = 8;
 /// Two representations behind one read surface (`Deref<Target = [f64]>`):
 /// messages of at most [`PAYLOAD_INLINE_WORDS`] words — the control- and
 /// flit-sized traffic that dominates collective start-up rounds — are
-/// stored inline in the envelope and never allocate; anything larger
-/// rides a shared `Arc<[f64]>`, so a node forwarding the same block to
-/// several children copies nothing. Construct through the `From` /
-/// `FromIterator` impls (every send primitive takes `impl Into<Payload>`,
-/// so slices, vectors, arrays, and `Arc<[f64]>` all work unchanged).
+/// stored inline in the envelope and never allocate; anything larger is
+/// a *window* (`offset`, `len`) into a shared `Arc<[f64]>`, so cloning,
+/// forwarding and [`Payload::slice`] are O(1) and copy nothing.
+///
+/// Exactly when words are copied:
+///
+/// * **construction** from a slice, `Vec`, boxed slice, array or
+///   iterator copies each word once into a fresh allocation
+///   (`Arc<[f64]>` keeps its reference counts in the same block as the
+///   words, so not even an owned `Vec` can be adopted in place);
+///   `From<Arc<[f64]>>` shares the caller's allocation;
+/// * [`Payload::concat`] — how a multi-packet bundle is built for the
+///   wire — makes one exactly-sized allocation and copies each word once;
+/// * **never** on `clone`, send, receive, or `slice`: splitting a
+///   received bundle into its packets, forwarding a stored packet and
+///   handing a packet out as a result all share the original words.
+///
+/// A window keeps its whole allocation alive. Writing is only possible
+/// through [`Payload::unique_mut`], which refuses unless no other
+/// payload shares the allocation.
+///
+/// Construct through the `From` / `FromIterator` impls (every send
+/// primitive takes `impl Into<Payload>`, so slices, vectors, arrays, and
+/// `Arc<[f64]>` all work unchanged).
 #[derive(Clone)]
 pub struct Payload(PayloadRepr);
 
@@ -144,8 +204,13 @@ enum PayloadRepr {
         len: u8,
         words: [f64; PAYLOAD_INLINE_WORDS],
     },
-    /// A shared immutable allocation.
-    Shared(Arc<[f64]>),
+    /// `data[off..off + len]` of a shared immutable allocation; always
+    /// more than [`PAYLOAD_INLINE_WORDS`] words.
+    Window {
+        data: Arc<[f64]>,
+        off: usize,
+        len: usize,
+    },
 }
 
 impl Payload {
@@ -166,6 +231,77 @@ impl Payload {
     pub fn is_inline(&self) -> bool {
         matches!(self.0, PayloadRepr::Inline { .. })
     }
+
+    /// Words `lo..hi` of this payload, in O(1): a window into the same
+    /// allocation (at most [`PAYLOAD_INLINE_WORDS`] words are copied
+    /// inline instead, which is cheaper than the reference count).
+    ///
+    /// # Panics
+    /// Panics unless `lo <= hi <= self.len()`.
+    pub fn slice(&self, lo: usize, hi: usize) -> Payload {
+        assert!(
+            lo <= hi && hi <= self.len(),
+            "Payload::slice: {lo}..{hi} out of range for {} words",
+            self.len()
+        );
+        match &self.0 {
+            PayloadRepr::Window { data, off, .. } if hi - lo > PAYLOAD_INLINE_WORDS => {
+                Payload(PayloadRepr::Window {
+                    data: Arc::clone(data),
+                    off: off + lo,
+                    len: hi - lo,
+                })
+            }
+            _ => Payload::inline(&self[lo..hi]),
+        }
+    }
+
+    /// Concatenates `parts`, whose lengths must sum to `len`, into one
+    /// payload with a single exactly-sized allocation and one copy of
+    /// each word.
+    ///
+    /// # Panics
+    /// Panics if the parts do not add up to exactly `len` words.
+    pub fn concat<'a>(len: usize, parts: impl IntoIterator<Item = &'a [f64]>) -> Payload {
+        fn fill<'a>(buf: &mut [f64], parts: impl IntoIterator<Item = &'a [f64]>) {
+            let mut at = 0;
+            for part in parts {
+                buf[at..at + part.len()].copy_from_slice(part);
+                at += part.len();
+            }
+            assert_eq!(at, buf.len(), "Payload::concat: parts do not add up to len");
+        }
+        if len <= PAYLOAD_INLINE_WORDS {
+            let mut words = [0.0; PAYLOAD_INLINE_WORDS];
+            fill(&mut words[..len], parts);
+            return Payload(PayloadRepr::Inline {
+                len: len as u8,
+                words,
+            });
+        }
+        // `repeat_n` reports its exact length, so collecting it allocates
+        // once; safe Rust cannot hand out the block unwritten.
+        let mut data: Arc<[f64]> = std::iter::repeat_n(0.0, len).collect();
+        #[allow(
+            clippy::expect_used,
+            reason = "the Arc was created on the line above and has not been cloned"
+        )]
+        fill(Arc::get_mut(&mut data).expect("fresh allocation"), parts);
+        Payload::from(data)
+    }
+
+    /// Mutable access to the words, granted only when nothing else can
+    /// observe the write: inline payloads own their words, and a window
+    /// is unique when no other payload (or outside `Arc`) shares its
+    /// allocation.
+    pub fn unique_mut(&mut self) -> Option<&mut [f64]> {
+        match &mut self.0 {
+            PayloadRepr::Inline { len, words } => Some(&mut words[..usize::from(*len)]),
+            PayloadRepr::Window { data, off, len } => {
+                Arc::get_mut(data).map(|words| &mut words[*off..*off + *len])
+            }
+        }
+    }
 }
 
 impl std::ops::Deref for Payload {
@@ -175,7 +311,7 @@ impl std::ops::Deref for Payload {
     fn deref(&self) -> &[f64] {
         match &self.0 {
             PayloadRepr::Inline { len, words } => &words[..usize::from(*len)],
-            PayloadRepr::Shared(data) => data,
+            PayloadRepr::Window { data, off, len } => &data[*off..*off + *len],
         }
     }
 }
@@ -210,28 +346,20 @@ impl From<&[f64]> for Payload {
         if slice.len() <= PAYLOAD_INLINE_WORDS {
             Payload::inline(slice)
         } else {
-            Payload(PayloadRepr::Shared(Arc::from(slice)))
+            Payload::from(Arc::<[f64]>::from(slice))
         }
     }
 }
 
 impl From<Vec<f64>> for Payload {
     fn from(vec: Vec<f64>) -> Self {
-        if vec.len() <= PAYLOAD_INLINE_WORDS {
-            Payload::inline(&vec)
-        } else {
-            Payload(PayloadRepr::Shared(Arc::from(vec)))
-        }
+        Payload::from(&vec[..])
     }
 }
 
 impl From<Box<[f64]>> for Payload {
     fn from(boxed: Box<[f64]>) -> Self {
-        if boxed.len() <= PAYLOAD_INLINE_WORDS {
-            Payload::inline(&boxed)
-        } else {
-            Payload(PayloadRepr::Shared(Arc::from(boxed)))
-        }
+        Payload::from(&boxed[..])
     }
 }
 
@@ -243,7 +371,12 @@ impl From<Arc<[f64]>> for Payload {
         if shared.len() <= PAYLOAD_INLINE_WORDS {
             Payload::inline(&shared)
         } else {
-            Payload(PayloadRepr::Shared(shared))
+            let len = shared.len();
+            Payload(PayloadRepr::Window {
+                data: shared,
+                off: 0,
+                len,
+            })
         }
     }
 }
@@ -266,7 +399,7 @@ impl FromIterator<f64> for Payload {
                 vec.extend_from_slice(&words);
                 vec.push(w);
                 vec.extend(it);
-                return Payload(PayloadRepr::Shared(Arc::from(vec)));
+                return Payload::from(vec);
             }
             words[len] = w;
             len += 1;
@@ -386,6 +519,91 @@ impl std::fmt::Display for PortModel {
             PortModel::OnePort => write!(f, "one-port"),
             PortModel::MultiPort => write!(f, "multi-port"),
         }
+    }
+}
+
+#[cfg(test)]
+mod payload_tests {
+    use super::{Payload, PAYLOAD_INLINE_WORDS};
+    use std::sync::Arc;
+
+    fn ramp(n: usize) -> Payload {
+        (0..n).map(|x| x as f64).collect()
+    }
+
+    #[test]
+    fn every_constructor_inlines_exactly_up_to_the_limit() {
+        for n in [0, 1, PAYLOAD_INLINE_WORDS, PAYLOAD_INLINE_WORDS + 1, 40] {
+            let words: Vec<f64> = (0..n).map(|x| x as f64).collect();
+            let built = [
+                Payload::from(&words[..]),
+                Payload::from(words.clone()),
+                Payload::from(words.clone().into_boxed_slice()),
+                Payload::from(Arc::<[f64]>::from(&words[..])),
+                words.iter().copied().collect(),
+                Payload::concat(n, [&words[..n / 2], &words[n / 2..]]),
+            ];
+            for payload in built {
+                assert_eq!(&payload[..], &words[..]);
+                assert_eq!(payload.is_inline(), n <= PAYLOAD_INLINE_WORDS, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn slices_are_windows_of_the_same_allocation() {
+        let whole = ramp(40);
+        let mid = whole.slice(10, 30);
+        assert_eq!(&mid[..], &whole[10..30]);
+        assert!(std::ptr::eq(&mid[0], &whole[10]), "no words were copied");
+        // A window of a window composes offsets.
+        let inner = mid.slice(5, 15);
+        assert!(std::ptr::eq(&inner[0], &whole[15]));
+        // Short slices go inline rather than hold the allocation.
+        assert!(whole.slice(3, 3 + PAYLOAD_INLINE_WORDS).is_inline());
+        assert_eq!(&whole.slice(3, 7)[..], &whole[3..7]);
+        assert!(whole.slice(40, 40).is_empty());
+        // From<Arc<[f64]>> shares the caller's allocation too.
+        let shared: Arc<[f64]> = Arc::from(&whole[..]);
+        assert!(std::ptr::eq(
+            &Payload::from(Arc::clone(&shared))[0],
+            &shared[0]
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for 12 words")]
+    fn slice_rejects_a_range_past_the_end() {
+        let _ = ramp(12).slice(4, 13);
+    }
+
+    #[test]
+    #[should_panic(expected = "parts do not add up")]
+    fn concat_rejects_parts_that_fall_short() {
+        let _ = Payload::concat(20, [&[1.0; 9][..], &[2.0; 9][..]]);
+    }
+
+    #[test]
+    fn unique_mut_is_granted_only_to_a_sole_owner() {
+        // Inline payloads own their words.
+        let mut small = ramp(3);
+        small.unique_mut().expect("inline")[0] = 9.0;
+        assert_eq!(&small[..], &[9.0, 1.0, 2.0]);
+
+        let mut big = ramp(20);
+        big.unique_mut().expect("sole owner")[19] = -1.0;
+        assert_eq!(big[19], -1.0);
+
+        // A clone, a sibling window and an outside Arc each block writes.
+        let clone = big.clone();
+        assert!(big.unique_mut().is_none());
+        drop(clone);
+        let mut window = big.slice(0, 10);
+        assert!(window.unique_mut().is_none() && big.unique_mut().is_none());
+        drop(big);
+        // Last view standing: unique again, and confined to its range.
+        let words = window.unique_mut().expect("sole owner again");
+        assert_eq!(words.len(), 10);
     }
 }
 

@@ -342,7 +342,7 @@ pub struct Machine {
 ///
 /// Every knob defaults to the paper's machine (one-port,
 /// [`CostParams::PAPER`], sender-charged, full hypercube, untraced,
-/// fault-free, threaded engine); set what differs and [`build`].
+/// fault-free) on the event engine; set what differs and [`build`].
 ///
 /// [`build`]: MachineBuilder::build
 #[derive(Debug, Clone)]
@@ -610,26 +610,22 @@ impl Machine {
             (0..p).map(|id| Reverse((0, id))).collect();
         let mut cx = Context::from_waker(Waker::noop());
         let mut abort_seen = false;
+        let mut woken: Vec<usize> = Vec::new();
 
         while let Some(Reverse((_, id))) = ready.pop() {
             let Some(fut) = futures[id].as_mut() else {
                 continue;
             };
-            match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
+            let suspended = match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
                 Ok(Poll::Ready(out)) => {
                     outputs[id] = Some(out);
                     futures[id] = None;
                     ledger.finish(id);
+                    false
                 }
-                Ok(Poll::Pending) => {
-                    // Suspended inside a ledger receive; the queue will
-                    // see it again via drain_woken (or the abort sweep).
-                    assert!(
-                        ledger.is_parked(id),
-                        "node program suspended on a non-simnet future \
-                         (only Proc primitives may be awaited)"
-                    );
-                }
+                // Suspended inside a ledger receive; the queue will see
+                // it again via `woken` (or the abort sweep).
+                Ok(Poll::Pending) => true,
                 Err(payload) => {
                     // Same first-failure protocol as the threaded join.
                     if !payload.is::<Aborted>() {
@@ -640,13 +636,20 @@ impl Machine {
                     }
                     futures[id] = None;
                     ledger.finish(id);
+                    false
                 }
+            };
+            let (aborting, parked) = ledger.after_poll(id, &mut woken);
+            assert!(
+                !suspended || parked,
+                "node program suspended on a non-simnet future \
+                 (only Proc primitives may be awaited)"
+            );
+            for node in woken.drain(..) {
+                let clock = slots[node].clock_bits.load(Ordering::Relaxed);
+                ready.push(Reverse((clock, node)));
             }
-            for woken in ledger.drain_woken() {
-                let clock = slots[woken].clock_bits.load(Ordering::Relaxed);
-                ready.push(Reverse((clock, woken)));
-            }
-            if !abort_seen && ledger.is_aborting() {
+            if !abort_seen && aborting {
                 abort_seen = true;
                 // Mirror the condvar broadcast: every parked node gets
                 // one more poll to record its Blocked receive and unwind.

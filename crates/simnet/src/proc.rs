@@ -1,6 +1,5 @@
 //! The per-processor handle: virtual clock, message primitives, counters.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -11,7 +10,7 @@ use crate::ledger::{lock, Delivery, Ledger};
 use crate::machine::{Engine, Failure, MachineOptions, NodeSlot};
 use crate::stats::{FiredFault, FiredKind, NodeStats};
 use crate::trace::{TraceEvent, TraceKind};
-use crate::{ChargePolicy, CostParams, LinkTopology, Payload, PortModel};
+use crate::{ChargePolicy, CostParams, IdMap, LinkTopology, Payload, PortModel};
 
 /// A message in flight.
 #[derive(Debug, Clone)]
@@ -81,13 +80,13 @@ pub struct Proc {
     /// stats/trace into.
     slot: Arc<NodeSlot>,
     /// Per-destination injection counters driving the drop schedules.
-    seq: HashMap<usize, u64>,
+    seq: IdMap<usize, u64>,
     /// Per-directed-edge crossing counters driving the corruption
     /// schedules: how many payloads this node has pushed across each
     /// edge (its sends count every edge of their path). Only maintained
     /// while the plan schedules corruption, so the healthy path pays
     /// nothing.
-    crossings: HashMap<(usize, usize), u64>,
+    crossings: IdMap<(usize, usize), u64>,
     stats: NodeStats,
     trace: Option<Vec<TraceEvent>>,
     /// Program-step counter stamped on trace events: each public
@@ -118,8 +117,8 @@ impl Proc {
             ledger,
             engine: options.engine,
             slot,
-            seq: HashMap::new(),
-            crossings: HashMap::new(),
+            seq: IdMap::default(),
+            crossings: IdMap::default(),
             stats: NodeStats::default(),
             trace: options.traced.then(Vec::new),
             round: 0,
@@ -600,16 +599,17 @@ impl Proc {
     ///
     /// Blocking point: awaiting suspends the node at each batched
     /// receive whose message has not been injected yet.
-    pub async fn multi(&mut self, ops: Vec<Op>) -> Vec<Option<Payload>> {
+    pub async fn multi(&mut self, mut ops: Vec<Op>) -> Vec<Option<Payload>> {
         self.begin_round();
         let batch_start = self.clock;
-        let mut link_busy: HashMap<usize, f64> = HashMap::new();
+        let mut link_busy: IdMap<usize, f64> = IdMap::default();
         let mut results: Vec<Option<Payload>> = Vec::with_capacity(ops.len());
         let mut batch_end = batch_start;
 
-        // Phase 1: inject all sends.
-        for op in &ops {
+        // Phase 1: inject all sends (moving each payload out of its op).
+        for op in &mut ops {
             if let Op::Send { to, tag, data } = op {
+                let data = std::mem::take(data);
                 assert_eq!(
                     hamming(self.id, *to),
                     1,
@@ -689,8 +689,8 @@ impl Proc {
                 );
                 self.stats.detour_hops += hops - 1;
                 let payload = match &detour {
-                    None => self.corrupt_along(&[*to], data.clone()),
-                    Some(path) => self.corrupt_along(path, data.clone()),
+                    None => self.corrupt_along(&[*to], data),
+                    Some(path) => self.corrupt_along(path, data),
                 };
                 self.inject(*to, *tag, end, payload, hops);
             }

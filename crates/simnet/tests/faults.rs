@@ -5,8 +5,8 @@
 use std::time::{Duration, Instant};
 
 use cubemm_simnet::{
-    Blocked, CorruptKind, Corruption, CostParams, FaultPlan, Machine, PortModel, Proc, RetryPolicy,
-    RunError, SendError,
+    Blocked, CorruptKind, Corruption, CostParams, FaultPlan, Machine, Payload, PortModel, Proc,
+    RetryPolicy, RunError, SendError,
 };
 
 const COST: CostParams = CostParams { ts: 10.0, tw: 2.0 };
@@ -352,6 +352,63 @@ fn corruption_follows_the_routed_path() {
         })
         .unwrap();
     assert_eq!(out.stats.total_corrupted(), 1);
+}
+
+/// Payload windows share one allocation, and corruption is applied to a
+/// message in flight — so it must land in a private copy. The targeted
+/// crossing differs in exactly the scheduled word; the sibling window,
+/// the window the sender still holds (sent again afterwards) and the
+/// sender's original payload stay bit-for-bit what they were.
+#[test]
+fn corrupting_one_window_leaves_every_other_view_of_the_words_alone() {
+    let original: Vec<f64> = (0..32).map(|x| f64::from(x) + 0.25).collect();
+    for kind in [
+        CorruptKind::BitFlip { bit: 63 },
+        CorruptKind::Perturb { delta: 1000.0 },
+    ] {
+        let plan = FaultPlan::new().with_corruption(0, 1, 1, Corruption { word: 5, kind });
+        let words = original.clone();
+        let out = machine(2, PortModel::OnePort, plan)
+            .run(vec![(); 2], move |mut proc: Proc, ()| {
+                let words = words.clone();
+                async move {
+                    if proc.id() == 0 {
+                        let whole = Payload::from(words);
+                        let (low, high) = (whole.slice(0, 16), whole.slice(16, 32));
+                        proc.send(1, 1, low.clone()); // crossing 0
+                        proc.send(1, 2, high.clone()); // crossing 1: corrupted
+                        proc.send(1, 3, high.clone()); // crossing 2: the same window
+                        vec![whole, low, high]
+                    } else {
+                        let mut got = Vec::new();
+                        for tag in 1..=3 {
+                            got.push(proc.recv(0, tag).await);
+                        }
+                        got
+                    }
+                }
+            })
+            .unwrap();
+        assert_eq!(out.stats.total_corrupted(), 1);
+        let bits = |words: &[f64]| words.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let [whole, low, high] = &out.outputs[0][..] else {
+            panic!("sender returns three views");
+        };
+        assert_eq!(bits(whole), bits(&original), "{kind:?}: caller's payload");
+        assert_eq!(bits(low), bits(&original[..16]), "{kind:?}: sibling window");
+        assert_eq!(bits(high), bits(&original[16..]), "{kind:?}: sent window");
+
+        let [first, second, third] = &out.outputs[1][..] else {
+            panic!("receiver returns three messages");
+        };
+        assert_eq!(bits(first), bits(&original[..16]), "{kind:?}: crossing 0");
+        assert_eq!(bits(third), bits(&original[16..]), "{kind:?}: crossing 2");
+        let damaged: Vec<usize> = (0..16)
+            .filter(|&w| second[w].to_bits() != original[16 + w].to_bits())
+            .collect();
+        assert_eq!(damaged, vec![5], "{kind:?}: exactly the scheduled word");
+    }
 }
 
 /// A scheduled crash kills the rank as it begins the given communication
