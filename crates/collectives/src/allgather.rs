@@ -4,8 +4,9 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::plan::{execute, CollectiveRun, Plan, RecvMode, Xfer};
-use crate::{chunk, copies, round_tag, sliced_store, submasks};
+use crate::chunk;
+use crate::plan::{execute, CollectiveRun};
+use crate::schema::{CollKind, CollSchema};
 
 /// A planned all-gather, ready to execute (possibly fused with others).
 #[derive(Debug)]
@@ -42,48 +43,18 @@ pub fn allgather_plan(
     base: u64,
     mine: Payload,
 ) -> AllgatherRun {
-    let d = sc.dim() as usize;
     let n = sc.size();
     let v = sc.rank_of(me);
 
-    let ncopies = copies(port, d);
-    let mut store = sliced_store(mine.len(), ncopies, n);
+    let schema = CollSchema::reference(CollKind::Allgather);
+    let (mut inner, ncopies) = schema.compile(port, sc, me, 0, base, mine.len());
     // Half the row arrives in the last round (see `reserve`).
-    store.reserve(ncopies * n / 2);
+    inner.store.reserve(ncopies * n / 2);
     for c in 0..ncopies {
-        store.put(c * n + v, chunk(&mine, ncopies, c));
+        inner.store.put(c * n + v, chunk(&mine, ncopies, c));
     }
 
-    let mut plan = Plan::with_rounds(d);
-    for s in 0..d {
-        for c in 0..ncopies {
-            let o_s = (c + s) % d;
-            let processed: usize = (0..s).map(|i| 1usize << ((c + i) % d)).sum();
-            let peer_rank = v ^ (1 << o_s);
-            let tag = round_tag(base, s as u32, c as u32);
-            // Everything gathered so far: the ranks that agree with the
-            // holder outside the dimensions already exchanged.
-            let gathered_at =
-                |rank: usize| submasks(rank & !processed, processed).map(move |r| c * n + r);
-            plan.push(
-                s,
-                Xfer {
-                    peer: sc.member(peer_rank),
-                    tag,
-                    send: gathered_at(v).collect(),
-                    consume_sends: false,
-                    recv: gathered_at(peer_rank).collect(),
-                    recv_mode: RecvMode::Fill,
-                },
-            );
-        }
-    }
-
-    AllgatherRun {
-        inner: CollectiveRun::new(plan, store),
-        ncopies,
-        n,
-    }
+    AllgatherRun { inner, ncopies, n }
 }
 
 /// All-to-all broadcast: every member contributes `mine` (all equal
@@ -131,9 +102,7 @@ pub fn reduce_scatter_plan(
     base: u64,
     parts: Vec<Payload>,
 ) -> ReduceScatterRun {
-    let d = sc.dim() as usize;
     let n = sc.size();
-    let v = sc.rank_of(me);
     assert_eq!(parts.len(), n, "reduce_scatter needs one part per member");
     let part_len = parts[0].len();
     for p in &parts {
@@ -144,49 +113,20 @@ pub fn reduce_scatter_plan(
         );
     }
 
-    let ncopies = copies(port, d);
-    let mut store = sliced_store(part_len, ncopies, n);
-    store.reserve(ncopies * n);
+    let schema = CollSchema::reference(CollKind::ReduceScatter);
+    let (mut inner, ncopies) = schema.compile(port, sc, me, 0, base, part_len);
+    inner.store.reserve(ncopies * n);
     for (r, part) in parts.iter().enumerate() {
         for c in 0..ncopies {
-            store.put(c * n + r, chunk(part, ncopies, c));
-        }
-    }
-
-    let mut plan = Plan::with_rounds(d);
-    for step in 0..d {
-        for c in 0..ncopies {
-            // Halving in rotated reverse order: copy c uses dimension
-            // (c + d - 1 - step) mod d at round `step`.
-            let o = (c + d - 1 - step) % d;
-            let processed: usize = (0..step).map(|i| 1usize << ((c + d - 1 - i) % d)).sum();
-            let peer_rank = v ^ (1 << o);
-            let tag = round_tag(base, step as u32, c as u32);
-            // Parts still alive here agree with me on the dimensions
-            // already halved; this round splits them by bit `o` — the
-            // peer's side leaves, my side stays and accumulates.
-            let free = (n - 1) & !(processed | 1 << o);
-            let side_of =
-                |rank: usize| submasks(v & processed | rank & 1 << o, free).map(move |r| c * n + r);
-            plan.push(
-                step,
-                Xfer {
-                    peer: sc.member(peer_rank),
-                    tag,
-                    send: side_of(peer_rank).collect(),
-                    consume_sends: true,
-                    recv: side_of(v).collect(),
-                    recv_mode: RecvMode::Accumulate,
-                },
-            );
+            inner.store.put(c * n + r, chunk(part, ncopies, c));
         }
     }
 
     ReduceScatterRun {
-        inner: CollectiveRun::new(plan, store),
+        inner,
         ncopies,
         n,
-        v,
+        v: sc.rank_of(me),
     }
 }
 

@@ -13,8 +13,9 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::plan::{execute, CollectiveRun, Plan, RecvMode, Xfer};
-use crate::{chunk, copies, round_tag, sliced_store, submasks};
+use crate::chunk;
+use crate::plan::{execute, CollectiveRun};
+use crate::schema::{CollKind, CollSchema};
 
 /// A planned all-to-all personalized exchange.
 #[derive(Debug)]
@@ -53,7 +54,6 @@ pub fn alltoall_plan(
     base: u64,
     parts: Vec<Payload>,
 ) -> AlltoallRun {
-    let d = sc.dim() as usize;
     let n = sc.size();
     let v = sc.rank_of(me);
     assert_eq!(parts.len(), n, "alltoall needs one part per member");
@@ -62,53 +62,20 @@ pub fn alltoall_plan(
         assert_eq!(p.len(), part_len, "alltoall parts must have equal length");
     }
 
-    let ncopies = copies(port, d);
-    let mut store = sliced_store(part_len, ncopies, n * n);
+    let schema = CollSchema::reference(CollKind::Alltoall);
+    let (mut inner, ncopies) = schema.compile(port, sc, me, 0, base, part_len);
     // Every round trades half of a copy's n packets for as many others.
-    store.reserve(ncopies * n);
+    inner.store.reserve(ncopies * n);
     for (dest, part) in parts.iter().enumerate() {
         for c in 0..ncopies {
-            store.put(c * n * n + dest * n + v, chunk(part, ncopies, c));
-        }
-    }
-
-    let mut plan = Plan::with_rounds(d);
-    for i in 0..d {
-        for c in 0..ncopies {
-            let o_i = (c + i) % d;
-            let processed: usize = (0..i).map(|t| 1usize << ((c + t) % d)).sum();
-            let peer_rank = v ^ (1 << o_i);
-            let tag = round_tag(base, i as u32, c as u32);
-            // A packet (dest, origin) resides at the node whose processed
-            // bits come from dest and whose other bits come from origin.
-            // Of those at `holder`, this round moves the ones whose dest
-            // sits on `side`'s half of dimension o_i: dest is free in
-            // the dimensions still to come, origin in those already done.
-            let unrouted = (n - 1) & !(processed | 1 << o_i);
-            let crossing = |holder: usize, side: usize| {
-                let origins = submasks(holder & !processed, processed);
-                let mut ids = Vec::with_capacity(n / 2);
-                for dest in submasks(holder & processed | side & 1 << o_i, unrouted) {
-                    ids.extend(origins.clone().map(|origin| c * n * n + dest * n + origin));
-                }
-                ids
-            };
-            plan.push(
-                i,
-                Xfer {
-                    peer: sc.member(peer_rank),
-                    tag,
-                    send: crossing(v, peer_rank),
-                    consume_sends: true,
-                    recv: crossing(peer_rank, v),
-                    recv_mode: RecvMode::Fill,
-                },
-            );
+            inner
+                .store
+                .put(c * n * n + dest * n + v, chunk(part, ncopies, c));
         }
     }
 
     AlltoallRun {
-        inner: CollectiveRun::new(plan, store),
+        inner,
         ncopies,
         n,
         v,

@@ -3,8 +3,9 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::plan::{execute, CollectiveRun, Plan, RecvMode, Xfer};
-use crate::{chunk, copies, round_tag, sliced_store};
+use crate::chunk;
+use crate::plan::{execute, CollectiveRun};
+use crate::schema::{CollKind, CollSchema};
 
 /// A planned broadcast, ready to execute (possibly fused with others).
 #[derive(Debug)]
@@ -43,10 +44,7 @@ pub fn bcast_plan(
     data: Option<Payload>,
     len: usize,
 ) -> BcastRun {
-    let d = sc.dim() as usize;
-    let my_rank = sc.rank_of(me);
-    let v = my_rank ^ root;
-    if my_rank == root {
+    if sc.rank_of(me) == root {
         #[allow(
             clippy::expect_used,
             reason = "documented API precondition, enforced like the asserts beside it"
@@ -57,54 +55,14 @@ pub fn bcast_plan(
         assert!(data.is_none(), "non-root nodes must not supply data");
     }
 
-    let ncopies = copies(port, d);
-    let mut store = sliced_store(len, ncopies, 1);
+    let schema = CollSchema::reference(CollKind::Bcast);
+    let (mut inner, ncopies) = schema.compile(port, sc, me, root, base, len);
     if let Some(full) = &data {
         for c in 0..ncopies {
-            store.put(c, chunk(full, ncopies, c));
+            inner.store.put(c, chunk(full, ncopies, c));
         }
     }
-
-    let mut plan = Plan::with_rounds(d);
-    for r in 0..d {
-        for c in 0..ncopies {
-            // Copy c peels dimensions in rotated order o_i = (c+i) mod d.
-            let o_r = (c + r) % d;
-            let processed: usize = (0..r).map(|i| 1usize << ((c + i) % d)).sum();
-            let tag = round_tag(base, r as u32, c as u32);
-            if v & !processed == 0 {
-                // Holder: forward slice c along o_r.
-                plan.push(
-                    r,
-                    Xfer {
-                        peer: sc.member((v | (1 << o_r)) ^ root),
-                        tag,
-                        send: vec![c],
-                        consume_sends: false,
-                        recv: vec![],
-                        recv_mode: RecvMode::Fill,
-                    },
-                );
-            } else if v & !(processed | (1 << o_r)) == 0 && (v >> o_r) & 1 == 1 {
-                plan.push(
-                    r,
-                    Xfer {
-                        peer: sc.member((v ^ (1 << o_r)) ^ root),
-                        tag,
-                        send: vec![],
-                        consume_sends: false,
-                        recv: vec![c],
-                        recv_mode: RecvMode::Fill,
-                    },
-                );
-            }
-        }
-    }
-
-    BcastRun {
-        inner: CollectiveRun::new(plan, store),
-        ncopies,
-    }
+    BcastRun { inner, ncopies }
 }
 
 /// One-to-all broadcast of `data` from the member of `sc` with rank

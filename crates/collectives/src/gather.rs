@@ -5,9 +5,9 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::plan::{execute, CollectiveRun, Plan, RecvMode, Xfer};
-use crate::scatter::subtree;
-use crate::{chunk, copies, round_tag, sliced_store};
+use crate::chunk;
+use crate::plan::{execute, CollectiveRun};
+use crate::schema::{CollKind, CollSchema};
 
 /// A planned gather, ready to execute (possibly fused with others).
 #[derive(Debug)]
@@ -54,62 +54,17 @@ pub fn gather_plan(
     base: u64,
     mine: Payload,
 ) -> GatherRun {
-    let d = sc.dim() as usize;
     let n = sc.size();
-    let my_rank = sc.rank_of(me);
-    let v = my_rank ^ root;
+    let v = sc.rank_of(me) ^ root;
 
-    let ncopies = copies(port, d);
-    let mut store = sliced_store(mine.len(), ncopies, n);
+    let schema = CollSchema::reference(CollKind::Gather);
+    let (mut inner, ncopies) = schema.compile(port, sc, me, root, base, mine.len());
     for c in 0..ncopies {
-        store.put(c * n + v, chunk(&mine, ncopies, c));
-    }
-
-    let mut plan = Plan::with_rounds(d);
-    for step in 0..d {
-        for c in 0..ncopies {
-            // Merge along the reverse of the scatter tree of copy c
-            // (dimension order o_i = (c + i) mod d, traversed backwards).
-            let u_dim = (c + d - 1 - step) % d;
-            let remaining: usize = ((step + 1)..d)
-                .map(|i| 1usize << ((c + d - 1 - i) % d))
-                .sum();
-            let tag = round_tag(base, step as u32, c as u32);
-            if v & !(remaining | (1 << u_dim)) == 0 && (v >> u_dim) & 1 == 1 {
-                // Leaf of the remaining tree: ship my whole gathered
-                // subtree to the parent.
-                let members = subtree(v, remaining | (1 << u_dim), d);
-                plan.push(
-                    step,
-                    Xfer {
-                        peer: sc.member((v ^ (1 << u_dim)) ^ root),
-                        tag,
-                        send: members.map(|u| c * n + u).collect(),
-                        consume_sends: true,
-                        recv: vec![],
-                        recv_mode: RecvMode::Fill,
-                    },
-                );
-            } else if v & !remaining == 0 {
-                let child = v | (1 << u_dim);
-                let members = subtree(child, remaining | (1 << u_dim), d);
-                plan.push(
-                    step,
-                    Xfer {
-                        peer: sc.member(child ^ root),
-                        tag,
-                        send: vec![],
-                        consume_sends: false,
-                        recv: members.map(|u| c * n + u).collect(),
-                        recv_mode: RecvMode::Fill,
-                    },
-                );
-            }
-        }
+        inner.store.put(c * n + v, chunk(&mine, ncopies, c));
     }
 
     GatherRun {
-        inner: CollectiveRun::new(plan, store),
+        inner,
         ncopies,
         n,
         is_root: v == 0,

@@ -82,9 +82,9 @@ pub use plan::{
 };
 pub use reduce::{reduce_plan, reduce_sum, reduce_sum_checked, ChecksumMismatch, ReduceRun};
 pub use scatter::{scatter, scatter_plan, ScatterRun};
-pub use schema::{CollKind, CollSchema, RoundSpec, VolSchema, WireSpec};
+pub use schema::{CollKind, CollSchema, IdMask, RoundSpec, VolSchema, WireSpec, XferShape};
 
-use cubemm_simnet::{Payload, PortModel};
+use cubemm_simnet::Payload;
 
 /// Minimum spacing between the `base` tags of two collective calls whose
 /// messages could be in flight concurrently.
@@ -95,28 +95,6 @@ pub const TAG_SPACE: u64 = 1 << 12;
 pub(crate) fn round_tag(base: u64, r: u32, c: u32) -> u64 {
     debug_assert!(r < 64 && c < 64);
     base + u64::from(r) * 64 + u64::from(c)
-}
-
-/// Rotated copies of its schedule a collective runs over a
-/// `d`-dimensional subcube: one on one-port nodes, `d` — every link
-/// busy in every round — on multi-port nodes.
-pub(crate) fn copies(port: PortModel, d: usize) -> usize {
-    match port {
-        PortModel::OnePort => 1,
-        PortModel::MultiPort => d.max(1),
-    }
-}
-
-/// An empty store for messages of `len` words cut into `ncopies` slices
-/// (see [`chunk`]), `per_copy` packets per slice.
-pub(crate) fn sliced_store(len: usize, ncopies: usize, per_copy: usize) -> PacketStore {
-    let lens = (0..ncopies)
-        .map(|c| {
-            let (lo, hi) = chunk_bounds(len, ncopies, c);
-            hi - lo
-        })
-        .collect();
-    PacketStore::new(lens, per_copy)
 }
 
 /// Chunk `c` of `data` split into `parts` near-equal contiguous word
@@ -134,10 +112,9 @@ pub(crate) fn chunk_bounds(len: usize, parts: usize, c: usize) -> (usize, usize)
 }
 
 /// Every `fixed | s` for `s` a subset of the bits of `free`, ascending
-/// (`fixed` and `free` must be disjoint). This is how the plan
-/// generators name "all ranks that agree with me outside these
-/// dimensions" in time proportional to the answer, not to the subcube;
-/// the length is exact, so collecting allocates once.
+/// (`fixed` and `free` must be disjoint). This is how a schema's
+/// [`IdMask`] is listed: in time proportional to the answer, not to the
+/// subcube; the length is exact, so collecting allocates once.
 pub(crate) fn submasks(fixed: usize, free: usize) -> Submasks {
     debug_assert_eq!(fixed & free, 0);
     Submasks {

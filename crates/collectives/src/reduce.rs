@@ -4,8 +4,9 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::plan::{execute, CollectiveRun, Plan, RecvMode, Xfer};
-use crate::{chunk, copies, round_tag, sliced_store};
+use crate::chunk;
+use crate::plan::{execute, CollectiveRun};
+use crate::schema::{CollKind, CollSchema};
 
 /// A planned reduction, ready to execute (possibly fused with others).
 #[derive(Debug)]
@@ -45,58 +46,16 @@ pub fn reduce_plan(
     base: u64,
     mine: Payload,
 ) -> ReduceRun {
-    let d = sc.dim() as usize;
-    let my_rank = sc.rank_of(me);
-    let v = my_rank ^ root;
-
-    let ncopies = copies(port, d);
-    let mut store = sliced_store(mine.len(), ncopies, 1);
+    let schema = CollSchema::reference(CollKind::Reduce);
+    let (mut inner, ncopies) = schema.compile(port, sc, me, root, base, mine.len());
     for c in 0..ncopies {
-        store.put(c, chunk(&mine, ncopies, c));
-    }
-
-    let mut plan = Plan::with_rounds(d);
-    for step in 0..d {
-        for c in 0..ncopies {
-            // Merge along the reverse of the broadcast tree: copy c uses
-            // dimension u = (c + d - 1 - step) mod d at round `step`.
-            let u = (c + d - 1 - step) % d;
-            let remaining: usize = ((step + 1)..d)
-                .map(|i| 1usize << ((c + d - 1 - i) % d))
-                .sum();
-            let tag = round_tag(base, step as u32, c as u32);
-            if v & !(remaining | (1 << u)) == 0 && (v >> u) & 1 == 1 {
-                plan.push(
-                    step,
-                    Xfer {
-                        peer: sc.member((v ^ (1 << u)) ^ root),
-                        tag,
-                        send: vec![c],
-                        consume_sends: true,
-                        recv: vec![],
-                        recv_mode: RecvMode::Fill,
-                    },
-                );
-            } else if v & !remaining == 0 {
-                plan.push(
-                    step,
-                    Xfer {
-                        peer: sc.member((v | (1 << u)) ^ root),
-                        tag,
-                        send: vec![],
-                        consume_sends: false,
-                        recv: vec![c],
-                        recv_mode: RecvMode::Accumulate,
-                    },
-                );
-            }
-        }
+        inner.store.put(c, chunk(&mine, ncopies, c));
     }
 
     ReduceRun {
-        inner: CollectiveRun::new(plan, store),
+        inner,
         ncopies,
-        is_root: v == 0,
+        is_root: sc.rank_of(me) == root,
     }
 }
 

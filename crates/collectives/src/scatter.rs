@@ -3,8 +3,9 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::plan::{execute, CollectiveRun, Plan, RecvMode, Xfer};
-use crate::{chunk, copies, round_tag, sliced_store, submasks};
+use crate::chunk;
+use crate::plan::{execute, CollectiveRun};
+use crate::schema::{CollKind, CollSchema};
 
 /// A planned scatter, ready to execute (possibly fused with others).
 #[derive(Debug)]
@@ -30,13 +31,6 @@ impl ScatterRun {
     }
 }
 
-/// Relative ranks in the subtree reached through `child` once the
-/// dimensions in `fixed` (which include every set bit of `child`) are
-/// decided — ascending order.
-pub(crate) fn subtree(child: usize, fixed: usize, d: usize) -> crate::Submasks {
-    submasks(child, ((1 << d) - 1) & !fixed)
-}
-
 /// Compiles the SBT scatter for this node. Packet `(c, u)` is slice `c`
 /// of the part for *relative* rank `u`.
 pub fn scatter_plan(
@@ -48,13 +42,11 @@ pub fn scatter_plan(
     parts: Option<Vec<Payload>>,
     part_len: usize,
 ) -> ScatterRun {
-    let d = sc.dim() as usize;
     let n = sc.size();
     let my_rank = sc.rank_of(me);
-    let v = my_rank ^ root;
 
-    let ncopies = copies(port, d);
-    let mut store = sliced_store(part_len, ncopies, n);
+    let schema = CollSchema::reference(CollKind::Scatter);
+    let (mut inner, ncopies) = schema.compile(port, sc, me, root, base, part_len);
     if my_rank == root {
         #[allow(
             clippy::expect_used,
@@ -65,60 +57,24 @@ pub fn scatter_plan(
         for part in &parts {
             assert_eq!(part.len(), part_len, "scatter parts must have equal length");
         }
-        store.reserve(ncopies * n);
+        inner.store.reserve(ncopies * n);
         for u in 0..n {
             // Relative rank u corresponds to actual rank u ^ root.
             for c in 0..ncopies {
-                store.put(c * n + u, chunk(&parts[u ^ root], ncopies, c));
+                inner
+                    .store
+                    .put(c * n + u, chunk(&parts[u ^ root], ncopies, c));
             }
         }
     } else {
         assert!(parts.is_none(), "non-root nodes must not supply parts");
     }
 
-    let mut plan = Plan::with_rounds(d);
-    for r in 0..d {
-        for c in 0..ncopies {
-            let o_r = (c + r) % d;
-            let processed: usize = (0..r).map(|i| 1usize << ((c + i) % d)).sum();
-            let tag = round_tag(base, r as u32, c as u32);
-            if v & !processed == 0 {
-                // Holder: hand the subtree through o_r to the child.
-                let child = v | (1 << o_r);
-                let dests = subtree(child, processed | (1 << o_r), d);
-                plan.push(
-                    r,
-                    Xfer {
-                        peer: sc.member(child ^ root),
-                        tag,
-                        send: dests.map(|u| c * n + u).collect(),
-                        consume_sends: true,
-                        recv: vec![],
-                        recv_mode: RecvMode::Fill,
-                    },
-                );
-            } else if v & !(processed | (1 << o_r)) == 0 && (v >> o_r) & 1 == 1 {
-                let dests = subtree(v, processed | (1 << o_r), d);
-                plan.push(
-                    r,
-                    Xfer {
-                        peer: sc.member((v ^ (1 << o_r)) ^ root),
-                        tag,
-                        send: vec![],
-                        consume_sends: false,
-                        recv: dests.map(|u| c * n + u).collect(),
-                        recv_mode: RecvMode::Fill,
-                    },
-                );
-            }
-        }
-    }
-
     ScatterRun {
-        inner: CollectiveRun::new(plan, store),
+        inner,
         ncopies,
         n,
-        v,
+        v: my_rank ^ root,
     }
 }
 
@@ -215,8 +171,13 @@ mod tests {
 
     #[test]
     fn subtree_enumeration() {
-        // d=3, child=0b010, fixed={1}: free dims {0,2}.
-        let members: Vec<usize> = subtree(0b010, 0b010, 3).collect();
+        // d=3, copy 1 opens with dimension 1: the root hands child 0b010
+        // its whole subtree, free in dimensions {0, 2}.
+        let root_send = CollSchema::reference(CollKind::Scatter)
+            .xfer(3, 0, 1, 0)
+            .and_then(|x| x.send)
+            .expect("the root sends in every round");
+        let members: Vec<usize> = root_send.ids(0).collect();
         assert_eq!(members, vec![0b010, 0b011, 0b110, 0b111]);
     }
 }

@@ -1,25 +1,31 @@
 //! Declarative *schedule schemas* for the seven Johnsson–Ho
-//! collectives, parametric in the cube dimension.
+//! collectives, parametric in the cube dimension — the one description
+//! of a collective in this workspace.
 //!
-//! A [`CollSchema`] states, for one collective, the facts the symbolic
-//! certifier needs about the schedule family `{plan(d) : d ≥ 1}`:
-//! which tree/exchange *shape* each round follows, how many rounds the
-//! family runs per copy (always the subcube dimension `δ` for the
-//! reference schemas; negative tests skew it), and the per-round send
-//! volume as an exponential schema `coef · (m/nc) · 2^(aδ + br + c)`.
+//! A [`CollSchema`] states, for one collective, the schedule family
+//! `{plan(d) : d ≥ 1}`: how many rounds the family runs per copy (always
+//! the subcube dimension `δ` for the reference schemas; negative tests
+//! skew it), the per-round send volume it *claims* as an exponential
+//! schema `coef · (m/nc) · 2^(aδ + br + c)`, and — through the single
+//! guard function [`CollSchema::xfer`] — what every node does in every
+//! round of every copy: its peer, and the packet ids it sends and
+//! receives, named as sub-mask sets ([`IdMask`]) rather than lists.
 //!
-//! The schema is also *executable*: [`CollSchema::expand_node`]
-//! enumerates the exact per-round sends and receives of any node at a
-//! concrete `d`, independently of the plan generators in this crate —
-//! same guard algebra, separate code path driven by the declarative
-//! shape. `cubemm-analyze` diffs that expansion message-for-message
-//! against the compiled plans and against traced real runs; the
-//! polynomial claims are then the bridge from "correct at sampled d"
-//! to "correct for all d" (see DESIGN.md §15).
+//! Both consumers are derived from that function. The executable
+//! [`Plan`] a node runs materialises the id sets in ascending order
+//! ([`CollSchema::compile`], behind every `*_plan` entry point); the
+//! analyzer's [`RoundSpec`] only counts them ([`CollSchema::expand_node`]:
+//! words = `|ids|` · slice length). There is no second generator to
+//! diff against: `cubemm-analyze` attacks the guard function itself —
+//! the claimed volume must equal the id-set cardinality, the expansion
+//! must pass the concrete checker and hit the closed form, and traced
+//! real runs must match it message for message (see DESIGN.md §15).
 
 use cubemm_simnet::PortModel;
+use cubemm_topology::Subcube;
 
-use crate::{chunk_bounds, round_tag};
+use crate::plan::{CollectiveRun, PacketStore, Plan, RecvMode, Xfer};
+use crate::{chunk_bounds, round_tag, submasks, Submasks};
 
 /// The seven collective kinds of the paper's Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +80,33 @@ impl CollKind {
             CollKind::Gather | CollKind::Reduce | CollKind::ReduceScatter
         )
     }
+
+    /// Do sent packets leave the sender's store (ownership moves), or
+    /// stay for forwarding in later rounds (the two broadcasts)?
+    pub fn consume_sends(&self) -> bool {
+        !matches!(self, CollKind::Bcast | CollKind::Allgather)
+    }
+
+    /// What a receive does with each packet: the two reductions add it
+    /// into the slot they already hold, everything else fills an empty
+    /// one.
+    pub fn recv_mode(&self) -> RecvMode {
+        match self {
+            CollKind::Reduce | CollKind::ReduceScatter => RecvMode::Accumulate,
+            _ => RecvMode::Fill,
+        }
+    }
+
+    /// Packet ids one copy addresses on a `δ`-cube: one message
+    /// (broadcast, reduce), one part per rank, or one per
+    /// `(dest, origin)` pair (all-to-all personalized).
+    pub fn ids_per_copy(&self, delta: u32) -> usize {
+        match self {
+            CollKind::Bcast | CollKind::Reduce => 1,
+            CollKind::Alltoall => 1 << (2 * delta),
+            _ => 1 << delta,
+        }
+    }
 }
 
 /// Per-round send volume as an exponential schema: round `r` of copy
@@ -104,8 +137,8 @@ impl VolSchema {
     };
 
     /// The exact packet count this schema claims for round `r` of a
-    /// `δ`-dimensional run, or `None` if the claim is not an integer
-    /// (possible only for skewed test schemas).
+    /// `δ`-dimensional run, or `None` if the claim is not a
+    /// non-negative integer (possible only for skewed test schemas).
     pub fn packets(&self, delta: u32, r: u32) -> Option<u64> {
         let e = i64::from(self.pow2_delta) * i64::from(delta)
             + i64::from(self.pow2_r) * i64::from(r)
@@ -114,11 +147,68 @@ impl VolSchema {
             return None;
         }
         let count = self.coef.0.checked_mul(1i64 << e)?;
-        if self.coef.1 == 0 || count % self.coef.1 != 0 || count < 0 {
+        // `checked_*`: a zero denominator (and `i64::MIN / −1`) is no claim.
+        if count.checked_rem(self.coef.1)? != 0 {
             return None;
         }
-        Some((count / self.coef.1) as u64)
+        u64::try_from(count.checked_div(self.coef.1)?).ok()
     }
+}
+
+/// A set of packet ids within one copy, named without listing it:
+/// `{fixed | s : s ⊆ free}` (`fixed` and `free` disjoint). Scatter-like
+/// collectives name "every rank that agrees with me outside these
+/// dimensions" this way; all-to-all's `(dest, origin)` pairs are the
+/// same thing over `2δ` bits, `dest` in the high `δ` — so ascending
+/// order is dest-major.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdMask {
+    /// The bits every id of the set has.
+    pub fixed: usize,
+    /// The bits that range over all combinations.
+    pub free: usize,
+}
+
+impl IdMask {
+    /// The one-packet set `{id}`.
+    pub fn single(id: usize) -> IdMask {
+        IdMask { fixed: id, free: 0 }
+    }
+
+    /// How many ids the set holds: `2^popcount(free)`.
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "a sub-mask set always holds `fixed` itself"
+    )]
+    pub fn len(&self) -> usize {
+        1 << self.free.count_ones()
+    }
+
+    /// The ids, ascending, each shifted by `offset` (the copy's first
+    /// id). The length is exact, so collecting allocates once.
+    pub fn ids(&self, offset: usize) -> impl ExactSizeIterator<Item = usize> + Clone {
+        let ids: Submasks = submasks(self.fixed, self.free);
+        ids.map(move |id| offset + id)
+    }
+}
+
+/// What one node does across one link in one round of one copy, in
+/// *relative rank* space (`v = rank ⊕ root`): the caller maps `peer_v`
+/// back through the root and the subcube.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct XferShape {
+    /// Peer, as a relative rank.
+    pub peer_v: usize,
+    /// Ids bundled (ascending) into the outgoing message; `None` for a
+    /// pure receive.
+    pub send: Option<IdMask>,
+    /// Ids the incoming message is split into (ascending); `None` for a
+    /// pure send.
+    pub recv: Option<IdMask>,
+    /// Whether sent packets leave the sender's store.
+    pub consume_sends: bool,
+    /// How received packets merge into the receiver's store.
+    pub recv_mode: RecvMode,
 }
 
 /// One send or receive of a schema expansion, in *relative rank* space
@@ -207,6 +297,103 @@ impl CollSchema {
         (i64::from(delta) + i64::from(self.rounds_skew)).max(0) as usize
     }
 
+    /// The dimension copy `c` peels at step `i` of a `d`-cube (`d ≥ 1`):
+    /// the rotated order `o_i = (c + i) mod d`, walked backwards by the
+    /// "up" shapes. Steps past `d` (skewed schemas only) wrap.
+    fn dim_at(&self, d: usize, c: usize, i: usize) -> usize {
+        if self.kind.reverse_order() {
+            (c + d - 1 - i % d) % d
+        } else {
+            (c + i) % d
+        }
+    }
+
+    /// The guard function — the one place the seven schedules are
+    /// written down. For relative rank `v` in round `r` of copy `c` on
+    /// a `δ`-cube it returns the transfer across the round's dimension,
+    /// or `None` when the node sits the round out (tree shapes away from
+    /// the frontier; every node in the structurally empty rounds
+    /// `r ≥ δ` of a skewed schema).
+    ///
+    /// With `bit` the round's dimension, `done` the dimensions peeled by
+    /// earlier rounds and `rest` those still to come:
+    ///
+    /// * **SBT down** (broadcast, scatter): the nodes inside `done` hold
+    ///   data and feed their child across `bit`; scatter hands over the
+    ///   child's whole subtree, the ranks `child | s`, `s ⊆ rest`.
+    /// * **SBT up** (gather, reduce): the nodes outside `done` are still
+    ///   alive; those with `bit` set push to their parent — gather the
+    ///   subtree collected so far, `v | s`, `s ⊆ done`.
+    /// * **Exchange** (all-gather, reduce-scatter, all-to-all): every
+    ///   node swaps with its neighbour across `bit`. All-gather sends
+    ///   all it has gathered (its rank with `done` free). Reduce-scatter
+    ///   keeps the parts still alive here (agreeing with `v` on `done`)
+    ///   whose destination is on its own side of `bit` and ships the
+    ///   other half. All-to-all packet `(dest, origin)` sits at the node
+    ///   taking its `done` bits from `dest` and the others from
+    ///   `origin`; the ones whose `dest` lies across `bit` cross.
+    pub fn xfer(&self, delta: u32, r: usize, c: usize, v: usize) -> Option<XferShape> {
+        let d = delta as usize;
+        if r >= d {
+            return None;
+        }
+        let bit = 1usize << self.dim_at(d, c, r);
+        let done: usize = (0..r).map(|i| 1usize << self.dim_at(d, c, i)).sum();
+        let rest = ((1usize << d) - 1) & !(done | bit);
+        let peer = v ^ bit;
+        let (consume, mode) = (self.kind.consume_sends(), self.kind.recv_mode());
+        let one_way = |sender: bool, ids: IdMask| XferShape {
+            peer_v: peer,
+            send: sender.then_some(ids),
+            recv: (!sender).then_some(ids),
+            consume_sends: sender && consume,
+            recv_mode: if sender { RecvMode::Fill } else { mode },
+        };
+        let exchange = |send: IdMask, recv: IdMask| XferShape {
+            peer_v: peer,
+            send: Some(send),
+            recv: Some(recv),
+            consume_sends: consume,
+            recv_mode: mode,
+        };
+        let ids = |fixed: usize, free: usize| IdMask { fixed, free };
+        Some(match self.kind {
+            CollKind::Bcast | CollKind::Scatter => {
+                let holder = v & !done == 0;
+                if !holder && v & !(done | bit) != 0 {
+                    return None;
+                }
+                let parts = match self.kind {
+                    CollKind::Bcast => IdMask::single(0),
+                    _ => ids(v | bit, rest),
+                };
+                one_way(holder, parts)
+            }
+            CollKind::Gather | CollKind::Reduce => {
+                if v & done != 0 {
+                    return None;
+                }
+                let parts = match self.kind {
+                    CollKind::Reduce => IdMask::single(0),
+                    _ => ids(v | bit, done),
+                };
+                one_way(v & bit != 0, parts)
+            }
+            CollKind::Allgather => exchange(ids(v & !done, done), ids(peer & !done, done)),
+            CollKind::ReduceScatter => {
+                let side_of = |rank: usize| ids(v & done | rank & bit, rest);
+                exchange(side_of(peer), side_of(v))
+            }
+            CollKind::Alltoall => {
+                let crossing = |holder: usize, side: usize| {
+                    let (dest, origin) = (holder & done | side & bit, holder & !done);
+                    ids(dest << d | origin, rest << d | done)
+                };
+                exchange(crossing(v, peer), crossing(peer, v))
+            }
+        })
+    }
+
     /// Expands this schema for the node with relative rank `v` on a
     /// `δ`-cube: the exact sends and receives of every round, with
     /// peers in relative-rank space and exact chunked lengths. `m` is
@@ -221,96 +408,76 @@ impl CollSchema {
         base: u64,
         v: usize,
     ) -> Vec<RoundSpec> {
-        let d = delta as usize;
         let nc = self.ncopies(port, delta);
-        let chunklen = |c: usize| {
-            let (lo, hi) = chunk_bounds(m, nc, c);
-            hi - lo
-        };
-        let rounds = self.rounds(delta);
-        let mut out: Vec<RoundSpec> = vec![RoundSpec::default(); rounds];
-        if d == 0 {
-            return out;
-        }
-        for (r, round) in out.iter_mut().enumerate() {
+        (0..self.rounds(delta))
+            .map(|r| {
+                let mut round = RoundSpec::default();
+                for c in 0..nc {
+                    let Some(x) = self.xfer(delta, r, c, v) else {
+                        continue;
+                    };
+                    let (lo, hi) = chunk_bounds(m, nc, c);
+                    let wire = |ids: IdMask| WireSpec {
+                        peer_v: x.peer_v,
+                        tag: round_tag(base, r as u32, c as u32),
+                        words: ids.len() * (hi - lo),
+                    };
+                    round.sends.extend(x.send.map(wire));
+                    round.recvs.extend(x.recv.map(wire));
+                }
+                round
+            })
+            .collect()
+    }
+
+    /// Compiles this schema for node `me` of `sc` (root rank `root`;
+    /// pass 0 for the unrooted shapes): the executable plan — every id
+    /// set of [`CollSchema::xfer`] listed in ascending order — over an
+    /// empty store for `len`-word messages sliced across the copies.
+    /// Returns the run and its copy count; the caller fills the store.
+    pub(crate) fn compile(
+        &self,
+        port: PortModel,
+        sc: &Subcube,
+        me: usize,
+        root: usize,
+        base: u64,
+        len: usize,
+    ) -> (CollectiveRun, usize) {
+        let delta = sc.dim();
+        let nc = self.ncopies(port, delta);
+        let per_copy = self.kind.ids_per_copy(delta);
+        let v = sc.rank_of(me) ^ root;
+        let mut plan = Plan::with_rounds(self.rounds(delta));
+        for r in 0..plan.rounds.len() {
             for c in 0..nc {
-                let tag = round_tag(base, r as u32, c as u32);
-                // Rotated dimension and processed mask for this round;
-                // rounds past the structural δ (skewed schemas only)
-                // saturate the mask and fall out of every guard.
-                let (dim, processed) = if self.kind.reverse_order() {
-                    let dim = (c + d - 1 - r % d) % d;
-                    let processed: usize =
-                        (0..r.min(d)).map(|i| 1usize << ((c + d - 1 - i) % d)).sum();
-                    (dim, processed)
-                } else {
-                    let dim = (c + r) % d;
-                    let processed: usize = (0..r.min(d)).map(|i| 1usize << ((c + i) % d)).sum();
-                    (dim, processed)
+                let Some(x) = self.xfer(delta, r, c, v) else {
+                    continue;
                 };
-                if r >= d {
-                    continue; // skewed extra rounds are structurally empty
-                }
-                let bit = 1usize << dim;
-                let spec = |peer_v: usize, words: usize| WireSpec { peer_v, tag, words };
-                match self.kind {
-                    CollKind::Bcast => {
-                        if v & !processed == 0 {
-                            round.sends.push(spec(v | bit, chunklen(c)));
-                        } else if v & !(processed | bit) == 0 && v & bit != 0 {
-                            round.recvs.push(spec(v ^ bit, chunklen(c)));
-                        }
-                    }
-                    CollKind::Scatter => {
-                        // Holders forward the subtree hanging off the
-                        // peeled dimension: 2^(δ−1−r) parts.
-                        let parts = 1usize << (d - 1 - r);
-                        if v & !processed == 0 {
-                            round.sends.push(spec(v | bit, parts * chunklen(c)));
-                        } else if v & !(processed | bit) == 0 && v & bit != 0 {
-                            round.recvs.push(spec(v ^ bit, parts * chunklen(c)));
-                        }
-                    }
-                    CollKind::Gather | CollKind::Reduce => {
-                        // SBT up: leaves of the current frontier push
-                        // toward the root; gather carries the 2^r-part
-                        // subtree, reduce one accumulated packet.
-                        let parts = match self.kind {
-                            CollKind::Gather => 1usize << r,
-                            _ => 1,
-                        };
-                        if v & processed == 0 && v & bit != 0 {
-                            round.sends.push(spec(v ^ bit, parts * chunklen(c)));
-                        } else if v & (processed | bit) == 0 {
-                            round.recvs.push(spec(v | bit, parts * chunklen(c)));
-                        }
-                    }
-                    CollKind::Allgather => {
-                        // Recursive doubling: everyone swaps its 2^r
-                        // accumulated parts across the peeled dimension.
-                        let parts = 1usize << r;
-                        round.sends.push(spec(v ^ bit, parts * chunklen(c)));
-                        round.recvs.push(spec(v ^ bit, parts * chunklen(c)));
-                    }
-                    CollKind::ReduceScatter => {
-                        // Recursive halving: the alive half-lattice
-                        // splits; each side ships the parts whose
-                        // destination lies on the other side.
-                        let parts = 1usize << (d - 1 - r);
-                        round.sends.push(spec(v ^ bit, parts * chunklen(c)));
-                        round.recvs.push(spec(v ^ bit, parts * chunklen(c)));
-                    }
-                    CollKind::Alltoall => {
-                        // Dimension exchange: half the (dest, origin)
-                        // address space crosses the peeled dimension.
-                        let parts = 1usize << (d - 1);
-                        round.sends.push(spec(v ^ bit, parts * chunklen(c)));
-                        round.recvs.push(spec(v ^ bit, parts * chunklen(c)));
-                    }
-                }
+                let list = |ids: Option<IdMask>| {
+                    ids.map_or_else(Vec::new, |ids| ids.ids(c * per_copy).collect())
+                };
+                plan.push(
+                    r,
+                    Xfer {
+                        peer: sc.member(x.peer_v ^ root),
+                        tag: round_tag(base, r as u32, c as u32),
+                        send: list(x.send),
+                        consume_sends: x.consume_sends,
+                        recv: list(x.recv),
+                        recv_mode: x.recv_mode,
+                    },
+                );
             }
         }
-        out
+        let slice_lens = (0..nc)
+            .map(|c| {
+                let (lo, hi) = chunk_bounds(len, nc, c);
+                hi - lo
+            })
+            .collect();
+        let store = PacketStore::new(slice_lens, per_copy);
+        (CollectiveRun::new(plan, store), nc)
     }
 
     /// The rotated dimensions `{o_r(c) : c < ncopies}` used by round
@@ -318,16 +485,9 @@ impl CollSchema {
     /// these are pairwise distinct for every `r < δ`, which holds for
     /// all `δ` by the residue argument (see `cubemm-analyze`).
     pub fn round_dims(&self, delta: u32, port: PortModel, r: u32) -> Vec<u32> {
-        let d = delta.max(1);
-        let nc = self.ncopies(port, delta) as u32;
-        (0..nc)
-            .map(|c| {
-                if self.kind.reverse_order() {
-                    (c + d - 1 - r % d) % d
-                } else {
-                    (c + r) % d
-                }
-            })
+        let d = delta.max(1) as usize;
+        (0..self.ncopies(port, delta))
+            .map(|c| self.dim_at(d, c, r as usize) as u32)
             .collect()
     }
 }
