@@ -1,149 +1,31 @@
-//! Static schedules of the seven Johnsson–Ho collectives.
-//!
-//! Each collective already compiles (per node) to a
-//! [`cubemm_collectives::Plan`] before anything executes; this module
-//! compiles those plans for *every* node of a subcube and assembles
-//! them into one [`Schedule`] — no simulated machine involved. The
-//! checks in [`crate::check`] then prove the schedule deadlock-free and
-//! port-legal, and the replay extracts its exact Table 1 `(a, b)`.
+//! The paper's Table 1, numerically: the closed-form `(a, b)` every
+//! collective schedule is checked against at concrete `(d, m)`. (Its
+//! exact-polynomial counterpart is [`crate::symbolic::table1_sym`].)
 
-use cubemm_collectives::{
-    allgather_plan, alltoall_plan, bcast_plan, gather_plan, reduce_plan, reduce_scatter_plan,
-    scatter_plan,
-};
-use cubemm_simnet::{Payload, PortModel};
-use cubemm_topology::Subcube;
-
-use crate::ir::Schedule;
-
-/// The Johnsson–Ho collective patterns of the paper's Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Collective {
-    /// One-to-all broadcast (SBT).
-    Bcast,
-    /// One-to-all personalized (scatter).
-    Scatter,
-    /// All-to-one gather (scatter's inverse).
-    Gather,
-    /// All-to-one reduction (broadcast's inverse).
-    Reduce,
-    /// All-to-all broadcast (all-gather, recursive doubling).
-    Allgather,
-    /// All-to-all reduction (reduce-scatter, recursive halving).
-    ReduceScatter,
-    /// All-to-all personalized (dimension exchange).
-    Alltoall,
-}
-
-impl Collective {
-    /// Every collective, for exhaustive sweeps.
-    pub const ALL: [Collective; 7] = [
-        Collective::Bcast,
-        Collective::Scatter,
-        Collective::Gather,
-        Collective::Reduce,
-        Collective::Allgather,
-        Collective::ReduceScatter,
-        Collective::Alltoall,
-    ];
-
-    /// Short display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Collective::Bcast => "bcast",
-            Collective::Scatter => "scatter",
-            Collective::Gather => "gather",
-            Collective::Reduce => "reduce",
-            Collective::Allgather => "allgather",
-            Collective::ReduceScatter => "reduce-scatter",
-            Collective::Alltoall => "alltoall",
-        }
-    }
-}
-
-fn zeros(len: usize) -> Payload {
-    std::iter::repeat_n(0.0, len).collect()
-}
-
-/// Compiles `coll` for every node of a `d`-cube with per-node message
-/// length `m` words (root 0 for the rooted patterns) and assembles the
-/// per-node plans into one schedule, statically.
-pub fn collective_schedule(coll: Collective, port: PortModel, d: u32, m: usize) -> Schedule {
-    let sc = Subcube::whole(d);
-    let n = sc.size();
-    let mut s = Schedule::new(n);
-    for v in 0..n {
-        let node = sc.member(v);
-        match coll {
-            Collective::Bcast => {
-                let data = (v == 0).then(|| zeros(m));
-                let mut run = bcast_plan(port, &sc, node, 0, 0, data, m);
-                let run = run.run_mut();
-                s.push_plans(node, &[(run.plan(), run.store())]);
-            }
-            Collective::Scatter => {
-                let parts = (v == 0).then(|| vec![zeros(m); n]);
-                let mut run = scatter_plan(port, &sc, node, 0, 0, parts, m);
-                let run = run.run_mut();
-                s.push_plans(node, &[(run.plan(), run.store())]);
-            }
-            Collective::Gather => {
-                let mut run = gather_plan(port, &sc, node, 0, 0, zeros(m));
-                let run = run.run_mut();
-                s.push_plans(node, &[(run.plan(), run.store())]);
-            }
-            Collective::Reduce => {
-                let mut run = reduce_plan(port, &sc, node, 0, 0, zeros(m));
-                let run = run.run_mut();
-                s.push_plans(node, &[(run.plan(), run.store())]);
-            }
-            Collective::Allgather => {
-                let mut run = allgather_plan(port, &sc, node, 0, zeros(m));
-                let run = run.run_mut();
-                s.push_plans(node, &[(run.plan(), run.store())]);
-            }
-            Collective::ReduceScatter => {
-                let mut run = reduce_scatter_plan(port, &sc, node, 0, vec![zeros(m); n]);
-                let run = run.run_mut();
-                s.push_plans(node, &[(run.plan(), run.store())]);
-            }
-            Collective::Alltoall => {
-                let mut run = alltoall_plan(port, &sc, node, 0, vec![zeros(m); n]);
-                let run = run.run_mut();
-                s.push_plans(node, &[(run.plan(), run.store())]);
-            }
-        }
-    }
-    s
-}
+use cubemm_collectives::CollKind;
+use cubemm_simnet::PortModel;
 
 /// The Table 1 closed form for `coll` on an `N = 2^d`-node subcube with
 /// `M = m` words per node: returns `(a, b)` such that the optimal
 /// schedule costs `t_s·a + t_w·b`. Exact when the slice arithmetic is
 /// even (`m` divisible by `d` for the multi-port rows).
-pub fn table1(coll: Collective, port: PortModel, d: u32, m: usize) -> (f64, f64) {
+pub fn table1(coll: CollKind, port: PortModel, d: u32, m: usize) -> (f64, f64) {
     let nf = (1usize << d) as f64;
     let df = f64::from(d);
     let mf = m as f64;
     let b = match (coll, port) {
-        (Collective::Bcast | Collective::Reduce, PortModel::OnePort) => mf * df,
-        (Collective::Bcast | Collective::Reduce, PortModel::MultiPort) => mf,
+        (CollKind::Bcast | CollKind::Reduce, PortModel::OnePort) => mf * df,
+        (CollKind::Bcast | CollKind::Reduce, PortModel::MultiPort) => mf,
         (
-            Collective::Scatter
-            | Collective::Gather
-            | Collective::Allgather
-            | Collective::ReduceScatter,
+            CollKind::Scatter | CollKind::Gather | CollKind::Allgather | CollKind::ReduceScatter,
             PortModel::OnePort,
         ) => (nf - 1.0) * mf,
         (
-            Collective::Scatter
-            | Collective::Gather
-            | Collective::Allgather
-            | Collective::ReduceScatter,
+            CollKind::Scatter | CollKind::Gather | CollKind::Allgather | CollKind::ReduceScatter,
             PortModel::MultiPort,
         ) => (nf - 1.0) * mf / df,
-        (Collective::Alltoall, PortModel::OnePort) => nf * mf * df / 2.0,
-        (Collective::Alltoall, PortModel::MultiPort) => nf * mf / 2.0,
+        (CollKind::Alltoall, PortModel::OnePort) => nf * mf * df / 2.0,
+        (CollKind::Alltoall, PortModel::MultiPort) => nf * mf / 2.0,
     };
     (df, b)
 }

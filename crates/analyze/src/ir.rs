@@ -10,9 +10,8 @@
 //!
 //! Schedules come from two sources:
 //!
-//! * [`Schedule::push_plans`] — directly from the compiled
-//!   [`cubemm_collectives::Plan`]s of a collective, one per node,
-//!   without ever executing them;
+//! * [`crate::symbolic::expand_collective`] — a collective's schema
+//!   expanded for every node, without compiling or executing anything;
 //! * [`Schedule::from_traces`] — from the per-message trace of one
 //!   executed run, regrouped into program rounds via
 //!   [`cubemm_simnet::TraceEvent::round`]. This is how whole
@@ -20,7 +19,6 @@
 //!   cost parameters yields the schedule, and everything after that is
 //!   static.
 
-use cubemm_collectives::{PacketStore, Plan};
 use cubemm_simnet::{TraceEvent, TraceKind};
 
 /// One communication action of a node within a round.
@@ -80,55 +78,6 @@ impl Schedule {
     /// Appends a round to node `u`.
     pub fn push_round(&mut self, u: usize, round: Round) {
         self.nodes[u].push(round);
-    }
-
-    /// Appends node `u`'s side of one or more *fused* compiled plans,
-    /// exactly as [`cubemm_collectives::execute_fused`] would issue
-    /// them: round `r` of every plan becomes one shared round, with all
-    /// sends (across plans, in plan order) before all receives. Word
-    /// counts come from each plan's packet store, so nothing is
-    /// executed. A single-element slice is the plain un-fused case.
-    pub fn push_plans(&mut self, u: usize, plans: &[(&Plan, &PacketStore)]) {
-        let max_rounds = plans
-            .iter()
-            .map(|(pl, _)| pl.rounds.len())
-            .max()
-            .unwrap_or(0);
-        for r in 0..max_rounds {
-            let mut round = Round::default();
-            for &(plan, store) in plans {
-                let Some(xfers) = plan.rounds.get(r) else {
-                    continue;
-                };
-                for xfer in xfers {
-                    if !xfer.send.is_empty() {
-                        let words = xfer.send.iter().map(|&id| store.expected_len(id)).sum();
-                        round.events.push(Event::Send {
-                            to: xfer.peer,
-                            tag: xfer.tag,
-                            words,
-                            hops: 1,
-                        });
-                    }
-                }
-            }
-            for &(plan, store) in plans {
-                let Some(xfers) = plan.rounds.get(r) else {
-                    continue;
-                };
-                for xfer in xfers {
-                    if !xfer.recv.is_empty() {
-                        let words = xfer.recv.iter().map(|&id| store.expected_len(id)).sum();
-                        round.events.push(Event::Recv {
-                            from: xfer.peer,
-                            tag: xfer.tag,
-                            expect: Some(words),
-                        });
-                    }
-                }
-            }
-            self.nodes[u].push(round);
-        }
     }
 
     /// Rebuilds the per-node schedule of an executed run from its event

@@ -23,12 +23,12 @@
 //!    which [`conformance`] compares against the closed forms of the
 //!    paper's Table 2 in `cubemm_model`.
 //!
-//! Schedules enter the analyzer two ways: compiled collective
-//! [`cubemm_collectives::Plan`]s are analyzed directly
-//! ([`collectives::collective_schedule`]), and whole multiplication
-//! algorithms are captured from one traced run via the per-event
-//! program-round stamps ([`ir::Schedule::from_traces`]), after which
-//! every check is static. The static replay is cross-validated against
+//! Schedules enter the analyzer two ways: a collective's schema is
+//! expanded for every node ([`symbolic::expand_collective`] — the same
+//! description its executable plans are compiled from), and whole
+//! multiplication algorithms are captured from one traced run via the
+//! per-event program-round stamps ([`ir::Schedule::from_traces`]), after
+//! which every check is static. The static replay is cross-validated against
 //! the machine on every capture: it must reproduce the run's elapsed
 //! time exactly ([`conformance::analyze_algorithm`]).
 
@@ -42,7 +42,7 @@ pub mod symbolic;
 pub use check::{
     analyze, replay_elapsed, Analysis, Diagnostic, Extracted, PhaseSummary, Strictness, WaitLink,
 };
-pub use collectives::{collective_schedule, table1, Collective};
+pub use collectives::table1;
 pub use conformance::{
     analyze_algorithm, analyze_algorithm_on, applicable_grid, capture, capture_on, AlgoAnalysis,
     Verdict,

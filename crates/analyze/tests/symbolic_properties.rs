@@ -1,24 +1,20 @@
 //! Randomized differential tests for the symbolic schedule IR.
 //!
 //! The certificates in `cubemm_analyze::symbolic` prove cost and
-//! structure for *all* `d` by polynomial identity; these tests attack
-//! the remaining trusted component — the schema *expansion* — by
-//! drawing random dimensions and diffing the expanded schedule
-//! message-for-message against two independent oracles:
+//! structure for *all* `d` by polynomial identity, and the executable
+//! plans are compiled from the very guard function the expansion
+//! evaluates — so the remaining trusted component is that function.
+//! These tests attack it from outside: at random dimensions and random
+//! roots the expanded schedule must be message-for-message what a real
+//! machine run actually sent (`captured_collective`), under both
+//! execution engines.
 //!
-//! 1. the compiled per-node plans (`collective_schedule`, the PR 3
-//!    generators), at random `d ∈ [1, 16]`;
-//! 2. trace-derived schedules from real machine runs
-//!    (`captured_collective`), under both execution engines, at random
-//!    roots.
-//!
-//! Plus negative controls: a schema skewed by one round, or carrying
-//! the wrong volume polynomial, must be *rejected* by the checker —
-//! the gate has teeth.
+//! Plus negative controls: a schema skewed by one round, or carrying a
+//! wrong, malformed or negative volume polynomial, must be *rejected*
+//! by the checker — the gate has teeth.
 
 use cubemm_analyze::{
-    captured_collective, certify_collective, collective_schedule, diff_schedules,
-    expand_collective, Collective,
+    captured_collective, certify_collective, diff_schedules, expand_collective, CollCertificate,
 };
 use cubemm_collectives::{CollKind, CollSchema};
 use cubemm_simnet::{Engine, PortModel};
@@ -45,46 +41,8 @@ impl Rng {
 
 const PORTS: [PortModel; 2] = [PortModel::OnePort, PortModel::MultiPort];
 
-/// Oracle 1: at random `d ∈ [1, 16]`, the symbolic expansion of every
-/// reference schema is message-identical to the compiled plans. This is
-/// the induction step made empirical — the expansion the proofs sum
-/// over is exactly what the generators emit, including at machine sizes
-/// (p = 65536) the enumerated grid never touches.
-///
-/// The upper end of the draw is budgeted per collective: plan
-/// compilation materializes real payloads, which cost O(p·m) for the
-/// unit-volume patterns but O(p²·m) for all-to-all — so each kind draws
-/// from the largest range a debug-build test can afford, and the
-/// cheapest patterns are the ones pushed to p = 65536.
-#[test]
-fn random_d_expansion_matches_compiled_plans() {
-    let mut rng = Rng(0x5eed_0001);
-    for coll in Collective::ALL {
-        let kind = coll.kind();
-        let schema = CollSchema::reference(kind);
-        // (max d, max m) the plan compiler can materialize cheaply.
-        let (dmax, mmax) = match kind {
-            CollKind::Bcast | CollKind::Reduce => (16, 40),
-            CollKind::Scatter | CollKind::Gather => (12, 16),
-            CollKind::Allgather | CollKind::ReduceScatter => (10, 12),
-            CollKind::Alltoall => (8, 8),
-        };
-        for port in PORTS {
-            for _ in 0..3 {
-                let d = rng.range(1, dmax) as u32;
-                let m = rng.range(1, mmax) as usize;
-                let expansion = expand_collective(&schema, port, d, m, 0, 0);
-                let plans = collective_schedule(coll, port, d, m);
-                diff_schedules(&expansion, &plans, false).unwrap_or_else(|e| {
-                    panic!("{coll:?} {port:?} d={d} m={m}: expansion != plans: {e}")
-                });
-            }
-        }
-    }
-}
-
-/// Oracle 2: the expansion matches what a real traced machine run
-/// actually sent, at random roots, under both engines. Threaded runs
+/// The trace oracle: the expansion matches what a real traced machine
+/// run actually sent, at random roots, under both engines. Threaded runs
 /// stay at d ≤ 5 (one OS thread per node); the event engine draws from
 /// d ∈ [6, 8], sizes the threaded engine cannot reach cheaply.
 #[test]
@@ -115,9 +73,15 @@ fn random_d_expansion_matches_traced_runs_under_both_engines() {
     }
 }
 
+/// Names of the obligations `cert` failed, in discharge order.
+fn failed(cert: &CollCertificate) -> Vec<&'static str> {
+    let failed = cert.obligations.iter().filter(|o| !o.ok);
+    failed.map(|o| o.name).collect()
+}
+
 /// Negative control: skewing any schema's round count by one must fail
 /// certification — and not via some incidental obligation, but via the
-/// round-count identity and the differential harness both.
+/// round-count identity itself.
 #[test]
 fn every_schema_skewed_by_one_round_is_rejected() {
     for kind in CollKind::ALL {
@@ -129,12 +93,7 @@ fn every_schema_skewed_by_one_round_is_rejected() {
                 !cert.ok(),
                 "{kind:?} {port:?}: off-by-one rounds certified anyway"
             );
-            let failed: Vec<&str> = cert
-                .obligations
-                .iter()
-                .filter(|o| !o.ok)
-                .map(|o| o.name)
-                .collect();
+            let failed = failed(&cert);
             assert!(
                 failed.contains(&"rounds"),
                 "{kind:?} {port:?}: wrong rounds not caught by the rounds identity: {failed:?}"
@@ -143,10 +102,9 @@ fn every_schema_skewed_by_one_round_is_rejected() {
     }
 }
 
-/// Negative control: replacing any schema's volume polynomial with a
-/// constant must trip the symbolic Table 1 word-count identity (or,
-/// where the constant accidentally matches per-round volume, the
-/// differential diff against compiled plans).
+/// Negative control: doubling any schema's volume polynomial must trip
+/// the symbolic Table 1 word-count identity — and the grounding, since
+/// the expansion ships half of what is now claimed.
 #[test]
 fn every_schema_with_wrong_volume_polynomial_is_rejected() {
     for kind in CollKind::ALL {
@@ -160,6 +118,56 @@ fn every_schema_with_wrong_volume_polynomial_is_rejected() {
             assert!(
                 !cert.ok(),
                 "{kind:?} {port:?}: wrong volume polynomial certified anyway"
+            );
+            assert_eq!(
+                failed(&cert),
+                ["cost-b", "fifo-deadlock"],
+                "{kind:?} {port:?}"
+            );
+        }
+    }
+}
+
+/// Negative control: a volume coefficient with a zero denominator is no
+/// claim at all. It must fail `cost-b` as a typed refusal — not panic
+/// inside the rational arithmetic — and `packets` must decline too.
+#[test]
+fn zero_denominator_volume_fails_cost_b_without_panicking() {
+    for kind in CollKind::ALL {
+        for port in PORTS {
+            let mut schema = CollSchema::reference(kind);
+            schema.vol.coef.1 = 0;
+            assert_eq!(schema.vol.packets(4, 0), None);
+            let cert = certify_collective(&schema, port);
+            assert_eq!(failed(&cert), ["cost-b"], "{kind:?} {port:?}");
+        }
+    }
+}
+
+/// Negative control: `coef = (1, −1)` claims a negative packet count.
+/// `packets` used to hand it back wrapped into a huge `u64`; it is not
+/// a count, and the certificate must fail both the polynomial identity
+/// and the grounding against what the expansion ships.
+#[test]
+fn negative_volume_is_no_packet_count_and_is_rejected() {
+    for kind in CollKind::ALL {
+        for port in PORTS {
+            let mut schema = CollSchema::reference(kind);
+            schema.vol.coef = (1, -1);
+            for delta in 1..=8 {
+                for r in 0..delta {
+                    assert_eq!(
+                        schema.vol.packets(delta, r),
+                        None,
+                        "{kind:?} δ={delta} r={r}"
+                    );
+                }
+            }
+            let cert = certify_collective(&schema, port);
+            assert_eq!(
+                failed(&cert),
+                ["cost-b", "fifo-deadlock"],
+                "{kind:?} {port:?}"
             );
         }
     }

@@ -25,7 +25,7 @@ use cubemm_simnet::PortModel;
 use cubemm_topology::Subcube;
 
 use crate::plan::{CollectiveRun, PacketStore, Plan, RecvMode, Xfer};
-use crate::{chunk_bounds, round_tag, submasks, Submasks};
+use crate::{chunk_bounds, round_tag, submasks};
 
 /// The seven collective kinds of the paper's Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,14 +187,15 @@ impl IdMask {
     /// The ids, ascending, each shifted by `offset` (the copy's first
     /// id). The length is exact, so collecting allocates once.
     pub fn ids(&self, offset: usize) -> impl ExactSizeIterator<Item = usize> + Clone {
-        let ids: Submasks = submasks(self.fixed, self.free);
-        ids.map(move |id| offset + id)
+        submasks(self.fixed, self.free).map(move |id| offset + id)
     }
 }
 
 /// What one node does across one link in one round of one copy, in
 /// *relative rank* space (`v = rank ⊕ root`): the caller maps `peer_v`
-/// back through the root and the subcube.
+/// back through the root and the subcube. How packets leave and land
+/// ([`CollKind::consume_sends`], [`CollKind::recv_mode`]) is the same
+/// for every transfer of a kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct XferShape {
     /// Peer, as a relative rank.
@@ -205,10 +206,6 @@ pub struct XferShape {
     /// Ids the incoming message is split into (ascending); `None` for a
     /// pure send.
     pub recv: Option<IdMask>,
-    /// Whether sent packets leave the sender's store.
-    pub consume_sends: bool,
-    /// How received packets merge into the receiver's store.
-    pub recv_mode: RecvMode,
 }
 
 /// One send or receive of a schema expansion, in *relative rank* space
@@ -341,22 +338,17 @@ impl CollSchema {
         let done: usize = (0..r).map(|i| 1usize << self.dim_at(d, c, i)).sum();
         let rest = ((1usize << d) - 1) & !(done | bit);
         let peer = v ^ bit;
-        let (consume, mode) = (self.kind.consume_sends(), self.kind.recv_mode());
         let one_way = |sender: bool, ids: IdMask| XferShape {
             peer_v: peer,
             send: sender.then_some(ids),
             recv: (!sender).then_some(ids),
-            consume_sends: sender && consume,
-            recv_mode: if sender { RecvMode::Fill } else { mode },
         };
         let exchange = |send: IdMask, recv: IdMask| XferShape {
             peer_v: peer,
             send: Some(send),
             recv: Some(recv),
-            consume_sends: consume,
-            recv_mode: mode,
         };
-        let ids = |fixed: usize, free: usize| IdMask { fixed, free };
+        let mask = |fixed: usize, free: usize| IdMask { fixed, free };
         Some(match self.kind {
             CollKind::Bcast | CollKind::Scatter => {
                 let holder = v & !done == 0;
@@ -365,7 +357,7 @@ impl CollSchema {
                 }
                 let parts = match self.kind {
                     CollKind::Bcast => IdMask::single(0),
-                    _ => ids(v | bit, rest),
+                    _ => mask(v | bit, rest),
                 };
                 one_way(holder, parts)
             }
@@ -375,19 +367,19 @@ impl CollSchema {
                 }
                 let parts = match self.kind {
                     CollKind::Reduce => IdMask::single(0),
-                    _ => ids(v | bit, done),
+                    _ => mask(v | bit, done),
                 };
                 one_way(v & bit != 0, parts)
             }
-            CollKind::Allgather => exchange(ids(v & !done, done), ids(peer & !done, done)),
+            CollKind::Allgather => exchange(mask(v & !done, done), mask(peer & !done, done)),
             CollKind::ReduceScatter => {
-                let side_of = |rank: usize| ids(v & done | rank & bit, rest);
+                let side_of = |rank: usize| mask(v & done | rank & bit, rest);
                 exchange(side_of(peer), side_of(v))
             }
             CollKind::Alltoall => {
                 let crossing = |holder: usize, side: usize| {
                     let (dest, origin) = (holder & done | side & bit, holder & !done);
-                    ids(dest << d | origin, rest << d | done)
+                    mask(dest << d | origin, rest << d | done)
                 };
                 exchange(crossing(v, peer), crossing(peer, v))
             }
@@ -463,9 +455,9 @@ impl CollSchema {
                         peer: sc.member(x.peer_v ^ root),
                         tag: round_tag(base, r as u32, c as u32),
                         send: list(x.send),
-                        consume_sends: x.consume_sends,
+                        consume_sends: self.kind.consume_sends(),
                         recv: list(x.recv),
-                        recv_mode: x.recv_mode,
+                        recv_mode: self.kind.recv_mode(),
                     },
                 );
             }
