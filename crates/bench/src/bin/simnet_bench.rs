@@ -5,7 +5,10 @@
 //! all-gather — under both execution engines (thread-per-node and
 //! event-driven), plus the collective data path at p = 4096 (all-gather,
 //! reduce-scatter and all-to-all on 64 rows of 64 nodes, both port
-//! models, as ns and heap allocations per message), and writes the
+//! models, as ns and heap allocations per message) and Cannon's shift
+//! phase on the same machine's 64 × 64 grid (`rows64_shift`: 63 XOR-Gray
+//! steps, each node trading a 16-word block with its row and its column
+//! neighbour per step), and writes the
 //! results as `BENCH_simnet.json` in the working directory, mirroring
 //! the `BENCH_kernels.json` format (host cores, ISA and cache sizes in
 //! the header).
@@ -68,6 +71,8 @@ enum Kind {
     Allgather,
     /// One collective on every `ROW_NODES`-node row at once.
     Rows(RowCollective),
+    /// Cannon's shift phase on the `ROW_NODES × ROW_NODES` grid.
+    Shift,
 }
 
 #[derive(Clone, Copy)]
@@ -85,6 +90,7 @@ impl Case {
             Kind::Pingpong => "pingpong".to_string(),
             Kind::Allgather => "allgather".to_string(),
             Kind::Rows(kind) => format!("rows{ROW_NODES}_{}", kind.name()),
+            Kind::Shift => format!("rows{ROW_NODES}_shift"),
         }
     }
 
@@ -156,6 +162,10 @@ fn prepare(case: Case) -> Box<dyn FnOnce() -> RunStats> {
             let inputs = rows::inputs(kind, p, ROW_NODES, ROW_WORDS);
             Box::new(move || rows::run(&machine, kind, ROW_NODES, inputs))
         }
+        Kind::Shift => {
+            let inputs = rows::shift::inputs(p, ROW_WORDS);
+            Box::new(move || rows::shift::run(&machine, inputs))
+        }
     }
 }
 
@@ -175,6 +185,7 @@ fn verify(case: Case) -> Result<(), String> {
                 + COST.tw * ((case.p - 1) * ALLGATHER_WORDS) as f64
         }
         Kind::Rows(kind) => kind.closed_form(COST, case.port, ROW_NODES, ROW_WORDS),
+        Kind::Shift => rows::shift::closed_form(COST, case.port, ROW_NODES, ROW_WORDS),
     };
     if elapsed != want {
         return Err(format!(
@@ -273,12 +284,13 @@ fn main() {
         engine,
         port: PortModel::OnePort,
     };
-    let rows_case = |kind: RowCollective, port: PortModel| Case {
-        kind: Kind::Rows(kind),
+    let grid_case = |kind: Kind, port: PortModel| Case {
+        kind,
         p: ROW_NODES * ROW_NODES,
         engine: Engine::Event,
         port,
     };
+    let rows_case = |kind: RowCollective, port: PortModel| grid_case(Kind::Rows(kind), port);
     let cases: Vec<Case> = if smoke {
         vec![
             case(Kind::Spinup, 8, Engine::Threaded),
@@ -288,8 +300,10 @@ fn main() {
             // host thread, plus a spin-up far past any thread budget.
             case(Kind::Allgather, 8, Engine::Event),
             case(Kind::Spinup, 4096, Engine::Event),
-            // One collective at the scale the data path is tuned for.
+            // One collective and Cannon's shifts at the scale the data
+            // path is tuned for.
             rows_case(RowCollective::Allgather, PortModel::MultiPort),
+            grid_case(Kind::Shift, PortModel::OnePort),
         ]
     } else {
         let mut cases = vec![
@@ -319,6 +333,9 @@ fn main() {
             for port in [PortModel::OnePort, PortModel::MultiPort] {
                 cases.push(rows_case(kind, port));
             }
+        }
+        for port in [PortModel::OnePort, PortModel::MultiPort] {
+            cases.push(grid_case(Kind::Shift, port));
         }
         cases
     };

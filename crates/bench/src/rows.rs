@@ -3,11 +3,12 @@
 //! `log n` dimensions), one block per packet. Shared by `simnet_bench`
 //! (p = 4096 as 64 rows of 64: ns and allocations per message) and the
 //! allocation-budget test (a single 64-node row: allocations per
-//! packet).
+//! packet). [`shift`] is the point-to-point counterpart: Cannon's
+//! shift phase on the whole machine.
 
 use cubemm_collectives as coll;
-use cubemm_simnet::{CostParams, Machine, Payload, PortModel, RunStats};
-use cubemm_topology::Subcube;
+use cubemm_simnet::{CostParams, Machine, Op, Payload, PortModel, RunStats};
+use cubemm_topology::{gray_delta_bit, Grid2, Subcube};
 
 /// A collective that moves many packets per message — the ones whose
 /// host cost is bundling, splitting and plan generation.
@@ -149,4 +150,98 @@ pub fn run(
         reason = "bench machine shapes are fixed and valid; failure is a bench bug"
     )]
     out.expect("healthy collective").stats
+}
+
+/// Cannon's shift phase as the algorithm runs it, without the GEMMs: on
+/// the `q × q` grid of a `p = q²`-node machine every node holds a
+/// `words`-word A and B block and, for each of the `q − 1` steps of the
+/// XOR-Gray sequence, sends A to its row neighbour and B to its column
+/// neighbour across dimension `gray_delta_bit(step)` in one batch,
+/// receives both replacements and keeps them — forwarded by move on the
+/// next step, as `cannon_phase` does.
+pub mod shift {
+    use super::*;
+
+    /// Every node's `(A, B)` blocks, built up front so a measurement of
+    /// [`run`] sees the shifts only.
+    pub fn inputs(p: usize, words: usize) -> Vec<(Payload, Payload)> {
+        (0..p)
+            .map(|id| {
+                let a = vec![id as f64; words].into();
+                let b = vec![-(id as f64); words].into();
+                (a, b)
+            })
+            .collect()
+    }
+
+    /// Virtual time of the `q − 1` shift steps: each step is two
+    /// `t_s + t_w·words` sends, serialized one-port and overlapped
+    /// multi-port (A and B leave on different links); receives are
+    /// passive and arrive when the partner's matching send ends.
+    pub fn closed_form(cost: CostParams, port: PortModel, q: usize, words: usize) -> f64 {
+        let sends_in_sequence = match port {
+            PortModel::OnePort => 2,
+            PortModel::MultiPort => 1,
+        };
+        (q - 1) as f64 * sends_in_sequence as f64 * cost.hop(words)
+    }
+
+    /// Runs the shift phase on every node of `machine`.
+    ///
+    /// # Panics
+    /// Panics if `machine.p()` is not a square power of two or the
+    /// healthy run fails — a bench bug.
+    pub fn run(machine: &Machine, inputs: Vec<(Payload, Payload)>) -> RunStats {
+        #[allow(
+            clippy::expect_used,
+            reason = "bench machine shapes are fixed and valid; failure is a bench bug"
+        )]
+        let grid = Grid2::new(machine.p()).expect("square machine");
+        let out = machine.run(inputs, move |mut proc, (mut a, mut b)| async move {
+            let (i, j) = grid.coords(proc.id());
+            for step in 0..grid.q() - 1 {
+                let bit = gray_delta_bit(step);
+                let a_partner = grid.node(i, j ^ (1 << bit));
+                let b_partner = grid.node(i ^ (1 << bit), j);
+                let (a_tag, b_tag) = (2 * step as u64, 2 * step as u64 + 1);
+                let results = proc
+                    .multi(vec![
+                        Op::Send {
+                            to: a_partner,
+                            tag: a_tag,
+                            data: a,
+                        },
+                        Op::Send {
+                            to: b_partner,
+                            tag: b_tag,
+                            data: b,
+                        },
+                        Op::Recv {
+                            from: a_partner,
+                            tag: a_tag,
+                        },
+                        Op::Recv {
+                            from: b_partner,
+                            tag: b_tag,
+                        },
+                    ])
+                    .await;
+                let mut received = results.into_iter().flatten();
+                #[allow(
+                    clippy::expect_used,
+                    reason = "multi returns one payload per Recv on a healthy machine"
+                )]
+                {
+                    a = received.next().expect("shifted A");
+                    b = received.next().expect("shifted B");
+                }
+            }
+            std::hint::black_box(a.len() + b.len());
+        });
+        #[allow(
+            clippy::expect_used,
+            reason = "bench machine shapes are fixed and valid; failure is a bench bug"
+        )]
+        out.expect("healthy shift").stats
+    }
 }

@@ -23,11 +23,11 @@
 
 use cubemm_collectives::{allgather_plan, alltoall_personalized, execute_fused, reduce_scatter};
 use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix};
+use cubemm_dense::{partition, Matrix, MatrixView};
 use cubemm_simnet::Payload;
 use cubemm_topology::Grid3;
 
-use crate::util::{phase_tag, require_divides, square_order, to_matrix};
+use crate::util::{concat_cols, phase_tag, require_divides, square_order, to_matrix};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates that 3-D All can run `n × n` matrices on `p` processors.
@@ -75,33 +75,23 @@ pub fn multiply(
         // Phase 1: all-to-all personalized along y. Destination rank l
         // receives row group l of each member's B block.
         let y_line = grid.y_line(i, k);
-        let bm = to_matrix(side, wide_c, &pb);
+        let group = sub * wide_c;
         let parts: Vec<Payload> = (0..q)
-            .map(|l| bm.block(l * sub, 0, sub, wide_c).into_payload().into())
+            .map(|l| pb.slice(l * group, (l + 1) * group))
             .collect();
         let received = alltoall_personalized(&mut proc, &y_line, phase_tag(0), parts).await;
 
         // Reassemble: piece from origin l is the j-th row group of
         // B_{k,f(i,l)}; side by side (l ascending) they form the Figure 9
         // block B_{f(k,j),i} (§4.2.2 proof of correctness).
-        let pieces: Vec<Matrix> = received
-            .iter()
-            .map(|payload| to_matrix(sub, wide_c, payload))
-            .collect();
-        let b_tall = partition::concat_cols(&pieces); // sub × side = n/q² × n/q
+        let b_tall = concat_cols(sub, &received); // sub × side = n/q² × n/q
 
         // Phase 2 (fused): all-gather A along x and the reassembled B
         // along z.
         let x_line = grid.x_line(j, k);
         let z_line = grid.z_line(i, j);
         let mut ga = allgather_plan(port, &x_line, me, phase_tag(1), pa);
-        let mut gb = allgather_plan(
-            port,
-            &z_line,
-            me,
-            phase_tag(2),
-            b_tall.into_payload().into(),
-        );
+        let mut gb = allgather_plan(port, &z_line, me, phase_tag(2), b_tall);
         execute_fused(&mut proc, &mut [ga.run_mut(), gb.run_mut()]).await;
         let a_blocks = ga.finish(); // a_blocks[l] = A_{k, f(l,j)}
         let b_blocks = gb.finish(); // b_blocks[l] = B_{f(l,j), i}
@@ -109,10 +99,13 @@ pub fn multiply(
 
         // I_{k,i} = Σ_l A_{k,f(l,j)} · B_{f(l,j),i}.
         let mut outer = Matrix::zeros(side, side);
-        for l in 0..q {
-            let ab = to_matrix(side, wide_c, &a_blocks[l]);
-            let bb = to_matrix(sub, side, &b_blocks[l]);
-            gemm_acc(&mut outer, &ab, &bb, kernel);
+        for (ab, bb) in a_blocks.iter().zip(&b_blocks) {
+            gemm_acc(
+                &mut outer,
+                MatrixView::new(side, wide_c, ab),
+                MatrixView::new(sub, side, bb),
+                kernel,
+            );
         }
 
         // Phase 3: all-to-all reduction along y (column group l to rank

@@ -32,7 +32,9 @@ use cubemm_simnet::Payload;
 use cubemm_topology::SupernodeGrid;
 
 use crate::cannon::cannon_phase;
-use crate::util::{delivered, phase_tag, require_divides, square_order, to_matrix};
+use crate::util::{
+    concat_cols, delivered, phase_tag, require_divides, square_order, stack_rows, to_matrix,
+};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates the combination for a given mesh split (`r = 4^mesh_bits`).
@@ -134,13 +136,13 @@ pub fn multiply_with_mesh(
         // travels to node (u mod qm, w/g, i, u/qm, k); at r = 1 these are
         // Algorithm 5's sends of row group l to p_{i,l,k}, here routed
         // point-to-point.
-        let bm = to_matrix(pr, pc, &pb);
         let w = j * qm + y;
         let mut own_tile: Option<Payload> = None;
         for t in 0..g {
             let u = x * g + t;
             let dest = grid.node(u % qm, w / g, i, u / qm, k);
-            let tile = bm.block(t * pc, 0, pc, pc).into_payload().into();
+            // Tile t is rows [t·pc, (t+1)·pc) of my pr × pc piece.
+            let tile = pb.slice(t * pc * pc, (t + 1) * pc * pc);
             if dest == proc.id() {
                 own_tile = Some(tile);
             } else {
@@ -151,7 +153,7 @@ pub fn multiply_with_mesh(
         // column unit w' = y·g + c and row unit u' = j·qm + x.
         let u_mine = j * qm + x;
         let t_src = u_mine % g;
-        let mut tiles: Vec<Matrix> = Vec::with_capacity(g);
+        let mut tiles: Vec<Payload> = Vec::with_capacity(g);
         for c in 0..g {
             let wp = y * g + c;
             let src = grid.node(u_mine / g, wp % qm, i, wp / qm, k);
@@ -160,45 +162,32 @@ pub fn multiply_with_mesh(
             } else {
                 proc.recv(src, phase_tag(4) + t_src as u64).await
             };
-            tiles.push(to_matrix(pc, pc, &payload));
+            tiles.push(payload);
         }
         // My pc-row strip of the tall slice for block l = k:
         // rows [k·n/g + j·n/g² + x·pc), cols [i·n/g + y·(g·pc)).
-        let b_tall = partition::concat_cols(&tiles);
+        let b_tall = concat_cols(pc, &tiles);
 
         // Phase 2 (fused): all-gather A pieces along super-x and the
         // reassembled B pieces along super-z.
         let x_line = grid.super_x_line(me);
         let z_line = grid.super_z_line(me);
         let mut ga = allgather_plan(port, &x_line, me, phase_tag(5), pa);
-        let mut gb = allgather_plan(
-            port,
-            &z_line,
-            me,
-            phase_tag(6),
-            b_tall.into_payload().into(),
-        );
+        let mut gb = allgather_plan(port, &z_line, me, phase_tag(6), b_tall);
         execute_fused(&mut proc, &mut [ga.run_mut(), gb.run_mut()]).await;
-        let a_pieces: Vec<Matrix> = ga
-            .finish()
-            .iter()
-            .map(|payload| to_matrix(pr, pc, payload))
-            .collect();
-        let b_pieces: Vec<Matrix> = gb
-            .finish()
-            .iter()
-            .map(|payload| to_matrix(pc, g * pc, payload))
-            .collect();
         // Concatenate the l slices into the mesh-distributed plane
-        // operands (both pieces are n/(g·qm) square).
-        let a_cat = partition::concat_cols(&a_pieces);
-        let b_stack = partition::stack_rows(&b_pieces);
-        proc.track_peak_words(2 * pr * pc + a_cat.words() + b_stack.words());
+        // operands (both are n/(g·qm) square): the pr × pc A pieces side
+        // by side, the pc × g·pc B strips stacked.
+        let a_cat = concat_cols(pr, &ga.finish());
+        let b_stack = stack_rows(&gb.finish());
+        proc.track_peak_words(2 * pr * pc + a_cat.len() + b_stack.len());
 
         // Multiply stage: Cannon inside the supernode mesh on the
         // concatenated distributed operands.
         let node_of = |mx: usize, my: usize| grid.node(mx, my, i, j, k);
-        let outer = cannon_phase(&mut proc, &node_of, x, y, qm, a_cat, b_stack, kernel).await;
+        let shape = (pr, g * pc, g * pc);
+        let outer =
+            cannon_phase(&mut proc, &node_of, x, y, qm, a_cat, b_stack, shape, kernel).await;
 
         // Phase 3: all-to-all reduction along super-y — column group l of
         // the outer-product piece to super rank l.

@@ -22,11 +22,11 @@
 
 use cubemm_collectives::{allgather_plan, execute_fused, gather, reduce_scatter};
 use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix};
+use cubemm_dense::{partition, Matrix, MatrixView};
 use cubemm_simnet::Payload;
 use cubemm_topology::FlatGrid3;
 
-use crate::util::{phase_tag, require_divides, square_order, to_matrix};
+use crate::util::{concat_cols, phase_tag, require_divides, square_order, stack_rows, to_matrix};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates the flat variant for `(n, p)`.
@@ -75,12 +75,9 @@ pub fn multiply(
         // the plane that will consume row group k.
         let y_line = grid.y_line(me);
         let gathered = gather(&mut proc, &y_line, k % g, phase_tag(0), pb).await;
-        let bundle = gathered.map(|parts| {
-            // Ascending y rank concatenates the column groups f(i,0..g):
-            // B[k-rows, i-th n/g column band], a w × g·w strip.
-            let pieces: Vec<Matrix> = parts.iter().map(|p| to_matrix(w, w, p)).collect();
-            partition::concat_cols(&pieces).into_payload().into()
-        });
+        // Ascending y rank concatenates the column groups f(i,0..g):
+        // B[k-rows, i-th n/g column band], a w × g·w strip.
+        let bundle = gathered.map(|parts| concat_cols(w, &parts));
 
         // Phase 2 (fused): all-gather A along x; all-gather the strips
         // among the matching holders (z-high subcube, present only where
@@ -91,10 +88,10 @@ pub fn multiply(
             let z_high = grid.z_high_line(me);
             let mut gb = allgather_plan(port, &z_high, me, phase_tag(2), strip);
             execute_fused(&mut proc, &mut [ga.run_mut(), gb.run_mut()]).await;
-            let strips = gb.finish(); // rank k_hi ↔ row group k_hi·g + j
-                                      // Stack vertically: rows of B[S_j, i-band], a g·w × g·w tile.
-            let pieces: Vec<Matrix> = strips.iter().map(|p| to_matrix(w, g * w, p)).collect();
-            let stacked = partition::stack_rows(&pieces);
+            // Rank k_hi ↔ row group k_hi·g + j. Stack vertically: rows of
+            // B[S_j, i-band], a g·w × g·w tile.
+            let strips = gb.finish();
+            let stacked = stack_rows(&strips);
             // Phase 3a: broadcast the tile along the z-low subcube.
             let z_low = grid.z_low_line(me);
             let _ = cubemm_collectives::bcast(
@@ -102,7 +99,7 @@ pub fn multiply(
                 &z_low,
                 j,
                 phase_tag(3),
-                Some(stacked.to_payload().into()),
+                Some(stacked.clone()),
                 g * w * g * w,
             )
             .await;
@@ -111,10 +108,9 @@ pub fn multiply(
             execute_fused(&mut proc, &mut [ga.run_mut()]).await;
             // Phase 3a (receiving side): the tile arrives over z-low.
             let z_low = grid.z_low_line(me);
-            let tile =
+            let stacked =
                 cubemm_collectives::bcast(&mut proc, &z_low, j, phase_tag(3), None, g * w * g * w)
                     .await;
-            let stacked = to_matrix(g * w, g * w, &tile);
             finish(&mut proc, &grid, ga, stacked, i, j, k, w, kernel).await
         }
     })?;
@@ -140,7 +136,7 @@ async fn finish(
     proc: &mut cubemm_simnet::Proc,
     grid: &FlatGrid3,
     ga: cubemm_collectives::AllgatherRun,
-    stacked: Matrix,
+    stacked: Payload,
     _i: usize,
     _j: usize,
     _k: usize,
@@ -154,10 +150,13 @@ async fn finish(
     // I_{k,i} = Σ_l A_l · B-chunk_l (chunk l = rows [l·w, (l+1)w) of the
     // tile — global row group l·g + j, matching A piece l's columns).
     let mut outer = Matrix::zeros(w, g * w);
-    for (l, piece) in a_pieces.iter().enumerate() {
-        let al = to_matrix(w, w, piece);
-        let bl = stacked.block(l * w, 0, w, g * w);
-        gemm_acc(&mut outer, &al, &bl, kernel);
+    for (piece, b_rows) in a_pieces.iter().zip(stacked.chunks_exact(w * g * w)) {
+        gemm_acc(
+            &mut outer,
+            MatrixView::new(w, w, piece),
+            MatrixView::new(w, g * w, b_rows),
+            kernel,
+        );
     }
 
     // Reduce-scatter along y: column group l to rank l.

@@ -18,11 +18,13 @@
 
 use cubemm_collectives::{allgather_plan, bcast_plan, execute_fused, gather, reduce_scatter};
 use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix};
+use cubemm_dense::{partition, Matrix, MatrixView};
 use cubemm_simnet::Payload;
 use cubemm_topology::Grid3;
 
-use crate::util::{delivered, phase_tag, require_divides, square_order, to_matrix};
+use crate::util::{
+    concat_cols, delivered, phase_tag, require_divides, square_order, stack_rows, to_matrix,
+};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates that 3-D All_Trans can run `n × n` on `p` processors.
@@ -102,10 +104,10 @@ pub fn multiply_from_identical(
         // rows of the Figure 9 blocks B_{f(k, l), i}; its row group l
         // belongs to node p_{k, l, i} (as columns chunk j of that node's
         // tall block).
-        let bm = to_matrix(n / q, n / (q * q), &pb);
         let mut own_piece: Option<Payload> = None;
         for l in 0..q {
-            let piece = bm.block(l * sub, 0, sub, sub).into_payload().into();
+            // Row group l of my n/q × sub block: whole rows, a window.
+            let piece = pb.slice(l * sub * sub, (l + 1) * sub * sub);
             let dest = grid.node(k, l, i);
             if dest == proc.id() {
                 own_piece = Some(piece);
@@ -115,7 +117,7 @@ pub fn multiply_from_identical(
         }
         // Collect my tall block B_{f(i,j), k}: column chunk j' arrives
         // from p_{k, j', i} — sources mirror the destinations.
-        let mut pieces: Vec<Matrix> = Vec::with_capacity(q);
+        let mut pieces: Vec<Payload> = Vec::with_capacity(q);
         for jp in 0..q {
             let src = grid.node(k, jp, i);
             let payload = if src == proc.id() {
@@ -123,11 +125,11 @@ pub fn multiply_from_identical(
             } else {
                 proc.recv(src, phase_tag(8) + j as u64).await
             };
-            pieces.push(to_matrix(sub, sub, &payload));
+            pieces.push(payload);
         }
-        let tall = partition::concat_cols(&pieces);
+        let tall = concat_cols(sub, &pieces);
 
-        program(&mut proc, &grid, pa, tall.into_payload().into(), kernel).await
+        program(&mut proc, &grid, pa, tall, kernel).await
     })?;
     Ok(assemble(n, p, &grid, out))
 }
@@ -164,30 +166,27 @@ async fn program(
 
         // Phase 2 (fused): all-gather A along x; broadcast the stacked B
         // bundle along z from rank i (p_{i,j,i}, a gather root).
-        let bundle = gathered.map(|parts| {
-            // Ascending rank order stacks the tall blocks vertically:
-            // rows of B_{f(*,j),k} in f order — an n/q × n/q matrix.
-            let mut stacked = Vec::with_capacity(q * tall_r * side);
-            for part in parts {
-                stacked.extend_from_slice(&part);
-            }
-            Payload::from(stacked.into_boxed_slice())
-        });
+        // Ascending rank order stacks the tall blocks vertically: rows of
+        // B_{f(*,j),k} in f order — an n/q × n/q matrix.
+        let bundle = gathered.map(|parts| stack_rows(&parts));
         let z_line = grid.z_line(i, j);
         let mut ga = allgather_plan(port, &x_line, me, phase_tag(1), pa);
         let mut bb = bcast_plan(port, &z_line, me, i, phase_tag(2), bundle, side * side);
         execute_fused(proc, &mut [ga.run_mut(), bb.run_mut()]).await;
         let a_blocks = ga.finish(); // a_blocks[l] = A_{k, f(l,j)}
-        let b_bundle = to_matrix(side, side, &bb.finish()); // B_{f(*,j),i}
+        let b_bundle = bb.finish(); // B_{f(*,j),i}, side × side
         proc.track_peak_words((q + 1) * side * wide_c + side * side + side * side);
 
         // Outer-product block of plane y = j:
         // I_{k,i} = Σ_l A_{k,f(l,j)} · B_{f(l,j),i}.
         let mut outer = Matrix::zeros(side, side);
-        for (l, a_block) in a_blocks.iter().enumerate() {
-            let ab = to_matrix(side, wide_c, a_block);
-            let bbk = b_bundle.block(l * tall_r, 0, tall_r, side);
-            gemm_acc(&mut outer, &ab, &bbk, kernel);
+        for (a_block, b_rows) in a_blocks.iter().zip(b_bundle.chunks_exact(tall_r * side)) {
+            gemm_acc(
+                &mut outer,
+                MatrixView::new(side, wide_c, a_block),
+                MatrixView::new(tall_r, side, b_rows),
+                kernel,
+            );
         }
 
         // Phase 3: all-to-all reduction along y; destination rank l gets

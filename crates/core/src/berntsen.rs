@@ -60,14 +60,13 @@ pub fn multiply(
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {
         let (i, j, m) = grid.coords(proc.id());
-        let ma = to_matrix(big, small, &pa);
-        let mb = to_matrix(small, big, &pb);
         proc.track_peak_words(2 * big * small + big * big);
 
         // Cannon within the x-y plane z = m (a p^{2/3}-processor
         // subcube): yields block (i,j) of the outer product of set m.
         let node_of = |x: usize, y: usize| grid.node(x, y, m);
-        let outer = cannon_phase(&mut proc, &node_of, i, j, q, ma, mb, kernel).await;
+        let shape = (big, small, big);
+        let outer = cannon_phase(&mut proc, &node_of, i, j, q, pa, pb, shape, kernel).await;
 
         // All-to-all reduction along the z fibre: corresponding blocks of
         // the ∛p outer products are summed, each fibre member keeping one

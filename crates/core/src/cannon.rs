@@ -16,7 +16,7 @@
 //! nodes serialize them — both measured, matching Table 2.
 
 use cubemm_dense::gemm::{gemm_acc, Kernel};
-use cubemm_dense::{partition, Matrix};
+use cubemm_dense::{partition, Matrix, MatrixView};
 use cubemm_simnet::{Op, Payload, Proc};
 use cubemm_topology::{gray_delta_bit, Grid2};
 
@@ -31,12 +31,15 @@ pub fn check(n: usize, p: usize) -> Result<(), AlgoError> {
 }
 
 /// The skew-then-shift-multiply-add body shared with Berntsen's algorithm
-/// (which runs Cannon inside each subcube on rectangular blocks).
+/// (which runs Cannon inside each subcube on rectangular blocks) and the
+/// two supernode combinations.
 ///
 /// `node_of(i, j)` maps virtual grid coordinates to hypercube labels;
 /// each single-bit coordinate change must be a single hop (guaranteed by
-/// the grid embeddings). Returns this node's accumulated `C` block of
-/// shape `a_block.rows() × b_block.cols()`.
+/// the grid embeddings). `a` and `b` are this node's row-major blocks of
+/// the `m × k · k × n` product; they stay the payloads they arrived as —
+/// multiplied through views and forwarded by move, never copied. Returns
+/// this node's accumulated `m × n` block of `C`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) async fn cannon_phase(
     proc: &mut Proc,
@@ -44,75 +47,78 @@ pub(crate) async fn cannon_phase(
     i: usize,
     j: usize,
     q: usize,
-    mut ma: Matrix,
-    mut mb: Matrix,
+    mut a: Payload,
+    mut b: Payload,
+    (m, k, n): (usize, usize, usize),
     kernel: Kernel,
 ) -> Matrix {
     let axis_bits = q.trailing_zeros();
-    let (ar, ac) = (ma.rows(), ma.cols());
-    let (br, bc) = (mb.rows(), mb.cols());
 
     // Phase 1 — skew: A_{i,j} -> p_{i, j XOR i} and B_{i,j} -> p_{i XOR j, j},
     // one coordinate bit per round, both matrices batched per round.
     for bit in 0..axis_bits {
         let mut ops = Vec::new();
-        let mut want = (false, false);
-        if (i >> bit) & 1 == 1 {
+        let shift_a = (i >> bit) & 1 == 1;
+        let shift_b = (j >> bit) & 1 == 1;
+        if shift_a {
             let partner = node_of(i, j ^ (1 << bit));
             let tag = phase_tag(0) + u64::from(bit);
             ops.push(Op::Send {
                 to: partner,
                 tag,
-                data: ma.to_payload().into(),
+                data: std::mem::take(&mut a),
             });
             ops.push(Op::Recv { from: partner, tag });
-            want.0 = true;
         }
-        if (j >> bit) & 1 == 1 {
+        if shift_b {
             let partner = node_of(i ^ (1 << bit), j);
             let tag = phase_tag(1) + u64::from(bit);
             ops.push(Op::Send {
                 to: partner,
                 tag,
-                data: mb.to_payload().into(),
+                data: std::mem::take(&mut b),
             });
             ops.push(Op::Recv { from: partner, tag });
-            want.1 = true;
         }
         let results = proc.multi(ops).await;
         let mut received = results.into_iter().flatten();
-        if want.0 {
-            ma = to_matrix(ar, ac, &delivered(received.next(), "skewed A"));
+        if shift_a {
+            a = delivered(received.next(), "skewed A");
         }
-        if want.1 {
-            mb = to_matrix(br, bc, &delivered(received.next(), "skewed B"));
+        if shift_b {
+            b = delivered(received.next(), "skewed B");
         }
     }
 
     // Phase 2 — √p multiplies interleaved with √p − 1 Gray-sequence
     // XOR shifts of both matrices.
-    let mut c = Matrix::zeros(ar, bc);
-    for k in 0..q {
-        gemm_acc(&mut c, &ma, &mb, kernel);
-        if k + 1 == q {
+    let mut c = Matrix::zeros(m, n);
+    for step in 0..q {
+        gemm_acc(
+            &mut c,
+            MatrixView::new(m, k, &a),
+            MatrixView::new(k, n, &b),
+            kernel,
+        );
+        if step + 1 == q {
             break;
         }
-        let bit = gray_delta_bit(k);
+        let bit = gray_delta_bit(step);
         let a_partner = node_of(i, j ^ (1 << bit));
         let b_partner = node_of(i ^ (1 << bit), j);
-        let a_tag = phase_tag(2) + k as u64;
-        let b_tag = phase_tag(3) + k as u64;
+        let a_tag = phase_tag(2) + step as u64;
+        let b_tag = phase_tag(3) + step as u64;
         let results = proc
             .multi(vec![
                 Op::Send {
                     to: a_partner,
                     tag: a_tag,
-                    data: ma.to_payload().into(),
+                    data: a,
                 },
                 Op::Send {
                     to: b_partner,
                     tag: b_tag,
-                    data: mb.to_payload().into(),
+                    data: b,
                 },
                 Op::Recv {
                     from: a_partner,
@@ -125,8 +131,8 @@ pub(crate) async fn cannon_phase(
             ])
             .await;
         let mut received = results.into_iter().flatten();
-        ma = to_matrix(ar, ac, &delivered(received.next(), "shifted A"));
-        mb = to_matrix(br, bc, &delivered(received.next(), "shifted B"));
+        a = delivered(received.next(), "shifted A");
+        b = delivered(received.next(), "shifted B");
     }
     c
 }
@@ -158,12 +164,11 @@ pub fn multiply(
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {
         let (i, j) = grid.coords(proc.id());
-        let ma = to_matrix(bs, bs, &pa);
-        let mb = to_matrix(bs, bs, &pb);
         // Constant storage: A, B, C blocks (Table 3: 3n² overall).
         proc.track_peak_words(3 * bs * bs);
         let node_of = |x: usize, y: usize| grid.node(x, y);
-        let c = cannon_phase(&mut proc, &node_of, i, j, q, ma, mb, kernel).await;
+        let shape = (bs, bs, bs);
+        let c = cannon_phase(&mut proc, &node_of, i, j, q, pa, pb, shape, kernel).await;
         Payload::from(c.into_payload())
     })?;
 

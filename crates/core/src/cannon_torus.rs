@@ -21,7 +21,7 @@
 //! compared in the `ablation` benches.
 
 use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix};
+use cubemm_dense::{partition, Matrix, MatrixView};
 use cubemm_simnet::{Op, Payload};
 use cubemm_topology::{gray, Grid2};
 
@@ -78,10 +78,8 @@ pub fn multiply(
             cubemm_topology::gray_inverse(gj),
         )
     };
-    let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {
+    let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (mut a, mut b)| async move {
         let (i, j) = ring_coords(proc.id());
-        let mut ma = to_matrix(bs, bs, &pa);
-        let mut mb = to_matrix(bs, bs, &pb);
         proc.track_peak_words(3 * bs * bs);
 
         // Phase 1 — torus alignment: in round t every row with i > t
@@ -97,7 +95,7 @@ pub fn multiply(
                 ops.push(Op::Send {
                     to: ring_node(i, j + q - 1), // left neighbor
                     tag,
-                    data: ma.to_payload().into(),
+                    data: std::mem::take(&mut a),
                 });
                 ops.push(Op::Recv {
                     from: ring_node(i, j + 1),
@@ -109,7 +107,7 @@ pub fn multiply(
                 ops.push(Op::Send {
                     to: ring_node(i + q - 1, j), // up neighbor
                     tag,
-                    data: mb.to_payload().into(),
+                    data: std::mem::take(&mut b),
                 });
                 ops.push(Op::Recv {
                     from: ring_node(i + 1, j),
@@ -119,10 +117,10 @@ pub fn multiply(
             let results = proc.multi(ops).await;
             let mut received = results.into_iter().flatten();
             if shift_a {
-                ma = to_matrix(bs, bs, &delivered(received.next(), "aligned A"));
+                a = delivered(received.next(), "aligned A");
             }
             if shift_b {
-                mb = to_matrix(bs, bs, &delivered(received.next(), "aligned B"));
+                b = delivered(received.next(), "aligned B");
             }
         }
 
@@ -130,7 +128,12 @@ pub fn multiply(
         // exactly as on a torus.
         let mut c = Matrix::zeros(bs, bs);
         for k in 0..q {
-            gemm_acc(&mut c, &ma, &mb, kernel);
+            gemm_acc(
+                &mut c,
+                MatrixView::new(bs, bs, &a),
+                MatrixView::new(bs, bs, &b),
+                kernel,
+            );
             if k + 1 == q {
                 break;
             }
@@ -141,12 +144,12 @@ pub fn multiply(
                     Op::Send {
                         to: ring_node(i, j + q - 1),
                         tag: a_tag,
-                        data: ma.to_payload().into(),
+                        data: a,
                     },
                     Op::Send {
                         to: ring_node(i + q - 1, j),
                         tag: b_tag,
-                        data: mb.to_payload().into(),
+                        data: b,
                     },
                     Op::Recv {
                         from: ring_node(i, j + 1),
@@ -159,8 +162,8 @@ pub fn multiply(
                 ])
                 .await;
             let mut received = results.into_iter().flatten();
-            ma = to_matrix(bs, bs, &delivered(received.next(), "shifted A"));
-            mb = to_matrix(bs, bs, &delivered(received.next(), "shifted B"));
+            a = delivered(received.next(), "shifted A");
+            b = delivered(received.next(), "shifted B");
         }
         Payload::from(c.into_payload())
     })?;

@@ -13,7 +13,7 @@
 
 use cubemm_collectives::{bcast_plan, execute_fused, reduce_sum, scatter_plan};
 use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix};
+use cubemm_dense::{partition, Matrix, MatrixView};
 use cubemm_simnet::Payload;
 use cubemm_topology::Grid2;
 
@@ -80,13 +80,18 @@ pub fn multiply(
         let mut ba = bcast_plan(port, &col, me, j, phase_tag(0), a_data, n * w);
         let mut sb = scatter_plan(port, &col, me, j, phase_tag(1), b_parts, w * w);
         execute_fused(&mut proc, &mut [ba.run_mut(), sb.run_mut()]).await;
-        let a_group = to_matrix(n, w, &ba.finish()); // col group j of A
-        let b_chunk = to_matrix(w, w, &sb.finish()); // cols [i·w, (i+1)w) of row group j
+        let a_group = ba.finish(); // col group j of A
+        let b_chunk = sb.finish(); // cols [i·w, (i+1)w) of row group j
         proc.track_peak_words(n * w + w * w + n * w);
 
         // Local outer-product slice: columns [i·w, (i+1)·w) of A_j · B_j.
         let mut part = Matrix::zeros(n, w);
-        gemm_acc(&mut part, &a_group, &b_chunk, kernel);
+        gemm_acc(
+            &mut part,
+            MatrixView::new(n, w, &a_group),
+            MatrixView::new(w, w, &b_chunk),
+            kernel,
+        );
 
         // Phase 2: reduce along the row (y direction) to the diagonal
         // node p_{i,i}; the sum over j is column group i of C.

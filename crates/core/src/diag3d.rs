@@ -19,7 +19,7 @@
 
 use cubemm_collectives::{bcast_plan, execute_fused, reduce_sum};
 use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix};
+use cubemm_dense::{partition, Matrix, MatrixView};
 use cubemm_simnet::Payload;
 use cubemm_topology::Grid3;
 
@@ -90,12 +90,17 @@ pub fn multiply(
         let mut ba = bcast_plan(port, &x_line, me, j, phase_tag(1), a_holder, bs * bs);
         let mut bb = bcast_plan(port, &z_line, me, j, phase_tag(2), b_holder, bs * bs);
         execute_fused(&mut proc, &mut [ba.run_mut(), bb.run_mut()]).await;
-        let ma = to_matrix(bs, bs, &ba.finish()); // A_{k,j}
-        let mb = to_matrix(bs, bs, &bb.finish()); // B_{j,i}
+        let akj = ba.finish(); // A_{k,j}
+        let bji = bb.finish(); // B_{j,i}
         proc.track_peak_words(3 * bs * bs);
 
         let mut part = Matrix::zeros(bs, bs);
-        gemm_acc(&mut part, &ma, &mb, kernel);
+        gemm_acc(
+            &mut part,
+            MatrixView::new(bs, bs, &akj),
+            MatrixView::new(bs, bs, &bji),
+            kernel,
+        );
 
         // Phase 3: reduce along y to the diagonal plane (root rank i):
         // Σ_j A_{k,j}·B_{j,i} = C_{k,i} at p_{i,i,k}.

@@ -14,7 +14,7 @@
 
 use cubemm_collectives::{bcast_plan, execute_fused, reduce_sum};
 use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix};
+use cubemm_dense::{partition, Matrix, MatrixView};
 use cubemm_simnet::Payload;
 use cubemm_topology::Grid3;
 
@@ -93,12 +93,17 @@ pub fn multiply(
         let mut ba = bcast_plan(port, &y_line, me, k, phase_tag(2), a_holder, bs * bs);
         let mut bb = bcast_plan(port, &x_line, me, k, phase_tag(3), b_holder, bs * bs);
         execute_fused(&mut proc, &mut [ba.run_mut(), bb.run_mut()]).await;
-        let ma = to_matrix(bs, bs, &ba.finish()); // A_{i,k}
-        let mb = to_matrix(bs, bs, &bb.finish()); // B_{k,j}
+        let ak = ba.finish(); // A_{i,k}
+        let bk = bb.finish(); // B_{k,j}
         proc.track_peak_words(3 * bs * bs);
 
         let mut c = Matrix::zeros(bs, bs);
-        gemm_acc(&mut c, &ma, &mb, kernel);
+        gemm_acc(
+            &mut c,
+            MatrixView::new(bs, bs, &ak),
+            MatrixView::new(bs, bs, &bk),
+            kernel,
+        );
 
         // Phase 3: all-to-one reduction along z back to the base plane.
         let z_line = grid.z_line(i, j);

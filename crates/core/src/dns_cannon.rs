@@ -141,14 +141,15 @@ pub fn multiply_with_mesh(
         let mut ba = bcast_plan(port, &y_line, me, k, phase_tag(6), a_holder, sub * sub);
         let mut bb = bcast_plan(port, &x_line, me, k, phase_tag(7), b_holder, sub * sub);
         execute_fused(&mut proc, &mut [ba.run_mut(), bb.run_mut()]).await;
-        let ma = to_matrix(sub, sub, &ba.finish()); // piece (x,y) of A_{ik}
-        let mb = to_matrix(sub, sub, &bb.finish()); // piece (x,y) of B_{kj}
+        let pa = ba.finish(); // piece (x,y) of A_{ik}
+        let pb = bb.finish(); // piece (x,y) of B_{kj}
         proc.track_peak_words(3 * sub * sub);
 
         // Phase 3: Cannon within the supernode mesh computes
         // piece (x,y) of A_{ik}·B_{kj}.
         let node_of = |mx: usize, my: usize| grid.node(mx, my, i, j, k);
-        let c = cannon_phase(&mut proc, &node_of, x, y, qm, ma, mb, kernel).await;
+        let shape = (sub, sub, sub);
+        let c = cannon_phase(&mut proc, &node_of, x, y, qm, pa, pb, shape, kernel).await;
 
         // Phase 4: reduce along super-z back to the base plane.
         let z_line = grid.super_z_line(me);

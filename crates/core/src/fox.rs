@@ -15,7 +15,7 @@
 
 use cubemm_collectives::bcast;
 use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix};
+use cubemm_dense::{partition, Matrix, MatrixView};
 use cubemm_simnet::{Op, Payload};
 use cubemm_topology::{gray, Grid2};
 
@@ -69,10 +69,9 @@ pub fn multiply(
             cubemm_topology::gray_inverse(gj),
         )
     };
-    let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {
+    // A's home block stays resident all run; B rolls.
+    let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (a_home, mut b)| async move {
         let (i, j) = ring_coords(proc.id());
-        let a_home = to_matrix(bs, bs, &pa); // stays resident all run
-        let mut mb = to_matrix(bs, bs, &pb);
         proc.track_peak_words(4 * bs * bs); // A home + A bcast + B + C
 
         let row = grid.row(gray(i)); // rank within row = gray(column)
@@ -81,7 +80,7 @@ pub fn multiply(
             // Broadcast A_{i, (i+k) mod q} along the row.
             let owner = (i + k) % q;
             let root_rank = gray(owner);
-            let data = (owner == j).then(|| a_home.to_payload().into());
+            let data = (owner == j).then(|| a_home.clone());
             let ak = bcast(
                 &mut proc,
                 &row,
@@ -91,7 +90,12 @@ pub fn multiply(
                 bs * bs,
             )
             .await;
-            gemm_acc(&mut c, &to_matrix(bs, bs, &ak), &mb, kernel);
+            gemm_acc(
+                &mut c,
+                MatrixView::new(bs, bs, &ak),
+                MatrixView::new(bs, bs, &b),
+                kernel,
+            );
 
             // Roll B up one ring position (except after the last step).
             if k + 1 == q {
@@ -103,7 +107,7 @@ pub fn multiply(
                     Op::Send {
                         to: ring_node(i + q - 1, j),
                         tag,
-                        data: mb.to_payload().into(),
+                        data: b,
                     },
                     Op::Recv {
                         from: ring_node(i + 1, j),
@@ -111,8 +115,7 @@ pub fn multiply(
                     },
                 ])
                 .await;
-            let rolled = delivered(results.into_iter().flatten().next(), "rolled B");
-            mb = to_matrix(bs, bs, &rolled);
+            b = delivered(results.into_iter().flatten().next(), "rolled B");
         }
         Payload::from(c.into_payload())
     })?;

@@ -22,7 +22,7 @@
 //! per link), the condition given in §3.3.
 
 use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix};
+use cubemm_dense::{partition, Matrix, MatrixView};
 use cubemm_simnet::{Op, Payload};
 use cubemm_topology::gray::hje_schedule_bit;
 use cubemm_topology::Grid2;
@@ -77,10 +77,8 @@ pub fn multiply(
         .collect();
 
     let kernel = cfg.kernel;
-    let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {
+    let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (mut a, mut b)| async move {
         let (i, j) = grid.coords(proc.id());
-        let mut ma = to_matrix(bs, bs, &pa);
-        let mut mb = to_matrix(bs, bs, &pb);
         proc.track_peak_words(3 * bs * bs);
 
         // Skew exactly as in Cannon (Algorithm 1's first loop is the
@@ -88,71 +86,79 @@ pub fn multiply(
         let axis_bits = grid.axis_bits();
         for bit in 0..axis_bits {
             let mut ops = Vec::new();
-            let mut want = (false, false);
-            if (i >> bit) & 1 == 1 {
+            let shift_a = (i >> bit) & 1 == 1;
+            let shift_b = (j >> bit) & 1 == 1;
+            if shift_a {
                 let partner = grid.node(i, j ^ (1 << bit));
                 let tag = phase_tag(0) + u64::from(bit);
                 ops.push(Op::Send {
                     to: partner,
                     tag,
-                    data: ma.to_payload().into(),
+                    data: std::mem::take(&mut a),
                 });
                 ops.push(Op::Recv { from: partner, tag });
-                want.0 = true;
             }
-            if (j >> bit) & 1 == 1 {
+            if shift_b {
                 let partner = grid.node(i ^ (1 << bit), j);
                 let tag = phase_tag(1) + u64::from(bit);
                 ops.push(Op::Send {
                     to: partner,
                     tag,
-                    data: mb.to_payload().into(),
+                    data: std::mem::take(&mut b),
                 });
                 ops.push(Op::Recv { from: partner, tag });
-                want.1 = true;
             }
             let results = proc.multi(ops).await;
             let mut received = results.into_iter().flatten();
-            if want.0 {
-                ma = to_matrix(bs, bs, &delivered(received.next(), "skewed A"));
+            if shift_a {
+                a = delivered(received.next(), "skewed A");
             }
-            if want.1 {
-                mb = to_matrix(bs, bs, &delivered(received.next(), "skewed B"));
+            if shift_b {
+                b = delivered(received.next(), "skewed B");
             }
         }
 
+        let mut c = Matrix::zeros(bs, bs);
         if d == 0 {
             // Single processor: one local multiply.
-            let mut c = Matrix::zeros(bs, bs);
-            gemm_acc(&mut c, &ma, &mb, kernel);
+            gemm_acc(
+                &mut c,
+                MatrixView::new(bs, bs, &a),
+                MatrixView::new(bs, bs, &b),
+                kernel,
+            );
             return Payload::from(c.into_payload());
         }
 
-        // Split A into d column groups and B into d row groups; group l
-        // shifts along schedule bit g_{l,k} each step.
-        let mut a_groups: Vec<Matrix> = (0..d)
+        // Split A into d column groups (one copy: its rows interleave)
+        // and B into d row groups (windows of the block, no copy); group
+        // l shifts along schedule bit g_{l,k} each step.
+        let mut groups: Vec<(Payload, Payload)> = (0..d)
             .map(|l| {
                 let (lo, hi) = group_bounds(bs, d, l);
-                ma.block(0, lo, bs, hi - lo)
-            })
-            .collect();
-        let mut b_groups: Vec<Matrix> = (0..d)
-            .map(|l| {
-                let (lo, hi) = group_bounds(bs, d, l);
-                mb.block(lo, 0, hi - lo, bs)
+                let a_cols = (0..bs).map(|r| &a[r * bs + lo..r * bs + hi]);
+                (
+                    Payload::concat(bs * (hi - lo), a_cols),
+                    b.slice(lo * bs, hi * bs),
+                )
             })
             .collect();
 
-        let mut c = Matrix::zeros(bs, bs);
         for k in 0..q {
-            for l in 0..d {
-                gemm_acc(&mut c, &a_groups[l], &b_groups[l], kernel);
+            for (l, (ag, bg)) in groups.iter().enumerate() {
+                let (lo, hi) = group_bounds(bs, d, l);
+                gemm_acc(
+                    &mut c,
+                    MatrixView::new(bs, hi - lo, ag),
+                    MatrixView::new(hi - lo, bs, bg),
+                    kernel,
+                );
             }
             if k + 1 == q {
                 break;
             }
-            let mut ops = Vec::new();
-            for (l, (ag, bg)) in a_groups.iter().zip(&b_groups).enumerate() {
+            let mut ops = Vec::with_capacity(4 * d);
+            for (l, (ag, bg)) in groups.drain(..).enumerate() {
                 let g = hje_schedule_bit(l as u32, k, axis_bits);
                 let a_partner = grid.node(i, j ^ (1 << g));
                 let b_partner = grid.node(i ^ (1 << g), j);
@@ -161,7 +167,7 @@ pub fn multiply(
                 ops.push(Op::Send {
                     to: a_partner,
                     tag: a_tag,
-                    data: ag.to_payload().into(),
+                    data: ag,
                 });
                 ops.push(Op::Recv {
                     from: a_partner,
@@ -170,7 +176,7 @@ pub fn multiply(
                 ops.push(Op::Send {
                     to: b_partner,
                     tag: b_tag,
-                    data: bg.to_payload().into(),
+                    data: bg,
                 });
                 ops.push(Op::Recv {
                     from: b_partner,
@@ -179,12 +185,10 @@ pub fn multiply(
             }
             let results = proc.multi(ops).await;
             let mut received = results.into_iter().flatten();
-            for l in 0..d {
-                let (lo, hi) = group_bounds(bs, d, l);
-                a_groups[l] =
-                    to_matrix(bs, hi - lo, &delivered(received.next(), "shifted A group"));
-                b_groups[l] =
-                    to_matrix(hi - lo, bs, &delivered(received.next(), "shifted B group"));
+            for _ in 0..d {
+                let ag = delivered(received.next(), "shifted A group");
+                let bg = delivered(received.next(), "shifted B group");
+                groups.push((ag, bg));
             }
         }
         Payload::from(c.into_payload())

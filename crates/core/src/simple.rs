@@ -5,7 +5,7 @@
 
 use cubemm_collectives::{allgather_plan, execute_fused};
 use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix};
+use cubemm_dense::{partition, Matrix, MatrixView};
 use cubemm_simnet::Payload;
 use cubemm_topology::Grid2;
 
@@ -62,10 +62,13 @@ pub fn multiply(
         proc.track_peak_words(2 * q * bs * bs + bs * bs);
 
         let mut c = Matrix::zeros(bs, bs);
-        for k in 0..q {
-            let ak = to_matrix(bs, bs, &a_row[k]);
-            let bk = to_matrix(bs, bs, &b_col[k]);
-            gemm_acc(&mut c, &ak, &bk, kernel);
+        for (ak, bk) in a_row.iter().zip(&b_col) {
+            gemm_acc(
+                &mut c,
+                MatrixView::new(bs, bs, ak),
+                MatrixView::new(bs, bs, bk),
+                kernel,
+            );
         }
         Payload::from(c.into_payload())
     })?;

@@ -3,7 +3,7 @@
 use std::future::Future;
 
 use cubemm_dense::Matrix;
-use cubemm_simnet::{Machine, Proc, RunOutcome};
+use cubemm_simnet::{Machine, Payload, Proc, RunOutcome};
 
 use crate::{AlgoError, MachineConfig};
 
@@ -38,6 +38,28 @@ pub fn require_divides(n: usize, divisor: usize, what: &'static str) -> Result<(
 #[inline]
 pub fn to_matrix(rows: usize, cols: usize, p: &[f64]) -> Matrix {
     Matrix::from_payload(rows, cols, p)
+}
+
+/// Stacks row-major blocks of equal width vertically — the payload form
+/// of [`cubemm_dense::partition::stack_rows`] — copying each word once,
+/// straight from the received payloads.
+pub fn stack_rows(parts: &[Payload]) -> Payload {
+    let len = parts.iter().map(|part| part.len()).sum();
+    Payload::concat(len, parts.iter().map(|part| &part[..]))
+}
+
+/// Places row-major blocks of `rows` rows each side by side — the
+/// payload form of [`cubemm_dense::partition::concat_cols`] — copying
+/// each word once, straight from the received payloads.
+pub fn concat_cols(rows: usize, parts: &[Payload]) -> Payload {
+    let len = parts.iter().map(|part| part.len()).sum();
+    let row_segments = (0..rows).flat_map(|r| {
+        parts.iter().map(move |part| {
+            let w = part.len() / rows;
+            &part[r * w..(r + 1) * w]
+        })
+    });
+    Payload::concat(len, row_segments)
 }
 
 /// Unwraps a value an algorithm invariant guarantees is present — an

@@ -32,7 +32,7 @@ use crate::microkernel::MicrokernelImpl;
 use crate::pack::{pack_a, pack_a_panel, pack_b, pack_b_panel, packed_a_len, packed_b_len};
 use crate::pool::{take_scratch, ThreadPool};
 use crate::tune::{self, Blocking};
-use crate::Matrix;
+use crate::{Matrix, MatrixView};
 
 /// Untuned cache-block height of `A` for the scalar microkernel
 /// (`mc` rows per packed A block). Tuned hosts override via
@@ -121,9 +121,19 @@ impl Default for Kernel {
 
 /// `C += A·B` with the chosen kernel.
 ///
+/// `A` and `B` are read through [`MatrixView`]s: pass `&Matrix` as
+/// before, or a view of any row-major slice (a received payload, a run
+/// of rows of a larger matrix) to multiply it where it lies. The bits
+/// depend on the operands' values only, never on where they live.
+///
 /// # Panics
 /// Panics on dimension mismatch.
-pub fn gemm_acc(c: &mut Matrix, a: &Matrix, b: &Matrix, kernel: Kernel) {
+pub fn gemm_acc<'a, 'b>(
+    c: &mut Matrix,
+    a: impl Into<MatrixView<'a>>,
+    b: impl Into<MatrixView<'b>>,
+    kernel: Kernel,
+) {
     gemm_acc_with_microkernel(c, a, b, kernel, MicrokernelImpl::active());
 }
 
@@ -136,13 +146,14 @@ pub fn gemm_acc(c: &mut Matrix, a: &Matrix, b: &Matrix, kernel: Kernel) {
 /// # Panics
 /// Panics on dimension mismatch, and if an `Avx2` impl is passed on a
 /// host without AVX2+FMA.
-pub fn gemm_acc_with_microkernel(
+pub fn gemm_acc_with_microkernel<'a, 'b>(
     c: &mut Matrix,
-    a: &Matrix,
-    b: &Matrix,
+    a: impl Into<MatrixView<'a>>,
+    b: impl Into<MatrixView<'b>>,
     kernel: Kernel,
     mk: MicrokernelImpl,
 ) {
+    let (a, b) = (a.into(), b.into());
     assert_conformable(c, a, b);
     if mk == MicrokernelImpl::Avx2 {
         assert_eq!(
@@ -164,7 +175,7 @@ pub fn gemm_acc_with_microkernel(
     }
 }
 
-fn assert_conformable(c: &Matrix, a: &Matrix, b: &Matrix) {
+fn assert_conformable(c: &Matrix, a: MatrixView<'_>, b: MatrixView<'_>) {
     assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
     assert_eq!(c.rows(), a.rows(), "C row mismatch");
     assert_eq!(c.cols(), b.cols(), "C col mismatch");
@@ -230,24 +241,24 @@ pub fn alongside_reference<R>(
     (out, reference)
 }
 
-fn naive(c: &mut Matrix, a: &Matrix, b: &Matrix) {
+fn naive(c: &mut Matrix, a: MatrixView<'_>, b: MatrixView<'_>) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (a, b) = (a.as_slice(), b.as_slice());
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0;
             for l in 0..k {
-                acc += a[(i, l)] * b[(l, j)];
+                acc += a[i * k + l] * b[l * n + j];
             }
             c[(i, j)] += acc;
         }
     }
 }
 
-fn ikj(c: &mut Matrix, a: &Matrix, b: &Matrix) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+fn ikj(c: &mut Matrix, a: MatrixView<'_>, b: MatrixView<'_>) {
+    let (m, n) = (a.rows(), b.cols());
     for i in 0..m {
-        for l in 0..k {
-            let aval = a[(i, l)];
+        for (l, &aval) in a.row(i).iter().enumerate() {
             if aval == 0.0 {
                 continue;
             }
@@ -317,18 +328,19 @@ impl ReferenceIsa {
 /// # Panics
 /// Panics on dimension mismatch, and if `Avx2` is passed on a host
 /// without AVX2.
-pub fn blocked_acc_with_isa(
+pub fn blocked_acc_with_isa<'a, 'b>(
     c: &mut Matrix,
-    a: &Matrix,
-    b: &Matrix,
+    a: impl Into<MatrixView<'a>>,
+    b: impl Into<MatrixView<'b>>,
     tile: usize,
     isa: ReferenceIsa,
 ) {
+    let (a, b) = (a.into(), b.into());
     assert_conformable(c, a, b);
     blocked(c, a, b, tile, isa);
 }
 
-fn blocked(c: &mut Matrix, a: &Matrix, b: &Matrix, tile: usize, isa: ReferenceIsa) {
+fn blocked(c: &mut Matrix, a: MatrixView<'_>, b: MatrixView<'_>, tile: usize, isa: ReferenceIsa) {
     let (k, n) = (a.cols(), b.cols());
     if a.rows() == 0 || k == 0 || n == 0 {
         return;
@@ -472,8 +484,8 @@ impl SendPtr {
 #[allow(clippy::too_many_arguments, reason = "internal driver fan-in")]
 fn packed(
     c: &mut Matrix,
-    a: &Matrix,
-    b: &Matrix,
+    a: MatrixView<'_>,
+    b: MatrixView<'_>,
     mc: usize,
     kc: usize,
     nc: usize,
@@ -501,7 +513,13 @@ fn packed(
 /// Single-threaded packed path: no pool dispatch, no barriers, `A`
 /// blocks packed on first use so the working set is one `mc × kc` block
 /// plus one `B` panel.
-fn packed_serial(c: &mut Matrix, a: &Matrix, b: &Matrix, bl: &Blocking, mk: MicrokernelImpl) {
+fn packed_serial(
+    c: &mut Matrix,
+    a: MatrixView<'_>,
+    b: MatrixView<'_>,
+    bl: &Blocking,
+    mk: MicrokernelImpl,
+) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let (mr, nr) = (mk.mr(), mk.nr());
     let ldc = n;
@@ -553,8 +571,8 @@ fn packed_serial(c: &mut Matrix, a: &Matrix, b: &Matrix, bl: &Blocking, mk: Micr
 ///    scheduling decides who computes a tile, never what is computed.
 fn packed_parallel(
     c: &mut Matrix,
-    a: &Matrix,
-    b: &Matrix,
+    a: MatrixView<'_>,
+    b: MatrixView<'_>,
     bl: &Blocking,
     threads: usize,
     mk: MicrokernelImpl,
@@ -770,10 +788,10 @@ mod tests {
                     nc: 32usize.next_multiple_of(mk.nr()),
                 };
                 let mut want = Matrix::zeros(m, n);
-                packed_serial(&mut want, &a, &b, &bl, mk);
+                packed_serial(&mut want, a.view(), b.view(), &bl, mk);
                 for threads in [2usize, 4] {
                     let mut got = Matrix::zeros(m, n);
-                    packed_parallel(&mut got, &a, &b, &bl, threads, mk);
+                    packed_parallel(&mut got, a.view(), b.view(), &bl, threads, mk);
                     assert_eq!(got, want, "{mk:?} {m}x{k}x{n} threads={threads}");
                 }
             }

@@ -5,7 +5,8 @@
 //! those around a hypercube, and multiplies the local pieces. This crate
 //! supplies:
 //!
-//! * [`Matrix`] — an owned row-major `f64` matrix,
+//! * [`Matrix`] — an owned row-major `f64` matrix, and [`MatrixView`],
+//!   the borrowed row-major view every kernel reads its operands through,
 //! * [`gemm`] — local multiplication kernels (naive `ijk`, cache-friendly
 //!   `ikj`, tiled, and the packed register-tiled fast path), all with
 //!   accumulate (`C += A·B`) forms,
@@ -30,7 +31,7 @@ pub mod partition;
 pub mod pool;
 pub mod tune;
 
-pub use matrix::Matrix;
+pub use matrix::{Matrix, MatrixView};
 
 /// Whether `CUBEMM_FORCE_SCALAR` (set to anything but `0`/empty) pins
 /// every runtime-dispatched kernel to its portable instantiation.

@@ -211,12 +211,30 @@ impl Matrix {
         f64::from_bits(bits)
     }
 
+    /// The whole matrix as a borrowed operand view.
+    #[inline]
+    pub fn view(&self) -> MatrixView<'_> {
+        MatrixView {
+            rows: self.rows,
+            cols: self.cols,
+            data: &self.data,
+        }
+    }
+
     /// Copies the contents into a shared payload for the simulator.
     pub fn to_payload(&self) -> Arc<[f64]> {
         Arc::from(self.data.as_slice())
     }
 
-    /// Moves the contents into a shared payload without copying.
+    /// Converts the contents into a shared payload for the simulator.
+    ///
+    /// This copies every word into a fresh allocation, exactly like
+    /// [`Matrix::to_payload`]: `Arc<[f64]>` keeps its reference counts
+    /// in the same block as the words, so the `Vec`'s buffer cannot be
+    /// adopted. The algorithms still pay this copy in two places — the
+    /// initial partition of `A` and `B` into per-node blocks and each
+    /// node's `C` block at finish; received blocks never come back
+    /// through a `Matrix` (see [`MatrixView`]).
     pub fn into_payload(self) -> Arc<[f64]> {
         Arc::from(self.data.into_boxed_slice())
     }
@@ -232,6 +250,73 @@ impl Matrix {
             cols,
             data: payload.to_vec(),
         }
+    }
+}
+
+/// A borrowed row-major `rows × cols` matrix: how every kernel reads its
+/// `A` and `B` operands.
+///
+/// A view is three words — shape and `&[f64]` — so any row-major slice
+/// of the right length can be multiplied in place: a received message
+/// payload, a run of whole rows of a larger matrix, or an owned
+/// [`Matrix`] (`&Matrix` converts into a view, which is why
+/// `gemm_acc(&mut c, &a, &b, kernel)` reads as before). Only the
+/// accumulator `C` needs to be an owned `Matrix`.
+///
+/// ```
+/// use cubemm_dense::{Matrix, MatrixView};
+/// let words = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+/// let v = MatrixView::new(2, 3, &words);
+/// assert_eq!(v.row(1), &[4.0, 5.0, 6.0]);
+/// assert_eq!(MatrixView::from(&Matrix::identity(2)).cols(), 2);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MatrixView<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f64],
+}
+
+impl<'a> MatrixView<'a> {
+    /// Views `data` as a `rows × cols` row-major matrix.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows * cols`.
+    #[inline]
+    pub fn new(rows: usize, cols: usize, data: &'a [f64]) -> Self {
+        assert_eq!(data.len(), rows * cols, "view shape mismatch");
+        MatrixView { rows, cols, data }
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Row-major backing slice.
+    #[inline]
+    pub fn as_slice(&self) -> &'a [f64] {
+        self.data
+    }
+
+    /// Row `r` as a slice.
+    #[inline]
+    pub fn row(&self, r: usize) -> &'a [f64] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+}
+
+impl<'a> From<&'a Matrix> for MatrixView<'a> {
+    #[inline]
+    fn from(m: &'a Matrix) -> Self {
+        m.view()
     }
 }
 

@@ -34,7 +34,7 @@
 //! the compute tiles).
 
 use crate::microkernel::MAX_MR;
-use crate::Matrix;
+use crate::MatrixView;
 
 /// Packed length of an `mcw × kcw` block of `A` (rows padded to `mr`).
 #[inline]
@@ -55,8 +55,8 @@ pub fn packed_b_len(kcw: usize, ncw: usize, nr: usize) -> usize {
 ///
 /// # Panics
 /// Panics if `live` is `0`, exceeds `mr`, or `mr` exceeds [`MAX_MR`].
-pub fn pack_a_panel(
-    a: &Matrix,
+pub fn pack_a_panel<'a>(
+    a: impl Into<MatrixView<'a>>,
     row0: usize,
     pc: usize,
     live: usize,
@@ -66,6 +66,7 @@ pub fn pack_a_panel(
 ) {
     assert!(0 < live && live <= mr && mr <= MAX_MR, "bad A panel shape");
     assert_eq!(dst.len(), mr * kcw, "packed A panel size mismatch");
+    let a = a.into();
     // Borrow the live source rows once; stride-1 reads in the k loop.
     let mut rows: [&[f64]; MAX_MR] = [&[]; MAX_MR];
     for (i, row) in rows.iter_mut().take(live).enumerate() {
@@ -84,8 +85,8 @@ pub fn pack_a_panel(
 ///
 /// # Panics
 /// Panics if `live` is `0` or exceeds `nr`.
-pub fn pack_b_panel(
-    b: &Matrix,
+pub fn pack_b_panel<'b>(
+    b: impl Into<MatrixView<'b>>,
     pc: usize,
     col0: usize,
     live: usize,
@@ -95,6 +96,7 @@ pub fn pack_b_panel(
 ) {
     assert!(0 < live && live <= nr, "bad B panel shape");
     assert_eq!(dst.len(), nr * kcw, "packed B panel size mismatch");
+    let b = b.into();
     for (l, out) in dst.chunks_exact_mut(nr).enumerate() {
         let src = &b.row(pc + l)[col0..col0 + live];
         out[..live].copy_from_slice(src);
@@ -105,12 +107,21 @@ pub fn pack_b_panel(
 /// Packs the `mcw × kcw` block of `a` with top-left `(ic, pc)` into
 /// `mr`-row panels (layout in the module docs). `ap` must be exactly
 /// [`packed_a_len`] long; every element is written.
-pub fn pack_a(a: &Matrix, ic: usize, pc: usize, mcw: usize, kcw: usize, mr: usize, ap: &mut [f64]) {
+pub fn pack_a<'a>(
+    a: impl Into<MatrixView<'a>>,
+    ic: usize,
+    pc: usize,
+    mcw: usize,
+    kcw: usize,
+    mr: usize,
+    ap: &mut [f64],
+) {
     assert_eq!(
         ap.len(),
         packed_a_len(mcw, kcw, mr),
         "packed A size mismatch"
     );
+    let a = a.into();
     let panels = mcw.div_ceil(mr);
     for panel in 0..panels {
         let r0 = panel * mr;
@@ -123,12 +134,21 @@ pub fn pack_a(a: &Matrix, ic: usize, pc: usize, mcw: usize, kcw: usize, mr: usiz
 /// Packs the `kcw × ncw` block of `b` with top-left `(pc, jc)` into
 /// `nr`-column panels (layout in the module docs). `bp` must be exactly
 /// [`packed_b_len`] long; every element is written.
-pub fn pack_b(b: &Matrix, pc: usize, jc: usize, kcw: usize, ncw: usize, nr: usize, bp: &mut [f64]) {
+pub fn pack_b<'b>(
+    b: impl Into<MatrixView<'b>>,
+    pc: usize,
+    jc: usize,
+    kcw: usize,
+    ncw: usize,
+    nr: usize,
+    bp: &mut [f64],
+) {
     assert_eq!(
         bp.len(),
         packed_b_len(kcw, ncw, nr),
         "packed B size mismatch"
     );
+    let b = b.into();
     let panels = ncw.div_ceil(nr);
     for panel in 0..panels {
         let c0 = panel * nr;
@@ -142,6 +162,7 @@ pub fn pack_b(b: &Matrix, pc: usize, jc: usize, kcw: usize, ncw: usize, nr: usiz
 mod tests {
     use super::*;
     use crate::microkernel::{SCALAR_MR, SCALAR_NR};
+    use crate::Matrix;
 
     const MR: usize = SCALAR_MR;
     const NR: usize = SCALAR_NR;

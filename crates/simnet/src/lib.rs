@@ -90,8 +90,8 @@
 //!   `p` is capped by the OS thread limit.
 //!
 //! Either way, scheduling decisions come from a central **progress
-//! ledger** (see `ledger.rs` and DESIGN.md §11/§14): per-node mailboxes
-//! indexed by `(from, tag)`, a record of which nodes are parked in
+//! ledger** (see `ledger.rs` and DESIGN.md §11/§14): per-node FIFO
+//! mailboxes matched on `(from, tag)`, a record of which nodes are parked in
 //! receives, and live/in-flight counts. A blocked receive is woken
 //! *exactly* when its message is injected; the moment every live node is
 //! parked the run is provably deadlocked and aborts instantly — there is
