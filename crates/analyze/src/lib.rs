@@ -43,10 +43,7 @@ pub use check::{
     analyze, replay_elapsed, Analysis, Diagnostic, Extracted, PhaseSummary, Strictness, WaitLink,
 };
 pub use collectives::table1;
-pub use conformance::{
-    analyze_algorithm, analyze_algorithm_on, applicable_grid, capture, capture_on, AlgoAnalysis,
-    Verdict,
-};
+pub use conformance::{analyze_algorithm, applicable_grid, capture, AlgoAnalysis, Verdict};
 pub use ir::{Event, Round, Schedule};
 pub use report::{render, render_analysis};
 pub use symbolic::{

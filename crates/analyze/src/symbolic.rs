@@ -28,7 +28,7 @@
 //!   the busiest node's id-set cardinality at every `δ ≤ 16`, and at the
 //!   grounding dimensions the expansion must pass the concrete checker
 //!   and replay to exactly the closed form's `(a, b)`. (The test
-//!   harness adds trace captures of real runs under both engines.)
+//!   harness adds trace captures of real runs.)
 //!
 //! What stays point-checked, and why, is catalogued in DESIGN.md §15.
 
@@ -37,12 +37,12 @@ use cubemm_core::schema::{AlgoSchema, CollPhase, Phase, SchemaForm};
 use cubemm_core::Algorithm;
 use cubemm_model::sym::{Poly, Rat, SymOverhead};
 use cubemm_model::{overhead_sym, ModelAlgo};
-use cubemm_simnet::{CostParams, Engine, Machine, Payload, PortModel};
+use cubemm_simnet::{CostParams, Machine, Payload, PortModel};
 use cubemm_topology::Subcube;
 
 use crate::check::{analyze, Strictness};
 use crate::conformance::{
-    analyze_algorithm_on, applicable_grid, Policy, DIAG3D_ONE_PORT_FACTOR, GRANULARITY_SLACK,
+    analyze_algorithm, applicable_grid, Policy, DIAG3D_ONE_PORT_FACTOR, GRANULARITY_SLACK,
 };
 use crate::ir::{Event, Round, Schedule};
 
@@ -275,7 +275,6 @@ pub fn diff_schedules(lhs: &Schedule, rhs: &Schedule, skip_empty: bool) -> Resul
 pub fn captured_collective(
     kind: CollKind,
     port: PortModel,
-    engine: Engine,
     d: u32,
     m: usize,
     root: usize,
@@ -285,7 +284,6 @@ pub fn captured_collective(
     let machine = Machine::builder(p)
         .port(port)
         .cost(CostParams::PAPER)
-        .engine(engine)
         .traced(true)
         .build()
         .map_err(|e| format!("machine build failed: {e}"))?;
@@ -765,7 +763,7 @@ fn ground_algorithm(
         if algo == Algorithm::All3d && port == PortModel::MultiPort && !all3d_mp_compliant(n, p) {
             continue;
         }
-        let analysis = match analyze_algorithm_on(algo, n, p, port, Engine::default()) {
+        let analysis = match analyze_algorithm(algo, n, p, port) {
             Ok(a) => a,
             Err(e) => return Obligation::fail("grounding", stmt, e),
         };
@@ -1101,7 +1099,7 @@ mod tests {
                 // are grounded against real traced runs.
                 let root = 5;
                 let expansion = expand_collective(&schema, port, 3, 12, 0, root);
-                let traced = captured_collective(kind, port, Engine::Event, 3, 12, root).unwrap();
+                let traced = captured_collective(kind, port, 3, 12, root).unwrap();
                 diff_schedules(&expansion, &traced, true).unwrap_or_else(|e| {
                     panic!("{kind:?} {port:?} root {root}: {e}");
                 });

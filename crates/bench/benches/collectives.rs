@@ -18,8 +18,7 @@ fn payload(rank: usize, m: usize) -> Payload {
 /// Boots a healthy `p`-node machine and runs `program` on every node.
 fn run<O, F, Fut>(p: usize, port: PortModel, program: F) -> RunOutcome<O>
 where
-    O: Send,
-    F: Fn(Proc, ()) -> Fut + Sync,
+    F: Fn(Proc, ()) -> Fut,
     Fut: std::future::Future<Output = O>,
 {
     #[allow(

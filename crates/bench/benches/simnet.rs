@@ -1,21 +1,20 @@
-//! Execution-engine microbenchmarks: host-time cost of the simulator
-//! itself (virtual times are pinned by the determinism tests; these
-//! track how fast the engine reproduces them).
+//! Simulator microbenchmarks: host-time cost of the event loop and its
+//! ledger (virtual times are pinned by the determinism tests; these
+//! track how fast the simulator reproduces them).
 
 use cubemm_bench::criterion_group;
 use cubemm_bench::criterion_main;
 use cubemm_bench::microbench::{black_box, BenchmarkId, Criterion};
 use cubemm_collectives::allgather;
-use cubemm_simnet::{CostParams, Engine, Machine, Proc, RunOutcome};
+use cubemm_simnet::{CostParams, Machine, Proc, RunOutcome};
 use cubemm_topology::Subcube;
 
 const COST: CostParams = CostParams { ts: 10.0, tw: 2.0 };
 
-/// Boots a healthy one-port machine under `engine` and runs `program`.
-fn run<O, F, Fut>(p: usize, engine: Engine, program: F) -> RunOutcome<O>
+/// Boots a healthy one-port machine and runs `program`.
+fn run<O, F, Fut>(p: usize, program: F) -> RunOutcome<O>
 where
-    O: Send,
-    F: Fn(Proc, ()) -> Fut + Sync,
+    F: Fn(Proc, ()) -> Fut,
     Fut: std::future::Future<Output = O>,
 {
     #[allow(
@@ -24,59 +23,49 @@ where
     )]
     Machine::builder(p)
         .cost(COST)
-        .engine(engine)
         .build()
         .expect("valid bench machine")
         .run(vec![(); p], program)
         .expect("healthy bench run")
 }
 
-const ENGINES: [Engine; 2] = [Engine::Threaded, Engine::Event];
-
-/// Machine spin-up/tear-down: `p` nodes, no communication. Compares the
-/// thread-per-node engine against the single-threaded event engine.
+/// Machine spin-up/tear-down: `p` nodes, no communication.
 fn bench_spinup(c: &mut Criterion) {
     let mut group = c.benchmark_group("simnet_spinup");
     group.sample_size(10);
-    for engine in ENGINES {
-        for p in [8usize, 64, 256] {
-            let id = format!("{engine}/{p}");
-            group.bench_with_input(BenchmarkId::new("spinup", id), &p, |b, &p| {
-                b.iter(|| {
-                    let out = run(p, engine, |proc, ()| async move { proc.id() });
-                    black_box(out.stats.elapsed)
-                })
-            });
-        }
+    for p in [8usize, 64, 256] {
+        group.bench_with_input(BenchmarkId::new("spinup", p), &p, |b, &p| {
+            b.iter(|| {
+                let out = run(p, |proc, ()| async move { proc.id() });
+                black_box(out.stats.elapsed)
+            })
+        });
     }
     group.finish();
 }
 
-/// Two nodes volleying a 4-word message: per-message engine latency.
+/// Two nodes volleying a 4-word message: per-message simulator latency.
 fn bench_pingpong(c: &mut Criterion) {
     let mut group = c.benchmark_group("simnet_pingpong");
     group.sample_size(10);
-    for engine in ENGINES {
-        for rounds in [64u64, 512] {
-            let id = format!("{engine}/{rounds}");
-            group.bench_with_input(BenchmarkId::new("rounds", id), &rounds, |b, &rounds| {
-                b.iter(|| {
-                    let out = run(2, engine, move |mut proc, ()| async move {
-                        let msg = vec![proc.id() as f64; 4];
-                        for r in 0..rounds {
-                            if proc.id() == 0 {
-                                proc.send(1, r, msg.clone());
-                                let _ = proc.recv(1, r).await;
-                            } else {
-                                let got = proc.recv(0, r).await;
-                                proc.send(0, r, got);
-                            }
+    for rounds in [64u64, 512] {
+        group.bench_with_input(BenchmarkId::new("rounds", rounds), &rounds, |b, &rounds| {
+            b.iter(|| {
+                let out = run(2, move |mut proc, ()| async move {
+                    let msg = vec![proc.id() as f64; 4];
+                    for r in 0..rounds {
+                        if proc.id() == 0 {
+                            proc.send(1, r, msg.clone());
+                            let _ = proc.recv(1, r).await;
+                        } else {
+                            let got = proc.recv(0, r).await;
+                            proc.send(0, r, got);
                         }
-                    });
-                    black_box(out.stats.elapsed)
-                })
-            });
-        }
+                    }
+                });
+                black_box(out.stats.elapsed)
+            })
+        });
     }
     group.finish();
 }
@@ -86,24 +75,21 @@ fn bench_pingpong(c: &mut Criterion) {
 fn bench_allgather(c: &mut Criterion) {
     let mut group = c.benchmark_group("simnet_allgather");
     group.sample_size(10);
-    for engine in ENGINES {
-        for p in [8usize, 64, 256] {
-            let id = format!("{engine}/{p}");
-            group.bench_with_input(BenchmarkId::new("allgather", id), &p, |b, &p| {
-                let dim = p.trailing_zeros();
-                b.iter(|| {
-                    let out = run(p, engine, move |mut proc, ()| async move {
-                        let sc = Subcube::whole(dim);
-                        let mine: Vec<f64> = vec![proc.id() as f64; 64];
-                        allgather(&mut proc, &sc, 0, mine.into()).await.len()
-                    });
-                    black_box(out.stats.elapsed)
-                })
-            });
-        }
+    for p in [8usize, 64, 256] {
+        group.bench_with_input(BenchmarkId::new("allgather", p), &p, |b, &p| {
+            let dim = p.trailing_zeros();
+            b.iter(|| {
+                let out = run(p, move |mut proc, ()| async move {
+                    let sc = Subcube::whole(dim);
+                    let mine: Vec<f64> = vec![proc.id() as f64; 64];
+                    allgather(&mut proc, &sc, 0, mine.into()).await.len()
+                });
+                black_box(out.stats.elapsed)
+            })
+        });
     }
     group.finish();
 }
 
-criterion_group!(engine, bench_spinup, bench_pingpong, bench_allgather);
-criterion_main!(engine);
+criterion_group!(simnet, bench_spinup, bench_pingpong, bench_allgather);
+criterion_main!(simnet);

@@ -81,7 +81,6 @@ fn run_level(level: Level, faulty: bool) -> LevelOutcome {
     let pool = ServePool::start(ServeConfig {
         workers: level.workers,
         queue_cap: level.queue_cap,
-        ..ServeConfig::default()
     });
     let latencies: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
     let overloaded = Arc::new(AtomicU64::new(0));

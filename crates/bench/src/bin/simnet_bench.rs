@@ -1,9 +1,8 @@
-//! Simulation-engine throughput: the checked-in engine perf trajectory.
+//! Simulator throughput: the checked-in perf trajectory of the event loop.
 //!
 //! Measures host-time cost of the simnet execution core itself — machine
 //! spin-up, neighbor ping-pong latency, and a full recursive-doubling
-//! all-gather — under both execution engines (thread-per-node and
-//! event-driven), plus the collective data path at p = 4096 (all-gather,
+//! all-gather — plus the collective data path at p = 4096 (all-gather,
 //! reduce-scatter and all-to-all on 64 rows of 64 nodes, both port
 //! models, as ns and heap allocations per message) and Cannon's shift
 //! phase on the same machine's 64 × 64 grid (`rows64_shift`: 63 XOR-Gray
@@ -20,25 +19,23 @@
 //!     --baseline OLD.json                                             # + speedups
 //! ```
 //!
-//! `--smoke` runs the small sizes only — including one event-engine case
-//! — and cross-checks every case's virtual-time result against its
-//! closed form, exiting non-zero on mismatch — a cheap guard that keeps
-//! the engines and bench code from bit-rotting. The closed forms are
-//! engine-independent (the two engines are bitwise equivalent), so the
-//! same verification covers both. The full run performs the same
-//! verification before timing anything, and includes spin-up points at
-//! p = 4096 and p = 65536 that only the event engine can host. A
-//! `--baseline FILE` reads a previously written `BENCH_simnet.json` and
-//! emits a `speedup_vs_baseline` column, the before/after evidence for
-//! engine changes (rows from pre-engine-column baselines count as
-//! threaded); a case with no baseline row reports `null`, not zero.
+//! `--smoke` runs the small sizes only — plus a p = 4096 spin-up, one
+//! collective row and the one-port shift row — and cross-checks every
+//! case's virtual-time result against its closed form, exiting non-zero
+//! on mismatch — a cheap guard that keeps the simulator and bench code
+//! from bit-rotting. The full run performs the same verification before
+//! timing anything, and includes spin-up points at p = 4096 and
+//! p = 65536. A `--baseline FILE` reads a previously written
+//! `BENCH_simnet.json` and emits a `speedup_vs_baseline` column, the
+//! before/after evidence for simulator changes; a case with no baseline
+//! row reports `null`, not zero.
 
 use std::time::Instant;
 
 use cubemm_bench::alloc_count::{allocations_during, CountingAlloc};
 use cubemm_bench::rows::{self, RowCollective};
 use cubemm_collectives::allgather;
-use cubemm_simnet::{CostParams, Engine, Machine, PortModel, Proc, RunStats};
+use cubemm_simnet::{CostParams, Machine, PortModel, Proc, RunStats};
 use cubemm_topology::Subcube;
 
 /// Counts allocations so the collective rows can report them per
@@ -79,7 +76,6 @@ enum Kind {
 struct Case {
     kind: Kind,
     p: usize,
-    engine: Engine,
     port: PortModel,
 }
 
@@ -105,8 +101,7 @@ impl Case {
 /// Boots `machine` and runs `program` on every node.
 fn run<O, F, Fut>(machine: &Machine, program: F) -> RunStats
 where
-    O: Send,
-    F: Fn(Proc, ()) -> Fut + Sync,
+    F: Fn(Proc, ()) -> Fut,
     Fut: std::future::Future<Output = O>,
 {
     #[allow(
@@ -129,7 +124,6 @@ fn prepare(case: Case) -> Box<dyn FnOnce() -> RunStats> {
     let machine = Machine::builder(case.p)
         .cost(COST)
         .port(case.port)
-        .engine(case.engine)
         .build()
         .expect("valid bench machine");
     let p = case.p;
@@ -170,9 +164,7 @@ fn prepare(case: Case) -> Box<dyn FnOnce() -> RunStats> {
 }
 
 /// Verifies each case's virtual time against its closed form — the
-/// engine must get faster without changing a single simulated number.
-/// The closed forms don't mention the engine: threaded and event runs
-/// are bitwise equivalent.
+/// simulator must get faster without changing a single simulated number.
 fn verify(case: Case) -> Result<(), String> {
     let elapsed = prepare(case)().elapsed;
     let want = match case.kind {
@@ -189,10 +181,9 @@ fn verify(case: Case) -> Result<(), String> {
     };
     if elapsed != want {
         return Err(format!(
-            "{}/p={}/{}/{}: virtual time {elapsed} != closed form {want}",
+            "{}/p={}/{}: virtual time {elapsed} != closed form {want}",
             case.name(),
             case.p,
-            case.engine,
             case.port_name()
         ));
     }
@@ -200,12 +191,12 @@ fn verify(case: Case) -> Result<(), String> {
 }
 
 /// One measured case: median wall seconds, messages injected, and the
-/// heap allocations of one run (exact on the event engine, where every
-/// node runs on the measuring thread; not counted for threaded cases).
+/// heap allocations of one run (exact: every node runs on the measuring
+/// thread).
 struct Measured {
     seconds: f64,
     messages: usize,
-    allocations: Option<u64>,
+    allocations: u64,
 }
 
 fn measure(case: Case, reps: usize) -> Measured {
@@ -222,18 +213,19 @@ fn measure(case: Case, reps: usize) -> Measured {
     Measured {
         seconds: samples[samples.len() / 2],
         messages: stats.total_messages(),
-        allocations: (case.engine == Engine::Event).then_some(allocations),
+        allocations,
     }
 }
 
-/// A `(case, p, engine, port) -> seconds` row of a baseline file.
-type BaselineRow = (String, usize, String, String, f64);
+/// A `(case, p, port) -> seconds` row of a baseline file.
+type BaselineRow = (String, usize, String, f64);
 
 /// Pulls the rows back out of a previously written `BENCH_simnet.json`
 /// (the format this binary emits; no JSON stack in the workspace, so
-/// this is a line scanner keyed on the known shape). Rows without an
-/// `engine` field — written before the event engine existed — count as
-/// threaded, rows without a `port` as one-port.
+/// this is a line scanner keyed on the known shape). Files written while
+/// the simulator still had a thread-per-node engine tag each row with
+/// an `engine`; only their `event` rows are comparable. Rows without a
+/// `port` are one-port.
 fn parse_baseline(text: &str) -> Vec<BaselineRow> {
     let mut rows = Vec::new();
     for line in text.lines() {
@@ -244,11 +236,13 @@ fn parse_baseline(text: &str) -> Vec<BaselineRow> {
             let end = rest.find([',', '"', '}']).unwrap_or(rest.len());
             Some(rest[..end].trim())
         };
+        if get("engine").is_some_and(|engine| engine != "event") {
+            continue;
+        }
         if let (Some(case), Some(p), Some(secs)) = (get("case"), get("p"), get("seconds")) {
-            let engine = get("engine").unwrap_or("threaded").to_string();
             let port = get("port").unwrap_or("one").to_string();
             if let (Ok(p), Ok(secs)) = (p.parse(), secs.parse()) {
-                rows.push((case.to_string(), p, engine, port, secs));
+                rows.push((case.to_string(), p, port, secs));
             }
         }
     }
@@ -256,7 +250,7 @@ fn parse_baseline(text: &str) -> Vec<BaselineRow> {
 }
 
 /// `x` to `digits` decimals, or `absent` when there is nothing to
-/// report (no baseline row, no messages, allocations not counted).
+/// report (no baseline row, no messages).
 fn num_or(x: Option<f64>, digits: usize, absent: &str) -> String {
     x.map_or_else(|| absent.to_string(), |x| format!("{x:.digits$}"))
 }
@@ -278,28 +272,22 @@ fn main() {
         })
         .unwrap_or_default();
 
-    let case = |kind: Kind, p: usize, engine: Engine| Case {
+    let case = |kind: Kind, p: usize| Case {
         kind,
         p,
-        engine,
         port: PortModel::OnePort,
     };
     let grid_case = |kind: Kind, port: PortModel| Case {
         kind,
         p: ROW_NODES * ROW_NODES,
-        engine: Engine::Event,
         port,
     };
     let rows_case = |kind: RowCollective, port: PortModel| grid_case(Kind::Rows(kind), port);
     let cases: Vec<Case> = if smoke {
         vec![
-            case(Kind::Spinup, 8, Engine::Threaded),
-            case(Kind::Pingpong, 2, Engine::Threaded),
-            case(Kind::Allgather, 8, Engine::Threaded),
-            // The event engine's smoke coverage: same closed forms, one
-            // host thread, plus a spin-up far past any thread budget.
-            case(Kind::Allgather, 8, Engine::Event),
-            case(Kind::Spinup, 4096, Engine::Event),
+            case(Kind::Pingpong, 2),
+            case(Kind::Allgather, 8),
+            case(Kind::Spinup, 4096),
             // One collective and Cannon's shifts at the scale the data
             // path is tuned for.
             rows_case(RowCollective::Allgather, PortModel::MultiPort),
@@ -307,22 +295,13 @@ fn main() {
         ]
     } else {
         let mut cases = vec![
-            case(Kind::Spinup, 8, Engine::Threaded),
-            case(Kind::Spinup, 64, Engine::Threaded),
-            case(Kind::Spinup, 256, Engine::Threaded),
-            case(Kind::Pingpong, 2, Engine::Threaded),
-            case(Kind::Allgather, 8, Engine::Threaded),
-            case(Kind::Allgather, 64, Engine::Threaded),
-            case(Kind::Allgather, 256, Engine::Threaded),
-            case(Kind::Spinup, 256, Engine::Event),
-            case(Kind::Pingpong, 2, Engine::Event),
-            case(Kind::Allgather, 8, Engine::Event),
-            case(Kind::Allgather, 64, Engine::Event),
-            case(Kind::Allgather, 256, Engine::Event),
-            // Only the event engine reaches these machine sizes: no
-            // thread-per-node engine spawns 4096+ OS threads.
-            case(Kind::Spinup, 4096, Engine::Event),
-            case(Kind::Spinup, 65536, Engine::Event),
+            case(Kind::Spinup, 256),
+            case(Kind::Pingpong, 2),
+            case(Kind::Allgather, 8),
+            case(Kind::Allgather, 64),
+            case(Kind::Allgather, 256),
+            case(Kind::Spinup, 4096),
+            case(Kind::Spinup, 65536),
         ];
         // The collective data path at p = 4096: 64 rows of 64 nodes.
         for kind in [
@@ -340,7 +319,7 @@ fn main() {
         cases
     };
 
-    // Correctness first: a fast engine that simulates wrong times is
+    // Correctness first: a fast simulator that produces wrong times is
     // worse than a slow one.
     for &case in &cases {
         if let Err(e) = verify(case) {
@@ -348,39 +327,29 @@ fn main() {
             std::process::exit(1);
         }
     }
-    println!("all engine cases verified against closed-form virtual times");
+    println!("all cases verified against closed-form virtual times");
 
     let reps = if smoke { 3 } else { 9 };
     let mut rows: Vec<String> = Vec::new();
     println!(
-        "{:<22} {:>6} {:>9} {:>6} {:>12} {:>10} {:>11} {:>10}",
-        "case", "p", "engine", "port", "seconds", "ns/msg", "allocs/msg", "vs base"
+        "{:<22} {:>6} {:>6} {:>12} {:>10} {:>11} {:>10}",
+        "case", "p", "port", "seconds", "ns/msg", "allocs/msg", "vs base"
     );
     for &case in &cases {
         let m = measure(case, reps);
-        let (name, engine, port) = (case.name(), case.engine.to_string(), case.port_name());
+        let (name, port) = (case.name(), case.port_name());
         let base = baseline
             .iter()
-            .find(|(n, p, e, pt, _)| *n == name && *p == case.p && *e == engine && pt == port)
-            .or_else(|| {
-                // Pre-event baselines only carry threaded rows; scoring
-                // an event case against the threaded row at the same
-                // shape is exactly the engine-vs-engine comparison the
-                // file exists to record.
-                baseline.iter().find(|(n, p, e, pt, _)| {
-                    *n == name && *p == case.p && e == "threaded" && pt == port
-                })
-            })
+            .find(|(n, p, pt, _)| *n == name && *p == case.p && pt == port)
             .map(|&(.., s)| s);
         let per_msg = |total: f64| (m.messages > 0).then(|| total / m.messages as f64);
         let ns_per_msg = per_msg(m.seconds * 1e9);
-        let allocs_per_msg = m.allocations.and_then(|a| per_msg(a as f64));
+        let allocs_per_msg = per_msg(m.allocations as f64);
         let speedup = base.map(|b| b / m.seconds);
         println!(
-            "{:<22} {:>6} {:>9} {:>6} {:>12.6} {:>10} {:>11} {:>10}",
+            "{:<22} {:>6} {:>6} {:>12.6} {:>10} {:>11} {:>10}",
             name,
             case.p,
-            engine,
             port,
             m.seconds,
             num_or(ns_per_msg, 0, "-"),
@@ -388,7 +357,7 @@ fn main() {
             speedup.map_or_else(|| "-".to_string(), |s| format!("{s:.2}x")),
         );
         rows.push(format!(
-            "    {{\"case\": \"{name}\", \"p\": {}, \"engine\": \"{engine}\", \"port\": \"{port}\", \
+            "    {{\"case\": \"{name}\", \"p\": {}, \"port\": \"{port}\", \
              \"seconds\": {:.6}, \"messages\": {}, \"ns_per_msg\": {}, \"allocs_per_msg\": {}, \
              \"speedup_vs_baseline\": {}}}",
             case.p,
@@ -403,7 +372,7 @@ fn main() {
     if !smoke {
         let caches = cubemm_dense::tune::detect_caches();
         let json = format!(
-            "{{\n  \"bench\": \"simnet_engine\",\n  \"baseline\": \"{}\",\n  \
+            "{{\n  \"bench\": \"simnet\",\n  \"baseline\": \"{}\",\n  \
              \"host_cores\": {},\n  \"host_arch\": \"{}\",\n  \"host_isa\": \"{}\",\n  \
              \"l1d_bytes\": {},\n  \"l2_bytes\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
             // The file the speedups are against, by name: say in the

@@ -1,7 +1,7 @@
 //! The zero-copy data path, guarded as an exact count.
 //!
-//! Heap allocations are deterministic on the single-threaded event
-//! engine, so "a delivered packet costs no allocation of its own" can
+//! Heap allocations are deterministic on the single-threaded simulator,
+//! so "a delivered packet costs no allocation of its own" can
 //! be asserted without a timer. Each collective runs on one 64-node row
 //! with 16-word blocks; the budget is allocations per delivered packet
 //! (a packet counts once per hop), everything included — machine

@@ -3,6 +3,20 @@
 
 use std::collections::HashMap;
 
+/// The flags one subcommand reads. Anything else on its command line is
+/// an error, so a misspelt or retired flag can never silently fall back
+/// to a default.
+pub struct Flags {
+    /// The subcommand, for error messages (`cubemm <command>`).
+    pub command: &'static str,
+    /// Keys that take a value (`--key value`), in groups so subcommands
+    /// can share one (e.g. the machine and fault flags).
+    pub values: &'static [&'static [&'static str]],
+    /// Boolean switches: their presence records `"true"` without
+    /// consuming the next token.
+    pub switches: &'static [&'static str],
+}
+
 /// Parsed `--key value` flags plus positional arguments. Repeating a
 /// flag accumulates every value (used by the `--fault-*` family); the
 /// scalar accessors read the last occurrence.
@@ -12,34 +26,33 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `argv`; every token starting with `--` consumes the next
-    /// token as its value.
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
-        Args::parse_with_bools(argv, &[])
-    }
-
-    /// [`Args::parse`], except the keys listed in `bools` are boolean
-    /// switches: their presence records `"true"` without consuming the
-    /// next token.
-    pub fn parse_with_bools(argv: &[String], bools: &[&str]) -> Result<Args, String> {
-        let mut flags: HashMap<String, Vec<String>> = HashMap::new();
+    /// Parses `argv` against the subcommand's accepted `flags`: a value
+    /// flag consumes the next token, a switch consumes nothing, and any
+    /// other `--key` is an unknown-flag error.
+    pub fn parse(argv: &[String], flags: &Flags) -> Result<Args, String> {
+        let mut parsed: HashMap<String, Vec<String>> = HashMap::new();
         let mut positional = Vec::new();
         let mut it = argv.iter();
         while let Some(tok) = it.next() {
             if let Some(key) = tok.strip_prefix("--") {
-                let val = if bools.contains(&key) {
+                let val = if flags.switches.contains(&key) {
                     "true".to_string()
-                } else {
+                } else if flags.values.iter().any(|group| group.contains(&key)) {
                     it.next()
                         .ok_or_else(|| format!("flag --{key} needs a value"))?
                         .clone()
+                } else {
+                    return Err(format!("unknown flag --{key} for cubemm {}", flags.command));
                 };
-                flags.entry(key.to_string()).or_default().push(val);
+                parsed.entry(key.to_string()).or_default().push(val);
             } else {
                 positional.push(tok.clone());
             }
         }
-        Ok(Args { flags, positional })
+        Ok(Args {
+            flags: parsed,
+            positional,
+        })
     }
 
     /// Whether a flag appeared at all (boolean switches).
@@ -94,17 +107,6 @@ pub fn parse_port(s: Option<&str>) -> Result<cubemm_simnet::PortModel, String> {
     }
 }
 
-/// Parses `threaded`/`event` into an execution engine. Absent flag
-/// means the event default (single-threaded virtual-clock scheduler —
-/// identical results to threaded, and the engine that scales to large
-/// p); `--engine threaded` opts back into one OS thread per node.
-pub fn parse_engine(s: Option<&str>) -> Result<cubemm_simnet::Engine, String> {
-    match s {
-        None => Ok(cubemm_simnet::Engine::default()),
-        Some(v) => v.parse(),
-    }
-}
-
 /// Parses `naive | ikj | blocked[:TILE] | packed[:THREADS]` into a local
 /// GEMM kernel. Absent flag means the default (packed, single-threaded);
 /// `packed:0` sizes the thread count to the host automatically.
@@ -148,9 +150,15 @@ mod tests {
         s.split_whitespace().map(str::to_string).collect()
     }
 
+    const TEST: Flags = Flags {
+        command: "test",
+        values: &[&["n", "p", "port", "ts"], &["fault-link", "fault-drop"]],
+        switches: &["abft"],
+    };
+
     #[test]
     fn parses_flags_and_positionals() {
-        let a = Args::parse(&argv("64 --n 32 --port multi rest")).unwrap();
+        let a = Args::parse(&argv("64 --n 32 --port multi rest"), &TEST).unwrap();
         assert_eq!(a.positional::<usize>(0), Some(64));
         assert_eq!(a.get_or::<usize>("n", 0).unwrap(), 32);
         assert_eq!(a.raw("port"), Some("multi"));
@@ -159,23 +167,20 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Args::parse(&argv("--n")).is_err());
+        assert!(Args::parse(&argv("--n"), &TEST).is_err());
     }
 
     #[test]
     fn boolean_switches_consume_no_value() {
-        let a = Args::parse_with_bools(&argv("--abft --n 8"), &["abft"]).unwrap();
+        let a = Args::parse(&argv("--abft --n 8"), &TEST).unwrap();
         assert!(a.has("abft"));
         assert!(!a.has("n-missing"));
         assert_eq!(a.get_or::<usize>("n", 0).unwrap(), 8);
-        // Without the bool registration, --abft would swallow `--n`.
-        let b = Args::parse(&argv("--abft --n 8")).unwrap();
-        assert_eq!(b.raw("abft"), Some("--n"));
     }
 
     #[test]
     fn require_and_defaults() {
-        let a = Args::parse(&argv("--n 8")).unwrap();
+        let a = Args::parse(&argv("--n 8"), &TEST).unwrap();
         assert_eq!(a.require::<usize>("n").unwrap(), 8);
         assert!(a.require::<usize>("p").is_err());
         assert_eq!(a.get_or::<f64>("ts", 150.0).unwrap(), 150.0);
@@ -183,7 +188,11 @@ mod tests {
 
     #[test]
     fn repeated_flags_accumulate() {
-        let a = Args::parse(&argv("--fault-link 0:1 --fault-link 2:3 --n 4 --n 8")).unwrap();
+        let a = Args::parse(
+            &argv("--fault-link 0:1 --fault-link 2:3 --n 4 --n 8"),
+            &TEST,
+        )
+        .unwrap();
         assert_eq!(
             a.raw_all("fault-link"),
             ["0:1".to_string(), "2:3".to_string()]
@@ -201,12 +210,19 @@ mod tests {
     }
 
     #[test]
-    fn engine_parsing() {
-        use cubemm_simnet::Engine;
-        assert_eq!(parse_engine(None).unwrap(), Engine::Event);
-        assert_eq!(parse_engine(Some("threaded")).unwrap(), Engine::Threaded);
-        assert_eq!(parse_engine(Some("event")).unwrap(), Engine::Event);
-        assert!(parse_engine(Some("fiber")).is_err());
+    fn unknown_flags_are_errors_naming_the_command() {
+        for bad in [
+            "--prot multi",
+            "--n 8 --engine event",
+            "--abft --node-budget 64",
+        ] {
+            let err = Args::parse(&argv(bad), &TEST).err().expect(bad);
+            assert!(err.starts_with("unknown flag --"), "{err}");
+            assert!(err.ends_with(" for cubemm test"), "{err}");
+        }
+        // A value that looks like a flag is still a value.
+        let a = Args::parse(&argv("--ts --nope"), &TEST).unwrap();
+        assert_eq!(a.raw("ts"), Some("--nope"));
     }
 
     #[test]

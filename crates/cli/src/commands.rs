@@ -7,7 +7,7 @@ use cubemm_harness::recovery::{multiply_with_recovery, RecoveryError, RecoveryPo
 use cubemm_model::{render_ascii, RegionMap, Sweep};
 use cubemm_simnet::{ChargePolicy, CorruptKind, Corruption, CostParams, FaultPlan, RunError};
 
-use crate::args::{parse_engine, parse_kernel, parse_port, Args};
+use crate::args::{parse_kernel, parse_port, Args, Flags};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -16,8 +16,8 @@ cubemm — communication-efficient matrix multiplication on simulated hypercubes
 
 USAGE:
   cubemm list [n] [p]            show every algorithm and its applicability
-  cubemm run --algo A --n N --p P [--port one|multi] [--ts T] [--tw W]
-             [--engine threaded|event] [--charge sender|symmetric]
+  cubemm run --algo A --n N --p P [--seed S] [--port one|multi] [--ts T]
+             [--tw W] [--charge sender|symmetric]
              [--kernel naive|ikj|blocked[:TILE]|packed[:THREADS]]
              [--fault-link A:B] [--fault-degrade A:B:TSF:TWF]
              [--fault-straggler NODE:FACTOR] [--fault-drop FROM:TO:K]
@@ -26,18 +26,20 @@ USAGE:
              [--fault-strict true|false]
              [--fault-plan FILE] [--fault-plan-dump FILE]
              [--abft] [--recover-attempts N]
-                                 one verified simulated multiplication;
-                                 --fault-* flags repeat, and a faulty run
+                                 one verified simulated multiplication of
+                                 A = random(seed), B = random(seed + 1)
+                                 (default seed 1); --fault-* flags
+                                 repeat, and a faulty run
                                  reports retries/detours/drops and the
                                  extra virtual time against a healthy
                                  baseline re-run
   cubemm sweep --n N [--p 4,16,64,512] [--port one|multi] [--ts T] [--tw W]
-               [--engine threaded|event] [--kernel ...] [--jobs N]
+               [--kernel ...] [--jobs N]
                                  compare all applicable algorithms
   cubemm regions [--port one|multi] [--ts T] [--tw W]
                                  Figure 13/14-style best-algorithm map
   cubemm analyze <algo|all> [--n N] [--p P] [--port one|multi|both]
-                 [--engine threaded|event] [--jobs N] [--symbolic]
+                 [--jobs N] [--symbolic]
                                  static schedule analysis: prove the compiled
                                  schedule deadlock-free and port/link-legal,
                                  extract its exact (a, b) Table 2 coordinates
@@ -51,7 +53,7 @@ USAGE:
                                  and 2^d, valid for every p = 2^d at once
                                  (grid replay remains as a spot-check
                                  inside each certificate)
-  cubemm serve [--workers N] [--queue N] [--node-budget N] [--socket PATH]
+  cubemm serve [--workers N] [--queue N] [--socket PATH]
                                  long-lived multiply service: JSON-lines
                                  requests on stdin (or a Unix socket),
                                  one typed JSON response per job; see
@@ -88,19 +90,17 @@ USAGE:
 
 Defaults: n=64, p=64, port=one, ts=150, tw=3, charge=sender (the paper's
 parameters and accounting), kernel=packed (single-threaded; `packed:0`
-picks a thread count automatically), engine=event.
-The default event engine runs the whole simulated machine on one host
-thread under a virtual-clock-ordered scheduler and scales to
-p = 4096..65536 nodes. --engine threaded opts into one OS thread per
-node (real host concurrency; p capped by the OS thread limit). Results
-are bit-identical between the two engines.
+picks a thread count automatically). A flag a command does not read is
+an error (exit 2), never silently ignored.
+The whole simulated machine runs on one host thread under a
+virtual-clock-ordered event loop and scales to p = 4096..65536 nodes.
 A run that cannot progress (e.g. --fault-drop on an algorithm without
 retries) is reported as a structured deadlock naming every blocked node,
-detected exactly and instantly by the engine's progress ledger (no
+detected exactly and instantly by the simulator's progress ledger (no
 watchdog; results are identical at any --jobs value).
---jobs N runs independent sweep/analysis grid points on N worker threads
-under a global budget on simulated node threads; output is identical to
---jobs 1 (the default).
+--jobs N runs independent sweep/analysis grid points on N worker threads,
+each running its whole machine; output is identical to --jobs 1 (the
+default).
 --abft runs the multiplication under Huang-Abraham checksum protection:
 silent data corruption (--fault-corrupt perturbs word WORD of the K-th
 payload crossing the directed edge FROM->TO by DELTA; --fault-flip flips
@@ -136,6 +136,93 @@ fn fail(msg: &str) -> i32 {
     2
 }
 
+/// Value flags [`machine_from`] reads: machine shape, costs, kernel and
+/// the fault plan.
+const MACHINE_FLAGS: &[&str] = &[
+    "port",
+    "ts",
+    "tw",
+    "charge",
+    "kernel",
+    "fault-plan",
+    "fault-link",
+    "fault-degrade",
+    "fault-straggler",
+    "fault-drop",
+    "fault-corrupt",
+    "fault-flip",
+    "fault-crash",
+    "fault-strict",
+];
+
+const LIST_FLAGS: Flags = Flags {
+    command: "list",
+    values: &[],
+    switches: &[],
+};
+
+const RUN_FLAGS: Flags = Flags {
+    command: "run",
+    values: &[
+        &[
+            "algo",
+            "n",
+            "p",
+            "seed",
+            "fault-plan-dump",
+            "recover-attempts",
+        ],
+        MACHINE_FLAGS,
+    ],
+    switches: &["abft"],
+};
+
+const SWEEP_FLAGS: Flags = Flags {
+    command: "sweep",
+    values: &[&["n", "p", "jobs"], MACHINE_FLAGS],
+    switches: &[],
+};
+
+const REGIONS_FLAGS: Flags = Flags {
+    command: "regions",
+    values: &[&["port", "ts", "tw"]],
+    switches: &[],
+};
+
+const ANALYZE_FLAGS: Flags = Flags {
+    command: "analyze",
+    values: &[&["algo", "n", "p", "port", "jobs"]],
+    switches: &["symbolic"],
+};
+
+const SERVE_FLAGS: Flags = Flags {
+    command: "serve",
+    values: &[&["workers", "queue", "socket"]],
+    switches: &[],
+};
+
+const TUNE_KERNEL_FLAGS: Flags = Flags {
+    command: "tune-kernel",
+    values: &[&["n", "reps", "threads", "out"]],
+    switches: &["full", "dry-run"],
+};
+
+const CHAOS_FLAGS: Flags = Flags {
+    command: "chaos",
+    values: &[&[
+        "algo",
+        "seed",
+        "runs",
+        "n",
+        "max-entries",
+        "budget-factor",
+        "recover-attempts",
+        "fail-on",
+        "repro-dir",
+    ]],
+    switches: &[],
+};
+
 /// Parses `--jobs N` (default 1 — serial, byte-identical output at any
 /// value; see `cubemm_harness::run_grid`).
 fn jobs_from(args: &Args) -> Result<usize, String> {
@@ -148,7 +235,7 @@ fn jobs_from(args: &Args) -> Result<usize, String> {
 
 /// `cubemm list [n] [p]`.
 pub fn list(argv: &[String]) -> i32 {
-    let args = match Args::parse(argv) {
+    let args = match Args::parse(argv, &LIST_FLAGS) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
@@ -181,7 +268,6 @@ fn machine_from(args: &Args) -> Result<(MachineConfig, f64, f64), String> {
         .costs(CostParams { ts, tw })
         .kernel(parse_kernel(args.raw("kernel"))?)
         .charge(charge)
-        .engine(parse_engine(args.raw("engine"))?)
         .faults(faults_from(args)?)
         .build();
     Ok((cfg, ts, tw))
@@ -342,7 +428,7 @@ fn faults_from(args: &Args) -> Result<FaultPlan, String> {
 
 /// `cubemm run --algo A --n N --p P ...`.
 pub fn run(argv: &[String]) -> i32 {
-    let args = match Args::parse_with_bools(argv, &["abft"]) {
+    let args = match Args::parse(argv, &RUN_FLAGS) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
@@ -407,8 +493,8 @@ pub fn run(argv: &[String]) -> i32 {
         Err(e) => return fail(&e),
     };
     println!(
-        "{algo}: n = {n}, p = {p}, {} nodes, {} engine, ts = {ts}, tw = {tw}",
-        cfg.port, cfg.engine
+        "{algo}: n = {n}, p = {p}, {} nodes, ts = {ts}, tw = {tw}",
+        cfg.port
     );
     println!("  verified:              max |Δ| = {err:.2e}");
     // The same identity `cubemm serve` reports: FNV-1a 64 over the
@@ -558,7 +644,7 @@ fn run_abft(
 
 /// `cubemm sweep --n N [--p list] ...`.
 pub fn sweep(argv: &[String]) -> i32 {
-    let args = match Args::parse(argv) {
+    let args = match Args::parse(argv, &SWEEP_FLAGS) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
@@ -605,30 +691,22 @@ pub fn sweep(argv: &[String]) -> i32 {
         .iter()
         .flat_map(|&algo| ps.iter().map(move |&p| (algo, p)))
         .collect();
-    let cells = cubemm_harness::run_grid(
-        &tasks,
-        jobs,
-        |&(_, p)| cubemm_harness::node_weight(cfg.engine, p),
-        |&(algo, p)| match algo.check(n, p) {
-            Err(_) => Cell::Inapplicable,
-            Ok(()) => match algo.multiply(&a, &b, p, &cfg) {
-                Ok(res) => {
-                    // Accept-if-within, so a NaN error is a wrong product.
-                    if res.c.max_abs_diff(&reference) <= 1e-9 * n as f64 {
-                        Cell::Elapsed(res.stats.elapsed)
-                    } else {
-                        Cell::WrongProduct
-                    }
+    let cells = cubemm_harness::run_grid(&tasks, jobs, |&(algo, p)| match algo.check(n, p) {
+        Err(_) => Cell::Inapplicable,
+        Ok(()) => match algo.multiply(&a, &b, p, &cfg) {
+            Ok(res) => {
+                // Accept-if-within, so a NaN error is a wrong product.
+                if res.c.max_abs_diff(&reference) <= 1e-9 * n as f64 {
+                    Cell::Elapsed(res.stats.elapsed)
+                } else {
+                    Cell::WrongProduct
                 }
-                Err(e) => Cell::Failed(e.to_string()),
-            },
+            }
+            Err(e) => Cell::Failed(e.to_string()),
         },
-    );
+    });
 
-    println!(
-        "sweep: n = {n}, {}, {} engine, ts = {ts}, tw = {tw}",
-        cfg.port, cfg.engine
-    );
+    println!("sweep: n = {n}, {}, ts = {ts}, tw = {tw}", cfg.port);
     print!("{:<14}", "p =");
     for p in &ps {
         print!("{p:>10}");
@@ -658,7 +736,7 @@ pub fn sweep(argv: &[String]) -> i32 {
 
 /// `cubemm regions ...`.
 pub fn regions(argv: &[String]) -> i32 {
-    let args = match Args::parse(argv) {
+    let args = match Args::parse(argv, &REGIONS_FLAGS) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
@@ -693,15 +771,11 @@ fn analyze_ports(raw: Option<&str>) -> Result<Vec<cubemm_simnet::PortModel>, Str
 
 /// `cubemm analyze <algo|all> ...`.
 pub fn analyze(argv: &[String]) -> i32 {
-    let args = match Args::parse_with_bools(argv, &["symbolic"]) {
+    let args = match Args::parse(argv, &ANALYZE_FLAGS) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
     let ports = match analyze_ports(args.raw("port")) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    let engine = match parse_engine(args.raw("engine")) {
         Ok(v) => v,
         Err(e) => return fail(&e),
     };
@@ -736,12 +810,9 @@ pub fn analyze(argv: &[String]) -> i32 {
                 }
             }
         }
-        let results = cubemm_harness::run_grid(
-            &tasks,
-            jobs,
-            |&(_, _, _, p)| cubemm_harness::node_weight(engine, p),
-            |&(algo, port, n, p)| cubemm_analyze::analyze_algorithm_on(algo, n, p, port, engine),
-        );
+        let results = cubemm_harness::run_grid(&tasks, jobs, |&(algo, port, n, p)| {
+            cubemm_analyze::analyze_algorithm(algo, n, p, port)
+        });
         let mut violations = 0usize;
         for (&(algo, port, n, p), result) in tasks.iter().zip(results) {
             let r = match result {
@@ -798,7 +869,7 @@ pub fn analyze(argv: &[String]) -> i32 {
     }
     let mut bad = false;
     for port in ports {
-        let r = match cubemm_analyze::analyze_algorithm_on(algo, n, p, port, engine) {
+        let r = match cubemm_analyze::analyze_algorithm(algo, n, p, port) {
             Ok(r) => r,
             Err(e) => return fail(&e),
         };
@@ -953,12 +1024,11 @@ fn serve_socket(path: &str, pool: &cubemm_serve::ServePool) -> std::io::Result<u
     result.map(|()| malformed.load(Ordering::Relaxed))
 }
 
-/// `cubemm serve [--workers N] [--queue N] [--node-budget N]
-/// [--socket PATH]`.
+/// `cubemm serve [--workers N] [--queue N] [--socket PATH]`.
 pub fn serve(argv: &[String]) -> i32 {
     use cubemm_serve::{ServeConfig, ServePool};
 
-    let args = match Args::parse(argv) {
+    let args = match Args::parse(argv, &SERVE_FLAGS) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
@@ -970,19 +1040,11 @@ pub fn serve(argv: &[String]) -> i32 {
         Ok(v) => v,
         Err(e) => return fail(&e),
     };
-    let node_budget: usize = match args.get_or("node-budget", cubemm_harness::DEFAULT_NODE_BUDGET) {
-        Ok(v) => v,
-        Err(e) => return fail(&e),
-    };
-    if workers == 0 || queue_cap == 0 || node_budget == 0 {
-        return fail("--workers, --queue, and --node-budget must be at least 1");
+    if workers == 0 || queue_cap == 0 {
+        return fail("--workers and --queue must be at least 1");
     }
     cubemm_serve::shutdown::install();
-    let pool = ServePool::start(ServeConfig {
-        workers,
-        queue_cap,
-        node_budget,
-    });
+    let pool = ServePool::start(ServeConfig { workers, queue_cap });
     let streamed = match args.raw("socket") {
         Some(path) => {
             #[cfg(unix)]
@@ -1035,7 +1097,7 @@ pub fn tune_kernel(argv: &[String]) -> i32 {
     use cubemm_dense::microkernel::MicrokernelImpl;
     use cubemm_dense::tune;
 
-    let args = match Args::parse_with_bools(argv, &["full", "dry-run"]) {
+    let args = match Args::parse(argv, &TUNE_KERNEL_FLAGS) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
@@ -1113,7 +1175,7 @@ pub fn tune_kernel(argv: &[String]) -> i32 {
 pub fn chaos(argv: &[String]) -> i32 {
     use cubemm_harness::chaos::{run_campaign, ChaosOptions, Coverage};
 
-    let args = match Args::parse(argv) {
+    let args = match Args::parse(argv, &CHAOS_FLAGS) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
@@ -1307,17 +1369,37 @@ mod tests {
     }
 
     #[test]
-    fn engine_flag_selects_the_event_engine_everywhere() {
-        assert_eq!(run(&argv("--algo cannon --n 16 --p 16 --engine event")), 0);
+    fn unknown_flags_exit_2_before_anything_runs() {
+        // A typo used to run silently with the default (one-port here);
+        // retired flags must not be ignored either.
+        assert_eq!(run(&argv("--algo cannon --n 16 --p 16 --prot multi")), 2);
         assert_eq!(
             run(&argv("--algo cannon --n 16 --p 16 --engine threaded")),
-            0
+            2
         );
-        assert_eq!(sweep(&argv("--n 16 --p 4,8,16 --engine event --jobs 2")), 0);
-        assert_eq!(
-            analyze(&argv("cannon --n 16 --p 16 --port one --engine event")),
-            0
-        );
+        assert_eq!(sweep(&argv("--n 16 --p 4 --engine event")), 2);
+        assert_eq!(analyze(&argv("cannon --n 16 --p 16 --engine event")), 2);
+        assert_eq!(serve(&argv("--node-budget 64")), 2);
+        assert_eq!(chaos(&argv("cannon --runs 1 --symbolic")), 2);
+        assert_eq!(list(&argv("--n 64")), 2);
+    }
+
+    #[test]
+    fn every_flag_scripts_pass_is_accepted() {
+        // What CI and the front-door benchmark put on `cubemm` command
+        // lines; serve is parsed only, since running it reads stdin.
+        for (flags, line) in [
+            (
+                &RUN_FLAGS,
+                "--algo cannon --n 256 --p 4096 --port multi --seed 3",
+            ),
+            (&ANALYZE_FLAGS, "all --symbolic"),
+            (&CHAOS_FLAGS, "all --seed 20260807 --runs 500 --repro-dir d"),
+            (&SWEEP_FLAGS, "--n 192 --p 1024,4096"),
+            (&SERVE_FLAGS, "--workers 2 --queue 256"),
+        ] {
+            assert!(Args::parse(&argv(line), flags).is_ok(), "{line}");
+        }
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! Reductions add an incoming packet into the stored one in place when
 //! the store is the sole owner of its words. The inputs here are the
 //! cases where it is not: the caller keeps clones of what it passed in,
-//! and the parts are windows of a single allocation. Under both engines
-//! and both port models the sums must come out right *and* every view
-//! the caller kept must be bit-for-bit what it was.
+//! and the parts are windows of a single allocation. Under both port
+//! models the sums must come out right *and* every view the caller kept
+//! must be bit-for-bit what it was.
 
 use cubemm_collectives::{reduce_scatter, reduce_sum};
-use cubemm_simnet::{CostParams, Engine, Machine, Payload, PortModel};
+use cubemm_simnet::{CostParams, Machine, Payload, PortModel};
 use cubemm_topology::Subcube;
 
 const P: usize = 16;
@@ -20,20 +20,15 @@ const WORDS: usize = 40;
     clippy::expect_used,
     reason = "fixed, valid test machines; a failure is a test bug"
 )]
-fn machines() -> impl Iterator<Item = (Engine, PortModel, Machine)> {
-    [Engine::Event, Engine::Threaded]
-        .into_iter()
-        .flat_map(|engine| {
-            [PortModel::OnePort, PortModel::MultiPort].map(|port| {
-                let machine = Machine::builder(P)
-                    .port(port)
-                    .cost(CostParams { ts: 10.0, tw: 2.0 })
-                    .engine(engine)
-                    .build()
-                    .expect("valid test machine");
-                (engine, port, machine)
-            })
-        })
+fn machines() -> [(PortModel, Machine); 2] {
+    [PortModel::OnePort, PortModel::MultiPort].map(|port| {
+        let machine = Machine::builder(P)
+            .port(port)
+            .cost(CostParams { ts: 10.0, tw: 2.0 })
+            .build()
+            .expect("valid test machine");
+        (port, machine)
+    })
 }
 
 fn word(rank: usize, part: usize, x: usize) -> f64 {
@@ -46,7 +41,7 @@ fn bits(words: &[f64]) -> Vec<u64> {
 
 #[test]
 fn reduce_sum_leaves_the_callers_clone_untouched() {
-    for (engine, port, machine) in machines() {
+    for (port, machine) in machines() {
         for root in [0, 5] {
             let out = machine
                 .run(vec![(); P], move |mut proc, ()| async move {
@@ -63,14 +58,14 @@ fn reduce_sum_leaves_the_callers_clone_untouched() {
                 assert_eq!(
                     bits(kept),
                     bits(&original),
-                    "{engine} {port} root {root}: rank {rank}'s input was written through"
+                    "{port} root {root}: rank {rank}'s input was written through"
                 );
                 assert_eq!(sum.is_some(), rank == root);
             }
             let sum = out.outputs[root].1.as_ref().expect("root holds the sum");
             for (x, got) in sum.iter().enumerate() {
                 let want: f64 = (0..P).map(|rank| word(rank, 0, x)).sum();
-                assert_eq!(*got, want, "{engine} {port} root {root}: word {x}");
+                assert_eq!(*got, want, "{port} root {root}: word {x}");
             }
         }
     }
@@ -78,7 +73,7 @@ fn reduce_sum_leaves_the_callers_clone_untouched() {
 
 #[test]
 fn reduce_scatter_leaves_shared_windows_and_clones_untouched() {
-    for (engine, port, machine) in machines() {
+    for (port, machine) in machines() {
         let out = machine
             .run(vec![(); P], move |mut proc, ()| async move {
                 let sc = Subcube::whole(proc.dim());
@@ -102,20 +97,20 @@ fn reduce_scatter_leaves_shared_windows_and_clones_untouched() {
             assert_eq!(
                 bits(whole),
                 bits(&original),
-                "{engine} {port}: rank {rank}'s allocation was written through"
+                "{port}: rank {rank}'s allocation was written through"
             );
             for (part, window) in kept.iter().enumerate() {
                 assert_eq!(
                     bits(window),
                     bits(&original[part * WORDS..(part + 1) * WORDS]),
-                    "{engine} {port}: rank {rank}'s window {part} changed"
+                    "{port}: rank {rank}'s window {part} changed"
                 );
             }
             // Recursive halving adds in a fixed tree order; these
             // integers-plus-a-half sum exactly in any order.
             for (x, got) in mine.iter().enumerate() {
                 let want: f64 = (0..P).map(|from| word(from, rank, x)).sum();
-                assert_eq!(*got, want, "{engine} {port}: rank {rank} word {x}");
+                assert_eq!(*got, want, "{port}: rank {rank} word {x}");
             }
         }
     }

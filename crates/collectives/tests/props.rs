@@ -23,8 +23,7 @@ fn payload(tagish: usize, m: usize) -> Payload {
 )]
 fn run<O, F, Fut>(p: usize, port: PortModel, program: F) -> RunOutcome<O>
 where
-    O: Send,
-    F: Fn(Proc, ()) -> Fut + Sync,
+    F: Fn(Proc, ()) -> Fut,
     Fut: Future<Output = O>,
 {
     Machine::builder(p)

@@ -3,7 +3,7 @@
 use cubemm_dense::gemm::Kernel;
 use cubemm_dense::Matrix;
 use cubemm_simnet::{
-    ChargePolicy, CostParams, Engine, FaultPlan, LinkTopology, Machine, MachineOptions, PortModel,
+    ChargePolicy, CostParams, FaultPlan, LinkTopology, Machine, MachineOptions, PortModel,
     RunError, RunStats,
 };
 
@@ -26,10 +26,6 @@ pub struct MachineConfig {
     pub links: LinkTopology,
     /// Deterministic fault injection (empty — healthy — by default).
     pub faults: FaultPlan,
-    /// Execution engine: one host thread per node (`Threaded`) or a
-    /// single-threaded virtual-clock event loop (`Event`). Results are
-    /// bitwise identical; `Event` scales to p ≥ 4096.
-    pub engine: Engine,
     /// A machine validated ahead of time (see [`MachineConfig::prepare`])
     /// that runs under this config may reuse, skipping re-validation.
     /// Safe by construction: a run only uses it when its size and
@@ -48,7 +44,6 @@ impl Default for MachineConfig {
             charge: ChargePolicy::SenderOnly,
             links: LinkTopology::Hypercube,
             faults: FaultPlan::new(),
-            engine: Engine::default(),
             prepared: None,
         }
     }
@@ -110,14 +105,6 @@ impl MachineConfig {
         self
     }
 
-    /// Selects the execution engine for runs under this config. The
-    /// event engine simulates the whole machine on one host thread and
-    /// produces bitwise-identical stats, traces, and failure verdicts.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// The simnet option block this configuration describes.
     pub fn machine_options(&self) -> MachineOptions {
         MachineOptions {
@@ -127,7 +114,6 @@ impl MachineConfig {
             links: self.links,
             traced: self.traced,
             faults: self.faults.clone(),
-            engine: self.engine,
         }
     }
 
@@ -197,12 +183,6 @@ impl MachineConfigBuilder {
     /// Deterministic fault injection plan.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.cfg.faults = faults;
-        self
-    }
-
-    /// Execution engine (threaded or event-driven).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.cfg.engine = engine;
         self
     }
 

@@ -91,13 +91,11 @@ pub fn run_spmd<I, O, F, Fut>(
     f: F,
 ) -> Result<RunOutcome<O>, AlgoError>
 where
-    I: Send,
-    O: Send,
-    F: Fn(Proc, I) -> Fut + Sync,
+    F: Fn(Proc, I) -> Fut,
     Fut: Future<Output = O>,
 {
     // Reuse a pre-validated machine only when it still describes
-    // exactly this run; any mismatch (size, engine, fault plan, ...)
+    // exactly this run; any mismatch (size, ports, fault plan, ...)
     // falls back to a fresh validate-and-boot.
     let machine = match &cfg.prepared {
         Some(m) if m.p() == p && *m.options() == cfg.machine_options() => m.clone(),

@@ -3,9 +3,8 @@
 //!
 //! A campaign repeatedly multiplies the same integer matrices under
 //! randomized [`FaultPlan`]s, runs every plan through the ABFT layer
-//! and [`multiply_with_recovery_tol`]'s quarantine-and-rerun loop on
-//! the event engine, and checks a fixed set of invariant oracles on
-//! every outcome:
+//! and [`multiply_with_recovery_tol`]'s quarantine-and-rerun loop, and
+//! checks a fixed set of invariant oracles on every outcome:
 //!
 //! 1. **Bitwise product** — a trustworthy outcome must match the host
 //!    reference multiply bit for bit (the campaign's matrices hold
@@ -20,7 +19,7 @@
 //! 4. **Virtual-time budget** — the final attempt must finish within a
 //!    generous multiple of the healthy run's virtual time, so a
 //!    schedule that spins forever (in virtual time) is caught. Host
-//!    wall-clock hangs cannot happen at all: the event engine detects
+//!    wall-clock hangs cannot happen at all: the simulator detects
 //!    deadlock exactly instead of blocking.
 //! 5. **Exit-code contract** — every outcome must map onto the CLI's
 //!    documented `{0, 2, 3}` exit codes.
@@ -50,8 +49,7 @@ use cubemm_core::abft::{multiply_abft_with_tol, padded_order, AbftOutcome, AbftR
 use cubemm_core::{AlgoError, Algorithm, MachineConfig};
 use cubemm_dense::{gemm, Matrix};
 use cubemm_simnet::{
-    CorruptKind, Corruption, Engine, FaultEntry, FaultPlan, FiredKind, RunError, SendError,
-    TraceKind,
+    CorruptKind, Corruption, FaultEntry, FaultPlan, FiredKind, RunError, SendError, TraceKind,
 };
 
 use crate::recovery::{
@@ -427,9 +425,7 @@ pub fn probe(algo: Algorithm, n: usize) -> Result<Probe, String> {
 
 fn probe_at(algo: Algorithm, n: usize, p: usize) -> Result<Probe, String> {
     let (a, b) = (ints(n, 1), ints(n, 2));
-    let cfg = MachineConfig::default()
-        .with_engine(Engine::Event)
-        .with_trace();
+    let cfg = MachineConfig::default().with_trace();
     let res = multiply_abft_with_tol(algo, &a, &b, p, &cfg, Some(CHAOS_TOL))
         .map_err(|e| format!("{}: healthy probe failed: {e}", algo.name()))?;
     if !res.outcome.is_good() {
@@ -720,7 +716,7 @@ pub fn generate_plan(
 /// Outcome of one chaos trial: the recovery loop's own result type.
 pub type TrialOutcome = Result<(AbftResult, RecoveryReport), RecoveryError>;
 
-/// Runs one protected multiply under `plan` on the event engine.
+/// Runs one protected multiply under `plan`.
 pub fn run_trial(
     algo: Algorithm,
     a: &Matrix,
@@ -729,9 +725,7 @@ pub fn run_trial(
     plan: &FaultPlan,
     policy: &RecoveryPolicy,
 ) -> TrialOutcome {
-    let cfg = MachineConfig::default()
-        .with_engine(Engine::Event)
-        .with_faults(plan.clone());
+    let cfg = MachineConfig::default().with_faults(plan.clone());
     multiply_with_recovery_tol(algo, a, b, p, &cfg, policy, Some(CHAOS_TOL))
 }
 

@@ -68,7 +68,6 @@ fn config_of(req: &JobRequest) -> MachineConfig {
         })
         .kernel(req.kernel)
         .faults(req.faults.clone())
-        .engine(req.engine)
         .build()
 }
 
@@ -198,7 +197,6 @@ fn execute_abft(
                     req,
                     JobStatus::Ok {
                         algo: algo.name(),
-                        engine: cfg.engine,
                         elapsed: res.stats.elapsed,
                         backoff: report.backoff_spent,
                         attempts: report.attempts,
@@ -278,7 +276,6 @@ fn execute_plain(
             req,
             JobStatus::Ok {
                 algo: algo.name(),
-                engine: cfg.engine,
                 elapsed: res.stats.elapsed,
                 backoff: 0.0,
                 attempts: 1,
@@ -322,26 +319,21 @@ mod tests {
     }
 
     #[test]
-    fn responses_echo_the_engine_that_ran_the_job() {
-        use cubemm_simnet::Engine;
-        let engine_of = |line: &str| match execute(&req(line)).response.status {
-            JobStatus::Ok { engine, .. } => engine,
-            ref other => panic!("expected ok, got {other:?}"),
-        };
-        assert_eq!(
-            engine_of(r#"{"id":"d","n":24,"p":16,"algo":"cannon"}"#),
-            Engine::Event,
-            "default engine must be reported from the machine"
-        );
-        assert_eq!(
-            engine_of(r#"{"id":"t","n":24,"p":16,"algo":"cannon","engine":"threaded"}"#),
-            Engine::Threaded
-        );
-        assert_eq!(
-            engine_of(r#"{"id":"p","n":24,"p":16,"algo":"cannon","abft":false}"#),
-            Engine::Event,
-            "plain (non-ABFT) path must echo the engine too"
-        );
+    fn ok_responses_carry_no_engine_field() {
+        // A client that still names the event engine is served as before
+        // on both paths; the answer no longer echoes a constant engine.
+        for line in [
+            r#"{"id":"d","n":24,"p":16,"algo":"cannon","engine":"event"}"#,
+            r#"{"id":"p","n":24,"p":16,"algo":"cannon","abft":false,"engine":"event"}"#,
+        ] {
+            let response = execute(&req(line)).response;
+            assert!(
+                matches!(response.status, JobStatus::Ok { .. }),
+                "{response:?}"
+            );
+            let doc = cubemm_simnet::json::parse(&response.encode()).expect("valid JSON");
+            assert!(doc.get("engine").is_none(), "{line}");
+        }
     }
 
     #[test]

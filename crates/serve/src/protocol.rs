@@ -23,7 +23,7 @@ use cubemm_core::Algorithm;
 use cubemm_dense::gemm::Kernel;
 use cubemm_dense::Matrix;
 use cubemm_simnet::json::Json;
-use cubemm_simnet::{Engine, FaultPlan, PortModel};
+use cubemm_simnet::{FaultPlan, PortModel};
 
 /// Which algorithm a job asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +49,6 @@ pub struct JobRequest {
     pub kernel: Kernel,
     /// `"one"` (default) or `"multi"` port model.
     pub port: PortModel,
-    /// `"event"` (default) or `"threaded"` execution engine. Results
-    /// are bitwise identical; `event` jobs cost one pool thread
-    /// regardless of `p`, so they admit machines far beyond the node
-    /// budget.
-    pub engine: Engine,
     /// Message start-up cost (default: the paper's 150).
     pub ts: f64,
     /// Per-word cost (default: the paper's 3).
@@ -84,11 +79,6 @@ pub enum JobStatus {
     Ok {
         /// The algorithm that ran (resolved, if the request said auto).
         algo: &'static str,
-        /// The execution engine of the machine that actually ran the
-        /// job — read back from the run's machine configuration, not
-        /// echoed from the request, so a client can audit which engine
-        /// produced the answer.
-        engine: Engine,
         /// Virtual communication time of the final attempt.
         elapsed: f64,
         /// Total virtual backoff charged by recovery retries.
@@ -106,8 +96,8 @@ pub enum JobStatus {
         /// Deterministic backpressure hint derived from queue depth.
         retry_after_ms: u64,
     },
-    /// The job can never run here (oversized for the node budget,
-    /// unknown algorithm for the shape, service draining).
+    /// The job can never run here (no algorithm for the shape, service
+    /// draining).
     Rejected {
         /// Why.
         error: String,
@@ -169,7 +159,6 @@ impl JobResponse {
         match &self.status {
             JobStatus::Ok {
                 algo,
-                engine,
                 elapsed,
                 backoff,
                 attempts,
@@ -177,7 +166,6 @@ impl JobResponse {
                 fingerprint,
             } => {
                 fields.push(("algo".into(), Json::Str((*algo).into())));
-                fields.push(("engine".into(), Json::Str(engine.to_string())));
                 fields.push(("elapsed".into(), Json::Num(*elapsed)));
                 fields.push(("backoff".into(), Json::Num(*backoff)));
                 fields.push(("attempts".into(), Json::Num(*attempts as f64)));
@@ -324,12 +312,17 @@ pub fn parse_request(line: &str) -> Result<JobRequest, (String, String)> {
             )))
         }
     };
-    let engine = match field_str(&doc, "engine").map_err(fail)? {
-        None => Engine::default(),
-        Some(s) => s
-            .parse::<Engine>()
-            .map_err(|e| fail(format!("field \"engine\": {e}")))?,
-    };
+    // Every job runs on the simulator's one event loop; older clients
+    // may still name it.
+    match field_str(&doc, "engine").map_err(fail)? {
+        None | Some("event") => {}
+        Some(other) => {
+            return Err(fail(format!(
+                "field \"engine\": {other:?} is not available (the threaded engine was \
+                 removed; every job runs on the event engine)"
+            )))
+        }
+    }
     let paper = cubemm_simnet::CostParams::PAPER;
     let ts = field_f64(&doc, "ts").map_err(fail)?.unwrap_or(paper.ts);
     let tw = field_f64(&doc, "tw").map_err(fail)?.unwrap_or(paper.tw);
@@ -372,7 +365,6 @@ pub fn parse_request(line: &str) -> Result<JobRequest, (String, String)> {
         algo,
         kernel,
         port,
-        engine,
         ts,
         tw,
         seed,
@@ -396,7 +388,6 @@ mod tests {
         assert_eq!(req.algo, AlgoChoice::Auto);
         assert_eq!(req.kernel, Kernel::default());
         assert_eq!(req.port, PortModel::OnePort);
-        assert_eq!(req.engine, Engine::Event);
         assert_eq!((req.ts, req.tw), (150.0, 3.0));
         assert_eq!(req.seed, 1);
         assert!(req.abft);
@@ -418,7 +409,6 @@ mod tests {
         assert_eq!(req.algo, AlgoChoice::Named(Algorithm::Cannon));
         assert_eq!(req.kernel, Kernel::Blocked(32));
         assert_eq!(req.port, PortModel::MultiPort);
-        assert_eq!(req.engine, Engine::Event);
         assert_eq!((req.ts, req.tw), (10.0, 1.0));
         assert_eq!(req.seed, 7);
         assert!(!req.abft);
@@ -454,7 +444,6 @@ mod tests {
             id: "a".into(),
             status: JobStatus::Ok {
                 algo: "cannon",
-                engine: Engine::Event,
                 elapsed: 1234.5,
                 backoff: 16.0,
                 attempts: 2,
@@ -466,7 +455,7 @@ mod tests {
         assert!(!line.contains('\n'));
         let doc = cubemm_simnet::json::parse(&line).expect("valid JSON");
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
-        assert_eq!(doc.get("engine").and_then(Json::as_str), Some("event"));
+        assert!(doc.get("engine").is_none(), "{line}");
         assert_eq!(doc.get("attempts").and_then(Json::as_index), Some(2));
         let over = JobResponse {
             id: "b".into(),
@@ -474,6 +463,20 @@ mod tests {
         };
         let doc = cubemm_simnet::json::parse(&over.encode()).expect("valid JSON");
         assert_eq!(doc.get("retry_after_ms").and_then(Json::as_index), Some(75));
+    }
+
+    #[test]
+    fn engine_field_accepts_only_the_event_engine() {
+        let plain = parse_request(r#"{"id":"e0","n":24,"p":16}"#).expect("no engine field");
+        let named = parse_request(r#"{"id":"e0","n":24,"p":16,"engine":"event"}"#)
+            .expect("the event engine");
+        assert_eq!(named, plain);
+        for engine in ["threaded", "fiber"] {
+            let line = format!(r#"{{"id":"e1","n":24,"p":16,"engine":"{engine}"}}"#);
+            let (id, err) = parse_request(&line).unwrap_err();
+            assert_eq!(id, "e1");
+            assert!(err.contains("threaded engine was removed"), "{err}");
+        }
     }
 
     #[test]

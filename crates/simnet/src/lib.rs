@@ -9,10 +9,9 @@
 //!
 //! * every virtual processor executes the *actual* SPMD algorithm (real
 //!   data moves, so correctness is checked end to end, not assumed) as a
-//!   resumable async node program — run either one-OS-thread-per-node
-//!   ([`Engine::Threaded`]) or as suspended continuations on a
-//!   virtual-clock-ordered work queue ([`Engine::Event`], which scales
-//!   to `p = 65536` on one host thread);
+//!   resumable async node program, run as suspended continuations on a
+//!   virtual-clock-ordered work queue (which scales to `p = 65536` on
+//!   one host thread);
 //! * each processor carries a **virtual clock**; communication primitives
 //!   advance the clocks according to the paper's cost model, and the
 //!   elapsed virtual time of a run is the maximum clock over all
@@ -51,8 +50,7 @@
 //!
 //! Clock arithmetic depends only on per-sender program order and matched
 //! `(from, tag)` receives, never on OS scheduling, so a run's virtual time
-//! is bit-for-bit reproducible across executions and thread interleavings
-//! (property-tested).
+//! is bit-for-bit reproducible across executions (property-tested).
 //!
 //! # Fault model
 //!
@@ -74,32 +72,24 @@
 //! and only the data is wrong, which is the failure mode the ABFT layer
 //! in `cubemm-core` detects and corrects.
 //!
-//! # Execution engines
+//! # Execution
 //!
 //! Machines are built with [`Machine::builder`] and booted with
 //! [`Machine::run`]; node programs are async functions over an owned
 //! [`Proc`] (see the `machine` module docs for the resumable-step
-//! contract). Two engines drive the same programs:
+//! contract). One single-threaded discrete-event loop resumes suspended
+//! node continuations in virtual-clock order, so there is no OS-thread
+//! cap — `p = 4096–65536` sweeps run on a laptop core.
 //!
-//! * [`Engine::Event`] (default): a single-threaded discrete-event
-//!   executor resumes suspended node continuations in virtual-clock
-//!   order, removing the OS-thread cap — `p = 4096–65536` sweeps run on
-//!   a laptop core.
-//! * [`Engine::Threaded`] (opt-in): one OS thread per node, blocking
-//!   primitives park on per-node condvars. Real host concurrency, but
-//!   `p` is capped by the OS thread limit.
-//!
-//! Either way, scheduling decisions come from a central **progress
-//! ledger** (see `ledger.rs` and DESIGN.md §11/§14): per-node FIFO
-//! mailboxes matched on `(from, tag)`, a record of which nodes are parked in
-//! receives, and live/in-flight counts. A blocked receive is woken
+//! Scheduling decisions come from a per-run **progress ledger** (see
+//! `ledger.rs` and DESIGN.md §11/§14), owned by the loop: per-node FIFO
+//! mailboxes matched on `(from, tag)`, a record of which nodes are parked
+//! in receives, and the live/parked counts. A blocked receive is woken
 //! *exactly* when its message is injected; the moment every live node is
 //! parked the run is provably deadlocked and aborts instantly — there is
-//! no host-time watchdog, and host scheduling can never influence
-//! virtual clocks. When any node fails, the ledger aborts the whole run
-//! promptly (condvar broadcast or work-queue sweep). Results — stats,
-//! traces, outputs, failure reports — are bitwise identical across
-//! engines.
+//! no host-time watchdog, and host timing can never influence virtual
+//! clocks. When any node fails, the ledger aborts the whole run and the
+//! loop sweeps every parked node once so it can unwind.
 
 pub mod faults;
 #[doc(hidden)]
@@ -114,7 +104,7 @@ pub use faults::{
     CorruptKind, Corruption, FaultEntry, FaultPlan, FaultPlanError, LinkQuality, RetryPolicy,
     SendError,
 };
-pub use machine::{Blocked, Engine, Machine, MachineBuilder, MachineOptions, RunError, RunOutcome};
+pub use machine::{Blocked, Machine, MachineBuilder, MachineOptions, RunError, RunOutcome};
 pub use proc::{Op, Proc};
 pub use stats::{FiredFault, FiredKind, NodeStats, RunStats};
 pub use trace::{TraceEvent, TraceKind};

@@ -1,13 +1,12 @@
 //! The per-processor handle: virtual clock, message primitives, counters.
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use cubemm_topology::bits::hamming;
 
 use crate::faults::{FaultPlan, LinkQuality, RetryPolicy, SendError};
-use crate::ledger::{lock, Delivery, Ledger};
-use crate::machine::{Engine, Failure, MachineOptions, NodeSlot};
+use crate::ledger::{Delivery, Ledger};
+use crate::machine::{Failure, MachineOptions};
 use crate::stats::{FiredFault, FiredKind, NodeStats};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::{ChargePolicy, CostParams, IdMap, LinkTopology, Payload, PortModel};
@@ -48,11 +47,9 @@ pub enum Op {
 /// A node program receives its `Proc` by value and communicates through
 /// it; the blocking primitives ([`Proc::recv`], [`Proc::multi`],
 /// [`Proc::exchange`]) are `async` — they suspend the node's
-/// continuation until the awaited message exists. Under the threaded
-/// engine the suspension is a condvar park (the future still completes
-/// in one poll); under the event engine it hands control back to the
-/// virtual-clock work queue. Only `Proc` futures may be awaited inside a
-/// node program.
+/// continuation until the awaited message exists, handing control back
+/// to the machine's virtual-clock work queue. Only `Proc` futures may be
+/// awaited inside a node program.
 ///
 /// See the crate-level documentation for the cost semantics and the
 /// [`crate::faults`] module for the fault model.
@@ -68,17 +65,11 @@ pub struct Proc {
     slow: f64,
     /// `None` when the plan is empty: the healthy fast path performs the
     /// exact arithmetic of the fault-free simulator.
-    faults: Option<Arc<FaultPlan>>,
-    /// The machine's progress ledger: mailboxes, parked receives,
-    /// liveness, and the abort/failure channel.
-    ledger: Arc<Ledger>,
-    /// Which engine drives this node (selects the waiting mechanism of
-    /// the blocking primitives; clock arithmetic is engine-independent).
-    engine: Engine,
-    /// Channel back to the engine: the clock mirror the event executor
-    /// orders its queue by, and the slot `Drop` deposits the final
-    /// stats/trace into.
-    slot: Arc<NodeSlot>,
+    faults: Option<Rc<FaultPlan>>,
+    /// The run's progress ledger: mailboxes, parked receives, liveness,
+    /// the abort/failure channel, and where `Drop` deposits the node's
+    /// final stats and trace.
+    ledger: Rc<Ledger>,
     /// Per-destination injection counters driving the drop schedules.
     seq: IdMap<usize, u64>,
     /// Per-directed-edge crossing counters driving the corruption
@@ -99,9 +90,8 @@ impl Proc {
         id: usize,
         dim: u32,
         options: &MachineOptions,
-        faults: Option<Arc<FaultPlan>>,
-        ledger: Arc<Ledger>,
-        slot: Arc<NodeSlot>,
+        faults: Option<Rc<FaultPlan>>,
+        ledger: Rc<Ledger>,
     ) -> Self {
         let slow = faults.as_ref().map_or(1.0, |plan| plan.slowdown(id));
         Proc {
@@ -115,8 +105,6 @@ impl Proc {
             slow,
             faults,
             ledger,
-            engine: options.engine,
-            slot,
             seq: IdMap::default(),
             crossings: IdMap::default(),
             stats: NodeStats::default(),
@@ -184,7 +172,7 @@ impl Proc {
     /// corruption-free plan costs one boolean check per send.
     fn corrupt_along(&mut self, path: &[usize], data: Payload) -> Payload {
         let plan = match &self.faults {
-            Some(plan) if plan.has_corruptions() => Arc::clone(plan),
+            Some(plan) if plan.has_corruptions() => Rc::clone(plan),
             _ => return data,
         };
         let mut data = data;
@@ -819,26 +807,13 @@ impl Proc {
     }
 
     /// The shared blocking receive behind [`Proc::recv`] and
-    /// [`Proc::multi`]: waits until the `(from, tag)` message is
-    /// available, engine-appropriately.
+    /// [`Proc::multi`]: polls the ledger's receive until the `(from, tag)`
+    /// message is available, suspending the continuation while the node
+    /// is parked. The ledger records the park-time clock so the event
+    /// loop re-enqueues this node at the right virtual time.
     async fn take_matching(&mut self, from: usize, tag: u64) -> Envelope {
-        let taken = match self.engine {
-            // Threaded: park this node's OS thread on the ledger's
-            // condvar; the future never observes Pending.
-            Engine::Threaded => self.ledger.receive(self.id, from, tag),
-            // Event: suspend the continuation. Publish the park-time
-            // clock first so the executor re-enqueues this node at the
-            // right virtual time, then poll the ledger's non-blocking
-            // receive until a handoff or abort resolves it.
-            Engine::Event => {
-                self.slot
-                    .clock_bits
-                    .store(self.clock.to_bits(), Ordering::Relaxed);
-                let ledger = Arc::clone(&self.ledger);
-                let id = self.id;
-                std::future::poll_fn(move |_cx| ledger.poll_receive(id, from, tag)).await
-            }
-        };
+        let (ledger, id, clock) = (&self.ledger, self.id, self.clock);
+        let taken = std::future::poll_fn(|_cx| ledger.poll_receive(id, from, tag, clock)).await;
         match taken {
             Ok(env) => env,
             // The run aborted while this node was parked; the ledger has
@@ -850,9 +825,9 @@ impl Proc {
 }
 
 impl Drop for Proc {
-    /// Deposits the node's final statistics and trace in its engine
-    /// slot. Runs on every exit path — normal completion of the async
-    /// body, quiet abort, or a genuine panic — so the engine can always
+    /// Deposits the node's final statistics and trace in the ledger.
+    /// Runs on every exit path — normal completion of the async body,
+    /// quiet abort, or a genuine panic — so the event loop can always
     /// read the parts after the node future is gone (they are only
     /// *used* when the run succeeds).
     fn drop(&mut self) {
@@ -860,6 +835,6 @@ impl Drop for Proc {
         self.stats.rounds = self.round;
         let stats = std::mem::take(&mut self.stats);
         let trace = self.trace.take().unwrap_or_default();
-        *lock(&self.slot.parts) = Some((stats, trace));
+        self.ledger.deposit(self.id, (stats, trace));
     }
 }

@@ -4,7 +4,7 @@
 //! Host-side changes to how words are stored and moved (payload
 //! windows, the sparse packet store, the plan generators) must not move
 //! a single simulated number: each line of `golden/runstats.txt` is one
-//! `(algorithm, port, engine, p)` run at n = 24 with its product
+//! `(algorithm, port, p)` run at n = 24 with its product
 //! fingerprint, elapsed virtual time (as bits), message / word·hop /
 //! peak-word totals, and a digest of the complete `RunStats` (every
 //! per-node clock and counter). The table was generated by this same
@@ -14,7 +14,7 @@
 
 use cubemm_core::{Algorithm, MachineConfig};
 use cubemm_dense::Matrix;
-use cubemm_simnet::{CostParams, Engine, PortModel};
+use cubemm_simnet::{CostParams, PortModel};
 
 const GOLDEN: &str = include_str!("golden/runstats.txt");
 
@@ -30,35 +30,29 @@ fn table() -> String {
     let mut out = String::new();
     for algo in Algorithm::ALL.into_iter().chain(Algorithm::EXTENSIONS) {
         for port in [PortModel::OnePort, PortModel::MultiPort] {
-            for engine in [Engine::Event, Engine::Threaded] {
-                for p in [8, 16, 64] {
-                    if algo.check(n, p).is_err() {
-                        continue;
-                    }
-                    let cfg = MachineConfig::builder()
-                        .port(port)
-                        .costs(CostParams::PAPER)
-                        .engine(engine)
-                        .build();
-                    let res = algo.multiply(&a, &b, p, &cfg).expect("applicable shape");
-                    // Same hash `cubemm run` prints as `fingerprint:`.
-                    let product = res
-                        .c
-                        .as_slice()
-                        .iter()
-                        .flat_map(|x| x.to_bits().to_le_bytes());
-                    let stats = &res.stats;
-                    out.push_str(&format!(
-                        "{algo} {port} {engine} p={p} fingerprint={:016x} elapsed={:016x} \
-                         messages={} word_hops={} peak_words={} stats={:016x}\n",
-                        fnv1a(product),
-                        stats.elapsed.to_bits(),
-                        stats.total_messages(),
-                        stats.total_word_hops(),
-                        stats.total_peak_words(),
-                        fnv1a(format!("{stats:?}").bytes()),
-                    ));
+            for p in [8, 16, 64] {
+                if algo.check(n, p).is_err() {
+                    continue;
                 }
+                let cfg = MachineConfig::new(port, CostParams::PAPER);
+                let res = algo.multiply(&a, &b, p, &cfg).expect("applicable shape");
+                // Same hash `cubemm run` prints as `fingerprint:`.
+                let product = res
+                    .c
+                    .as_slice()
+                    .iter()
+                    .flat_map(|x| x.to_bits().to_le_bytes());
+                let stats = &res.stats;
+                out.push_str(&format!(
+                    "{algo} {port} p={p} fingerprint={:016x} elapsed={:016x} \
+                     messages={} word_hops={} peak_words={} stats={:016x}\n",
+                    fnv1a(product),
+                    stats.elapsed.to_bits(),
+                    stats.total_messages(),
+                    stats.total_word_hops(),
+                    stats.total_peak_words(),
+                    fnv1a(format!("{stats:?}").bytes()),
+                ));
             }
         }
     }
@@ -84,6 +78,6 @@ fn every_algorithm_matches_the_table_pinned_at_the_parent_commit() {
         actual.lines().count(),
         "row count differs; full current table:\n{actual}"
     );
-    // All 14 algorithms x 2 ports x 2 engines are present.
-    assert!(actual.lines().count() >= 14 * 2 * 2);
+    // All 14 algorithms x 2 ports are present.
+    assert!(actual.lines().count() >= 14 * 2);
 }

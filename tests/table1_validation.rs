@@ -4,7 +4,7 @@
 //! the slicing-granularity bound otherwise).
 
 use cubemm_collectives as coll;
-use cubemm_simnet::{CostParams, Engine, Machine, Payload, PortModel};
+use cubemm_simnet::{CostParams, Machine, Payload, PortModel};
 use cubemm_topology::Subcube;
 
 const TS: f64 = 5.0;
@@ -15,13 +15,12 @@ fn payload(rank: usize, m: usize) -> Payload {
     (0..m).map(|x| (rank * 1000 + x) as f64).collect()
 }
 
-/// Measures one collective under `engine`.
-fn run_on(kind: &'static str, d: u32, m: usize, port: PortModel, engine: Engine) -> f64 {
+/// Measures one collective's virtual time.
+fn run(kind: &'static str, d: u32, m: usize, port: PortModel) -> f64 {
     let p = 1usize << d;
     let out = Machine::builder(p)
         .port(port)
         .cost(COST)
-        .engine(engine)
         .build()
         .expect("valid machine")
         .run(vec![(); p], move |mut proc, ()| async move {
@@ -59,19 +58,6 @@ fn run_on(kind: &'static str, d: u32, m: usize, port: PortModel, engine: Engine)
         })
         .expect("healthy run");
     out.stats.elapsed
-}
-
-/// Measures one collective, asserting both engines agree bit-for-bit on
-/// the virtual time before returning it.
-fn run(kind: &'static str, d: u32, m: usize, port: PortModel) -> f64 {
-    let threaded = run_on(kind, d, m, port, Engine::Threaded);
-    let event = run_on(kind, d, m, port, Engine::Event);
-    assert_eq!(
-        threaded.to_bits(),
-        event.to_bits(),
-        "{kind} d={d} m={m} {port}: engines disagree ({threaded} vs {event})"
-    );
-    threaded
 }
 
 /// Message sizes divisible by every subcube dimension used below, so the
