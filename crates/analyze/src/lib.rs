@@ -20,8 +20,9 @@
 //! 3. **Cost conformance** — replaying the simulator's clock rules over
 //!    the schedule at `(t_s, t_w) = (1, 0)` and `(0, 1)` extracts the
 //!    exact `(a, b)` = (start-ups, word volume) on the critical path,
-//!    which [`conformance`] compares against the closed forms of the
-//!    paper's Table 2 in `cubemm_model`.
+//!    which one point judge ([`symbolic::judge`]) compares against the
+//!    algorithm certificate's prediction — its composed closed form,
+//!    proven against the paper's Table 2 in `cubemm_model`.
 //!
 //! Schedules enter the analyzer two ways: a collective's schema is
 //! expanded for every node ([`symbolic::expand_collective`] — the same
@@ -30,7 +31,7 @@
 //! per-event program-round stamps ([`ir::Schedule::from_traces`]), after
 //! which every check is static. The static replay is cross-validated against
 //! the machine on every capture: it must reproduce the run's elapsed
-//! time exactly ([`conformance::analyze_algorithm`]).
+//! time exactly ([`AlgoCertificate::analyze`]).
 
 pub mod check;
 pub mod collectives;
@@ -43,11 +44,12 @@ pub use check::{
     analyze, replay_elapsed, Analysis, Diagnostic, Extracted, PhaseSummary, Strictness, WaitLink,
 };
 pub use collectives::table1;
-pub use conformance::{analyze_algorithm, applicable_grid, capture, AlgoAnalysis, Verdict};
+pub use conformance::{applicable_grid, capture};
 pub use ir::{Event, Round, Schedule};
 pub use report::{render, render_analysis};
 pub use symbolic::{
-    algo_cost_sym, captured_collective, certify_algorithm, certify_all_algorithms,
-    certify_all_collectives, certify_collective, coll_cost_sym, diff_schedules, expand_collective,
-    table1_sym, AlgoCertificate, CollCertificate, Obligation, SymCost,
+    algo_cost_sym, analyze_algorithm, captured_collective, certify_algorithm,
+    certify_all_algorithms, certify_all_collectives, certify_collective, coll_cost_sym,
+    compose_algorithm, diff_schedules, expand_collective, judge, table1_sym, AlgoAnalysis,
+    AlgoCertificate, CollCertificate, Obligation, SymCost, Verdict,
 };

@@ -4,7 +4,7 @@
 use cubemm_simnet::PortModel;
 
 use crate::check::Analysis;
-use crate::conformance::AlgoAnalysis;
+use crate::symbolic::AlgoAnalysis;
 
 fn port_name(port: PortModel) -> &'static str {
     match port {
@@ -66,17 +66,10 @@ pub fn render(r: &AlgoAnalysis) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{} n={} p={} {}", r.algo, r.n, r.p, port_name(r.port));
     render_analysis(&mut out, &r.analysis);
-    match r.expected {
-        Some(o) => {
-            let _ = writeln!(
-                out,
-                "  table 2:  a = {}, b = {}  =>  {}",
-                o.a, o.b, r.verdict
-            );
-        }
-        None => {
-            let _ = writeln!(out, "  table 2:  {}", r.verdict);
-        }
-    }
+    let _ = match (r.predicted, &r.verdict) {
+        (Some(o), Some(v)) => writeln!(out, "  predicted: a = {}, b = {}  =>  {v}", o.a, o.b),
+        (Some(o), None) => writeln!(out, "  predicted: a = {}, b = {}", o.a, o.b),
+        (None, _) => writeln!(out, "  predicted: none (no closed form at this point)"),
+    };
     out
 }

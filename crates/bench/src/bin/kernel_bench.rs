@@ -24,7 +24,9 @@
 //! CI can assert parallel scaling. The `reference` row times
 //! `gemm::reference` itself — the host re-multiply every front door
 //! verifies against: the `blocked64` loop plus its output allocation.
-//! `--smoke` runs small sizes only,
+//! The `naive` and `ikj` rows are unblocked baseline loops that live
+//! only here; the product's `Kernel` has just the packed and blocked
+//! kernels. `--smoke` runs small sizes only,
 //! cross-checks every kernel against the naive product, and exits
 //! non-zero on mismatch — a cheap guard that keeps the kernel and bench
 //! code from bit-rotting. The full run performs the same verification
@@ -36,25 +38,79 @@ use cubemm_dense::gemm::{self, gemm_acc_with_microkernel, Kernel, ReferenceIsa, 
 use cubemm_dense::microkernel::MicrokernelImpl;
 use cubemm_dense::{tune, Matrix};
 
+/// What one row times.
+#[derive(Clone, Copy)]
+enum Body {
+    /// A loop of this bench's own (the baselines), or `gemm::reference`.
+    Loop(fn(&mut Matrix, &Matrix, &Matrix)),
+    /// A product kernel on a pinned microkernel.
+    Kernel(Kernel, MicrokernelImpl),
+}
+
 struct KernelSpec {
     name: String,
-    kernel: Kernel,
-    mk: MicrokernelImpl,
+    body: Body,
     /// Name of this spec's single-thread sibling for the speedup column
     /// (its own name for 1t and non-packed rows).
     base_1t: String,
-    /// Time `gemm::reference` itself (fresh output and all) rather
-    /// than `kernel` into a caller-zeroed `C`.
-    via_reference: bool,
 }
 
 impl KernelSpec {
+    fn new(name: &str, body: Body) -> KernelSpec {
+        KernelSpec {
+            name: name.into(),
+            body,
+            base_1t: name.into(),
+        }
+    }
+
     /// One product into `c` (zeroed by the caller).
     fn run(&self, c: &mut Matrix, a: &Matrix, b: &Matrix) {
-        if self.via_reference {
-            *c = gemm::reference(a, b);
-        } else {
-            gemm_acc_with_microkernel(c, a, b, self.kernel, self.mk);
+        match self.body {
+            Body::Loop(run) => run(c, a, b),
+            Body::Kernel(kernel, mk) => gemm_acc_with_microkernel(c, a, b, kernel, mk),
+        }
+    }
+
+    /// The packed thread count this row requests (1 for the others).
+    fn threads(&self) -> usize {
+        match self.body {
+            Body::Kernel(Kernel::Packed { threads, .. }, _) => threads,
+            _ => 1,
+        }
+    }
+}
+
+/// The textbook `ijk` triple loop: the verification oracle and the
+/// slowest baseline row.
+fn naive(c: &mut Matrix, a: &Matrix, b: &Matrix) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (a, b) = (a.as_slice(), b.as_slice());
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0;
+            for l in 0..k {
+                acc += a[i * k + l] * b[l * n + j];
+            }
+            c[(i, j)] += acc;
+        }
+    }
+}
+
+/// The loop-reordered `ikj` baseline the reference kernel must stay
+/// clear of.
+fn ikj(c: &mut Matrix, a: &Matrix, b: &Matrix) {
+    let (m, n) = (a.rows(), b.cols());
+    for i in 0..m {
+        for (l, &aval) in a.row(i).iter().enumerate() {
+            if aval == 0.0 {
+                continue;
+            }
+            let brow = b.row(l);
+            let crow = &mut c.as_mut_slice()[i * n..(i + 1) * n];
+            for (cv, bv) in crow.iter_mut().zip(brow) {
+                *cv += aval * bv;
+            }
         }
     }
 }
@@ -62,34 +118,14 @@ impl KernelSpec {
 fn kernels(threads: &[usize]) -> Vec<KernelSpec> {
     let scalar = MicrokernelImpl::Scalar;
     let mut v = vec![
-        KernelSpec {
-            name: "naive".into(),
-            kernel: Kernel::Naive,
-            mk: scalar,
-            base_1t: "naive".into(),
-            via_reference: false,
-        },
-        KernelSpec {
-            name: "ikj".into(),
-            kernel: Kernel::Ikj,
-            mk: scalar,
-            base_1t: "ikj".into(),
-            via_reference: false,
-        },
-        KernelSpec {
-            name: "blocked64".into(),
-            kernel: Kernel::Blocked(64),
-            mk: scalar,
-            base_1t: "blocked64".into(),
-            via_reference: false,
-        },
-        KernelSpec {
-            name: "reference".into(),
-            kernel: Kernel::Blocked(64),
-            mk: scalar,
-            base_1t: "reference".into(),
-            via_reference: true,
-        },
+        KernelSpec::new("naive", Body::Loop(naive)),
+        KernelSpec::new("ikj", Body::Loop(ikj)),
+        KernelSpec::new("blocked64", Body::Kernel(Kernel::Blocked(64), scalar)),
+        // `gemm::reference` itself, fresh output and all.
+        KernelSpec::new(
+            "reference",
+            Body::Loop(|c, a, b| *c = gemm::reference(a, b)),
+        ),
     ];
     let mut impls = vec![("packed-scalar", scalar)];
     if MicrokernelImpl::detect() == MicrokernelImpl::Avx2 {
@@ -99,10 +135,8 @@ fn kernels(threads: &[usize]) -> Vec<KernelSpec> {
         for &t in threads {
             v.push(KernelSpec {
                 name: format!("{family}-{t}t"),
-                kernel: Kernel::packed_mt(t),
-                mk,
+                body: Body::Kernel(Kernel::packed_mt(t), mk),
                 base_1t: format!("{family}-1t"),
-                via_reference: false,
             });
         }
     }
@@ -135,7 +169,7 @@ fn verify(n: usize, spec: &KernelSpec) -> Result<(), String> {
     let a = Matrix::random(n, n, 3);
     let b = Matrix::random(n, n, 4);
     let mut want = Matrix::zeros(n, n);
-    gemm_acc_with_microkernel(&mut want, &a, &b, Kernel::Naive, MicrokernelImpl::Scalar);
+    naive(&mut want, &a, &b);
     let mut got = Matrix::zeros(n, n);
     spec.run(&mut got, &a, &b);
     let err = got.max_abs_diff(&want);
@@ -217,7 +251,7 @@ fn main() {
     for &n in &sizes {
         let reps = if n >= 512 { 3 } else { 5 };
         for spec in &specs {
-            if smoke && matches!(spec.kernel, Kernel::Naive) && n > 64 {
+            if smoke && spec.name == "naive" && n > 64 {
                 continue; // keep the smoke job snappy
             }
             let secs = time_product(n, spec, reps);
@@ -228,8 +262,7 @@ fn main() {
                 .map_or(gflops, |&(_, _, g)| g);
             let speedup = if base > 0.0 { gflops / base } else { 0.0 };
             table.push((spec.name.clone(), n, gflops));
-            let spawned = matches!(spec.kernel, Kernel::Packed { threads: t, .. }
-                if t != 1 && n.pow(3) > PAR_MIN_ELEMS);
+            let t = spec.threads();
             println!(
                 "{:<16} {:>6} {:>10.2}ms {:>10.2} {:>7.2}x{}",
                 spec.name,
@@ -237,16 +270,12 @@ fn main() {
                 secs * 1e3,
                 gflops,
                 speedup,
-                if matches!(spec.kernel, Kernel::Packed { threads: t, .. } if t != 1) && !spawned {
+                if t != 1 && n.pow(3) <= PAR_MIN_ELEMS {
                     "  (below parallel threshold: ran 1t)"
                 } else {
                     ""
                 },
             );
-            let t = match spec.kernel {
-                Kernel::Packed { threads, .. } => threads,
-                _ => 1,
-            };
             rows.push(format!(
                 "    {{\"kernel\": \"{}\", \"n\": {}, \"threads\": {}, \"seconds\": {:.6}, \"gflops\": {:.3}, \"speedup_vs_1t\": {:.3}}}",
                 spec.name, n, t, secs, gflops, speedup

@@ -6,7 +6,9 @@
 //! wall-clock latency quantiles per concurrency level, plus the typed
 //! backpressure counts that prove overload is answered honestly rather
 //! than buffered. Writes `BENCH_serve.json` in the working directory,
-//! mirroring the other `BENCH_*.json` formats.
+//! mirroring the other `BENCH_*.json` formats: a host header, and a
+//! `speedup_vs_baseline` that is `null` wherever `--baseline` has no
+//! matching row.
 //!
 //! ```text
 //! cargo run --release -p cubemm-bench --bin serve_bench              # full run
@@ -224,10 +226,11 @@ fn main() {
         run_soak();
         return;
     }
-    let baseline: Vec<(usize, f64)> = args
+    let baseline_path = args
         .iter()
         .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1))
+        .and_then(|i| args.get(i + 1));
+    let baseline: Vec<(usize, f64)> = baseline_path
         .map(|path| match std::fs::read_to_string(path) {
             Ok(text) => parse_baseline(&text),
             Err(e) => {
@@ -276,7 +279,7 @@ fn main() {
             .iter()
             .find(|(c, _)| *c == level.concurrency)
             .map(|&(_, jps)| jps);
-        let speedup = base.map_or(0.0, |b| out.jobs_per_sec / b);
+        let speedup = base.map(|b| out.jobs_per_sec / b);
         println!(
             "{:<12} {:>8} {:>8} {:>10} {:>12.0} {:>10.2} {:>10.2} {:>10}",
             level.concurrency,
@@ -286,12 +289,12 @@ fn main() {
             out.jobs_per_sec,
             out.p50_ms,
             out.p99_ms,
-            base.map_or_else(|| "-".to_string(), |_| format!("{speedup:.2}x")),
+            speedup.map_or_else(|| "-".to_string(), |s| format!("{s:.2}x")),
         );
         rows.push(format!(
             "    {{\"concurrency\": {}, \"queue_cap\": {}, \"workers\": {}, \"ok\": {}, \
              \"failed\": {}, \"overloaded\": {}, \"jobs_per_sec\": {:.1}, \"p50_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"speedup_vs_baseline\": {:.3}}}",
+             \"p99_ms\": {:.3}, \"speedup_vs_baseline\": {}}}",
             level.concurrency,
             level.queue_cap,
             level.workers,
@@ -301,14 +304,21 @@ fn main() {
             out.jobs_per_sec,
             out.p50_ms,
             out.p99_ms,
-            speedup
+            // No baseline row, no speedup: null, never a made-up 0.
+            speedup.map_or_else(|| "null".to_string(), |s| format!("{s:.3}"))
         ));
     }
 
     if !smoke {
         let json = format!(
-            "{{\n  \"bench\": \"serve_pool\",\n  \"baseline\": \
-             \"4-worker pool, bounded queue, ABFT jobs (PR 6)\",\n  \"results\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"serve_pool\",\n  \"jobs\": \"small fault-free ABFT cannon \
+             multiplications, n in 8..16, p in {{4, 16}}\",\n  \"baseline\": \"{}\",\n{}  \
+             \"results\": [\n{}\n  ]\n}}\n",
+            // The file the speedups are against, by name.
+            baseline_path
+                .and_then(|path| std::path::Path::new(path).file_name())
+                .map_or("none".into(), |name| name.to_string_lossy()),
+            cubemm_bench::host_header(),
             rows.join(",\n")
         );
         std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");

@@ -370,21 +370,14 @@ fn main() {
     }
 
     if !smoke {
-        let caches = cubemm_dense::tune::detect_caches();
         let json = format!(
-            "{{\n  \"bench\": \"simnet\",\n  \"baseline\": \"{}\",\n  \
-             \"host_cores\": {},\n  \"host_arch\": \"{}\",\n  \"host_isa\": \"{}\",\n  \
-             \"l1d_bytes\": {},\n  \"l2_bytes\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"simnet\",\n  \"baseline\": \"{}\",\n{}  \"results\": [\n{}\n  ]\n}}\n",
             // The file the speedups are against, by name: say in the
             // name which commit and host it was measured on.
             baseline_path
                 .and_then(|path| std::path::Path::new(path).file_name())
                 .map_or("none".into(), |name| name.to_string_lossy()),
-            std::thread::available_parallelism().map_or(1, usize::from),
-            std::env::consts::ARCH,
-            cubemm_dense::gemm::ReferenceIsa::detect().name(),
-            caches.l1d,
-            caches.l2,
+            cubemm_bench::host_header(),
             rows.join(",\n")
         );
         #[allow(

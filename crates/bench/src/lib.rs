@@ -6,7 +6,6 @@
 //! as CSV for diffing against the paper.
 
 pub mod alloc_count;
-pub mod microbench;
 pub mod rows;
 
 use std::fs;
@@ -34,6 +33,22 @@ pub fn measure_ab(
     let ra = algo.multiply(&a, &b, p, &cfg_a)?;
     let rb = algo.multiply(&a, &b, p, &cfg_b)?;
     Ok((ra.stats.elapsed, rb.stats.elapsed))
+}
+
+/// Who measured, as the `BENCH_*.json` header lines every per-layer
+/// bench writes: cores, architecture, the reference kernel's ISA, and
+/// the detected cache sizes (each line indented and comma-terminated).
+pub fn host_header() -> String {
+    let caches = cubemm_dense::tune::detect_caches();
+    format!(
+        "  \"host_cores\": {},\n  \"host_arch\": \"{}\",\n  \"host_isa\": \"{}\",\n  \
+         \"l1d_bytes\": {},\n  \"l2_bytes\": {},\n",
+        std::thread::available_parallelism().map_or(1, usize::from),
+        std::env::consts::ARCH,
+        cubemm_dense::gemm::ReferenceIsa::detect().name(),
+        caches.l1d,
+        caches.l2,
+    )
 }
 
 /// Directory results are written to.

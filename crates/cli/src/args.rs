@@ -107,39 +107,13 @@ pub fn parse_port(s: Option<&str>) -> Result<cubemm_simnet::PortModel, String> {
     }
 }
 
-/// Parses `naive | ikj | blocked[:TILE] | packed[:THREADS]` into a local
-/// GEMM kernel. Absent flag means the default (packed, single-threaded);
-/// `packed:0` sizes the thread count to the host automatically.
+/// Parses `--kernel blocked[:TILE] | packed[:THREADS]` (see
+/// `Kernel`'s `FromStr`). Absent flag means the default (packed,
+/// single-threaded).
 pub fn parse_kernel(s: Option<&str>) -> Result<cubemm_dense::gemm::Kernel, String> {
-    use cubemm_dense::gemm::Kernel;
-    let Some(s) = s else {
-        return Ok(Kernel::default());
-    };
-    let (name, arg) = match s.split_once(':') {
-        Some((n, a)) => (n, Some(a)),
-        None => (s, None),
-    };
-    let num = |a: &str| {
-        a.parse::<usize>()
-            .map_err(|_| format!("--kernel {s:?}: invalid number {a:?}"))
-    };
-    match (name, arg) {
-        ("naive", None) => Ok(Kernel::Naive),
-        ("ikj", None) => Ok(Kernel::Ikj),
-        ("blocked", None) => Ok(Kernel::Blocked(64)),
-        ("blocked", Some(a)) => {
-            let tile = num(a)?;
-            if tile == 0 {
-                return Err(format!("--kernel {s:?}: tile must be positive"));
-            }
-            Ok(Kernel::Blocked(tile))
-        }
-        ("packed", None) => Ok(Kernel::packed()),
-        ("packed", Some(a)) => Ok(Kernel::packed_mt(num(a)?)),
-        _ => Err(format!(
-            "unknown kernel {s:?} (use naive|ikj|blocked[:TILE]|packed[:THREADS])"
-        )),
-    }
+    s.map_or(Ok(Default::default()), |s| {
+        s.parse().map_err(|e| format!("--kernel {e}"))
+    })
 }
 
 #[cfg(test)]
@@ -229,8 +203,6 @@ mod tests {
     fn kernel_parsing() {
         use cubemm_dense::gemm::Kernel;
         assert_eq!(parse_kernel(None).unwrap(), Kernel::default());
-        assert_eq!(parse_kernel(Some("naive")).unwrap(), Kernel::Naive);
-        assert_eq!(parse_kernel(Some("ikj")).unwrap(), Kernel::Ikj);
         assert_eq!(parse_kernel(Some("blocked")).unwrap(), Kernel::Blocked(64));
         assert_eq!(
             parse_kernel(Some("blocked:32")).unwrap(),
@@ -250,5 +222,19 @@ mod tests {
         assert!(parse_kernel(Some("packed:two")).is_err());
         assert!(parse_kernel(Some("simd")).is_err());
         assert!(parse_kernel(Some("naive:3")).is_err());
+        // The unblocked baselines live in the kernel bench, not here.
+        for retired in ["naive", "ikj"] {
+            let err = parse_kernel(Some(retired)).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "--kernel {retired:?}: unknown kernel (use blocked[:TILE]|packed[:THREADS])"
+                )
+            );
+        }
+        assert_eq!(
+            parse_kernel(Some("blocked:x")).unwrap_err(),
+            r#"--kernel "blocked:x": invalid number "x""#
+        );
     }
 }

@@ -18,7 +18,7 @@ USAGE:
   cubemm list [n] [p]            show every algorithm and its applicability
   cubemm run --algo A --n N --p P [--seed S] [--port one|multi] [--ts T]
              [--tw W] [--charge sender|symmetric]
-             [--kernel naive|ikj|blocked[:TILE]|packed[:THREADS]]
+             [--kernel blocked[:TILE]|packed[:THREADS]]
              [--fault-link A:B] [--fault-degrade A:B:TSF:TWF]
              [--fault-straggler NODE:FACTOR] [--fault-drop FROM:TO:K]
              [--fault-corrupt FROM:TO:K:WORD:DELTA]
@@ -42,8 +42,9 @@ USAGE:
                  [--jobs N] [--symbolic]
                                  static schedule analysis: prove the compiled
                                  schedule deadlock-free and port/link-legal,
-                                 extract its exact (a, b) Table 2 coordinates
-                                 by replay, and report per-phase traffic;
+                                 extract its exact (a, b) by replay, judge it
+                                 against the certificate's closed-form
+                                 prediction, and report per-phase traffic;
                                  `analyze all` sweeps every algorithm over
                                  the default (n, p) grid and fails on any
                                  violation. --symbolic certifies the closed
@@ -462,17 +463,19 @@ pub fn run(argv: &[String]) -> i32 {
         println!("effective fault plan written to {path}");
     }
 
-    let a = Matrix::random(n, n, seed);
-    let b = Matrix::random(n, n, seed + 1);
     if args.has("abft") {
-        // ABFT pads to the nearest acceptable order internally, so the
-        // raw n is not checked here.
-        return run_abft(algo, &a, &b, p, &args, &cfg);
+        // ABFT pads to the nearest acceptable order, so it checks the
+        // padded shape instead of the raw n.
+        return run_abft(algo, n, seed, p, &args, &cfg);
     }
 
     if let Err(e) = algo.check(n, p) {
         return fail(&format!("{algo} cannot run n={n} on p={p}: {e}"));
     }
+    let (a, b) = match operands(n, seed) {
+        Ok(v) => v,
+        Err(e) => return fail(&e),
+    };
     // The host reference runs beside the simulated product and its
     // fingerprint (on a second thread once n is big enough to pay for
     // one), and is joined before any outcome — error or not — is judged.
@@ -540,18 +543,26 @@ pub fn run(argv: &[String]) -> i32 {
     }
 }
 
+/// `A = random(seed)`, `B = random(seed + 1)`, generated only once the
+/// shape has been checked, and fallibly: an order the host cannot hold
+/// is a typed error, not an allocation abort.
+fn operands(n: usize, seed: u64) -> Result<(Matrix, Matrix), String> {
+    let a = Matrix::try_random(n, n, seed)?;
+    let b = Matrix::try_random(n, n, seed + 1)?;
+    Ok((a, b))
+}
+
 /// The `--abft` arm of `cubemm run`: checksum-protected multiplication
 /// under quarantine-and-rerun recovery (see `USAGE` for the exit-code
 /// contract).
 fn run_abft(
     algo: Algorithm,
-    a: &Matrix,
-    b: &Matrix,
+    n: usize,
+    seed: u64,
     p: usize,
     args: &Args,
     cfg: &MachineConfig,
 ) -> i32 {
-    let n = a.rows();
     let attempts: usize = match args.get_or("recover-attempts", 4) {
         Ok(v) => v,
         Err(e) => return fail(&e),
@@ -559,12 +570,19 @@ fn run_abft(
     if attempts == 0 {
         return fail("--recover-attempts must be at least 1");
     }
+    if let Err(e) = cubemm_core::abft::padded_order(algo, n, p) {
+        return fail(&RecoveryError::Fatal(e).to_string());
+    }
+    let (a, b) = match operands(n, seed) {
+        Ok(v) => v,
+        Err(e) => return fail(&e),
+    };
     let policy = RecoveryPolicy {
         max_attempts: attempts,
         ..RecoveryPolicy::default()
     };
-    let (run, reference) = gemm::alongside_reference(a, b, || {
-        multiply_with_recovery(algo, a, b, p, cfg, &policy)
+    let (run, reference) = gemm::alongside_reference(&a, &b, || {
+        multiply_with_recovery(algo, &a, &b, p, cfg, &policy)
             .map(|(res, report)| (cubemm_serve::fingerprint_hex(&res.c), res, report))
     });
     let (fingerprint, res, report) = match run {
@@ -820,7 +838,7 @@ pub fn analyze(argv: &[String]) -> i32 {
                 Err(e) => return fail(&e),
             };
             let cost = r.analysis.cost;
-            let status = if !r.analysis.is_sound() || !r.verdict.is_conformant() {
+            let status = if !r.is_conformant() {
                 violations += 1;
                 "VIOLATION"
             } else if r.analysis.is_full_bandwidth() {
@@ -835,6 +853,8 @@ pub fn analyze(argv: &[String]) -> i32 {
                 cost.map_or_else(|| "-".into(), |c| format!("{}", c.a)),
                 cost.map_or_else(|| "-".into(), |c| format!("{}", c.b)),
                 r.verdict
+                    .as_ref()
+                    .map_or_else(|| "no closed form here".into(), ToString::to_string)
             );
             if !r.analysis.is_sound() {
                 for d in &r.analysis.diagnostics {
@@ -874,7 +894,7 @@ pub fn analyze(argv: &[String]) -> i32 {
             Err(e) => return fail(&e),
         };
         print!("{}", cubemm_analyze::render(&r));
-        bad |= !r.analysis.is_sound() || !r.verdict.is_conformant();
+        bad |= !r.is_conformant();
     }
     if bad {
         return fail("schedule failed analysis");
@@ -1404,14 +1424,16 @@ mod tests {
 
     #[test]
     fn run_accepts_every_kernel_spelling() {
-        for kernel in ["naive", "ikj", "blocked:32", "packed", "packed:2"] {
-            assert_eq!(
-                run(&argv(&format!(
-                    "--algo cannon --n 16 --p 16 --kernel {kernel}"
-                ))),
-                0,
-                "--kernel {kernel} failed"
-            );
+        let run_with = |kernel: &str| {
+            run(&argv(&format!(
+                "--algo cannon --n 16 --p 16 --kernel {kernel}"
+            )))
+        };
+        for kernel in ["blocked", "blocked:32", "packed", "packed:2", "packed:0"] {
+            assert_eq!(run_with(kernel), 0, "--kernel {kernel} failed");
+        }
+        for retired in ["naive", "ikj"] {
+            assert_eq!(run_with(retired), 2, "--kernel {retired} accepted");
         }
     }
 

@@ -3,7 +3,7 @@
 //! All distributed algorithms bottom out in `C += A·B` on local blocks.
 //! The paper's comparison concerns communication only, so the kernels
 //! exist (a) to actually produce correct products in the simulator,
-//! (b) for the "local kernel choice is orthogonal" ablation bench, and
+//! (b) to verify them against an independent loop ([`reference`]), and
 //! (c) — since the simulator's wall-clock really computes every block —
 //! to make end-to-end runs as fast as the host allows. The fast path is
 //! [`Kernel::Packed`]: a cache-blocked GEMM with panel packing
@@ -52,13 +52,10 @@ pub const DEFAULT_NC: usize = 512;
 /// to 1 at `n = 128` under the old always-dispatch driver).
 pub const PAR_MIN_ELEMS: usize = 1 << 24;
 
-/// Which local kernel to use.
+/// Which local kernel to use: the packed fast path the algorithms
+/// multiply with, or the blocked loop [`reference`] verifies with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Textbook triple loop in `ijk` order.
-    Naive,
-    /// Loop-reordered `ikj`: streams rows of `B`, vectorizes well.
-    Ikj,
     /// Cache-tiled `ikj`, four rows of `C` at a time, over `B` tiles
     /// `tile` deep and `4·tile` wide — unpacked and FMA-free: the
     /// independent path [`reference`] verifies against. The tile size
@@ -119,6 +116,37 @@ impl Default for Kernel {
     }
 }
 
+impl std::str::FromStr for Kernel {
+    type Err = String;
+
+    /// Parses `blocked[:TILE] | packed[:THREADS]`: bare `blocked` is the
+    /// reference's `Blocked(64)`, `packed:0` sizes the thread count to
+    /// the host. The error names the spec; callers prefix their own flag
+    /// or field name.
+    fn from_str(s: &str) -> Result<Kernel, String> {
+        let (name, arg) = match s.split_once(':') {
+            Some((n, a)) => (n, Some(a)),
+            None => (s, None),
+        };
+        let num = |a: &str| {
+            a.parse::<usize>()
+                .map_err(|_| format!("{s:?}: invalid number {a:?}"))
+        };
+        match (name, arg) {
+            ("blocked", None) => Ok(Kernel::Blocked(64)),
+            ("blocked", Some(a)) => match num(a)? {
+                0 => Err(format!("{s:?}: tile must be positive")),
+                tile => Ok(Kernel::Blocked(tile)),
+            },
+            ("packed", None) => Ok(Kernel::packed()),
+            ("packed", Some(a)) => Ok(Kernel::packed_mt(num(a)?)),
+            _ => Err(format!(
+                "{s:?}: unknown kernel (use blocked[:TILE]|packed[:THREADS])"
+            )),
+        }
+    }
+}
+
 /// `C += A·B` with the chosen kernel.
 ///
 /// `A` and `B` are read through [`MatrixView`]s: pass `&Matrix` as
@@ -163,8 +191,6 @@ pub fn gemm_acc_with_microkernel<'a, 'b>(
         );
     }
     match kernel {
-        Kernel::Naive => naive(c, a, b),
-        Kernel::Ikj => ikj(c, a, b),
         Kernel::Blocked(tile) => blocked(c, a, b, tile, ReferenceIsa::active()),
         Kernel::Packed {
             mc,
@@ -239,36 +265,6 @@ pub fn alongside_reference<R>(
         format!("host reference panicked: {msg}")
     });
     (out, reference)
-}
-
-fn naive(c: &mut Matrix, a: MatrixView<'_>, b: MatrixView<'_>) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let (a, b) = (a.as_slice(), b.as_slice());
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0;
-            for l in 0..k {
-                acc += a[i * k + l] * b[l * n + j];
-            }
-            c[(i, j)] += acc;
-        }
-    }
-}
-
-fn ikj(c: &mut Matrix, a: MatrixView<'_>, b: MatrixView<'_>) {
-    let (m, n) = (a.rows(), b.cols());
-    for i in 0..m {
-        for (l, &aval) in a.row(i).iter().enumerate() {
-            if aval == 0.0 {
-                continue;
-            }
-            let brow = b.row(l);
-            let crow = &mut c.as_mut_slice()[i * n..(i + 1) * n];
-            for (cv, bv) in crow.iter_mut().zip(brow) {
-                *cv += aval * bv;
-            }
-        }
-    }
 }
 
 /// Which compiled instantiation of the [`Kernel::Blocked`] loop runs.
@@ -666,8 +662,6 @@ mod tests {
 
     fn kernels() -> Vec<Kernel> {
         vec![
-            Kernel::Naive,
-            Kernel::Ikj,
             Kernel::Blocked(4),
             Kernel::Blocked(64),
             Kernel::packed(),
@@ -689,6 +683,14 @@ mod tests {
         v
     }
 
+    /// The unblocked `ijk` triple loop: the oracle the kernels are
+    /// checked against.
+    fn triple_loop(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+            (0..a.cols()).map(|l| a[(i, l)] * b[(l, j)]).sum()
+        })
+    }
+
     #[test]
     fn identity_is_neutral() {
         let a = Matrix::random(9, 9, 3);
@@ -704,8 +706,7 @@ mod tests {
     fn kernels_agree_on_rectangular_shapes() {
         let a = Matrix::random(7, 13, 1);
         let b = Matrix::random(13, 5, 2);
-        let mut base = Matrix::zeros(7, 5);
-        gemm_acc(&mut base, &a, &b, Kernel::Naive);
+        let base = triple_loop(&a, &b);
         for k in kernels() {
             for mk in impls() {
                 let mut c = Matrix::zeros(7, 5);
@@ -717,7 +718,7 @@ mod tests {
 
     #[test]
     fn gemm_accumulates_rather_than_overwrites() {
-        for k in [Kernel::Ikj, Kernel::packed()] {
+        for k in [Kernel::Blocked(4), Kernel::packed()] {
             let a = Matrix::identity(3);
             let b = Matrix::identity(3);
             let mut c = Matrix::from_fn(3, 3, |_, _| 1.0);
@@ -843,8 +844,7 @@ mod tests {
         for (m, k, n) in [(0, 4, 4), (4, 0, 4), (4, 4, 0), (1, 1, 1), (1, 9, 1)] {
             let a = Matrix::random(m, k, 1);
             let b = Matrix::random(k, n, 2);
-            let mut want = Matrix::zeros(m, n);
-            gemm_acc(&mut want, &a, &b, Kernel::Naive);
+            let want = triple_loop(&a, &b);
             let mut got = Matrix::zeros(m, n);
             gemm_acc(&mut got, &a, &b, Kernel::packed());
             assert!(got.max_abs_diff(&want) < 1e-12, "{m}x{k}x{n}");

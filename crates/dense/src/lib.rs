@@ -7,9 +7,9 @@
 //!
 //! * [`Matrix`] — an owned row-major `f64` matrix, and [`MatrixView`],
 //!   the borrowed row-major view every kernel reads its operands through,
-//! * [`gemm`] — local multiplication kernels (naive `ijk`, cache-friendly
-//!   `ikj`, tiled, and the packed register-tiled fast path), all with
-//!   accumulate (`C += A·B`) forms,
+//! * [`gemm`] — the two local multiplication kernels: the packed
+//!   register-tiled fast path and the unpacked tiled loop the host
+//!   reference verifies with, both accumulating (`C += A·B`),
 //! * [`pack`] / [`microkernel`] / [`pool`] — the packed kernel's panel
 //!   layouts, runtime-dispatched register-tiled microkernels (AVX2+FMA
 //!   `6×8` with a portable `4×8` fallback), and in-tree thread/buffer

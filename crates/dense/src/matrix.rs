@@ -16,6 +16,15 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `len` reproducible words in `[-1, 1)`: 53 uniform mantissa bits each.
+fn random_words(len: usize, seed: u64) -> impl Iterator<Item = f64> {
+    let mut state = seed;
+    (0..len).map(move |_| {
+        let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+        2.0 * u - 1.0
+    })
+}
+
 /// Owned row-major dense matrix.
 ///
 /// ```
@@ -69,15 +78,20 @@ impl Matrix {
 
     /// A reproducible pseudo-random matrix with entries in `[-1, 1)`.
     pub fn random(rows: usize, cols: usize, seed: u64) -> Self {
-        let mut state = seed;
-        let data = (0..rows * cols)
-            .map(|_| {
-                // 53 uniform mantissa bits mapped onto [-1, 1).
-                let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-                2.0 * u - 1.0
-            })
-            .collect();
+        let data = random_words(rows * cols, seed).collect();
         Matrix { rows, cols, data }
+    }
+
+    /// [`Matrix::random`] for untrusted shapes: an order whose storage
+    /// overflows `usize` or cannot be allocated is an error, not an
+    /// abort. The entries are the same.
+    pub fn try_random(rows: usize, cols: usize, seed: u64) -> Result<Self, String> {
+        let cannot = || format!("cannot allocate a {rows} × {cols} matrix");
+        let len = rows.checked_mul(cols).ok_or_else(cannot)?;
+        let mut data = Vec::new();
+        data.try_reserve_exact(len).map_err(|_| cannot())?;
+        data.extend(random_words(len, seed));
+        Ok(Matrix { rows, cols, data })
     }
 
     /// Number of rows.
@@ -366,6 +380,19 @@ mod tests {
         assert_eq!(m.cols(), 4);
         assert_eq!(m[(2, 3)], 23.0);
         assert_eq!(m.row(1), &[10.0, 11.0, 12.0, 13.0]);
+    }
+
+    #[test]
+    fn try_random_matches_random_and_refuses_impossible_shapes() {
+        assert_eq!(
+            Matrix::try_random(7, 5, 9).unwrap(),
+            Matrix::random(7, 5, 9)
+        );
+        // 2^61 words is 2^64 bytes: more than any allocation may ask for.
+        let err = Matrix::try_random(1 << 31, 1 << 30, 1).unwrap_err();
+        assert_eq!(err, "cannot allocate a 2147483648 × 1073741824 matrix");
+        // The word count itself overflows.
+        assert!(Matrix::try_random(usize::MAX, 2, 1).is_err());
     }
 
     #[test]

@@ -41,7 +41,7 @@ const SHAPES: [(usize, usize, usize); 10] = [
     (3, 0, 0),
 ];
 
-fn kernels() -> [Kernel; 7] {
+fn kernels() -> [Kernel; 5] {
     let packed = |threads| Kernel::Packed {
         mc: 10,
         kc: 7,
@@ -49,8 +49,6 @@ fn kernels() -> [Kernel; 7] {
         threads,
     };
     [
-        Kernel::Naive,
-        Kernel::Ikj,
         Kernel::Blocked(3),
         Kernel::Blocked(64),
         packed(1),
@@ -194,7 +192,7 @@ fn a_view_that_does_not_fit_c_panics() {
         &mut c,
         MatrixView::new(3, 3, &words[..9]),
         MatrixView::new(3, 4, &words),
-        Kernel::Naive,
+        Kernel::Blocked(64),
     );
 }
 

@@ -85,6 +85,13 @@ fn respond(req: &JobRequest, status: JobStatus) -> JobResponse {
     }
 }
 
+fn rejected(req: &JobRequest, error: String) -> ExecOutcome {
+    ExecOutcome {
+        response: respond(req, JobStatus::Rejected { error }),
+        machine_fault: false,
+    }
+}
+
 fn failed(req: &JobRequest, error: String, machine_fault: bool) -> ExecOutcome {
     ExecOutcome {
         response: respond(req, JobStatus::Failed { error }),
@@ -122,27 +129,41 @@ pub fn execute_on(req: &JobRequest, prepared: Option<cubemm_simnet::Machine>) ->
         AlgoChoice::Auto => match resolve_auto(req) {
             Some(algo) => algo,
             None => {
-                return ExecOutcome {
-                    response: respond(
-                        req,
-                        JobStatus::Rejected {
-                            error: format!(
-                                "no compared algorithm accepts n={} on p={}",
-                                req.n, req.p
-                            ),
-                        },
-                    ),
-                    machine_fault: false,
-                }
+                return rejected(
+                    req,
+                    format!("no compared algorithm accepts n={} on p={}", req.n, req.p),
+                )
             }
         },
+    };
+    // The shape is checked before any operand exists, and operands are
+    // generated fallibly: an order no host could hold is answered, never
+    // an allocation abort that takes the stream down with it.
+    let shape = if req.abft {
+        cubemm_core::abft::padded_order(algo, req.n, req.p).map(drop)
+    } else {
+        algo.check(req.n, req.p)
+    };
+    if let Err(e) = shape {
+        return if req.abft {
+            failed(req, format!("unrecoverable: {e}"), false)
+        } else {
+            rejected(
+                req,
+                format!("{algo} cannot run n={} on p={}: {e}", req.n, req.p),
+            )
+        };
+    }
+    let operands = Matrix::try_random(req.n, req.n, req.seed)
+        .and_then(|a| Matrix::try_random(req.n, req.n, req.seed.wrapping_add(1)).map(|b| (a, b)));
+    let (a, b) = match operands {
+        Ok(v) => v,
+        Err(e) => return rejected(req, format!("operands: {e}")),
     };
     let mut cfg = config_of(req);
     if let Some(machine) = prepared {
         cfg = cfg.with_prepared(machine);
     }
-    let a = Matrix::random(req.n, req.n, req.seed);
-    let b = Matrix::random(req.n, req.n, req.seed.wrapping_add(1));
     if req.abft {
         execute_abft(req, algo, &a, &b, &cfg)
     } else {
@@ -226,17 +247,6 @@ fn execute_plain(
     b: &Matrix,
     cfg: &MachineConfig,
 ) -> ExecOutcome {
-    if let Err(e) = algo.check(req.n, req.p) {
-        return ExecOutcome {
-            response: respond(
-                req,
-                JobStatus::Rejected {
-                    error: format!("{algo} cannot run n={} on p={}: {e}", req.n, req.p),
-                },
-            ),
-            machine_fault: false,
-        };
-    }
     // Unprotected runs still never answer `ok` unverified: the product
     // is checked against the host reference, computed beside the run
     // (on a second thread once n is big enough to pay for one).
@@ -315,6 +325,41 @@ mod tests {
                 assert_eq!(fingerprint.len(), 16);
             }
             ref other => panic!("expected ok, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shape_comes_before_operands_and_operands_are_fallible() {
+        // A shape no algorithm accepts keeps its answer on both paths.
+        let out = execute(&req(
+            r#"{"id":"s","n":25,"p":16,"algo":"cannon","abft":false}"#,
+        ));
+        assert!(
+            matches!(out.response.status, JobStatus::Rejected { ref error }
+                if error.starts_with("cannon cannot run n=25 on p=16: ")),
+            "{:?}",
+            out.response.status
+        );
+        let out = execute(&req(r#"{"id":"s","n":24,"p":8,"algo":"simple"}"#));
+        assert!(
+            matches!(out.response.status, JobStatus::Failed { ref error }
+                if error.starts_with("unrecoverable: ")),
+            "{:?}",
+            out.response.status
+        );
+        // An acceptable shape whose operands no allocation can hold is
+        // rejected before anything is allocated.
+        for abft in [true, false] {
+            let out = execute(&req(&format!(
+                r#"{{"id":"big","n":4000000000,"p":4,"algo":"cannon","abft":{abft}}}"#
+            )));
+            assert!(!out.machine_fault);
+            assert_eq!(
+                out.response.status,
+                JobStatus::Rejected {
+                    error: "operands: cannot allocate a 4000000000 × 4000000000 matrix".into()
+                }
+            );
         }
     }
 

@@ -45,7 +45,7 @@ pub struct JobRequest {
     pub p: usize,
     /// `"auto"` (default) or an algorithm name.
     pub algo: AlgoChoice,
-    /// Local GEMM kernel (`naive | ikj | blocked[:T] | packed[:T]`).
+    /// Local GEMM kernel (`blocked[:TILE] | packed[:THREADS]`).
     pub kernel: Kernel,
     /// `"one"` (default) or `"multi"` port model.
     pub port: PortModel,
@@ -244,34 +244,6 @@ fn field_str<'a>(obj: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
     }
 }
 
-fn parse_kernel(s: &str) -> Result<Kernel, String> {
-    let (name, arg) = match s.split_once(':') {
-        Some((n, a)) => (n, Some(a)),
-        None => (s, None),
-    };
-    let num = |a: &str| {
-        a.parse::<usize>()
-            .map_err(|_| format!("kernel {s:?}: invalid number {a:?}"))
-    };
-    match (name, arg) {
-        ("naive", None) => Ok(Kernel::Naive),
-        ("ikj", None) => Ok(Kernel::Ikj),
-        ("blocked", None) => Ok(Kernel::Blocked(64)),
-        ("blocked", Some(a)) => {
-            let tile = num(a)?;
-            if tile == 0 {
-                return Err(format!("kernel {s:?}: tile must be positive"));
-            }
-            Ok(Kernel::Blocked(tile))
-        }
-        ("packed", None) => Ok(Kernel::packed()),
-        ("packed", Some(a)) => Ok(Kernel::packed_mt(num(a)?)),
-        _ => Err(format!(
-            "unknown kernel {s:?} (use naive|ikj|blocked[:TILE]|packed[:THREADS])"
-        )),
-    }
-}
-
 /// Parses one request line. `Err` carries `(id-if-recoverable, why)` so
 /// the caller can answer `malformed` with the client's own token when
 /// at least the `id` field was readable.
@@ -301,7 +273,9 @@ pub fn parse_request(line: &str) -> Result<JobRequest, (String, String)> {
     };
     let kernel = match field_str(&doc, "kernel").map_err(fail)? {
         None => Kernel::default(),
-        Some(s) => parse_kernel(s).map_err(|e| fail(format!("field \"kernel\": {e}")))?,
+        Some(s) => s
+            .parse()
+            .map_err(|e| fail(format!("field \"kernel\": {e}")))?,
     };
     let port = match field_str(&doc, "port").map_err(fail)? {
         None | Some("one") | Some("one-port") => PortModel::OnePort,
@@ -476,6 +450,36 @@ mod tests {
             let (id, err) = parse_request(&line).unwrap_err();
             assert_eq!(id, "e1");
             assert!(err.contains("threaded engine was removed"), "{err}");
+        }
+    }
+
+    #[test]
+    fn kernel_field_accepts_only_the_product_kernels() {
+        let kernel =
+            |spec: &str| parse_request(&format!(r#"{{"id":"k","n":24,"p":16,"kernel":"{spec}"}}"#));
+        for (spec, want) in [
+            ("blocked", Kernel::Blocked(64)),
+            ("blocked:8", Kernel::Blocked(8)),
+            ("packed", Kernel::packed()),
+            ("packed:0", Kernel::packed_mt(0)),
+            ("packed:3", Kernel::packed_mt(3)),
+        ] {
+            assert_eq!(kernel(spec).expect(spec).kernel, want, "{spec}");
+        }
+        for retired in ["naive", "ikj"] {
+            let (id, err) = kernel(retired).unwrap_err();
+            assert_eq!(id, "k");
+            assert_eq!(
+                err,
+                format!(
+                    "field \"kernel\": {retired:?}: unknown kernel \
+                     (use blocked[:TILE]|packed[:THREADS])"
+                )
+            );
+        }
+        for bad in ["blocked:0", "packed:two", "simd"] {
+            let (_, err) = kernel(bad).unwrap_err();
+            assert!(err.starts_with("field \"kernel\": "), "{err}");
         }
     }
 

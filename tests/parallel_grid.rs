@@ -74,10 +74,17 @@ fn repeated_parallel_sweeps_agree() {
 #[test]
 fn analyzer_verdicts_are_identical_at_jobs_1_and_8() {
     // The schedule analyzer replays captured schedules on simulated
-    // machines; its verdicts and measured (a, b) coordinates must not
-    // depend on how many grid points analyze concurrently.
+    // machines and judges them against the certificates' predictions;
+    // its point verdicts, predictions and measured (a, b) coordinates
+    // must not depend on how many grid points analyze concurrently.
     let mut tasks = Vec::new();
-    for algo in [Algorithm::Cannon, Algorithm::Simple, Algorithm::Hje] {
+    for algo in [
+        Algorithm::Cannon,
+        Algorithm::Simple,
+        Algorithm::Hje,
+        Algorithm::Diag3d,
+        Algorithm::DnsCannon,
+    ] {
         for port in [PortModel::OnePort, PortModel::MultiPort] {
             for (n, p) in cubemm_analyze::applicable_grid(algo) {
                 tasks.push((algo, port, n, p));
@@ -88,7 +95,8 @@ fn analyzer_verdicts_are_identical_at_jobs_1_and_8() {
         run_grid(&tasks, jobs, |&(algo, port, n, p)| {
             let r = cubemm_analyze::analyze_algorithm(algo, n, p, port).unwrap();
             let cost = r.analysis.cost.map(|c| (c.a.to_bits(), c.b.to_bits()));
-            (r.verdict, r.analysis.is_sound(), cost)
+            let predicted = r.predicted.map(|o| (o.a.to_bits(), o.b.to_bits()));
+            (r.verdict, r.analysis.is_sound(), cost, predicted)
         })
     };
     let serial = analyze(1);

@@ -1,15 +1,15 @@
 //! E2 — Table 2 validation: the `(a, b)` overheads measured from
 //! end-to-end simulated runs (via `(t_s,t_w) = (1,0)` and `(0,1)`)
-//! against the paper's closed forms transcribed in `cubemm-model`.
+//! against the algorithm certificates, whose composed closed forms are
+//! proven against the paper's rows transcribed in `cubemm-model`.
 //!
-//! Expectations by algorithm:
-//! * Simple, Cannon, Berntsen, DNS, 3-D All, 3-D All one-port: exact
-//!   match when blocks slice evenly.
-//! * 3DD one-port: measured *beats* the paper's additive bound (the
-//!   phase-critical nodes differ, so phases overlap) — asserted `≤`.
-//! * multi-port entries with uneven message slicing: within the
-//!   granularity ceiling (see `table1_validation`).
+//! Each measurement goes through the analyzer's one point judge
+//! (`cubemm_analyze::judge`): exact, within slice granularity, or a
+//! mismatch. The documented deviations (3DD one-port's overlap, 3-D
+//! All_Trans as a stepping stone, the granularity slack) live in the
+//! certificates, not here.
 
+use cubemm_analyze::{compose_algorithm, judge, Verdict};
 use cubemm_core::{Algorithm, MachineConfig};
 use cubemm_dense::Matrix;
 use cubemm_model::{costs, ModelAlgo, PortModel};
@@ -32,85 +32,85 @@ fn measure_ab(algo: Algorithm, n: usize, p: usize, port: PortModel) -> (f64, f64
     (ra.stats.elapsed, rb.stats.elapsed)
 }
 
+/// The measured `(a, b)` judged against the certificate's prediction,
+/// after checking the certificate's own Table 2 obligations hold.
+fn judged(algo: Algorithm, n: usize, p: usize, port: PortModel) -> Verdict {
+    let cert = compose_algorithm(algo, port);
+    assert!(cert.ok(), "{algo} {port}: {:?}", cert.obligations);
+    let predicted = cert
+        .predict(n, p)
+        .unwrap_or_else(|| panic!("{algo} {port}: no prediction at n={n}, p={p}"));
+    let (ma, mb) = measure_ab(algo, n, p, port);
+    judge(predicted, ma, mb)
+}
+
 #[test]
 fn one_port_rows_match_exactly() {
     // n = 64, p = 64: every block size divides evenly.
     let (n, p) = (64usize, 64usize);
-    let cases = [
-        (Algorithm::Simple, ModelAlgo::Simple),
-        (Algorithm::Cannon, ModelAlgo::Cannon),
-        (Algorithm::Berntsen, ModelAlgo::Berntsen),
-        (Algorithm::Dns, ModelAlgo::Dns),
-        (Algorithm::AllTrans3d, ModelAlgo::All3d), // see below
-        (Algorithm::All3d, ModelAlgo::All3d),
-    ];
-    for (algo, model) in cases {
-        let (ma, mb) = measure_ab(algo, n, p, PortModel::OnePort);
-        let o = costs::overhead(model, PortModel::OnePort, n, p).unwrap();
-        if algo == Algorithm::AllTrans3d {
-            // All_Trans shares 3-D All's a; its b is strictly larger
-            // (the paper motivates 3-D All by exactly this delta).
-            assert_eq!(ma, o.a, "{algo} a");
-            assert!(mb > o.b, "{algo} should cost more words than 3-D All");
-        } else {
-            assert_eq!(ma, o.a, "{algo} a");
-            assert!((mb - o.b).abs() < 1e-9, "{algo} b: {mb} vs {}", o.b);
-        }
+    for algo in [
+        Algorithm::Simple,
+        Algorithm::Cannon,
+        Algorithm::Berntsen,
+        Algorithm::Dns,
+        Algorithm::AllTrans3d,
+        Algorithm::All3d,
+    ] {
+        let v = judged(algo, n, p, PortModel::OnePort);
+        assert_eq!(v, Verdict::Exact, "{algo}: {v}");
     }
+    // All_Trans shares 3-D All's a; its b is strictly larger (the paper
+    // motivates 3-D All by exactly this delta).
+    let (ma, mb) = measure_ab(Algorithm::AllTrans3d, n, p, PortModel::OnePort);
+    let o = costs::overhead(ModelAlgo::All3d, PortModel::OnePort, n, p).unwrap();
+    assert_eq!(ma, o.a, "3d-all-trans a");
+    assert!(mb > o.b, "3d-all-trans should cost more words than 3-D All");
 }
 
 #[test]
 fn one_port_3dd_beats_the_papers_additive_bound() {
     let (n, p) = (64usize, 64usize);
+    // The measurement is the certificate's prediction...
+    let v = judged(Algorithm::Diag3d, n, p, PortModel::OnePort);
+    assert_eq!(v, Verdict::Exact, "{v}");
+    // ... and the phase overlap puts it strictly under the paper's row.
     let (ma, mb) = measure_ab(Algorithm::Diag3d, n, p, PortModel::OnePort);
     let o = costs::overhead(ModelAlgo::Diag3d, PortModel::OnePort, n, p).unwrap();
-    assert!(ma <= o.a && mb <= o.b, "paper bound violated");
-    // The overlap is worth exactly one log ∛p phase on both axes.
-    assert!((ma - o.a * 3.0 / 4.0).abs() < 1e-9);
-    assert!((mb - o.b * 3.0 / 4.0).abs() < 1e-9);
+    assert!(ma < o.a && mb < o.b, "paper bound not beaten: ({ma}, {mb})");
 }
 
 #[test]
 fn multi_port_rows_match_exactly_when_divisible() {
+    // With p = 64: √p = 8 (log √p = 3), ∛p = 4 (log ∛p = 2); these
+    // rows' block sizes slice evenly.
     let (n, p) = (64usize, 64usize);
-    // With p = 64: √p = 8 (log √p = 3), ∛p = 4 (log ∛p = 2); block
-    // sizes 64 and 512-ish words slice evenly by 2 but not always by 3,
-    // so assert exact where even and bounded elsewhere.
-    for (algo, model) in [
-        (Algorithm::Dns, ModelAlgo::Dns),
-        (Algorithm::Diag3d, ModelAlgo::Diag3d),
-        (Algorithm::All3d, ModelAlgo::All3d),
+    for algo in [
+        Algorithm::Dns,
+        Algorithm::Diag3d,
+        Algorithm::All3d,
+        Algorithm::Cannon,
     ] {
-        let (ma, mb) = measure_ab(algo, n, p, PortModel::MultiPort);
-        let o = costs::overhead(model, PortModel::MultiPort, n, p).unwrap();
-        assert_eq!(ma, o.a, "{algo} a");
-        assert!((mb - o.b).abs() < 1e-9, "{algo} b: {mb} vs {}", o.b);
+        let v = judged(algo, n, p, PortModel::MultiPort);
+        assert_eq!(v, Verdict::Exact, "{algo}: {v}");
     }
-    let (ma, mb) = measure_ab(Algorithm::Cannon, n, p, PortModel::MultiPort);
-    let o = costs::overhead(ModelAlgo::Cannon, PortModel::MultiPort, n, p).unwrap();
-    assert_eq!(ma, o.a);
-    assert!((mb - o.b).abs() < 1e-9);
 }
 
 #[test]
 fn hje_multi_port_matches_where_groups_divide() {
     // n = 96, p = 16: block side 24 divides into log √p = 2 groups.
-    let (n, p) = (96usize, 16usize);
-    let (ma, mb) = measure_ab(Algorithm::Hje, n, p, PortModel::MultiPort);
-    let o = costs::overhead(ModelAlgo::Hje, PortModel::MultiPort, n, p).unwrap();
-    assert_eq!(ma, o.a);
-    assert!((mb - o.b).abs() < 1e-9, "b: {mb} vs {}", o.b);
+    let v = judged(Algorithm::Hje, 96, 16, PortModel::MultiPort);
+    assert_eq!(v, Verdict::Exact, "{v}");
 }
 
 #[test]
 fn simple_multi_port_within_granularity() {
-    let (n, p) = (64usize, 64usize);
-    let (ma, mb) = measure_ab(Algorithm::Simple, n, p, PortModel::MultiPort);
-    let o = costs::overhead(ModelAlgo::Simple, PortModel::MultiPort, n, p).unwrap();
-    assert_eq!(ma, o.a);
-    // Block of 64 words into log √p = 3 slices: uneven; allow the
-    // one-extra-word-per-round ceiling.
-    assert!(mb >= o.b - 1e-9 && mb <= o.b * 1.15, "b: {mb} vs {}", o.b);
+    // Block of 64 words into log √p = 3 slices: uneven, so b carries
+    // the one-extra-word-per-round ceiling.
+    let v = judged(Algorithm::Simple, 64, 64, PortModel::MultiPort);
+    assert!(
+        matches!(v, Verdict::WithinGranularity { ratio } if ratio > 1.0),
+        "{v}"
+    );
 }
 
 #[test]
