@@ -19,7 +19,7 @@ use crate::ir::{Event, Round, Schedule};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strictness {
     /// A node may drive at most one link per round. This is the right
-    /// mode for a single compiled collective plan: the Johnsson–Ho
+    /// mode for a single collective's schedule: the Johnsson–Ho
     /// one-port schedules claim one transfer per round, and a second
     /// send in a round would silently serialize and break the Table 1
     /// startup counts.

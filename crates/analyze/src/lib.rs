@@ -26,7 +26,7 @@
 //!
 //! Schedules enter the analyzer two ways: a collective's schema is
 //! expanded for every node ([`symbolic::expand_collective`] — the same
-//! description its executable plans are compiled from), and whole
+//! description the executor reads its rounds from), and whole
 //! multiplication algorithms are captured from one traced run via the
 //! per-event program-round stamps ([`ir::Schedule::from_traces`]), after
 //! which every check is static. The static replay is cross-validated against

@@ -23,7 +23,7 @@
 //!   monomials in the `n^a·2^(e·d/12)·d^k` basis are linearly
 //!   independent, so formal equality is equality for all `p = 2^d`;
 //! * **grounding obligations** tie a schema's *claims* to what it
-//!   *ships*. The executable plans are compiled from the same guard
+//!   *ships*. The executor reads its rounds from the same guard
 //!   function the expansion evaluates, so there is no second generator
 //!   to compare with; instead the claimed per-round volume must equal
 //!   the busiest node's id-set cardinality at every `δ ≤ 16`, and at the
@@ -158,8 +158,8 @@ pub fn coll_cost_sym(schema: &CollSchema, port: PortModel) -> Result<SymCost, St
 }
 
 /// Expands `schema` into a whole-machine [`Schedule`] at concrete
-/// dimension `d` — the same guard function the executable plans are
-/// compiled from, counted instead of listed, so no payload or id is
+/// dimension `d` — the same guard function the executor reads its
+/// rounds from, counted instead of listed, so no payload or id is
 /// materialised. `root` is the root rank for the rooted shapes (ignored
 /// by the all-to-all shapes, which live in plain rank space), `m` the
 /// Table 1 unit, `base` the tag base.

@@ -36,6 +36,7 @@ use std::time::Instant;
 
 use cubemm_dense::gemm::{self, gemm_acc_with_microkernel, Kernel, ReferenceIsa, PAR_MIN_ELEMS};
 use cubemm_dense::microkernel::MicrokernelImpl;
+use cubemm_dense::pack::{pack_a, pack_b, packed_a_len, packed_b_len};
 use cubemm_dense::{tune, Matrix};
 
 /// What one row times.
@@ -184,6 +185,154 @@ fn verify(n: usize, spec: &KernelSpec) -> Result<(), String> {
     }
 }
 
+/// The packed path written out for a product that fits one `mc × kc × nc`
+/// block, from this bench's own buffers: pack all of `B`, pack all of
+/// `A`, run every register tile. `gemm_acc` takes no such path below
+/// `SMALL_MAX_ELEMS`, and this one computes the same bits, so the
+/// `small` rows can time the two side by side.
+fn packed_one_block(
+    c: &mut Matrix,
+    a: &Matrix,
+    b: &Matrix,
+    mk: MicrokernelImpl,
+    bufs: &mut [Vec<f64>; 2],
+) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (mr, nr) = (mk.mr(), mk.nr());
+    let [abuf, bbuf] = bufs;
+    abuf.resize(packed_a_len(m, k, mr), 0.0);
+    bbuf.resize(packed_b_len(k, n, nr), 0.0);
+    pack_b(b, 0, 0, k, n, nr, bbuf);
+    pack_a(a, 0, 0, m, k, mr, abuf);
+    let cp = c.as_mut_slice().as_mut_ptr();
+    for jr in 0..n.div_ceil(nr) {
+        let bp = &bbuf[jr * nr * k..(jr + 1) * nr * k];
+        for ir in 0..m.div_ceil(mr) {
+            let ap = &abuf[ir * mr * k..(ir + 1) * mr * k];
+            // SAFETY: the tile spans rows ir·mr .. +mr.min(m - ir·mr) and
+            // columns jr·nr .. +nr.min(n - jr·nr), inside the m × n `C`.
+            unsafe {
+                mk.run(
+                    ap,
+                    bp,
+                    cp.add(ir * mr * n + jr * nr),
+                    n,
+                    mr.min(m - ir * mr),
+                    nr.min(n - jr * nr),
+                );
+            }
+        }
+    }
+}
+
+/// Median ns per call of `call` on a fresh `C`, over 5 batches of at
+/// least ~2 ms each.
+fn ns_per_call(m: usize, n: usize, mut call: impl FnMut(&mut Matrix)) -> f64 {
+    let mut c = Matrix::zeros(m, n);
+    call(&mut c);
+    let t = Instant::now();
+    let mut calls = 0u32;
+    while t.elapsed().as_secs_f64() < 2e-3 {
+        call(&mut c);
+        calls += 1;
+    }
+    let mut samples: Vec<f64> = (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..calls {
+                call(&mut c);
+            }
+            t.elapsed().as_secs_f64() * 1e9 / f64::from(calls)
+        })
+        .collect();
+    std::hint::black_box(&c);
+    samples.sort_by(f64::total_cmp);
+    samples[2]
+}
+
+/// The per-call shapes of `cubemm run` at n = 256, p = 4096: the 4×4
+/// blocks of the √p grids (Cannon, Simple), the k = 1 outer products of
+/// 3-D All, 3-D All_Trans and Berntsen, a 256-row strip times a 4×4
+/// block, and the 16×16 blocks of the ∛p grids.
+const CALL_SHAPES: [(usize, usize, usize); 4] = [(4, 4, 4), (16, 1, 16), (256, 4, 4), (16, 16, 16)];
+
+/// The sweep that places `SMALL_MAX_ELEMS`: cubes and thin shapes on
+/// both sides of it, up to `run_compute`'s 96×96 blocks.
+const SWEEP_SHAPES: [(usize, usize, usize); 12] = [
+    (8, 8, 8),
+    (12, 12, 12),
+    (24, 24, 24),
+    (32, 32, 32),
+    (40, 40, 40),
+    (48, 48, 48),
+    (64, 64, 64),
+    (96, 96, 96),
+    (64, 1, 64),
+    (64, 4, 64),
+    (4, 64, 4),
+    (16, 256, 16),
+];
+
+/// Times the unpacked loop, the packed path and `gemm_acc`'s choice at
+/// each shape on every microkernel the host runs, after checking that
+/// the three agree bitwise. Returns JSON rows, or the first mismatch.
+fn small_rows(shapes: &[(usize, usize, usize)]) -> Result<Vec<String>, String> {
+    let mut impls = vec![MicrokernelImpl::Scalar];
+    if MicrokernelImpl::detect() == MicrokernelImpl::Avx2 {
+        impls.push(MicrokernelImpl::Avx2);
+    }
+    let bits = |m: &Matrix| {
+        m.as_slice()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<u64>>()
+    };
+    let mut rows = Vec::new();
+    for &(m, k, n) in shapes {
+        let (a, b) = (Matrix::random(m, k, 5), Matrix::random(k, n, 6));
+        let c0 = Matrix::random(m, n, 7);
+        let dispatched = m * k * n <= gemm::SMALL_MAX_ELEMS;
+        for &mk in &impls {
+            let mut bufs = [Vec::new(), Vec::new()];
+            let mut unpacked = c0.clone();
+            mk.run_unpacked(unpacked.as_mut_slice(), a.as_slice(), b.as_slice(), k, n);
+            let mut packed = c0.clone();
+            packed_one_block(&mut packed, &a, &b, mk, &mut bufs);
+            let mut front = c0.clone();
+            gemm_acc_with_microkernel(&mut front, &a, &b, Kernel::packed(), mk);
+            if bits(&unpacked) != bits(&packed) || bits(&front) != bits(&packed) {
+                return Err(format!(
+                    "small {m}x{k}x{n} {}: paths differ bitwise",
+                    mk.name()
+                ));
+            }
+            let t_unpacked = ns_per_call(m, n, |c| {
+                mk.run_unpacked(c.as_mut_slice(), a.as_slice(), b.as_slice(), k, n)
+            });
+            let t_packed = ns_per_call(m, n, |c| packed_one_block(c, &a, &b, mk, &mut bufs));
+            let t_front = ns_per_call(m, n, |c| {
+                gemm_acc_with_microkernel(c, &a, &b, Kernel::packed(), mk)
+            });
+            println!(
+                "{:<12} {:>11} {:>11.0}ns {:>9.0}ns {:>9.0}ns {:>6.2}x  {}",
+                mk.name(),
+                format!("{m}x{k}x{n}"),
+                t_front,
+                t_packed,
+                t_unpacked,
+                t_packed / t_front,
+                if dispatched { "unpacked" } else { "packed" }
+            );
+            rows.push(format!(
+                "    {{\"microkernel\": \"{}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \"path\": \"{}\", \"dispatched_ns\": {t_front:.1}, \"packed_ns\": {t_packed:.1}, \"unpacked_ns\": {t_unpacked:.1}}}",
+                mk.name(),
+                if dispatched { "unpacked" } else { "packed" }
+            ));
+        }
+    }
+    Ok(rows)
+}
+
 fn parse_list(raw: &str, flag: &str) -> Vec<usize> {
     raw.split(',')
         .map(|tok| match tok.trim().parse::<usize>() {
@@ -283,18 +432,42 @@ fn main() {
         }
     }
 
+    // Per-call cost of small products: `gemm_acc`'s choice beside the
+    // packed path, bitwise-checked (the full run adds the threshold sweep).
+    println!(
+        "\n{:<12} {:>11} {:>13} {:>11} {:>11} {:>7}  path (m·k·n <= {})",
+        "small",
+        "m x k x n",
+        "gemm_acc",
+        "packed",
+        "unpacked",
+        "gain",
+        gemm::SMALL_MAX_ELEMS
+    );
+    let small_shapes: Vec<_> = if smoke {
+        CALL_SHAPES.to_vec()
+    } else {
+        CALL_SHAPES.iter().chain(&SWEEP_SHAPES).copied().collect()
+    };
+    let small = small_rows(&small_shapes).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+
     if !smoke {
         // Who measured (ROADMAP item 1): cores, the two runtime ISA
         // dispatches, and the cache sizes the blocking was pruned to.
         let caches = tune::detect_caches();
         let json = format!(
-            "{{\n  \"bench\": \"local_gemm_kernels\",\n  \"flops_formula\": \"2*n^3\",\n  \"microkernel\": \"{}\",\n  \"reference_isa\": \"{}\",\n  \"host_cores\": {},\n  \"l1d_bytes\": {},\n  \"l2_bytes\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"local_gemm_kernels\",\n  \"flops_formula\": \"2*n^3\",\n  \"microkernel\": \"{}\",\n  \"reference_isa\": \"{}\",\n  \"host_cores\": {},\n  \"l1d_bytes\": {},\n  \"l2_bytes\": {},\n  \"results\": [\n{}\n  ],\n  \"small_max_elems\": {},\n  \"small\": [\n{}\n  ]\n}}\n",
             MicrokernelImpl::active().name(),
             ReferenceIsa::active().name(),
             host_cores,
             caches.l1d,
             caches.l2,
-            rows.join(",\n")
+            rows.join(",\n"),
+            gemm::SMALL_MAX_ELEMS,
+            small.join(",\n")
         );
         match std::fs::write("BENCH_kernels.json", &json) {
             Ok(()) => println!("wrote BENCH_kernels.json"),

@@ -5,17 +5,16 @@
 //! be asserted without a timer. Each collective runs on one 64-node row
 //! with 16-word blocks; the budget is allocations per delivered packet
 //! (a packet counts once per hop), everything included — machine
-//! spin-up, node futures, plans, stores, mailboxes, bundles, results.
-//! Cannon's algorithm, the shift-heavy end of the comparison, is
-//! guarded the same way per delivered message (see its test below).
+//! spin-up, node futures, runs, stores, mailboxes, bundles, results.
+//! Cannon's algorithm, the shift-heavy end of the comparison, and 3-D
+//! All, the collective-heavy end, are guarded the same way per delivered
+//! message (see their tests below).
 //!
 //! What the budgets pin: splitting a received bundle allocates nothing
 //! (windows), a bundle is one allocation however many packets it
-//! carries, plan id lists are sized exactly, and the packet store grows
-//! with what a node holds. Before that work every received packet was
-//! copied into an allocation of its own and every bundle grew
-//! geometrically, which put each row of this table at 1.6–10× its
-//! budget.
+//! carries, a round is read off its schema with no per-node plan
+//! compiled first, a multi-port batch keeps its link clocks in a buffer
+//! the node reuses, and the packet store grows with what a node holds.
 
 use cubemm_bench::alloc_count::{allocations_during, CountingAlloc};
 use cubemm_bench::rows::{self, RowCollective};
@@ -36,20 +35,22 @@ const COST: CostParams = CostParams { ts: 10.0, tw: 2.0 };
 /// deliver few packets per node — 3 on average one-port — so their
 /// figure is mostly the per-node fixed cost of a run.)
 ///
-/// Measured at the commit before the zero-copy path, same order:
-/// 5.84, 1.97, 5.82, 1.47, 10.96, 5.57, 10.81, 5.45, 3.05, 0.79.
+/// Measured with a compiled per-node plan, same order: 0.73, 0.58,
+/// 0.68, 0.40, 5.61, 2.29, 5.17, 2.27, 0.23, 0.20 (and before the
+/// zero-copy path: 5.84, 1.97, 5.82, 1.47, 10.96, 5.57, 10.81, 5.45,
+/// 3.05, 0.79).
 fn budget(kind: RowCollective, port: PortModel) -> u64 {
     match (kind, port) {
-        (RowCollective::Allgather, PortModel::OnePort) => 90,
-        (RowCollective::Allgather, PortModel::MultiPort) => 70,
-        (RowCollective::ReduceScatter, PortModel::OnePort) => 85,
-        (RowCollective::ReduceScatter, PortModel::MultiPort) => 50,
-        (RowCollective::Scatter, PortModel::OnePort) => 675,
-        (RowCollective::Scatter, PortModel::MultiPort) => 275,
-        (RowCollective::Gather, PortModel::OnePort) => 650,
-        (RowCollective::Gather, PortModel::MultiPort) => 275,
-        (RowCollective::Alltoall, PortModel::OnePort) => 30,
-        (RowCollective::Alltoall, PortModel::MultiPort) => 25,
+        (RowCollective::Allgather, PortModel::OnePort) => 50,
+        (RowCollective::Allgather, PortModel::MultiPort) => 33,
+        (RowCollective::ReduceScatter, PortModel::OnePort) => 46,
+        (RowCollective::ReduceScatter, PortModel::MultiPort) => 14,
+        (RowCollective::Scatter, PortModel::OnePort) => 495,
+        (RowCollective::Scatter, PortModel::MultiPort) => 138,
+        (RowCollective::Gather, PortModel::OnePort) => 465,
+        (RowCollective::Gather, PortModel::MultiPort) => 131,
+        (RowCollective::Alltoall, PortModel::OnePort) => 16,
+        (RowCollective::Alltoall, PortModel::MultiPort) => 12,
     }
 }
 
@@ -108,16 +109,35 @@ fn allocations_per_delivered_packet_stay_within_budget() {
 /// multiplied where it lands and forwarded by move (no `Matrix` ↔
 /// payload copy per step) and that a queued message allocates nothing.
 ///
-/// Measured at the commit before: 3.84 one-port, 4.38 multi-port.
+/// Measured with a fresh link-clock map per multi-port batch: 1.64
+/// one-port (one-port batches never kept one), 2.19 multi-port; and
+/// before the flat mailboxes, 3.84 and 4.38.
 fn cannon_budget(port: PortModel) -> u64 {
     match port {
-        PortModel::OnePort => 200,
-        PortModel::MultiPort => 260,
+        PortModel::OnePort => 180,
+        PortModel::MultiPort => 195,
     }
 }
 
-#[test]
-fn cannon_allocations_per_delivered_message_stay_within_budget() {
+/// 3-D All on the same machine (a 4 × 4 × 4 grid: an all-gather, an
+/// all-to-all and a reduce-scatter per node, fused where the algorithm
+/// fuses them), the collective-heavy end of the comparison. Budgets are
+/// the current counts plus 10–20 %; what they pin is that a collective
+/// round is read off its schema as it runs, with no per-node plan
+/// compiled first.
+///
+/// Measured with a compiled per-node plan: 10.92 one-port, 8.43
+/// multi-port.
+fn all3d_budget(port: PortModel) -> u64 {
+    match port {
+        PortModel::OnePort => 910,
+        PortModel::MultiPort => 615,
+    }
+}
+
+/// Runs `algo` at n = 64 on 64 nodes under both ports and checks its
+/// allocations per delivered message against `budget`.
+fn within_budget(algo: Algorithm, budget: fn(PortModel) -> u64) {
     let (n, p) = (64, 64);
     let (a, b) = (Matrix::random(n, n, 1), Matrix::random(n, n, 2));
     let mut report = String::new();
@@ -126,9 +146,8 @@ fn cannon_allocations_per_delivered_message_stay_within_budget() {
         let cfg = MachineConfig::new(port, COST);
         let measure = || {
             allocations_during(|| {
-                Algorithm::Cannon
-                    .multiply(&a, &b, p, &cfg)
-                    .expect("cannon applies at n = 64, p = 64")
+                algo.multiply(&a, &b, p, &cfg)
+                    .unwrap_or_else(|e| panic!("{algo} applies at n = 64, p = 64: {e}"))
             })
         };
         // The first multiply also fills per-thread caches (the packing
@@ -139,21 +158,31 @@ fn cannon_allocations_per_delivered_message_stay_within_budget() {
         assert_eq!(
             measure().1,
             allocations,
-            "cannon {port}: allocation counts must repeat exactly"
+            "{algo} {port}: allocation counts must repeat exactly"
         );
         let messages = run.stats.total_messages() as u64;
         let per_message = allocations * 100 / messages;
         report.push_str(&format!(
-            "cannon {port:<10} {allocations:>6} allocations / {messages:>6} messages = {:>4}.{:02} (budget {}.{:02})\n",
+            "{algo} {port:<10} {allocations:>6} allocations / {messages:>6} messages = {:>4}.{:02} (budget {}.{:02})\n",
             per_message / 100,
             per_message % 100,
-            cannon_budget(port) / 100,
-            cannon_budget(port) % 100,
+            budget(port) / 100,
+            budget(port) % 100,
         ));
-        if per_message > cannon_budget(port) {
-            over.push(format!("cannon {port}"));
+        if per_message > budget(port) {
+            over.push(format!("{algo} {port}"));
         }
     }
     println!("{report}");
     assert!(over.is_empty(), "over budget: {over:?}\n{report}");
+}
+
+#[test]
+fn cannon_allocations_per_delivered_message_stay_within_budget() {
+    within_budget(Algorithm::Cannon, cannon_budget);
+}
+
+#[test]
+fn all3d_allocations_per_delivered_message_stay_within_budget() {
+    within_budget(Algorithm::All3d, all3d_budget);
 }

@@ -9,6 +9,7 @@
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
+use std::time::Instant;
 
 const BIG: &str = "4000000000";
 
@@ -73,4 +74,40 @@ fn run_reports_an_unallocatable_order_as_a_typed_error() {
         );
         assert!(out.stdout.is_empty());
     }
+}
+
+/// A checksum-protected order on a processor count no order can cure is
+/// answered at once on both surfaces, with the same texts as ever: the
+/// padded-order search no longer walks every order up to `2n + 64`.
+#[test]
+fn an_incurable_abft_shape_is_answered_at_once() {
+    const HUGE: &str = "2000000000";
+    let start = Instant::now();
+    let out = cubemm(&format!("run --algo cannon --n {HUGE} --p 6 --abft"), "");
+    assert!(
+        start.elapsed().as_secs_f64() < 1.0,
+        "run took {:?}",
+        start.elapsed()
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: unrecoverable failure: node count 6 is not a power of two\n"
+    );
+
+    let start = Instant::now();
+    let line = format!(r#"{{"id":"x","n":{HUGE},"p":6,"algo":"cannon"}}"#);
+    let out = cubemm("serve --workers 1", &(line + "\n"));
+    assert!(
+        start.elapsed().as_secs_f64() < 1.0,
+        "serve took {:?}",
+        start.elapsed()
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        r#"{"id":"x","status":"failed","error":"unrecoverable: node count 6 is not a power of two"}"#
+            .to_string()
+            + "\n"
+    );
 }

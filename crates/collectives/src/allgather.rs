@@ -6,13 +6,12 @@ use cubemm_topology::Subcube;
 
 use crate::chunk;
 use crate::plan::{execute, CollectiveRun};
-use crate::schema::{CollKind, CollSchema};
+use crate::schema::CollKind;
 
 /// A planned all-gather, ready to execute (possibly fused with others).
 #[derive(Debug)]
 pub struct AllgatherRun {
     inner: CollectiveRun,
-    ncopies: usize,
     n: usize,
 }
 
@@ -24,10 +23,10 @@ impl AllgatherRun {
 
     /// Extracts all contributions, indexed by rank, after execution.
     pub fn finish(mut self) -> Vec<Payload> {
-        let (n, store) = (self.n, &mut self.inner.store);
+        let (n, nc, store) = (self.n, self.inner.ncopies(), &mut self.inner.store);
         (0..n)
             .map(|r| {
-                let slices = (0..self.ncopies).map(|c| c * n + r);
+                let slices = (0..nc).map(|c| c * n + r);
                 store.bundle(slices, true, format_args!("all-gather finish"))
             })
             .collect()
@@ -46,15 +45,15 @@ pub fn allgather_plan(
     let n = sc.size();
     let v = sc.rank_of(me);
 
-    let schema = CollSchema::reference(CollKind::Allgather);
-    let (mut inner, ncopies) = schema.compile(port, sc, me, 0, base, mine.len());
+    let mut inner = CollectiveRun::new(CollKind::Allgather, port, sc, me, 0, base, mine.len());
+    let ncopies = inner.ncopies();
     // Half the row arrives in the last round (see `reserve`).
     inner.store.reserve(ncopies * n / 2);
     for c in 0..ncopies {
         inner.store.put(c * n + v, chunk(&mine, ncopies, c));
     }
 
-    AllgatherRun { inner, ncopies, n }
+    AllgatherRun { inner, n }
 }
 
 /// All-to-all broadcast: every member contributes `mine` (all equal
@@ -72,7 +71,6 @@ pub async fn allgather(proc: &mut Proc, sc: &Subcube, base: u64, mine: Payload) 
 #[derive(Debug)]
 pub struct ReduceScatterRun {
     inner: CollectiveRun,
-    ncopies: usize,
     n: usize,
     v: usize,
 }
@@ -85,7 +83,7 @@ impl ReduceScatterRun {
 
     /// Extracts this node's summed part after execution.
     pub fn finish(mut self) -> Payload {
-        let slices = (0..self.ncopies).map(|c| c * self.n + self.v);
+        let slices = (0..self.inner.ncopies()).map(|c| c * self.n + self.v);
         self.inner
             .store
             .bundle(slices, true, format_args!("reduce-scatter finish"))
@@ -113,8 +111,8 @@ pub fn reduce_scatter_plan(
         );
     }
 
-    let schema = CollSchema::reference(CollKind::ReduceScatter);
-    let (mut inner, ncopies) = schema.compile(port, sc, me, 0, base, part_len);
+    let mut inner = CollectiveRun::new(CollKind::ReduceScatter, port, sc, me, 0, base, part_len);
+    let ncopies = inner.ncopies();
     inner.store.reserve(ncopies * n);
     for (r, part) in parts.iter().enumerate() {
         for c in 0..ncopies {
@@ -124,7 +122,6 @@ pub fn reduce_scatter_plan(
 
     ReduceScatterRun {
         inner,
-        ncopies,
         n,
         v: sc.rank_of(me),
     }

@@ -15,13 +15,12 @@ use cubemm_topology::Subcube;
 
 use crate::chunk;
 use crate::plan::{execute, CollectiveRun};
-use crate::schema::{CollKind, CollSchema};
+use crate::schema::CollKind;
 
 /// A planned all-to-all personalized exchange.
 #[derive(Debug)]
 pub struct AlltoallRun {
     inner: CollectiveRun,
-    ncopies: usize,
     n: usize,
     v: usize,
 }
@@ -34,10 +33,10 @@ impl AlltoallRun {
 
     /// Extracts the received messages, indexed by origin rank.
     pub fn finish(mut self) -> Vec<Payload> {
-        let (n, store) = (self.n, &mut self.inner.store);
+        let (n, nc, store) = (self.n, self.inner.ncopies(), &mut self.inner.store);
         (0..n)
             .map(|origin| {
-                let slices = (0..self.ncopies).map(|c| c * n * n + self.v * n + origin);
+                let slices = (0..nc).map(|c| c * n * n + self.v * n + origin);
                 store.bundle(slices, true, format_args!("all-to-all finish"))
             })
             .collect()
@@ -62,8 +61,8 @@ pub fn alltoall_plan(
         assert_eq!(p.len(), part_len, "alltoall parts must have equal length");
     }
 
-    let schema = CollSchema::reference(CollKind::Alltoall);
-    let (mut inner, ncopies) = schema.compile(port, sc, me, 0, base, part_len);
+    let mut inner = CollectiveRun::new(CollKind::Alltoall, port, sc, me, 0, base, part_len);
+    let ncopies = inner.ncopies();
     // Every round trades half of a copy's n packets for as many others.
     inner.store.reserve(ncopies * n);
     for (dest, part) in parts.iter().enumerate() {
@@ -74,12 +73,7 @@ pub fn alltoall_plan(
         }
     }
 
-    AlltoallRun {
-        inner,
-        ncopies,
-        n,
-        v,
-    }
+    AlltoallRun { inner, n, v }
 }
 
 /// All-to-all personalized broadcast. `parts[r]` is this node's message

@@ -5,13 +5,12 @@ use cubemm_topology::Subcube;
 
 use crate::chunk;
 use crate::plan::{execute, CollectiveRun};
-use crate::schema::{CollKind, CollSchema};
+use crate::schema::CollKind;
 
 /// A planned broadcast, ready to execute (possibly fused with others).
 #[derive(Debug)]
 pub struct BcastRun {
     inner: CollectiveRun,
-    ncopies: usize,
 }
 
 impl BcastRun {
@@ -22,7 +21,7 @@ impl BcastRun {
 
     /// Extracts the broadcast payload after execution.
     pub fn finish(mut self) -> Payload {
-        let slices = 0..self.ncopies;
+        let slices = 0..self.inner.ncopies();
         self.inner
             .store
             .bundle(slices, true, format_args!("broadcast finish"))
@@ -55,14 +54,14 @@ pub fn bcast_plan(
         assert!(data.is_none(), "non-root nodes must not supply data");
     }
 
-    let schema = CollSchema::reference(CollKind::Bcast);
-    let (mut inner, ncopies) = schema.compile(port, sc, me, root, base, len);
+    let mut inner = CollectiveRun::new(CollKind::Bcast, port, sc, me, root, base, len);
+    let ncopies = inner.ncopies();
     if let Some(full) = &data {
         for c in 0..ncopies {
             inner.store.put(c, chunk(full, ncopies, c));
         }
     }
-    BcastRun { inner, ncopies }
+    BcastRun { inner }
 }
 
 /// One-to-all broadcast of `data` from the member of `sc` with rank

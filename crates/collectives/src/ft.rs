@@ -1,7 +1,7 @@
 //! Degraded-mode collectives: fault-tolerant variants of the Table 1
 //! schedules.
 //!
-//! The plain collectives compile link-disjoint spanning-tree schedules
+//! The plain collectives run link-disjoint spanning-tree schedules
 //! that assume every hypercube edge is alive. Under a lenient
 //! [`FaultPlan`] the simulator already re-routes each neighbor send
 //! transparently, but a *strict* plan forbids that, and an unroutable

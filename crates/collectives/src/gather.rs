@@ -7,13 +7,12 @@ use cubemm_topology::Subcube;
 
 use crate::chunk;
 use crate::plan::{execute, CollectiveRun};
-use crate::schema::{CollKind, CollSchema};
+use crate::schema::CollKind;
 
 /// A planned gather, ready to execute (possibly fused with others).
 #[derive(Debug)]
 pub struct GatherRun {
     inner: CollectiveRun,
-    ncopies: usize,
     n: usize,
     is_root: bool,
     root: usize,
@@ -31,12 +30,12 @@ impl GatherRun {
         if !self.is_root {
             return None;
         }
-        let (n, store) = (self.n, &mut self.inner.store);
+        let (n, nc, store) = (self.n, self.inner.ncopies(), &mut self.inner.store);
         Some(
             (0..n)
                 .map(|rank| {
                     let u = rank ^ self.root; // relative rank
-                    let slices = (0..self.ncopies).map(|c| c * n + u);
+                    let slices = (0..nc).map(|c| c * n + u);
                     store.bundle(slices, true, format_args!("gather finish at the root"))
                 })
                 .collect(),
@@ -57,15 +56,14 @@ pub fn gather_plan(
     let n = sc.size();
     let v = sc.rank_of(me) ^ root;
 
-    let schema = CollSchema::reference(CollKind::Gather);
-    let (mut inner, ncopies) = schema.compile(port, sc, me, root, base, mine.len());
+    let mut inner = CollectiveRun::new(CollKind::Gather, port, sc, me, root, base, mine.len());
+    let ncopies = inner.ncopies();
     for c in 0..ncopies {
         inner.store.put(c * n + v, chunk(&mine, ncopies, c));
     }
 
     GatherRun {
         inner,
-        ncopies,
         n,
         is_root: v == 0,
         root,

@@ -77,9 +77,7 @@ pub use alltoall::{alltoall_personalized, alltoall_plan, AlltoallRun};
 pub use bcast::{bcast, bcast_plan, BcastRun};
 pub use ft::{allgather_ft, bcast_ft, execute_ft};
 pub use gather::{gather, gather_plan, GatherRun};
-pub use plan::{
-    execute, execute_fused, CollectiveRun, PacketError, PacketStore, Plan, RecvMode, Xfer,
-};
+pub use plan::{execute, execute_fused, CollectiveRun, PacketError, PacketStore, RecvMode, Xfer};
 pub use reduce::{reduce_plan, reduce_sum, reduce_sum_checked, ChecksumMismatch, ReduceRun};
 pub use scatter::{scatter, scatter_plan, ScatterRun};
 pub use schema::{CollKind, CollSchema, IdMask, RoundSpec, VolSchema, WireSpec, XferShape};

@@ -1,23 +1,28 @@
 //! The schedule engine behind every collective.
 //!
-//! Each collective is compiled (per participating node) into a static
-//! [`Plan`]: a list of rounds, each holding transfers whose payloads are
-//! packets in a [`PacketStore`]. Running a plan is then mechanical — and,
-//! crucially, *several plans can execute fused*: their rounds are merged
-//! into shared [`Proc::multi`] batches, which is how the paper overlaps
-//! independent collectives on multi-port nodes (e.g. the two one-to-all
-//! broadcasts in the second phase of DNS and 3-D Diagonal, or Cannon's
-//! simultaneous A and B shifts). On one-port nodes the same fused
-//! execution serializes automatically through the port semantics of
-//! [`Proc::multi`].
+//! A [`CollectiveRun`] is one node's side of a collective: its
+//! [`CollSchema`], where the node sits in it, and a [`PacketStore`]
+//! holding the packets it owns. Running it is mechanical — each round,
+//! ask the schema's guard function what this node sends and receives
+//! per copy, bundle the named packets, batch, deliver — and, crucially,
+//! *several runs can execute fused*: their rounds are merged into shared
+//! [`Proc::multi`] batches, which is how the paper overlaps independent
+//! collectives on multi-port nodes (e.g. the two one-to-all broadcasts
+//! in the second phase of DNS and 3-D Diagonal). On one-port nodes the
+//! same fused execution serializes automatically through the port
+//! semantics of [`Proc::multi`].
 
 use std::convert::Infallible;
 use std::sync::Arc;
 
-use cubemm_simnet::{Op, Payload, Proc};
+use cubemm_simnet::{Op, Payload, PortModel, Proc};
 use cubemm_topology::bits::hamming;
+use cubemm_topology::Subcube;
 
-/// A malformed [`PacketStore`] access: the typed form of the plan bugs
+use crate::schema::{CollKind, CollSchema, IdMask};
+use crate::{chunk_bounds, round_tag};
+
+/// A malformed [`PacketStore`] access: the typed form of the schedule bugs
 /// the store used to surface as raw index/assert panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PacketError {
@@ -61,10 +66,10 @@ impl std::fmt::Display for PacketError {
 impl std::error::Error for PacketError {}
 
 /// Packet storage for one in-flight collective. Packet lengths are known
-/// at plan time (every caller knows its block shapes), so received
+/// up front (every caller knows its block shapes), so received
 /// bundles can be split without headers.
 ///
-/// Ids are dense in the plan's id space (`copies × per_copy`, for
+/// Ids are dense in the collective's id space (`copies × per_copy`, for
 /// all-to-all `copies × N²`), but a node only ever holds the packets its
 /// own transfers name — a scatter leaf one per copy. So the store is
 /// sized by what the node holds: a slot exists exactly while its packet
@@ -303,8 +308,8 @@ impl PacketStore {
     /// word.
     ///
     /// Both callers — a round's sends and the finish paths — only name
-    /// packets the plan has put in this store by then, so an absent one
-    /// is a plan-builder bug, not a runtime condition: it panics, naming
+    /// packets the schedule has put in this store by then, so an absent one
+    /// is a schedule bug, not a runtime condition: it panics, naming
     /// `context` and the packet (node panics surface as structured run
     /// failures, not process aborts).
     ///
@@ -341,97 +346,111 @@ pub enum RecvMode {
     Accumulate,
 }
 
-/// One transfer (a send, a receive, or a paired exchange) within a round.
-#[derive(Debug, Clone)]
+/// One transfer (a send, a receive, or a paired exchange) of one copy
+/// within a round, as the executor runs it: [`CollSchema::xfer`]'s shape
+/// mapped to a machine label and a tag. The packet ids stay sub-mask
+/// sets ([`IdMask`]), listed ascending from `offset` only while a bundle
+/// is built or split.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Xfer {
     /// Neighbor node label on the other end.
     pub peer: usize,
     /// Message tag.
     pub tag: u64,
-    /// Packet ids concatenated (in order) into the outgoing bundle;
-    /// empty for a pure receive.
-    pub send: Vec<usize>,
-    /// Whether sent packets leave the store (`true` for scatter-like
-    /// ownership transfer) or remain (`false` for broadcast forwarding).
-    pub consume_sends: bool,
-    /// Packet ids the incoming bundle is split into (in order); empty
-    /// for a pure send.
-    pub recv: Vec<usize>,
-    /// How received packets are merged into the store.
-    pub recv_mode: RecvMode,
+    /// The first packet id of this transfer's copy: every id of `send`
+    /// and `recv` is offset by it.
+    pub offset: usize,
+    /// Ids concatenated (ascending) into the outgoing bundle; `None` for
+    /// a pure receive.
+    pub send: Option<IdMask>,
+    /// Ids the incoming bundle is split into (ascending); `None` for a
+    /// pure send.
+    pub recv: Option<IdMask>,
 }
 
-/// A compiled collective for one node: transfers grouped into rounds.
-/// Transfers within a round are logically concurrent (they use distinct
-/// links by construction of the rotated schedules).
-#[derive(Debug, Default)]
-pub struct Plan {
-    /// `rounds[r]` lists this node's transfers in round `r`.
-    pub rounds: Vec<Vec<Xfer>>,
-}
-
-impl Plan {
-    /// A plan with `rounds` empty rounds.
-    pub fn with_rounds(rounds: usize) -> Self {
-        Plan {
-            rounds: (0..rounds).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Adds a transfer to round `r`.
-    pub fn push(&mut self, r: usize, xfer: Xfer) {
-        self.rounds[r].push(xfer);
-    }
-
-    /// Checks the node-local well-formedness of this plan as compiled for
-    /// node `me` of a `p`-node hypercube against `store`: every peer is a
-    /// genuine hypercube neighbor and every packet id addresses a real
-    /// slot. The cross-node properties (send/receive matching, deadlock
-    /// freedom, link contention) need every node's plan at once — that is
-    /// `cubemm-analyze`'s job; this local check is what
-    /// [`execute_fused`] can afford to debug-assert on every run.
+impl Xfer {
+    /// Checks this transfer as node `me` of a `p`-node hypercube would
+    /// run it against `store`: the peer is a genuine hypercube neighbor
+    /// and every packet id addresses a real slot. The cross-node
+    /// properties (send/receive matching, deadlock freedom, link
+    /// contention) need every node's transfers at once — that is
+    /// `cubemm-analyze`'s job; this local check is what the executor can
+    /// afford to debug-assert on every transfer.
     pub fn validate_local(&self, me: usize, p: usize, store: &PacketStore) -> Result<(), String> {
-        for (r, round) in self.rounds.iter().enumerate() {
-            for xfer in round {
-                if xfer.peer >= p {
-                    return Err(format!(
-                        "round {r}: node {me} addresses peer {} outside the {p}-node machine",
-                        xfer.peer
-                    ));
-                }
-                if hamming(me, xfer.peer) != 1 {
-                    return Err(format!(
-                        "round {r}: node {me} -> {} is not a hypercube edge",
-                        xfer.peer
-                    ));
-                }
-                if xfer.send.is_empty() && xfer.recv.is_empty() {
-                    return Err(format!(
-                        "round {r}: node {me} has an empty transfer (no send, no recv)"
-                    ));
-                }
-                for &id in xfer.send.iter().chain(&xfer.recv) {
-                    if let Err(e) = store.try_expected_len(id) {
-                        return Err(format!("round {r}: node {me}: {e}"));
-                    }
-                }
+        if self.peer >= p {
+            return Err(format!(
+                "node {me} addresses peer {} outside the {p}-node machine",
+                self.peer
+            ));
+        }
+        if hamming(me, self.peer) != 1 {
+            return Err(format!(
+                "node {me} -> {} is not a hypercube edge",
+                self.peer
+            ));
+        }
+        if self.send.is_none() && self.recv.is_none() {
+            return Err(format!(
+                "node {me} has an empty transfer (no send, no recv)"
+            ));
+        }
+        // Ids ascend, so the largest of a set is `fixed | free`.
+        for ids in self.send.iter().chain(&self.recv) {
+            if let Err(e) = store.try_expected_len(self.offset + (ids.fixed | ids.free)) {
+                return Err(format!("node {me}: {e}"));
             }
         }
         Ok(())
     }
 }
 
-/// An in-flight collective: its plan plus packet state.
+/// An in-flight collective: the schema, where this node sits in it, and
+/// its packet state. Nothing is compiled ahead: each round's transfers
+/// are read off [`CollSchema::xfer`] as the round runs.
 #[derive(Debug)]
 pub struct CollectiveRun {
-    pub(crate) plan: Plan,
+    schema: CollSchema,
+    port: PortModel,
+    sc: Subcube,
+    /// This node's relative rank, `rank ⊕ root`.
+    v: usize,
+    root: usize,
+    base: u64,
+    /// Packets, and the slice length of each copy.
     pub(crate) store: PacketStore,
 }
 
 impl CollectiveRun {
-    /// Pairs a compiled plan with its packet store.
-    pub fn new(plan: Plan, store: PacketStore) -> Self {
-        CollectiveRun { plan, store }
+    /// Node `me`'s side of the reference schema of `kind` on `sc` (root
+    /// rank `root`; 0 for the unrooted shapes) under tag base `base`,
+    /// over an empty store for `len`-word messages sliced across the
+    /// copies. The caller fills the store.
+    pub(crate) fn new(
+        kind: CollKind,
+        port: PortModel,
+        sc: &Subcube,
+        me: usize,
+        root: usize,
+        base: u64,
+        len: usize,
+    ) -> Self {
+        let schema = CollSchema::reference(kind);
+        let nc = schema.ncopies(port, sc.dim());
+        let slice_lens = (0..nc)
+            .map(|c| {
+                let (lo, hi) = chunk_bounds(len, nc, c);
+                hi - lo
+            })
+            .collect();
+        CollectiveRun {
+            schema,
+            port,
+            sc: sc.clone(),
+            v: sc.rank_of(me) ^ root,
+            root,
+            base,
+            store: PacketStore::new(slice_lens, schema.kind.ids_per_copy(sc.dim())),
+        }
     }
 
     /// Consumes the run, returning the packet store for result
@@ -445,28 +464,53 @@ impl CollectiveRun {
         &self.store
     }
 
-    /// Read access to the compiled plan (for static analysis).
-    pub fn plan(&self) -> &Plan {
-        &self.plan
+    /// The copies the message is sliced across: one, or `δ` rotated
+    /// link-disjoint copies (multi-port).
+    pub(crate) fn ncopies(&self) -> usize {
+        self.schema.ncopies(self.port, self.sc.dim())
+    }
+
+    /// Rounds this run takes part in.
+    pub fn rounds(&self) -> usize {
+        self.schema.rounds(self.sc.dim())
+    }
+
+    /// This node's transfer for copy `c` in round `r`, if it has one.
+    fn xfer(&self, r: usize, c: usize) -> Option<Xfer> {
+        let x = self.schema.xfer(self.sc.dim(), r, c, self.v)?;
+        Some(Xfer {
+            peer: self.sc.member(x.peer_v ^ self.root),
+            tag: round_tag(self.base, r as u32, c as u32),
+            offset: c * self.store.per_copy,
+            send: x.send,
+            recv: x.recv,
+        })
+    }
+
+    /// This node's transfers in round `r`, in copy order — exactly what
+    /// the executor issues for the round.
+    pub fn xfers(&self, r: usize) -> impl Iterator<Item = Xfer> + '_ {
+        (0..self.ncopies()).filter_map(move |c| self.xfer(r, c))
     }
 }
 
 /// Delivers the `bundle` received for `xfer` in round `r` into the
 /// store. The packets are windows of the bundle: no word is copied.
-fn deliver(store: &mut PacketStore, xfer: &Xfer, bundle: &Payload, r: usize) {
-    let expected: usize = xfer.recv.iter().map(|&id| store.expected_len(id)).sum();
+fn deliver(store: &mut PacketStore, mode: RecvMode, xfer: &Xfer, bundle: &Payload, r: usize) {
+    let Some(ids) = xfer.recv else {
+        return;
+    };
+    // Every id of one copy has the copy's slice length.
+    let len = store.expected_len(xfer.offset + ids.fixed);
     assert_eq!(
         bundle.len(),
-        expected,
+        ids.len() * len,
         "round {r}: bundle length mismatch from node {}",
         xfer.peer
     );
-    let mut offset = 0;
-    for &id in &xfer.recv {
-        let len = store.expected_len(id);
-        let piece = bundle.slice(offset, offset + len);
-        offset += len;
-        match xfer.recv_mode {
+    for (at, id) in ids.ids(xfer.offset).enumerate() {
+        let piece = bundle.slice(at * len, (at + 1) * len);
+        match mode {
             RecvMode::Fill => store.put(id, piece),
             RecvMode::Accumulate => {
                 let sum = store
@@ -502,69 +546,64 @@ pub(crate) async fn execute_rounds<E>(
     runs: &mut [&mut CollectiveRun],
     mut divert: impl FnMut(&mut Proc, &Xfer, Payload) -> Result<Option<Payload>, E>,
 ) -> Result<(), E> {
-    // Self-check every compiled plan in debug builds: a malformed plan
-    // fails here with a named round/peer instead of deep inside the
-    // engine (release builds skip the scan; `cubemm-analyze` carries the
-    // full cross-node proof).
-    #[cfg(debug_assertions)]
-    for run in runs.iter() {
-        if let Err(e) = run.plan.validate_local(proc.id(), proc.p(), &run.store) {
-            panic!("execute_fused: malformed plan: {e}");
-        }
-    }
-    let max_rounds = runs.iter().map(|r| r.plan.rounds.len()).max().unwrap_or(0);
-    // (run index, xfer index) for each receive of a round, in op order.
-    let mut recv_order: Vec<(usize, usize)> = Vec::new();
+    let max_rounds = runs.iter().map(|run| run.rounds()).max().unwrap_or(0);
+    // (run index, transfer) for every transfer of a round, in op order.
+    let mut round: Vec<(usize, Xfer)> =
+        Vec::with_capacity(runs.iter().map(|run| run.ncopies()).sum());
     for r in 0..max_rounds {
-        // Build the batch: all sends (across runs), then all receives.
-        let mut ops: Vec<Op> = Vec::new();
-        recv_order.clear();
-
-        for (ri, run) in runs.iter_mut().enumerate() {
-            let CollectiveRun { plan, store } = &mut **run;
-            let Some(round) = plan.rounds.get(r) else {
-                continue;
-            };
-            for (xi, xfer) in round.iter().enumerate() {
-                if !xfer.send.is_empty() {
-                    // One packet travels as stored; several are bundled —
-                    // the single copy a word sees on its way to the peer.
-                    let data = store.bundle(
-                        xfer.send.iter().copied(),
-                        xfer.consume_sends,
-                        format_args!("round {r} send"),
-                    );
-                    if let Some(data) = divert(proc, xfer, data)? {
-                        ops.push(Op::Send {
-                            to: xfer.peer,
-                            tag: xfer.tag,
-                            data,
-                        });
-                    }
-                }
-                if !xfer.recv.is_empty() {
-                    recv_order.push((ri, xi));
+        round.clear();
+        for (ri, run) in runs.iter().enumerate() {
+            round.extend(run.xfers(r).map(|xfer| (ri, xfer)));
+        }
+        // Build the batch: all sends (across runs), then all receives. A
+        // round this node sits out still takes its step, allocation-free.
+        let sides =
+            |(_, x): &(usize, Xfer)| usize::from(x.send.is_some()) + usize::from(x.recv.is_some());
+        let mut ops: Vec<Op> = Vec::with_capacity(round.iter().map(sides).sum());
+        for (ri, xfer) in &round {
+            let run = &mut *runs[*ri];
+            // Self-check every transfer in debug builds: a malformed
+            // schema fails here with a named round and peer instead of
+            // deep inside the engine (release builds skip it;
+            // `cubemm-analyze` carries the full cross-node proof).
+            #[cfg(debug_assertions)]
+            if let Err(e) = xfer.validate_local(proc.id(), proc.p(), &run.store) {
+                panic!("execute_fused: malformed transfer in round {r}: {e}");
+            }
+            if let Some(ids) = xfer.send {
+                // One packet travels as stored; several are bundled — the
+                // single copy a word sees on its way to the peer.
+                let consume = run.schema.kind.consume_sends();
+                let data = run.store.bundle(
+                    ids.ids(xfer.offset),
+                    consume,
+                    format_args!("round {r} send"),
+                );
+                if let Some(data) = divert(proc, xfer, data)? {
+                    ops.push(Op::Send {
+                        to: xfer.peer,
+                        tag: xfer.tag,
+                        data,
+                    });
                 }
             }
         }
-        for &(ri, xi) in &recv_order {
-            let xfer = &runs[ri].plan.rounds[r][xi];
-            ops.push(Op::Recv {
-                from: xfer.peer,
-                tag: xfer.tag,
-            });
-        }
+        let recvs = || round.iter().filter(|(_, xfer)| xfer.recv.is_some());
+        ops.extend(recvs().map(|(_, xfer)| Op::Recv {
+            from: xfer.peer,
+            tag: xfer.tag,
+        }));
 
         let results = proc.multi(ops).await;
-        let mut received = results.into_iter().flatten();
-        for &(ri, xi) in &recv_order {
-            #[allow(
-                clippy::expect_used,
-                reason = "engine contract: multi returns one Some per Op::Recv"
-            )]
-            let bundle = received.next().expect("engine recv result");
-            let CollectiveRun { plan, store } = &mut *runs[ri];
-            deliver(store, &plan.rounds[r][xi], &bundle, r);
+        for ((ri, xfer), bundle) in recvs().zip(results.into_iter().flatten()) {
+            let run = &mut *runs[*ri];
+            deliver(
+                &mut run.store,
+                run.schema.kind.recv_mode(),
+                xfer,
+                &bundle,
+                r,
+            );
         }
     }
     Ok(())
@@ -758,54 +797,41 @@ mod tests {
     }
 
     #[test]
-    fn validate_local_accepts_a_well_formed_plan() {
-        let store = PacketStore::new(vec![4, 4], 1);
-        let mut plan = Plan::with_rounds(1);
-        plan.push(
-            0,
-            Xfer {
-                peer: 1,
-                tag: 0,
-                send: vec![0],
-                consume_sends: false,
-                recv: vec![1],
-                recv_mode: RecvMode::Fill,
-            },
-        );
-        assert!(plan.validate_local(0, 4, &store).is_ok());
+    fn validate_local_accepts_a_neighbour_transfer() {
+        let store = PacketStore::new(vec![4, 4], 2);
+        let xfer = Xfer {
+            peer: 1,
+            tag: 0,
+            offset: 2,
+            send: Some(IdMask::single(0)),
+            recv: Some(IdMask::single(1)),
+        };
+        assert!(xfer.validate_local(0, 4, &store).is_ok());
     }
 
     #[test]
     fn validate_local_rejects_non_neighbors_and_bad_ids() {
-        let store = PacketStore::new(vec![4], 1);
-        let mut plan = Plan::with_rounds(1);
-        plan.push(
-            0,
-            Xfer {
-                peer: 3,
-                tag: 0,
-                send: vec![0],
-                consume_sends: false,
-                recv: vec![],
-                recv_mode: RecvMode::Fill,
-            },
-        );
-        let err = plan.validate_local(0, 4, &store).unwrap_err();
+        let store = PacketStore::new(vec![4], 2);
+        let send = |peer, offset, ids| Xfer {
+            peer,
+            tag: 0,
+            offset,
+            send: Some(ids),
+            recv: None,
+        };
+        let err = send(3, 0, IdMask::single(0))
+            .validate_local(0, 4, &store)
+            .unwrap_err();
         assert!(err.contains("not a hypercube edge"), "{err}");
 
-        let mut plan = Plan::with_rounds(1);
-        plan.push(
-            0,
-            Xfer {
-                peer: 1,
-                tag: 0,
-                send: vec![2],
-                consume_sends: false,
-                recv: vec![],
-                recv_mode: RecvMode::Fill,
-            },
-        );
-        let err = plan.validate_local(0, 4, &store).unwrap_err();
-        assert!(err.contains("out of range"), "{err}");
+        // {0, 2}: the set's last id, not its first, is out of range.
+        let err = send(1, 0, IdMask { fixed: 0, free: 2 })
+            .validate_local(0, 4, &store)
+            .unwrap_err();
+        assert!(err.contains("packet 2 out of range"), "{err}");
+        let err = send(1, 1, IdMask::single(1))
+            .validate_local(0, 4, &store)
+            .unwrap_err();
+        assert!(err.contains("packet 2 out of range"), "{err}");
     }
 }

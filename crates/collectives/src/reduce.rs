@@ -6,13 +6,12 @@ use cubemm_topology::Subcube;
 
 use crate::chunk;
 use crate::plan::{execute, CollectiveRun};
-use crate::schema::{CollKind, CollSchema};
+use crate::schema::CollKind;
 
 /// A planned reduction, ready to execute (possibly fused with others).
 #[derive(Debug)]
 pub struct ReduceRun {
     inner: CollectiveRun,
-    ncopies: usize,
     is_root: bool,
 }
 
@@ -27,7 +26,7 @@ impl ReduceRun {
         if !self.is_root {
             return None;
         }
-        let slices = 0..self.ncopies;
+        let slices = 0..self.inner.ncopies();
         Some(
             self.inner
                 .store
@@ -46,15 +45,14 @@ pub fn reduce_plan(
     base: u64,
     mine: Payload,
 ) -> ReduceRun {
-    let schema = CollSchema::reference(CollKind::Reduce);
-    let (mut inner, ncopies) = schema.compile(port, sc, me, root, base, mine.len());
+    let mut inner = CollectiveRun::new(CollKind::Reduce, port, sc, me, root, base, mine.len());
+    let ncopies = inner.ncopies();
     for c in 0..ncopies {
         inner.store.put(c, chunk(&mine, ncopies, c));
     }
 
     ReduceRun {
         inner,
-        ncopies,
         is_root: sc.rank_of(me) == root,
     }
 }

@@ -5,13 +5,12 @@ use cubemm_topology::Subcube;
 
 use crate::chunk;
 use crate::plan::{execute, CollectiveRun};
-use crate::schema::{CollKind, CollSchema};
+use crate::schema::CollKind;
 
 /// A planned scatter, ready to execute (possibly fused with others).
 #[derive(Debug)]
 pub struct ScatterRun {
     inner: CollectiveRun,
-    ncopies: usize,
     n: usize,
     v: usize,
 }
@@ -24,7 +23,7 @@ impl ScatterRun {
 
     /// Extracts this node's part after execution.
     pub fn finish(mut self) -> Payload {
-        let slices = (0..self.ncopies).map(|c| c * self.n + self.v);
+        let slices = (0..self.inner.ncopies()).map(|c| c * self.n + self.v);
         self.inner
             .store
             .bundle(slices, true, format_args!("scatter finish"))
@@ -45,8 +44,8 @@ pub fn scatter_plan(
     let n = sc.size();
     let my_rank = sc.rank_of(me);
 
-    let schema = CollSchema::reference(CollKind::Scatter);
-    let (mut inner, ncopies) = schema.compile(port, sc, me, root, base, part_len);
+    let mut inner = CollectiveRun::new(CollKind::Scatter, port, sc, me, root, base, part_len);
+    let ncopies = inner.ncopies();
     if my_rank == root {
         #[allow(
             clippy::expect_used,
@@ -72,7 +71,6 @@ pub fn scatter_plan(
 
     ScatterRun {
         inner,
-        ncopies,
         n,
         v: my_rank ^ root,
     }
@@ -108,6 +106,7 @@ pub async fn scatter(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::CollSchema;
     use crate::testutil::run;
     use cubemm_simnet::PortModel;
     use cubemm_topology::Subcube;

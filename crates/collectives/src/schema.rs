@@ -11,20 +11,23 @@
 //! round of every copy: its peer, and the packet ids it sends and
 //! receives, named as sub-mask sets ([`IdMask`]) rather than lists.
 //!
-//! Both consumers are derived from that function. The executable
-//! [`Plan`] a node runs materialises the id sets in ascending order
-//! ([`CollSchema::compile`], behind every `*_plan` entry point); the
-//! analyzer's [`RoundSpec`] only counts them ([`CollSchema::expand_node`]:
-//! words = `|ids|` · slice length). There is no second generator to
-//! diff against: `cubemm-analyze` attacks the guard function itself —
-//! the claimed volume must equal the id-set cardinality, the expansion
-//! must pass the concrete checker and hit the closed form, and traced
-//! real runs must match it message for message (see DESIGN.md §15).
+//! Both consumers call that function directly. The executor asks it for
+//! each round's transfers as the round runs and lists an id set only
+//! while it bundles or splits a message ([`CollectiveRun`], behind every
+//! `*_plan` entry point); the analyzer's [`RoundSpec`] only counts them
+//! ([`CollSchema::expand_node`]: words = `|ids|` · slice length). No
+//! per-node plan is compiled, so there is no second copy of the
+//! schedule to diff against: `cubemm-analyze` attacks the guard function
+//! itself — the claimed volume must equal the id-set cardinality, the
+//! expansion must pass the concrete checker and hit the closed form, and
+//! traced real runs must match it message for message (see DESIGN.md
+//! §15).
+//!
+//! [`CollectiveRun`]: crate::CollectiveRun
 
 use cubemm_simnet::PortModel;
-use cubemm_topology::Subcube;
 
-use crate::plan::{CollectiveRun, PacketStore, Plan, RecvMode, Xfer};
+use crate::plan::RecvMode;
 use crate::{chunk_bounds, round_tag, submasks};
 
 /// The seven collective kinds of the paper's Table 1.
@@ -420,56 +423,6 @@ impl CollSchema {
                 round
             })
             .collect()
-    }
-
-    /// Compiles this schema for node `me` of `sc` (root rank `root`;
-    /// pass 0 for the unrooted shapes): the executable plan — every id
-    /// set of [`CollSchema::xfer`] listed in ascending order — over an
-    /// empty store for `len`-word messages sliced across the copies.
-    /// Returns the run and its copy count; the caller fills the store.
-    pub(crate) fn compile(
-        &self,
-        port: PortModel,
-        sc: &Subcube,
-        me: usize,
-        root: usize,
-        base: u64,
-        len: usize,
-    ) -> (CollectiveRun, usize) {
-        let delta = sc.dim();
-        let nc = self.ncopies(port, delta);
-        let per_copy = self.kind.ids_per_copy(delta);
-        let v = sc.rank_of(me) ^ root;
-        let mut plan = Plan::with_rounds(self.rounds(delta));
-        for r in 0..plan.rounds.len() {
-            for c in 0..nc {
-                let Some(x) = self.xfer(delta, r, c, v) else {
-                    continue;
-                };
-                let list = |ids: Option<IdMask>| {
-                    ids.map_or_else(Vec::new, |ids| ids.ids(c * per_copy).collect())
-                };
-                plan.push(
-                    r,
-                    Xfer {
-                        peer: sc.member(x.peer_v ^ root),
-                        tag: round_tag(base, r as u32, c as u32),
-                        send: list(x.send),
-                        consume_sends: self.kind.consume_sends(),
-                        recv: list(x.recv),
-                        recv_mode: self.kind.recv_mode(),
-                    },
-                );
-            }
-        }
-        let slice_lens = (0..nc)
-            .map(|c| {
-                let (lo, hi) = chunk_bounds(len, nc, c);
-                hi - lo
-            })
-            .collect();
-        let store = PacketStore::new(slice_lens, per_copy);
-        (CollectiveRun::new(plan, store), nc)
     }
 
     /// The rotated dimensions `{o_r(c) : c < ncopies}` used by round

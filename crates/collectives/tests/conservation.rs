@@ -1,10 +1,11 @@
-//! Conservation of packets: what the compiled plans of a collective do
-//! to the machine-wide set of packet ids, stated as an invariant rather
-//! than by comparison with a second copy of the generator.
+//! Conservation of packets: what the rounds of a collective do to the
+//! machine-wide set of packet ids, stated as an invariant rather than by
+//! comparison with a second copy of the generator.
 //!
-//! For every kind × both ports × d ∈ 1..=6 × every root, the per-node
-//! plans are compiled through the public `*_plan` entry points and
-//! replayed on id sets alone:
+//! For every kind × both ports × d ∈ 1..=6 × every root, each node's run
+//! is set up through the public `*_plan` entry points, and the transfers
+//! its `xfers(r)` yields — the ones the executor issues, read off the
+//! schema the same way — are replayed on id sets alone:
 //!
 //! * each round-`r` send lists exactly the ids, in exactly the order,
 //!   that the matching receive on the other end of the link splits the
@@ -21,7 +22,7 @@ use std::collections::BTreeSet;
 
 use cubemm_collectives::{
     allgather_plan, alltoall_plan, bcast_plan, gather_plan, reduce_plan, reduce_scatter_plan,
-    scatter_plan, CollKind, CollectiveRun, RecvMode, Xfer,
+    scatter_plan, CollKind, CollectiveRun, IdMask, RecvMode, Xfer,
 };
 use cubemm_simnet::{Payload, PortModel};
 use cubemm_topology::Subcube;
@@ -35,8 +36,8 @@ fn block() -> Payload {
     (0..WORDS).map(|x| x as f64).collect()
 }
 
-/// One node's compiled side: its rounds and the ids its store was
-/// filled with.
+/// One node's side: the transfers of each round and the ids its store
+/// was filled with.
 struct Node {
     rounds: Vec<Vec<Xfer>>,
     held: BTreeSet<usize>,
@@ -45,16 +46,21 @@ struct Node {
 fn snapshot(run: &CollectiveRun) -> Node {
     let store = run.store();
     Node {
-        rounds: run.plan().rounds.clone(),
+        rounds: (0..run.rounds()).map(|r| run.xfers(r).collect()).collect(),
         held: (0..store.len())
             .filter(|&id| store.get(id).is_some())
             .collect(),
     }
 }
 
-/// Compiles `kind` for the member of rank `rank` (the unrooted kinds
+/// The ids of one side of a transfer, ascending (none for `None`).
+fn ids(set: Option<IdMask>, offset: usize) -> Vec<usize> {
+    set.map_or_else(Vec::new, |set| set.ids(offset).collect())
+}
+
+/// Sets up `kind` for the member of rank `rank` (the unrooted kinds
 /// ignore `root`).
-fn compile(kind: CollKind, port: PortModel, sc: &Subcube, rank: usize, root: usize) -> Node {
+fn set_up(kind: CollKind, port: PortModel, sc: &Subcube, rank: usize, root: usize) -> Node {
     let (me, n) = (sc.member(rank), sc.size());
     let at_root = rank == root;
     match kind {
@@ -97,7 +103,7 @@ fn conserves_at(kind: CollKind, port: PortModel, sc: &Subcube, root: usize) {
     let (d, n) = (sc.dim() as usize, sc.size());
     let at = format!("{} {port} d={d} root {root}", kind.name());
     let mut nodes: Vec<Node> = (0..n)
-        .map(|rank| compile(kind, port, sc, rank, root))
+        .map(|rank| set_up(kind, port, sc, rank, root))
         .collect();
     let copies = match port {
         PortModel::OnePort => 1,
@@ -109,6 +115,8 @@ fn conserves_at(kind: CollKind, port: PortModel, sc: &Subcube, root: usize) {
         _ => n,
     };
 
+    let (consume, mode) = (kind.consume_sends(), kind.recv_mode());
+
     for r in 0..d {
         // The transfer on the other end of `x`'s link, if the peer has one.
         let mirror = |from: usize, x: &Xfer| -> Option<&Xfer> {
@@ -119,31 +127,34 @@ fn conserves_at(kind: CollKind, port: PortModel, sc: &Subcube, root: usize) {
         for (rank, node) in nodes.iter().enumerate() {
             assert_eq!(node.rounds.len(), d, "{at}: rank {rank} round count");
             for x in &node.rounds[r] {
-                let other = mirror(rank, x).map(|y| (&y.send, &y.recv));
-                let nothing = Vec::new();
-                let (their_send, their_recv) = other.unwrap_or((&nothing, &nothing));
-                assert_eq!(&x.send, their_recv, "{at}: round {r} rank {rank} send");
-                assert_eq!(&x.recv, their_send, "{at}: round {r} rank {rank} recv");
+                let (their_send, their_recv) = mirror(rank, x).map_or((vec![], vec![]), |y| {
+                    (ids(y.send, y.offset), ids(y.recv, y.offset))
+                });
+                let (send, recv) = (ids(x.send, x.offset), ids(x.recv, x.offset));
+                assert_eq!(send, their_recv, "{at}: round {r} rank {rank} send");
+                assert_eq!(recv, their_send, "{at}: round {r} rank {rank} recv");
                 assert!(
-                    x.send.iter().all(|id| node.held.contains(id)),
+                    send.iter().all(|id| node.held.contains(id)),
                     "{at}: round {r} rank {rank} sends a packet it does not hold"
                 );
             }
         }
         // All sends of a round leave before any receive lands.
         for Node { rounds, held } in &mut nodes {
-            for x in rounds[r].iter().filter(|x| x.consume_sends) {
-                x.send.iter().for_each(|id| assert!(held.remove(id)));
+            for x in rounds[r].iter().filter(|_| consume) {
+                ids(x.send, x.offset)
+                    .iter()
+                    .for_each(|id| assert!(held.remove(id)));
             }
         }
         for (rank, Node { rounds, held }) in nodes.iter_mut().enumerate() {
             for x in &rounds[r] {
-                for &id in &x.recv {
-                    let fresh = match x.recv_mode {
+                for id in ids(x.recv, x.offset) {
+                    let fresh = match mode {
                         RecvMode::Fill => held.insert(id),
                         RecvMode::Accumulate => !held.contains(&id),
                     };
-                    let want_fresh = x.recv_mode == RecvMode::Fill;
+                    let want_fresh = mode == RecvMode::Fill;
                     assert_eq!(fresh, want_fresh, "{at}: round {r} rank {rank} packet {id}");
                 }
             }

@@ -97,23 +97,36 @@ pub struct AbftResult {
 /// uses. Index `n` holds the checksum row/column; rows and columns
 /// `n + 1 .. N` are zero padding.
 ///
-/// Returns the algorithm's own applicability error (from the last
-/// candidate tried) if no order within `n + 1 ..= 2n + 64` fits, which
-/// in practice means `p` itself is unacceptable (e.g. not a power of
-/// two, or too large for any order in range).
+/// Returns the algorithm's own applicability error for the last order
+/// of `n + 1 ..= 2n + 64` if none fits, which in practice means `p`
+/// itself is unacceptable (e.g. not a power of two, or too large for
+/// any order in range). A `p` no order can cure is answered at once.
+///
+/// The search skips what cannot fit: every block side an algorithm
+/// demands depends on `p` alone, so an [`AlgoError::Indivisible`] order
+/// jumps to the next multiple of its divisor. The supernode layouts
+/// report a split that fits no order as [`AlgoError::Topology`]; their
+/// sides are powers of two, so such an order jumps by its lowest set
+/// bit — unless order `p`, which every power-of-two side divides, fails
+/// the same way, in which case no order helps.
 pub fn padded_order(algo: Algorithm, n: usize, p: usize) -> Result<usize, AlgoError> {
-    let mut last_err = None;
-    for total in (n + 1)..=(2 * n + PAD_SEARCH_SPAN) {
-        match algo.check(total, p) {
+    let last = n.saturating_mul(2).saturating_add(PAD_SEARCH_SPAN);
+    let mut total = n.saturating_add(1);
+    while total < last {
+        let next = match algo.check(total, p) {
             Ok(()) => return Ok(total),
-            Err(e) => last_err = Some(e),
-        }
+            Err(AlgoError::Indivisible { divisor, .. }) => total.checked_next_multiple_of(divisor),
+            Err(e @ AlgoError::Topology(_)) => {
+                if matches!(algo.check(p, p), Err(AlgoError::Topology(_))) {
+                    return Err(e);
+                }
+                total.checked_add(1 << total.trailing_zeros())
+            }
+            Err(_) => total.checked_add(1),
+        };
+        total = next.map_or(last, |next| next.max(total + 1));
     }
-    // The range above is never empty, so an error was always recorded.
-    Err(last_err.unwrap_or(AlgoError::BadShapes {
-        a: (n, n),
-        b: (n, n),
-    }))
+    algo.check(last, p).map(|()| last)
 }
 
 /// Runs `algo` on checksum-augmented inputs and verifies the product,
@@ -230,6 +243,53 @@ mod tests {
     fn padded_order_propagates_impossible_processor_counts() {
         // p = 6 is not a power of two; no order helps.
         assert!(padded_order(Algorithm::Cannon, 4, 6).is_err());
+    }
+
+    /// The first order past `n` that `algo` accepts on `p`, one order at
+    /// a time: what the skipping search must agree with.
+    fn first_fit(algo: Algorithm, n: usize, p: usize) -> Result<usize, AlgoError> {
+        let last = 2 * n + PAD_SEARCH_SPAN;
+        (n + 1..last)
+            .find(|&total| algo.check(total, p).is_ok())
+            .map_or_else(|| algo.check(last, p).map(|()| last), Ok)
+    }
+
+    #[test]
+    fn padded_order_skips_only_orders_that_cannot_fit() {
+        for algo in Algorithm::ALL.into_iter().chain(Algorithm::EXTENSIONS) {
+            for p in [1, 2, 4, 6, 8, 16, 32, 64, 128, 256, 512, 4096] {
+                for n in [1, 3, 5, 16, 31, 100] {
+                    assert_eq!(
+                        padded_order(algo, n, p),
+                        first_fit(algo, n, p),
+                        "{algo} n={n} p={p}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padded_order_answers_huge_orders_at_once() {
+        let start = std::time::Instant::now();
+        for algo in Algorithm::ALL.into_iter().chain(Algorithm::EXTENSIONS) {
+            // No order cures p = 6; a power-of-two p is cured by the next
+            // multiple of a block side; the search bound saturates.
+            assert!(matches!(
+                padded_order(algo, 2_000_000_000, 6),
+                Err(AlgoError::Topology(_))
+            ));
+            let total = padded_order(algo, 2_000_000_000, 4096);
+            if let Ok(total) = total {
+                algo.check(total, 4096).unwrap();
+            }
+            let _ = padded_order(algo, usize::MAX - 1, 64);
+        }
+        assert!(
+            start.elapsed().as_secs_f64() < 1.0,
+            "took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

@@ -52,6 +52,16 @@ pub const DEFAULT_NC: usize = 512;
 /// to 1 at `n = 128` under the old always-dispatch driver).
 pub const PAR_MIN_ELEMS: usize = 1 << 24;
 
+/// Products with at most this many `m·k·n` flops-elements, and `k` within
+/// one `kc` block, skip packing: the packed path runs one unpacked
+/// register loop over the row-major operands instead
+/// ([`MicrokernelImpl::run_unpacked`]), which computes the same float
+/// sequence per element and so the same bits. `kernel_bench`'s `small`
+/// sweep places it: the loop is 1.7–4× the packed path's speed from 4³ to
+/// 40³ and still ahead at 64³; the line stops short of that so the 96³
+/// blocks the packed kernel is tuned and measured on keep their path.
+pub const SMALL_MAX_ELEMS: usize = 1 << 16;
+
 /// Which local kernel to use: the packed fast path the algorithms
 /// multiply with, or the blocked loop [`reference`] verifies with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -493,12 +503,16 @@ fn packed(
         return;
     }
     let bl = tune::resolve(mc, kc, nc, mk);
+    let work = m.saturating_mul(k).saturating_mul(n);
+    if k <= bl.kc && work <= SMALL_MAX_ELEMS {
+        mk.run_unpacked(c.as_mut_slice(), a.as_slice(), b.as_slice(), k, n);
+        return;
+    }
     let threads = if threads == 0 {
         ThreadPool::global().parallelism()
     } else {
         threads
     };
-    let work = m.saturating_mul(k).saturating_mul(n);
     if threads <= 1 || work <= PAR_MIN_ELEMS {
         packed_serial(c, a, b, &bl, mk);
     } else {

@@ -164,6 +164,133 @@ impl MicrokernelImpl {
             }
         }
     }
+
+    /// Computes `C += A·B` for a whole small product straight from the
+    /// row-major operands: no packing, no register tiles.
+    ///
+    /// `a` is `m × k`, `b` is `k × n` and `c` is `m × n`, all non-empty.
+    /// Every `C` element is the float sequence of [`MicrokernelImpl::run`]
+    /// over a single `kc` block: one private accumulator from `+0.0`, one
+    /// fused multiply-add per `k` step in ascending order, then one add
+    /// into `C`. So when `k` fits in one `kc` block the result is
+    /// bit-for-bit the packed product's, whichever impl runs either.
+    /// `self` only picks the instruction set the loop is compiled for.
+    pub fn run_unpacked(self, c: &mut [f64], a: &[f64], b: &[f64], k: usize, n: usize) {
+        debug_assert!(k > 0 && n > 0);
+        debug_assert_eq!(a.len() / k, c.len() / n);
+        debug_assert_eq!(b.len(), k * n);
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            if self == MicrokernelImpl::Avx2 {
+                // SAFETY: an `Avx2` value is only constructed on a host
+                // where AVX2 and FMA were detected.
+                return unsafe { unpacked_avx2(c, a, b, k, n) };
+            }
+            if std::arch::is_x86_feature_detected!("fma") {
+                // SAFETY: the fma feature was just detected.
+                return unsafe { unpacked_fma(c, a, b, k, n) };
+            }
+        }
+        unpacked_body(c, a, b, k, n);
+    }
+}
+
+/// The [`MicrokernelImpl::run_unpacked`] loop: `C` in tiles of four rows
+/// (then single rows) by 8, 4, 2 and 1 columns, each tile's accumulators
+/// held in registers across the whole `k` loop.
+#[inline(always)]
+fn unpacked_body(c: &mut [f64], a: &[f64], b: &[f64], k: usize, n: usize) {
+    let m = c.len() / n;
+    let mut i = 0;
+    while i + 4 <= m {
+        unpacked_rows::<4>(c, a, b, k, n, i);
+        i += 4;
+    }
+    while i < m {
+        unpacked_rows::<1>(c, a, b, k, n, i);
+        i += 1;
+    }
+}
+
+/// Rows `i .. i + R` of `C`, across every column.
+#[inline(always)]
+fn unpacked_rows<const R: usize>(
+    c: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    k: usize,
+    n: usize,
+    i: usize,
+) {
+    let mut j = 0;
+    while j + 8 <= n {
+        unpacked_tile::<R, 8>(c, a, b, k, n, i, j);
+        j += 8;
+    }
+    if j + 4 <= n {
+        unpacked_tile::<R, 4>(c, a, b, k, n, i, j);
+        j += 4;
+    }
+    if j + 2 <= n {
+        unpacked_tile::<R, 2>(c, a, b, k, n, i, j);
+        j += 2;
+    }
+    if j < n {
+        unpacked_tile::<R, 1>(c, a, b, k, n, i, j);
+    }
+}
+
+/// `C[i.., j..] += A[i.., ..] · B[.., j..]` over an `R × W` tile, one
+/// accumulator per element: the packed path's float sequence.
+#[inline(always)]
+fn unpacked_tile<const R: usize, const W: usize>(
+    c: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    k: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+) {
+    let rows: [&[f64]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+    let mut acc = [[0.0f64; W]; R];
+    for l in 0..k {
+        let bl = &b[l * n + j..l * n + j + W];
+        for (accr, row) in acc.iter_mut().zip(&rows) {
+            let al = row[l];
+            for (s, &bv) in accr.iter_mut().zip(bl) {
+                *s = al.mul_add(bv, *s);
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        let at = (i + r) * n + j;
+        for (cv, &s) in c[at..at + W].iter_mut().zip(accr) {
+            *cv += s;
+        }
+    }
+}
+
+/// The unpacked loop compiled for AVX2+FMA: the 8- and 4-wide strips
+/// become `vfmadd` on `ymm` registers.
+///
+/// # Safety
+/// The host must support the `avx2` and `fma` target features.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn unpacked_avx2(c: &mut [f64], a: &[f64], b: &[f64], k: usize, n: usize) {
+    unpacked_body(c, a, b, k, n);
+}
+
+/// The unpacked loop with hardware FMA but no AVX2 — what the scalar
+/// impl runs (bit-identical to the libm fallback).
+///
+/// # Safety
+/// The host must support the `fma` target feature.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "fma")]
+unsafe fn unpacked_fma(c: &mut [f64], a: &[f64], b: &[f64], k: usize, n: usize) {
+    unpacked_body(c, a, b, k, n);
 }
 
 /// The portable tile body, generic so the FMA-target wrapper below can

@@ -14,17 +14,106 @@
 //! is additionally pinned by a CUBEMM_FORCE_SCALAR=1 run of this same
 //! suite (see .github/workflows/ci.yml).
 
-use cubemm_dense::gemm::{gemm_acc_with_microkernel, Kernel};
-use cubemm_dense::microkernel::MicrokernelImpl;
-use cubemm_dense::{abft, Matrix};
+//!
+//! 3. across the **small-shape path**: a product of at most
+//!    `SMALL_MAX_ELEMS` element-steps with `k` inside one `kc` block
+//!    skips packing, and must still produce the packed path's bits on
+//!    both microkernels, signed zeros and non-finite words included.
 
-/// Every microkernel the host can execute.
-fn impls() -> Vec<MicrokernelImpl> {
-    let mut v = vec![MicrokernelImpl::Scalar];
-    if MicrokernelImpl::detect() == MicrokernelImpl::Avx2 {
-        v.push(MicrokernelImpl::Avx2);
+mod common;
+
+use common::{assert_same_bits, impls, packed_oracle, Values, SIDES};
+use cubemm_dense::gemm::{gemm_acc, gemm_acc_with_microkernel, Kernel, SMALL_MAX_ELEMS};
+use cubemm_dense::microkernel::MicrokernelImpl;
+use cubemm_dense::{abft, tune, Matrix};
+
+/// Runs `gemm_acc`'s default kernel at `(m, k, n)` on every microkernel
+/// and on the dispatched one, and asserts each matches the packed path
+/// written out, for every operand family.
+fn matches_the_packed_path(m: usize, k: usize, n: usize) {
+    for values in Values::ALL {
+        let (a, b, c0) = values.operands(m, k, n);
+        let what = |mk: MicrokernelImpl| format!("{values:?} {m}x{k}x{n} {}", mk.name());
+        let oracle = |mk: MicrokernelImpl| {
+            let mut want = c0.clone();
+            packed_oracle(
+                &mut want,
+                a.view(),
+                b.view(),
+                tune::resolve(0, 0, 0, mk).kc,
+                mk,
+            );
+            want
+        };
+        for mk in impls() {
+            let mut got = c0.clone();
+            gemm_acc_with_microkernel(&mut got, &a, &b, Kernel::packed(), mk);
+            assert_same_bits(&got, &oracle(mk), &what(mk));
+        }
+        // The process-wide dispatch: scalar under CUBEMM_FORCE_SCALAR.
+        let mut got = c0.clone();
+        gemm_acc(&mut got, &a, &b, Kernel::packed());
+        let mk = MicrokernelImpl::active();
+        assert_same_bits(&got, &oracle(mk), &format!("{} dispatched", what(mk)));
     }
-    v
+}
+
+#[test]
+fn small_shapes_match_the_packed_path_bitwise() {
+    for m in SIDES {
+        for k in SIDES {
+            for n in SIDES {
+                assert!(m * k * n <= SMALL_MAX_ELEMS);
+                matches_the_packed_path(m, k, n);
+            }
+        }
+    }
+}
+
+#[test]
+fn the_small_shape_threshold_edge_matches_the_packed_path_bitwise() {
+    // At the threshold, one past it, and k at the default kc = 256
+    // (one block) against k one past it (two blocks).
+    let edge = [
+        (16, 16, 256),
+        (64, 16, 64),
+        (16, 16, 257),
+        (65, 16, 64),
+        (1, 256, 256),
+        (1, 257, 16),
+    ];
+    for (m, k, n) in edge {
+        matches_the_packed_path(m, k, n);
+    }
+    assert_eq!(16 * 16 * 256, SMALL_MAX_ELEMS);
+}
+
+#[test]
+fn an_explicit_kc_below_k_keeps_the_packed_path() {
+    // A tuning file or caller asking for kc < k splits the chain: C
+    // takes one fold per kc block, which the one-chain small loop would
+    // not reproduce. Those bits must be the split ones.
+    let mut split_differs = false;
+    for (m, k, n) in [(4, 7, 4), (5, 16, 3), (8, 9, 8), (16, 16, 16)] {
+        let (a, b, c0) = Values::Random.operands(m, k, n);
+        for mk in impls() {
+            let kernel = Kernel::Packed {
+                mc: 0,
+                kc: 3,
+                nc: 0,
+                threads: 1,
+            };
+            let mut got = c0.clone();
+            gemm_acc_with_microkernel(&mut got, &a, &b, kernel, mk);
+            let mut split = c0.clone();
+            packed_oracle(&mut split, a.view(), b.view(), 3, mk);
+            assert_same_bits(&got, &split, &format!("kc = 3, {m}x{k}x{n} {}", mk.name()));
+            let mut one_chain = c0.clone();
+            packed_oracle(&mut one_chain, a.view(), b.view(), k, mk);
+            split_differs |= one_chain != split;
+        }
+    }
+    assert!(split_differs, "no shape told a kc split from one chain");
 }
 
 /// The ragged/edge-padded shape set: exact tiles for both `mr` values

@@ -10,21 +10,15 @@
 //! The words around each window are NaN, so a kernel that read one word
 //! outside its view would poison the product and fail the comparison.
 
+mod common;
+
+use common::{assert_same_bits, impls, packed_oracle, Values, SIDES};
 use cubemm_dense::gemm::{
     blocked_acc_with_isa, gemm_acc, gemm_acc_with_microkernel, Kernel, ReferenceIsa,
 };
 use cubemm_dense::microkernel::MicrokernelImpl;
 use cubemm_dense::pack::{pack_a, pack_a_panel, pack_b, pack_b_panel, packed_a_len, packed_b_len};
-use cubemm_dense::{Matrix, MatrixView};
-
-/// Every microkernel the host can execute.
-fn impls() -> Vec<MicrokernelImpl> {
-    let mut v = vec![MicrokernelImpl::Scalar];
-    if MicrokernelImpl::detect() == MicrokernelImpl::Avx2 {
-        v.push(MicrokernelImpl::Avx2);
-    }
-    v
-}
+use cubemm_dense::{tune, Matrix, MatrixView};
 
 /// Ragged shapes: exact tiles for both `mr` values, single-row/column
 /// spills, primes, and empties.
@@ -106,6 +100,49 @@ fn every_kernel_on_views_matches_owned_matrices_bitwise() {
             check(shape, &format!("{kernel:?} dispatched"), |c, a, b| {
                 gemm_acc(c, a, b, kernel)
             });
+        }
+    }
+}
+
+#[test]
+fn small_shapes_on_views_match_the_packed_path_bitwise() {
+    // The small-shape path reads the row-major operands directly, so it
+    // is the one most exposed to a view's bounds: every shape below the
+    // threshold, fed windows between NaNs, against the packed path on
+    // owned operands.
+    for m in SIDES {
+        for k in SIDES {
+            for n in SIDES {
+                for values in Values::ALL {
+                    let (a, b, c0) = values.operands(m, k, n);
+                    let (abuf, bbuf) = (embedded(&a, 3), embedded(&b, 7));
+                    let (av, bv) = (window(&abuf, 3, m, k), window(&bbuf, 7, k, n));
+                    let oracle = |mk: MicrokernelImpl| {
+                        let mut want = c0.clone();
+                        packed_oracle(
+                            &mut want,
+                            a.view(),
+                            b.view(),
+                            tune::resolve(0, 0, 0, mk).kc,
+                            mk,
+                        );
+                        want
+                    };
+                    let what = format!("{values:?} {m}x{k}x{n}");
+                    for mk in impls() {
+                        let mut got = c0.clone();
+                        gemm_acc_with_microkernel(&mut got, av, bv, Kernel::packed(), mk);
+                        assert_same_bits(&got, &oracle(mk), &format!("{what} {}", mk.name()));
+                    }
+                    let mut got = c0.clone();
+                    gemm_acc(&mut got, av, bv, Kernel::packed());
+                    assert_same_bits(
+                        &got,
+                        &oracle(MicrokernelImpl::active()),
+                        &format!("{what} dispatched"),
+                    );
+                }
+            }
         }
     }
 }

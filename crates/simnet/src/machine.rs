@@ -659,6 +659,29 @@ mod tests {
     }
 
     #[test]
+    fn multi_port_link_clocks_start_fresh_each_batch() {
+        // The second batch reuses the first one's link after the node has
+        // moved on to t = 100: it must start there, not where the link
+        // last fell idle (t = 20).
+        let out = machine(2, PortModel::MultiPort)
+            .run(vec![(); 2], |mut proc, ()| async move {
+                if proc.id() == 0 {
+                    for tag in 0..2 {
+                        let data = words(5);
+                        proc.multi(vec![Op::Send { to: 1, tag, data }]).await;
+                        proc.advance_clock(80.0);
+                    }
+                } else {
+                    let _ = proc.recv(0, 0).await;
+                    let _ = proc.recv(0, 1).await;
+                }
+                proc.clock()
+            })
+            .expect("healthy run");
+        assert_eq!(out.outputs, vec![200.0, 120.0]);
+    }
+
+    #[test]
     fn exchange_costs_one_unit_on_the_critical_path() {
         // Recursive-doubling style pairwise exchange: both nodes send and
         // receive; the paper charges t_s + t_w m per step.

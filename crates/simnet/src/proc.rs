@@ -83,6 +83,11 @@ pub struct Proc {
     /// Program-step counter stamped on trace events: each public
     /// communication call is one step, a `multi` batch shares one.
     round: u64,
+    /// Multi-port link occupancy within the current [`Proc::multi`]
+    /// batch, as `(link, busy until)`: cleared per batch, kept across
+    /// batches so a batch allocates nothing. A batch touches at most
+    /// `2·log p` links, so a linear scan finds one.
+    link_busy: Vec<(usize, f64)>,
 }
 
 impl Proc {
@@ -110,6 +115,7 @@ impl Proc {
             stats: NodeStats::default(),
             trace: options.traced.then(Vec::new),
             round: 0,
+            link_busy: Vec::new(),
         }
     }
 
@@ -574,6 +580,26 @@ impl Proc {
         env.data
     }
 
+    /// When the link to `to` frees up in the current multi-port batch:
+    /// `idle` unless the batch has already used it. Keyed by label, not
+    /// dimension — a routed send's first hop and a symmetric pull's
+    /// source are labels too.
+    fn busy_until(&self, to: usize, idle: f64) -> f64 {
+        self.link_busy
+            .iter()
+            .find(|&&(link, _)| link == to)
+            .map_or(idle, |&(_, end)| end)
+    }
+
+    /// Records that the link to `to` is busy until `end` in the current
+    /// multi-port batch.
+    fn occupy(&mut self, to: usize, end: f64) {
+        match self.link_busy.iter_mut().find(|(link, _)| *link == to) {
+            Some(slot) => slot.1 = end,
+            None => self.link_busy.push((to, end)),
+        }
+    }
+
     /// Issues a batch of logically concurrent operations.
     ///
     /// All `Send`s are processed first, then all `Recv`s (so a batch may
@@ -590,7 +616,7 @@ impl Proc {
     pub async fn multi(&mut self, mut ops: Vec<Op>) -> Vec<Option<Payload>> {
         self.begin_round();
         let batch_start = self.clock;
-        let mut link_busy: IdMap<usize, f64> = IdMap::default();
+        self.link_busy.clear();
         let mut results: Vec<Option<Payload>> = Vec::with_capacity(ops.len());
         let mut batch_end = batch_start;
 
@@ -655,13 +681,13 @@ impl Proc {
                     // One-port: the single port serializes every send.
                     PortModel::OnePort => batch_end.max(batch_start),
                     // Multi-port: each link proceeds independently.
-                    PortModel::MultiPort => *link_busy.get(&first_hop).unwrap_or(&batch_start),
+                    PortModel::MultiPort => self.busy_until(first_hop, batch_start),
                 };
                 let end = start + cost;
                 match self.port {
                     PortModel::OnePort => batch_end = end,
                     PortModel::MultiPort => {
-                        link_busy.insert(first_hop, end);
+                        self.occupy(first_hop, end);
                         batch_end = batch_end.max(end);
                     }
                 }
@@ -700,10 +726,10 @@ impl Proc {
                             }
                             // Multi-port: the pull occupies its own link.
                             PortModel::MultiPort => {
-                                let busy = link_busy.get(&from).copied().unwrap_or(batch_start);
+                                let busy = self.busy_until(from, batch_start);
                                 let end = busy.max(env.arrive)
                                     + self.scaled(self.cost.hop(env.data.len()));
-                                link_busy.insert(from, end);
+                                self.occupy(from, end);
                                 end
                             }
                         },
