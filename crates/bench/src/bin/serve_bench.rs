@@ -27,6 +27,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cubemm_serve::{parse_request, JobStatus, Responder, ServeConfig, ServePool};
+use cubemm_simnet::json::Json;
 
 /// One load level: `concurrency` requests submitted as fast as the
 /// generator can go against a bounded queue of the same depth class.
@@ -131,23 +132,14 @@ fn run_level(level: Level, faulty: bool) -> LevelOutcome {
 }
 
 /// Pulls `(concurrency) -> jobs_per_sec` rows out of a previously
-/// written `BENCH_serve.json` (line scanner; no JSON stack needed).
-fn parse_baseline(text: &str) -> Vec<(usize, f64)> {
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let get = |key: &str| -> Option<&str> {
-            let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
-            let rest = line[at..].trim_start();
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            Some(rest[..end].trim())
-        };
-        if let (Some(c), Some(jps)) = (get("concurrency"), get("jobs_per_sec")) {
-            if let (Ok(c), Ok(jps)) = (c.parse(), jps.parse()) {
-                rows.push((c, jps));
-            }
-        }
-    }
-    rows
+/// written `BENCH_serve.json`, skipping rows whose rate is `null`.
+fn parse_baseline(text: &str) -> Result<Vec<(usize, f64)>, String> {
+    let rows = cubemm_bench::baseline_results(text)?;
+    let row = |row: &Json| {
+        let concurrency = row.get("concurrency")?.as_index()? as usize;
+        Some((concurrency, row.get("jobs_per_sec")?.as_f64()?))
+    };
+    Ok(rows.iter().filter_map(row).collect())
 }
 
 /// The chaos soak for CI: sustained faulty load, Markdown error-budget
@@ -231,11 +223,16 @@ fn main() {
         .position(|a| a == "--baseline")
         .and_then(|i| args.get(i + 1));
     let baseline: Vec<(usize, f64)> = baseline_path
-        .map(|path| match std::fs::read_to_string(path) {
-            Ok(text) => parse_baseline(&text),
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                std::process::exit(1);
+        .map(|path| {
+            match std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| parse_baseline(&text))
+            {
+                Ok(rows) => rows,
+                Err(e) => {
+                    eprintln!("error: cannot read baseline {path}: {e}");
+                    std::process::exit(1);
+                }
             }
         })
         .unwrap_or_default();
@@ -323,5 +320,38 @@ fn main() {
         );
         std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
         println!("wrote BENCH_serve.json");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The line scanner this bench read baselines with before it used
+    /// the workspace's JSON parser: the oracle for the committed file.
+    fn line_scan(text: &str) -> Vec<(usize, f64)> {
+        let mut rows = Vec::new();
+        for line in text.lines() {
+            let get = |key: &str| -> Option<&str> {
+                let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+                let rest = line[at..].trim_start();
+                let end = rest.find([',', '}']).unwrap_or(rest.len());
+                Some(rest[..end].trim())
+            };
+            if let (Some(c), Some(jps)) = (get("concurrency"), get("jobs_per_sec")) {
+                if let (Ok(c), Ok(jps)) = (c.parse(), jps.parse()) {
+                    rows.push((c, jps));
+                }
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn the_committed_baseline_reads_as_it_always_did() {
+        let text = include_str!("../../../../BENCH_serve.json");
+        let rows = parse_baseline(text).expect("committed baseline parses");
+        assert!(!rows.is_empty());
+        assert_eq!(rows, line_scan(text));
     }
 }

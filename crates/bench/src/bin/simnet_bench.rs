@@ -35,6 +35,7 @@ use std::time::Instant;
 use cubemm_bench::alloc_count::{allocations_during, CountingAlloc};
 use cubemm_bench::rows::{self, RowCollective};
 use cubemm_collectives::allgather;
+use cubemm_simnet::json::Json;
 use cubemm_simnet::{CostParams, Machine, PortModel, Proc, RunStats};
 use cubemm_topology::Subcube;
 
@@ -220,33 +221,23 @@ fn measure(case: Case, reps: usize) -> Measured {
 /// A `(case, p, port) -> seconds` row of a baseline file.
 type BaselineRow = (String, usize, String, f64);
 
-/// Pulls the rows back out of a previously written `BENCH_simnet.json`
-/// (the format this binary emits; no JSON stack in the workspace, so
-/// this is a line scanner keyed on the known shape). Files written while
-/// the simulator still had a thread-per-node engine tag each row with
-/// an `engine`; only their `event` rows are comparable. Rows without a
-/// `port` are one-port.
-fn parse_baseline(text: &str) -> Vec<BaselineRow> {
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let get = |key: &str| -> Option<&str> {
-            let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
-            let rest = line[at..].trim_start();
-            let rest = rest.strip_prefix('"').unwrap_or(rest);
-            let end = rest.find([',', '"', '}']).unwrap_or(rest.len());
-            Some(rest[..end].trim())
-        };
-        if get("engine").is_some_and(|engine| engine != "event") {
-            continue;
+/// Pulls the rows back out of a previously written `BENCH_simnet.json`.
+/// Files written while the simulator still had a thread-per-node engine
+/// tag each row with an `engine`; only their `event` rows are
+/// comparable. Rows without a `port` are one-port.
+fn parse_baseline(text: &str) -> Result<Vec<BaselineRow>, String> {
+    let rows = cubemm_bench::baseline_results(text)?;
+    let row = |row: &Json| {
+        let text = |key| row.get(key).and_then(Json::as_str);
+        if text("engine").is_some_and(|engine| engine != "event") {
+            return None;
         }
-        if let (Some(case), Some(p), Some(secs)) = (get("case"), get("p"), get("seconds")) {
-            let port = get("port").unwrap_or("one").to_string();
-            if let (Ok(p), Ok(secs)) = (p.parse(), secs.parse()) {
-                rows.push((case.to_string(), p, port, secs));
-            }
-        }
-    }
-    rows
+        let case = text("case")?.to_string();
+        let p = row.get("p")?.as_index()? as usize;
+        let port = text("port").unwrap_or("one").to_string();
+        Some((case, p, port, row.get("seconds")?.as_f64()?))
+    };
+    Ok(rows.iter().filter_map(row).collect())
 }
 
 /// `x` to `digits` decimals, or `absent` when there is nothing to
@@ -263,11 +254,16 @@ fn main() {
         .position(|a| a == "--baseline")
         .and_then(|i| args.get(i + 1));
     let baseline: Vec<BaselineRow> = baseline_path
-        .map(|path| match std::fs::read_to_string(path) {
-            Ok(text) => parse_baseline(&text),
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                std::process::exit(1);
+        .map(|path| {
+            match std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| parse_baseline(&text))
+            {
+                Ok(rows) => rows,
+                Err(e) => {
+                    eprintln!("error: cannot read baseline {path}: {e}");
+                    std::process::exit(1);
+                }
             }
         })
         .unwrap_or_default();
@@ -386,5 +382,43 @@ fn main() {
         )]
         std::fs::write("BENCH_simnet.json", &json).expect("write BENCH_simnet.json");
         println!("wrote BENCH_simnet.json");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The line scanner this bench read baselines with before it used
+    /// the workspace's JSON parser: the oracle for the committed file.
+    fn line_scan(text: &str) -> Vec<BaselineRow> {
+        let mut rows = Vec::new();
+        for line in text.lines() {
+            let get = |key: &str| -> Option<&str> {
+                let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+                let rest = line[at..].trim_start();
+                let rest = rest.strip_prefix('"').unwrap_or(rest);
+                let end = rest.find([',', '"', '}']).unwrap_or(rest.len());
+                Some(rest[..end].trim())
+            };
+            if get("engine").is_some_and(|engine| engine != "event") {
+                continue;
+            }
+            if let (Some(case), Some(p), Some(secs)) = (get("case"), get("p"), get("seconds")) {
+                let port = get("port").unwrap_or("one").to_string();
+                if let (Ok(p), Ok(secs)) = (p.parse(), secs.parse()) {
+                    rows.push((case.to_string(), p, port, secs));
+                }
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn the_committed_baseline_reads_as_it_always_did() {
+        let text = include_str!("../../../../BENCH_simnet.json");
+        let rows = parse_baseline(text).expect("committed baseline parses");
+        assert!(!rows.is_empty());
+        assert_eq!(rows, line_scan(text));
     }
 }

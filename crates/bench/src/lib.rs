@@ -51,6 +51,14 @@ pub fn host_header() -> String {
     )
 }
 
+/// The `results` rows of a `BENCH_*.json` file that an earlier run of a
+/// per-layer bench wrote, read back for its `--baseline` comparison.
+pub fn baseline_results(text: &str) -> Result<Vec<cubemm_simnet::json::Json>, String> {
+    let doc = cubemm_simnet::json::parse(text)?;
+    let rows = doc.get("results").and_then(|rows| rows.as_arr());
+    Ok(rows.unwrap_or_default().to_vec())
+}
+
 /// Directory results are written to.
 pub fn results_dir() -> PathBuf {
     std::env::var_os("CUBEMM_RESULTS_DIR")

@@ -5,7 +5,9 @@ use cubemm_core::prelude::*;
 use cubemm_dense::gemm;
 use cubemm_harness::recovery::{multiply_with_recovery, RecoveryError, RecoveryPolicy};
 use cubemm_model::{render_ascii, RegionMap, Sweep};
-use cubemm_simnet::{ChargePolicy, CorruptKind, Corruption, CostParams, FaultPlan, RunError};
+use cubemm_simnet::{
+    ChargePolicy, CorruptKind, Corruption, CostParams, FaultEntry, FaultPlan, LinkQuality, RunError,
+};
 
 use crate::args::{parse_kernel, parse_port, Args, Flags};
 
@@ -274,38 +276,40 @@ fn machine_from(args: &Args) -> Result<(MachineConfig, f64, f64), String> {
     Ok((cfg, ts, tw))
 }
 
-/// Splits a `--fault-*` spec into exactly `n` colon-separated fields.
-fn fields<'a>(flag: &str, spec: &'a str, n: usize) -> Result<Vec<&'a str>, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    if parts.len() != n {
-        return Err(format!(
-            "--{flag} {spec:?}: expected {n} colon-separated fields"
-        ));
+/// The colon-separated fields of one `--fault-*` spec, read in order.
+struct SpecFields<'a>(std::str::Split<'a, char>);
+
+impl SpecFields<'_> {
+    fn next<T: std::str::FromStr>(&mut self) -> Result<T, String> {
+        let f = self.0.next().unwrap_or_default();
+        f.parse().map_err(|_| format!("invalid number {f:?}"))
     }
-    Ok(parts)
 }
 
-fn num<T: std::str::FromStr>(flag: &str, spec: &str, field: &str) -> Result<T, String> {
-    field
-        .parse()
-        .map_err(|_| format!("--{flag} {spec:?}: invalid number {field:?}"))
-}
+type SpecFn = fn(&mut SpecFields<'_>) -> Result<FaultEntry, String>;
 
-/// Requires `a <-> b` to be a hypercube edge before handing it to the
-/// (panicking) `FaultPlan` builders.
-fn require_edge(flag: &str, spec: &str, a: usize, b: usize) -> Result<(), String> {
-    if (a ^ b).count_ones() != 1 {
-        return Err(format!(
-            "--{flag} {spec:?}: nodes {a} and {b} are not hypercube neighbors"
-        ));
-    }
-    Ok(())
-}
+/// The repeatable `--fault-*` flags (see `USAGE`) in the order they
+/// apply: each one's field count and the [`FaultEntry`] its fields spell.
+#[rustfmt::skip]
+const FAULT_SPECS: [(&str, usize, SpecFn); 7] = [
+    ("fault-link", 2, |f| Ok(FaultEntry::Dead { a: f.next()?, b: f.next()? })),
+    ("fault-degrade", 4, |f| Ok(FaultEntry::Degraded { a: f.next()?, b: f.next()?,
+        quality: LinkQuality { ts_factor: f.next()?, tw_factor: f.next()? }, window: None })),
+    ("fault-straggler", 2, |f| Ok(FaultEntry::Straggler { node: f.next()?, slowdown: f.next()? })),
+    ("fault-drop", 3, |f| Ok(FaultEntry::Drop { from: f.next()?, to: f.next()?, seq: f.next()? })),
+    ("fault-corrupt", 5, |f| Ok(FaultEntry::Corrupt { from: f.next()?, to: f.next()?,
+        seq: f.next()?, corruption: Corruption { word: f.next()?,
+        kind: CorruptKind::Perturb { delta: f.next()? } } })),
+    ("fault-flip", 5, |f| Ok(FaultEntry::Corrupt { from: f.next()?, to: f.next()?,
+        seq: f.next()?, corruption: Corruption { word: f.next()?,
+        kind: CorruptKind::BitFlip { bit: f.next()? } } })),
+    ("fault-crash", 2, |f| Ok(FaultEntry::Crash { node: f.next()?, step: f.next()? })),
+];
 
-/// Builds the deterministic fault plan from the repeatable `--fault-*`
-/// flags (see `USAGE`).
+/// Builds the deterministic fault plan: `--fault-plan`'s entries, then
+/// each `--fault-*` spec's, checked by the plan's own rules.
 fn faults_from(args: &Args) -> Result<FaultPlan, String> {
-    let mut plan = match args.raw("fault-plan") {
+    let file = match args.raw("fault-plan") {
         None => FaultPlan::new(),
         Some(path) => {
             let text =
@@ -313,118 +317,23 @@ fn faults_from(args: &Args) -> Result<FaultPlan, String> {
             FaultPlan::from_json(&text).map_err(|e| format!("--fault-plan {path:?}: {e}"))?
         }
     };
-    for spec in args.raw_all("fault-link") {
-        let f = fields("fault-link", spec, 2)?;
-        let (a, b) = (
-            num("fault-link", spec, f[0])?,
-            num("fault-link", spec, f[1])?,
-        );
-        require_edge("fault-link", spec, a, b)?;
-        plan = plan.with_dead_link(a, b);
-    }
-    for spec in args.raw_all("fault-degrade") {
-        let f = fields("fault-degrade", spec, 4)?;
-        let (a, b) = (
-            num("fault-degrade", spec, f[0])?,
-            num("fault-degrade", spec, f[1])?,
-        );
-        let (tsf, twf): (f64, f64) = (
-            num("fault-degrade", spec, f[2])?,
-            num("fault-degrade", spec, f[3])?,
-        );
-        require_edge("fault-degrade", spec, a, b)?;
-        if !(tsf.is_finite() && tsf > 0.0 && twf.is_finite() && twf > 0.0) {
-            return Err(format!(
-                "--fault-degrade {spec:?}: factors must be positive and finite"
-            ));
-        }
-        plan = plan.with_degraded_link(a, b, tsf, twf);
-    }
-    for spec in args.raw_all("fault-straggler") {
-        let f = fields("fault-straggler", spec, 2)?;
-        let node = num("fault-straggler", spec, f[0])?;
-        let slow: f64 = num("fault-straggler", spec, f[1])?;
-        if !(slow.is_finite() && slow >= 1.0) {
-            return Err(format!(
-                "--fault-straggler {spec:?}: slowdown must be finite and >= 1"
-            ));
-        }
-        plan = plan.with_straggler(node, slow);
-    }
-    for spec in args.raw_all("fault-drop") {
-        let f = fields("fault-drop", spec, 3)?;
-        plan = plan.with_drop(
-            num("fault-drop", spec, f[0])?,
-            num("fault-drop", spec, f[1])?,
-            num("fault-drop", spec, f[2])?,
-        );
-    }
-    for spec in args.raw_all("fault-corrupt") {
-        let f = fields("fault-corrupt", spec, 5)?;
-        let (from, to) = (
-            num("fault-corrupt", spec, f[0])?,
-            num("fault-corrupt", spec, f[1])?,
-        );
-        require_edge("fault-corrupt", spec, from, to)?;
-        let k: u64 = num("fault-corrupt", spec, f[2])?;
-        let word: usize = num("fault-corrupt", spec, f[3])?;
-        let delta: f64 = num("fault-corrupt", spec, f[4])?;
-        if !delta.is_finite() || delta == 0.0 {
-            return Err(format!(
-                "--fault-corrupt {spec:?}: delta must be finite and non-zero"
-            ));
-        }
-        plan = plan.with_corruption(
-            from,
-            to,
-            k,
-            Corruption {
-                word,
-                kind: CorruptKind::Perturb { delta },
-            },
-        );
-    }
-    for spec in args.raw_all("fault-flip") {
-        let f = fields("fault-flip", spec, 5)?;
-        let (from, to) = (
-            num("fault-flip", spec, f[0])?,
-            num("fault-flip", spec, f[1])?,
-        );
-        require_edge("fault-flip", spec, from, to)?;
-        let k: u64 = num("fault-flip", spec, f[2])?;
-        let word: usize = num("fault-flip", spec, f[3])?;
-        let bit: u32 = num("fault-flip", spec, f[4])?;
-        if bit > 63 {
-            return Err(format!("--fault-flip {spec:?}: bit must be 0..=63"));
-        }
-        plan = plan.with_corruption(
-            from,
-            to,
-            k,
-            Corruption {
-                word,
-                kind: CorruptKind::BitFlip { bit },
-            },
-        );
-    }
-    for spec in args.raw_all("fault-crash") {
-        let f = fields("fault-crash", spec, 2)?;
-        plan = plan.with_crash(
-            num("fault-crash", spec, f[0])?,
-            num("fault-crash", spec, f[1])?,
-        );
-    }
-    match args.raw("fault-strict") {
-        None => {}
-        Some("false") => plan = plan.lenient(),
-        Some("true") => plan = plan.strict(),
-        Some(other) => {
-            return Err(format!(
-                "unknown --fault-strict value {other:?} (true|false)"
-            ))
+    let mut entries: Vec<FaultEntry> = file.entries().copied().collect();
+    for (flag, fields, spell) in FAULT_SPECS {
+        for spec in args.raw_all(flag) {
+            let bad = |why: String| format!("--{flag} {spec:?}: {why}");
+            if spec.split(':').count() != fields {
+                return Err(bad(format!("expected {fields} colon-separated fields")));
+            }
+            let entry = spell(&mut SpecFields(spec.split(':'))).map_err(bad)?;
+            entry.check().map_err(|e| bad(e.to_string()))?;
+            entries.push(entry);
         }
     }
-    Ok(plan)
+    let strict = args.raw("fault-strict").map_or(Ok(file.is_strict()), |v| {
+        v.parse()
+            .map_err(|_| format!("unknown --fault-strict value {v:?} (true|false)"))
+    })?;
+    FaultPlan::from_entries(&entries, strict).map_err(|e| e.to_string())
 }
 
 /// `cubemm run --algo A --n N --p P ...`.
@@ -517,13 +426,14 @@ pub fn run(argv: &[String]) -> i32 {
             Err(e) => return fail(&format!("healthy baseline run failed: {e}")),
         };
         let fp = &cfg.faults;
+        let count = |is: fn(&FaultEntry) -> bool| fp.entries().filter(|e| is(e)).count();
         println!("  faults:");
         println!(
             "    injected:            {} dead, {} degraded, {} stragglers, {} drops ({})",
-            fp.dead_links().count(),
-            fp.degraded_links().count(),
-            fp.stragglers().count(),
-            fp.scheduled_drops().count(),
+            count(|e| matches!(e, FaultEntry::Dead { .. })),
+            count(|e| matches!(e, FaultEntry::Degraded { .. })),
+            count(|e| matches!(e, FaultEntry::Straggler { .. })),
+            count(|e| matches!(e, FaultEntry::Drop { .. })),
             if fp.is_strict() { "strict" } else { "lenient" },
         );
         println!("    retries:             {}", res.stats.total_retries());
@@ -1349,7 +1259,7 @@ mod tests {
             let path = entry.unwrap().path();
             let text = std::fs::read_to_string(&path).unwrap();
             let plan = FaultPlan::from_json(&text).unwrap();
-            assert!(plan.fault_count() >= 1, "{path:?} shrunk to nothing");
+            assert!(!plan.is_empty(), "{path:?} shrunk to nothing");
             assert_eq!(
                 run(&argv(&format!(
                     "--abft --algo cannon --n 6 --p 64 --fault-plan {}",

@@ -51,6 +51,7 @@ use cubemm_dense::{gemm, Matrix};
 use cubemm_simnet::{
     CorruptKind, Corruption, FaultEntry, FaultPlan, FiredKind, RunError, SendError, TraceKind,
 };
+use cubemm_topology::bits::{dim_walk, hamming};
 
 use crate::recovery::{
     multiply_with_recovery_tol, RecoveryAction, RecoveryError, RecoveryPolicy, RecoveryReport,
@@ -370,28 +371,6 @@ pub fn ints(n: usize, salt: usize) -> Matrix {
     Matrix::from_fn(n, n, |r, c| ((r * 7 + c * 3 + salt) % 5) as f64 - 2.0)
 }
 
-fn hamming(a: usize, b: usize) -> u32 {
-    ((a ^ b) as u64).count_ones()
-}
-
-/// The healthy dimension-ordered hypercube path from `from` to `to` —
-/// exactly the route the simulator takes when no dead link forces a
-/// detour, so crossing counts derived from it match the injector's.
-fn dim_path(from: usize, to: usize) -> Vec<usize> {
-    let mut path = Vec::new();
-    let mut cur = from;
-    let diff = from ^ to;
-    let mut d = 0;
-    while diff >> d != 0 {
-        if diff >> d & 1 == 1 {
-            cur ^= 1 << d;
-            path.push(cur);
-        }
-        d += 1;
-    }
-    path
-}
-
 /// Probes `algo` at order `n`: picks the smallest machine from
 /// [`P_MENU`] whose ABFT padding stays reasonable *and* whose schedule
 /// is deep enough to distinguish early/mid/late placement (tiny grids
@@ -458,8 +437,11 @@ fn probe_at(algo: Algorithm, n: usize, p: usize) -> Result<Probe, String> {
                 step,
             });
             *seq += 1;
+            // The healthy dimension-ordered route: exactly the one the
+            // simulator takes when no dead link forces a detour, so the
+            // crossing counts match the injector's.
             let mut cur = from;
-            for next in dim_path(from, to) {
+            for next in dim_walk(from, to, 0) {
                 let crossing = crossings.entry((from, cur, next)).or_insert(0);
                 if hamming(cur, next) == 1 {
                     edge_sites.push(EdgeSite {
@@ -547,7 +529,9 @@ fn phase_slice<T: Copy>(
 }
 
 /// Generates one fault plan aimed at `cells`, returning the plan and
-/// the per-entry placement record used for coverage crediting.
+/// the per-entry placement record used for coverage crediting. Every
+/// entry is placed on a harvested site, so it passes
+/// [`FaultEntry::check`] like any other plan's.
 pub fn generate_plan(
     probe: &Probe,
     cells: &[Cell],
@@ -700,13 +684,12 @@ pub fn generate_plan(
                 )
             }
         };
-        placed.push(Placed {
-            cell,
-            entry: entry.clone(),
-        });
+        placed.push(Placed { cell, entry });
         entries.push(entry);
     }
-    (FaultPlan::from_entries(&entries, strict), placed)
+    let plan = FaultPlan::from_entries(&entries, strict)
+        .unwrap_or_else(|e| panic!("chaos placed an invalid fault: {e}"));
+    (plan, placed)
 }
 
 // ---------------------------------------------------------------------------
@@ -753,6 +736,11 @@ pub struct TrialContext<'a> {
     pub budget: f64,
     /// Treat `Corrected` outcomes as violations (shrink-demo mode).
     pub fail_on_corrected: bool,
+}
+
+/// Whether `plan` schedules any entry that `is` matches.
+fn has(plan: &FaultPlan, is: fn(&FaultEntry) -> bool) -> bool {
+    plan.entries().any(is)
 }
 
 /// Applies every oracle to one trial; the returned descriptions are
@@ -837,7 +825,7 @@ pub fn check_trial(outcome: &TrialOutcome, ctx: &TrialContext<'_>) -> Vec<String
                 AlgoError::Sim(RunError::Deadlock { .. }) => {
                     // A lost message legitimately starves its receiver —
                     // but only if a drop was actually scheduled.
-                    ctx.plan.scheduled_drops().next().is_some()
+                    has(ctx.plan, |e| matches!(e, FaultEntry::Drop { .. }))
                 }
                 AlgoError::Sim(RunError::LinkDead {
                     error: SendError::Unroutable { .. },
@@ -845,7 +833,8 @@ pub fn check_trial(outcome: &TrialOutcome, ctx: &TrialContext<'_>) -> Vec<String
                 }) => {
                     // Severed links (scheduled dead links, or quarantine
                     // killing a corruptor's edge) can cut a node off.
-                    ctx.plan.dead_links().next().is_some() || ctx.plan.has_corruptions()
+                    has(ctx.plan, |e| matches!(e, FaultEntry::Dead { .. }))
+                        || ctx.plan.has_corruptions()
                 }
                 _ => false,
             };
@@ -936,15 +925,19 @@ pub fn credit_coverage(coverage: &mut Coverage, placed: &[Placed], outcome: &Tri
 /// empty plan is returned — the failure was never fault-dependent,
 /// which is itself diagnostic.
 pub fn shrink_plan(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> bool) -> FaultPlan {
+    // Any subset of a valid plan's entries is a valid plan.
+    let rebuild = |entries: &[FaultEntry], strict| {
+        FaultPlan::from_entries(entries, strict).unwrap_or_else(|e| panic!("{e}"))
+    };
     let strict = plan.is_strict();
-    let mut entries = plan.entries();
+    let mut entries: Vec<FaultEntry> = plan.entries().copied().collect();
     let mut chunk = entries.len().div_ceil(2).max(1);
     loop {
         let mut i = 0;
         while i < entries.len() {
             let mut candidate = entries.clone();
             candidate.drain(i..(i + chunk).min(candidate.len()));
-            if still_fails(&FaultPlan::from_entries(&candidate, strict)) {
+            if still_fails(&rebuild(&candidate, strict)) {
                 entries = candidate;
             } else {
                 i += chunk;
@@ -956,10 +949,10 @@ pub fn shrink_plan(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> 
         chunk = (chunk / 2).max(1);
     }
     let mut strict = strict;
-    if strict && still_fails(&FaultPlan::from_entries(&entries, false)) {
+    if strict && still_fails(&rebuild(&entries, false)) {
         strict = false;
     }
-    FaultPlan::from_entries(&entries, strict)
+    rebuild(&entries, strict)
 }
 
 // ---------------------------------------------------------------------------
@@ -1183,7 +1176,7 @@ pub fn run_campaign(
             violations,
             plan_json: plan.to_json(),
             shrunk_json: shrunk.to_json(),
-            shrunk_entries: shrunk.fault_count(),
+            shrunk_entries: shrunk.entries().len(),
         });
     }
     Ok(report)
@@ -1309,13 +1302,11 @@ mod tests {
             // The generator enforces the single-corruption fault model,
             // so it may place fewer entries than cells were requested.
             assert!(!placed.is_empty() && placed.len() <= cells.len());
-            let corruptions = plan.scheduled_corruptions().count();
+            let count =
+                |family: fn(&FaultEntry) -> bool| plan.entries().filter(|&e| family(e)).count();
+            let corruptions = count(|e| matches!(e, FaultEntry::Corrupt { .. }));
             assert!(corruptions <= 1, "fault model allows one corruption");
-            let dead_links = plan
-                .entries()
-                .iter()
-                .filter(|e| matches!(e, FaultEntry::Dead { .. }))
-                .count();
+            let dead_links = count(|e| matches!(e, FaultEntry::Dead { .. }));
             assert!(
                 corruptions == 0 || dead_links == 0,
                 "dead-link detours can re-fire a corruption entry for a \
@@ -1363,13 +1354,11 @@ mod tests {
             .strict();
         let shrunk = shrink_plan(&plan, |cand| {
             cand.entries()
-                .iter()
                 .any(|e| matches!(e, FaultEntry::Crash { node: 1, .. }))
         });
-        assert_eq!(shrunk.fault_count(), 1);
         assert!(!shrunk.is_strict(), "irrelevant strictness must be shed");
         assert!(matches!(
-            shrunk.entries().as_slice(),
+            shrunk.entries().collect::<Vec<_>>()[..],
             [FaultEntry::Crash { node: 1, step: 0 }]
         ));
     }
@@ -1414,7 +1403,7 @@ mod tests {
         for _ in 0..600 {
             let plan = random_soak_plan(&mut rng, 8);
             plan.validate(8).unwrap_or_else(|e| panic!("{e}"));
-            if plan.scheduled_crashes().next().is_some() {
+            if has(&plan, |e| matches!(e, FaultEntry::Crash { .. })) {
                 crashes += 1;
             } else if plan.has_corruptions() {
                 corruptions += 1;

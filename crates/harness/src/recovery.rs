@@ -22,10 +22,12 @@
 //! exhaustion immediately when no mutation applies (e.g. damage was
 //! detected but no scheduled corruptor explains it).
 
+use std::collections::BTreeSet;
+
 use cubemm_core::abft::{multiply_abft_with_tol, AbftOutcome, AbftResult};
 use cubemm_core::{AlgoError, Algorithm, MachineConfig};
 use cubemm_dense::Matrix;
-use cubemm_simnet::{FaultPlan, RunError, SendError};
+use cubemm_simnet::{FaultEntry, FaultPlan, RunError, SendError};
 
 /// Retry budget and virtual backoff schedule for
 /// [`multiply_with_recovery`].
@@ -257,7 +259,13 @@ pub fn multiply_with_recovery_tol(
 /// Kills every link that still has scheduled corruptions (routing then
 /// detours around it). Returns whether the plan changed.
 fn quarantine_corruptors(plan: &mut FaultPlan, actions: &mut Vec<RecoveryAction>) -> bool {
-    let links: Vec<(usize, usize)> = plan.corrupting_links().collect();
+    let links: BTreeSet<(usize, usize)> = plan
+        .entries()
+        .filter_map(|e| match *e {
+            FaultEntry::Corrupt { from, to, .. } => Some((from.min(to), from.max(to))),
+            _ => None,
+        })
+        .collect();
     let mut mutated = false;
     for (a, b) in links {
         if plan.is_dead(a, b) {

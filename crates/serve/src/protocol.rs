@@ -23,7 +23,7 @@ use cubemm_core::Algorithm;
 use cubemm_dense::gemm::Kernel;
 use cubemm_dense::Matrix;
 use cubemm_simnet::json::Json;
-use cubemm_simnet::{FaultPlan, PortModel};
+use cubemm_simnet::{FaultPlan, FaultPlanError, PortModel};
 
 /// Which algorithm a job asked for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -325,10 +325,9 @@ pub fn parse_request(line: &str) -> Result<JobRequest, (String, String)> {
     let faults = match doc.get("faults") {
         None | Some(Json::Null) => FaultPlan::new(),
         Some(v) => {
-            let plan = FaultPlan::from_json(&v.encode())
-                .map_err(|e| fail(format!("field \"faults\": {e}")))?;
-            plan.validate(p)
-                .map_err(|e| fail(format!("field \"faults\": {e}")))?;
+            let bad = |e: FaultPlanError| fail(format!("field \"faults\": {e}"));
+            let plan = FaultPlan::from_json_value(v).map_err(bad)?;
+            plan.validate(p).map_err(bad)?;
             plan
         }
     };

@@ -13,7 +13,7 @@
 //! * **dead links** — the edge is removed from the machine. Sends either
 //!   re-route over one of the `log p` edge-disjoint Hamming paths
 //!   (the default), charging the detour hops honestly, or fail with a
-//!   typed [`SendError`] under [`FaultPlan::strict`];
+//!   typed [`crate::SendError`] under [`FaultPlan::strict`];
 //! * **degraded links** — per-edge multipliers on `t_s` and `t_w`;
 //! * **stragglers** — a per-node clock-rate multiplier: every charge to
 //!   that node's port takes proportionally longer;
@@ -30,17 +30,20 @@
 //!   machinery as link failures and surfaces as a structured
 //!   [`crate::RunError::NodeCrashed`].
 //!
+//! Each fault is one [`FaultEntry`], and a plan is its entries plus the
+//! `strict` flag. [`FaultEntry::check`] holds every rule an entry must
+//! meet, so the builders, the JSON codec ([`FaultPlan::to_json`] /
+//! [`FaultPlan::from_json`]) and [`FaultPlan::from_entries`] accept
+//! exactly the same faults.
+//!
 //! An empty plan (the default) costs nothing: every virtual-time result
 //! is bit-for-bit identical to a run without the fault layer.
-//!
-//! Plans round-trip through a std-only JSON encoding
-//! ([`FaultPlan::to_json`] / [`FaultPlan::from_json`]) so experiment
-//! drivers can persist and replay them.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use cubemm_topology::bits::hamming;
+use cubemm_topology::bits::{dim_walk, hamming};
 
+use crate::json::Json;
 use crate::LinkTopology;
 
 /// Normalizes an undirected edge to `(lo, hi)`.
@@ -67,59 +70,10 @@ impl LinkQuality {
     };
 }
 
-/// A typed, non-panicking send failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendError {
-    /// The direct link to the destination is dead and the plan forbids
-    /// re-routing ([`FaultPlan::strict`]).
-    LinkDead {
-        /// Sending node.
-        from: usize,
-        /// Intended neighbor.
-        to: usize,
-    },
-    /// No live path exists between the endpoints (the destination is cut
-    /// off by dead links).
-    Unroutable {
-        /// Sending node.
-        from: usize,
-        /// Destination node.
-        to: usize,
-    },
-    /// [`crate::Proc::send_with_retry`] exhausted its retry budget
-    /// against the drop schedule.
-    RetriesExhausted {
-        /// Sending node.
-        from: usize,
-        /// Destination node.
-        to: usize,
-        /// Attempts made (initial send plus retries).
-        attempts: u32,
-    },
-}
-
-impl std::fmt::Display for SendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SendError::LinkDead { from, to } => {
-                write!(f, "link {from} <-> {to} is dead (strict fault plan)")
-            }
-            SendError::Unroutable { from, to } => {
-                write!(f, "no live path from node {from} to node {to}")
-            }
-            SendError::RetriesExhausted { from, to, attempts } => write!(
-                f,
-                "node {from} -> {to}: message dropped on all {attempts} attempts"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SendError {}
-
 /// Why a fault plan can never run as written: a typed rejection raised
-/// when a plan is loaded from JSON ([`FaultPlan::from_json`]) or checked
-/// against a concrete machine ([`FaultPlan::validate`]).
+/// when an entry fails [`FaultEntry::check`], when a plan is loaded from
+/// JSON ([`FaultPlan::from_json`]), or when it is checked against a
+/// concrete machine ([`FaultPlan::validate`]).
 ///
 /// Plans are user input (files, service requests), so every way an entry
 /// could *silently never fire* — a node outside the machine, a step no
@@ -194,14 +148,14 @@ impl std::error::Error for FaultPlanError {}
 /// How a scheduled corruption mangles the targeted payload word.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CorruptKind {
-    /// XOR one bit (0–63, modulo 64) of the word's IEEE-754 encoding —
-    /// the classic single-event-upset model.
+    /// XOR one bit (0–63) of the word's IEEE-754 encoding — the classic
+    /// single-event-upset model.
     BitFlip {
         /// Bit index into the 64-bit encoding (63 is the sign bit).
         bit: u32,
     },
-    /// Add a finite delta to the word — a value-level perturbation whose
-    /// magnitude the injector controls exactly.
+    /// Add a finite, non-zero delta to the word — a value-level
+    /// perturbation whose magnitude the injector controls exactly.
     Perturb {
         /// The additive error.
         delta: f64,
@@ -235,43 +189,14 @@ impl Corruption {
     }
 }
 
-/// Retry policy for [`crate::Proc::send_with_retry`]: bounded attempts
-/// with exponential *virtual-time* backoff charged to the sender's
-/// clock, capped both by attempt count and by total backoff time.
+/// One atomic fault: the only description of a fault in the workspace.
+/// Builders, plan files, service requests, CLI specs and chaos campaigns
+/// all produce these, and [`FaultEntry::check`] holds the rules every
+/// one of them must meet. It is also the unit a delta-debugging shrinker
+/// removes and re-adds while minimizing a failing plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum total attempts (initial send plus retries); must be ≥ 1.
-    pub max_attempts: u32,
-    /// Virtual time charged after the first failed attempt.
-    pub backoff: f64,
-    /// Multiplier applied to the backoff after each failure.
-    pub backoff_factor: f64,
-    /// Cap on the *total* virtual backoff time one call may charge. The
-    /// exponential schedule sums to `backoff·(f^(a-1)-1)/(f-1)`, which for
-    /// a generous attempt cap dwarfs any simulated run; this cap bounds
-    /// the damage regardless of how the other knobs are set. Retrying
-    /// stops with [`SendError::RetriesExhausted`] once the next wait
-    /// would push past it.
-    pub max_total_backoff: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff: 1.0,
-            backoff_factor: 2.0,
-            max_total_backoff: 1e6,
-        }
-    }
-}
-
-/// One atomic fault of a [`FaultPlan`], as enumerated by
-/// [`FaultPlan::entries`] — the unit a delta-debugging shrinker removes
-/// and re-adds while minimizing a failing plan.
-#[derive(Debug, Clone, PartialEq)]
 pub enum FaultEntry {
-    /// A dead undirected edge (normalized `a < b`).
+    /// A dead undirected edge (normalized `a < b` inside a plan).
     Dead {
         /// Lower endpoint.
         a: usize,
@@ -326,12 +251,263 @@ pub enum FaultEntry {
     },
 }
 
-/// A deterministic fault-injection plan for one simulated run.
+/// The fault families in plan order. A plan holds at most one entry per
+/// site: `(family, endpoints or node, seq)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Family {
+    Dead,
+    Degraded,
+    Straggler,
+    Drop,
+    Corrupt,
+    Crash,
+}
+
+type Site = (Family, usize, usize, u64);
+
+/// Per family, in [`Family`] order: its JSON array key, its name in
+/// [`FaultPlanError::NodeOutOfRange`], and its JSON entry decoder.
+#[allow(clippy::type_complexity)]
+const FAMILIES: [(&str, &str, fn(&Json) -> Result<FaultEntry, FaultPlanError>); 6] = [
+    ("dead", "dead-link", |v| {
+        let pair = v.as_arr().filter(|pair| pair.len() == 2);
+        let pair = pair.ok_or_else(|| malformed("each dead entry must be an [a, b] pair"))?;
+        Ok(FaultEntry::Dead {
+            a: node(pair.first(), "dead node")?,
+            b: node(pair.get(1), "dead node")?,
+        })
+    }),
+    ("degraded", "degraded-link", |v| {
+        let factor = |key: &str| {
+            let need = || malformed(&format!("degraded entry needs {key}"));
+            v.get(key).and_then(Json::as_f64).ok_or_else(need)
+        };
+        Ok(FaultEntry::Degraded {
+            a: node(v.get("a"), "degraded a")?,
+            b: node(v.get("b"), "degraded b")?,
+            quality: LinkQuality {
+                ts_factor: factor("ts_factor")?,
+                tw_factor: factor("tw_factor")?,
+            },
+            window: match (v.get("from_step"), v.get("until_step")) {
+                (None, None) => None,
+                (Some(from), Some(until)) => Some((
+                    index(Some(from), "degraded from_step")?,
+                    index(Some(until), "degraded until_step")?,
+                )),
+                _ => {
+                    let half = "degraded window needs both from_step and until_step";
+                    return Err(malformed(half));
+                }
+            },
+        })
+    }),
+    ("stragglers", "straggler", |v| {
+        let slowdown = v.get("slowdown").and_then(Json::as_f64);
+        Ok(FaultEntry::Straggler {
+            node: node(v.get("node"), "straggler node")?,
+            slowdown: slowdown.ok_or_else(|| malformed("straggler entry needs slowdown"))?,
+        })
+    }),
+    ("drops", "drop-schedule", |v| {
+        Ok(FaultEntry::Drop {
+            from: node(v.get("from"), "drop from")?,
+            to: node(v.get("to"), "drop to")?,
+            seq: index(v.get("seq"), "drop seq")?,
+        })
+    }),
+    ("corruptions", "corruption-schedule", |v| {
+        Ok(FaultEntry::Corrupt {
+            from: node(v.get("from"), "corruption from")?,
+            to: node(v.get("to"), "corruption to")?,
+            seq: index(v.get("seq"), "corruption seq")?,
+            corruption: Corruption {
+                word: node(v.get("word"), "corruption word")?,
+                kind: match (v.get("bitflip"), v.get("perturb")) {
+                    // Saturate rather than wrap: a huge bit must fail
+                    // the bit rule, not alias a small one.
+                    (Some(bit), None) => CorruptKind::BitFlip {
+                        bit: u32::try_from(index(Some(bit), "bitflip bit")?).unwrap_or(u32::MAX),
+                    },
+                    (None, Some(delta)) => CorruptKind::Perturb {
+                        delta: delta
+                            .as_f64()
+                            .ok_or_else(|| malformed("perturb delta must be a number"))?,
+                    },
+                    _ => {
+                        let kind = "corruption entry needs exactly one of bitflip/perturb";
+                        return Err(malformed(kind));
+                    }
+                },
+            },
+        })
+    }),
+    ("crashes", "crash-schedule", |v| {
+        Ok(FaultEntry::Crash {
+            node: node(v.get("node"), "crash node")?,
+            step: index(v.get("step"), "crash step")?,
+        })
+    }),
+];
+
+fn malformed(msg: &str) -> FaultPlanError {
+    FaultPlanError::Malformed(msg.to_string())
+}
+
+/// A JSON step/sequence field: a number that is not a valid index is a
+/// typed out-of-range step; anything else is malformed input.
+fn index(v: Option<&Json>, what: &str) -> Result<u64, FaultPlanError> {
+    let integer = || malformed(&format!("{what} must be a non-negative integer"));
+    let v = v.ok_or_else(integer)?;
+    match (v.as_index(), v.as_f64()) {
+        (Some(i), _) => Ok(i),
+        (None, None) => Err(integer()),
+        (None, Some(value)) => {
+            let what = what.to_string();
+            Err(FaultPlanError::StepOutOfRange { what, value })
+        }
+    }
+}
+
+fn node(v: Option<&Json>, what: &str) -> Result<usize, FaultPlanError> {
+    Ok(index(v, what)? as usize)
+}
+
+impl FaultEntry {
+    /// Every rule a fault must meet, in one place: dead, degraded and
+    /// corrupted links join hypercube neighbors; degradation factors are
+    /// finite and above zero; a degradation window holds a step; a
+    /// straggler's slowdown is finite and at least 1; a perturbation is
+    /// finite and non-zero; a flipped bit is one of the word's 64.
+    pub fn check(&self) -> Result<(), FaultPlanError> {
+        let rule = |ok: bool, why: &str| if ok { Ok(()) } else { Err(malformed(why)) };
+        let link = |what: &str, a: usize, b: usize| {
+            let why = format!("{what} {a} <-> {b} is not a hypercube edge");
+            rule(hamming(a, b) == 1, &why)
+        };
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        match *self {
+            FaultEntry::Dead { a, b } => link("dead link", a, b),
+            FaultEntry::Degraded {
+                a,
+                b,
+                quality,
+                window,
+            } => {
+                link("degraded link", a, b)?;
+                let factors = positive(quality.ts_factor) && positive(quality.tw_factor);
+                rule(factors, "degradation factors must be positive and finite")?;
+                match window {
+                    Some((from_step, until_step)) if until_step <= from_step => {
+                        let (a, b) = edge(a, b);
+                        Err(FaultPlanError::EmptyDegradationWindow {
+                            a,
+                            b,
+                            from_step,
+                            until_step,
+                        })
+                    }
+                    _ => Ok(()),
+                }
+            }
+            FaultEntry::Straggler { slowdown, .. } => rule(
+                slowdown.is_finite() && slowdown >= 1.0,
+                "straggler slowdown must be finite and >= 1",
+            ),
+            FaultEntry::Corrupt {
+                from,
+                to,
+                corruption,
+                ..
+            } => {
+                link("corrupted link", from, to)?;
+                match corruption.kind {
+                    CorruptKind::BitFlip { bit } => rule(bit <= 63, "bitflip bit must be 0..=63"),
+                    CorruptKind::Perturb { delta } => rule(
+                        delta.is_finite() && delta != 0.0,
+                        "corruption delta must be finite and non-zero",
+                    ),
+                }
+            }
+            FaultEntry::Drop { .. } | FaultEntry::Crash { .. } => Ok(()),
+        }
+    }
+
+    /// Where the entry strikes: a plan holds one entry per site, in site
+    /// order.
+    fn site(&self) -> Site {
+        match *self {
+            FaultEntry::Dead { a, b } => (Family::Dead, a, b, 0),
+            FaultEntry::Degraded { a, b, .. } => (Family::Degraded, a, b, 0),
+            FaultEntry::Straggler { node, .. } => (Family::Straggler, node, node, 0),
+            FaultEntry::Drop { from, to, seq } => (Family::Drop, from, to, seq),
+            FaultEntry::Corrupt { from, to, seq, .. } => (Family::Corrupt, from, to, seq),
+            FaultEntry::Crash { node, .. } => (Family::Crash, node, node, 0),
+        }
+    }
+
+    /// The entry's JSON object (a `[a, b]` pair for a dead link); see
+    /// [`FaultPlan::from_json`] for the schema.
+    fn to_json(self) -> Json {
+        let fields: Vec<(&str, f64)> = match self {
+            FaultEntry::Dead { a, b } => {
+                return Json::Arr(vec![Json::Num(a as f64), Json::Num(b as f64)])
+            }
+            FaultEntry::Degraded {
+                a,
+                b,
+                quality,
+                window,
+            } => {
+                let q = quality;
+                let mut fields = vec![("a", a as f64), ("b", b as f64)];
+                fields.extend([("ts_factor", q.ts_factor), ("tw_factor", q.tw_factor)]);
+                if let Some((from, until)) = window {
+                    fields.extend([("from_step", from as f64), ("until_step", until as f64)]);
+                }
+                fields
+            }
+            FaultEntry::Straggler { node, slowdown } => {
+                vec![("node", node as f64), ("slowdown", slowdown)]
+            }
+            FaultEntry::Drop { from, to, seq } => {
+                let (from, to, seq) = (from as f64, to as f64, seq as f64);
+                vec![("from", from), ("to", to), ("seq", seq)]
+            }
+            FaultEntry::Corrupt {
+                from,
+                to,
+                seq,
+                corruption,
+            } => vec![
+                ("from", from as f64),
+                ("to", to as f64),
+                ("seq", seq as f64),
+                ("word", corruption.word as f64),
+                match corruption.kind {
+                    CorruptKind::BitFlip { bit } => ("bitflip", f64::from(bit)),
+                    CorruptKind::Perturb { delta } => ("perturb", delta),
+                },
+            ],
+            FaultEntry::Crash { node, step } => vec![("node", node as f64), ("step", step as f64)],
+        };
+        let fields = fields
+            .into_iter()
+            .map(|(k, x)| (k.to_string(), Json::Num(x)));
+        Json::Obj(fields.collect())
+    }
+}
+
+/// A deterministic fault-injection plan for one simulated run: the
+/// `strict` flag plus at most one checked [`FaultEntry`] per site, in
+/// one map ordered by site (family, then endpoints or node, then seq) —
+/// so every per-message query is one lookup.
 ///
-/// Plans are built with the `with_*` methods and handed to the machine
-/// through [`crate::MachineOptions::faults`]. All faults are global
-/// knowledge: every node sees the same plan, mirroring a system whose
-/// fault detector has converged.
+/// Plans are built with the `with_*` methods (or from entries, files and
+/// requests) and handed to the machine through
+/// [`crate::MachineOptions::faults`]. All faults are global knowledge:
+/// every node sees the same plan, mirroring a system whose fault
+/// detector has converged.
 ///
 /// ```
 /// use cubemm_simnet::FaultPlan;
@@ -345,28 +521,14 @@ pub enum FaultEntry {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Dead undirected edges, normalized `(lo, hi)`.
-    dead: BTreeSet<(usize, usize)>,
-    /// Degraded undirected edges.
-    degraded: BTreeMap<(usize, usize), LinkQuality>,
-    /// Optional `[from_step, until_step)` firing windows for degraded
-    /// edges, keyed like `degraded` (an edge without a window degrades
-    /// for the whole run). Steps are the *sender's* communication-call
-    /// indices.
-    degraded_windows: BTreeMap<(usize, usize), (u64, u64)>,
-    /// Per-node clock-rate multipliers (> 1 runs slower).
-    stragglers: BTreeMap<usize, f64>,
-    /// Directed `(from, to)` → set of 0-based sequence numbers to drop.
-    drops: BTreeMap<(usize, usize), BTreeSet<u64>>,
-    /// Directed edge `(u, v)` → crossing number → corruption. Crossings
-    /// are counted per *originating sender* per directed edge, in that
-    /// sender's program order (multi-hop sends count every edge of their
-    /// path), so injection sites are exactly reproducible.
-    corruptions: BTreeMap<(usize, usize), BTreeMap<u64, Corruption>>,
-    /// Node → 0-based communication-call index at which it crashes.
-    crashes: BTreeMap<usize, u64>,
+    /// Each entry under its [`FaultEntry::site`].
+    entries: BTreeMap<Site, FaultEntry>,
+    /// Bit `f` is set iff an entry of [`Family`] `f` is present, so a
+    /// query for an absent family (most queries, on a small plan) needs
+    /// no lookup.
+    families: u8,
     /// When `true`, sends over dead links fail with
-    /// [`SendError::LinkDead`] instead of re-routing.
+    /// [`crate::SendError::LinkDead`] instead of re-routing.
     strict: bool,
 }
 
@@ -376,62 +538,61 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Kills the undirected hypercube edge `a <-> b`.
-    ///
-    /// # Panics
-    /// Panics if `a` and `b` are not hypercube neighbors.
-    pub fn with_dead_link(mut self, a: usize, b: usize) -> Self {
-        assert_eq!(
-            hamming(a, b),
-            1,
-            "dead link {a} <-> {b} is not a hypercube edge"
-        );
-        self.dead.insert(edge(a, b));
+    /// Checks `entry` and adds it, replacing any entry at the same site
+    /// (a later fault on the same edge, node or sequence number wins).
+    fn insert(&mut self, mut entry: FaultEntry) -> Result<(), FaultPlanError> {
+        entry.check()?;
+        if let FaultEntry::Dead { a, b } | FaultEntry::Degraded { a, b, .. } = &mut entry {
+            (*a, *b) = edge(*a, *b);
+        }
+        let site = entry.site();
+        self.families |= 1 << site.0 as u8;
+        self.entries.insert(site, entry);
+        Ok(())
+    }
+
+    fn find(&self, site: Site) -> Option<&FaultEntry> {
+        let present = self.families & 1 << site.0 as u8 != 0;
+        present.then(|| self.entries.get(&site)).flatten()
+    }
+
+    fn retain(mut self, keep: impl Fn(&Site) -> bool) -> Self {
+        self.entries.retain(|site, _| keep(site));
+        let families = self.entries.keys().fold(0, |m, site| m | 1 << site.0 as u8);
+        self.families = families;
         self
     }
 
-    /// Degrades the undirected edge `a <-> b`: transfers crossing it pay
-    /// `ts_factor · t_s + tw_factor · t_w · m`.
-    ///
-    /// # Panics
-    /// Panics if the endpoints are not neighbors or a factor is not a
-    /// positive finite number.
-    pub fn with_degraded_link(
-        mut self,
-        a: usize,
-        b: usize,
-        ts_factor: f64,
-        tw_factor: f64,
-    ) -> Self {
-        assert_eq!(
-            hamming(a, b),
-            1,
-            "degraded link {a} <-> {b} is not a hypercube edge"
-        );
-        assert!(
-            ts_factor.is_finite() && ts_factor > 0.0 && tw_factor.is_finite() && tw_factor > 0.0,
-            "degradation factors must be positive and finite"
-        );
-        self.degraded.insert(
-            edge(a, b),
-            LinkQuality {
-                ts_factor,
-                tw_factor,
-            },
-        );
+    /// The builders' [`FaultPlan::insert`]: a broken rule is a bug in
+    /// the calling program, so it panics with the rule's text.
+    fn with(mut self, entry: FaultEntry) -> Self {
+        if let Err(e) = self.insert(entry) {
+            panic!("{e}");
+        }
         self
+    }
+
+    /// Kills the undirected hypercube edge `a <-> b`. Panics if `a` and
+    /// `b` are not hypercube neighbors.
+    pub fn with_dead_link(self, a: usize, b: usize) -> Self {
+        self.with(FaultEntry::Dead { a, b })
+    }
+
+    /// Degrades the undirected edge `a <-> b` for the whole run:
+    /// transfers crossing it pay `ts_factor · t_s + tw_factor · t_w · m`.
+    /// Replaces any earlier degradation of the edge, window included.
+    /// Panics on a non-edge or a factor that is not a positive number.
+    pub fn with_degraded_link(self, a: usize, b: usize, ts_factor: f64, tw_factor: f64) -> Self {
+        self.degraded(a, b, ts_factor, tw_factor, None)
     }
 
     /// Like [`FaultPlan::with_degraded_link`], but the degradation only
     /// applies while the *sender's* communication-call index lies in
     /// `[from_step, until_step)`; outside the window the link charges
     /// healthy costs. Windowed degradation lets a campaign place a
-    /// transient slowdown in a specific phase of a schedule.
-    ///
-    /// # Panics
-    /// Panics on the [`FaultPlan::with_degraded_link`] conditions, or if
-    /// the window is empty (`until_step <= from_step`) — an empty window
-    /// would silently never fire.
+    /// transient slowdown in a specific phase of a schedule. Panics as
+    /// [`FaultPlan::with_degraded_link`] does, or on an empty window
+    /// (`until_step <= from_step`), which would silently never fire.
     pub fn with_degraded_link_window(
         self,
         a: usize,
@@ -441,93 +602,73 @@ impl FaultPlan {
         from_step: u64,
         until_step: u64,
     ) -> Self {
-        assert!(
-            until_step > from_step,
-            "degradation window [{from_step}, {until_step}) contains no steps"
-        );
-        let mut plan = self.with_degraded_link(a, b, ts_factor, tw_factor);
-        plan.degraded_windows
-            .insert(edge(a, b), (from_step, until_step));
-        plan
+        self.degraded(a, b, ts_factor, tw_factor, Some((from_step, until_step)))
+    }
+
+    fn degraded(self, a: usize, b: usize, ts: f64, tw: f64, window: Option<(u64, u64)>) -> Self {
+        let quality = LinkQuality {
+            ts_factor: ts,
+            tw_factor: tw,
+        };
+        self.with(FaultEntry::Degraded {
+            a,
+            b,
+            quality,
+            window,
+        })
     }
 
     /// Marks `node` as a straggler: every charge to its clock (sends,
-    /// local work, retry backoff) is multiplied by `slowdown`.
-    ///
-    /// # Panics
-    /// Panics unless `slowdown` is finite and ≥ 1.
-    pub fn with_straggler(mut self, node: usize, slowdown: f64) -> Self {
-        assert!(
-            slowdown.is_finite() && slowdown >= 1.0,
-            "straggler slowdown must be finite and >= 1"
-        );
-        self.stragglers.insert(node, slowdown);
-        self
+    /// local work, retry backoff) is multiplied by `slowdown`. Panics
+    /// unless `slowdown` is finite and ≥ 1.
+    pub fn with_straggler(self, node: usize, slowdown: f64) -> Self {
+        self.with(FaultEntry::Straggler { node, slowdown })
     }
 
     /// Schedules the `k`-th message (0-based, counted per sender in
     /// program order) injected by `from` toward destination `to` to be
     /// dropped in flight.
-    pub fn with_drop(mut self, from: usize, to: usize, k: u64) -> Self {
-        self.drops.entry((from, to)).or_default().insert(k);
-        self
+    pub fn with_drop(self, from: usize, to: usize, k: u64) -> Self {
+        self.with(FaultEntry::Drop { from, to, seq: k })
     }
 
     /// Schedules silent corruption of the `k`-th payload (0-based,
     /// counted per originating sender in program order) crossing the
     /// *directed* edge `from -> to`. The payload is delivered on time —
-    /// only its data is wrong.
-    ///
-    /// # Panics
-    /// Panics if the endpoints are not hypercube neighbors or the
-    /// corruption carries a non-finite delta.
-    pub fn with_corruption(
-        mut self,
-        from: usize,
-        to: usize,
-        k: u64,
-        corruption: Corruption,
-    ) -> Self {
-        assert_eq!(
-            hamming(from, to),
-            1,
-            "corrupted link {from} -> {to} is not a hypercube edge"
-        );
-        if let CorruptKind::Perturb { delta } = corruption.kind {
-            assert!(delta.is_finite(), "corruption delta must be finite");
-        }
-        self.corruptions
-            .entry((from, to))
-            .or_default()
-            .insert(k, corruption);
-        self
+    /// only its data is wrong. Panics if the endpoints are not hypercube
+    /// neighbors, a delta is zero or non-finite, or a bit is above 63.
+    pub fn with_corruption(self, from: usize, to: usize, k: u64, corruption: Corruption) -> Self {
+        self.with(FaultEntry::Corrupt {
+            from,
+            to,
+            seq: k,
+            corruption,
+        })
     }
 
     /// Schedules `node` to crash (unwind quietly, aborting the run with
     /// [`crate::RunError::NodeCrashed`]) as it begins its `step`-th
     /// communication call (0-based: `step = 0` dies before its first
     /// send or receive).
-    pub fn with_crash(mut self, node: usize, step: u64) -> Self {
-        self.crashes.insert(node, step);
-        self
+    pub fn with_crash(self, node: usize, step: u64) -> Self {
+        self.with(FaultEntry::Crash { node, step })
     }
 
     /// Removes any scheduled crash for `node` — the recovery driver's
     /// "reboot" before a re-run.
-    pub fn without_crash(mut self, node: usize) -> Self {
-        self.crashes.remove(&node);
-        self
+    pub fn without_crash(self, node: usize) -> Self {
+        self.retain(|&site| site != (Family::Crash, node, node, 0))
     }
 
     /// Removes every scheduled drop from `from` toward `to` — modelling a
     /// replaced lossy channel before a re-run.
-    pub fn without_drops(mut self, from: usize, to: usize) -> Self {
-        self.drops.remove(&(from, to));
-        self
+    pub fn without_drops(self, from: usize, to: usize) -> Self {
+        let drops = (Family::Drop, from, to, 0)..=(Family::Drop, from, to, u64::MAX);
+        self.retain(|site| !drops.contains(site))
     }
 
     /// Forbids transparent re-routing: sends over dead links fail with
-    /// [`SendError::LinkDead`] instead of taking a detour.
+    /// [`crate::SendError::LinkDead`] instead of taking a detour.
     pub fn strict(mut self) -> Self {
         self.strict = true;
         self
@@ -542,18 +683,13 @@ impl FaultPlan {
     /// Whether the plan injects no faults at all (`strict` alone does not
     /// count: with no dead links it changes nothing).
     pub fn is_empty(&self) -> bool {
-        self.dead.is_empty()
-            && self.degraded.is_empty()
-            && self.stragglers.is_empty()
-            && self.drops.is_empty()
-            && self.corruptions.is_empty()
-            && self.crashes.is_empty()
+        self.entries.is_empty()
     }
 
     /// Whether the plan schedules any data corruption at all — the
     /// engine's cheap gate before it starts counting edge crossings.
     pub fn has_corruptions(&self) -> bool {
-        !self.corruptions.is_empty()
+        self.families & 1 << Family::Corrupt as u8 != 0
     }
 
     /// Whether re-routing around dead links is forbidden.
@@ -563,239 +699,84 @@ impl FaultPlan {
 
     /// Whether the undirected edge `a <-> b` is dead.
     pub fn is_dead(&self, a: usize, b: usize) -> bool {
-        self.dead.contains(&edge(a, b))
-    }
-
-    /// The quality of the undirected edge `a <-> b`, ignoring any firing
-    /// window (the worst the edge ever gets; used for reporting).
-    pub fn link_quality(&self, a: usize, b: usize) -> LinkQuality {
-        self.degraded
-            .get(&edge(a, b))
-            .copied()
-            .unwrap_or(LinkQuality::HEALTHY)
+        let (a, b) = edge(a, b);
+        self.find((Family::Dead, a, b, 0)).is_some()
     }
 
     /// The quality of the undirected edge `a <-> b` as observed by the
     /// sender's `step`-th communication call: honors degradation
     /// windows, so a windowed edge is healthy outside `[from, until)`.
     pub fn link_quality_at(&self, a: usize, b: usize, step: u64) -> LinkQuality {
-        let e = edge(a, b);
-        match self.degraded.get(&e) {
-            None => LinkQuality::HEALTHY,
-            Some(&q) => match self.degraded_windows.get(&e) {
-                Some(&(from, until)) if step < from || step >= until => LinkQuality::HEALTHY,
-                _ => q,
-            },
+        let (a, b) = edge(a, b);
+        match self.find((Family::Degraded, a, b, 0)) {
+            Some(&FaultEntry::Degraded {
+                quality, window, ..
+            }) if window.is_none_or(|(from, until)| (from..until).contains(&step)) => quality,
+            _ => LinkQuality::HEALTHY,
         }
-    }
-
-    /// The firing window of the degraded edge `a <-> b` (sender
-    /// communication-call steps, `[from, until)`), or `None` when the
-    /// degradation is permanent (or the edge is not degraded).
-    pub fn degraded_window(&self, a: usize, b: usize) -> Option<(u64, u64)> {
-        self.degraded_windows.get(&edge(a, b)).copied()
     }
 
     /// The clock-rate multiplier of `node` (1.0 when healthy).
     pub fn slowdown(&self, node: usize) -> f64 {
-        self.stragglers.get(&node).copied().unwrap_or(1.0)
+        match self.find((Family::Straggler, node, node, 0)) {
+            Some(&FaultEntry::Straggler { slowdown, .. }) => slowdown,
+            _ => 1.0,
+        }
     }
 
     /// Whether the `seq`-th injection from `from` toward `to` is dropped.
     pub fn drops_nth(&self, from: usize, to: usize, seq: u64) -> bool {
-        self.drops
-            .get(&(from, to))
-            .is_some_and(|set| set.contains(&seq))
+        self.find((Family::Drop, from, to, seq)).is_some()
     }
 
     /// The corruption scheduled for the `seq`-th crossing of the directed
     /// edge `from -> to`, if any.
     pub fn corrupts_nth(&self, from: usize, to: usize, seq: u64) -> Option<Corruption> {
-        self.corruptions
-            .get(&(from, to))
-            .and_then(|m| m.get(&seq))
-            .copied()
+        match self.find((Family::Corrupt, from, to, seq)) {
+            Some(&FaultEntry::Corrupt { corruption, .. }) => Some(corruption),
+            _ => None,
+        }
     }
 
     /// The communication-call index at which `node` is scheduled to
     /// crash, if any.
     pub fn crash_step(&self, node: usize) -> Option<u64> {
-        self.crashes.get(&node).copied()
+        match self.find((Family::Crash, node, node, 0)) {
+            Some(&FaultEntry::Crash { step, .. }) => Some(step),
+            _ => None,
+        }
     }
 
-    /// The dead edges, for reporting.
-    pub fn dead_links(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.dead.iter().copied()
-    }
-
-    /// The degraded edges with their qualities, for reporting.
-    pub fn degraded_links(&self) -> impl Iterator<Item = ((usize, usize), LinkQuality)> + '_ {
-        self.degraded.iter().map(|(&e, &q)| (e, q))
-    }
-
-    /// The straggler nodes with their slowdowns, for reporting.
-    pub fn stragglers(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.stragglers.iter().map(|(&n, &s)| (n, s))
-    }
-
-    /// Every scheduled drop as `((from, to), seq)`, for reporting.
-    pub fn scheduled_drops(&self) -> impl Iterator<Item = ((usize, usize), u64)> + '_ {
-        self.drops
-            .iter()
-            .flat_map(|(&pair, set)| set.iter().map(move |&k| (pair, k)))
-    }
-
-    /// Every scheduled corruption as `((from, to), seq, corruption)`, for
-    /// reporting.
-    pub fn scheduled_corruptions(
-        &self,
-    ) -> impl Iterator<Item = ((usize, usize), u64, Corruption)> + '_ {
-        self.corruptions
-            .iter()
-            .flat_map(|(&pair, m)| m.iter().map(move |(&k, &c)| (pair, k, c)))
-    }
-
-    /// The undirected edges carrying a corruption schedule, normalized
-    /// `(lo, hi)` and deduplicated — the set the recovery driver
-    /// quarantines after an uncorrectable run.
-    pub fn corrupting_links(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let set: BTreeSet<(usize, usize)> =
-            self.corruptions.keys().map(|&(a, b)| edge(a, b)).collect();
-        set.into_iter()
-    }
-
-    /// Every scheduled crash as `(node, step)`, for reporting.
-    pub fn scheduled_crashes(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.crashes.iter().map(|(&n, &s)| (n, s))
-    }
-
-    /// Every atomic fault the plan schedules, one [`FaultEntry`] each,
-    /// in a stable (family-then-key) order. `strict` is a plan-wide mode
+    /// Every atomic fault the plan schedules, in site order (family,
+    /// then endpoints or node, then seq). `strict` is a plan-wide mode
     /// rather than an entry; carry it via [`FaultPlan::is_strict`]. The
     /// inverse is [`FaultPlan::from_entries`].
-    pub fn entries(&self) -> Vec<FaultEntry> {
-        let mut out = Vec::new();
-        for &(a, b) in &self.dead {
-            out.push(FaultEntry::Dead { a, b });
-        }
-        for (&(a, b), &quality) in &self.degraded {
-            out.push(FaultEntry::Degraded {
-                a,
-                b,
-                quality,
-                window: self.degraded_windows.get(&(a, b)).copied(),
-            });
-        }
-        for (&node, &slowdown) in &self.stragglers {
-            out.push(FaultEntry::Straggler { node, slowdown });
-        }
-        for ((from, to), seq) in self.scheduled_drops() {
-            out.push(FaultEntry::Drop { from, to, seq });
-        }
-        for ((from, to), seq, corruption) in self.scheduled_corruptions() {
-            out.push(FaultEntry::Corrupt {
-                from,
-                to,
-                seq,
-                corruption,
-            });
-        }
-        for (node, step) in self.scheduled_crashes() {
-            out.push(FaultEntry::Crash { node, step });
-        }
-        out
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = &FaultEntry> + '_ {
+        self.entries.values()
     }
 
-    /// The number of atomic faults the plan schedules
-    /// (`entries().len()`, without building the vector).
-    pub fn fault_count(&self) -> usize {
-        self.dead.len()
-            + self.degraded.len()
-            + self.stragglers.len()
-            + self.drops.values().map(BTreeSet::len).sum::<usize>()
-            + self.corruptions.values().map(BTreeMap::len).sum::<usize>()
-            + self.crashes.len()
-    }
-
-    /// Rebuilds a plan from a subset of another plan's entries, with the
-    /// given `strict` flag. Feeding a plan's full [`FaultPlan::entries`]
-    /// list back reproduces it exactly. Entries are inserted directly
-    /// (they originate from an already-constructed plan, so the builder
-    /// invariants hold by provenance).
-    pub fn from_entries(entries: &[FaultEntry], strict: bool) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        plan.strict = strict;
-        for entry in entries {
-            match *entry {
-                FaultEntry::Dead { a, b } => {
-                    plan.dead.insert(edge(a, b));
-                }
-                FaultEntry::Degraded {
-                    a,
-                    b,
-                    quality,
-                    window,
-                } => {
-                    plan.degraded.insert(edge(a, b), quality);
-                    if let Some(w) = window {
-                        plan.degraded_windows.insert(edge(a, b), w);
-                    }
-                }
-                FaultEntry::Straggler { node, slowdown } => {
-                    plan.stragglers.insert(node, slowdown);
-                }
-                FaultEntry::Drop { from, to, seq } => {
-                    plan.drops.entry((from, to)).or_default().insert(seq);
-                }
-                FaultEntry::Corrupt {
-                    from,
-                    to,
-                    seq,
-                    corruption,
-                } => {
-                    plan.corruptions
-                        .entry((from, to))
-                        .or_default()
-                        .insert(seq, corruption);
-                }
-                FaultEntry::Crash { node, step } => {
-                    plan.crashes.insert(node, step);
-                }
-            }
+    /// Builds a plan from entries, in order (a later entry at the same
+    /// site wins), with the given `strict` flag. Feeding a plan's
+    /// [`FaultPlan::entries`] back reproduces it exactly; an entry that
+    /// fails [`FaultEntry::check`] is returned as the error.
+    pub fn from_entries(entries: &[FaultEntry], strict: bool) -> Result<FaultPlan, FaultPlanError> {
+        let mut plan = FaultPlan {
+            strict,
+            ..FaultPlan::default()
+        };
+        for &entry in entries {
+            plan.insert(entry)?;
         }
-        plan
+        Ok(plan)
     }
 
     /// Checks that every referenced node fits a `p`-node machine.
     pub fn validate(&self, p: usize) -> Result<(), FaultPlanError> {
-        let check = |n: usize, what: &'static str| {
-            if n >= p {
-                Err(FaultPlanError::NodeOutOfRange { what, node: n, p })
-            } else {
-                Ok(())
+        for &(family, a, b, _) in self.entries.keys() {
+            if let Some(node) = [a, b].into_iter().find(|&n| n >= p) {
+                let what = FAMILIES[family as usize].1;
+                return Err(FaultPlanError::NodeOutOfRange { what, node, p });
             }
-        };
-        for &(a, b) in &self.dead {
-            check(a, "dead-link")?;
-            check(b, "dead-link")?;
-        }
-        for &(a, b) in self.degraded.keys() {
-            check(a, "degraded-link")?;
-            check(b, "degraded-link")?;
-        }
-        for &n in self.stragglers.keys() {
-            check(n, "straggler")?;
-        }
-        for &(a, b) in self.drops.keys() {
-            check(a, "drop-schedule")?;
-            check(b, "drop-schedule")?;
-        }
-        for &(a, b) in self.corruptions.keys() {
-            check(a, "corruption-schedule")?;
-            check(b, "corruption-schedule")?;
-        }
-        for &n in self.crashes.keys() {
-            check(n, "crash-schedule")?;
         }
         Ok(())
     }
@@ -804,107 +785,14 @@ impl FaultPlan {
     /// [`FaultPlan::from_json`] for the schema). Every entry the plan
     /// holds round-trips exactly.
     pub fn to_json(&self) -> String {
-        use crate::json::Json;
-        let num = |x: usize| Json::Num(x as f64);
-        let seq_num = |x: u64| Json::Num(x as f64);
-        let mut fields = Vec::new();
-        fields.push(("strict".to_string(), Json::Bool(self.strict)));
-        fields.push((
-            "dead".to_string(),
-            Json::Arr(
-                self.dead
-                    .iter()
-                    .map(|&(a, b)| Json::Arr(vec![num(a), num(b)]))
-                    .collect(),
-            ),
-        ));
-        fields.push((
-            "degraded".to_string(),
-            Json::Arr(
-                self.degraded
-                    .iter()
-                    .map(|(&(a, b), q)| {
-                        let mut entry = vec![
-                            ("a".to_string(), num(a)),
-                            ("b".to_string(), num(b)),
-                            ("ts_factor".to_string(), Json::Num(q.ts_factor)),
-                            ("tw_factor".to_string(), Json::Num(q.tw_factor)),
-                        ];
-                        if let Some(&(from, until)) = self.degraded_windows.get(&(a, b)) {
-                            entry.push(("from_step".to_string(), seq_num(from)));
-                            entry.push(("until_step".to_string(), seq_num(until)));
-                        }
-                        Json::Obj(entry)
-                    })
-                    .collect(),
-            ),
-        ));
-        fields.push((
-            "stragglers".to_string(),
-            Json::Arr(
-                self.stragglers
-                    .iter()
-                    .map(|(&n, &s)| {
-                        Json::Obj(vec![
-                            ("node".to_string(), num(n)),
-                            ("slowdown".to_string(), Json::Num(s)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        fields.push((
-            "drops".to_string(),
-            Json::Arr(
-                self.scheduled_drops()
-                    .map(|((from, to), k)| {
-                        Json::Obj(vec![
-                            ("from".to_string(), num(from)),
-                            ("to".to_string(), num(to)),
-                            ("seq".to_string(), seq_num(k)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        fields.push((
-            "corruptions".to_string(),
-            Json::Arr(
-                self.scheduled_corruptions()
-                    .map(|((from, to), k, c)| {
-                        let mut entry = vec![
-                            ("from".to_string(), num(from)),
-                            ("to".to_string(), num(to)),
-                            ("seq".to_string(), seq_num(k)),
-                            ("word".to_string(), num(c.word)),
-                        ];
-                        match c.kind {
-                            CorruptKind::BitFlip { bit } => {
-                                entry.push(("bitflip".to_string(), Json::Num(f64::from(bit))));
-                            }
-                            CorruptKind::Perturb { delta } => {
-                                entry.push(("perturb".to_string(), Json::Num(delta)));
-                            }
-                        }
-                        Json::Obj(entry)
-                    })
-                    .collect(),
-            ),
-        ));
-        fields.push((
-            "crashes".to_string(),
-            Json::Arr(
-                self.scheduled_crashes()
-                    .map(|(n, s)| {
-                        Json::Obj(vec![
-                            ("node".to_string(), num(n)),
-                            ("step".to_string(), seq_num(s)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        Json::Obj(fields).encode()
+        let mut arrays: [Vec<Json>; 6] = Default::default();
+        for (&(family, ..), &entry) in &self.entries {
+            arrays[family as usize].push(entry.to_json());
+        }
+        let families = FAMILIES.iter().zip(arrays);
+        let fields = families.map(|((key, ..), items)| (key.to_string(), Json::Arr(items)));
+        let strict = ("strict".to_string(), Json::Bool(self.strict));
+        Json::Obj(std::iter::once(strict).chain(fields).collect()).encode()
     }
 
     /// Parses a plan from the JSON produced by [`FaultPlan::to_json`].
@@ -921,161 +809,26 @@ impl FaultPlan {
     /// beyond-2^53 steps, empty degradation windows) are rejected rather
     /// than carried as no-ops.
     pub fn from_json(text: &str) -> Result<FaultPlan, FaultPlanError> {
-        use crate::json::Json;
         let doc = crate::json::parse(text).map_err(FaultPlanError::Malformed)?;
-        if !matches!(doc, Json::Obj(_)) {
-            return Err(FaultPlanError::Malformed(
-                "fault plan must be a JSON object".to_string(),
-            ));
-        }
-        let index = |v: Option<&Json>, what: &str| -> Result<u64, FaultPlanError> {
-            let v = v.ok_or_else(|| {
-                FaultPlanError::Malformed(format!("{what} must be a non-negative integer"))
-            })?;
-            match v.as_index() {
-                Some(i) => Ok(i),
-                // A number that is not a valid index is a typed
-                // out-of-range step; anything else is malformed JSON.
-                None => match v.as_f64() {
-                    Some(value) => Err(FaultPlanError::StepOutOfRange {
-                        what: what.to_string(),
-                        value,
-                    }),
-                    None => Err(FaultPlanError::Malformed(format!(
-                        "{what} must be a non-negative integer"
-                    ))),
-                },
-            }
-        };
-        let node = |v: Option<&Json>, what: &str| -> Result<usize, FaultPlanError> {
-            Ok(index(v, what)? as usize)
-        };
-        let items = |key: &str| -> &[Json] { doc.get(key).and_then(Json::as_arr).unwrap_or(&[]) };
-        let neighbors = |a: usize, b: usize, what: &str| -> Result<(), FaultPlanError> {
-            if hamming(a, b) == 1 {
-                Ok(())
-            } else {
-                Err(FaultPlanError::Malformed(format!(
-                    "{what} {a} <-> {b} is not a hypercube edge"
-                )))
-            }
-        };
-        let malformed = |msg: &str| FaultPlanError::Malformed(msg.to_string());
+        FaultPlan::from_json_value(&doc)
+    }
 
+    /// [`FaultPlan::from_json`] on an already parsed document, such as
+    /// the `faults` field of a service request.
+    pub fn from_json_value(doc: &Json) -> Result<FaultPlan, FaultPlanError> {
+        if !matches!(doc, Json::Obj(_)) {
+            return Err(malformed("fault plan must be a JSON object"));
+        }
         let mut plan = FaultPlan::new();
         if let Some(strict) = doc.get("strict") {
             plan.strict = strict
                 .as_bool()
-                .ok_or_else(|| FaultPlanError::Malformed("strict must be a boolean".to_string()))?;
+                .ok_or_else(|| malformed("strict must be a boolean"))?;
         }
-        for entry in items("dead") {
-            let pair = entry.as_arr().unwrap_or(&[]);
-            if pair.len() != 2 {
-                return Err(malformed("each dead entry must be an [a, b] pair"));
+        for (key, _, decode) in FAMILIES {
+            for item in doc.get(key).and_then(Json::as_arr).unwrap_or(&[]) {
+                plan.insert(decode(item)?)?;
             }
-            let (a, b) = (
-                node(pair.first(), "dead node")?,
-                node(pair.get(1), "dead node")?,
-            );
-            neighbors(a, b, "dead link")?;
-            plan.dead.insert(edge(a, b));
-        }
-        for entry in items("degraded") {
-            let a = node(entry.get("a"), "degraded a")?;
-            let b = node(entry.get("b"), "degraded b")?;
-            neighbors(a, b, "degraded link")?;
-            let ts = entry
-                .get("ts_factor")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| malformed("degraded entry needs ts_factor"))?;
-            let tw = entry
-                .get("tw_factor")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| malformed("degraded entry needs tw_factor"))?;
-            if !(ts.is_finite() && ts > 0.0 && tw.is_finite() && tw > 0.0) {
-                return Err(malformed("degradation factors must be positive and finite"));
-            }
-            match (entry.get("from_step"), entry.get("until_step")) {
-                (None, None) => {}
-                (Some(from), Some(until)) => {
-                    let from = index(Some(from), "degraded from_step")?;
-                    let until = index(Some(until), "degraded until_step")?;
-                    if until <= from {
-                        let (a, b) = edge(a, b);
-                        return Err(FaultPlanError::EmptyDegradationWindow {
-                            a,
-                            b,
-                            from_step: from,
-                            until_step: until,
-                        });
-                    }
-                    plan.degraded_windows.insert(edge(a, b), (from, until));
-                }
-                _ => {
-                    return Err(malformed(
-                        "degraded window needs both from_step and until_step",
-                    ))
-                }
-            }
-            plan.degraded.insert(
-                edge(a, b),
-                LinkQuality {
-                    ts_factor: ts,
-                    tw_factor: tw,
-                },
-            );
-        }
-        for entry in items("stragglers") {
-            let n = node(entry.get("node"), "straggler node")?;
-            let s = entry
-                .get("slowdown")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| malformed("straggler entry needs slowdown"))?;
-            if !(s.is_finite() && s >= 1.0) {
-                return Err(malformed("straggler slowdown must be finite and >= 1"));
-            }
-            plan.stragglers.insert(n, s);
-        }
-        for entry in items("drops") {
-            let from = node(entry.get("from"), "drop from")?;
-            let to = node(entry.get("to"), "drop to")?;
-            let seq = index(entry.get("seq"), "drop seq")?;
-            plan.drops.entry((from, to)).or_default().insert(seq);
-        }
-        for entry in items("corruptions") {
-            let from = node(entry.get("from"), "corruption from")?;
-            let to = node(entry.get("to"), "corruption to")?;
-            neighbors(from, to, "corrupted link")?;
-            let seq = index(entry.get("seq"), "corruption seq")?;
-            let word = node(entry.get("word"), "corruption word")?;
-            let kind = match (entry.get("bitflip"), entry.get("perturb")) {
-                (Some(bit), None) => CorruptKind::BitFlip {
-                    bit: index(Some(bit), "bitflip bit")? as u32,
-                },
-                (None, Some(delta)) => {
-                    let delta = delta
-                        .as_f64()
-                        .ok_or_else(|| malformed("perturb delta must be a number"))?;
-                    if !delta.is_finite() {
-                        return Err(malformed("corruption delta must be finite"));
-                    }
-                    CorruptKind::Perturb { delta }
-                }
-                _ => {
-                    return Err(malformed(
-                        "corruption entry needs exactly one of bitflip/perturb",
-                    ))
-                }
-            };
-            plan.corruptions
-                .entry((from, to))
-                .or_default()
-                .insert(seq, Corruption { word, kind });
-        }
-        for entry in items("crashes") {
-            let n = node(entry.get("node"), "crash node")?;
-            let step = index(entry.get("step"), "crash step")?;
-            plan.crashes.insert(n, step);
         }
         Ok(plan)
     }
@@ -1098,53 +851,40 @@ impl FaultPlan {
         to: usize,
     ) -> Option<Vec<usize>> {
         let usable = |a: usize, b: usize| links.allows(a, b) && !self.is_dead(a, b);
-        let diff = from ^ to;
-        let dims: Vec<u32> = (0..dim).filter(|d| diff >> d & 1 == 1).collect();
-        let h = dims.len();
-        for rot in 0..h {
-            let mut path = Vec::with_capacity(h);
+        for rot in 0..hamming(from, to) {
             let mut cur = from;
-            let mut ok = true;
-            for i in 0..h {
-                let next = cur ^ (1usize << dims[(rot + i) % h]);
-                if !usable(cur, next) {
-                    ok = false;
-                    break;
-                }
-                path.push(next);
-                cur = next;
-            }
-            if ok {
-                return Some(path);
+            let path: Option<Vec<usize>> = dim_walk(from, to, rot)
+                .map(|next| {
+                    let hop = usable(cur, next);
+                    cur = next;
+                    hop.then_some(next)
+                })
+                .collect();
+            if path.is_some() {
+                return path;
             }
         }
         // All minimal rotations blocked: breadth-first search for a
         // shortest live detour (deterministic by dimension order).
         let p = 1usize << dim;
-        let mut prev: Vec<Option<usize>> = vec![None; p];
+        let mut prev = vec![usize::MAX; p];
         let mut queue = VecDeque::from([from]);
-        prev[from] = Some(from);
+        prev[from] = from;
         while let Some(cur) = queue.pop_front() {
             if cur == to {
                 let mut path = Vec::new();
                 let mut n = to;
                 while n != from {
                     path.push(n);
-                    #[allow(
-                        clippy::expect_used,
-                        reason = "BFS invariant: every dequeued node was given a predecessor"
-                    )]
-                    {
-                        n = prev[n].expect("BFS predecessor chain");
-                    }
+                    n = prev[n];
                 }
                 path.reverse();
                 return Some(path);
             }
             for d in 0..dim {
                 let next = cur ^ (1usize << d);
-                if prev[next].is_none() && usable(cur, next) {
-                    prev[next] = Some(cur);
+                if prev[next] == usize::MAX && usable(cur, next) {
+                    prev[next] = cur;
                     queue.push_back(next);
                 }
             }
@@ -1162,7 +902,7 @@ mod tests {
         let plan = FaultPlan::new();
         assert!(plan.is_empty());
         assert!(!plan.is_dead(0, 1));
-        assert_eq!(plan.link_quality(0, 1), LinkQuality::HEALTHY);
+        assert_eq!(plan.link_quality_at(0, 1, 0), LinkQuality::HEALTHY);
         assert_eq!(plan.slowdown(3), 1.0);
         assert!(!plan.drops_nth(0, 1, 0));
     }
@@ -1173,7 +913,7 @@ mod tests {
             .with_dead_link(2, 3)
             .with_degraded_link(4, 5, 2.0, 3.0);
         assert!(plan.is_dead(2, 3) && plan.is_dead(3, 2));
-        assert_eq!(plan.link_quality(5, 4).tw_factor, 3.0);
+        assert_eq!(plan.link_quality_at(5, 4, 0).tw_factor, 3.0);
     }
 
     #[test]
@@ -1256,7 +996,6 @@ mod tests {
         assert_eq!(plan.corrupts_nth(0, 1, 2), Some(hit));
         assert_eq!(plan.corrupts_nth(0, 1, 1), None);
         assert_eq!(plan.corrupts_nth(1, 0, 2), None, "corruptions are directed");
-        assert_eq!(plan.corrupting_links().collect::<Vec<_>>(), vec![(0, 1)]);
     }
 
     #[test]
@@ -1458,14 +1197,19 @@ mod tests {
     #[test]
     fn degradation_windows_gate_link_quality_and_round_trip() {
         let plan = FaultPlan::new().with_degraded_link_window(0, 1, 2.0, 4.0, 3, 7);
-        assert_eq!(plan.degraded_window(1, 0), Some((3, 7)));
+        assert!(matches!(
+            plan.entries().collect::<Vec<_>>()[..],
+            [FaultEntry::Degraded {
+                window: Some((3, 7)),
+                ..
+            }]
+        ));
         // Inside the window the multipliers apply; outside the link is
-        // healthy. The window-blind query reports the worst case.
+        // healthy.
         assert_eq!(plan.link_quality_at(0, 1, 2), LinkQuality::HEALTHY);
         assert_eq!(plan.link_quality_at(0, 1, 3).tw_factor, 4.0);
         assert_eq!(plan.link_quality_at(1, 0, 6).ts_factor, 2.0);
         assert_eq!(plan.link_quality_at(0, 1, 7), LinkQuality::HEALTHY);
-        assert_eq!(plan.link_quality(0, 1).tw_factor, 4.0);
         // Permanent degradation is unaffected by the step.
         let always = FaultPlan::new().with_degraded_link(2, 3, 3.0, 3.0);
         assert_eq!(always.link_quality_at(2, 3, 999).ts_factor, 3.0);
@@ -1494,10 +1238,9 @@ mod tests {
             )
             .with_crash(6, 9)
             .strict();
-        let entries = plan.entries();
+        let entries: Vec<FaultEntry> = plan.entries().copied().collect();
         assert_eq!(entries.len(), 7);
-        assert_eq!(plan.fault_count(), entries.len());
-        let back = FaultPlan::from_entries(&entries, plan.is_strict());
+        let back = FaultPlan::from_entries(&entries, plan.is_strict()).unwrap();
         assert_eq!(back, plan);
         // A subset drops exactly the omitted faults.
         let keep: Vec<FaultEntry> = entries
@@ -1505,9 +1248,78 @@ mod tests {
             .filter(|e| matches!(e, FaultEntry::Crash { .. }))
             .cloned()
             .collect();
-        let reduced = FaultPlan::from_entries(&keep, plan.is_strict());
-        assert_eq!(reduced.fault_count(), 1);
+        let reduced = FaultPlan::from_entries(&keep, plan.is_strict()).unwrap();
+        assert_eq!(reduced.entries().len(), 1);
         assert_eq!(reduced.crash_step(6), Some(9));
         assert!(reduced.is_strict());
+    }
+
+    #[test]
+    fn a_permanent_degradation_replaces_an_earlier_window() {
+        // Builders: the later, window-less degradation of the same edge
+        // must apply at every step, not only inside the old window.
+        let plan = FaultPlan::new()
+            .with_degraded_link_window(0, 1, 2.0, 2.0, 3, 5)
+            .with_degraded_link(1, 0, 4.0, 4.0);
+        for step in [0, 3, 9] {
+            assert_eq!(plan.link_quality_at(0, 1, step).ts_factor, 4.0, "{step}");
+        }
+        // JSON: a window-less entry after a windowed one on that edge.
+        let text = r#"{"degraded": [
+            {"a": 0, "b": 1, "ts_factor": 2, "tw_factor": 2, "from_step": 3, "until_step": 5},
+            {"a": 1, "b": 0, "ts_factor": 4, "tw_factor": 4}]}"#;
+        let parsed = FaultPlan::from_json(text).unwrap();
+        assert_eq!(parsed, plan);
+        assert_eq!(parsed.link_quality_at(0, 1, 9).tw_factor, 4.0);
+    }
+
+    #[test]
+    fn every_surface_applies_the_same_rules() {
+        let corrupt = |kind| FaultEntry::Corrupt {
+            from: 0,
+            to: 1,
+            seq: 0,
+            corruption: Corruption { word: 1, kind },
+        };
+        let bad = [
+            (
+                FaultEntry::Dead { a: 0, b: 3 },
+                r#"{"dead": [[0, 3]]}"#,
+                "dead link 0 <-> 3 is not a hypercube edge",
+            ),
+            (
+                corrupt(CorruptKind::BitFlip { bit: 64 }),
+                r#"{"corruptions": [{"from": 0, "to": 1, "seq": 0, "word": 1, "bitflip": 64}]}"#,
+                "bitflip bit must be 0..=63",
+            ),
+            (
+                corrupt(CorruptKind::Perturb { delta: 0.0 }),
+                r#"{"corruptions": [{"from": 0, "to": 1, "seq": 0, "word": 1, "perturb": 0}]}"#,
+                "corruption delta must be finite and non-zero",
+            ),
+        ];
+        for (entry, json, why) in bad {
+            assert_eq!(entry.check().unwrap_err().to_string(), why);
+            let from_entries = FaultPlan::from_entries(&[entry], false);
+            assert_eq!(from_entries.unwrap_err().to_string(), why);
+            assert_eq!(FaultPlan::from_json(json).unwrap_err().to_string(), why);
+        }
+        // A bit beyond u32 must not wrap onto a valid one (2^32 + 1 -> 1).
+        let huge = r#"{"corruptions": [{"from": 0, "to": 1, "seq": 0, "word": 1,
+            "bitflip": 4294967297}]}"#;
+        assert_eq!(
+            FaultPlan::from_json(huge).unwrap_err().to_string(),
+            "bitflip bit must be 0..=63"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "bitflip bit must be 0..=63")]
+    fn corruption_builder_rejects_bits_past_the_sign() {
+        let flip = Corruption {
+            word: 0,
+            kind: CorruptKind::BitFlip { bit: 64 },
+        };
+        let _ = FaultPlan::new().with_corruption(0, 1, 0, flip);
     }
 }

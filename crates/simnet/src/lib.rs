@@ -100,12 +100,9 @@ mod proc;
 mod stats;
 pub mod trace;
 
-pub use faults::{
-    CorruptKind, Corruption, FaultEntry, FaultPlan, FaultPlanError, LinkQuality, RetryPolicy,
-    SendError,
-};
+pub use faults::{CorruptKind, Corruption, FaultEntry, FaultPlan, FaultPlanError, LinkQuality};
 pub use machine::{Blocked, Machine, MachineBuilder, MachineOptions, RunError, RunOutcome};
-pub use proc::{Op, Proc};
+pub use proc::{Op, Proc, RetryPolicy, SendError};
 pub use stats::{FiredFault, FiredKind, NodeStats, RunStats};
 pub use trace::{TraceEvent, TraceKind};
 

@@ -28,8 +28,9 @@ use std::task::{Context, Poll, Waker};
 
 use cubemm_topology::log2_exact;
 
-use crate::faults::{FaultPlan, SendError};
+use crate::faults::FaultPlan;
 use crate::ledger::Ledger;
+use crate::proc::SendError;
 use crate::stats::RunStats;
 use crate::{ChargePolicy, CostParams, LinkTopology, PortModel, Proc};
 

@@ -2,9 +2,9 @@
 
 use std::rc::Rc;
 
-use cubemm_topology::bits::hamming;
+use cubemm_topology::bits::{dim_walk, hamming};
 
-use crate::faults::{FaultPlan, LinkQuality, RetryPolicy, SendError};
+use crate::faults::{FaultPlan, LinkQuality};
 use crate::ledger::{Delivery, Ledger};
 use crate::machine::{Failure, MachineOptions};
 use crate::stats::{FiredFault, FiredKind, NodeStats};
@@ -40,6 +40,87 @@ pub enum Op {
         /// Message tag for matching.
         tag: u64,
     },
+}
+
+/// A typed, non-panicking send failure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SendError {
+    /// The direct link to the destination is dead and the plan forbids
+    /// re-routing ([`FaultPlan::strict`]).
+    LinkDead {
+        /// Sending node.
+        from: usize,
+        /// Intended neighbor.
+        to: usize,
+    },
+    /// No live path exists between the endpoints (the destination is cut
+    /// off by dead links).
+    Unroutable {
+        /// Sending node.
+        from: usize,
+        /// Destination node.
+        to: usize,
+    },
+    /// [`Proc::send_with_retry`] exhausted its retry budget
+    /// against the drop schedule.
+    RetriesExhausted {
+        /// Sending node.
+        from: usize,
+        /// Destination node.
+        to: usize,
+        /// Attempts made (initial send plus retries).
+        attempts: u32,
+    },
+}
+
+impl std::fmt::Display for SendError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SendError::LinkDead { from, to } => {
+                write!(f, "link {from} <-> {to} is dead (strict fault plan)")
+            }
+            SendError::Unroutable { from, to } => {
+                write!(f, "no live path from node {from} to node {to}")
+            }
+            SendError::RetriesExhausted { from, to, attempts } => write!(
+                f,
+                "node {from} -> {to}: message dropped on all {attempts} attempts"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SendError {}
+
+/// Retry policy for [`Proc::send_with_retry`]: bounded attempts
+/// with exponential *virtual-time* backoff charged to the sender's
+/// clock, capped both by attempt count and by total backoff time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetryPolicy {
+    /// Maximum total attempts (initial send plus retries); must be ≥ 1.
+    pub max_attempts: u32,
+    /// Virtual time charged after the first failed attempt.
+    pub backoff: f64,
+    /// Multiplier applied to the backoff after each failure.
+    pub backoff_factor: f64,
+    /// Cap on the *total* virtual backoff time one call may charge. The
+    /// exponential schedule sums to `backoff·(f^(a-1)-1)/(f-1)`, which for
+    /// a generous attempt cap dwarfs any simulated run; this cap bounds
+    /// the damage regardless of how the other knobs are set. Retrying
+    /// stops with [`SendError::RetriesExhausted`] once the next wait
+    /// would push past it.
+    pub max_total_backoff: f64,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_attempts: 4,
+            backoff: 1.0,
+            backoff_factor: 2.0,
+            max_total_backoff: 1e6,
+        }
+    }
 }
 
 /// Handle through which a virtual processor's SPMD program communicates.
@@ -534,19 +615,13 @@ impl Proc {
                 // when a dead edge lies on it — so scanning that path
                 // pinpoints which dead link (if any) forced this send
                 // off the healthy route.
-                if plan.dead_links().next().is_some() {
-                    let mut cur = self.id;
-                    let diff = self.id ^ to;
-                    for d in 0..self.dim {
-                        if diff >> d & 1 == 1 {
-                            let next = cur ^ (1usize << d);
-                            if plan.is_dead(cur, next) {
-                                self.note_fired(FiredKind::DeadLink, cur.min(next), cur.max(next));
-                                break;
-                            }
-                            cur = next;
-                        }
+                let mut cur = self.id;
+                for next in dim_walk(self.id, to, 0) {
+                    if plan.is_dead(cur, next) {
+                        self.note_fired(FiredKind::DeadLink, cur.min(next), cur.max(next));
+                        break;
                     }
+                    cur = next;
                 }
                 Ok(self.send_along(&path, to, tag, data))
             }

@@ -8,7 +8,7 @@
 //! and a re-encode must be byte-identical (the encoding is canonical
 //! because the plan's internals are ordered maps).
 
-use cubemm_simnet::{CorruptKind, Corruption, FaultPlan};
+use cubemm_simnet::{CorruptKind, Corruption, FaultEntry, FaultPlan};
 
 /// Machine size the generated plans target (`dim = 4`).
 const P: usize = 16;
@@ -110,22 +110,29 @@ fn round_trip_preserves_crash_and_corruption_queries() {
         for node in 0..P {
             assert_eq!(back.crash_step(node), plan.crash_step(node));
         }
-        for ((from, to), seq, corruption) in plan.scheduled_corruptions() {
-            assert_eq!(back.corrupts_nth(from, to, seq), Some(corruption));
-        }
-        for ((from, to), seq) in plan.scheduled_drops() {
-            assert!(back.drops_nth(from, to, seq));
+        for entry in plan.entries() {
+            match *entry {
+                FaultEntry::Corrupt {
+                    from,
+                    to,
+                    seq,
+                    corruption,
+                } => assert_eq!(back.corrupts_nth(from, to, seq), Some(corruption)),
+                FaultEntry::Drop { from, to, seq } => assert!(back.drops_nth(from, to, seq)),
+                _ => {}
+            }
         }
         assert_eq!(back.is_strict(), plan.is_strict());
     }
 }
 
-#[test]
-fn every_single_fault_family_round_trips_alone() {
-    // One plan per family, so a format regression names its culprit.
-    let plans = [
+/// One plan per fault family (a windowed degradation included), the
+/// strict flag alone, and the empty plan.
+fn family_plans() -> Vec<FaultPlan> {
+    vec![
         FaultPlan::new().with_dead_link(0, 1),
         FaultPlan::new().with_degraded_link(2, 3, 2.5, 4.0),
+        FaultPlan::new().with_degraded_link_window(6, 7, 1.5, 3.0, 2, 9),
         FaultPlan::new().with_straggler(5, 3.0),
         FaultPlan::new().with_drop(1, 3, 2),
         FaultPlan::new().with_corruption(
@@ -149,10 +156,33 @@ fn every_single_fault_family_round_trips_alone() {
         FaultPlan::new().with_crash(6, 9),
         FaultPlan::new().strict(),
         FaultPlan::new(),
-    ];
-    for (i, plan) in plans.iter().enumerate() {
+    ]
+}
+
+#[test]
+fn every_single_fault_family_round_trips_alone() {
+    // One plan per family, so a format regression names its culprit.
+    for (i, plan) in family_plans().iter().enumerate() {
         let back = FaultPlan::from_json(&plan.to_json())
             .unwrap_or_else(|e| panic!("family {i}: decode failed: {e}"));
         assert_eq!(&back, plan, "family {i}");
+    }
+}
+
+/// The wire format, pinned: `golden/faultplans.txt` holds `to_json` of
+/// 40 seeded random plans and then [`family_plans`], one per line, as
+/// encoded when the corpus was written. Both directions must hold byte
+/// for byte.
+#[test]
+fn golden_corpus_is_reproduced_byte_for_byte() {
+    let mut state = 0x601d_f00d_u64;
+    let mut plans: Vec<FaultPlan> = (0..40).map(|_| random_plan(&mut state)).collect();
+    plans.extend(family_plans());
+    let golden = include_str!("golden/faultplans.txt");
+    assert_eq!(golden.lines().count(), plans.len());
+    for (i, (plan, line)) in plans.iter().zip(golden.lines()).enumerate() {
+        assert_eq!(plan.to_json(), line, "plan {i}: encoding moved");
+        let back = FaultPlan::from_json(line).unwrap_or_else(|e| panic!("plan {i}: {e}"));
+        assert_eq!(&back, plan, "plan {i}: decoding moved");
     }
 }

@@ -53,6 +53,27 @@ pub fn hamming(a: usize, b: usize) -> u32 {
     (a ^ b).count_ones()
 }
 
+/// The dimension-ordered walk from `from` to `to`, as the labels after
+/// `from` (the last is `to`). The differing bits are corrected in
+/// ascending order, starting at the `rot`-th one and wrapping around:
+/// rotation 0 is the healthy route, and rotations `0..hamming(from, to)`
+/// are the classic edge-disjoint Hamming paths.
+pub fn dim_walk(from: usize, to: usize, rot: u32) -> impl Iterator<Item = usize> {
+    let diff = from ^ to;
+    // `diff` less its `rot` lowest set bits: those are corrected last.
+    let first = (0..rot).fold(diff, |rest, _| rest & rest.wrapping_sub(1));
+    let mut cur = from;
+    [first, diff ^ first]
+        .into_iter()
+        .flat_map(|mask| {
+            (0..usize::BITS - mask.leading_zeros()).filter(move |d| mask >> d & 1 == 1)
+        })
+        .map(move |d| {
+            cur ^= 1 << d;
+            cur
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,5 +113,14 @@ mod tests {
         assert_eq!(hamming(0, 0), 0);
         assert_eq!(hamming(0b1010, 0b0110), 2);
         assert_eq!(hamming(0, usize::MAX), usize::BITS);
+    }
+
+    #[test]
+    fn dim_walk_rotates_the_corrected_dimensions() {
+        let walk = |rot| dim_walk(0b0000, 0b1011, rot).collect::<Vec<_>>();
+        assert_eq!(walk(0), [0b0001, 0b0011, 0b1011]);
+        assert_eq!(walk(1), [0b0010, 0b1010, 0b1011]);
+        assert_eq!(walk(2), [0b1000, 0b1001, 0b1011]);
+        assert_eq!(dim_walk(5, 5, 0).count(), 0);
     }
 }
