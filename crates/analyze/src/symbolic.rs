@@ -5,10 +5,10 @@
 //! enumerated `(n, p)` points. This module certifies *families*, and
 //! is also the one place a captured `(a, b)` is judged: against
 //! [`AlgoCertificate::predict`], by [`judge`]. Each collective carries a declarative
-//! [`CollSchema`](cubemm_collectives::CollSchema) — round count, copy
+//! [`CollSchema`] — round count, copy
 //! rule, rotated dimension orders, and per-round volume as an
 //! exponential schema — and each registry algorithm a phase-level
-//! [`AlgoSchema`](cubemm_core::schema::AlgoSchema). The certifier
+//! [`AlgoSchema`]. The certifier
 //! discharges, per schema, a list of [`Obligation`]s:
 //!
 //! * **structural obligations** hold for every `d` by a short symbolic

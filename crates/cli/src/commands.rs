@@ -32,7 +32,7 @@ USAGE:
                                  A = random(seed), B = random(seed + 1)
                                  (default seed 1); --fault-* flags
                                  repeat, and a faulty run
-                                 reports retries/detours/drops and the
+                                 reports detour hops, dropped messages and the
                                  extra virtual time against a healthy
                                  baseline re-run
   cubemm sweep --n N [--p 4,16,64,512] [--port one|multi] [--ts T] [--tw W]
@@ -97,10 +97,10 @@ picks a thread count automatically). A flag a command does not read is
 an error (exit 2), never silently ignored.
 The whole simulated machine runs on one host thread under a
 virtual-clock-ordered event loop and scales to p = 4096..65536 nodes.
-A run that cannot progress (e.g. --fault-drop on an algorithm without
-retries) is reported as a structured deadlock naming every blocked node,
-detected exactly and instantly by the simulator's progress ledger (no
-watchdog; results are identical at any --jobs value).
+A run that cannot progress (e.g. under --fault-drop: nothing retransmits
+a dropped message) is reported as a structured deadlock naming every
+blocked node, detected exactly and instantly by the simulator's progress
+ledger (no watchdog; results are identical at any --jobs value).
 --jobs N runs independent sweep/analysis grid points on N worker threads,
 each running its whole machine; output is identical to --jobs 1 (the
 default).
@@ -1431,7 +1431,7 @@ mod tests {
         let site = "--algo cannon --n 6 --p 4 --abft --fault-corrupt 2:3:0:1:64";
         assert_eq!(run(&argv(&format!("{site} --recover-attempts 1"))), 2);
         assert_eq!(run(&argv(site)), 0);
-        // A dropped message on an algorithm without retries deadlocks:
+        // Nothing retransmits a dropped message, so the run deadlocks:
         // exit 3, with and without --abft.
         assert_eq!(
             run(&argv("--algo cannon --n 16 --p 4 --fault-drop 0:1:0")),

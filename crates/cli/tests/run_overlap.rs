@@ -73,7 +73,7 @@ fn deadlock_above_the_threshold_still_exits_3_with_the_same_stderr() {
     let Err(AlgoError::Sim(e @ RunError::Deadlock { .. })) =
         Algorithm::Cannon.multiply(&a, &b, 4, &cli_config(plan))
     else {
-        panic!("a dropped message must deadlock an algorithm without retries");
+        panic!("a dropped message must deadlock the run: nothing retransmits it");
     };
     // The simulator's own diagnostic, naming the blocked node.
     let want = format!("error: {e}\n");

@@ -49,11 +49,6 @@ pub async fn allreduce_sum(proc: &mut Proc, sc: &Subcube, base: u64, mine: Paylo
     }
 }
 
-/// Whether the bandwidth-optimal composition applies for this shape.
-pub fn allreduce_is_bandwidth_optimal(sc: &Subcube, message_len: usize) -> bool {
-    sc.size() <= 1 || message_len % sc.size() == 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,13 +89,5 @@ mod tests {
         let _ = check(8, PortModel::MultiPort, 24);
         let _ = check(8, PortModel::MultiPort, 13);
         let _ = check(4, PortModel::MultiPort, 8);
-    }
-
-    #[test]
-    fn optimality_predicate() {
-        let sc = Subcube::whole(3);
-        assert!(allreduce_is_bandwidth_optimal(&sc, 16));
-        assert!(!allreduce_is_bandwidth_optimal(&sc, 15));
-        assert!(allreduce_is_bandwidth_optimal(&Subcube::whole(0), 15));
     }
 }

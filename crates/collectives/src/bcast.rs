@@ -88,7 +88,7 @@ mod tests {
     use super::*;
     use crate::plan::execute_fused;
     use crate::testutil::run;
-    use cubemm_simnet::PortModel;
+    use cubemm_simnet::{FaultPlan, Machine, PortModel, RunError, SendError};
     use cubemm_topology::Subcube;
 
     fn payload(n: usize) -> Payload {
@@ -202,5 +202,34 @@ mod tests {
         // Multi-port: they overlap fully (disjoint links):
         // ts log N + tw M = 20 + 24 = 44.
         assert_eq!(fused(PortModel::MultiPort), 44.0);
+    }
+
+    #[test]
+    fn strict_dead_tree_edge_aborts_with_a_typed_error() {
+        // Edge (0,1) carries the round-0 transfer of the rank-0 SBT: the
+        // neighbor send hits the dead edge and the machine reports the
+        // typed failure.
+        let m = 12;
+        let plan = FaultPlan::new().with_dead_link(0, 1).strict();
+        let err = Machine::builder(8)
+            .port(PortModel::OnePort)
+            .cost(crate::testutil::COST)
+            .faults(plan)
+            .build()
+            .expect("valid test machine")
+            .run(vec![(); 8], move |mut proc, ()| async move {
+                let sc = Subcube::whole(proc.dim());
+                let data = (sc.rank_of(proc.id()) == 0).then(|| payload(m));
+                let _ = bcast(&mut proc, &sc, 0, 0, data, m).await;
+            })
+            .expect_err("strict dead link must abort the plain schedule");
+        let want = SendError::LinkDead { from: 0, to: 1 };
+        assert_eq!(
+            err,
+            RunError::LinkDead {
+                node: 0,
+                error: want
+            }
+        );
     }
 }

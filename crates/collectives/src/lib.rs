@@ -62,7 +62,6 @@ mod allgather;
 mod allreduce;
 mod alltoall;
 mod bcast;
-mod ft;
 mod gather;
 pub mod plan;
 mod reduce;
@@ -72,13 +71,12 @@ pub mod schema;
 pub use allgather::{
     allgather, allgather_plan, reduce_scatter, reduce_scatter_plan, AllgatherRun, ReduceScatterRun,
 };
-pub use allreduce::{allreduce_is_bandwidth_optimal, allreduce_sum};
+pub use allreduce::allreduce_sum;
 pub use alltoall::{alltoall_personalized, alltoall_plan, AlltoallRun};
 pub use bcast::{bcast, bcast_plan, BcastRun};
-pub use ft::{allgather_ft, bcast_ft, execute_ft};
 pub use gather::{gather, gather_plan, GatherRun};
 pub use plan::{execute, execute_fused, CollectiveRun, PacketError, PacketStore, RecvMode, Xfer};
-pub use reduce::{reduce_plan, reduce_sum, reduce_sum_checked, ChecksumMismatch, ReduceRun};
+pub use reduce::{reduce_plan, reduce_sum, ReduceRun};
 pub use scatter::{scatter, scatter_plan, ScatterRun};
 pub use schema::{CollKind, CollSchema, IdMask, RoundSpec, VolSchema, WireSpec, XferShape};
 

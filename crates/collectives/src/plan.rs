@@ -12,7 +12,6 @@
 //! same fused execution serializes automatically through the port
 //! semantics of [`Proc::multi`].
 
-use std::convert::Infallible;
 use std::sync::Arc;
 
 use cubemm_simnet::{Op, Payload, PortModel, Proc};
@@ -537,15 +536,10 @@ fn accumulate(sum: &mut Payload, piece: &[f64]) {
     }
 }
 
-/// The one executor body: round `r` of every run is issued in a single
-/// [`Proc::multi`] batch. Each outgoing payload first passes through
-/// `divert`, which either returns it for the batch or disposes of it
-/// some other way (the degraded-mode relay of [`crate::execute_ft`]).
-pub(crate) async fn execute_rounds<E>(
-    proc: &mut Proc,
-    runs: &mut [&mut CollectiveRun],
-    mut divert: impl FnMut(&mut Proc, &Xfer, Payload) -> Result<Option<Payload>, E>,
-) -> Result<(), E> {
+/// Executes one or more collectives *fused*: round `r` of every run is
+/// issued in a single [`Proc::multi`] batch. All participating nodes
+/// must fuse the same set of collectives in the same order.
+pub async fn execute_fused(proc: &mut Proc, runs: &mut [&mut CollectiveRun]) {
     let max_rounds = runs.iter().map(|run| run.rounds()).max().unwrap_or(0);
     // (run index, transfer) for every transfer of a round, in op order.
     let mut round: Vec<(usize, Xfer)> =
@@ -579,13 +573,11 @@ pub(crate) async fn execute_rounds<E>(
                     consume,
                     format_args!("round {r} send"),
                 );
-                if let Some(data) = divert(proc, xfer, data)? {
-                    ops.push(Op::Send {
-                        to: xfer.peer,
-                        tag: xfer.tag,
-                        data,
-                    });
-                }
+                ops.push(Op::Send {
+                    to: xfer.peer,
+                    tag: xfer.tag,
+                    data,
+                });
             }
         }
         let recvs = || round.iter().filter(|(_, xfer)| xfer.recv.is_some());
@@ -605,18 +597,6 @@ pub(crate) async fn execute_rounds<E>(
                 r,
             );
         }
-    }
-    Ok(())
-}
-
-/// Executes one or more collectives *fused*: round `r` of every run is
-/// issued in a single [`Proc::multi`] batch. All participating nodes
-/// must fuse the same set of collectives in the same order.
-pub async fn execute_fused(proc: &mut Proc, runs: &mut [&mut CollectiveRun]) {
-    let batch_all = |_: &mut Proc, _: &Xfer, data| Ok::<_, Infallible>(Some(data));
-    match execute_rounds(proc, runs, batch_all).await {
-        Ok(()) => {}
-        Err(never) => match never {},
     }
 }
 

@@ -75,71 +75,10 @@ pub async fn reduce_sum(
     run.finish()
 }
 
-/// The root of a checked reduction found its checksum word disagreeing
-/// with the data it arrived with: some contribution was corrupted in
-/// flight (or a node summed wrongly).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChecksumMismatch {
-    /// Sum of the reduced data words, recomputed at the root.
-    pub expected: f64,
-    /// The reduced checksum word that should equal it.
-    pub got: f64,
-}
-
-impl std::fmt::Display for ChecksumMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "reduction checksum mismatch: data sums to {}, checksum word carries {}",
-            self.expected, self.got
-        )
-    }
-}
-
-impl std::error::Error for ChecksumMismatch {}
-
-/// [`reduce_sum`] with an end-to-end integrity check: every contribution
-/// travels with one extra trailing word holding the sum of its data
-/// words. Addition is linear, so the reduced trailing word must equal
-/// the sum of the reduced data — the root verifies this to within `tol`
-/// before handing the data out. A single corrupted in-flight word (data
-/// or checksum) breaks the identity and surfaces as
-/// [`ChecksumMismatch`]; non-roots return `Ok(None)` as usual.
-///
-/// Costs one extra word per message over [`reduce_sum`]
-/// (`t_w·log N` one-port) — the detection analogue of the ABFT row and
-/// column checksums, for reductions whose operands are not matrices.
-pub async fn reduce_sum_checked(
-    proc: &mut Proc,
-    sc: &Subcube,
-    root: usize,
-    base: u64,
-    mine: Payload,
-    tol: f64,
-) -> Result<Option<Payload>, ChecksumMismatch> {
-    let mut words: Vec<f64> = mine.to_vec();
-    let check: f64 = words.iter().sum();
-    words.push(check);
-    match reduce_sum(proc, sc, root, base, Payload::from(words)).await {
-        None => Ok(None),
-        Some(full) => {
-            let all = full.to_vec();
-            let (data, tail) = all.split_at(all.len() - 1);
-            let expected: f64 = data.iter().sum();
-            let got = tail[0];
-            if (expected - got).abs() <= tol {
-                Ok(Some(Payload::from(data.to_vec())))
-            } else {
-                Err(ChecksumMismatch { expected, got })
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{run, COST};
+    use crate::testutil::run;
     use cubemm_simnet::PortModel;
     use cubemm_topology::Subcube;
 
@@ -187,70 +126,6 @@ mod tests {
             let _ = check(4, PortModel::MultiPort, root, 7);
         }
         let _ = check(16, PortModel::MultiPort, 9, 3);
-    }
-
-    #[test]
-    fn checked_reduce_matches_plain_reduce_when_healthy() {
-        let out = run(
-            8,
-            PortModel::OnePort,
-            vec![(); 8],
-            |mut proc, ()| async move {
-                let sc = Subcube::whole(proc.dim());
-                let v = sc.rank_of(proc.id());
-                let mine: Payload = (0..5).map(|x| (v * 10 + x) as f64).collect();
-                let got = reduce_sum_checked(&mut proc, &sc, 0, 0, mine, 1e-9)
-                    .await
-                    .expect("healthy run");
-                if v == 0 {
-                    let got = got.expect("root gets the sum");
-                    let sumv: f64 = (0..8).map(|u| (u * 10) as f64).sum();
-                    for (x, val) in got.to_vec().iter().enumerate() {
-                        assert_eq!(*val, sumv + (8 * x) as f64);
-                    }
-                } else {
-                    assert!(got.is_none());
-                }
-            },
-        );
-        // One extra word per message: log N (ts + tw (M+1)) = 3*(10+12).
-        assert_eq!(out.stats.elapsed, 66.0);
-    }
-
-    #[test]
-    fn checked_reduce_detects_a_corrupted_contribution() {
-        use cubemm_simnet::{CorruptKind, Corruption, FaultPlan, Machine};
-        let plan = FaultPlan::new().with_corruption(
-            1,
-            0,
-            0,
-            Corruption {
-                word: 2,
-                kind: CorruptKind::Perturb { delta: 1000.0 },
-            },
-        );
-        let out = Machine::builder(8)
-            .port(PortModel::OnePort)
-            .cost(COST)
-            .faults(plan)
-            .build()
-            .expect("valid machine")
-            .run(vec![(); 8], |mut proc, ()| async move {
-                let sc = Subcube::whole(proc.dim());
-                let v = sc.rank_of(proc.id());
-                let mine: Payload = (0..5).map(|x| (v * 10 + x) as f64).collect();
-                reduce_sum_checked(&mut proc, &sc, 0, 7, mine, 1e-9).await
-            })
-            .expect("corruption does not abort the run");
-        match &out.outputs[0] {
-            // A data word grew by 1000 while the checksum word did not.
-            Err(m) => assert_eq!(m.expected - m.got, 1000.0),
-            other => panic!("root must flag the corruption, got {other:?}"),
-        }
-        for v in 1..8 {
-            assert!(matches!(out.outputs[v], Ok(None)));
-        }
-        assert_eq!(out.stats.total_corrupted(), 1);
     }
 
     #[test]

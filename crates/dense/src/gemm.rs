@@ -3,7 +3,7 @@
 //! All distributed algorithms bottom out in `C += A·B` on local blocks.
 //! The paper's comparison concerns communication only, so the kernels
 //! exist (a) to actually produce correct products in the simulator,
-//! (b) to verify them against an independent loop ([`reference`]), and
+//! (b) to verify them against an independent loop ([`reference()`]), and
 //! (c) — since the simulator's wall-clock really computes every block —
 //! to make end-to-end runs as fast as the host allows. The fast path is
 //! [`Kernel::Packed`]: a cache-blocked GEMM with panel packing
@@ -63,12 +63,12 @@ pub const PAR_MIN_ELEMS: usize = 1 << 24;
 pub const SMALL_MAX_ELEMS: usize = 1 << 16;
 
 /// Which local kernel to use: the packed fast path the algorithms
-/// multiply with, or the blocked loop [`reference`] verifies with.
+/// multiply with, or the blocked loop [`reference()`] verifies with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Cache-tiled `ikj`, four rows of `C` at a time, over `B` tiles
     /// `tile` deep and `4·tile` wide — unpacked and FMA-free: the
-    /// independent path [`reference`] verifies against. The tile size
+    /// independent path [`reference()`] verifies against. The tile size
     /// never changes the bits.
     Blocked(usize),
     /// Panel-packed, register-tiled GEMM (the fast path; the default).
@@ -239,7 +239,7 @@ pub fn reference(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Runs `work` and computes [`reference`]`(a, b)`, overlapping the two
+/// Runs `work` and computes [`reference()`]`(a, b)`, overlapping the two
 /// when the product is big enough to pay for a thread.
 ///
 /// Above [`PAR_MIN_ELEMS`] (an input property — the same line the packed
@@ -283,7 +283,7 @@ pub fn alongside_reference<R>(
 /// target and under `#[target_feature(enable = "avx2")]` (wider
 /// vectors, still no FMA) — so the two differ in speed only, never in
 /// bits. Ordinary callers get [`ReferenceIsa::active`] through
-/// [`gemm_acc`]/[`reference`]; the equivalence suite and the kernel
+/// [`gemm_acc`]/[`reference()`]; the equivalence suite and the kernel
 /// bench pin one with [`blocked_acc_with_isa`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReferenceIsa {
@@ -392,7 +392,7 @@ unsafe fn blocked_avx2(
 /// The [`Kernel::Blocked`] loop: `jt`-column × `lt`-deep tiles of `B`
 /// (L2-resident), swept by four rows of `C` at a time so one load of a
 /// `B` row segment feeds four `C` row segments (L1-resident). Unpacked
-/// and FMA-free on purpose; see [`reference`]. `k`/`n` are the row
+/// and FMA-free on purpose; see [`reference()`]. `k`/`n` are the row
 /// strides of `a` and of `b`/`c`, all non-empty.
 #[inline(always)]
 fn blocked_body(c: &mut [f64], a: &[f64], b: &[f64], k: usize, n: usize, lt: usize, jt: usize) {

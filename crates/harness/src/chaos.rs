@@ -349,7 +349,7 @@ pub struct Probe {
     pub algo: Algorithm,
     /// Logical matrix order of the campaign's multiplies.
     pub n: usize,
-    /// Machine size chosen from [`P_MENU`].
+    /// Machine size chosen from `P_MENU`.
     pub p: usize,
     /// Longest per-node schedule length — the phase denominator (a
     /// zero-rotation node may issue far fewer calls than its busiest
@@ -372,7 +372,7 @@ pub fn ints(n: usize, salt: usize) -> Matrix {
 }
 
 /// Probes `algo` at order `n`: picks the smallest machine from
-/// [`P_MENU`] whose ABFT padding stays reasonable *and* whose schedule
+/// `P_MENU` whose ABFT padding stays reasonable *and* whose schedule
 /// is deep enough to distinguish early/mid/late placement (tiny grids
 /// can finish in two communication calls), runs one traced healthy
 /// protected multiply, and harvests every injection site.
@@ -880,7 +880,6 @@ pub fn credit_coverage(coverage: &mut Coverage, placed: &[Placed], outcome: &Tri
             }
             FaultEntry::Drop { from, to, .. } => {
                 fired.contains(&(FiredKind::Drop, from, to))
-                    || actions.contains(&RecoveryAction::UnblockedDrops { from, to })
                     || matches!(
                         outcome,
                         Err(RecoveryError::Fatal(AlgoError::Sim(RunError::Deadlock {

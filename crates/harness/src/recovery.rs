@@ -11,9 +11,8 @@
 //! 3. otherwise mutate the fault plan to excise the implicated
 //!    component — quarantine every corrupting link (routing detours
 //!    around dead links, so a quarantined corruptor cannot re-fire),
-//!    reboot a crashed node, stop dropping on a drop-exhausted edge,
-//!    relax strictness so detours are allowed — charge one capped
-//!    exponential-backoff delay, and retry,
+//!    reboot a crashed node, relax strictness so detours are allowed —
+//!    charge one capped exponential-backoff delay, and retry,
 //! 4. give up after a bounded number of attempts.
 //!
 //! Because the simulator is deterministic, a retry against an
@@ -71,13 +70,6 @@ pub enum RecoveryAction {
         /// The previously crashed node.
         node: usize,
     },
-    /// Cleared the drop schedule of the edge whose retries ran out.
-    UnblockedDrops {
-        /// Sending node.
-        from: usize,
-        /// Destination node.
-        to: usize,
-    },
     /// Switched a strict plan to lenient so quarantined links detour
     /// instead of failing sends outright.
     RelaxedStrictness,
@@ -90,9 +82,6 @@ impl std::fmt::Display for RecoveryAction {
                 write!(f, "quarantined link {a}<->{b}")
             }
             RecoveryAction::RebootedNode { node } => write!(f, "rebooted node {node}"),
-            RecoveryAction::UnblockedDrops { from, to } => {
-                write!(f, "cleared drop schedule on edge {from}->{to}")
-            }
             RecoveryAction::RelaxedStrictness => write!(f, "relaxed plan to lenient routing"),
         }
     }
@@ -122,9 +111,9 @@ pub struct RecoveryReport {
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryError {
     /// The failure is not a machine fault rerunning could fix: bad
-    /// shapes, impossible topology, a deadlock or node panic (algorithm
-    /// bugs), or an unroutable destination (quarantine disconnected the
-    /// machine).
+    /// shapes, impossible topology, a deadlock (an algorithm bug, or a
+    /// scheduled drop stranding its receiver), a node panic, or an
+    /// unroutable destination (quarantine disconnected the machine).
     Fatal(AlgoError),
     /// The attempt budget ran out — or no plan mutation could explain
     /// the damage — without producing a trustworthy product.
@@ -229,18 +218,9 @@ pub fn multiply_with_recovery_tol(
                 report.actions.push(RecoveryAction::RelaxedStrictness);
                 format!("strict plan failed the {from}->{to} send on a dead link")
             }
-            Err(AlgoError::Sim(RunError::LinkDead {
-                error: SendError::RetriesExhausted { from, to, attempts },
-                ..
-            })) => {
-                cfg.faults = cfg.faults.clone().without_drops(from, to);
-                report
-                    .actions
-                    .push(RecoveryAction::UnblockedDrops { from, to });
-                format!("edge {from}->{to} dropped {attempts} delivery attempts")
-            }
-            // Unroutable destinations, deadlocks, panics, config and
-            // shape errors: rerunning cannot help.
+            // Unroutable destinations, deadlocks (a dropped message
+            // strands its receiver), panics, config and shape errors:
+            // rerunning cannot help.
             Err(e) => return Err(RecoveryError::Fatal(e)),
         };
         if report.attempts >= max_attempts {

@@ -14,11 +14,10 @@
 //! simulated machine runs on the worker's own thread, whatever its `p`
 //! — and respond through the job's own responder callback.
 //!
-//! Machines are cheap to boot — a validated
-//! [`Machine`](cubemm_simnet::Machine) is pure configuration — so the
-//! pool keeps one per *job shape* (`p`, port, costs) in a
-//! shared cache: same-shape jobs reuse the validated machine instead of
-//! re-validating per boot. Jobs carrying fault plans are never cached
+//! Machines are cheap to boot — a validated [`Machine`] is pure
+//! configuration — so the pool keeps one per *job shape* (`p`, port,
+//! costs) in a shared cache: same-shape jobs reuse the validated machine
+//! instead of re-validating per boot. Jobs carrying fault plans are never cached
 //! (their machine options are job-specific), and a run only honors a
 //! cached machine whose options still match the job exactly, so the
 //! cache can change cost, never answers.

@@ -18,8 +18,8 @@
 //! * **stragglers** — a per-node clock-rate multiplier: every charge to
 //!   that node's port takes proportionally longer;
 //! * **message loss** — drop the k-th message a node injects toward a
-//!   given neighbor/destination; [`crate::Proc::send_with_retry`] models
-//!   the recovery, charging exponential virtual-time backoff;
+//!   given neighbor/destination. Nothing retransmits, so the receiver
+//!   deadlocks and the run fails with [`crate::RunError::Deadlock`];
 //! * **data corruption** — silently flip a bit (or add a delta) in one
 //!   word of the k-th payload a sender pushes across a given directed
 //!   edge. Delivery and timing are untouched: the receiver gets a wrong
@@ -618,8 +618,8 @@ impl FaultPlan {
         })
     }
 
-    /// Marks `node` as a straggler: every charge to its clock (sends,
-    /// local work, retry backoff) is multiplied by `slowdown`. Panics
+    /// Marks `node` as a straggler: every charge to its clock (sends and
+    /// symmetric receives) is multiplied by `slowdown`. Panics
     /// unless `slowdown` is finite and ≥ 1.
     pub fn with_straggler(self, node: usize, slowdown: f64) -> Self {
         self.with(FaultEntry::Straggler { node, slowdown })
@@ -658,13 +658,6 @@ impl FaultPlan {
     /// "reboot" before a re-run.
     pub fn without_crash(self, node: usize) -> Self {
         self.retain(|&site| site != (Family::Crash, node, node, 0))
-    }
-
-    /// Removes every scheduled drop from `from` toward `to` — modelling a
-    /// replaced lossy channel before a re-run.
-    pub fn without_drops(self, from: usize, to: usize) -> Self {
-        let drops = (Family::Drop, from, to, 0)..=(Family::Drop, from, to, u64::MAX);
-        self.retain(|site| !drops.contains(site))
     }
 
     /// Forbids transparent re-routing: sends over dead links fail with

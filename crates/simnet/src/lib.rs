@@ -102,7 +102,7 @@ pub mod trace;
 
 pub use faults::{CorruptKind, Corruption, FaultEntry, FaultPlan, FaultPlanError, LinkQuality};
 pub use machine::{Blocked, Machine, MachineBuilder, MachineOptions, RunError, RunOutcome};
-pub use proc::{Op, Proc, RetryPolicy, SendError};
+pub use proc::{Op, Proc, SendError};
 pub use stats::{FiredFault, FiredKind, NodeStats, RunStats};
 pub use trace::{TraceEvent, TraceKind};
 

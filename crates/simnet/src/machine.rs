@@ -117,7 +117,7 @@ pub enum RunError {
         message: String,
     },
     /// A send failed against the fault plan: dead link under a strict
-    /// plan, destination unroutable, or retries exhausted.
+    /// plan, or destination unroutable.
     LinkDead {
         /// The node whose send failed.
         node: usize,
@@ -661,25 +661,29 @@ mod tests {
 
     #[test]
     fn multi_port_link_clocks_start_fresh_each_batch() {
-        // The second batch reuses the first one's link after the node has
-        // moved on to t = 100: it must start there, not where the link
-        // last fell idle (t = 20).
+        // The second batch reuses the first one's link after a receive
+        // has moved the node on to t = 100: it must start there, not
+        // where the link last fell idle (t = 20).
         let out = machine(2, PortModel::MultiPort)
             .run(vec![(); 2], |mut proc, ()| async move {
                 if proc.id() == 0 {
                     for tag in 0..2 {
                         let data = words(5);
                         proc.multi(vec![Op::Send { to: 1, tag, data }]).await;
-                        proc.advance_clock(80.0);
+                        if tag == 0 {
+                            // Sent at t = 20, 35 words: arrives at t = 100.
+                            let _ = proc.recv(1, 7).await;
+                        }
                     }
                 } else {
                     let _ = proc.recv(0, 0).await;
+                    proc.send(0, 7, words(35));
                     let _ = proc.recv(0, 1).await;
                 }
                 proc.clock()
             })
             .expect("healthy run");
-        assert_eq!(out.outputs, vec![200.0, 120.0]);
+        assert_eq!(out.outputs, vec![120.0, 120.0]);
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub enum Op {
     },
 }
 
-/// A typed, non-panicking send failure.
+/// A typed send failure: the run aborts with it as
+/// [`crate::RunError::LinkDead`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendError {
     /// The direct link to the destination is dead and the plan forbids
@@ -61,16 +62,6 @@ pub enum SendError {
         /// Destination node.
         to: usize,
     },
-    /// [`Proc::send_with_retry`] exhausted its retry budget
-    /// against the drop schedule.
-    RetriesExhausted {
-        /// Sending node.
-        from: usize,
-        /// Destination node.
-        to: usize,
-        /// Attempts made (initial send plus retries).
-        attempts: u32,
-    },
 }
 
 impl std::fmt::Display for SendError {
@@ -82,46 +73,11 @@ impl std::fmt::Display for SendError {
             SendError::Unroutable { from, to } => {
                 write!(f, "no live path from node {from} to node {to}")
             }
-            SendError::RetriesExhausted { from, to, attempts } => write!(
-                f,
-                "node {from} -> {to}: message dropped on all {attempts} attempts"
-            ),
         }
     }
 }
 
 impl std::error::Error for SendError {}
-
-/// Retry policy for [`Proc::send_with_retry`]: bounded attempts
-/// with exponential *virtual-time* backoff charged to the sender's
-/// clock, capped both by attempt count and by total backoff time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum total attempts (initial send plus retries); must be ≥ 1.
-    pub max_attempts: u32,
-    /// Virtual time charged after the first failed attempt.
-    pub backoff: f64,
-    /// Multiplier applied to the backoff after each failure.
-    pub backoff_factor: f64,
-    /// Cap on the *total* virtual backoff time one call may charge. The
-    /// exponential schedule sums to `backoff·(f^(a-1)-1)/(f-1)`, which for
-    /// a generous attempt cap dwarfs any simulated run; this cap bounds
-    /// the damage regardless of how the other knobs are set. Retrying
-    /// stops with [`SendError::RetriesExhausted`] once the next wait
-    /// would push past it.
-    pub max_total_backoff: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff: 1.0,
-            backoff_factor: 2.0,
-            max_total_backoff: 1e6,
-        }
-    }
-}
 
 /// Handle through which a virtual processor's SPMD program communicates.
 ///
@@ -202,7 +158,7 @@ impl Proc {
 
     /// Starts the next program step (see [`TraceEvent::round`]): called
     /// once per public communication call, so every event a single call
-    /// records — including fault-plan retries — shares one round.
+    /// records shares one round.
     ///
     /// This is also where a scheduled node crash fires: a plan entry
     /// `with_crash(id, k)` kills the node as it *begins* its k-th
@@ -257,14 +213,14 @@ impl Proc {
     /// node), bumping the per-edge crossing counters. The counters are
     /// only maintained once the plan schedules corruption at all, so a
     /// corruption-free plan costs one boolean check per send.
-    fn corrupt_along(&mut self, path: &[usize], data: Payload) -> Payload {
+    fn corrupt_along(&mut self, path: impl Iterator<Item = usize>, data: Payload) -> Payload {
         let plan = match &self.faults {
             Some(plan) if plan.has_corruptions() => Rc::clone(plan),
             _ => return data,
         };
         let mut data = data;
         let mut cur = self.id;
-        for &next in path {
+        for next in path {
             let seq = self.crossings.entry((cur, next)).or_insert(0);
             let s = *seq;
             *seq += 1;
@@ -324,14 +280,6 @@ impl Proc {
         self.cost
     }
 
-    /// The fault plan in effect, or `None` when the machine is healthy.
-    /// Degraded-mode collectives use this to spot dead dimension links
-    /// before scheduling over them.
-    #[inline]
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_deref()
-    }
-
     /// Current virtual time at this processor.
     #[inline]
     pub fn clock(&self) -> f64 {
@@ -349,69 +297,11 @@ impl Proc {
         }
     }
 
-    /// Charges local (non-communication) work to the virtual clock. The
-    /// paper compares communication overheads only — the flop count is
-    /// identical across algorithms — so the matmul drivers do not call
-    /// this; it exists for experiments that want total-time estimates.
-    /// Straggler nodes pay their slowdown factor here too.
-    #[inline]
-    pub fn advance_clock(&mut self, dt: f64) {
-        debug_assert!(dt >= 0.0);
-        self.clock += self.scaled(dt);
-    }
-
     /// Records an instantaneous resident-data footprint in words; the peak
     /// over the run feeds the Table 3 space measurements.
     #[inline]
     pub fn track_peak_words(&mut self, words: usize) {
         self.stats.peak_words = self.stats.peak_words.max(words);
-    }
-
-    /// Cost of the direct link to `to` for `words` words, including any
-    /// degradation in effect at the current program step. With no fault
-    /// plan this is exactly `CostParams::hop`.
-    fn link_cost(&mut self, to: usize, words: usize) -> f64 {
-        match self.faults.clone() {
-            None => self.cost.hop(words),
-            Some(plan) => {
-                let step = self.round.saturating_sub(1);
-                let q = plan.link_quality_at(self.id, to, step);
-                if q != LinkQuality::HEALTHY {
-                    self.note_fired(FiredKind::DegradedLink, self.id.min(to), self.id.max(to));
-                }
-                q.ts_factor * self.cost.ts + q.tw_factor * self.cost.tw * words as f64
-            }
-        }
-    }
-
-    /// Port-occupancy cost of pushing `words` words along a multi-hop
-    /// `path` (successor labels): one-port store-and-forward sums the
-    /// per-edge costs; multi-port pipelines the message, paying every
-    /// edge's start-up but only the slowest edge's bandwidth.
-    fn path_cost(&mut self, path: &[usize], words: usize) -> f64 {
-        let mut ts_sum = 0.0;
-        let mut tw_worst: f64 = 0.0;
-        let mut store_forward = 0.0;
-        let mut cur = self.id;
-        let step = self.round.saturating_sub(1);
-        let faults = self.faults.clone();
-        for &next in path {
-            let q = match &faults {
-                Some(plan) => plan.link_quality_at(cur, next, step),
-                None => LinkQuality::HEALTHY,
-            };
-            if q != LinkQuality::HEALTHY {
-                self.note_fired(FiredKind::DegradedLink, cur.min(next), cur.max(next));
-            }
-            ts_sum += q.ts_factor * self.cost.ts;
-            tw_worst = tw_worst.max(q.tw_factor);
-            store_forward += q.ts_factor * self.cost.ts + q.tw_factor * self.cost.tw * words as f64;
-            cur = next;
-        }
-        match self.port {
-            PortModel::OnePort => store_forward,
-            PortModel::MultiPort => ts_sum + tw_worst * self.cost.tw * words as f64,
-        }
     }
 
     /// Sends `data` to a hypercube neighbor, charging the sender's port
@@ -420,140 +310,13 @@ impl Proc {
     /// If the direct link is dead the message transparently re-routes
     /// over a live detour, charging the extra hops honestly (strict fault
     /// plans fail instead). A scheduled message drop silently loses the
-    /// payload in flight — use [`Proc::send_with_retry`] to model
-    /// recovery, or [`Proc::try_send`] to observe delivery. Failures
-    /// abort the run with a structured [`crate::RunError`] when driven
-    /// through [`crate::Machine::run`].
+    /// payload in flight, so the receiver deadlocks. Failures abort the
+    /// run with a structured [`crate::RunError`] from
+    /// [`crate::Machine::run`].
     pub fn send(&mut self, to: usize, tag: u64, data: impl Into<Payload>) {
         self.begin_round();
-        if let Err(e) = self.transmit(to, tag, data.into()) {
-            self.fail_link(e);
-        }
-    }
-
-    /// Non-panicking [`Proc::send`]: returns `Ok(true)` when the message
-    /// was delivered to the destination's queue, `Ok(false)` when a
-    /// scheduled fault dropped it in flight (the port time is still
-    /// charged — the words left the node), and `Err` when no live route
-    /// exists or a strict plan forbids the detour.
-    pub fn try_send(
-        &mut self,
-        to: usize,
-        tag: u64,
-        data: impl Into<Payload>,
-    ) -> Result<bool, SendError> {
-        self.begin_round();
-        self.transmit(to, tag, data.into())
-    }
-
-    /// Sends to a neighbor with bounded retries against the drop
-    /// schedule: after each lost attempt the sender charges an
-    /// exponentially growing *virtual-time* backoff to its own clock and
-    /// retransmits. Returns the number of attempts the successful
-    /// delivery took, or [`SendError::RetriesExhausted`] if every attempt
-    /// was dropped (routing failures propagate immediately) or the next
-    /// backoff would exceed [`RetryPolicy::max_total_backoff`].
-    pub fn send_with_retry(
-        &mut self,
-        to: usize,
-        tag: u64,
-        data: impl Into<Payload>,
-        policy: RetryPolicy,
-    ) -> Result<u32, SendError> {
-        assert!(
-            policy.max_attempts >= 1,
-            "retry policy needs at least one attempt"
-        );
-        self.begin_round();
-        let data = data.into();
-        let mut backoff = policy.backoff;
-        let mut backoff_spent = 0.0;
-        for attempt in 1..=policy.max_attempts {
-            if self.transmit(to, tag, data.clone())? {
-                return Ok(attempt);
-            }
-            if attempt < policy.max_attempts {
-                if backoff_spent + backoff > policy.max_total_backoff {
-                    // The time cap binds before the attempt cap does:
-                    // stop here rather than burn unbounded virtual time
-                    // against a permanently lossy link.
-                    return Err(SendError::RetriesExhausted {
-                        from: self.id,
-                        to,
-                        attempts: attempt,
-                    });
-                }
-                self.stats.retries += 1;
-                self.clock += self.scaled(backoff);
-                backoff_spent += backoff;
-                backoff *= policy.backoff_factor;
-            }
-        }
-        Err(SendError::RetriesExhausted {
-            from: self.id,
-            to,
-            attempts: policy.max_attempts,
-        })
-    }
-
-    /// The charged neighbor send shared by [`Proc::send`],
-    /// [`Proc::try_send`] and [`Proc::send_with_retry`]. `Ok(delivered)`
-    /// reports whether the message survived the drop schedule.
-    fn transmit(&mut self, to: usize, tag: u64, data: Payload) -> Result<bool, SendError> {
-        assert_eq!(
-            hamming(self.id, to),
-            1,
-            "send: node {} -> {} is not a hypercube neighbor (use send_routed)",
-            self.id,
-            to
-        );
-        assert!(
-            self.links.allows(self.id, to),
-            "send: edge {} -> {} does not exist in {:?}",
-            self.id,
-            to,
-            self.links
-        );
-        if let Some(plan) = self.faults.clone() {
-            if plan.is_dead(self.id, to) {
-                if plan.is_strict() {
-                    return Err(SendError::LinkDead { from: self.id, to });
-                }
-                let path = plan
-                    .route(self.links, self.dim, self.id, to)
-                    .ok_or(SendError::Unroutable { from: self.id, to })?;
-                self.note_fired(FiredKind::DeadLink, self.id.min(to), self.id.max(to));
-                return Ok(self.send_along(&path, to, tag, data));
-            }
-        }
-        let start = self.clock;
-        let cost = self.link_cost(to, data.len());
-        let end = start + self.scaled(cost);
-        self.clock = end;
-        self.record(TraceKind::Send { to, hops: 1 }, tag, data.len(), start, end);
-        let data = self.corrupt_along(&[to], data);
-        Ok(self.inject(to, tag, end, data, 1))
-    }
-
-    /// Charges and injects a multi-hop transfer along `path` (successor
-    /// labels ending at `to`), counting detour hops beyond the Hamming
-    /// distance.
-    fn send_along(&mut self, path: &[usize], to: usize, tag: u64, data: Payload) -> bool {
-        let h = path.len();
-        let start = self.clock;
-        let cost = self.path_cost(path, data.len());
-        let end = start + self.scaled(cost);
-        self.clock = end;
-        self.record(
-            TraceKind::Send { to, hops: h as u32 },
-            tag,
-            data.len(),
-            start,
-            end,
-        );
-        self.stats.detour_hops += h - hamming(self.id, to) as usize;
-        let data = self.corrupt_along(path, data);
-        self.inject(to, tag, end, data, h)
+        let detour = self.route(to, true).unwrap_or_else(|e| self.fail_link(e));
+        self.clock = self.issue(to, tag, data.into(), detour, self.clock);
     }
 
     /// Point-to-point transfer to an arbitrary node via dimension-ordered
@@ -571,60 +334,137 @@ impl Proc {
     /// run aborts with [`SendError::Unroutable`].
     pub fn send_routed(&mut self, to: usize, tag: u64, data: impl Into<Payload>) {
         self.begin_round();
-        if let Err(e) = self.transmit_routed(to, tag, data.into()) {
-            self.fail_link(e);
-        }
+        let detour = self.route(to, false).unwrap_or_else(|e| self.fail_link(e));
+        self.clock = self.issue(to, tag, data.into(), detour, self.clock);
     }
 
-    /// Non-panicking [`Proc::send_routed`]; see [`Proc::try_send`] for
-    /// the meaning of the `Ok` value.
-    pub fn try_send_routed(
+    /// The route step of every send: `Ok(None)` takes the healthy
+    /// dimension-ordered route, `Ok(Some(path))` a detour (successor
+    /// labels ending at `to`) around a dead or missing edge. A
+    /// `neighbor` send must name an existing hypercube edge, and only
+    /// it fails under a strict plan; a routed send always detours.
+    fn route(&mut self, to: usize, neighbor: bool) -> Result<Option<Vec<usize>>, SendError> {
+        let id = self.id;
+        if neighbor {
+            assert_eq!(
+                hamming(id, to),
+                1,
+                "send: node {id} -> {to} is not a hypercube neighbor (use send_routed)"
+            );
+            assert!(
+                self.links.allows(id, to),
+                "send: edge {id} -> {to} does not exist in {:?}",
+                self.links
+            );
+        } else {
+            assert_ne!(id, to, "send_routed: node {id} sending to itself");
+        }
+        let Some(plan) = self.faults.clone() else {
+            return Ok(None);
+        };
+        // A neighbor's healthy route is its one edge, asserted above.
+        if neighbor && !plan.is_dead(id, to) {
+            return Ok(None);
+        }
+        // The healthy route is usable unless it crosses a dead (or, on a
+        // restricted topology, a missing) edge; the first dead edge is
+        // the one that forced the detour.
+        let (mut cur, mut usable, mut dead) = (id, true, None);
+        for next in dim_walk(id, to, 0) {
+            if plan.is_dead(cur, next) {
+                (usable, dead) = (false, Some((cur.min(next), cur.max(next))));
+                break;
+            }
+            usable &= self.links.allows(cur, next);
+            cur = next;
+        }
+        if usable {
+            return Ok(None);
+        }
+        if neighbor && plan.is_strict() {
+            return Err(SendError::LinkDead { from: id, to });
+        }
+        let path = plan
+            .route(self.links, self.dim, id, to)
+            .ok_or(SendError::Unroutable { from: id, to })?;
+        if let Some((a, b)) = dead {
+            self.note_fired(FiredKind::DeadLink, a, b);
+        }
+        Ok(Some(path))
+    }
+
+    /// The issue step of every send, starting at `start`: prices the
+    /// route, records the trace event, applies scheduled corruption and
+    /// injects the message. Returns when the port frees up.
+    fn issue(
         &mut self,
         to: usize,
         tag: u64,
-        data: impl Into<Payload>,
-    ) -> Result<bool, SendError> {
-        self.begin_round();
-        self.transmit_routed(to, tag, data.into())
+        data: Payload,
+        detour: Option<Vec<usize>>,
+        start: f64,
+    ) -> f64 {
+        let words = data.len();
+        let hamming = hamming(self.id, to);
+        let hops = detour.as_ref().map_or(hamming, |path| path.len() as u32);
+        let (cost, data) = match &detour {
+            Some(path) => (
+                self.path_cost(hops, path.iter().copied(), words),
+                self.corrupt_along(path.iter().copied(), data),
+            ),
+            // The hot case: a neighbor's healthy route is its one edge.
+            None if hops == 1 => (
+                self.path_cost(hops, std::iter::once(to), words),
+                self.corrupt_along(std::iter::once(to), data),
+            ),
+            None => (
+                self.path_cost(hops, dim_walk(self.id, to, 0), words),
+                self.corrupt_along(dim_walk(self.id, to, 0), data),
+            ),
+        };
+        let end = start + self.scaled(cost);
+        self.record(TraceKind::Send { to, hops }, tag, words, start, end);
+        self.stats.detour_hops += (hops - hamming) as usize;
+        self.inject(to, tag, end, data, hops as usize);
+        end
     }
 
-    fn transmit_routed(&mut self, to: usize, tag: u64, data: Payload) -> Result<bool, SendError> {
-        let h = hamming(self.id, to);
-        assert!(h > 0, "send_routed: node {} sending to itself", self.id);
-        match self.faults.clone() {
-            // Healthy machine: the closed-form pricing, bit-for-bit.
-            None => {
-                let cost = match self.port {
-                    PortModel::OnePort => f64::from(h) * self.cost.hop(data.len()),
-                    PortModel::MultiPort => {
-                        f64::from(h) * self.cost.ts + self.cost.tw * data.len() as f64
-                    }
-                };
-                let start = self.clock;
-                let end = start + cost;
-                self.clock = end;
-                self.record(TraceKind::Send { to, hops: h }, tag, data.len(), start, end);
-                Ok(self.inject(to, tag, end, data, h as usize))
+    /// Port-occupancy cost of pushing `words` words over the `hops`
+    /// edges of `path` (successor labels), including any degradation in
+    /// effect at the current program step. Over healthy edges this is
+    /// the paper's closed form: one-port `h·(t_s + t_w·m)`, multi-port
+    /// `h·t_s + t_w·m`. Once an edge is degraded, one-port
+    /// store-and-forward sums the per-edge costs and multi-port pipelines
+    /// the message, paying every edge's start-up but only the slowest
+    /// edge's bandwidth.
+    fn path_cost(&mut self, hops: u32, path: impl Iterator<Item = usize>, words: usize) -> f64 {
+        let (ts, tw, m) = (self.cost.ts, self.cost.tw, words as f64);
+        let closed_form = match self.port {
+            PortModel::OnePort => f64::from(hops) * self.cost.hop(words),
+            PortModel::MultiPort => f64::from(hops) * ts + tw * m,
+        };
+        let Some(plan) = self.faults.clone() else {
+            return closed_form;
+        };
+        let step = self.round.saturating_sub(1);
+        let mut healthy = true;
+        let (mut ts_sum, mut tw_worst, mut store_forward) = (0.0, 0.0f64, 0.0);
+        let mut cur = self.id;
+        for next in path {
+            let q = plan.link_quality_at(cur, next, step);
+            if q != LinkQuality::HEALTHY {
+                healthy = false;
+                self.note_fired(FiredKind::DegradedLink, cur.min(next), cur.max(next));
             }
-            Some(plan) => {
-                let path = plan
-                    .route(self.links, self.dim, self.id, to)
-                    .ok_or(SendError::Unroutable { from: self.id, to })?;
-                // The zero-rotation route candidate is exactly the
-                // healthy dimension-ordered path; it is only rejected
-                // when a dead edge lies on it — so scanning that path
-                // pinpoints which dead link (if any) forced this send
-                // off the healthy route.
-                let mut cur = self.id;
-                for next in dim_walk(self.id, to, 0) {
-                    if plan.is_dead(cur, next) {
-                        self.note_fired(FiredKind::DeadLink, cur.min(next), cur.max(next));
-                        break;
-                    }
-                    cur = next;
-                }
-                Ok(self.send_along(&path, to, tag, data))
-            }
+            ts_sum += q.ts_factor * ts;
+            tw_worst = tw_worst.max(q.tw_factor);
+            store_forward += q.ts_factor * ts + q.tw_factor * tw * m;
+            cur = next;
+        }
+        match (healthy, self.port) {
+            (true, _) => closed_form,
+            (false, PortModel::OnePort) => store_forward,
+            (false, PortModel::MultiPort) => ts_sum + tw_worst * tw * m,
         }
     }
 
@@ -698,67 +538,16 @@ impl Proc {
         // Phase 1: inject all sends (moving each payload out of its op).
         for op in &mut ops {
             if let Op::Send { to, tag, data } = op {
-                let data = std::mem::take(data);
-                assert_eq!(
-                    hamming(self.id, *to),
-                    1,
-                    "multi: node {} -> {} is not a hypercube neighbor",
-                    self.id,
-                    to
-                );
-                assert!(
-                    self.links.allows(self.id, *to),
-                    "multi: edge {} -> {} does not exist in {:?}",
-                    self.id,
-                    to,
-                    self.links
-                );
-                let mut detour: Option<Vec<usize>> = None;
-                if let Some(plan) = self.faults.clone() {
-                    if plan.is_dead(self.id, *to) {
-                        if plan.is_strict() {
-                            let e = SendError::LinkDead {
-                                from: self.id,
-                                to: *to,
-                            };
-                            self.fail_link(e);
-                        }
-                        match plan.route(self.links, self.dim, self.id, *to) {
-                            Some(path) => {
-                                self.note_fired(
-                                    FiredKind::DeadLink,
-                                    self.id.min(*to),
-                                    self.id.max(*to),
-                                );
-                                detour = Some(path);
-                            }
-                            None => {
-                                let e = SendError::Unroutable {
-                                    from: self.id,
-                                    to: *to,
-                                };
-                                self.fail_link(e);
-                            }
-                        }
-                    }
-                }
-                let (cost, hops, first_hop) = match &detour {
-                    None => {
-                        let cost = self.link_cost(*to, data.len());
-                        (self.scaled(cost), 1usize, *to)
-                    }
-                    Some(path) => {
-                        let cost = self.path_cost(path, data.len());
-                        (self.scaled(cost), path.len(), path[0])
-                    }
-                };
+                let (to, tag, data) = (*to, *tag, std::mem::take(data));
+                let detour = self.route(to, true).unwrap_or_else(|e| self.fail_link(e));
+                let first_hop = detour.as_ref().map_or(to, |path| path[0]);
                 let start = match self.port {
                     // One-port: the single port serializes every send.
                     PortModel::OnePort => batch_end.max(batch_start),
                     // Multi-port: each link proceeds independently.
                     PortModel::MultiPort => self.busy_until(first_hop, batch_start),
                 };
-                let end = start + cost;
+                let end = self.issue(to, tag, data, detour, start);
                 match self.port {
                     PortModel::OnePort => batch_end = end,
                     PortModel::MultiPort => {
@@ -766,22 +555,6 @@ impl Proc {
                         batch_end = batch_end.max(end);
                     }
                 }
-                self.record(
-                    TraceKind::Send {
-                        to: *to,
-                        hops: hops as u32,
-                    },
-                    *tag,
-                    data.len(),
-                    start,
-                    end,
-                );
-                self.stats.detour_hops += hops - 1;
-                let payload = match &detour {
-                    None => self.corrupt_along(&[*to], data),
-                    Some(path) => self.corrupt_along(path, data),
-                };
-                self.inject(*to, *tag, end, payload, hops);
             }
         }
 
@@ -873,10 +646,9 @@ impl Proc {
     }
 
     /// Counts the message against this node and delivers it, honoring the
-    /// drop schedule. Returns whether the message reached the
-    /// destination's queue. Port time has already been charged by the
-    /// caller: a dropped message still spent the wire time.
-    fn inject(&mut self, to: usize, tag: u64, arrive: f64, data: Payload, hops: usize) -> bool {
+    /// drop schedule. Port time has already been charged by the caller: a
+    /// dropped message still spent the wire time.
+    fn inject(&mut self, to: usize, tag: u64, arrive: f64, data: Payload, hops: usize) {
         self.stats.messages += hops;
         self.stats.word_hops += hops * data.len();
         if let Some(plan) = self.faults.clone() {
@@ -887,7 +659,7 @@ impl Proc {
                 self.stats.dropped += 1;
                 self.note_fired(FiredKind::Drop, self.id, to);
                 self.record(TraceKind::Dropped { to }, tag, data.len(), arrive, arrive);
-                return false;
+                return;
             }
         }
         let env = Envelope {
@@ -897,7 +669,7 @@ impl Proc {
             data,
         };
         match self.ledger.inject(to, env) {
-            Delivery::Delivered => true,
+            Delivery::Delivered => {}
             // The destination finished: either the machine is aborting
             // (fall in line quietly) or the SPMD program is malformed.
             Delivery::Aborting => self.quiet_abort(),

@@ -51,8 +51,9 @@ pub struct NodeStats {
     /// Peak words of matrix data held at any instrumented point
     /// (see [`crate::Proc::track_peak_words`]).
     pub peak_words: usize,
-    /// Retransmissions performed by [`crate::Proc::send_with_retry`]
-    /// after a scheduled message drop.
+    /// Retransmissions after a scheduled message drop. Nothing in the
+    /// simulator retransmits, so this stays 0; the field is kept because
+    /// reports and the golden statistics digest carry it.
     pub retries: usize,
     /// Extra hops travelled beyond the Hamming distance because dead
     /// links forced detours (fault injection).
@@ -103,7 +104,8 @@ impl RunStats {
         self.nodes.iter().map(|n| n.peak_words).sum()
     }
 
-    /// Total retransmissions across all nodes (fault injection).
+    /// Total retransmissions across all nodes: always 0 (see
+    /// [`NodeStats::retries`]).
     pub fn total_retries(&self) -> usize {
         self.nodes.iter().map(|n| n.retries).sum()
     }

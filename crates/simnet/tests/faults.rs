@@ -5,8 +5,8 @@
 use std::time::{Duration, Instant};
 
 use cubemm_simnet::{
-    Blocked, CorruptKind, Corruption, CostParams, FaultPlan, Machine, Payload, PortModel, Proc,
-    RetryPolicy, RunError, SendError,
+    Blocked, CorruptKind, Corruption, CostParams, FaultPlan, Machine, Op, Payload, PortModel, Proc,
+    RunError, SendError,
 };
 
 const COST: CostParams = CostParams { ts: 10.0, tw: 2.0 };
@@ -179,96 +179,6 @@ fn cut_off_destination_is_reported_unroutable() {
             error: SendError::Unroutable { from: 0, to: 1 },
         }
     );
-}
-
-/// The drop schedule loses exactly the k-th injection;
-/// `send_with_retry` recovers, charging the virtual-time backoff.
-#[test]
-fn scheduled_drop_is_recovered_by_retry_with_backoff() {
-    let plan = FaultPlan::new().with_drop(0, 1, 0);
-    let out = machine(2, PortModel::OnePort, plan)
-        .run(vec![(); 2], |mut proc, ()| async move {
-            if proc.id() == 0 {
-                let attempts = proc
-                    .send_with_retry(1, 9, [5.0, 6.0], RetryPolicy::default())
-                    .expect("second attempt is delivered");
-                assert_eq!(attempts, 2);
-                proc.clock()
-            } else {
-                let got = proc.recv(0, 9).await;
-                assert_eq!(&got[..], &[5.0, 6.0]);
-                proc.clock()
-            }
-        })
-        .unwrap();
-    // Two charged transmissions (ts + 2·tw each) plus the 1.0 backoff.
-    assert_eq!(out.outputs[0], 29.0);
-    assert_eq!(out.stats.total_retries(), 1);
-    assert_eq!(out.stats.total_dropped(), 1);
-}
-
-/// When every attempt is dropped the sender gets a typed exhaustion
-/// error it can surface as a value — the machine itself still completes.
-#[test]
-fn exhausted_retries_surface_as_a_value_not_an_abort() {
-    let plan = (0..4u64).fold(FaultPlan::new(), |plan, k| plan.with_drop(0, 1, k));
-    let out = machine(2, PortModel::OnePort, plan)
-        .run(vec![(); 2], |mut proc, ()| async move {
-            if proc.id() == 0 {
-                Some(proc.send_with_retry(1, 9, [1.0], RetryPolicy::default()))
-            } else {
-                None // the receiver never posts a receive
-            }
-        })
-        .unwrap();
-    assert_eq!(
-        out.outputs[0],
-        Some(Err(SendError::RetriesExhausted {
-            from: 0,
-            to: 1,
-            attempts: 4,
-        }))
-    );
-    assert_eq!(out.stats.total_dropped(), 4);
-}
-
-/// The retry-time cap binds before the attempt cap: a policy with a huge
-/// attempt budget against a permanently lossy link stops as soon as the
-/// next exponential backoff would exceed `max_total_backoff`, instead of
-/// burning virtual time without bound.
-#[test]
-fn retry_total_backoff_cap_bounds_virtual_time() {
-    // Drop everything 0 sends toward 1, forever.
-    let plan = (0..64u64).fold(FaultPlan::new(), |plan, k| plan.with_drop(0, 1, k));
-    let policy = RetryPolicy {
-        max_attempts: 64,
-        backoff: 1.0,
-        backoff_factor: 2.0,
-        max_total_backoff: 100.0,
-    };
-    let out = machine(2, PortModel::OnePort, plan)
-        .run(vec![(); 2], move |mut proc, ()| async move {
-            if proc.id() == 0 {
-                Some((proc.send_with_retry(1, 9, [1.0], policy), proc.clock()))
-            } else {
-                None
-            }
-        })
-        .unwrap();
-    let (result, clock) = out.outputs[0].expect("sender output");
-    // Backoffs 1 + 2 + 4 + 8 + 16 + 32 = 63 fit the cap; the next (64)
-    // would not, so the call stops after its 7th transmission.
-    assert_eq!(
-        result,
-        Err(SendError::RetriesExhausted {
-            from: 0,
-            to: 1,
-            attempts: 7
-        })
-    );
-    // 7 charged transmissions (ts + tw = 12 each) plus 63 of backoff.
-    assert_eq!(clock, 7.0 * 12.0 + 63.0);
-    assert_eq!(out.stats.total_retries(), 6);
 }
 
 /// A scheduled corruption mangles exactly the k-th payload crossing the
@@ -558,8 +468,10 @@ fn degraded_runs_are_deterministic() {
         } else {
             let _ = proc.recv(partner, 9).await;
             if proc.id() == 3 {
-                // The dropped first injection toward node 2: retry.
-                let _ = proc.send_with_retry(2, 10, [9.0], RetryPolicy::default());
+                // The first injection toward node 2 is dropped; the
+                // second is delivered.
+                proc.send(2, 10, [9.0]);
+                proc.send(2, 10, [9.0]);
             }
         }
         proc.clock()
@@ -572,4 +484,96 @@ fn degraded_runs_are_deterministic() {
         .unwrap();
     assert_eq!(a.stats.elapsed.to_bits(), b.stats.elapsed.to_bits());
     assert_eq!(a.outputs, b.outputs);
+    assert_eq!(a.stats.total_dropped(), 1);
+}
+
+/// A fault plan that touches no edge of a routed send leaves its time
+/// alone to the bit: the healthy path is priced by the paper's closed
+/// form whether or not a plan is present. (Summing six 0.1 start-ups
+/// gives 0.6, while the closed form 6 · 0.1 gives 0.6000000000000001.)
+#[test]
+fn routed_send_time_ignores_faults_off_its_path() {
+    let costs = [
+        (CostParams { ts: 0.1, tw: 0.0 }, 1),
+        (CostParams { ts: 0.1, tw: 0.1 }, 7),
+    ];
+    for port in [PortModel::OnePort, PortModel::MultiPort] {
+        for (cost, words) in costs {
+            let elapsed = |plan: FaultPlan| {
+                let out = Machine::builder(64)
+                    .port(port)
+                    .cost(cost)
+                    .faults(plan)
+                    .build()
+                    .expect("valid test machine")
+                    .run(vec![(); 64], move |mut proc, ()| async move {
+                        if proc.id() == 0 {
+                            proc.send_routed(63, 1, vec![1.0; words]);
+                        } else if proc.id() == 63 {
+                            let _ = proc.recv(0, 1).await;
+                        }
+                    })
+                    .expect("the route 0 -> 63 stays healthy");
+                out.stats.elapsed.to_bits()
+            };
+            let healthy = elapsed(FaultPlan::new());
+            let off_path = [
+                FaultPlan::new().with_dead_link(40, 41),
+                FaultPlan::new().with_straggler(5, 1.0),
+            ];
+            for plan in off_path {
+                assert_eq!(elapsed(plan.clone()), healthy, "{port:?} {cost:?} {plan:?}");
+            }
+        }
+    }
+}
+
+/// `send` and a one-op `multi` are the same send: equal statistics,
+/// traces and failures, under both port models and every fault family.
+#[test]
+fn send_and_one_op_multi_share_one_path() {
+    let flip = Corruption {
+        word: 1,
+        kind: CorruptKind::BitFlip { bit: 63 },
+    };
+    let plans = [
+        FaultPlan::new(),
+        FaultPlan::new().with_dead_link(0, 1),
+        FaultPlan::new().with_dead_link(0, 1).strict(),
+        FaultPlan::new().with_degraded_link_window(0, 1, 2.0, 3.0, 1, 2),
+        FaultPlan::new().with_straggler(0, 1.5),
+        FaultPlan::new().with_drop(0, 1, 1),
+        FaultPlan::new().with_corruption(0, 1, 1, flip),
+    ];
+    for port in [PortModel::OnePort, PortModel::MultiPort] {
+        for plan in &plans {
+            let run = |batched: bool| {
+                Machine::builder(4)
+                    .port(port)
+                    .cost(COST)
+                    .traced(true)
+                    .faults(plan.clone())
+                    .build()
+                    .expect("valid test machine")
+                    .run(vec![(); 4], move |mut proc, ()| async move {
+                        if proc.id() == 0 {
+                            for tag in 0..3 {
+                                let data = Payload::from(vec![f64::from(tag as u8); 4]);
+                                if batched {
+                                    proc.multi(vec![Op::Send { to: 1, tag, data }]).await;
+                                } else {
+                                    proc.send(1, tag, data);
+                                }
+                            }
+                        } else if proc.id() == 1 {
+                            for tag in 0..3 {
+                                let _ = proc.recv(0, tag).await;
+                            }
+                        }
+                    })
+                    .map(|out| (out.stats, out.traces))
+            };
+            assert_eq!(run(false), run(true), "{port:?} {plan:?}");
+        }
+    }
 }

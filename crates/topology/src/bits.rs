@@ -63,15 +63,15 @@ pub fn dim_walk(from: usize, to: usize, rot: u32) -> impl Iterator<Item = usize>
     // `diff` less its `rot` lowest set bits: those are corrected last.
     let first = (0..rot).fold(diff, |rest, _| rest & rest.wrapping_sub(1));
     let mut cur = from;
-    [first, diff ^ first]
-        .into_iter()
-        .flat_map(|mask| {
-            (0..usize::BITS - mask.leading_zeros()).filter(move |d| mask >> d & 1 == 1)
-        })
-        .map(move |d| {
-            cur ^= 1 << d;
-            cur
-        })
+    let mut left = [first, diff ^ first];
+    // One step per hop: clear the lowest bit left to correct.
+    std::iter::from_fn(move || {
+        let mask = left.iter_mut().find(|mask| **mask != 0)?;
+        let bit = *mask & mask.wrapping_neg();
+        *mask ^= bit;
+        cur ^= bit;
+        Some(cur)
+    })
 }
 
 #[cfg(test)]
