@@ -127,11 +127,12 @@ fn cannon_budget(port: PortModel) -> u64 {
 /// compiled first.
 ///
 /// Measured with a compiled per-node plan: 10.92 one-port, 8.43
-/// multi-port.
+/// multi-port; and before a finish joined consecutive windows without a
+/// copy, 7.92 and 5.36 (now 7.92 and 5.18).
 fn all3d_budget(port: PortModel) -> u64 {
     match port {
         PortModel::OnePort => 910,
-        PortModel::MultiPort => 615,
+        PortModel::MultiPort => 595,
     }
 }
 

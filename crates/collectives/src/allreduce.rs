@@ -36,7 +36,7 @@ pub async fn allreduce_sum(proc: &mut Proc, sc: &Subcube, base: u64, mine: Paylo
             .collect();
         let reduced = reduce_scatter(proc, sc, base, parts).await;
         let gathered = allgather(proc, sc, base + TAG_SPACE, reduced).await;
-        Payload::concat(m, gathered.iter().map(|piece| &piece[..]))
+        Payload::concat(m, &gathered)
     } else {
         // Rooted reduce at rank 0, then broadcast.
         let port = proc.port_model();

@@ -135,6 +135,32 @@ mod tests {
     }
 
     #[test]
+    fn multi_port_finish_is_a_window_of_the_roots_payload() {
+        // p = 64: six 8-word slices, each travelling alone down its own
+        // tree, so every node holds windows of the root's one allocation
+        // and the finish hands back their span instead of a copy.
+        let m = 48;
+        let whole = payload(m);
+        let out = run(
+            64,
+            PortModel::MultiPort,
+            vec![whole; 64],
+            |mut proc, whole| async move {
+                let sc = Subcube::whole(proc.dim());
+                let data = (proc.id() == 0).then(|| whole.clone());
+                let got = bcast(&mut proc, &sc, 0, 0, data, m).await;
+                assert_eq!(got, whole, "node {}", proc.id());
+                std::ptr::eq(got.as_ptr(), whole.as_ptr())
+            },
+        );
+        let copied: Vec<usize> = (0..64).filter(|&node| !out.outputs[node]).collect();
+        assert!(
+            copied.is_empty(),
+            "nodes that re-assembled a copy: {copied:?}"
+        );
+    }
+
+    #[test]
     fn broadcast_on_proper_subcube() {
         let out = run(
             16,

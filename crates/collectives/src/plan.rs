@@ -303,8 +303,10 @@ impl PacketStore {
 
     /// Packets `ids` as one payload, in order, leaving the store if
     /// `consume`. A single packet is returned as stored; several are
-    /// bundled with one exactly-sized allocation and one copy of each
-    /// word.
+    /// joined by [`Payload::concat`]: packets that are consecutive
+    /// windows of one allocation come back as their span with no copy
+    /// (a multi-port broadcast's slices at the finish), anything else as
+    /// one exactly-sized allocation with one copy of each word.
     ///
     /// Both callers — a round's sends and the finish paths — only name
     /// packets the schedule has put in this store by then, so an absent one
@@ -327,8 +329,8 @@ impl PacketStore {
             return packet.unwrap_or_else(|| absent(id));
         }
         let len = ids.clone().map(|id| self.expected_len(id)).sum();
-        let words = |id| &self.peek(id).unwrap_or_else(|| absent(id))[..];
-        let bundle = Payload::concat(len, ids.clone().map(words));
+        let packet = |id| self.peek(id).unwrap_or_else(|| absent(id));
+        let bundle = Payload::concat(len, ids.clone().map(packet));
         if consume {
             ids.for_each(|id| drop(self.take(id)));
         }

@@ -42,10 +42,11 @@ pub fn to_matrix(rows: usize, cols: usize, p: &[f64]) -> Matrix {
 
 /// Stacks row-major blocks of equal width vertically — the payload form
 /// of [`cubemm_dense::partition::stack_rows`] — copying each word once,
-/// straight from the received payloads.
+/// straight from the received payloads (or nothing, when they are
+/// consecutive windows of one allocation; see [`Payload::concat`]).
 pub fn stack_rows(parts: &[Payload]) -> Payload {
     let len = parts.iter().map(|part| part.len()).sum();
-    Payload::concat(len, parts.iter().map(|part| &part[..]))
+    Payload::concat(len, parts)
 }
 
 /// Places row-major blocks of `rows` rows each side by side — the

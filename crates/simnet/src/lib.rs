@@ -150,16 +150,22 @@ impl Hasher for IdHasher {
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Words a [`Payload`] stores inline, without touching the heap.
-pub const PAYLOAD_INLINE_WORDS: usize = 8;
+pub const PAYLOAD_INLINE_WORDS: usize = 3;
 
 /// Message payload: an immutable word vector.
 ///
 /// Two representations behind one read surface (`Deref<Target = [f64]>`):
 /// messages of at most [`PAYLOAD_INLINE_WORDS`] words — the control- and
-/// flit-sized traffic that dominates collective start-up rounds — are
-/// stored inline in the envelope and never allocate; anything larger is
-/// a *window* (`offset`, `len`) into a shared `Arc<[f64]>`, so cloning,
-/// forwarding and [`Payload::slice`] are O(1) and copy nothing.
+/// flit-sized traffic of collective start-up rounds — are stored inline
+/// in the envelope and never allocate; anything larger is a *window*
+/// (`offset`, `len`) into a shared `Arc<[f64]>`, so cloning, forwarding
+/// and [`Payload::slice`] are O(1) and copy nothing.
+///
+/// The handle is 32 bytes — an `Arc<[f64]>` plus a `u32` offset and
+/// length, or three inline words — so every envelope, mailbox slot,
+/// batched [`Op`] and packet-store entry that carries one stays small.
+/// The simulator moves handles far more often than words: at p = 4096 a
+/// run holds hundreds of thousands of them at once.
 ///
 /// Exactly when words are copied:
 ///
@@ -169,7 +175,12 @@ pub const PAYLOAD_INLINE_WORDS: usize = 8;
 ///   words, so not even an owned `Vec` can be adopted in place);
 ///   `From<Arc<[f64]>>` shares the caller's allocation;
 /// * [`Payload::concat`] — how a multi-packet bundle is built for the
-///   wire — makes one exactly-sized allocation and copies each word once;
+///   wire, and how a collective's finish reassembles a message from its
+///   slices — returns a window, copying nothing, when its parts are
+///   consecutive windows of one allocation (a broadcast's slices all
+///   descend from the root's one payload). Anything else — gapped,
+///   reordered, inline or cross-allocation parts, or plain word slices —
+///   gets one exactly-sized allocation and one copy of each word;
 /// * **never** on `clone`, send, receive, or `slice`: splitting a
 ///   received bundle into its packets, forwarding a stored packet and
 ///   handing a packet out as a result all share the original words.
@@ -177,6 +188,13 @@ pub const PAYLOAD_INLINE_WORDS: usize = 8;
 /// A window keeps its whole allocation alive. Writing is only possible
 /// through [`Payload::unique_mut`], which refuses unless no other
 /// payload shares the allocation.
+///
+/// # Size limit
+///
+/// A payload holds at most `u32::MAX` (2³² − 1) words, because a window
+/// stores its bounds as `u32`. Building a longer one panics with a
+/// message naming the limit — on a node, the run fails with
+/// [`RunError::NodePanicked`] — and never truncates.
 ///
 /// Construct through the `From` / `FromIterator` impls (every send
 /// primitive takes `impl Into<Payload>`, so slices, vectors, arrays, and
@@ -195,9 +213,60 @@ enum PayloadRepr {
     /// more than [`PAYLOAD_INLINE_WORDS`] words.
     Window {
         data: Arc<[f64]>,
-        off: usize,
-        len: usize,
+        off: u32,
+        len: u32,
     },
+}
+
+/// The one checked narrowing of a window bound (an offset or a length,
+/// in words) to the `u32` the handle stores.
+///
+/// # Panics
+/// Panics, naming the limit, if `words` exceeds `u32::MAX`.
+#[inline]
+fn window_bound(words: usize) -> u32 {
+    u32::try_from(words).unwrap_or_else(|_| {
+        panic!(
+            "Payload: {words} words exceed the limit of u32::MAX = {} words per payload",
+            u32::MAX
+        )
+    })
+}
+
+/// What [`Payload::concat`] accepts as a part: a [`Payload`], which may
+/// join its neighbours without a copy, or a plain `&[f64]`, which is
+/// always copied.
+mod part {
+    use super::{Payload, PayloadRepr};
+    use std::sync::Arc;
+
+    pub trait Part<'a>: Copy {
+        /// The part's words.
+        fn words(self) -> &'a [f64];
+        /// The allocation this part is a window of, and its offset there.
+        fn window(self) -> Option<(&'a Arc<[f64]>, usize)>;
+    }
+
+    impl<'a> Part<'a> for &'a [f64] {
+        fn words(self) -> &'a [f64] {
+            self
+        }
+        fn window(self) -> Option<(&'a Arc<[f64]>, usize)> {
+            None
+        }
+    }
+
+    impl<'a> Part<'a> for &'a Payload {
+        fn words(self) -> &'a [f64] {
+            self
+        }
+        fn window(self) -> Option<(&'a Arc<[f64]>, usize)> {
+            match &self.0 {
+                PayloadRepr::Window { data, off, .. } => Some((data, *off as usize)),
+                PayloadRepr::Inline { .. } => None,
+            }
+        }
+    }
 }
 
 impl Payload {
@@ -210,6 +279,18 @@ impl Payload {
         Payload(PayloadRepr::Inline {
             len: slice.len() as u8,
             words,
+        })
+    }
+
+    /// Words `off..off + len` of `data` as a window; `len` must exceed
+    /// [`PAYLOAD_INLINE_WORDS`].
+    #[inline]
+    fn window(data: Arc<[f64]>, off: usize, len: usize) -> Self {
+        debug_assert!(len > PAYLOAD_INLINE_WORDS && off + len <= data.len());
+        Payload(PayloadRepr::Window {
+            data,
+            off: window_bound(off),
+            len: window_bound(len),
         })
     }
 
@@ -233,31 +314,61 @@ impl Payload {
         );
         match &self.0 {
             PayloadRepr::Window { data, off, .. } if hi - lo > PAYLOAD_INLINE_WORDS => {
-                Payload(PayloadRepr::Window {
-                    data: Arc::clone(data),
-                    off: off + lo,
-                    len: hi - lo,
-                })
+                Payload::window(Arc::clone(data), *off as usize + lo, hi - lo)
             }
             _ => Payload::inline(&self[lo..hi]),
         }
     }
 
-    /// Concatenates `parts`, whose lengths must sum to `len`, into one
-    /// payload with a single exactly-sized allocation and one copy of
-    /// each word.
+    /// Concatenates `parts` — payloads or `&[f64]` word slices — whose
+    /// lengths must sum to `len`, into one payload.
+    ///
+    /// When the non-empty parts are consecutive windows of one
+    /// allocation (each starts where the previous one ends), the result
+    /// is the window they span and no word is copied. Otherwise the
+    /// result gets a single exactly-sized allocation (none at most
+    /// [`PAYLOAD_INLINE_WORDS`] words) and one copy of each word.
     ///
     /// # Panics
-    /// Panics if the parts do not add up to exactly `len` words.
-    pub fn concat<'a>(len: usize, parts: impl IntoIterator<Item = &'a [f64]>) -> Payload {
+    /// Panics if the parts do not add up to exactly `len` words, or if
+    /// `len` exceeds the [size limit](Payload#size-limit).
+    pub fn concat<'a, P: part::Part<'a>>(
+        len: usize,
+        parts: impl IntoIterator<Item = P>,
+    ) -> Payload {
         fn fill<'a>(buf: &mut [f64], parts: impl IntoIterator<Item = &'a [f64]>) {
             let mut at = 0;
             for part in parts {
-                buf[at..at + part.len()].copy_from_slice(part);
+                let dst = buf.get_mut(at..at + part.len());
+                let dst =
+                    dst.unwrap_or_else(|| panic!("Payload::concat: parts do not add up to len"));
+                dst.copy_from_slice(part);
                 at += part.len();
             }
             assert_eq!(at, buf.len(), "Payload::concat: parts do not add up to len");
         }
+        let mut parts = parts
+            .into_iter()
+            .filter(|part| !part.words().is_empty())
+            .peekable();
+        // The join rule: take parts while they continue one window.
+        let mut joined: &[f64] = &[];
+        if len > PAYLOAD_INLINE_WORDS {
+            if let Some((data, start)) = parts.peek().and_then(|part| part.window()) {
+                let mut end = start;
+                while let Some(part) = parts.next_if(|part| {
+                    part.window()
+                        .is_some_and(|(next, at)| at == end && Arc::ptr_eq(next, data))
+                }) {
+                    end += part.words().len();
+                }
+                if end - start == len && parts.peek().is_none() {
+                    return Payload::window(Arc::clone(data), start, len);
+                }
+                joined = &data[start..end];
+            }
+        }
+        let parts = std::iter::once(joined).chain(parts.map(|part| part.words()));
         if len <= PAYLOAD_INLINE_WORDS {
             let mut words = [0.0; PAYLOAD_INLINE_WORDS];
             fill(&mut words[..len], parts);
@@ -266,6 +377,9 @@ impl Payload {
                 words,
             });
         }
+        // Checked before allocating, so an oversized join panics rather
+        // than asking for the block.
+        window_bound(len);
         // `repeat_n` reports its exact length, so collecting it allocates
         // once; safe Rust cannot hand out the block unwritten.
         let mut data: Arc<[f64]> = std::iter::repeat_n(0.0, len).collect();
@@ -274,7 +388,7 @@ impl Payload {
             reason = "the Arc was created on the line above and has not been cloned"
         )]
         fill(Arc::get_mut(&mut data).expect("fresh allocation"), parts);
-        Payload::from(data)
+        Payload::window(data, 0, len)
     }
 
     /// Mutable access to the words, granted only when nothing else can
@@ -285,7 +399,8 @@ impl Payload {
         match &mut self.0 {
             PayloadRepr::Inline { len, words } => Some(&mut words[..usize::from(*len)]),
             PayloadRepr::Window { data, off, len } => {
-                Arc::get_mut(data).map(|words| &mut words[*off..*off + *len])
+                let (off, len) = (*off as usize, *len as usize);
+                Arc::get_mut(data).map(|words| &mut words[off..off + len])
             }
         }
     }
@@ -298,7 +413,9 @@ impl std::ops::Deref for Payload {
     fn deref(&self) -> &[f64] {
         match &self.0 {
             PayloadRepr::Inline { len, words } => &words[..usize::from(*len)],
-            PayloadRepr::Window { data, off, len } => &data[*off..*off + *len],
+            PayloadRepr::Window { data, off, len } => {
+                &data[*off as usize..*off as usize + *len as usize]
+            }
         }
     }
 }
@@ -333,6 +450,8 @@ impl From<&[f64]> for Payload {
         if slice.len() <= PAYLOAD_INLINE_WORDS {
             Payload::inline(slice)
         } else {
+            // Checked before copying, like `concat`.
+            window_bound(slice.len());
             Payload::from(Arc::<[f64]>::from(slice))
         }
     }
@@ -352,18 +471,14 @@ impl From<Box<[f64]>> for Payload {
 
 impl From<Arc<[f64]>> for Payload {
     fn from(shared: Arc<[f64]>) -> Self {
-        // Copying ≤ 8 words out of the Arc keeps the envelope
+        // Copying ≤ 3 words out of the Arc keeps the envelope
         // allocation-free; the sharing it forgoes is cheaper than the
         // refcount traffic it avoids.
         if shared.len() <= PAYLOAD_INLINE_WORDS {
             Payload::inline(&shared)
         } else {
             let len = shared.len();
-            Payload(PayloadRepr::Window {
-                data: shared,
-                off: 0,
-                len,
-            })
+            Payload::window(shared, 0, len)
         }
     }
 }
@@ -382,7 +497,7 @@ impl FromIterator<f64> for Payload {
         for w in it.by_ref() {
             if len == PAYLOAD_INLINE_WORDS {
                 // Spill: finish collecting on the heap.
-                let mut vec = Vec::with_capacity(PAYLOAD_INLINE_WORDS * 2);
+                let mut vec = Vec::with_capacity(PAYLOAD_INLINE_WORDS + 1 + it.size_hint().0);
                 vec.extend_from_slice(&words);
                 vec.push(w);
                 vec.extend(it);
@@ -511,8 +626,109 @@ impl std::fmt::Display for PortModel {
 
 #[cfg(test)]
 mod payload_tests {
-    use super::{Payload, PAYLOAD_INLINE_WORDS};
+    use super::{window_bound, Op, Payload, PayloadRepr, PAYLOAD_INLINE_WORDS};
     use std::sync::Arc;
+
+    /// The handle is the simulator's unit of per-message memory traffic:
+    /// every envelope, mailbox slot, batched `Op`, packet-store entry and
+    /// node future carries payloads by value. Shrinking it from 72 to 32
+    /// bytes (and `Op` from 88 to 48), together with joining consecutive
+    /// windows without a copy, cut `run_comm`'s p = 4096 ops by 7–22 % on
+    /// a 2-vCPU host (cannon one-port 579 → 461 ms, diag2d multi-port
+    /// 292 → 234 ms) and its peak RSS from 88 to 76 MB. A field that
+    /// grows it again must fail here, not cost that silently.
+    #[test]
+    fn handles_stay_small() {
+        assert!(std::mem::size_of::<Payload>() <= 32);
+        assert!(std::mem::size_of::<Op>() <= 48);
+    }
+
+    /// The allocation behind a window and the window's bounds in it.
+    fn window_of(payload: &Payload) -> Option<(&Arc<[f64]>, usize, usize)> {
+        match &payload.0 {
+            PayloadRepr::Window { data, off, len } => Some((data, *off as usize, *len as usize)),
+            PayloadRepr::Inline { .. } => None,
+        }
+    }
+
+    #[test]
+    fn consecutive_windows_join_without_a_copy() {
+        let whole = ramp(40);
+        let parts = [whole.slice(0, 10), whole.slice(10, 25), whole.slice(25, 40)];
+        let joined = Payload::concat(40, &parts);
+        assert_eq!(joined, whole);
+        assert!(std::ptr::eq(&joined[0], &whole[0]), "the span, not a copy");
+        // A span in the middle, with empty parts anywhere, joins too.
+        let empty = Payload::default();
+        let mid = Payload::concat(
+            15,
+            [&empty, &whole.slice(5, 10), &empty, &whole.slice(10, 20)],
+        );
+        assert!(std::ptr::eq(&mid[0], &whole[5]));
+        assert_eq!(
+            window_of(&mid).map(|(_, off, len)| (off, len)),
+            Some((5, 15))
+        );
+    }
+
+    #[test]
+    fn other_parts_get_one_exactly_sized_copy() {
+        let whole = ramp(40);
+        let other = ramp(40);
+        let cases = [
+            ("gapped", vec![whole.slice(0, 10), whole.slice(11, 21)]),
+            ("reordered", vec![whole.slice(10, 20), whole.slice(0, 10)]),
+            (
+                "cross-allocation",
+                vec![whole.slice(0, 10), other.slice(10, 20)],
+            ),
+            (
+                "inline",
+                vec![whole.slice(0, 10), whole.slice(10, 12), whole.slice(12, 20)],
+            ),
+            (
+                "prefix then a stranger",
+                vec![whole.slice(0, 10), whole.slice(10, 20), other.slice(0, 5)],
+            ),
+        ];
+        for (what, parts) in cases {
+            let len = parts.iter().map(|part| part.len()).sum();
+            let want: Vec<f64> = parts.iter().flat_map(|part| part.iter().copied()).collect();
+            let got = Payload::concat(len, &parts);
+            assert_eq!(&got[..], &want[..], "{what}");
+            let (data, off, n) = window_of(&got).unwrap_or_else(|| panic!("{what}: heap"));
+            assert_eq!(
+                (off, n, data.len()),
+                (0, len, len),
+                "{what}: one exactly-sized copy"
+            );
+            assert!(!std::ptr::eq(&got[0], &whole[0]) && !std::ptr::eq(&got[0], &other[0]));
+        }
+        // Plain word slices are always copied, even consecutive ones.
+        let got = Payload::concat(40, [&whole[..20], &whole[20..]]);
+        assert_eq!(got, whole);
+        assert!(!std::ptr::eq(&got[0], &whole[0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "parts do not add up")]
+    fn concat_rejects_joinable_parts_that_overshoot() {
+        let whole = ramp(40);
+        let _ = Payload::concat(19, [&whole.slice(0, 10), &whole.slice(10, 20)]);
+    }
+
+    #[test]
+    fn window_bounds_narrow_exactly_up_to_u32_max() {
+        assert_eq!(window_bound(0), 0);
+        assert_eq!(window_bound(u32::MAX as usize), u32::MAX);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "exceed the limit of u32::MAX = 4294967295 words per payload")]
+    fn window_bounds_past_u32_max_panic_instead_of_truncating() {
+        let _ = window_bound(u32::MAX as usize + 1);
+    }
 
     fn ramp(n: usize) -> Payload {
         (0..n).map(|x| x as f64).collect()
