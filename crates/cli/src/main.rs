@@ -26,7 +26,7 @@ mod commands;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let code = match argv.first().map(String::as_str) {
+    let result = match argv.first().map(String::as_str) {
         Some("list") => commands::list(&argv[1..]),
         Some("run") => commands::run(&argv[1..]),
         Some("sweep") => commands::sweep(&argv[1..]),
@@ -37,12 +37,21 @@ fn main() {
         Some("tune-kernel") => commands::tune_kernel(&argv[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{}", commands::USAGE);
-            0
+            Ok(0)
         }
         Some(other) => {
             eprintln!("unknown command {other:?}\n\n{}", commands::USAGE);
-            2
+            Ok(2)
         }
     };
-    std::process::exit(code);
+    std::process::exit(finish(result));
+}
+
+/// The one error exit: a subcommand's error is printed as `error: …`
+/// and exits 2.
+fn finish(result: Result<i32, String>) -> i32 {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        2
+    })
 }

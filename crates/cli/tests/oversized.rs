@@ -3,7 +3,7 @@
 //! `cubemm serve` and `cubemm run` check the shape first and then
 //! generate operands fallibly, so a job whose `n × n` operands cannot be
 //! allocated is answered `rejected` (serve keeps reading its stream) or
-//! fails with a typed error and exit 2 (run). The oversized order here,
+//! fails with a typed error and exit 2 (run, and sweep). The oversized order here,
 //! `n = 4·10⁹`, needs more bytes than any single allocation may request,
 //! so the refusal never depends on the host's overcommit policy.
 
@@ -71,6 +71,28 @@ fn run_reports_an_unallocatable_order_as_a_typed_error() {
         assert_eq!(
             String::from_utf8_lossy(&out.stderr),
             format!("error: cannot allocate a {BIG} × {BIG} matrix\n")
+        );
+        assert!(out.stdout.is_empty());
+    }
+}
+
+/// `sweep` draws its operands through the same fallible step: an order
+/// whose storage cannot be allocated, or whose `n·n` overflows `usize`,
+/// is the same typed error, not an abort or a hang.
+#[test]
+fn sweep_reports_an_unallocatable_order_as_a_typed_error() {
+    for n in ["100000000", "4294967296"] {
+        let start = Instant::now();
+        let out = cubemm(&format!("sweep --n {n} --p 4"), "");
+        assert!(
+            start.elapsed().as_secs_f64() < 5.0,
+            "sweep --n {n} took {:?}",
+            start.elapsed()
+        );
+        assert_eq!(out.status.code(), Some(2), "{n}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: cannot allocate a {n} × {n} matrix\n")
         );
         assert!(out.stdout.is_empty());
     }

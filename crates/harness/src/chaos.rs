@@ -53,6 +53,7 @@ use cubemm_simnet::{
 };
 use cubemm_topology::bits::{dim_walk, hamming};
 
+use crate::job::{self, JobError};
 use crate::recovery::{
     multiply_with_recovery_tol, RecoveryAction, RecoveryError, RecoveryPolicy, RecoveryReport,
 };
@@ -712,15 +713,15 @@ pub fn run_trial(
     multiply_with_recovery_tol(algo, a, b, p, &cfg, policy, Some(CHAOS_TOL))
 }
 
-/// The CLI exit-code contract for one trial: `0` verified product, `3`
+/// The exit code `cubemm run --abft` gives this trial's outcome, read
+/// through the job pipeline's own mapping ([`job::exit_code`]): `0`
+/// verified product (recovery returns only trustworthy ones), `3`
 /// deadlock (the documented algorithm-bug signal), `2` every other
-/// failure. Total by construction; the oracle asserts it stays that
-/// way.
+/// failure. The oracle asserts the mapping stays total.
 pub fn trial_exit_code(outcome: &TrialOutcome) -> i32 {
     match outcome {
-        Ok(_) => 0,
-        Err(RecoveryError::Fatal(AlgoError::Sim(RunError::Deadlock { .. }))) => 3,
-        Err(_) => 2,
+        Ok(_) => job::exit_code(Ok(true)),
+        Err(e) => job::exit_code(Err(&JobError::Recovery(e.clone()))),
     }
 }
 

@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 pub mod chaos;
+pub mod job;
 pub mod recovery;
 
 /// Runs every task of a grid, `jobs` at a time.

@@ -1,23 +1,22 @@
 //! Executes one parsed job on a simulated machine.
 //!
 //! The contract the service's robustness story rests on: [`execute`]
-//! never returns an unverified product as `ok`. ABFT jobs run under
-//! quarantine-and-rerun recovery and only a trustworthy outcome
-//! (clean or corrected) counts; non-ABFT jobs are verified against the
-//! host reference product before answering. Everything else — deadline
-//! misses, recovery exhaustion, deadlocks — becomes a typed error
-//! response, and [`ExecOutcome::machine_fault`] tells the pool whether
-//! the worker's machine must be quarantined and rebooted before the
-//! next job.
+//! never returns an unverified product as `ok`. Every job runs the one
+//! pipeline of [`cubemm_harness::job`] — ABFT jobs under
+//! quarantine-and-rerun recovery, where only a trustworthy outcome
+//! counts, non-ABFT jobs checked against the host reference — and this
+//! module reads how it ended: a typed response, plus
+//! [`ExecOutcome::machine_fault`], which tells the pool whether the
+//! worker's machine must be quarantined and rebooted before the next job.
 
 use cubemm_core::abft::AbftOutcome;
-use cubemm_core::{AlgoError, Algorithm, MachineConfig};
-use cubemm_dense::{gemm, Matrix};
-use cubemm_harness::recovery::{multiply_with_recovery_tol, RecoveryError, RecoveryPolicy};
+use cubemm_core::{Algorithm, MachineConfig};
+use cubemm_harness::job::{Job, JobError, JobOutcome, Protection};
+use cubemm_harness::recovery::{RecoveryError, RecoveryPolicy};
 use cubemm_model::ModelAlgo;
 use cubemm_simnet::RunError;
 
-use crate::protocol::{fingerprint_hex, AlgoChoice, JobRequest, JobResponse, JobStatus};
+use crate::protocol::{AlgoChoice, JobRequest, JobResponse, JobStatus};
 
 /// The result of running one job, plus what it implies about the
 /// machine that ran it.
@@ -31,6 +30,25 @@ pub struct ExecOutcome {
     pub machine_fault: bool,
 }
 
+/// The job a request names once its algorithm is known.
+fn job_of(req: &JobRequest, algo: Algorithm) -> Job {
+    let policy = RecoveryPolicy {
+        max_attempts: req.attempts,
+        ..RecoveryPolicy::default()
+    };
+    Job {
+        algo,
+        n: req.n,
+        p: req.p,
+        seed: req.seed,
+        protection: if req.abft {
+            Protection::Abft(policy)
+        } else {
+            Protection::Plain
+        },
+    }
+}
+
 /// Resolves `algo: auto` to the §5 model's cheapest applicable
 /// contender for `(n, p)` on this machine, among algorithms that accept
 /// the shape (ABFT jobs accept the padded order instead).
@@ -40,12 +58,7 @@ pub fn resolve_auto(req: &JobRequest) -> Option<Algorithm> {
         let Ok(algo) = model.name().parse::<Algorithm>() else {
             continue;
         };
-        let fits = if req.abft {
-            cubemm_core::abft::padded_order(algo, req.n, req.p).is_ok()
-        } else {
-            algo.check(req.n, req.p).is_ok()
-        };
-        if !fits {
+        if job_of(req, algo).check().is_err() {
             continue;
         }
         let Some(t) = cubemm_model::time(model, req.port, req.n, req.p, req.ts, req.tw) else {
@@ -78,41 +91,6 @@ pub fn machine_for(req: &JobRequest) -> Result<cubemm_simnet::Machine, RunError>
     config_of(req).prepare(req.p)
 }
 
-fn respond(req: &JobRequest, status: JobStatus) -> JobResponse {
-    JobResponse {
-        id: req.id.clone(),
-        status,
-    }
-}
-
-fn rejected(req: &JobRequest, error: String) -> ExecOutcome {
-    ExecOutcome {
-        response: respond(req, JobStatus::Rejected { error }),
-        machine_fault: false,
-    }
-}
-
-fn failed(req: &JobRequest, error: String, machine_fault: bool) -> ExecOutcome {
-    ExecOutcome {
-        response: respond(req, JobStatus::Failed { error }),
-        machine_fault,
-    }
-}
-
-/// Whether a simulator error implicates the machine (as opposed to the
-/// job's own configuration).
-fn is_machine_fault(e: &AlgoError) -> bool {
-    matches!(
-        e,
-        AlgoError::Sim(
-            RunError::NodeCrashed { .. }
-                | RunError::Deadlock { .. }
-                | RunError::LinkDead { .. }
-                | RunError::NodePanicked { .. }
-        )
-    )
-}
-
 /// Runs the job to a typed response, booting a fresh machine. Blocking;
 /// the caller owns scheduling and admission.
 pub fn execute(req: &JobRequest) -> ExecOutcome {
@@ -125,182 +103,105 @@ pub fn execute(req: &JobRequest) -> ExecOutcome {
 /// cache entry can never change a response.
 pub fn execute_on(req: &JobRequest, prepared: Option<cubemm_simnet::Machine>) -> ExecOutcome {
     let algo = match req.algo {
-        AlgoChoice::Named(algo) => algo,
-        AlgoChoice::Auto => match resolve_auto(req) {
-            Some(algo) => algo,
-            None => {
-                return rejected(
-                    req,
-                    format!("no compared algorithm accepts n={} on p={}", req.n, req.p),
-                )
+        AlgoChoice::Named(algo) => Some(algo),
+        AlgoChoice::Auto => resolve_auto(req),
+    };
+    let (status, machine_fault) = match algo {
+        None => {
+            let error = format!("no compared algorithm accepts n={} on p={}", req.n, req.p);
+            (JobStatus::Rejected { error }, false)
+        }
+        Some(algo) => {
+            let mut cfg = config_of(req);
+            if let Some(machine) = prepared {
+                cfg = cfg.with_prepared(machine);
             }
+            // Serve trusts an ABFT job's checksums: only a plain job is
+            // checked against the host reference.
+            status_of(req, algo, job_of(req, algo).run(&cfg, false))
+        }
+    };
+    ExecOutcome {
+        response: JobResponse {
+            id: req.id.clone(),
+            status,
+        },
+        machine_fault,
+    }
+}
+
+/// The service's reading of how a job ended: its status, and whether
+/// it faulted the machine that ran it.
+fn status_of(
+    req: &JobRequest,
+    algo: Algorithm,
+    end: Result<JobOutcome, JobError>,
+) -> (JobStatus, bool) {
+    let outcome = match end {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            let machine_fault = e.implicates_machine();
+            let error = match e {
+                JobError::Shape(error) => return (JobStatus::Rejected { error }, false),
+                JobError::Operands(e) => {
+                    let error = format!("operands: {e}");
+                    return (JobStatus::Rejected { error }, false);
+                }
+                JobError::Sim(e) => e.to_string(),
+                JobError::Recovery(RecoveryError::Exhausted { attempts, last }) => {
+                    format!("recovery exhausted after {attempts} attempt(s): {last}")
+                }
+                JobError::Recovery(RecoveryError::Fatal(e)) => format!("unrecoverable: {e}"),
+                JobError::Reference(e) => format!("verification failed: {e}"),
+            };
+            return (JobStatus::Failed { error }, machine_fault);
+        }
+    };
+    if !outcome.verified {
+        let err = outcome.max_diff.unwrap_or(f64::NAN);
+        let error = format!("verification failed: max |Δ| = {err:.2e}");
+        return (JobStatus::Failed { error }, true);
+    }
+    let report = outcome.abft.as_ref().map(|abft| &abft.report);
+    // Any retry means the machine faulted mid-service, even though
+    // recovery hid it from the client.
+    let machine_fault = report.is_some_and(|r| r.attempts > 1 || !r.actions.is_empty());
+    let backoff = report.map_or(0.0, |r| r.backoff_spent);
+    let spent = outcome.stats.elapsed + backoff;
+    if let Some(deadline) = req.deadline.filter(|&deadline| spent > deadline) {
+        return (JobStatus::Deadline { spent, deadline }, machine_fault);
+    }
+    // `corrected` products are rebuilt from checksums, so they are
+    // verified within tolerance but not bit-identical to a clean run;
+    // the wire outcome keeps that distinction (the bitwise guarantee
+    // covers clean/recovered/verified only).
+    let tag = match &outcome.abft {
+        None => "verified",
+        Some(abft) => match abft.outcome {
+            AbftOutcome::Clean if abft.report.attempts > 1 => "recovered",
+            AbftOutcome::Clean => "clean",
+            AbftOutcome::Corrected { .. } => "corrected",
+            // `verified` gated this arm; uncorrectable can't reach here.
+            AbftOutcome::Uncorrectable { .. } => "uncorrectable",
         },
     };
-    // The shape is checked before any operand exists, and operands are
-    // generated fallibly: an order no host could hold is answered, never
-    // an allocation abort that takes the stream down with it.
-    let shape = if req.abft {
-        cubemm_core::abft::padded_order(algo, req.n, req.p).map(drop)
-    } else {
-        algo.check(req.n, req.p)
+    let status = JobStatus::Ok {
+        algo: algo.name(),
+        elapsed: outcome.stats.elapsed,
+        backoff,
+        attempts: report.map_or(1, |r| r.attempts),
+        outcome: tag,
+        fingerprint: outcome.fingerprint,
     };
-    if let Err(e) = shape {
-        return if req.abft {
-            failed(req, format!("unrecoverable: {e}"), false)
-        } else {
-            rejected(
-                req,
-                format!("{algo} cannot run n={} on p={}: {e}", req.n, req.p),
-            )
-        };
-    }
-    let operands = Matrix::try_random(req.n, req.n, req.seed)
-        .and_then(|a| Matrix::try_random(req.n, req.n, req.seed.wrapping_add(1)).map(|b| (a, b)));
-    let (a, b) = match operands {
-        Ok(v) => v,
-        Err(e) => return rejected(req, format!("operands: {e}")),
-    };
-    let mut cfg = config_of(req);
-    if let Some(machine) = prepared {
-        cfg = cfg.with_prepared(machine);
-    }
-    if req.abft {
-        execute_abft(req, algo, &a, &b, &cfg)
-    } else {
-        execute_plain(req, algo, &a, &b, &cfg)
-    }
-}
-
-fn deadline_status(req: &JobRequest, spent: f64) -> Option<JobStatus> {
-    match req.deadline {
-        Some(deadline) if spent > deadline => Some(JobStatus::Deadline { spent, deadline }),
-        _ => None,
-    }
-}
-
-fn execute_abft(
-    req: &JobRequest,
-    algo: Algorithm,
-    a: &Matrix,
-    b: &Matrix,
-    cfg: &MachineConfig,
-) -> ExecOutcome {
-    let policy = RecoveryPolicy {
-        max_attempts: req.attempts,
-        ..RecoveryPolicy::default()
-    };
-    match multiply_with_recovery_tol(algo, a, b, req.p, cfg, &policy, None) {
-        Ok((res, report)) => {
-            // Any retry means the machine faulted mid-service, even
-            // though recovery hid it from the client.
-            let machine_fault = report.attempts > 1 || !report.actions.is_empty();
-            let spent = res.stats.elapsed + report.backoff_spent;
-            if let Some(status) = deadline_status(req, spent) {
-                return ExecOutcome {
-                    response: respond(req, status),
-                    machine_fault,
-                };
-            }
-            // `corrected` products are rebuilt from checksums, so they
-            // are verified within tolerance but not bit-identical to a
-            // clean run; the wire outcome keeps that distinction (the
-            // bitwise guarantee covers clean/recovered/verified only).
-            let outcome = match res.outcome {
-                AbftOutcome::Clean if report.attempts > 1 => "recovered",
-                AbftOutcome::Clean => "clean",
-                AbftOutcome::Corrected { .. } => "corrected",
-                // `is_good()` gated the Ok arm; uncorrectable can't
-                // reach here.
-                AbftOutcome::Uncorrectable { .. } => "uncorrectable",
-            };
-            ExecOutcome {
-                response: respond(
-                    req,
-                    JobStatus::Ok {
-                        algo: algo.name(),
-                        elapsed: res.stats.elapsed,
-                        backoff: report.backoff_spent,
-                        attempts: report.attempts,
-                        outcome,
-                        fingerprint: fingerprint_hex(&res.c),
-                    },
-                ),
-                machine_fault,
-            }
-        }
-        Err(RecoveryError::Exhausted { attempts, last }) => failed(
-            req,
-            format!("recovery exhausted after {attempts} attempt(s): {last}"),
-            true,
-        ),
-        Err(RecoveryError::Fatal(e)) => {
-            let fault = is_machine_fault(&e);
-            failed(req, format!("unrecoverable: {e}"), fault)
-        }
-    }
-}
-
-fn execute_plain(
-    req: &JobRequest,
-    algo: Algorithm,
-    a: &Matrix,
-    b: &Matrix,
-    cfg: &MachineConfig,
-) -> ExecOutcome {
-    // Unprotected runs still never answer `ok` unverified: the product
-    // is checked against the host reference, computed beside the run
-    // (on a second thread once n is big enough to pay for one).
-    let (run, reference) = gemm::alongside_reference(a, b, || {
-        algo.multiply(a, b, req.p, cfg)
-            .map(|res| (fingerprint_hex(&res.c), res))
-    });
-    let (fingerprint, res) = match run {
-        Ok(v) => v,
-        Err(e) => {
-            let fault = is_machine_fault(&e);
-            return failed(req, e.to_string(), fault);
-        }
-    };
-    let err = match reference {
-        Ok(reference) => res.c.max_abs_diff(&reference),
-        // The host failed, not the simulated machine: no quarantine.
-        Err(e) => return failed(req, format!("verification failed: {e}"), false),
-    };
-    // Accept-if-within rather than reject-if-beyond: a NaN error fails.
-    let verified = err <= 1e-9 * req.n as f64;
-    if !verified {
-        return failed(
-            req,
-            format!("verification failed: max |Δ| = {err:.2e}"),
-            true,
-        );
-    }
-    if let Some(status) = deadline_status(req, res.stats.elapsed) {
-        return ExecOutcome {
-            response: respond(req, status),
-            machine_fault: false,
-        };
-    }
-    ExecOutcome {
-        response: respond(
-            req,
-            JobStatus::Ok {
-                algo: algo.name(),
-                elapsed: res.stats.elapsed,
-                backoff: 0.0,
-                attempts: 1,
-                outcome: "verified",
-                fingerprint,
-            },
-        ),
-        machine_fault: false,
-    }
+    (status, machine_fault)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint_hex;
     use crate::protocol::parse_request;
+    use cubemm_dense::{gemm, Matrix};
     use cubemm_simnet::{CorruptKind, Corruption, FaultPlan};
 
     fn req(line: &str) -> JobRequest {

@@ -31,8 +31,7 @@ pub mod pool;
 pub mod protocol;
 pub mod shutdown;
 
+pub use cubemm_harness::job::{fingerprint, fingerprint_hex};
 pub use exec::{execute, resolve_auto, ExecOutcome};
 pub use pool::{PoolStats, Responder, ServeConfig, ServePool};
-pub use protocol::{
-    fingerprint, fingerprint_hex, parse_request, AlgoChoice, JobRequest, JobResponse, JobStatus,
-};
+pub use protocol::{parse_request, AlgoChoice, JobRequest, JobResponse, JobStatus};

@@ -21,7 +21,6 @@
 
 use cubemm_core::Algorithm;
 use cubemm_dense::gemm::Kernel;
-use cubemm_dense::Matrix;
 use cubemm_simnet::json::Json;
 use cubemm_simnet::{FaultPlan, FaultPlanError, PortModel};
 
@@ -53,8 +52,8 @@ pub struct JobRequest {
     pub ts: f64,
     /// Per-word cost (default: the paper's 3).
     pub tw: f64,
-    /// Seed of the deterministic inputs: `A = Matrix::random(n, n,
-    /// seed)`, `B = Matrix::random(n, n, seed + 1)` — exactly what
+    /// Seed of the deterministic inputs, drawn by the job pipeline's
+    /// [`operands`](cubemm_harness::job::operands) — exactly what
     /// `cubemm run --seed` multiplies, so a served job and a one-shot
     /// run are byte-comparable.
     pub seed: u64,
@@ -75,7 +74,7 @@ pub struct JobRequest {
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobStatus {
     /// A verified product. `fingerprint` is the FNV-1a 64 hash of the
-    /// result's bit pattern (see [`fingerprint`]).
+    /// result's bit pattern (see [`fingerprint`](crate::fingerprint)).
     Ok {
         /// The algorithm that ran (resolved, if the request said auto).
         algo: &'static str,
@@ -187,25 +186,6 @@ impl JobResponse {
         }
         Json::Obj(fields).encode()
     }
-}
-
-/// FNV-1a 64 over the matrix's `f64::to_bits`, little-endian bytes —
-/// the service's bit-exact result identity. Two runs agree on this hash
-/// iff their products are bitwise identical.
-pub fn fingerprint(m: &Matrix) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &x in m.as_slice() {
-        for byte in x.to_bits().to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
-
-/// [`fingerprint`] in the wire format (16 hex digits).
-pub fn fingerprint_hex(m: &Matrix) -> String {
-    format!("{:016x}", fingerprint(m))
 }
 
 fn field_index(obj: &Json, key: &str) -> Result<Option<u64>, String> {
@@ -352,6 +332,8 @@ pub fn parse_request(line: &str) -> Result<JobRequest, (String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{fingerprint, fingerprint_hex};
+    use cubemm_dense::Matrix;
 
     #[test]
     fn minimal_request_gets_the_documented_defaults() {
