@@ -51,3 +51,20 @@ fn the_largest_seed_wraps_to_the_release_fingerprint() {
         "{got}"
     );
 }
+
+#[test]
+fn the_largest_blocked_tile_is_one_tile_with_the_same_bits() {
+    // The tile is a blocking hint: its arithmetic saturates, so
+    // `usize::MAX` is one tile covering the whole product, and the
+    // report is the one every other tile prints.
+    let got = transcript("run --algo cannon --n 64 --p 16 --kernel blocked:18446744073709551615");
+    assert!(got.ends_with("exit 0\n"), "{got}");
+    assert!(
+        got.contains("  fingerprint:           b7f3cace485d210a\n"),
+        "{got}"
+    );
+    for tile in ["blocked", "blocked:1"] {
+        let other = transcript(&format!("run --algo cannon --n 64 --p 16 --kernel {tile}"));
+        assert_eq!(got, other, "--kernel {tile}");
+    }
+}

@@ -66,10 +66,10 @@ pub const SMALL_MAX_ELEMS: usize = 1 << 16;
 /// multiply with, or the blocked loop [`reference()`] verifies with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Cache-tiled `ikj`, four rows of `C` at a time, over `B` tiles
-    /// `tile` deep and `4·tile` wide — unpacked and FMA-free: the
-    /// independent path [`reference()`] verifies against. The tile size
-    /// never changes the bits.
+    /// Cache-tiled `ikj` over `B` tiles `tile` deep and about `4·tile`
+    /// wide, swept by 4 × 8 register tiles of `C` — unpacked and
+    /// FMA-free: the independent path [`reference()`] verifies against.
+    /// The tile size never changes the bits.
     Blocked(usize),
     /// Panel-packed, register-tiled GEMM (the fast path; the default).
     ///
@@ -351,10 +351,12 @@ fn blocked(c: &mut Matrix, a: MatrixView<'_>, b: MatrixView<'_>, tile: usize, is
     if a.rows() == 0 || k == 0 || n == 0 {
         return;
     }
-    // `tile` is the depth of a `B` tile; its width is four times that
-    // (64 × 256 doubles = 128 KiB at the reference's `Blocked(64)`).
+    // `tile` is the depth of a `B` tile; its width is four times that,
+    // rounded up to whole register strips (64 × 256 doubles = 128 KiB
+    // at the reference's `Blocked(64)`). Both saturate: a huge tile is
+    // just one tile.
     let lt = tile.max(1);
-    let jt = lt.saturating_mul(4);
+    let jt = lt.div_ceil(2).saturating_mul(STRIP);
     let (c, a, b) = (c.as_mut_slice(), a.as_slice(), b.as_slice());
     match isa {
         ReferenceIsa::Baseline => blocked_body(c, a, b, k, n, lt, jt),
@@ -389,65 +391,141 @@ unsafe fn blocked_avx2(
     blocked_body(c, a, b, k, n, lt, jt);
 }
 
+/// Columns of the [`Kernel::Blocked`] register tile: one cache line of
+/// a `B` row, two AVX2 vectors.
+const STRIP: usize = 8;
+
 /// The [`Kernel::Blocked`] loop: `jt`-column × `lt`-deep tiles of `B`
-/// (L2-resident), swept by four rows of `C` at a time so one load of a
-/// `B` row segment feeds four `C` row segments (L1-resident). Unpacked
-/// and FMA-free on purpose; see [`reference()`]. `k`/`n` are the row
-/// strides of `a` and of `b`/`c`, all non-empty.
+/// (L2-resident), swept by four rows of `C` at a time, and those rows by
+/// 4 × [`STRIP`] register tiles ([`register_tile`]); the columns left
+/// over at the right edge of a tile, and the rows left over at the
+/// bottom, take the plain row sweep ([`row_sweep`]). Unpacked and
+/// FMA-free on purpose; see [`reference()`]. `k`/`n` are the row strides
+/// of `a` and of `b`/`c`, all non-empty.
 #[inline(always)]
 fn blocked_body(c: &mut [f64], a: &[f64], b: &[f64], k: usize, n: usize, lt: usize, jt: usize) {
-    // Shift the tile grid so every full tile starts on a cache-line
-    // boundary of `C`'s first row (of every row when `n % 8 == 0`). An
-    // allocator only promises 16 bytes, which leaves every other 32-byte
-    // vector of the inner loop straddling two lines: 63 ms became
-    // 85–94 ms at n = 768 whenever `C` landed that way.
-    let lead = c.as_ptr().align_offset(64).min(n);
+    // Shift the column grid so every full strip starts on a cache-line
+    // boundary of `B`'s first row (of every row when `n % 8 == 0`), so
+    // the inner loop's one load per `l` is one line, not two. An
+    // allocator only promises 16 bytes; at n = 768 the shift is worth
+    // ~10 % of the loop (DESIGN.md §9).
+    let lead = b.as_ptr().align_offset(64).min(n);
     let mut j0 = 0;
     while j0 < n {
-        let j1 = if j0 < lead { lead } else { (j0 + jt).min(n) };
-        for l0 in (0..k).step_by(lt) {
-            let l1 = (l0 + lt).min(k);
-            let brows = || b[l0 * n..l1 * n].chunks_exact(n).map(|row| &row[j0..j1]);
+        let j1 = if j0 < lead {
+            lead
+        } else {
+            j0.saturating_add(jt).min(n)
+        };
+        // End of the whole strips in `j0..j1`.
+        let js = j1 - (j1 - j0) % STRIP;
+        let mut l0 = 0;
+        while l0 < k {
+            let l1 = l0.saturating_add(lt).min(k);
             for (quad, arows) in c.chunks_mut(4 * n).zip(a.chunks(4 * k)) {
                 if quad.len() < 4 * n {
-                    // Ragged bottom edge: fewer than four rows left.
-                    for (crow, arow) in quad.chunks_exact_mut(n).zip(arows.chunks_exact(k)) {
-                        let crow = &mut crow[j0..j1];
-                        for (&a0, brow) in arow[l0..l1].iter().zip(brows()) {
-                            for (cv, bv) in crow.iter_mut().zip(brow) {
-                                *cv += a0 * bv;
-                            }
-                        }
-                    }
+                    row_sweep(quad, arows, b, k, n, (l0, l1), (j0, j1));
                     continue;
                 }
-                let (c0, rest) = quad.split_at_mut(n);
-                let (c1, rest) = rest.split_at_mut(n);
-                let (c2, c3) = rest.split_at_mut(n);
-                let (c0, c1, c2, c3) = (
-                    &mut c0[j0..j1],
-                    &mut c1[j0..j1],
-                    &mut c2[j0..j1],
-                    &mut c3[j0..j1],
-                );
-                let (a0, a1, a2, a3) = (
-                    &arows[l0..l1],
-                    &arows[k + l0..k + l1],
-                    &arows[2 * k + l0..2 * k + l1],
-                    &arows[3 * k + l0..3 * k + l1],
-                );
-                for (l, brow) in brows().enumerate() {
-                    let (a0, a1, a2, a3) = (a0[l], a1[l], a2[l], a3[l]);
-                    for (j, &bv) in brow.iter().enumerate() {
-                        c0[j] += a0 * bv;
-                        c1[j] += a1 * bv;
-                        c2[j] += a2 * bv;
-                        c3[j] += a3 * bv;
-                    }
+                for j in (j0..js).step_by(STRIP) {
+                    register_tile(quad, arows, b, k, n, (l0, l1), j);
+                }
+                if js < j1 {
+                    row_sweep(quad, arows, b, k, n, (l0, l1), (js, j1));
+                }
+            }
+            l0 = l1;
+        }
+        j0 = j1;
+    }
+}
+
+/// `C[i][j..j + STRIP] += A[i][l]·B[l][j..j + STRIP]` for the four rows
+/// `i` of `quad` and ascending `l` in `l0..l1`. The 4 × [`STRIP`] block
+/// of `C` stays in locals (registers, under AVX2) from the first `l` to
+/// the last, and each `B` row segment is loaded once for all four rows.
+/// Each element still sees `c = c + a·b`, rounded twice per `l`.
+#[inline(always)]
+fn register_tile(
+    quad: &mut [f64],
+    arows: &[f64],
+    b: &[f64],
+    k: usize,
+    n: usize,
+    (l0, l1): (usize, usize),
+    j: usize,
+) {
+    let mut t = [[0.0; STRIP]; 4];
+    for (r, tr) in t.iter_mut().enumerate() {
+        tr.copy_from_slice(&quad[r * n + j..][..STRIP]);
+    }
+    let arow = |r: usize| &arows[r * k + l0..r * k + l1];
+    let brows = b[l0 * n..l1 * n].chunks_exact(n);
+    for ((((brow, &a0), &a1), &a2), &a3) in
+        brows.zip(arow(0)).zip(arow(1)).zip(arow(2)).zip(arow(3))
+    {
+        let brow = &brow[j..j + STRIP];
+        for (tr, av) in t.iter_mut().zip([a0, a1, a2, a3]) {
+            for (tv, bv) in tr.iter_mut().zip(brow) {
+                *tv += av * bv;
+            }
+        }
+    }
+    for (r, tr) in t.iter().enumerate() {
+        quad[r * n + j..][..STRIP].copy_from_slice(tr);
+    }
+}
+
+/// `C[i][j0..j1] += A[i][l]·B[l][j0..j1]` for the rows `i` of `quad`
+/// (four at a time when it has four, else one by one) and ascending `l`
+/// in `l0..l1`, updating `C` in memory: the edges the register tile
+/// does not cover.
+#[inline(always)]
+fn row_sweep(
+    quad: &mut [f64],
+    arows: &[f64],
+    b: &[f64],
+    k: usize,
+    n: usize,
+    (l0, l1): (usize, usize),
+    (j0, j1): (usize, usize),
+) {
+    let brows = || b[l0 * n..l1 * n].chunks_exact(n).map(|row| &row[j0..j1]);
+    if quad.len() < 4 * n {
+        // Ragged bottom edge: fewer than four rows left.
+        for (crow, arow) in quad.chunks_exact_mut(n).zip(arows.chunks_exact(k)) {
+            let crow = &mut crow[j0..j1];
+            for (&a0, brow) in arow[l0..l1].iter().zip(brows()) {
+                for (cv, bv) in crow.iter_mut().zip(brow) {
+                    *cv += a0 * bv;
                 }
             }
         }
-        j0 = j1;
+        return;
+    }
+    let (c0, rest) = quad.split_at_mut(n);
+    let (c1, rest) = rest.split_at_mut(n);
+    let (c2, c3) = rest.split_at_mut(n);
+    let (c0, c1, c2, c3) = (
+        &mut c0[j0..j1],
+        &mut c1[j0..j1],
+        &mut c2[j0..j1],
+        &mut c3[j0..j1],
+    );
+    let (a0, a1, a2, a3) = (
+        &arows[l0..l1],
+        &arows[k + l0..k + l1],
+        &arows[2 * k + l0..2 * k + l1],
+        &arows[3 * k + l0..3 * k + l1],
+    );
+    for (l, brow) in brows().enumerate() {
+        let (a0, a1, a2, a3) = (a0[l], a1[l], a2[l], a3[l]);
+        for (j, &bv) in brow.iter().enumerate() {
+            c0[j] += a0 * bv;
+            c1[j] += a1 * bv;
+            c2[j] += a2 * bv;
+            c3[j] += a3 * bv;
+        }
     }
 }
 

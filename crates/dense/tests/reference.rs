@@ -17,7 +17,7 @@ use cubemm_dense::gemm::{
     alongside_reference, blocked_acc_with_isa, gemm_acc, reference, Kernel, ReferenceIsa,
     PAR_MIN_ELEMS,
 };
-use cubemm_dense::Matrix;
+use cubemm_dense::{Matrix, MatrixView};
 
 /// The pre-rewrite `gemm.rs::blocked`, verbatim: square `tile`-sized
 /// blocking of a row-at-a-time `ikj` loop.
@@ -73,7 +73,8 @@ fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
 }
 
 /// Ragged in every dimension: not multiples of the 4-row sweep, of the
-/// tile, or of a vector; vectors; empties. Miri keeps the small ones.
+/// tile, or of a vector; vectors; empties; `k` running several of the
+/// reference's 64-deep slabs past the first. Miri keeps the small ones.
 fn shapes() -> Vec<(usize, usize, usize)> {
     let mut v = vec![
         (1, 1, 1),
@@ -93,12 +94,16 @@ fn shapes() -> Vec<(usize, usize, usize)> {
             (130, 3, 259),
             (9, 130, 258),
             (64, 64, 256),
+            (9, 600, 19),
+            (4, 513, 8),
         ]);
     }
     v
 }
 
-const TILES: [usize; 4] = [1, 4, 64, 1000];
+/// `usize::MAX` is one tile over the whole product: the tile and slab
+/// arithmetic saturates rather than wrapping.
+const TILES: [usize; 5] = [1, 4, 64, 1000, usize::MAX];
 
 #[test]
 fn every_tile_and_isa_matches_the_frozen_loop_bitwise() {
@@ -137,17 +142,26 @@ fn every_tile_and_isa_matches_the_frozen_loop_bitwise() {
 
 #[test]
 fn accumulates_into_a_nonzero_c_like_the_frozen_loop() {
-    let (m, k, n) = if cfg!(miri) { (6, 5, 7) } else { (23, 70, 69) };
-    let a = Matrix::random(m, k, 11);
-    let b = Matrix::random(k, n, 12);
-    let c0 = Matrix::random(m, n, 13);
-    let mut want = c0.clone();
-    frozen_blocked(&mut want, &a, &b, 64);
-    for tile in TILES {
-        for isa in isas() {
-            let mut got = c0.clone();
-            blocked_acc_with_isa(&mut got, &a, &b, tile, isa);
-            assert_same_bits(&got, &want, &format!("{isa:?} tile {tile}"));
+    // Each register tile is loaded from `C` and written back once per
+    // slab, so a product `k` deep crosses the write-back at every slab
+    // boundary (64 for the reference; 1 and 4 for the small tiles).
+    let shapes: &[(usize, usize, usize)] = if cfg!(miri) {
+        &[(6, 5, 7), (5, 9, 10)]
+    } else {
+        &[(23, 70, 69), (9, 130, 17), (6, 193, 8)]
+    };
+    for &(m, k, n) in shapes {
+        let a = Matrix::random(m, k, 11);
+        let b = Matrix::random(k, n, 12);
+        let c0 = Matrix::random(m, n, 13);
+        let mut want = c0.clone();
+        frozen_blocked(&mut want, &a, &b, 64);
+        for tile in TILES {
+            for isa in isas() {
+                let mut got = c0.clone();
+                blocked_acc_with_isa(&mut got, &a, &b, tile, isa);
+                assert_same_bits(&got, &want, &format!("{isa:?} tile {tile} at {m}x{k}x{n}"));
+            }
         }
     }
 }
@@ -184,6 +198,99 @@ fn special_values_propagate_exactly_like_the_frozen_loop() {
             let mut got = Matrix::zeros(m, n);
             blocked_acc_with_isa(&mut got, &a, &b, tile, isa);
             assert_same_bits(&got, &want, &format!("{isa:?} tile {tile}"));
+        }
+    }
+}
+
+#[test]
+fn special_values_straddling_a_slab_boundary_propagate_exactly() {
+    // The last `l` of one slab and the first of the next carry ±0, ±inf
+    // and NaN, so an inf from one slab meets a −inf (or a NaN) from the
+    // next only after the tile went through `C` in memory. `C` starts at
+    // −0, which keeps the sign of an all-zero sum observable.
+    let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    let (slab, m, n) = if cfg!(miri) { (4, 5, 9) } else { (64, 11, 21) };
+    let k = 2 * slab + 2;
+    let mut a = Matrix::random(m, k, 23);
+    let mut b = Matrix::random(k, n, 24);
+    for l in [slab - 1, slab] {
+        for i in 0..m {
+            a[(i, l)] = specials[(i + l) % specials.len()];
+        }
+        for j in 0..n {
+            b[(l, j)] = specials[(j + 2 * l) % specials.len()];
+        }
+    }
+    // Row 1 · column 2 is a sum of −0 products only: −0 if and only if
+    // no `+0` ever enters it, across the slab boundary too.
+    for l in 0..k {
+        a[(1, l)] = 0.0;
+        b[(l, 2)] = -0.0;
+    }
+    let c0 = Matrix::from_fn(m, n, |_, _| -0.0);
+    let mut want = c0.clone();
+    frozen_blocked(&mut want, &a, &b, 64);
+    let v = want.as_slice();
+    assert!(v.iter().any(|v| v.is_nan()));
+    assert!(v.iter().any(|v| v.is_infinite()));
+    assert!(v.iter().any(|v| v.is_finite()));
+    assert_eq!(want[(1, 2)].to_bits(), (-0.0f64).to_bits());
+    for tile in TILES {
+        for isa in isas() {
+            let mut got = c0.clone();
+            blocked_acc_with_isa(&mut got, &a, &b, tile, isa);
+            assert_same_bits(&got, &want, &format!("{isa:?} tile {tile}"));
+        }
+    }
+}
+
+/// `b`'s words copied `phase` words into a fresh buffer: with phases
+/// 0..8, the kernel sees `B` start at every 8-byte offset within a
+/// 64-byte cache line.
+fn at_phase(b: &Matrix, phase: usize) -> Vec<f64> {
+    let mut buf = vec![0.0; phase + b.words()];
+    buf[phase..].copy_from_slice(b.as_slice());
+    buf
+}
+
+#[test]
+fn every_ragged_edge_of_the_register_tile_matches_at_every_line_phase() {
+    // Full 8-column strips start where `B`'s first row meets a cache
+    // line, so which columns the register tile covers depends on where
+    // `B` sits: all eight phases are tried. `m mod 4 ∈ {1, 2, 3}` leaves
+    // rows below the last four-row quad; `n < 8` has no full strip at
+    // all; `8 < n < 16` leaves `n mod 8 ∈ {1..7}` columns.
+    let (k, ms, ns, phases): (usize, &[usize], Vec<usize>, Vec<usize>) = if cfg!(miri) {
+        (3, &[5, 7], vec![3, 13], vec![0, 3])
+    } else {
+        (
+            70,
+            &[5, 6, 7],
+            (1..16).filter(|&n| n != 8).collect(),
+            (0..8).collect(),
+        )
+    };
+    for &m in ms {
+        for &n in &ns {
+            let a = Matrix::random(m, k, 40 + m as u64);
+            let b = Matrix::random(k, n, 60 + n as u64);
+            let mut want = Matrix::zeros(m, n);
+            frozen_blocked(&mut want, &a, &b, 64);
+            for &phase in &phases {
+                let buf = at_phase(&b, phase);
+                let b = MatrixView::new(k, n, &buf[phase..]);
+                for tile in TILES {
+                    for isa in isas() {
+                        let mut got = Matrix::zeros(m, n);
+                        blocked_acc_with_isa(&mut got, &a, b, tile, isa);
+                        assert_same_bits(
+                            &got,
+                            &want,
+                            &format!("{isa:?} tile {tile} at {m}x{k}x{n}, B phase {phase}"),
+                        );
+                    }
+                }
+            }
         }
     }
 }
