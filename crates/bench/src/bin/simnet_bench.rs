@@ -7,7 +7,9 @@
 //! models, as ns and heap allocations per message) and Cannon's shift
 //! phase on the same machine's 64 × 64 grid (`rows64_shift`: 63 XOR-Gray
 //! steps, each node trading a 16-word block with its row and its column
-//! neighbour per step), and writes the
+//! neighbour per step), plus the failure path (`abort`: a p = 4096
+//! one-port run that deadlocks after one exchange round, as µs and heap
+//! allocations per failed run), and writes the
 //! results as `BENCH_simnet.json` in the working directory, mirroring
 //! the `BENCH_kernels.json` format (host cores, ISA and cache sizes in
 //! the header).
@@ -20,9 +22,10 @@
 //! ```
 //!
 //! `--smoke` runs the small sizes only — plus a p = 4096 spin-up, one
-//! collective row and the one-port shift row — and cross-checks every
-//! case's virtual-time result against its closed form, exiting non-zero
-//! on mismatch — a cheap guard that keeps the simulator and bench code
+//! collective row, the one-port shift row and the abort row — and
+//! cross-checks every case's virtual-time result against its closed form
+//! (the abort row's exact list of blocked receives instead), exiting
+//! non-zero on mismatch — a cheap guard that keeps the simulator and bench code
 //! from bit-rotting. The full run performs the same verification before
 //! timing anything, and includes spin-up points at p = 4096 and
 //! p = 65536. A `--baseline FILE` reads a previously written
@@ -36,7 +39,7 @@ use cubemm_bench::alloc_count::{allocations_during, CountingAlloc};
 use cubemm_bench::rows::{self, RowCollective};
 use cubemm_collectives::allgather;
 use cubemm_simnet::json::Json;
-use cubemm_simnet::{CostParams, Machine, PortModel, Proc, RunStats};
+use cubemm_simnet::{Blocked, CostParams, Machine, PortModel, Proc, RunError, RunStats};
 use cubemm_topology::Subcube;
 
 /// Counts allocations so the collective rows can report them per
@@ -71,6 +74,9 @@ enum Kind {
     Rows(RowCollective),
     /// Cannon's shift phase on the `ROW_NODES × ROW_NODES` grid.
     Shift,
+    /// One exchange round, then every node waits on a message its
+    /// partner never sends: the run fails with a deadlock.
+    Abort,
 }
 
 #[derive(Clone, Copy)]
@@ -88,6 +94,7 @@ impl Case {
             Kind::Allgather => "allgather".to_string(),
             Kind::Rows(kind) => format!("rows{ROW_NODES}_{}", kind.name()),
             Kind::Shift => format!("rows{ROW_NODES}_shift"),
+            Kind::Abort => "abort".to_string(),
         }
     }
 
@@ -100,24 +107,31 @@ impl Case {
 }
 
 /// Boots `machine` and runs `program` on every node.
-fn run<O, F, Fut>(machine: &Machine, program: F) -> RunStats
+fn run<O, F, Fut>(machine: &Machine, program: F) -> Result<RunStats, RunError>
 where
     F: Fn(Proc, ()) -> Fut,
     Fut: std::future::Future<Output = O>,
 {
-    #[allow(
-        clippy::expect_used,
-        reason = "bench programs are healthy by construction; failure is a bench bug"
-    )]
     machine
         .run(vec![(); machine.p()], program)
-        .expect("healthy bench run")
-        .stats
+        .map(|out| out.stats)
+}
+
+/// The abort case's deadlock report: every node blocked on tag 1 from
+/// its dimension-0 partner.
+fn abort_blocked(p: usize) -> Vec<Blocked> {
+    (0..p)
+        .map(|node| Blocked {
+            node,
+            from: node ^ 1,
+            tag: 1,
+        })
+        .collect()
 }
 
 /// Builds the case's machine and inputs, untimed, and returns the run
 /// itself for the caller to time.
-fn prepare(case: Case) -> Box<dyn FnOnce() -> RunStats> {
+fn prepare(case: Case) -> Box<dyn FnOnce() -> Result<RunStats, RunError>> {
     #[allow(
         clippy::expect_used,
         reason = "bench machine shapes are fixed and valid; failure is a bench bug"
@@ -155,19 +169,40 @@ fn prepare(case: Case) -> Box<dyn FnOnce() -> RunStats> {
         }),
         Kind::Rows(kind) => {
             let inputs = rows::inputs(kind, p, ROW_NODES, ROW_WORDS);
-            Box::new(move || rows::run(&machine, kind, ROW_NODES, inputs))
+            Box::new(move || Ok(rows::run(&machine, kind, ROW_NODES, inputs)))
         }
         Kind::Shift => {
             let inputs = rows::shift::inputs(p, ROW_WORDS);
-            Box::new(move || rows::shift::run(&machine, inputs))
+            Box::new(move || Ok(rows::shift::run(&machine, inputs)))
         }
+        Kind::Abort => Box::new(move || {
+            run(&machine, |mut proc, ()| async move {
+                let partner = proc.id() ^ 1;
+                proc.exchange(partner, 0, [proc.id() as f64]).await;
+                let _ = proc.recv(partner, 1).await;
+            })
+        }),
     }
 }
 
 /// Verifies each case's virtual time against its closed form — the
 /// simulator must get faster without changing a single simulated number.
+/// The abort case must fail with exactly its deadlock report.
 fn verify(case: Case) -> Result<(), String> {
-    let elapsed = prepare(case)().elapsed;
+    let label = format!("{}/p={}/{}", case.name(), case.p, case.port_name());
+    let result = prepare(case)();
+    if case.kind == Kind::Abort {
+        let want = RunError::Deadlock {
+            blocked: abort_blocked(case.p),
+        };
+        return match result {
+            Err(err) if err == want => Ok(()),
+            _ => Err(format!(
+                "{label}: did not end in the deadlock naming every node"
+            )),
+        };
+    }
+    let elapsed = result.map_err(|e| format!("{label}: {e}"))?.elapsed;
     let want = match case.kind {
         Kind::Spinup => 0.0,
         // Each volley is two serialized 4-word hops.
@@ -179,21 +214,19 @@ fn verify(case: Case) -> Result<(), String> {
         }
         Kind::Rows(kind) => kind.closed_form(COST, case.port, ROW_NODES, ROW_WORDS),
         Kind::Shift => rows::shift::closed_form(COST, case.port, ROW_NODES, ROW_WORDS),
+        Kind::Abort => unreachable!("checked above"),
     };
     if elapsed != want {
         return Err(format!(
-            "{}/p={}/{}: virtual time {elapsed} != closed form {want}",
-            case.name(),
-            case.p,
-            case.port_name()
+            "{label}: virtual time {elapsed} != closed form {want}"
         ));
     }
     Ok(())
 }
 
-/// One measured case: median wall seconds, messages injected, and the
-/// heap allocations of one run (exact: every node runs on the measuring
-/// thread).
+/// One measured case: median wall seconds, messages injected (none
+/// counted for a failed run), and the heap allocations of one run
+/// (exact: every node runs on the measuring thread).
 struct Measured {
     seconds: f64,
     messages: usize,
@@ -201,19 +234,19 @@ struct Measured {
 }
 
 fn measure(case: Case, reps: usize) -> Measured {
-    let (stats, allocations) = allocations_during(prepare(case)); // also the warm-up
+    let (result, allocations) = allocations_during(prepare(case)); // also the warm-up
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
             let job = prepare(case);
             let t = Instant::now();
-            std::hint::black_box(job());
+            let _ = std::hint::black_box(job());
             t.elapsed().as_secs_f64()
         })
         .collect();
     samples.sort_by(f64::total_cmp);
     Measured {
         seconds: samples[samples.len() / 2],
-        messages: stats.total_messages(),
+        messages: result.map_or(0, |stats| stats.total_messages()),
         allocations,
     }
 }
@@ -288,6 +321,8 @@ fn main() {
             // path is tuned for.
             rows_case(RowCollective::Allgather, PortModel::MultiPort),
             grid_case(Kind::Shift, PortModel::OnePort),
+            // The failure path: every node parked when the run dies.
+            case(Kind::Abort, 4096),
         ]
     } else {
         let mut cases = vec![
@@ -312,6 +347,7 @@ fn main() {
         for port in [PortModel::OnePort, PortModel::MultiPort] {
             cases.push(grid_case(Kind::Shift, port));
         }
+        cases.push(case(Kind::Abort, 4096));
         cases
     };
 
@@ -328,8 +364,8 @@ fn main() {
     let reps = if smoke { 3 } else { 9 };
     let mut rows: Vec<String> = Vec::new();
     println!(
-        "{:<22} {:>6} {:>6} {:>12} {:>10} {:>11} {:>10}",
-        "case", "p", "port", "seconds", "ns/msg", "allocs/msg", "vs base"
+        "{:<22} {:>6} {:>6} {:>12} {:>10} {:>11} {:>9} {:>10}",
+        "case", "p", "port", "seconds", "ns/msg", "allocs/msg", "allocs", "vs base"
     );
     for &case in &cases {
         let m = measure(case, reps);
@@ -343,24 +379,26 @@ fn main() {
         let allocs_per_msg = per_msg(m.allocations as f64);
         let speedup = base.map(|b| b / m.seconds);
         println!(
-            "{:<22} {:>6} {:>6} {:>12.6} {:>10} {:>11} {:>10}",
+            "{:<22} {:>6} {:>6} {:>12.6} {:>10} {:>11} {:>9} {:>10}",
             name,
             case.p,
             port,
             m.seconds,
             num_or(ns_per_msg, 0, "-"),
             num_or(allocs_per_msg, 2, "-"),
+            m.allocations,
             speedup.map_or_else(|| "-".to_string(), |s| format!("{s:.2}x")),
         );
         rows.push(format!(
             "    {{\"case\": \"{name}\", \"p\": {}, \"port\": \"{port}\", \
              \"seconds\": {:.6}, \"messages\": {}, \"ns_per_msg\": {}, \"allocs_per_msg\": {}, \
-             \"speedup_vs_baseline\": {}}}",
+             \"allocs\": {}, \"speedup_vs_baseline\": {}}}",
             case.p,
             m.seconds,
             m.messages,
             num_or(ns_per_msg, 1, "null"),
             num_or(allocs_per_msg, 2, "null"),
+            m.allocations,
             num_or(speedup, 3, "null"),
         ));
     }

@@ -1,7 +1,7 @@
 //! `cubemm chaos`: the seeded, coverage-guided fault campaign.
 
 use cubemm_core::Algorithm;
-use cubemm_harness::chaos::{run_campaign, ChaosOptions, Coverage};
+use cubemm_harness::chaos::{operands, run_campaign_on, ChaosOptions, Coverage};
 use cubemm_harness::recovery::RecoveryPolicy;
 
 use super::{parse_algo, selector};
@@ -65,11 +65,14 @@ pub fn chaos(argv: &[String]) -> Result<i32, String> {
         vec![parse_algo(&selector)?]
     };
 
+    // An order no host can hold is a typed error, worded as `run` and
+    // `sweep` word it, before any campaign starts.
+    let (a, b) = operands(opts.n)?;
     let mut aggregate = Coverage::new();
     let mut total_violations = 0usize;
     for algo in &algos {
-        let report =
-            run_campaign(*algo, seed, &opts).map_err(|e| format!("chaos {}: {e}", algo.name()))?;
+        let report = run_campaign_on(*algo, seed, &opts, &a, &b)
+            .map_err(|e| format!("chaos {}: {e}", algo.name()))?;
         print!("{}", report.render());
         aggregate.merge(&report.coverage);
         total_violations += report.violations.len();

@@ -1,14 +1,19 @@
-//! `cubemm run`'s report is pinned byte for byte.
+//! `cubemm run`'s report and its failure paths are pinned byte for byte.
 //!
 //! `golden/run_transcripts.txt` holds the stdout, stderr and exit code
 //! of `cubemm run` for every algorithm, both port models, plain and
 //! `--abft`, at (n, p) = (24, 64), as the binary printed them before
-//! `run` became a formatter over `cubemm_harness::job`. Every case is
-//! re-run here and must match exactly.
+//! `run` became a formatter over `cubemm_harness::job`.
+//! `golden/failure_transcripts.txt` holds runs that end in a deadlock, a
+//! scheduled crash or a strict dead link, plain and `--abft`, and a
+//! chaos campaign over every algorithm, as the binary printed them while
+//! an aborted run still unwound every parked node. Every case is re-run
+//! here and must match exactly.
 
 use std::process::Command;
 
 const TRANSCRIPTS: &str = include_str!("golden/run_transcripts.txt");
+const FAILURES: &str = include_str!("golden/failure_transcripts.txt");
 
 /// One case as the golden file spells it: its stdout, each stderr line
 /// after `! `, then `exit CODE`.
@@ -24,9 +29,9 @@ fn transcript(args: &str) -> String {
     text + &format!("exit {}\n", out.status.code().expect("exit code"))
 }
 
-#[test]
-fn run_reports_match_the_golden_transcripts() {
-    let body: String = TRANSCRIPTS
+/// Re-runs every case of a golden file and returns how many it held.
+fn check_golden(file: &str) -> usize {
+    let body: String = file
         .lines()
         .skip_while(|l| l.starts_with('#'))
         .map(|l| format!("{l}\n"))
@@ -37,7 +42,17 @@ fn run_reports_match_the_golden_transcripts() {
         assert_eq!(transcript(args), want, "cubemm {args}");
         cases += 1;
     }
-    assert_eq!(cases, 14 * 2 * 2);
+    cases
+}
+
+#[test]
+fn run_reports_match_the_golden_transcripts() {
+    assert_eq!(check_golden(TRANSCRIPTS), 14 * 2 * 2);
+}
+
+#[test]
+fn failing_runs_match_the_golden_transcripts() {
+    assert_eq!(check_golden(FAILURES), 3 * 2 + 1);
 }
 
 #[test]

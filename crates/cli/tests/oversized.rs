@@ -3,7 +3,7 @@
 //! `cubemm serve` and `cubemm run` check the shape first and then
 //! generate operands fallibly, so a job whose `n × n` operands cannot be
 //! allocated is answered `rejected` (serve keeps reading its stream) or
-//! fails with a typed error and exit 2 (run, and sweep). The oversized order here,
+//! fails with a typed error and exit 2 (run, sweep and chaos). The oversized order here,
 //! `n = 4·10⁹`, needs more bytes than any single allocation may request,
 //! so the refusal never depends on the host's overcommit policy.
 
@@ -68,6 +68,21 @@ fn run_reports_an_unallocatable_order_as_a_typed_error() {
     for abft in ["", " --abft"] {
         let out = cubemm(&format!("run --algo cannon --n {BIG} --p 4{abft}"), "");
         assert_eq!(out.status.code(), Some(2), "{abft}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: cannot allocate a {BIG} × {BIG} matrix\n")
+        );
+        assert!(out.stdout.is_empty());
+    }
+}
+
+/// `chaos` draws its campaign operands fallibly too, before probing any
+/// machine size, for one algorithm and for all of them.
+#[test]
+fn chaos_reports_an_unallocatable_order_as_a_typed_error() {
+    for algo in ["cannon", "all"] {
+        let out = cubemm(&format!("chaos {algo} --n {BIG} --runs 1"), "");
+        assert_eq!(out.status.code(), Some(2), "{algo}: {out:?}");
         assert_eq!(
             String::from_utf8_lossy(&out.stderr),
             format!("error: cannot allocate a {BIG} × {BIG} matrix\n")

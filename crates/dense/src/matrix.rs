@@ -25,6 +25,17 @@ fn random_words(len: usize, seed: u64) -> impl Iterator<Item = f64> {
     })
 }
 
+/// Empty storage with room for a `rows × cols` matrix: a word count
+/// that overflows `usize` or cannot be allocated is an error, not an
+/// abort.
+fn try_storage(rows: usize, cols: usize) -> Result<Vec<f64>, String> {
+    let cannot = || format!("cannot allocate a {rows} × {cols} matrix");
+    let len = rows.checked_mul(cols).ok_or_else(cannot)?;
+    let mut data = Vec::new();
+    data.try_reserve_exact(len).map_err(|_| cannot())?;
+    Ok(data)
+}
+
 /// Owned row-major dense matrix.
 ///
 /// ```
@@ -86,11 +97,25 @@ impl Matrix {
     /// overflows `usize` or cannot be allocated is an error, not an
     /// abort. The entries are the same.
     pub fn try_random(rows: usize, cols: usize, seed: u64) -> Result<Self, String> {
-        let cannot = || format!("cannot allocate a {rows} × {cols} matrix");
-        let len = rows.checked_mul(cols).ok_or_else(cannot)?;
-        let mut data = Vec::new();
-        data.try_reserve_exact(len).map_err(|_| cannot())?;
-        data.extend(random_words(len, seed));
+        let mut data = try_storage(rows, cols)?;
+        data.extend(random_words(rows * cols, seed));
+        Ok(Matrix { rows, cols, data })
+    }
+
+    /// [`Matrix::from_fn`] for untrusted shapes: an order whose storage
+    /// overflows `usize` or cannot be allocated is an error, not an
+    /// abort. The entries are the same.
+    pub fn try_from_fn(
+        rows: usize,
+        cols: usize,
+        mut f: impl FnMut(usize, usize) -> f64,
+    ) -> Result<Self, String> {
+        let mut data = try_storage(rows, cols)?;
+        for r in 0..rows {
+            for c in 0..cols {
+                data.push(f(r, c));
+            }
+        }
         Ok(Matrix { rows, cols, data })
     }
 
@@ -393,6 +418,18 @@ mod tests {
         assert_eq!(err, "cannot allocate a 2147483648 × 1073741824 matrix");
         // The word count itself overflows.
         assert!(Matrix::try_random(usize::MAX, 2, 1).is_err());
+    }
+
+    #[test]
+    fn try_from_fn_matches_from_fn_and_refuses_impossible_shapes() {
+        let f = |r: usize, c: usize| (r * 10 + c) as f64;
+        assert_eq!(
+            Matrix::try_from_fn(3, 4, f).unwrap(),
+            Matrix::from_fn(3, 4, f)
+        );
+        let err = Matrix::try_from_fn(4_000_000_000, 4_000_000_000, f).unwrap_err();
+        assert_eq!(err, "cannot allocate a 4000000000 × 4000000000 matrix");
+        assert!(Matrix::try_from_fn(usize::MAX, 2, f).is_err());
     }
 
     #[test]

@@ -366,10 +366,23 @@ pub struct Probe {
     edges: Vec<(usize, usize)>,
 }
 
+/// Entry `(r, c)` of the small-integer test matrix `salt`.
+fn int_entry(salt: usize) -> impl Fn(usize, usize) -> f64 {
+    move |r, c| ((r * 7 + c * 3 + salt) % 5) as f64 - 2.0
+}
+
 /// Deterministic small-integer test matrices (exact in f64, so the
 /// bitwise oracle is meaningful).
 pub fn ints(n: usize, salt: usize) -> Matrix {
-    Matrix::from_fn(n, n, |r, c| ((r * 7 + c * 3 + salt) % 5) as f64 - 2.0)
+    Matrix::from_fn(n, n, int_entry(salt))
+}
+
+/// A campaign's operands, `ints(n, 1)` and `ints(n, 2)`, drawn
+/// fallibly: an order whose storage cannot be allocated is an error,
+/// not an abort.
+pub fn operands(n: usize) -> Result<(Matrix, Matrix), String> {
+    let ints = |salt| Matrix::try_from_fn(n, n, int_entry(salt));
+    Ok((ints(1)?, ints(2)?))
 }
 
 /// Probes `algo` at order `n`: picks the smallest machine from
@@ -378,14 +391,21 @@ pub fn ints(n: usize, salt: usize) -> Matrix {
 /// can finish in two communication calls), runs one traced healthy
 /// protected multiply, and harvests every injection site.
 pub fn probe(algo: Algorithm, n: usize) -> Result<Probe, String> {
+    let (a, b) = operands(n)?;
+    probe_operands(algo, &a, &b)
+}
+
+/// [`probe`] on operands already drawn by [`operands`].
+fn probe_operands(algo: Algorithm, a: &Matrix, b: &Matrix) -> Result<Probe, String> {
     const MIN_SCHEDULE: u64 = 6;
+    let n = a.rows();
     let mut shallow = None;
     for &p in &P_MENU {
         match padded_order(algo, n, p) {
             Ok(total) if total <= 4 * n => {}
             _ => continue,
         }
-        let Ok(probe) = probe_at(algo, n, p) else {
+        let Ok(probe) = probe_at(algo, a, b, p) else {
             continue;
         };
         if probe.rounds >= MIN_SCHEDULE {
@@ -403,10 +423,9 @@ pub fn probe(algo: Algorithm, n: usize) -> Result<Probe, String> {
     })
 }
 
-fn probe_at(algo: Algorithm, n: usize, p: usize) -> Result<Probe, String> {
-    let (a, b) = (ints(n, 1), ints(n, 2));
+fn probe_at(algo: Algorithm, a: &Matrix, b: &Matrix, p: usize) -> Result<Probe, String> {
     let cfg = MachineConfig::default().with_trace();
-    let res = multiply_abft_with_tol(algo, &a, &b, p, &cfg, Some(CHAOS_TOL))
+    let res = multiply_abft_with_tol(algo, a, b, p, &cfg, Some(CHAOS_TOL))
         .map_err(|e| format!("{}: healthy probe failed: {e}", algo.name()))?;
     if !res.outcome.is_good() {
         return Err(format!(
@@ -466,7 +485,7 @@ fn probe_at(algo: Algorithm, n: usize, p: usize) -> Result<Probe, String> {
     }
     Ok(Probe {
         algo,
-        n,
+        n: a.rows(),
         p,
         rounds: res.stats.nodes.iter().map(|n| n.rounds).max().unwrap_or(0),
         node_rounds: res.stats.nodes.iter().map(|n| n.rounds).collect(),
@@ -1111,9 +1130,22 @@ pub fn run_campaign(
     seed: u64,
     opts: &ChaosOptions,
 ) -> Result<CampaignReport, String> {
-    let probe = probe(algo, opts.n)?;
-    let (a, b) = (ints(opts.n, 1), ints(opts.n, 2));
-    let reference = gemm::reference(&a, &b);
+    let (a, b) = operands(opts.n)?;
+    run_campaign_on(algo, seed, opts, &a, &b)
+}
+
+/// [`run_campaign`] on operands already drawn by
+/// [`operands`]`(opts.n)`, so campaigns over several algorithms share
+/// one pair.
+pub fn run_campaign_on(
+    algo: Algorithm,
+    seed: u64,
+    opts: &ChaosOptions,
+    a: &Matrix,
+    b: &Matrix,
+) -> Result<CampaignReport, String> {
+    let probe = probe_operands(algo, a, b)?;
+    let reference = gemm::reference(a, b);
     let budget = opts.budget_factor * (probe.elapsed + 1.0)
         + opts.policy.max_backoff * opts.policy.max_attempts as f64;
     let mut rng = ChaosRng::new(seed ^ algo_salt(algo));
@@ -1135,7 +1167,7 @@ pub fn run_campaign(
         let k = 1 + rng.below(opts.max_entries.max(1) as u64) as usize;
         let cells = pick_cells(&report.coverage, &mut rng, k);
         let (plan, placed) = generate_plan(&probe, &cells, &mut rng);
-        let outcome = run_trial(algo, &a, &b, probe.p, &plan, &opts.policy);
+        let outcome = run_trial(algo, a, b, probe.p, &plan, &opts.policy);
         credit_coverage(&mut report.coverage, &placed, &outcome);
         match &outcome {
             Ok((res, rep)) => {
@@ -1161,7 +1193,7 @@ pub fn run_campaign(
             continue;
         }
         let shrunk = shrink_plan(&plan, |candidate| {
-            let o = run_trial(algo, &a, &b, probe.p, candidate, &opts.policy);
+            let o = run_trial(algo, a, b, probe.p, candidate, &opts.policy);
             let cctx = TrialContext {
                 plan: candidate,
                 reference: &reference,

@@ -685,6 +685,12 @@ impl FaultPlan {
         self.families & 1 << Family::Corrupt as u8 != 0
     }
 
+    /// Whether the plan schedules any message drop at all — the
+    /// engine's cheap gate before it starts counting injections.
+    pub fn has_drops(&self) -> bool {
+        self.families & 1 << Family::Drop as u8 != 0
+    }
+
     /// Whether re-routing around dead links is forbidden.
     pub fn is_strict(&self) -> bool {
         self.strict
@@ -971,6 +977,9 @@ mod tests {
     #[test]
     fn drops_are_per_sequence_number() {
         let plan = FaultPlan::new().with_drop(1, 2, 0).with_drop(1, 2, 2);
+        assert!(plan.has_drops());
+        assert!(!plan.has_corruptions());
+        assert!(!FaultPlan::new().with_dead_link(0, 1).has_drops());
         assert!(plan.drops_nth(1, 2, 0));
         assert!(!plan.drops_nth(1, 2, 1));
         assert!(plan.drops_nth(1, 2, 2));

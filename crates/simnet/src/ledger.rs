@@ -29,17 +29,18 @@
 //!    last), not by a host-time watchdog. Virtual clocks never see host
 //!    time, so detection cannot leak into results.
 //!
-//! Aborts (node panic, typed link failure, deadlock) store the first
-//! failure; the loop then polls every parked node once more, and each
-//! unwinding receiver records the `(from, tag)` it was blocked on for
-//! the post-mortem report.
+//! Aborts (node panic, typed link failure, scheduled crash, deadlock)
+//! store the first failure as the run's [`RunError`], and the loop polls
+//! no node after it. A deadlock's report is read straight off the parked
+//! table when it is declared: at that instant every live node is parked
+//! on the receive it names.
 //!
 //! [`Proc`]: crate::Proc
 
 use std::cell::RefCell;
 use std::task::Poll;
 
-use crate::machine::{Blocked, Failure};
+use crate::machine::{Blocked, RunError};
 use crate::proc::Envelope;
 use crate::stats::NodeStats;
 use crate::trace::TraceEvent;
@@ -76,8 +77,6 @@ pub(crate) enum Delivery {
     /// Queued in the destination mailbox (and the destination unparked
     /// if it was waiting on exactly this `(from, tag)`).
     Delivered,
-    /// The machine is aborting; the sender should unwind quietly.
-    Aborting,
     /// The destination already finished its program — an SPMD protocol
     /// bug on a healthy machine.
     DestFinished,
@@ -97,7 +96,7 @@ struct State {
     /// The virtual clock each node last parked at: where the loop
     /// re-enqueues it when it wakes.
     clocks: Vec<f64>,
-    /// Whether each node has finished (returned or unwound).
+    /// Whether each node has returned from its program.
     done: Vec<bool>,
     /// Each node's final statistics and trace, once its `Proc` dropped.
     parts: Vec<Option<NodeParts>>,
@@ -105,11 +104,8 @@ struct State {
     live: usize,
     /// Nodes currently blocked in a receive.
     parked_count: usize,
-    aborting: bool,
-    /// First failure wins; later ones are cascading victims.
-    failure: Option<Failure>,
-    /// Parked receives recorded as nodes unwind, for the deadlock report.
-    blocked: Vec<Blocked>,
+    /// The run's failure, once it has one: the loop stops polling then.
+    failure: Option<RunError>,
     /// Nodes unparked by a direct handoff since the loop last drained
     /// the list (it does after every poll).
     woken: Vec<usize>,
@@ -132,9 +128,7 @@ impl Ledger {
                 parts: (0..p).map(|_| None).collect(),
                 live: p,
                 parked_count: 0,
-                aborting: false,
                 failure: None,
-                blocked: Vec::new(),
                 woken: Vec::new(),
             }),
         }
@@ -145,11 +139,7 @@ impl Ledger {
     pub(crate) fn inject(&self, to: usize, env: Envelope) -> Delivery {
         let mut s = self.state.borrow_mut();
         if s.done[to] {
-            return if s.aborting {
-                Delivery::Aborting
-            } else {
-                Delivery::DestFinished
-            };
+            return Delivery::DestFinished;
         }
         if s.parked[to] == Some((env.from, env.tag)) {
             // Exact wakeup: hand the envelope straight to the waiting
@@ -168,96 +158,68 @@ impl Ledger {
     }
 
     /// One non-blocking pass of the check-then-park receive protocol for
-    /// node `id` at virtual time `clock`. `Ready(Ok)` hands over the
-    /// matching envelope; `Pending` means the node parked (the loop
-    /// resumes it once [`Ledger::drain_woken`] names it); `Ready(Err(()))`
-    /// means the machine aborted (the blocked receive has been recorded)
-    /// and the caller must unwind quietly.
+    /// node `id` at virtual time `clock`. `Ready` hands over the matching
+    /// envelope; `Pending` means the node parked (the loop resumes it
+    /// once [`Ledger::drain_woken`] names it). The receive that parks the
+    /// last live node declares the deadlock and stays parked too.
     pub(crate) fn poll_receive(
         &self,
         id: usize,
         from: usize,
         tag: u64,
         clock: f64,
-    ) -> Poll<Result<Envelope, ()>> {
+    ) -> Poll<Envelope> {
         let mut s = self.state.borrow_mut();
-        loop {
-            if s.aborting {
-                s.blocked.push(Blocked {
-                    node: id,
-                    from,
-                    tag,
-                });
-                return Poll::Ready(Err(()));
-            }
-            if let Some(env) = s.handoff[id].take() {
-                debug_assert!(env.from == from && env.tag == tag);
-                return Poll::Ready(Ok(env));
-            }
-            if let Some(env) = dequeue(&mut s.mailboxes[id], from, tag) {
-                return Poll::Ready(Ok(env));
-            }
-            if s.parked[id].is_none() {
-                s.parked[id] = Some((from, tag));
-                s.clocks[id] = clock;
-                s.parked_count += 1;
-                if s.parked_count == s.live {
-                    // Every live node is blocked and no matching message
-                    // exists (a matching inject would have unparked its
-                    // target): the run can never progress again.
-                    declare_deadlock(&mut s);
-                    continue; // loop top records this node and errors out
-                }
-            }
-            return Poll::Pending;
+        if let Some(env) = s.handoff[id].take() {
+            debug_assert!(env.from == from && env.tag == tag);
+            return Poll::Ready(env);
         }
+        if let Some(env) = dequeue(&mut s.mailboxes[id], from, tag) {
+            return Poll::Ready(env);
+        }
+        // Only a handoff re-enqueues a parked node, and it unparks it.
+        debug_assert!(s.parked[id].is_none(), "node {id} polled while parked");
+        s.parked[id] = Some((from, tag));
+        s.clocks[id] = clock;
+        s.parked_count += 1;
+        if s.parked_count == s.live {
+            // Every live node is blocked and no matching message exists
+            // (a matching inject would have unparked its target): the
+            // run can never progress again.
+            declare_deadlock(&mut s);
+        }
+        Poll::Pending
     }
 
     /// Hands every node unparked by a handoff since the last call to
     /// `wake`, with the clock it parked at, and reports whether the run
-    /// is aborting.
+    /// has failed.
     pub(crate) fn drain_woken(&self, mut wake: impl FnMut(f64, usize)) -> bool {
         let s = &mut *self.state.borrow_mut();
         for node in s.woken.drain(..) {
             wake(s.clocks[node], node);
         }
-        s.aborting
+        s.failure.is_some()
     }
 
-    /// Hands every node still parked in a receive to `wake`, with the
-    /// clock it parked at. After an abort the loop polls each once more
-    /// so it records its [`Blocked`] receive and unwinds.
-    pub(crate) fn each_parked(&self, mut wake: impl FnMut(f64, usize)) {
-        let s = self.state.borrow();
-        for (id, key) in s.parked.iter().enumerate() {
-            if key.is_some() {
-                wake(s.clocks[id], id);
-            }
-        }
-    }
-
-    /// Marks a node finished (normal return or unwind), releasing any
-    /// parked slot it held and re-checking the deadlock predicate: if
-    /// the nodes that remain are all parked, nobody can feed them.
+    /// Marks a node finished (returned from its program) and re-checks
+    /// the deadlock predicate: if the nodes that remain are all parked,
+    /// nobody can feed them.
     pub(crate) fn finish(&self, id: usize) {
         let mut s = self.state.borrow_mut();
-        if s.parked[id].take().is_some() {
-            s.parked_count -= 1;
-        }
-        if !s.done[id] {
-            s.done[id] = true;
-            s.live -= 1;
-        }
-        if !s.aborting && s.live > 0 && s.parked_count == s.live {
+        // A returning node was just polled, so it is not parked, and the
+        // loop polls no node once the run has failed.
+        debug_assert!(s.parked[id].is_none() && !s.done[id] && s.failure.is_none());
+        s.done[id] = true;
+        s.live -= 1;
+        if s.live > 0 && s.parked_count == s.live {
             declare_deadlock(&mut s);
         }
     }
 
     /// Records a failure (keeping the first) and aborts the run.
-    pub(crate) fn trigger(&self, failure: Failure) {
-        let mut s = self.state.borrow_mut();
-        s.failure.get_or_insert(failure);
-        s.aborting = true;
+    pub(crate) fn trigger(&self, failure: RunError) {
+        self.state.borrow_mut().failure.get_or_insert(failure);
     }
 
     /// Stores node `id`'s final statistics and trace.
@@ -265,28 +227,36 @@ impl Ledger {
         self.state.borrow_mut().parts[id] = Some(parts);
     }
 
-    /// Takes the run outcome once every node is done: the first failure
-    /// (if any), the blocked receives sorted by node label, and each
-    /// node's deposited statistics and trace.
-    pub(crate) fn take_outcome(&self) -> (Option<Failure>, Vec<Blocked>, Vec<Option<NodeParts>>) {
+    /// Takes the run's outcome: its failure, or else each node's
+    /// deposited statistics and trace.
+    pub(crate) fn take_outcome(&self) -> Result<Vec<Option<NodeParts>>, RunError> {
         let s = &mut *self.state.borrow_mut();
-        let mut blocked = std::mem::take(&mut s.blocked);
-        blocked.sort_by_key(|b| b.node);
-        (s.failure.take(), blocked, std::mem::take(&mut s.parts))
+        match s.failure.take() {
+            Some(failure) => Err(failure),
+            None => Ok(std::mem::take(&mut s.parts)),
+        }
     }
 }
 
+/// Every receive still parked, sorted by node label.
+fn blocked(s: &State) -> Vec<Blocked> {
+    s.parked
+        .iter()
+        .enumerate()
+        .filter_map(|(node, key)| key.map(|(from, tag)| Blocked { node, from, tag }))
+        .collect()
+}
+
+/// Fails the run as deadlocked, naming every parked receive.
 fn declare_deadlock(s: &mut State) {
+    let blocked = blocked(s);
     debug_assert!(
-        s.parked
+        blocked
             .iter()
-            .enumerate()
-            .filter_map(|(id, key)| key.map(|k| (id, k)))
-            .all(|(id, (from, tag))| position(&s.mailboxes[id], from, tag).is_none()),
+            .all(|b| position(&s.mailboxes[b.node], b.from, b.tag).is_none()),
         "deadlock declared while a parked node's message was deliverable"
     );
-    s.failure.get_or_insert(Failure::Deadlock);
-    s.aborting = true;
+    s.failure.get_or_insert(RunError::Deadlock { blocked });
 }
 
 #[cfg(test)]
@@ -384,10 +354,9 @@ mod tests {
         (s.mailboxes[id].len(), s.handoff[id].is_some(), s.parked[id])
     }
 
-    fn ready(poll: Poll<Result<Envelope, ()>>) -> Envelope {
+    fn ready(poll: Poll<Envelope>) -> Envelope {
         match poll {
-            Poll::Ready(Ok(env)) => env,
-            Poll::Ready(Err(())) => panic!("receive aborted"),
+            Poll::Ready(env) => env,
             Poll::Pending => panic!("receive parked"),
         }
     }
@@ -406,9 +375,14 @@ mod tests {
         // the handoff slot, never the mailbox.
         let ledger = Ledger::new(2);
         assert!(ledger.poll_receive(1, 0, 5, 7.0).is_pending());
-        let mut parked = Vec::new();
-        ledger.each_parked(|clock, node| parked.push((clock, node)));
-        assert_eq!(parked, [(7.0, 1)]);
+        assert_eq!(
+            blocked(&ledger.state.borrow()),
+            [Blocked {
+                node: 1,
+                from: 0,
+                tag: 5
+            }]
+        );
         assert_eq!(ledger.inject(1, envelope(0, 6, 9.0)), Delivery::Delivered);
         assert_eq!(snapshot(&ledger, 1), (1, false, Some((0, 5))));
         assert_eq!(ledger.inject(1, envelope(0, 5, 1.5)), Delivery::Delivered);

@@ -88,8 +88,9 @@
 //! *exactly* when its message is injected; the moment every live node is
 //! parked the run is provably deadlocked and aborts instantly — there is
 //! no host-time watchdog, and host timing can never influence virtual
-//! clocks. When any node fails, the ledger aborts the whole run and the
-//! loop sweeps every parked node once so it can unwind.
+//! clocks. A run ends at its first failure: the loop polls no node after
+//! it and drops the node futures still held, and a deadlock names the
+//! blocked receives straight from the ledger's record of parked nodes.
 
 pub mod faults;
 #[doc(hidden)]

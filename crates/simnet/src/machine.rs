@@ -168,39 +168,11 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// The unwind payload of a node that aborts *quietly* because the run is
-/// already failing elsewhere (or because its own failure was recorded as
-/// a typed [`Failure`]): carries no message and is swallowed by the
-/// event loop, unlike a genuine program panic.
+/// The unwind payload of a node whose scheduled crash or strict send
+/// has just recorded the run's typed failure in the ledger: carries no
+/// message and is swallowed by the event loop, unlike a genuine program
+/// panic.
 pub(crate) struct Aborted;
-
-/// Why the run is aborting — the first failure wins the slot; later ones
-/// (cascading victims of the abort) are ignored.
-pub(crate) enum Failure {
-    /// The progress ledger proved no node can ever run again.
-    Deadlock,
-    /// The SPMD program panicked.
-    Panicked {
-        /// The panicking node.
-        node: usize,
-        /// Stringified panic payload.
-        message: String,
-    },
-    /// A typed send failure (see [`SendError`]).
-    Link {
-        /// The sending node.
-        node: usize,
-        /// The failure.
-        error: SendError,
-    },
-    /// A scheduled crash killed a node.
-    Crashed {
-        /// The crashed node.
-        node: usize,
-        /// The communication-call index at which it died.
-        step: u64,
-    },
-}
 
 /// Stringifies a panic payload for [`RunError::NodePanicked`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -368,8 +340,9 @@ impl Machine {
     /// Failure is a structured [`RunError`]: simulated deadlocks (naming
     /// every blocked node and the `(from, tag)` it awaited), node
     /// panics, typed link faults, and scheduled crashes are all values.
-    /// When any node fails, the progress ledger aborts the whole run
-    /// promptly.
+    /// A run ends at its first failure: no node is polled after it, and
+    /// every remaining node future is dropped, which runs its locals'
+    /// destructors.
     ///
     /// ```
     /// use cubemm_simnet::{FaultPlan, Machine, RunError};
@@ -421,13 +394,11 @@ impl Machine {
         // Min-queue on (clock bits, node id): non-negative f64 bit
         // patterns order like the floats, and the id tiebreak keeps the
         // schedule deterministic. A node appears at most once: it is
-        // enqueued at creation, when a handoff unparks it, or (once) when
-        // an abort must unblock it — each strictly after it left the
-        // queue and parked.
+        // enqueued at creation or when a handoff unparks it, each
+        // strictly after it left the queue and parked.
         let mut ready: BinaryHeap<Reverse<(u64, usize)>> =
             (0..p).map(|id| Reverse((0, id))).collect();
         let mut cx = Context::from_waker(Waker::noop());
-        let mut abort_seen = false;
 
         while let Some(Reverse((_, id))) = ready.pop() {
             let Some(fut) = futures[id].as_mut() else {
@@ -440,48 +411,31 @@ impl Machine {
                     ledger.finish(id);
                 }
                 // Parked inside a ledger receive; the queue sees it
-                // again once the ledger wakes it (or the abort sweep).
+                // again once the ledger wakes it.
                 Ok(Poll::Pending) => {}
+                // A quiet unwind has already recorded its typed failure;
+                // anything else is a genuine program panic.
                 Err(payload) => {
-                    // Quiet unwinds already registered their failure (or
-                    // are cascading victims); anything else is a genuine
-                    // program panic. Trigger BEFORE finish so the genuine
-                    // failure wins the first-failure slot even if
-                    // finishing would also declare deadlock.
                     if !payload.is::<Aborted>() {
-                        ledger.trigger(Failure::Panicked {
+                        ledger.trigger(RunError::NodePanicked {
                             node: id,
                             message: panic_message(payload.as_ref()),
                         });
                     }
-                    futures[id] = None;
-                    ledger.finish(id);
                 }
             }
-            let aborting =
-                ledger.drain_woken(|clock, node| ready.push(Reverse((clock.to_bits(), node))));
-            if !abort_seen && aborting {
-                abort_seen = true;
-                // Every parked node gets one more poll to record its
-                // Blocked receive and unwind.
-                ledger.each_parked(|clock, node| ready.push(Reverse((clock.to_bits(), node))));
+            if ledger.drain_woken(|clock, node| ready.push(Reverse((clock.to_bits(), node)))) {
+                break;
             }
         }
+        // A failure returns here, dropping every node future still held:
+        // their locals' destructors run and each `Proc` deposits its parts.
+        let parts = ledger.take_outcome()?;
         assert!(
             futures.iter().all(Option::is_none),
             "node program suspended on a non-simnet future \
              (only Proc primitives may be awaited)"
         );
-
-        let (failure, blocked, parts) = ledger.take_outcome();
-        if let Some(failure) = failure {
-            return Err(match failure {
-                Failure::Deadlock => RunError::Deadlock { blocked },
-                Failure::Panicked { node, message } => RunError::NodePanicked { node, message },
-                Failure::Link { node, error } => RunError::LinkDead { node, error },
-                Failure::Crashed { node, step } => RunError::NodeCrashed { node, step },
-            });
-        }
 
         let mut outs = Vec::with_capacity(p);
         let mut nodes = Vec::with_capacity(p);

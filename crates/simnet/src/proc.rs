@@ -6,7 +6,7 @@ use cubemm_topology::bits::{dim_walk, hamming};
 
 use crate::faults::{FaultPlan, LinkQuality};
 use crate::ledger::{Delivery, Ledger};
-use crate::machine::{Failure, MachineOptions};
+use crate::machine::{MachineOptions, RunError};
 use crate::stats::{FiredFault, FiredKind, NodeStats};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::{ChargePolicy, CostParams, IdMap, LinkTopology, Payload, PortModel};
@@ -108,6 +108,7 @@ pub struct Proc {
     /// final stats and trace.
     ledger: Rc<Ledger>,
     /// Per-destination injection counters driving the drop schedules.
+    /// Only maintained while the plan schedules drops.
     seq: IdMap<usize, u64>,
     /// Per-directed-edge crossing counters driving the corruption
     /// schedules: how many payloads this node has pushed across each
@@ -180,7 +181,7 @@ impl Proc {
             .is_some_and(|plan| plan.crash_step(self.id) == Some(step));
         if crashes {
             self.note_fired(FiredKind::Crash, self.id, self.id);
-            self.ledger.trigger(Failure::Crashed {
+            self.ledger.trigger(RunError::NodeCrashed {
                 node: self.id,
                 step,
             });
@@ -634,13 +635,17 @@ impl Proc {
     /// node quietly (no panic hook, no message: the failure is reported
     /// by [`crate::Machine::run`]).
     fn fail_link(&self, error: SendError) -> ! {
-        self.ledger.trigger(Failure::Link {
+        self.ledger.trigger(RunError::LinkDead {
             node: self.id,
             error,
         });
         self.quiet_abort();
     }
 
+    /// Leaves a node whose own scheduled crash or strict send has just
+    /// failed the run. `send` is synchronous, so this unwind is the only
+    /// way out of it; it happens at most once per run, since the loop
+    /// polls no node after the failure.
     fn quiet_abort(&self) -> ! {
         std::panic::resume_unwind(Box::new(crate::machine::Aborted))
     }
@@ -651,7 +656,7 @@ impl Proc {
     fn inject(&mut self, to: usize, tag: u64, arrive: f64, data: Payload, hops: usize) {
         self.stats.messages += hops;
         self.stats.word_hops += hops * data.len();
-        if let Some(plan) = self.faults.clone() {
+        if let Some(plan) = self.faults.clone().filter(|plan| plan.has_drops()) {
             let seq = self.seq.entry(to).or_insert(0);
             let s = *seq;
             *seq += 1;
@@ -668,14 +673,10 @@ impl Proc {
             arrive,
             data,
         };
-        match self.ledger.inject(to, env) {
-            Delivery::Delivered => {}
-            // The destination finished: either the machine is aborting
-            // (fall in line quietly) or the SPMD program is malformed.
-            Delivery::Aborting => self.quiet_abort(),
-            Delivery::DestFinished => {
-                panic!("send: node {} already finished its program", to)
-            }
+        if self.ledger.inject(to, env) == Delivery::DestFinished {
+            // No node runs once the run has failed, so on a live run
+            // this is an SPMD protocol bug.
+            panic!("send: node {} already finished its program", to)
         }
     }
 
@@ -686,23 +687,17 @@ impl Proc {
     /// loop re-enqueues this node at the right virtual time.
     async fn take_matching(&mut self, from: usize, tag: u64) -> Envelope {
         let (ledger, id, clock) = (&self.ledger, self.id, self.clock);
-        let taken = std::future::poll_fn(|_cx| ledger.poll_receive(id, from, tag, clock)).await;
-        match taken {
-            Ok(env) => env,
-            // The run aborted while this node was parked; the ledger has
-            // already recorded the blocked receive for the post-mortem
-            // report, so unwind quietly.
-            Err(()) => self.quiet_abort(),
-        }
+        std::future::poll_fn(|_cx| ledger.poll_receive(id, from, tag, clock)).await
     }
 }
 
 impl Drop for Proc {
     /// Deposits the node's final statistics and trace in the ledger.
     /// Runs on every exit path — normal completion of the async body,
-    /// quiet abort, or a genuine panic — so the event loop can always
-    /// read the parts after the node future is gone (they are only
-    /// *used* when the run succeeds).
+    /// quiet abort, a genuine panic, or the loop dropping a node future
+    /// after the run failed — so the event loop can always read the
+    /// parts after the node future is gone (they are only *used* when
+    /// the run succeeds).
     fn drop(&mut self) {
         self.stats.clock = self.clock;
         self.stats.rounds = self.round;

@@ -1,5 +1,5 @@
 //! Integration tests for the fault-injection subsystem: structured run
-//! outcomes, the ledger's abort broadcast, fault-tolerant routing, and
+//! outcomes, a run that ends at its first failure, fault-tolerant routing, and
 //! the determinism of degraded runs.
 
 use std::time::{Duration, Instant};
@@ -24,8 +24,8 @@ fn machine(p: usize, port: PortModel, faults: FaultPlan) -> Machine {
         .expect("valid test machine")
 }
 
-/// A poisoned run must be released by the ledger's abort broadcast: a
-/// node panic unblocks every sibling receive almost immediately.
+/// A poisoned run ends at its first failure: a node panic ends the run
+/// almost immediately, with every sibling still parked in its receive.
 #[test]
 fn node_panic_releases_blocked_siblings_immediately() {
     let started = Instant::now();
@@ -48,8 +48,7 @@ fn node_panic_releases_blocked_siblings_immediately() {
     }
     assert!(
         wall < Duration::from_secs(10),
-        "abort took {wall:?}; siblings were not released by the ledger's \
-         abort broadcast"
+        "abort took {wall:?}; the run did not end at its first failure"
     );
 }
 
@@ -322,8 +321,8 @@ fn corrupting_one_window_leaves_every_other_view_of_the_words_alone() {
 }
 
 /// A scheduled crash kills the rank as it begins the given communication
-/// call and surfaces as a structured `NodeCrashed`, releasing every
-/// blocked sibling through the abort broadcast.
+/// call and surfaces as a structured `NodeCrashed`; the run ends there,
+/// with its blocked siblings still parked.
 #[test]
 fn scheduled_crash_surfaces_as_node_crashed() {
     let plan = FaultPlan::new().with_crash(2, 1);
