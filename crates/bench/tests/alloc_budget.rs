@@ -6,9 +6,10 @@
 //! with 16-word blocks; the budget is allocations per delivered packet
 //! (a packet counts once per hop), everything included — machine
 //! spin-up, node futures, runs, stores, mailboxes, bundles, results.
-//! Cannon's algorithm, the shift-heavy end of the comparison, and 3-D
-//! All, the collective-heavy end, are guarded the same way per delivered
-//! message (see their tests below).
+//! Cannon's algorithm, the shift-heavy end of the comparison, HJE and
+//! torus-form Cannon, which run the same shift round, and 3-D All, the
+//! collective-heavy end, are guarded the same way per delivered message
+//! (see their tests below).
 //!
 //! What the budgets pin: splitting a received bundle allocates nothing
 //! (windows), a bundle is one allocation however many packets it
@@ -186,4 +187,37 @@ fn cannon_allocations_per_delivered_message_stay_within_budget() {
 #[test]
 fn all3d_allocations_per_delivered_message_stay_within_budget() {
     within_budget(Algorithm::All3d, all3d_budget);
+}
+
+/// HJE on the same machine (3 column/row groups per block, so 6 group
+/// moves per shift step). Budgets are the counts measured when the
+/// Cannon family was moved onto one shift round (0.74 one-port, 0.79
+/// multi-port) plus 10–20 %; what they pin is that a shift step is one
+/// batch allocation however many groups it moves.
+fn hje_budget(port: PortModel) -> u64 {
+    match port {
+        PortModel::OnePort => 85,
+        PortModel::MultiPort => 90,
+    }
+}
+
+/// Torus-form Cannon on the same machine (7 unit-shift alignment rounds
+/// on the Gray ring, then 7 shift steps). Budgets are the counts measured
+/// when the Cannon family was moved onto one shift round (1.59 one-port,
+/// 1.63 multi-port) plus 10–20 %.
+fn cannon_torus_budget(port: PortModel) -> u64 {
+    match port {
+        PortModel::OnePort => 185,
+        PortModel::MultiPort => 190,
+    }
+}
+
+#[test]
+fn hje_allocations_per_delivered_message_stay_within_budget() {
+    within_budget(Algorithm::Hje, hje_budget);
+}
+
+#[test]
+fn cannon_torus_allocations_per_delivered_message_stay_within_budget() {
+    within_budget(Algorithm::CannonTorus, cannon_torus_budget);
 }
