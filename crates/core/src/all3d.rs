@@ -123,11 +123,7 @@ pub fn multiply(
         let block = to_matrix(side, wide_c, &out.outputs[label]);
         c.paste(k * side, f * wide_c, &block);
     }
-    Ok(RunResult {
-        c,
-        stats: out.stats,
-        traces: out.traces,
-    })
+    Ok(RunResult::from_run(c, out))
 }
 
 #[cfg(test)]

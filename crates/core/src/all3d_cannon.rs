@@ -32,6 +32,7 @@ use cubemm_simnet::Payload;
 use cubemm_topology::SupernodeGrid;
 
 use crate::cannon::cannon_phase;
+use crate::dns_cannon::mesh_split;
 use crate::util::{
     concat_cols, delivered, phase_tag, require_divides, square_order, stack_rows, to_matrix,
 };
@@ -49,26 +50,9 @@ pub fn check(n: usize, p: usize, mesh_bits: u32) -> Result<(), AlgoError> {
     Ok(())
 }
 
-/// The memory-optimal default split (mirrors [`crate::dns_cannon`]).
+/// The memory-optimal default split (chosen as in [`crate::dns_cannon`]).
 pub fn default_mesh_bits(n: usize, p: usize) -> Option<u32> {
-    let splits = SupernodeGrid::splits(p);
-    splits
-        .iter()
-        .rev()
-        .copied()
-        .find(|&mb| {
-            check(n, p, mb).is_ok()
-                && SupernodeGrid::new(p, mb)
-                    .map(|g| g.s() >= 8)
-                    .unwrap_or(false)
-        })
-        .or_else(|| {
-            splits
-                .iter()
-                .rev()
-                .copied()
-                .find(|&mb| check(n, p, mb).is_ok())
-        })
+    mesh_split(n, p, check).ok()
 }
 
 /// Multiplies `a · b` with the default split.
@@ -79,13 +63,7 @@ pub fn multiply(
     cfg: &MachineConfig,
 ) -> Result<RunResult, AlgoError> {
     let n = square_order(a, b)?;
-    let mb = default_mesh_bits(n, p).ok_or(AlgoError::Topology(
-        cubemm_topology::TopologyError::IndivisibleDimension {
-            dim: p.trailing_zeros(),
-            divisor: 3,
-        },
-    ))?;
-    multiply_with_mesh(a, b, p, mb, cfg)
+    multiply_with_mesh(a, b, p, mesh_split(n, p, check)?, cfg)
 }
 
 /// Multiplies `a · b` with an explicit `√r = 2^mesh_bits` supernode mesh.
@@ -212,11 +190,7 @@ pub fn multiply_with_mesh(
             &block,
         );
     }
-    Ok(RunResult {
-        c,
-        stats: out.stats,
-        traces: out.traces,
-    })
+    Ok(RunResult::from_run(c, out))
 }
 
 #[cfg(test)]

@@ -122,11 +122,7 @@ pub fn multiply(
         let block = to_matrix(w, w, &out.outputs[label]);
         c.paste(k * w, f * w, &block);
     }
-    Ok(RunResult {
-        c,
-        stats: out.stats,
-        traces: out.traces,
-    })
+    Ok(RunResult::from_run(c, out))
 }
 
 /// Shared tail: multiply the gathered A pieces against the stacked B

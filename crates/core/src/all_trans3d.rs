@@ -216,11 +216,7 @@ fn assemble(
         let block = to_matrix(side, wide_c, &out.outputs[label]);
         c.paste(k * side, f * wide_c, &block);
     }
-    RunResult {
-        c,
-        stats: out.stats,
-        traces: out.traces,
-    }
+    RunResult::from_run(c, out)
 }
 
 #[cfg(test)]

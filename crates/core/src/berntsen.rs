@@ -89,11 +89,7 @@ pub fn multiply(
         let strip = to_matrix(small, big, &out.outputs[label]);
         c.paste(i * big + k * small, j * big, &strip);
     }
-    Ok(RunResult {
-        c,
-        stats: out.stats,
-        traces: out.traces,
-    })
+    Ok(RunResult::from_run(c, out))
 }
 
 #[cfg(test)]

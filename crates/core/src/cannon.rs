@@ -16,11 +16,13 @@
 //! nodes serialize them — both measured, matching Table 2.
 
 use cubemm_dense::gemm::{gemm_acc, Kernel};
-use cubemm_dense::{partition, Matrix, MatrixView};
-use cubemm_simnet::{Op, Payload, Proc};
+use cubemm_dense::{Matrix, MatrixView};
+use cubemm_simnet::{Payload, Proc};
 use cubemm_topology::{gray_delta_bit, Grid2};
 
-use crate::util::{delivered, phase_tag, require_divides, square_order, to_matrix};
+use crate::util::{
+    assemble_blocks, phase_tag, require_divides, shift_pair, square_blocks, square_order,
+};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates that Cannon can run `n × n` matrices on `p` processors.
@@ -47,51 +49,59 @@ pub(crate) async fn cannon_phase(
     i: usize,
     j: usize,
     q: usize,
+    a: Payload,
+    b: Payload,
+    shape: (usize, usize, usize),
+    kernel: Kernel,
+) -> Matrix {
+    let (a, b) = skew(proc, node_of, i, j, q, a, b).await;
+    // √p multiplies interleaved with √p − 1 Gray-sequence XOR shifts of
+    // both matrices.
+    shift_multiply(proc, q, a, b, shape, kernel, |step| {
+        let bit = gray_delta_bit(step);
+        let (a_to, b_to) = (node_of(i, j ^ (1 << bit)), node_of(i ^ (1 << bit), j));
+        ((a_to, a_to), (b_to, b_to))
+    })
+    .await
+}
+
+/// The XOR skew of Cannon and HJE (Algorithm 1's first loop):
+/// `A_{i,j} -> p_{i, j XOR i}` and `B_{i,j} -> p_{i XOR j, j}`, one
+/// coordinate bit per round, both matrices batched per round. Returns
+/// this node's skewed A and B blocks.
+pub(crate) async fn skew(
+    proc: &mut Proc,
+    node_of: &dyn Fn(usize, usize) -> usize,
+    i: usize,
+    j: usize,
+    q: usize,
+    mut a: Payload,
+    mut b: Payload,
+) -> (Payload, Payload) {
+    for bit in 0..q.trailing_zeros() {
+        let a_to = node_of(i, j ^ (1 << bit));
+        let b_to = node_of(i ^ (1 << bit), j);
+        let a_move = ((i >> bit) & 1 == 1).then_some((a_to, a_to, phase_tag(0) + u64::from(bit)));
+        let b_move = ((j >> bit) & 1 == 1).then_some((b_to, b_to, phase_tag(1) + u64::from(bit)));
+        shift_pair(proc, &mut a, &mut b, a_move, b_move).await;
+    }
+    (a, b)
+}
+
+/// The shift-multiply-add phase of the Cannon family: `q` multiplies of
+/// this node's `m × k` A block and `k × n` B block into C, with a shift
+/// round of both between consecutive multiplies. Before multiply
+/// `step + 1`, A moves to `to` and is replaced from `from` per
+/// `neighbors(step).0`, and B per `neighbors(step).1`.
+pub(crate) async fn shift_multiply(
+    proc: &mut Proc,
+    q: usize,
     mut a: Payload,
     mut b: Payload,
     (m, k, n): (usize, usize, usize),
     kernel: Kernel,
+    neighbors: impl Fn(usize) -> ((usize, usize), (usize, usize)),
 ) -> Matrix {
-    let axis_bits = q.trailing_zeros();
-
-    // Phase 1 — skew: A_{i,j} -> p_{i, j XOR i} and B_{i,j} -> p_{i XOR j, j},
-    // one coordinate bit per round, both matrices batched per round.
-    for bit in 0..axis_bits {
-        let mut ops = Vec::new();
-        let shift_a = (i >> bit) & 1 == 1;
-        let shift_b = (j >> bit) & 1 == 1;
-        if shift_a {
-            let partner = node_of(i, j ^ (1 << bit));
-            let tag = phase_tag(0) + u64::from(bit);
-            ops.push(Op::Send {
-                to: partner,
-                tag,
-                data: std::mem::take(&mut a),
-            });
-            ops.push(Op::Recv { from: partner, tag });
-        }
-        if shift_b {
-            let partner = node_of(i ^ (1 << bit), j);
-            let tag = phase_tag(1) + u64::from(bit);
-            ops.push(Op::Send {
-                to: partner,
-                tag,
-                data: std::mem::take(&mut b),
-            });
-            ops.push(Op::Recv { from: partner, tag });
-        }
-        let results = proc.multi(ops).await;
-        let mut received = results.into_iter().flatten();
-        if shift_a {
-            a = delivered(received.next(), "skewed A");
-        }
-        if shift_b {
-            b = delivered(received.next(), "skewed B");
-        }
-    }
-
-    // Phase 2 — √p multiplies interleaved with √p − 1 Gray-sequence
-    // XOR shifts of both matrices.
     let mut c = Matrix::zeros(m, n);
     for step in 0..q {
         gemm_acc(
@@ -103,36 +113,10 @@ pub(crate) async fn cannon_phase(
         if step + 1 == q {
             break;
         }
-        let bit = gray_delta_bit(step);
-        let a_partner = node_of(i, j ^ (1 << bit));
-        let b_partner = node_of(i ^ (1 << bit), j);
-        let a_tag = phase_tag(2) + step as u64;
-        let b_tag = phase_tag(3) + step as u64;
-        let results = proc
-            .multi(vec![
-                Op::Send {
-                    to: a_partner,
-                    tag: a_tag,
-                    data: a,
-                },
-                Op::Send {
-                    to: b_partner,
-                    tag: b_tag,
-                    data: b,
-                },
-                Op::Recv {
-                    from: a_partner,
-                    tag: a_tag,
-                },
-                Op::Recv {
-                    from: b_partner,
-                    tag: b_tag,
-                },
-            ])
-            .await;
-        let mut received = results.into_iter().flatten();
-        a = delivered(received.next(), "shifted A");
-        b = delivered(received.next(), "shifted B");
+        let ((a_to, a_from), (b_to, b_from)) = neighbors(step);
+        let a_move = (a_to, a_from, phase_tag(2) + step as u64);
+        let b_move = (b_to, b_from, phase_tag(3) + step as u64);
+        shift_pair(proc, &mut a, &mut b, Some(a_move), Some(b_move)).await;
     }
     c
 }
@@ -151,16 +135,7 @@ pub fn multiply(
     let q = grid.q();
     let bs = n / q;
 
-    let inits: Vec<(Payload, Payload)> = (0..p)
-        .map(|label| {
-            let (i, j) = grid.coords(label);
-            (
-                partition::square(a, q, i, j).into_payload().into(),
-                partition::square(b, q, i, j).into_payload().into(),
-            )
-        })
-        .collect();
-
+    let inits = square_blocks(a, b, q, |label| grid.coords(label));
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {
         let (i, j) = grid.coords(proc.id());
@@ -172,14 +147,8 @@ pub fn multiply(
         Payload::from(c.into_payload())
     })?;
 
-    let c = partition::assemble_square(n, q, |i, j| {
-        to_matrix(bs, bs, &out.outputs[grid.node(i, j)])
-    });
-    Ok(RunResult {
-        c,
-        stats: out.stats,
-        traces: out.traces,
-    })
+    let c = assemble_blocks(n, q, &out.outputs, |i, j| grid.node(i, j));
+    Ok(RunResult::from_run(c, out))
 }
 
 #[cfg(test)]

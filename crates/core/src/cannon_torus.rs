@@ -20,12 +20,14 @@
 //! variant; only the alignment differs — measured in the tests below and
 //! compared in the `ablation` benches.
 
-use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix, MatrixView};
-use cubemm_simnet::{Op, Payload};
-use cubemm_topology::{gray, Grid2};
+use cubemm_dense::Matrix;
+use cubemm_simnet::Payload;
+use cubemm_topology::{gray, gray_inverse, Grid2};
 
-use crate::util::{delivered, phase_tag, require_divides, square_order, to_matrix};
+use crate::cannon::shift_multiply;
+use crate::util::{
+    assemble_blocks, phase_tag, require_divides, shift_pair, square_blocks, square_order,
+};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates that torus Cannon can run `n × n` matrices on `p`
@@ -50,132 +52,66 @@ pub fn multiply(
     let q = grid.q();
     let bs = n / q;
 
-    // Ring position (i, j) lives at grid coordinate (gray(i), gray(j)).
-    let ring_node = move |i: usize, j: usize| grid.node(gray(i % q), gray(j % q));
-
-    let inits: Vec<(Payload, Payload)> = {
-        // Build by label: invert the ring placement.
-        let mut by_label: Vec<Option<(Payload, Payload)>> = vec![None; p];
-        for i in 0..q {
-            for j in 0..q {
-                by_label[ring_node(i, j)] = Some((
-                    partition::square(a, q, i, j).into_payload().into(),
-                    partition::square(b, q, i, j).into_payload().into(),
-                ));
-            }
-        }
-        by_label
-            .into_iter()
-            .map(|x| delivered(x, "bijection"))
-            .collect()
-    };
-
+    let ring = GrayRing(grid);
     let kernel = cfg.kernel;
-    let ring_coords = move |label: usize| {
-        let (gi, gj) = grid.coords(label);
-        (
-            cubemm_topology::gray_inverse(gi),
-            cubemm_topology::gray_inverse(gj),
-        )
-    };
+    let inits = ring.inits(a, b);
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (mut a, mut b)| async move {
-        let (i, j) = ring_coords(proc.id());
+        let (i, j) = ring.coords(proc.id());
         proc.track_peak_words(3 * bs * bs);
+        // A moves to its left ring neighbor and B to its up neighbor,
+        // each replaced from the opposite side.
+        let left = (ring.node(i, j + q - 1), ring.node(i, j + 1));
+        let up = (ring.node(i + q - 1, j), ring.node(i + 1, j));
 
         // Phase 1 — torus alignment: in round t every row with i > t
         // rotates A one position left, every column with j > t rotates B
         // one position up. After q−1 rounds p_{i,j} holds A_{i, i+j} and
         // B_{i+j, j}.
         for t in 0..q.saturating_sub(1) {
-            let mut ops = Vec::new();
-            let shift_a = i > t;
-            let shift_b = j > t;
-            if shift_a {
-                let tag = phase_tag(0) + t as u64;
-                ops.push(Op::Send {
-                    to: ring_node(i, j + q - 1), // left neighbor
-                    tag,
-                    data: std::mem::take(&mut a),
-                });
-                ops.push(Op::Recv {
-                    from: ring_node(i, j + 1),
-                    tag,
-                });
-            }
-            if shift_b {
-                let tag = phase_tag(1) + t as u64;
-                ops.push(Op::Send {
-                    to: ring_node(i + q - 1, j), // up neighbor
-                    tag,
-                    data: std::mem::take(&mut b),
-                });
-                ops.push(Op::Recv {
-                    from: ring_node(i + 1, j),
-                    tag,
-                });
-            }
-            let results = proc.multi(ops).await;
-            let mut received = results.into_iter().flatten();
-            if shift_a {
-                a = delivered(received.next(), "aligned A");
-            }
-            if shift_b {
-                b = delivered(received.next(), "aligned B");
-            }
+            let a_move = (i > t).then_some((left.0, left.1, phase_tag(0) + t as u64));
+            let b_move = (j > t).then_some((up.0, up.1, phase_tag(1) + t as u64));
+            shift_pair(&mut proc, &mut a, &mut b, a_move, b_move).await;
         }
-
         // Phase 2 — √p multiplies with unit ring shifts in between,
         // exactly as on a torus.
-        let mut c = Matrix::zeros(bs, bs);
-        for k in 0..q {
-            gemm_acc(
-                &mut c,
-                MatrixView::new(bs, bs, &a),
-                MatrixView::new(bs, bs, &b),
-                kernel,
-            );
-            if k + 1 == q {
-                break;
-            }
-            let a_tag = phase_tag(2) + k as u64;
-            let b_tag = phase_tag(3) + k as u64;
-            let results = proc
-                .multi(vec![
-                    Op::Send {
-                        to: ring_node(i, j + q - 1),
-                        tag: a_tag,
-                        data: a,
-                    },
-                    Op::Send {
-                        to: ring_node(i + q - 1, j),
-                        tag: b_tag,
-                        data: b,
-                    },
-                    Op::Recv {
-                        from: ring_node(i, j + 1),
-                        tag: a_tag,
-                    },
-                    Op::Recv {
-                        from: ring_node(i + 1, j),
-                        tag: b_tag,
-                    },
-                ])
-                .await;
-            let mut received = results.into_iter().flatten();
-            a = delivered(received.next(), "shifted A");
-            b = delivered(received.next(), "shifted B");
-        }
+        let shape = (bs, bs, bs);
+        let c = shift_multiply(&mut proc, q, a, b, shape, kernel, |_| (left, up)).await;
         Payload::from(c.into_payload())
     })?;
 
-    let c = partition::assemble_square(n, q, |i, j| {
-        to_matrix(bs, bs, &out.outputs[ring_node(i, j)])
-    });
-    Ok(RunResult {
-        c,
-        stats: out.stats,
-        traces: out.traces,
-    })
+    let c = ring.assemble(n, &out.outputs);
+    Ok(RunResult::from_run(c, out))
+}
+
+/// The Gray-ring embedding of the `√p × √p` torus, shared with
+/// [`crate::fox`]: ring position `(i, j)` lives at grid coordinate
+/// `(gray(i), gray(j))`, so a unit rotation along a row or column is one
+/// hypercube hop in either direction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GrayRing(pub(crate) Grid2);
+
+impl GrayRing {
+    /// Label of ring position `(i, j)`, each coordinate taken mod `√p`.
+    pub(crate) fn node(self, i: usize, j: usize) -> usize {
+        let q = self.0.q();
+        self.0.node(gray(i % q), gray(j % q))
+    }
+
+    /// Ring position of node `label`.
+    pub(crate) fn coords(self, label: usize) -> (usize, usize) {
+        let (gi, gj) = self.0.coords(label);
+        (gray_inverse(gi), gray_inverse(gj))
+    }
+
+    /// Block `(i, j)` of `a` and of `b` at ring position `(i, j)`, by label.
+    pub(crate) fn inits(self, a: &Matrix, b: &Matrix) -> Vec<(Payload, Payload)> {
+        square_blocks(a, b, self.0.q(), |label| self.coords(label))
+    }
+
+    /// The `n × n` product from block `(i, j)` at ring position `(i, j)`.
+    pub(crate) fn assemble(self, n: usize, outputs: &[Payload]) -> Matrix {
+        assemble_blocks(n, self.0.q(), outputs, |i, j| self.node(i, j))
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use cubemm_dense::gemm::Kernel;
 use cubemm_dense::Matrix;
 use cubemm_simnet::{
     ChargePolicy, CostParams, FaultPlan, LinkTopology, Machine, MachineOptions, PortModel,
-    RunError, RunStats,
+    RunError, RunOutcome, RunStats,
 };
 
 /// Configuration of the simulated machine a multiplication runs on.
@@ -204,6 +204,15 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// The result of `out`, whose outputs assembled to `c`.
+    pub(crate) fn from_run<O>(c: Matrix, out: RunOutcome<O>) -> Self {
+        RunResult {
+            c,
+            stats: out.stats,
+            traces: out.traces,
+        }
+    }
+
     /// Elapsed virtual communication time of the run.
     pub fn elapsed(&self) -> f64 {
         self.stats.elapsed

@@ -105,11 +105,7 @@ pub fn multiply(
         let group = to_matrix(n, w, payload);
         c.paste(0, k * w, &group);
     }
-    Ok(RunResult {
-        c,
-        stats: out.stats,
-        traces: out.traces,
-    })
+    Ok(RunResult::from_run(c, out))
 }
 
 #[cfg(test)]

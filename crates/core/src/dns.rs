@@ -117,11 +117,7 @@ pub fn multiply(
         );
         to_matrix(bs, bs, payload)
     });
-    Ok(RunResult {
-        c,
-        stats: out.stats,
-        traces: out.traces,
-    })
+    Ok(RunResult::from_run(c, out))
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 use cubemm_collectives::{bcast_plan, execute_fused, reduce_sum};
 use cubemm_dense::Matrix;
 use cubemm_simnet::Payload;
-use cubemm_topology::SupernodeGrid;
+use cubemm_topology::{SupernodeGrid, TopologyError};
 
 use crate::cannon::cannon_phase;
 use crate::util::{delivered, phase_tag, require_divides, square_order, to_matrix};
@@ -37,24 +37,7 @@ pub fn check(n: usize, p: usize, mesh_bits: u32) -> Result<(), AlgoError> {
 /// supernode grid (`s ≥ 8`) — the memory-optimal choice. Falls back to
 /// any legal split, or `None` when the shape is impossible.
 pub fn default_mesh_bits(n: usize, p: usize) -> Option<u32> {
-    let splits = SupernodeGrid::splits(p);
-    splits
-        .iter()
-        .rev()
-        .copied()
-        .find(|&mb| {
-            check(n, p, mb).is_ok()
-                && SupernodeGrid::new(p, mb)
-                    .map(|g| g.s() >= 8)
-                    .unwrap_or(false)
-        })
-        .or_else(|| {
-            splits
-                .iter()
-                .rev()
-                .copied()
-                .find(|&mb| check(n, p, mb).is_ok())
-        })
+    mesh_split(n, p, check).ok()
 }
 
 /// Multiplies `a · b` with the default (memory-optimal) mesh split.
@@ -65,13 +48,32 @@ pub fn multiply(
     cfg: &MachineConfig,
 ) -> Result<RunResult, AlgoError> {
     let n = square_order(a, b)?;
-    let mb = default_mesh_bits(n, p).ok_or(AlgoError::Topology(
-        cubemm_topology::TopologyError::IndivisibleDimension {
+    multiply_with_mesh(a, b, p, mesh_split(n, p, check)?, cfg)
+}
+
+/// The default mesh split of either supernode combination, legal under
+/// its `check`: the largest that keeps `s ≥ 8`, else the largest legal
+/// one, else the error that no split fits.
+pub(crate) fn mesh_split(
+    n: usize,
+    p: usize,
+    check: fn(usize, usize, u32) -> Result<(), AlgoError>,
+) -> Result<u32, AlgoError> {
+    let splits = SupernodeGrid::splits(p);
+    let legal = || {
+        splits
+            .iter()
+            .rev()
+            .copied()
+            .filter(|&mb| check(n, p, mb).is_ok())
+    };
+    legal()
+        .find(|&mb| SupernodeGrid::new(p, mb).is_ok_and(|g| g.s() >= 8))
+        .or_else(|| legal().next())
+        .ok_or(AlgoError::Topology(TopologyError::IndivisibleDimension {
             dim: p.trailing_zeros(),
             divisor: 3,
-        },
-    ))?;
-    multiply_with_mesh(a, b, p, mb, cfg)
+        }))
 }
 
 /// Multiplies `a · b` with an explicit `√r = 2^mesh_bits` supernode mesh.
@@ -169,11 +171,7 @@ pub fn multiply_with_mesh(
         );
         c.paste(i * (n / qs) + x * sub, j * (n / qs) + y * sub, &piece);
     }
-    Ok(RunResult {
-        c,
-        stats: out.stats,
-        traces: out.traces,
-    })
+    Ok(RunResult::from_run(c, out))
 }
 
 #[cfg(test)]

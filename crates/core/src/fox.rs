@@ -15,11 +15,12 @@
 
 use cubemm_collectives::bcast;
 use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix, MatrixView};
-use cubemm_simnet::{Op, Payload};
+use cubemm_dense::{Matrix, MatrixView};
+use cubemm_simnet::Payload;
 use cubemm_topology::{gray, Grid2};
 
-use crate::util::{delivered, phase_tag, require_divides, square_order, to_matrix};
+use crate::cannon_torus::GrayRing;
+use crate::util::{delivered, phase_tag, require_divides, shift_round, square_order};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates that Fox's algorithm can run `n × n` on `p` processors.
@@ -42,36 +43,12 @@ pub fn multiply(
     let grid = Grid2::new(p)?;
     let q = grid.q();
     let bs = n / q;
-    // Ring position (i, j) lives at grid coordinate (gray(i), gray(j)).
-    let ring_node = move |i: usize, j: usize| grid.node(gray(i % q), gray(j % q));
-
-    let inits: Vec<(Payload, Payload)> = {
-        let mut by_label: Vec<Option<(Payload, Payload)>> = vec![None; p];
-        for i in 0..q {
-            for j in 0..q {
-                by_label[ring_node(i, j)] = Some((
-                    partition::square(a, q, i, j).into_payload().into(),
-                    partition::square(b, q, i, j).into_payload().into(),
-                ));
-            }
-        }
-        by_label
-            .into_iter()
-            .map(|x| delivered(x, "bijection"))
-            .collect()
-    };
-
+    let ring = GrayRing(grid);
     let kernel = cfg.kernel;
-    let ring_coords = move |label: usize| {
-        let (gi, gj) = grid.coords(label);
-        (
-            cubemm_topology::gray_inverse(gi),
-            cubemm_topology::gray_inverse(gj),
-        )
-    };
     // A's home block stays resident all run; B rolls.
+    let inits = ring.inits(a, b);
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (a_home, mut b)| async move {
-        let (i, j) = ring_coords(proc.id());
+        let (i, j) = ring.coords(proc.id());
         proc.track_peak_words(4 * bs * bs); // A home + A bcast + B + C
 
         let row = grid.row(gray(i)); // rank within row = gray(column)
@@ -102,32 +79,14 @@ pub fn multiply(
                 break;
             }
             let tag = phase_tag(2 * k as u64 + 1);
-            let results = proc
-                .multi(vec![
-                    Op::Send {
-                        to: ring_node(i + q - 1, j),
-                        tag,
-                        data: b,
-                    },
-                    Op::Recv {
-                        from: ring_node(i + 1, j),
-                        tag,
-                    },
-                ])
-                .await;
-            b = delivered(results.into_iter().flatten().next(), "rolled B");
+            let up = (ring.node(i + q - 1, j), ring.node(i + 1, j), tag, b);
+            b = delivered(shift_round(&mut proc, [up]).await.next(), "rolled B");
         }
         Payload::from(c.into_payload())
     })?;
 
-    let c = partition::assemble_square(n, q, |i, j| {
-        to_matrix(bs, bs, &out.outputs[ring_node(i, j)])
-    });
-    Ok(RunResult {
-        c,
-        stats: out.stats,
-        traces: out.traces,
-    })
+    let c = ring.assemble(n, &out.outputs);
+    Ok(RunResult::from_run(c, out))
 }
 
 #[cfg(test)]

@@ -22,12 +22,16 @@
 //! per link), the condition given in §3.3.
 
 use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix, MatrixView};
-use cubemm_simnet::{Op, Payload};
+use cubemm_dense::{Matrix, MatrixView};
+use cubemm_simnet::Payload;
 use cubemm_topology::gray::hje_schedule_bit;
 use cubemm_topology::Grid2;
 
-use crate::util::{delivered, phase_tag, require_divides, square_order, to_matrix};
+use crate::cannon::skew;
+use crate::util::{
+    assemble_blocks, delivered, phase_tag, require_divides, shift_round, square_blocks,
+    square_order,
+};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates that HJE can run `n × n` matrices on `p` processors.
@@ -66,57 +70,16 @@ pub fn multiply(
     let bs = n / q;
     let d = grid.axis_bits() as usize;
 
-    let inits: Vec<(Payload, Payload)> = (0..p)
-        .map(|label| {
-            let (i, j) = grid.coords(label);
-            (
-                partition::square(a, q, i, j).into_payload().into(),
-                partition::square(b, q, i, j).into_payload().into(),
-            )
-        })
-        .collect();
-
+    let inits = square_blocks(a, b, q, |label| grid.coords(label));
     let kernel = cfg.kernel;
-    let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (mut a, mut b)| async move {
+    let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (a, b)| async move {
         let (i, j) = grid.coords(proc.id());
         proc.track_peak_words(3 * bs * bs);
 
         // Skew exactly as in Cannon (Algorithm 1's first loop is the
         // bitwise XOR alignment).
-        let axis_bits = grid.axis_bits();
-        for bit in 0..axis_bits {
-            let mut ops = Vec::new();
-            let shift_a = (i >> bit) & 1 == 1;
-            let shift_b = (j >> bit) & 1 == 1;
-            if shift_a {
-                let partner = grid.node(i, j ^ (1 << bit));
-                let tag = phase_tag(0) + u64::from(bit);
-                ops.push(Op::Send {
-                    to: partner,
-                    tag,
-                    data: std::mem::take(&mut a),
-                });
-                ops.push(Op::Recv { from: partner, tag });
-            }
-            if shift_b {
-                let partner = grid.node(i ^ (1 << bit), j);
-                let tag = phase_tag(1) + u64::from(bit);
-                ops.push(Op::Send {
-                    to: partner,
-                    tag,
-                    data: std::mem::take(&mut b),
-                });
-                ops.push(Op::Recv { from: partner, tag });
-            }
-            let results = proc.multi(ops).await;
-            let mut received = results.into_iter().flatten();
-            if shift_a {
-                a = delivered(received.next(), "skewed A");
-            }
-            if shift_b {
-                b = delivered(received.next(), "skewed B");
-            }
-        }
+        let node_of = |x: usize, y: usize| grid.node(x, y);
+        let (a, b) = skew(&mut proc, &node_of, i, j, q, a, b).await;
 
         let mut c = Matrix::zeros(bs, bs);
         if d == 0 {
@@ -131,77 +94,50 @@ pub fn multiply(
         }
 
         // Split A into d column groups (one copy: its rows interleave)
-        // and B into d row groups (windows of the block, no copy); group
-        // l shifts along schedule bit g_{l,k} each step.
-        let mut groups: Vec<(Payload, Payload)> = (0..d)
-            .map(|l| {
-                let (lo, hi) = group_bounds(bs, d, l);
-                let a_cols = (0..bs).map(|r| &a[r * bs + lo..r * bs + hi]);
-                (
-                    Payload::concat(bs * (hi - lo), a_cols),
-                    b.slice(lo * bs, hi * bs),
-                )
-            })
-            .collect();
+        // and B into d row groups (windows of the block, no copy), kept
+        // as [A_0, B_0, A_1, B_1, …]; group l shifts along schedule bit
+        // g_{l,k} each step.
+        let mut groups: Vec<Payload> = Vec::with_capacity(2 * d);
+        for l in 0..d {
+            let (lo, hi) = group_bounds(bs, d, l);
+            let a_cols = (0..bs).map(|r| &a[r * bs + lo..r * bs + hi]);
+            groups.push(Payload::concat(bs * (hi - lo), a_cols));
+            groups.push(b.slice(lo * bs, hi * bs));
+        }
 
+        let axis_bits = grid.axis_bits();
         for k in 0..q {
-            for (l, (ag, bg)) in groups.iter().enumerate() {
+            for (l, group) in groups.chunks_exact(2).enumerate() {
                 let (lo, hi) = group_bounds(bs, d, l);
                 gemm_acc(
                     &mut c,
-                    MatrixView::new(bs, hi - lo, ag),
-                    MatrixView::new(hi - lo, bs, bg),
+                    MatrixView::new(bs, hi - lo, &group[0]),
+                    MatrixView::new(hi - lo, bs, &group[1]),
                     kernel,
                 );
             }
             if k + 1 == q {
                 break;
             }
-            let mut ops = Vec::with_capacity(4 * d);
-            for (l, (ag, bg)) in groups.drain(..).enumerate() {
-                let g = hje_schedule_bit(l as u32, k, axis_bits);
-                let a_partner = grid.node(i, j ^ (1 << g));
-                let b_partner = grid.node(i ^ (1 << g), j);
-                let a_tag = phase_tag(2) + (k * d + l) as u64;
-                let b_tag = phase_tag(3) + (k * d + l) as u64;
-                ops.push(Op::Send {
-                    to: a_partner,
-                    tag: a_tag,
-                    data: ag,
-                });
-                ops.push(Op::Recv {
-                    from: a_partner,
-                    tag: a_tag,
-                });
-                ops.push(Op::Send {
-                    to: b_partner,
-                    tag: b_tag,
-                    data: bg,
-                });
-                ops.push(Op::Recv {
-                    from: b_partner,
-                    tag: b_tag,
-                });
-            }
-            let results = proc.multi(ops).await;
-            let mut received = results.into_iter().flatten();
-            for _ in 0..d {
-                let ag = delivered(received.next(), "shifted A group");
-                let bg = delivered(received.next(), "shifted B group");
-                groups.push((ag, bg));
-            }
+            let moves = groups.drain(..).enumerate().map(|(x, block)| {
+                let (l, is_b) = (x / 2, x % 2 == 1);
+                let bit = 1 << hje_schedule_bit(l as u32, k, axis_bits);
+                let to = if is_b {
+                    grid.node(i ^ bit, j)
+                } else {
+                    grid.node(i, j ^ bit)
+                };
+                let tag = phase_tag(2 + u64::from(is_b)) + (k * d + l) as u64;
+                (to, to, tag, block)
+            });
+            let mut received = shift_round(&mut proc, moves).await;
+            groups.extend((0..2 * d).map(|_| delivered(received.next(), "shifted group")));
         }
         Payload::from(c.into_payload())
     })?;
 
-    let c = partition::assemble_square(n, q, |i, j| {
-        to_matrix(bs, bs, &out.outputs[grid.node(i, j)])
-    });
-    Ok(RunResult {
-        c,
-        stats: out.stats,
-        traces: out.traces,
-    })
+    let c = assemble_blocks(n, q, &out.outputs, |i, j| grid.node(i, j));
+    Ok(RunResult::from_run(c, out))
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 
 use cubemm_dense::Matrix;
 
+use crate::dns_cannon::mesh_split;
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Every implemented distributed multiplication algorithm: the paper's
@@ -79,30 +80,6 @@ pub struct AlgoDescriptor {
     /// `cubemm-analyze`'s parametric pass (every row must have one —
     /// enforced by the registry-coverage lint).
     pub schema: fn() -> crate::schema::AlgoSchema,
-}
-
-/// Applicability wrapper for the supernode combinations, whose natural
-/// check is "does a default mesh split exist".
-fn check_dns_cannon(n: usize, p: usize) -> Result<(), AlgoError> {
-    crate::dns_cannon::default_mesh_bits(n, p)
-        .map(|_| ())
-        .ok_or(AlgoError::Topology(
-            cubemm_topology::TopologyError::IndivisibleDimension {
-                dim: p.trailing_zeros(),
-                divisor: 3,
-            },
-        ))
-}
-
-fn check_all3d_cannon(n: usize, p: usize) -> Result<(), AlgoError> {
-    crate::all3d_cannon::default_mesh_bits(n, p)
-        .map(|_| ())
-        .ok_or(AlgoError::Topology(
-            cubemm_topology::TopologyError::IndivisibleDimension {
-                dim: p.trailing_zeros(),
-                divisor: 3,
-            },
-        ))
 }
 
 /// The single source of truth: one row per algorithm, paper order first,
@@ -194,7 +171,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
     AlgoDescriptor {
         algo: Algorithm::DnsCannon,
         name: "dns-cannon",
-        check: check_dns_cannon,
+        check: |n, p| mesh_split(n, p, crate::dns_cannon::check).map(drop),
         multiply: crate::dns_cannon::multiply,
         group: AlgoGroup::Extension,
         compared: false,
@@ -203,7 +180,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
     AlgoDescriptor {
         algo: Algorithm::All3dCannon,
         name: "3d-all-cannon",
-        check: check_all3d_cannon,
+        check: |n, p| mesh_split(n, p, crate::all3d_cannon::check).map(drop),
         multiply: crate::all3d_cannon::multiply,
         group: AlgoGroup::Extension,
         compared: false,

@@ -5,11 +5,11 @@
 
 use cubemm_collectives::{allgather_plan, execute_fused};
 use cubemm_dense::gemm::gemm_acc;
-use cubemm_dense::{partition, Matrix, MatrixView};
+use cubemm_dense::{Matrix, MatrixView};
 use cubemm_simnet::Payload;
 use cubemm_topology::Grid2;
 
-use crate::util::{phase_tag, require_divides, square_order, to_matrix};
+use crate::util::{assemble_blocks, phase_tag, require_divides, square_blocks, square_order};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates that Simple can run `n × n` matrices on `p` processors.
@@ -33,16 +33,7 @@ pub fn multiply(
     let q = grid.q();
     let bs = n / q;
 
-    let inits: Vec<(Payload, Payload)> = (0..p)
-        .map(|label| {
-            let (i, j) = grid.coords(label);
-            (
-                partition::square(a, q, i, j).into_payload().into(),
-                partition::square(b, q, i, j).into_payload().into(),
-            )
-        })
-        .collect();
-
+    let inits = square_blocks(a, b, q, |label| grid.coords(label));
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {
         let (i, j) = grid.coords(proc.id());
@@ -73,14 +64,8 @@ pub fn multiply(
         Payload::from(c.into_payload())
     })?;
 
-    let c = partition::assemble_square(n, q, |i, j| {
-        to_matrix(bs, bs, &out.outputs[grid.node(i, j)])
-    });
-    Ok(RunResult {
-        c,
-        stats: out.stats,
-        traces: out.traces,
-    })
+    let c = assemble_blocks(n, q, &out.outputs, |i, j| grid.node(i, j));
+    Ok(RunResult::from_run(c, out))
 }
 
 #[cfg(test)]

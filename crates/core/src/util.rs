@@ -1,9 +1,11 @@
 //! Shared helpers for the algorithm drivers.
 
 use std::future::Future;
+use std::iter::Flatten;
+use std::vec::IntoIter;
 
-use cubemm_dense::Matrix;
-use cubemm_simnet::{Machine, Payload, Proc, RunOutcome};
+use cubemm_dense::{partition, Matrix};
+use cubemm_simnet::{Machine, Op, Payload, Proc, RunOutcome};
 
 use crate::{AlgoError, MachineConfig};
 
@@ -38,6 +40,79 @@ pub fn require_divides(n: usize, divisor: usize, what: &'static str) -> Result<(
 #[inline]
 pub fn to_matrix(rows: usize, cols: usize, p: &[f64]) -> Matrix {
     Matrix::from_payload(rows, cols, p)
+}
+
+/// Block `coords(label)` of the `√p × √p` partitions of `a` and `b` for
+/// every node `label` of a `q × q` grid.
+pub(crate) fn square_blocks(
+    a: &Matrix,
+    b: &Matrix,
+    q: usize,
+    coords: impl Fn(usize) -> (usize, usize),
+) -> Vec<(Payload, Payload)> {
+    (0..q * q)
+        .map(|label| {
+            let (i, j) = coords(label);
+            (
+                partition::square(a, q, i, j).into_payload().into(),
+                partition::square(b, q, i, j).into_payload().into(),
+            )
+        })
+        .collect()
+}
+
+/// The `n × n` product assembled from one `n/q × n/q` block per node:
+/// block `(i, j)` is the output of node `node(i, j)`.
+pub(crate) fn assemble_blocks(
+    n: usize,
+    q: usize,
+    outputs: &[Payload],
+    node: impl Fn(usize, usize) -> usize,
+) -> Matrix {
+    partition::assemble_square(n, q, |i, j| to_matrix(n / q, n / q, &outputs[node(i, j)]))
+}
+
+/// One shift round of the Cannon family: each `(to, from, tag, block)`
+/// move sends `block` to `to` and takes its replacement from `from`
+/// under the same tag. The round is one [`Proc::multi`] batch — every
+/// send in move order, then every receive in move order — issued even
+/// when there are no moves, because a scheduled crash counts
+/// communication calls. Yields the replacement blocks in move order; the
+/// batch's `Vec<Op>` is the round's only allocation of its own.
+pub(crate) async fn shift_round(
+    proc: &mut Proc,
+    moves: impl IntoIterator<Item = (usize, usize, u64, Payload)>,
+) -> Flatten<IntoIter<Option<Payload>>> {
+    let moves = moves.into_iter();
+    let mut ops = Vec::with_capacity(2 * moves.size_hint().0);
+    for (to, from, tag, data) in moves {
+        // `multi` runs every send before any receive, so pairing them
+        // here issues the same batch.
+        ops.push(Op::Send { to, tag, data });
+        ops.push(Op::Recv { from, tag });
+    }
+    proc.multi(ops).await.into_iter().flatten()
+}
+
+/// A [`shift_round`] of this node's A and B blocks: each moves along its
+/// `(to, from, tag)`, or stays put on `None`, and is replaced by the
+/// block it receives.
+pub(crate) async fn shift_pair(
+    proc: &mut Proc,
+    a: &mut Payload,
+    b: &mut Payload,
+    a_move: Option<(usize, usize, u64)>,
+    b_move: Option<(usize, usize, u64)>,
+) {
+    let moves = [(a_move, &mut *a), (b_move, &mut *b)]
+        .into_iter()
+        .filter_map(|(mv, block)| mv.map(|(to, from, tag)| (to, from, tag, std::mem::take(block))));
+    let mut received = shift_round(proc, moves).await;
+    for (mv, block) in [(a_move, a), (b_move, b)] {
+        if mv.is_some() {
+            *block = delivered(received.next(), "shifted block");
+        }
+    }
 }
 
 /// Stacks row-major blocks of equal width vertically — the payload form
