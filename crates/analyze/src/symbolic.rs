@@ -665,19 +665,16 @@ pub fn algo_cost_sym(schema: &AlgoSchema, port: PortModel) -> Result<SymCost, St
                 }
             }
             Phase::Shift {
-                rounds,
-                a1,
-                b1,
-                amp,
-                bmp,
-                ..
+                rounds, moves, vol, ..
             } => {
+                // One-port serializes the moves; multi-port sends them at
+                // once, each on its own link.
                 let (pa, pb) = match port {
-                    PortModel::OnePort => (a1, b1),
-                    PortModel::MultiPort => (amp, bmp),
+                    PortModel::OnePort => (moves.clone(), moves.mul(vol)),
+                    PortModel::MultiPort => (Poly::int(1), vol.clone()),
                 };
-                a = a.add(&rounds.mul(pa));
-                b = b.add(&rounds.mul(pb));
+                a = a.add(&rounds.mul(&pa));
+                b = b.add(&rounds.mul(&pb));
             }
             Phase::Routed { sub, vol, .. } => {
                 let delta = Poly::d().scale(Rat::new(1, i128::from(*sub)));

@@ -3,6 +3,8 @@
 
 use std::collections::HashMap;
 
+use cubemm_simnet::CostParams;
+
 /// The flags one subcommand reads. Anything else on its command line is
 /// an error, so a misspelt or retired flag can never silently fall back
 /// to a default.
@@ -96,6 +98,18 @@ impl Args {
     pub fn raw_all(&self, key: &str) -> &[String] {
         self.flags.get(key).map_or(&[], Vec::as_slice)
     }
+}
+
+/// Reads `--ts`/`--tw` (the paper's costs by default) and holds them to
+/// the simulator's cost rule ([`CostParams::validate`]) at parse time.
+pub fn parse_costs(args: &Args) -> Result<CostParams, String> {
+    let paper = CostParams::PAPER;
+    let cost = CostParams {
+        ts: args.get_or("ts", paper.ts)?,
+        tw: args.get_or("tw", paper.tw)?,
+    };
+    cost.validate().map_err(|e| format!("--{e}"))?;
+    Ok(cost)
 }
 
 /// Parses `one`/`multi` (with a few aliases) into a port model.

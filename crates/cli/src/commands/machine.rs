@@ -1,11 +1,9 @@
 //! The machine, kernel and fault flags `run` and `sweep` share.
 
 use cubemm_core::MachineConfig;
-use cubemm_simnet::{
-    ChargePolicy, CorruptKind, Corruption, CostParams, FaultEntry, FaultPlan, LinkQuality,
-};
+use cubemm_simnet::{ChargePolicy, CorruptKind, Corruption, FaultEntry, FaultPlan, LinkQuality};
 
-use crate::args::{parse_kernel, parse_port, Args};
+use crate::args::{parse_costs, parse_kernel, parse_port, Args};
 
 /// Value flags [`machine_from`] reads: machine shape, costs, kernel and
 /// the fault plan.
@@ -28,8 +26,6 @@ pub const MACHINE_FLAGS: &[&str] = &[
 
 /// The machine the flags describe.
 pub fn machine_from(args: &Args) -> Result<MachineConfig, String> {
-    let ts: f64 = args.get_or("ts", 150.0)?;
-    let tw: f64 = args.get_or("tw", 3.0)?;
     let charge = match args.raw("charge") {
         None | Some("sender") => ChargePolicy::SenderOnly,
         Some("symmetric") => ChargePolicy::Symmetric,
@@ -41,7 +37,7 @@ pub fn machine_from(args: &Args) -> Result<MachineConfig, String> {
     };
     Ok(MachineConfig::builder()
         .port(parse_port(args.raw("port"))?)
-        .costs(CostParams { ts, tw })
+        .costs(parse_costs(args)?)
         .kernel(parse_kernel(args.raw("kernel"))?)
         .charge(charge)
         .faults(faults_from(args)?)

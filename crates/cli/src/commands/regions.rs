@@ -2,7 +2,7 @@
 
 use cubemm_model::{render_ascii, RegionMap, Sweep};
 
-use crate::args::{parse_port, Args, Flags};
+use crate::args::{parse_costs, parse_port, Args, Flags};
 
 const REGIONS_FLAGS: Flags = Flags {
     command: "regions",
@@ -13,10 +13,9 @@ const REGIONS_FLAGS: Flags = Flags {
 /// `cubemm regions ...`.
 pub fn regions(argv: &[String]) -> Result<i32, String> {
     let args = Args::parse(argv, &REGIONS_FLAGS)?;
-    let ts: f64 = args.get_or("ts", 150.0)?;
-    let tw: f64 = args.get_or("tw", 3.0)?;
+    let cost = parse_costs(&args)?;
     let port = parse_port(args.raw("port"))?;
-    let map = RegionMap::generate(Sweep::default(), port, ts, tw);
+    let map = RegionMap::generate(Sweep::default(), port, cost.ts, cost.tw);
     print!("{}", render_ascii(&map));
     Ok(0)
 }

@@ -454,12 +454,6 @@ impl CollectiveRun {
         }
     }
 
-    /// Consumes the run, returning the packet store for result
-    /// extraction.
-    pub fn into_store(self) -> PacketStore {
-        self.store
-    }
-
     /// Read access to the store (for finishers that clone).
     pub fn store(&self) -> &PacketStore {
         &self.store

@@ -25,17 +25,13 @@ use cubemm_simnet::Payload;
 use cubemm_topology::{gray, gray_inverse, Grid2};
 
 use crate::cannon::shift_multiply;
-use crate::util::{
-    assemble_blocks, phase_tag, require_divides, shift_pair, square_blocks, square_order,
-};
+use crate::util::{assemble_blocks, phase_tag, shift_pair, square_blocks, square_order};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates that torus Cannon can run `n × n` matrices on `p`
 /// processors (same shape requirements as the hypercube form).
 pub fn check(n: usize, p: usize) -> Result<(), AlgoError> {
-    let grid = Grid2::new(p)?;
-    require_divides(n, grid.q(), "sqrt(p) x sqrt(p) block partition")?;
-    Ok(())
+    crate::cannon::check(n, p)
 }
 
 /// Multiplies `a · b` with torus-form Cannon on a simulated `p`-node

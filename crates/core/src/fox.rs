@@ -20,14 +20,12 @@ use cubemm_simnet::Payload;
 use cubemm_topology::{gray, Grid2};
 
 use crate::cannon_torus::GrayRing;
-use crate::util::{delivered, phase_tag, require_divides, shift_round, square_order};
+use crate::util::{delivered, phase_tag, shift_round, square_order};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates that Fox's algorithm can run `n × n` on `p` processors.
 pub fn check(n: usize, p: usize) -> Result<(), AlgoError> {
-    let grid = Grid2::new(p)?;
-    require_divides(n, grid.q(), "sqrt(p) x sqrt(p) block partition")?;
-    Ok(())
+    crate::cannon::check(n, p)
 }
 
 /// Multiplies `a · b` with the Fox–Otto–Hey algorithm on a simulated

@@ -17,9 +17,10 @@
 //! message otherwise). `Fused` phases run their streams through
 //! `execute_fused` over pairwise-disjoint dimension sets: one-port they
 //! serialize, multi-port they overlap (the slowest stream is the phase).
-//! `Shift` phases declare their per-round cost per port directly —
-//! these are the raw `Op::Send`/`Op::Recv` loops (Cannon-style skews
-//! and ring shifts) whose structure is a round count, not a collective.
+//! `Shift` phases declare their moves and volume per round — these are
+//! the Cannon family's shift rounds (skews, ring shifts, grouped shifts)
+//! whose structure is a round count, not a collective; the analyze crate
+//! derives their per-port cost.
 
 use cubemm_collectives::CollKind;
 use cubemm_model::sym::{Poly, Rat};
@@ -90,21 +91,19 @@ pub enum Phase {
         /// Phase name for certificates.
         label: &'static str,
     },
-    /// An explicit send/recv loop (skew, ring shift, grouped shift):
-    /// `rounds` iterations whose per-round cost is declared per port.
+    /// A shift loop (skew, ring shift, grouped shift): `rounds` shift
+    /// rounds, each sending `moves` blocks of `vol` words per node to
+    /// pairwise-distinct neighbors. One-port serializes the moves;
+    /// multi-port overlaps them on their distinct links.
     /// `note` records the structural justification the numbers encode.
     Shift {
         /// Iteration count.
         rounds: Poly,
-        /// One-port start-ups per round (serialized messages per node).
-        a1: Poly,
-        /// One-port words per round (total volume per node).
-        b1: Poly,
-        /// Multi-port start-ups per round (concurrent batches).
-        amp: Poly,
-        /// Multi-port words per round (max per-link load).
-        bmp: Poly,
-        /// Why the per-round costs are what they are.
+        /// Blocks each node sends per round.
+        moves: Poly,
+        /// Words per move.
+        vol: Poly,
+        /// Why the moves and volumes are what they are.
         note: &'static str,
         /// Phase name for certificates.
         label: &'static str,
@@ -163,10 +162,8 @@ fn coll(kind: CollKind, sub: u32, unit: Poly, label: &'static str) -> Phase {
 fn paired_shift(rounds: Poly, vol: Poly, note: &'static str, label: &'static str) -> Phase {
     Phase::Shift {
         rounds,
-        a1: Poly::int(2),
-        b1: vol.scale(Rat::int(2)),
-        amp: Poly::int(1),
-        bmp: vol,
+        moves: Poly::int(2),
+        vol,
         note,
         label,
     }
@@ -217,13 +214,9 @@ pub fn schema(algo: Algorithm) -> AlgoSchema {
             Phase::Shift {
                 rounds: sqrtp_minus_1(),
                 // log √p = d/2 A groups + d/2 B groups per step, each of
-                // 2m/d words: one-port serializes d messages of total
-                // volume 2m; multi-port drives all group links at once
-                // with A and B pairs sharing a per-link load of 2m/d.
-                a1: Poly::d(),
-                b1: m.scale(Rat::int(2)),
-                amp: Poly::int(1),
-                bmp: m.scale(Rat::int(2)).mul(&Poly::term(Rat::ONE, 0, 0, -1)),
+                // 2m/d words.
+                moves: Poly::d(),
+                vol: m.scale(Rat::int(2)).mul(&Poly::term(Rat::ONE, 0, 0, -1)),
                 note: "grouped shifts: block split log √p ways; group l shifts on \
                        schedule bit g_{l,k}, pairwise-distinct links per step",
                 label: "grouped shift-multiply",
@@ -411,10 +404,8 @@ pub fn schema(algo: Algorithm) -> AlgoSchema {
             },
             Phase::Shift {
                 rounds: sqrtp_minus_1(),
-                a1: Poly::int(1),
-                b1: unit_np(),
-                amp: Poly::int(1),
-                bmp: unit_np(),
+                moves: Poly::int(1),
+                vol: unit_np(),
                 note: "single B roll up the column ring per step",
                 label: "roll B",
             },

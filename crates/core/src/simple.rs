@@ -9,14 +9,12 @@ use cubemm_dense::{Matrix, MatrixView};
 use cubemm_simnet::Payload;
 use cubemm_topology::Grid2;
 
-use crate::util::{assemble_blocks, phase_tag, require_divides, square_blocks, square_order};
+use crate::util::{assemble_blocks, phase_tag, square_blocks, square_order};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates that Simple can run `n × n` matrices on `p` processors.
 pub fn check(n: usize, p: usize) -> Result<(), AlgoError> {
-    let grid = Grid2::new(p)?;
-    require_divides(n, grid.q(), "sqrt(p) x sqrt(p) block partition")?;
-    Ok(())
+    crate::cannon::check(n, p)
 }
 
 /// Multiplies `a · b` with Algorithm Simple on a simulated `p`-node

@@ -304,12 +304,6 @@ impl Poly {
         Ok(out)
     }
 
-    /// Is every coefficient non-negative? (A sufficient condition for
-    /// the polynomial to be ≥ 0 wherever `v, x, d ≥ 0`.)
-    pub fn all_nonnegative(&self) -> bool {
-        self.terms.values().all(|c| !c.is_negative())
-    }
-
     /// Sufficient dominance check: is `self ≥ 0` for all `v ≥ 1`,
     /// `d ≥ 1` (hence `x ≥ 1`)? Every negative term must be covered by
     /// a distinct positive term whose exponents are all component-wise

@@ -279,11 +279,6 @@ impl ServePool {
         lock(&self.shared.stats).clone()
     }
 
-    /// How many jobs are queued right now.
-    pub fn queue_depth(&self) -> usize {
-        lock(&self.shared.state).queue.len()
-    }
-
     /// Clean shutdown: stop admitting, let the workers finish every
     /// queued job, join them, and return the final counters.
     pub fn drain(self) -> PoolStats {

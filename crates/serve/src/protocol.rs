@@ -280,7 +280,7 @@ pub fn parse_request(line: &str) -> Result<JobRequest, (String, String)> {
     let paper = cubemm_simnet::CostParams::PAPER;
     let ts = field_f64(&doc, "ts").map_err(fail)?.unwrap_or(paper.ts);
     let tw = field_f64(&doc, "tw").map_err(fail)?.unwrap_or(paper.tw);
-    if ts < 0.0 || tw < 0.0 {
+    if (cubemm_simnet::CostParams { ts, tw }).validate().is_err() {
         return Err(fail("\"ts\" and \"tw\" must be non-negative".into()));
     }
     let seed = field_index(&doc, "seed").map_err(fail)?.unwrap_or(1);

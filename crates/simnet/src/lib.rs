@@ -541,6 +541,19 @@ impl CostParams {
     /// Pure bandwidth accounting: elapsed time equals the word volume on
     /// the critical path (the `b` of Table 2).
     pub const WORDS_ONLY: CostParams = CostParams { ts: 0.0, tw: 1.0 };
+
+    /// The rule every cost obeys: `ts` and `tw` are finite and
+    /// non-negative. The error names the first cost that breaks it.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, cost) in [("ts", self.ts), ("tw", self.tw)] {
+            if !(cost.is_finite() && cost >= 0.0) {
+                return Err(format!(
+                    "{name} must be finite and non-negative, got {cost}"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Which physical links the machine provides.

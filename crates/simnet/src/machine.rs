@@ -97,7 +97,8 @@ pub struct Blocked {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The machine could not be constructed (bad size, bad init count,
-    /// fault plan referencing nodes outside the machine).
+    /// a cost that is negative or not finite, fault plan referencing
+    /// nodes outside the machine).
     Config(String),
     /// Every live node was blocked in a receive no remaining sender can
     /// satisfy — detected *exactly* by the progress ledger the instant
@@ -304,6 +305,7 @@ impl Machine {
                 "machine size {p} is not a power of two"
             )));
         };
+        options.cost.validate().map_err(RunError::Config)?;
         options
             .faults
             .validate(p)
@@ -762,6 +764,21 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, RunError::Config(ref m) if m.contains("outside the 4-node")));
+        for (ts, tw, why) in [
+            (f64::NAN, 3.0, "ts must be finite and non-negative, got NaN"),
+            (-1.0, 3.0, "ts must be finite and non-negative, got -1"),
+            (
+                150.0,
+                f64::INFINITY,
+                "tw must be finite and non-negative, got inf",
+            ),
+        ] {
+            let err = Machine::builder(4)
+                .cost(CostParams { ts, tw })
+                .build()
+                .unwrap_err();
+            assert!(matches!(err, RunError::Config(ref m) if m == why), "{err}");
+        }
         // The init count stays a per-run check.
         let machine = Machine::builder(4).build().expect("valid config");
         let err = machine.run(vec![(), ()], |_, ()| async {}).unwrap_err();

@@ -130,12 +130,4 @@ impl RunStats {
     pub fn fired_faults(&self) -> impl Iterator<Item = FiredFault> + '_ {
         self.nodes.iter().flat_map(|n| n.fired.iter().copied())
     }
-
-    /// The shortest per-node schedule length of the run (communication
-    /// calls of the least-talkative node) — the denominator chaos
-    /// campaigns use to place faults in early/mid/late phases so that a
-    /// scheduled step is guaranteed to be reached by every node.
-    pub fn min_rounds(&self) -> u64 {
-        self.nodes.iter().map(|n| n.rounds).min().unwrap_or(0)
-    }
 }
