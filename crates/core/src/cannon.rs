@@ -15,13 +15,16 @@
 //! nodes overlap them ("halving the time required", §3.2), one-port
 //! nodes serialize them — both measured, matching Table 2.
 
+use std::future::Future;
+
 use cubemm_dense::gemm::{gemm_acc, Kernel};
 use cubemm_dense::{Matrix, MatrixView};
 use cubemm_simnet::{Payload, Proc};
 use cubemm_topology::{gray_delta_bit, Grid2};
 
 use crate::util::{
-    assemble_blocks, phase_tag, require_divides, shift_pair, square_blocks, square_order,
+    assemble_blocks, delivered, phase_tag, require_divides, shift_round, square_blocks,
+    square_order,
 };
 use crate::{AlgoError, MachineConfig, RunResult};
 
@@ -67,23 +70,52 @@ pub(crate) async fn cannon_phase(
 
 /// The XOR skew of Cannon and HJE (Algorithm 1's first loop):
 /// `A_{i,j} -> p_{i, j XOR i}` and `B_{i,j} -> p_{i XOR j, j}`, one
-/// coordinate bit per round, both matrices batched per round. Returns
-/// this node's skewed A and B blocks.
-pub(crate) async fn skew(
-    proc: &mut Proc,
-    node_of: &dyn Fn(usize, usize) -> usize,
+/// coordinate bit per round, both matrices batched per round. Resolves
+/// to this node's skewed A and B blocks.
+pub(crate) fn skew<'a>(
+    proc: &'a mut Proc,
+    node_of: &'a dyn Fn(usize, usize) -> usize,
     i: usize,
     j: usize,
     q: usize,
+    a: Payload,
+    b: Payload,
+) -> impl Future<Output = (Payload, Payload)> + 'a {
+    let rounds = q.trailing_zeros() as usize;
+    align(proc, rounds, a, b, move |bit| {
+        let (a_to, b_to) = (node_of(i, j ^ (1 << bit)), node_of(i ^ (1 << bit), j));
+        let tag = bit as u64;
+        (
+            ((i >> bit) & 1 == 1).then_some((a_to, a_to, phase_tag(0) + tag)),
+            ((j >> bit) & 1 == 1).then_some((b_to, b_to, phase_tag(1) + tag)),
+        )
+    })
+}
+
+/// The alignment rounds of the Cannon family (the XOR skew, the torus
+/// alignment): in round `t`, A moves along `moves(t).0` and B along
+/// `moves(t).1` — each `(to, from, tag)`, or `None` to stay put — and
+/// each moved block is replaced by the one received. Resolves to the
+/// aligned A and B blocks.
+pub(crate) async fn align(
+    proc: &mut Proc,
+    rounds: usize,
     mut a: Payload,
     mut b: Payload,
+    moves: impl Fn(usize) -> (Option<(usize, usize, u64)>, Option<(usize, usize, u64)>),
 ) -> (Payload, Payload) {
-    for bit in 0..q.trailing_zeros() {
-        let a_to = node_of(i, j ^ (1 << bit));
-        let b_to = node_of(i ^ (1 << bit), j);
-        let a_move = ((i >> bit) & 1 == 1).then_some((a_to, a_to, phase_tag(0) + u64::from(bit)));
-        let b_move = ((j >> bit) & 1 == 1).then_some((b_to, b_to, phase_tag(1) + u64::from(bit)));
-        shift_pair(proc, &mut a, &mut b, a_move, b_move).await;
+    for t in 0..rounds {
+        let (a_move, b_move) = moves(t);
+        let a_out = a_move.map(|(to, from, tag)| (to, from, tag, std::mem::take(&mut a)));
+        let b_out = b_move.map(|(to, from, tag)| (to, from, tag, std::mem::take(&mut b)));
+        let moves = a_out.into_iter().chain(b_out);
+        let mut received = shift_round(proc, moves).await.into_iter().flatten();
+        if a_move.is_some() {
+            a = delivered(received.next(), "aligned A");
+        }
+        if b_move.is_some() {
+            b = delivered(received.next(), "aligned B");
+        }
     }
     (a, b)
 }
@@ -114,9 +146,11 @@ pub(crate) async fn shift_multiply(
             break;
         }
         let ((a_to, a_from), (b_to, b_from)) = neighbors(step);
-        let a_move = (a_to, a_from, phase_tag(2) + step as u64);
-        let b_move = (b_to, b_from, phase_tag(3) + step as u64);
-        shift_pair(proc, &mut a, &mut b, Some(a_move), Some(b_move)).await;
+        let (a_tag, b_tag) = (phase_tag(2) + step as u64, phase_tag(3) + step as u64);
+        let moves = [(a_to, a_from, a_tag, a), (b_to, b_from, b_tag, b)];
+        let mut received = shift_round(proc, moves).await.into_iter().flatten();
+        a = delivered(received.next(), "shifted A");
+        b = delivered(received.next(), "shifted B");
     }
     c
 }

@@ -24,8 +24,8 @@ use cubemm_dense::Matrix;
 use cubemm_simnet::Payload;
 use cubemm_topology::{gray, gray_inverse, Grid2};
 
-use crate::cannon::shift_multiply;
-use crate::util::{assemble_blocks, phase_tag, shift_pair, square_blocks, square_order};
+use crate::cannon::{align, shift_multiply};
+use crate::util::{assemble_blocks, phase_tag, square_blocks, square_order};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates that torus Cannon can run `n × n` matrices on `p`
@@ -51,7 +51,7 @@ pub fn multiply(
     let ring = GrayRing(grid);
     let kernel = cfg.kernel;
     let inits = ring.inits(a, b);
-    let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (mut a, mut b)| async move {
+    let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (a, b)| async move {
         let (i, j) = ring.coords(proc.id());
         proc.track_peak_words(3 * bs * bs);
         // A moves to its left ring neighbor and B to its up neighbor,
@@ -63,11 +63,13 @@ pub fn multiply(
         // rotates A one position left, every column with j > t rotates B
         // one position up. After q−1 rounds p_{i,j} holds A_{i, i+j} and
         // B_{i+j, j}.
-        for t in 0..q.saturating_sub(1) {
-            let a_move = (i > t).then_some((left.0, left.1, phase_tag(0) + t as u64));
-            let b_move = (j > t).then_some((up.0, up.1, phase_tag(1) + t as u64));
-            shift_pair(&mut proc, &mut a, &mut b, a_move, b_move).await;
-        }
+        let (a, b) = align(&mut proc, q - 1, a, b, |t| {
+            (
+                (i > t).then_some((left.0, left.1, phase_tag(0) + t as u64)),
+                (j > t).then_some((up.0, up.1, phase_tag(1) + t as u64)),
+            )
+        })
+        .await;
         // Phase 2 — √p multiplies with unit ring shifts in between,
         // exactly as on a torus.
         let shape = (bs, bs, bs);

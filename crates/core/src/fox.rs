@@ -78,7 +78,8 @@ pub fn multiply(
             }
             let tag = phase_tag(2 * k as u64 + 1);
             let up = (ring.node(i + q - 1, j), ring.node(i + 1, j), tag, b);
-            b = delivered(shift_round(&mut proc, [up]).await.next(), "rolled B");
+            let mut received = shift_round(&mut proc, [up]).await.into_iter().flatten();
+            b = delivered(received.next(), "rolled B");
         }
         Payload::from(c.into_payload())
     })?;

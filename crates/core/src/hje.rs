@@ -130,7 +130,7 @@ pub fn multiply(
                 let tag = phase_tag(2 + u64::from(is_b)) + (k * d + l) as u64;
                 (to, to, tag, block)
             });
-            let mut received = shift_round(&mut proc, moves).await;
+            let mut received = shift_round(&mut proc, moves).await.into_iter().flatten();
             groups.extend((0..2 * d).map(|_| delivered(received.next(), "shifted group")));
         }
         Payload::from(c.into_payload())

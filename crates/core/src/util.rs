@@ -1,8 +1,6 @@
 //! Shared helpers for the algorithm drivers.
 
 use std::future::Future;
-use std::iter::Flatten;
-use std::vec::IntoIter;
 
 use cubemm_dense::{partition, Matrix};
 use cubemm_simnet::{Machine, Op, Payload, Proc, RunOutcome};
@@ -77,42 +75,28 @@ pub(crate) fn assemble_blocks(
 /// under the same tag. The round is one [`Proc::multi`] batch — every
 /// send in move order, then every receive in move order — issued even
 /// when there are no moves, because a scheduled crash counts
-/// communication calls. Yields the replacement blocks in move order; the
-/// batch's `Vec<Op>` is the round's only allocation of its own.
-pub(crate) async fn shift_round(
+/// communication calls. It resolves to the batch's results, whose `Some`s
+/// are the replacement blocks in move order, and allocates nothing
+/// beyond the `Vec<Op>` that `multi` takes.
+///
+/// The batch is built before the returned future is first polled, and
+/// that future is `multi`'s own: a round runs once per step on every
+/// node, and an async layer of its own per round measurably slows
+/// 4096-node runs.
+#[inline(always)]
+pub(crate) fn shift_round(
     proc: &mut Proc,
     moves: impl IntoIterator<Item = (usize, usize, u64, Payload)>,
-) -> Flatten<IntoIter<Option<Payload>>> {
+) -> impl Future<Output = Vec<Option<Payload>>> + '_ {
     let moves = moves.into_iter();
     let mut ops = Vec::with_capacity(2 * moves.size_hint().0);
-    for (to, from, tag, data) in moves {
-        // `multi` runs every send before any receive, so pairing them
-        // here issues the same batch.
-        ops.push(Op::Send { to, tag, data });
-        ops.push(Op::Recv { from, tag });
-    }
-    proc.multi(ops).await.into_iter().flatten()
-}
-
-/// A [`shift_round`] of this node's A and B blocks: each moves along its
-/// `(to, from, tag)`, or stays put on `None`, and is replaced by the
-/// block it receives.
-pub(crate) async fn shift_pair(
-    proc: &mut Proc,
-    a: &mut Payload,
-    b: &mut Payload,
-    a_move: Option<(usize, usize, u64)>,
-    b_move: Option<(usize, usize, u64)>,
-) {
-    let moves = [(a_move, &mut *a), (b_move, &mut *b)]
-        .into_iter()
-        .filter_map(|(mv, block)| mv.map(|(to, from, tag)| (to, from, tag, std::mem::take(block))));
-    let mut received = shift_round(proc, moves).await;
-    for (mv, block) in [(a_move, a), (b_move, b)] {
-        if mv.is_some() {
-            *block = delivered(received.next(), "shifted block");
-        }
-    }
+    // `multi` runs every send before any receive, so pairing them here
+    // issues the same batch.
+    ops.extend(
+        moves
+            .flat_map(|(to, from, tag, data)| [Op::Send { to, tag, data }, Op::Recv { from, tag }]),
+    );
+    proc.multi(ops)
 }
 
 /// Stacks row-major blocks of equal width vertically — the payload form
