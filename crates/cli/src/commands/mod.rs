@@ -158,6 +158,17 @@ fn jobs_from(args: &Args) -> Result<usize, String> {
     Ok(jobs)
 }
 
+/// Parses `--n N` (default 64), the matrix order `run` and `sweep`
+/// multiply. An empty product is refused here, once, rather than
+/// reaching an algorithm whose blocks would be empty.
+fn order_from(args: &Args) -> Result<usize, String> {
+    let n: usize = args.get_or("n", 64)?;
+    if n == 0 {
+        return Err("--n must be at least 1".into());
+    }
+    Ok(n)
+}
+
 /// The `<algo|all>` selector `analyze` and `chaos` take, positionally
 /// or as `--algo`.
 fn selector(args: &Args, command: &str) -> Result<String, String> {

@@ -7,7 +7,7 @@ use cubemm_harness::recovery::RecoveryPolicy;
 use cubemm_simnet::{FaultEntry, FaultPlan};
 
 use super::machine::{machine_from, MACHINE_FLAGS};
-use super::parse_algo;
+use super::{order_from, parse_algo};
 use crate::args::{Args, Flags};
 
 pub(super) const RUN_FLAGS: Flags = Flags {
@@ -31,7 +31,7 @@ pub(super) const RUN_FLAGS: Flags = Flags {
 pub fn run(argv: &[String]) -> Result<i32, String> {
     let args = Args::parse(argv, &RUN_FLAGS)?;
     let algo = parse_algo(&args.require::<String>("algo")?)?;
-    let n: usize = args.get_or("n", 64)?;
+    let n = order_from(&args)?;
     let p: usize = args.get_or("p", 64)?;
     let seed: u64 = args.get_or("seed", 1)?;
     let cfg = machine_from(&args)?;

@@ -4,8 +4,8 @@ use cubemm_core::Algorithm;
 use cubemm_dense::gemm;
 use cubemm_harness::job::{self, Job, Protection};
 
-use super::jobs_from;
 use super::machine::{machine_from, MACHINE_FLAGS};
+use super::{jobs_from, order_from};
 use crate::args::{Args, Flags};
 
 pub(super) const SWEEP_FLAGS: Flags = Flags {
@@ -20,7 +20,7 @@ const SEED: u64 = 1;
 /// `cubemm sweep --n N [--p list] ...`.
 pub fn sweep(argv: &[String]) -> Result<i32, String> {
     let args = Args::parse(argv, &SWEEP_FLAGS)?;
-    let n: usize = args.get_or("n", 64)?;
+    let n = order_from(&args)?;
     let cfg = machine_from(&args)?;
     let ps: Vec<usize> = match args.raw("p") {
         None => vec![4, 8, 16, 64, 512],

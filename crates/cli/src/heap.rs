@@ -1,0 +1,137 @@
+//! Backs `cubemm run`'s heap with transparent huge pages.
+//!
+//! Simple, 3-D Diagonal and the 3-D All family are space-hungry (the
+//! paper's Table 3), so one `run` writes tens of megabytes of fresh heap.
+//! On 4 KB pages every one of those pages costs a minor fault on first
+//! touch, plus a TLB entry; on 2 MiB pages the same heap faults ~500×
+//! less often. [`reserve`] grows glibc's main heap once, up front, and
+//! advises the grown range `MADV_HUGEPAGE`. glibc serves a request from
+//! its top chunk whenever the chunk is big enough, whatever the mmap
+//! threshold, so with 512 MiB on top everything `run` allocates on its
+//! main thread lands in that range. Only the page size changes: the
+//! program's allocations, every number and every byte of output stay
+//! the same.
+//!
+//! **Safety argument.** glibc, not this module, moves the break: the
+//! module only sets a glibc tunable and makes ordinary `malloc`/`free`
+//! calls, then reads the break with `sbrk(0)`, which moves nothing.
+//! `madvise(MADV_HUGEPAGE)` changes paging policy only — contents,
+//! protection and mapping stay as they were — and it is applied to whole
+//! pages inside the heap glibc just grew. [`reserve`] runs once, from
+//! `main`, before any other thread exists.
+//!
+//! **Fallback.** When the host's THP mode reads `never`, when no huge
+//! page is free at fault time, or when `sbrk` cannot grow the heap (the
+//! break never moves, and glibc's default pad is restored), pages stay
+//! 4 KB and `run` behaves exactly as it would without this module.
+//!
+//! Only `run` calls this. `serve`, `chaos`, `analyze` and `sweep` run
+//! many small machines on a warm heap of a few megabytes, where one
+//! 2 MiB page is a sizable share of the resident set and nothing was
+//! measured to gain (DESIGN.md §11).
+
+use std::alloc::{alloc, dealloc, Layout};
+use std::ffi::{c_int, c_void};
+
+extern "C" {
+    fn mallopt(param: c_int, value: c_int) -> c_int;
+    fn sbrk(increment: isize) -> *mut c_void;
+    fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+}
+
+/// glibc's `mallopt` parameter for the bytes each heap growth adds
+/// beyond the request (`<malloc.h>`).
+const M_TOP_PAD: c_int = -2;
+/// glibc's default for [`M_TOP_PAD`].
+const DEFAULT_TOP_PAD: c_int = 128 << 10;
+/// `<sys/mman.h>`'s advice that a range should be backed by huge pages.
+const MADV_HUGEPAGE: c_int = 14;
+/// The x86-64 and aarch64 PMD huge page.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// Address space the heap grows by once. It is committed only when
+/// touched, and glibc trims the heap back no further than the pad, so
+/// the advised range lives for the whole process.
+const TOP_PAD: c_int = 512 << 20;
+/// Each probe allocation: below glibc's smallest mmap threshold
+/// (128 KiB), so it is carved from the main heap's top chunk.
+const PROBE: usize = 64 << 10;
+/// Probes that may pass before the break moves: enough to exhaust any
+/// top chunk a fresh process has (a few hundred KiB) several times over.
+const MAX_PROBES: usize = 64;
+/// Bytes past a probe that glibc may write: the next chunk's header.
+const HEADER: usize = 2 * std::mem::size_of::<usize>();
+
+/// Grows the main heap by [`TOP_PAD`], advises the 2 MiB-aligned part
+/// of the new range `MADV_HUGEPAGE`, and pins the unaligned 4 KB head
+/// below it so that later allocations start on a huge page. Must run
+/// before any other thread exists; see the module docs for the safety
+/// argument and the fallback.
+pub fn reserve() {
+    let layout = Layout::from_size_align(PROBE, 16).expect("probe layout is valid");
+    // SAFETY: `mallopt` and `sbrk(0)` only set or read glibc's malloc
+    // state, and no other thread exists to race them. `sbrk(0)` moves
+    // nothing.
+    let brk = || unsafe { sbrk(0) } as usize;
+    // SAFETY: as above.
+    unsafe { mallopt(M_TOP_PAD, TOP_PAD) };
+    let before = brk();
+
+    // Allocate until glibc grows the heap. Every probe and the header
+    // after it lie below `start`, so nothing in the advised range is
+    // touched before the advice: a 2 MiB frame faulted once at 4 KB
+    // stays 4 KB.
+    let mut probes = [std::ptr::null_mut::<u8>(); MAX_PROBES];
+    let mut grown = None;
+    for slot in &mut probes {
+        // SAFETY: `layout` has a nonzero size.
+        *slot = unsafe { alloc(layout) };
+        if slot.is_null() {
+            break;
+        }
+        if brk() != before {
+            grown = Some(*slot as usize + PROBE + HEADER);
+            break;
+        }
+    }
+    let Some(touched) = grown else {
+        // The break never moved (`sbrk` failed and glibc fell back to
+        // mmap): free the probes and restore glibc's default pad so
+        // later growth asks for no more than it did.
+        for &ptr in probes.iter().filter(|p| !p.is_null()) {
+            // SAFETY: `ptr` came from `alloc(layout)` above and is freed once.
+            unsafe { dealloc(ptr, layout) };
+        }
+        // SAFETY: as above.
+        unsafe { mallopt(M_TOP_PAD, DEFAULT_TOP_PAD) };
+        return;
+    };
+    let start = touched.next_multiple_of(HUGE_PAGE);
+    let after = brk();
+    let end = after - after % HUGE_PAGE;
+    if end > start {
+        // SAFETY: `[start, end)` is whole pages inside the heap glibc
+        // just grew, and MADV_HUGEPAGE changes how those pages are
+        // backed, not what they hold. A failure (a kernel without THP)
+        // leaves 4 KB pages, so its result is ignored.
+        unsafe { madvise(start as *mut c_void, end - start, MADV_HUGEPAGE) };
+    }
+
+    // Pin the rest of the head below `start` (at most 2 MiB of address
+    // space, of which only one header page per probe is ever touched),
+    // so that the top chunk begins on the advised range. The probes
+    // already taken stay pinned too; the one that crosses `start` is
+    // returned to the top chunk.
+    for _ in 0..=HUGE_PAGE / PROBE {
+        // SAFETY: `layout` has a nonzero size.
+        let ptr = unsafe { alloc(layout) };
+        if ptr.is_null() {
+            return;
+        }
+        if ptr as usize + PROBE > start {
+            // SAFETY: `ptr` came from `alloc(layout)` just above.
+            unsafe { dealloc(ptr, layout) };
+            return;
+        }
+    }
+}

@@ -23,12 +23,20 @@
 
 mod args;
 mod commands;
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+mod heap;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let result = match argv.first().map(String::as_str) {
         Some("list") => commands::list(&argv[1..]),
-        Some("run") => commands::run(&argv[1..]),
+        Some("run") => {
+            // Before `run` draws its operands and before any other
+            // thread exists.
+            #[cfg(all(target_os = "linux", target_env = "gnu"))]
+            heap::reserve();
+            commands::run(&argv[1..])
+        }
         Some("sweep") => commands::sweep(&argv[1..]),
         Some("regions") => commands::regions(&argv[1..]),
         Some("analyze") => commands::analyze(&argv[1..]),

@@ -1,4 +1,5 @@
-//! An order no host can hold is an answer, not an abort.
+//! An order no host can hold is an answer, not an abort, and so is an
+//! empty one.
 //!
 //! `cubemm serve` and `cubemm run` check the shape first and then
 //! generate operands fallibly, so a job whose `n × n` operands cannot be
@@ -147,4 +148,20 @@ fn an_incurable_abft_shape_is_answered_at_once() {
             .to_string()
             + "\n"
     );
+}
+
+/// The other end: an empty order is refused by the one `--n` rule that
+/// `run` and `sweep` share, before any node could see an empty block.
+#[test]
+fn an_empty_order_is_refused_by_run_and_sweep() {
+    for args in ["run --algo 3d-all-trans --n 0 --p 64", "sweep --n 0"] {
+        let out = cubemm(args, "");
+        assert_eq!(out.status.code(), Some(2), "{args}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "error: --n must be at least 1\n",
+            "{args}"
+        );
+        assert!(out.stdout.is_empty(), "{args}");
+    }
 }

@@ -180,7 +180,10 @@ async fn program(
         // Outer-product block of plane y = j:
         // I_{k,i} = Σ_l A_{k,f(l,j)} · B_{f(l,j),i}.
         let mut outer = Matrix::zeros(side, side);
-        for (a_block, b_rows) in a_blocks.iter().zip(b_bundle.chunks_exact(tall_r * side)) {
+        // Slice by index, not `chunks_exact`: at n = 0 a chunk is empty.
+        let b_words = tall_r * side;
+        for (l, a_block) in a_blocks.iter().enumerate() {
+            let b_rows = &b_bundle[l * b_words..(l + 1) * b_words];
             gemm_acc(
                 &mut outer,
                 MatrixView::new(side, wide_c, a_block),

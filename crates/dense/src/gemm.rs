@@ -96,8 +96,9 @@ pub enum Kernel {
 
 impl Kernel {
     /// The packed kernel with tuned default tiles, single-threaded —
-    /// the right choice inside the simulator, where the `p` virtual
-    /// nodes already occupy one OS thread each.
+    /// the right choice inside the simulator: its blocks are small, and
+    /// the host reference ([`alongside_reference`]) already takes a
+    /// second thread once the product pays for one.
     pub const fn packed() -> Kernel {
         Kernel::Packed {
             mc: 0,

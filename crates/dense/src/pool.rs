@@ -247,46 +247,68 @@ fn worker_loop(inner: &'static Inner) {
 // ---------------------------------------------------------------------
 // Scratch-buffer recycling.
 
-/// Free buffers kept per thread (simulator nodes are threads, so a
-/// thread-local free list gives every virtual node its own lock-free
-/// pool). Bounded so a burst of large packs cannot pin memory forever.
+/// Free buffers kept per thread. The simulator runs a whole machine on
+/// one thread, so its nodes share that thread's free list; bounded so a
+/// burst of large packs cannot pin memory forever.
 const MAX_FREE_BUFFERS: usize = 8;
 
-/// Free buffers shared across threads. Simulator node threads are
-/// short-lived — every machine boot spawns `p` fresh threads — so
-/// purely thread-local recycling would re-allocate every pack on every
-/// job of a long-lived serve pool. Exiting threads spill their free
-/// lists here and newly booted nodes draw from it before allocating.
+/// Free buffers shared across threads. Threads that pack come and go —
+/// a host reference beside each `run`, `--jobs` grid workers, serve
+/// workers — so purely thread-local recycling would re-allocate every
+/// pack on every fresh thread. Exiting threads spill their free lists
+/// into [`GLOBAL_FREE`] and fresh threads draw from it before
+/// allocating.
 const MAX_GLOBAL_FREE: usize = 64;
 
-static GLOBAL_FREE: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
+/// A bounded free list shared across threads.
+struct FreeList(Mutex<Vec<Vec<f64>>>);
 
-/// The thread-local free list; spills to [`GLOBAL_FREE`] when the
-/// thread exits so a rebooted machine's nodes inherit warm buffers.
-struct LocalFree(Vec<Vec<f64>>);
+impl FreeList {
+    const fn new() -> Self {
+        FreeList(Mutex::new(Vec::new()))
+    }
+
+    /// Keeps as many of `bufs` as fit under [`MAX_GLOBAL_FREE`].
+    fn spill(&self, mut bufs: Vec<Vec<f64>>) {
+        let mut free = lock(&self.0);
+        bufs.truncate(MAX_GLOBAL_FREE.saturating_sub(free.len()));
+        free.append(&mut bufs);
+    }
+
+    /// Takes the newest buffer of at least `len` elements' capacity.
+    fn take(&self, len: usize) -> Option<Vec<f64>> {
+        let mut free = lock(&self.0);
+        let pos = free.iter().rposition(|b| b.capacity() >= len)?;
+        Some(free.swap_remove(pos))
+    }
+}
+
+/// The process-wide spill pool.
+static GLOBAL_FREE: FreeList = FreeList::new();
+
+/// The thread-local free list, and the shared list it spills to when
+/// the thread exits and draws from when it runs dry.
+struct LocalFree {
+    bufs: Vec<Vec<f64>>,
+    shared: &'static FreeList,
+}
 
 impl Drop for LocalFree {
     fn drop(&mut self) {
-        let mut spilled = std::mem::take(&mut self.0);
-        if spilled.is_empty() {
-            return;
+        let spilled = std::mem::take(&mut self.bufs);
+        if !spilled.is_empty() {
+            self.shared.spill(spilled);
         }
-        let mut global = lock(&GLOBAL_FREE);
-        spilled.truncate(MAX_GLOBAL_FREE.saturating_sub(global.len()));
-        global.append(&mut spilled);
     }
 }
 
 thread_local! {
-    static FREE: RefCell<LocalFree> = const { RefCell::new(LocalFree(Vec::new())) };
-}
-
-/// Takes the newest buffer of sufficient capacity from the process-wide
-/// spill pool.
-fn take_global(len: usize) -> Option<Vec<f64>> {
-    let mut global = lock(&GLOBAL_FREE);
-    let pos = global.iter().rposition(|b| b.capacity() >= len)?;
-    Some(global.swap_remove(pos))
+    static FREE: RefCell<LocalFree> = const {
+        RefCell::new(LocalFree {
+            bufs: Vec::new(),
+            shared: &GLOBAL_FREE,
+        })
+    };
 }
 
 /// A leased scratch buffer; returns to the thread's free list on drop.
@@ -316,8 +338,8 @@ impl Drop for ScratchBuf {
         }
         let _ = FREE.try_with(|free| {
             let mut free = free.borrow_mut();
-            if free.0.len() < MAX_FREE_BUFFERS {
-                free.0.push(buf);
+            if free.bufs.len() < MAX_FREE_BUFFERS {
+                free.bufs.push(buf);
             }
         });
     }
@@ -332,12 +354,12 @@ pub fn take_scratch(len: usize) -> ScratchBuf {
     let reused = FREE
         .try_with(|free| {
             let mut free = free.borrow_mut();
-            let pos = free.0.iter().rposition(|b| b.capacity() >= len)?;
-            Some(free.0.swap_remove(pos))
+            match free.bufs.iter().rposition(|b| b.capacity() >= len) {
+                Some(pos) => Some(free.bufs.swap_remove(pos)),
+                None => free.shared.take(len),
+            }
         })
-        .ok()
-        .flatten()
-        .or_else(|| take_global(len));
+        .unwrap_or_else(|_| GLOBAL_FREE.take(len));
     let mut buf = reused.unwrap_or_default();
     // Adjust length without touching retained contents: `resize` only
     // writes the elements beyond the current length.
@@ -455,33 +477,19 @@ mod tests {
 
     #[test]
     fn exited_threads_spill_scratch_to_the_global_pool() {
-        // Lease-and-return an odd-sized buffer on a short-lived thread
-        // (modelling one virtual node of a rebooted machine), then show
-        // a *different* fresh thread can reuse that very allocation.
+        // Lease-and-return an odd-sized buffer on a short-lived thread,
+        // then show a *different* fresh thread reuses that very
+        // allocation. Both threads share a private spill pool, so no
+        // concurrently running test can take the buffer first.
         const LEN: usize = 77_777;
-        let ptr = thread::spawn(|| {
-            let s = take_scratch(LEN);
-            let p = s.as_slice().as_ptr() as usize;
-            drop(s);
-            p
-        })
-        .join()
-        .unwrap();
-        // Another thread may race us for the spilled buffer (tests run
-        // concurrently), so retry a few times before concluding the
-        // spill never happened.
-        for _ in 0..32 {
-            let got = thread::spawn(|| {
-                let s = take_scratch(LEN);
-                s.as_slice().as_ptr() as usize
-            })
-            .join()
-            .unwrap();
-            if got == ptr {
-                return;
-            }
-        }
-        panic!("no fresh thread ever inherited the spilled buffer");
+        let shared: &'static FreeList = Box::leak(Box::new(FreeList::new()));
+        let lease = move || {
+            FREE.with(|free| free.borrow_mut().shared = shared);
+            take_scratch(LEN).as_slice().as_ptr() as usize
+        };
+        let spilled = thread::spawn(lease).join().unwrap();
+        let inherited = thread::spawn(lease).join().unwrap();
+        assert_eq!(inherited, spilled, "the fresh thread allocated anew");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! of machine and matrix shapes, each run verified against the
 //! sequential reference product.
 
-use cubemm_core::{Algorithm, MachineConfig};
+use cubemm_core::{AlgoError, Algorithm, MachineConfig};
 use cubemm_dense::{gemm, Matrix};
 use cubemm_simnet::{CostParams, PortModel};
 
@@ -122,5 +122,22 @@ fn rectangular_inputs_rejected() {
             algo.multiply(&a, &b, 4, &cfg).is_err(),
             "{algo} accepted rectangular input"
         );
+    }
+}
+
+#[test]
+fn empty_order_never_panics_inside_a_node() {
+    // n = 0 is refused at the CLI, but the library takes it: every
+    // algorithm either returns the empty product or a typed error.
+    let a = Matrix::zeros(0, 0);
+    for algo in Algorithm::ALL.into_iter().chain(Algorithm::EXTENSIONS) {
+        for port in [PortModel::OnePort, PortModel::MultiPort] {
+            let cfg = MachineConfig::new(port, CostParams { ts: 7.0, tw: 1.5 });
+            match algo.multiply(&a, &a, 64, &cfg) {
+                Ok(res) => assert_eq!((res.c.rows(), res.c.cols()), (0, 0), "{algo} {port}"),
+                Err(AlgoError::Sim(e)) => panic!("{algo} {port} failed in a node: {e}"),
+                Err(_) => {}
+            }
+        }
     }
 }
