@@ -11,9 +11,9 @@
 //! and wrap the code to measure in [`allocations_during`]. Counts are
 //! per thread, so the test harness's other threads (and anything else
 //! running beside the measurement) never leak into the number — which
-//! is what lets a test assert on it: the simulator runs a whole machine
-//! on one thread, so the same program allocates the same number of
-//! times on every run.
+//! is what lets a test assert on it: the simulator runs a machine below
+//! its sharding threshold on one thread, so the same program allocates
+//! the same number of times on every run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -84,6 +84,8 @@ struct Case {
     kind: Kind,
     p: usize,
     port: PortModel,
+    /// Host threads the machine runs on (`cubemm_simnet::with_shards`).
+    shards: usize,
 }
 
 impl Case {
@@ -106,15 +108,17 @@ impl Case {
     }
 }
 
-/// Boots `machine` and runs `program` on every node.
-fn run<O, F, Fut>(machine: &Machine, program: F) -> Result<RunStats, RunError>
+/// Boots `machine` on `shards` shards and runs `program` on every node.
+fn run<O, F, Fut>(machine: &Machine, shards: usize, program: F) -> Result<RunStats, RunError>
 where
-    F: Fn(Proc, ()) -> Fut,
+    F: Fn(Proc, ()) -> Fut + Sync,
     Fut: std::future::Future<Output = O>,
+    O: Send,
 {
-    machine
-        .run(vec![(); machine.p()], program)
-        .map(|out| out.stats)
+    cubemm_simnet::with_shards(shards, || {
+        machine.run_sharded(|| vec![(); machine.p()], program)
+    })
+    .map(|out| out.stats)
 }
 
 /// The abort case's deadlock report: every node blocked on tag 1 from
@@ -141,11 +145,13 @@ fn prepare(case: Case) -> Box<dyn FnOnce() -> Result<RunStats, RunError>> {
         .port(case.port)
         .build()
         .expect("valid bench machine");
-    let p = case.p;
+    let (p, shards) = (case.p, case.shards);
     match case.kind {
-        Kind::Spinup => Box::new(move || run(&machine, |proc, ()| async move { proc.id() })),
+        Kind::Spinup => {
+            Box::new(move || run(&machine, shards, |proc, ()| async move { proc.id() }))
+        }
         Kind::Pingpong => Box::new(move || {
-            run(&machine, |mut proc, ()| async move {
+            run(&machine, shards, |mut proc, ()| async move {
                 let msg = vec![proc.id() as f64; 4];
                 for r in 0..PINGPONG_ROUNDS as u64 {
                     if proc.id() == 0 {
@@ -159,7 +165,7 @@ fn prepare(case: Case) -> Box<dyn FnOnce() -> Result<RunStats, RunError>> {
             })
         }),
         Kind::Allgather => Box::new(move || {
-            run(&machine, move |mut proc, ()| async move {
+            run(&machine, shards, move |mut proc, ()| async move {
                 let sc = Subcube::whole(proc.dim());
                 let mine: Vec<f64> = vec![proc.id() as f64; ALLGATHER_WORDS];
                 let got = allgather(&mut proc, &sc, 0, mine.into()).await;
@@ -169,14 +175,14 @@ fn prepare(case: Case) -> Box<dyn FnOnce() -> Result<RunStats, RunError>> {
         }),
         Kind::Rows(kind) => {
             let inputs = rows::inputs(kind, p, ROW_NODES, ROW_WORDS);
-            Box::new(move || Ok(rows::run(&machine, kind, ROW_NODES, inputs)))
+            Box::new(move || Ok(rows::run(&machine, kind, ROW_NODES, shards, inputs)))
         }
         Kind::Shift => {
             let inputs = rows::shift::inputs(p, ROW_WORDS);
-            Box::new(move || Ok(rows::shift::run(&machine, inputs)))
+            Box::new(move || Ok(rows::shift::run(&machine, shards, inputs)))
         }
         Kind::Abort => Box::new(move || {
-            run(&machine, |mut proc, ()| async move {
+            run(&machine, shards, |mut proc, ()| async move {
                 let partner = proc.id() ^ 1;
                 proc.exchange(partner, 0, [proc.id() as f64]).await;
                 let _ = proc.recv(partner, 1).await;
@@ -189,7 +195,13 @@ fn prepare(case: Case) -> Box<dyn FnOnce() -> Result<RunStats, RunError>> {
 /// simulator must get faster without changing a single simulated number.
 /// The abort case must fail with exactly its deadlock report.
 fn verify(case: Case) -> Result<(), String> {
-    let label = format!("{}/p={}/{}", case.name(), case.p, case.port_name());
+    let label = format!(
+        "{}/p={}/{}/{} shards",
+        case.name(),
+        case.p,
+        case.port_name(),
+        case.shards
+    );
     let result = prepare(case)();
     if case.kind == Kind::Abort {
         let want = RunError::Deadlock {
@@ -213,7 +225,7 @@ fn verify(case: Case) -> Result<(), String> {
                 + COST.tw * ((case.p - 1) * ALLGATHER_WORDS) as f64
         }
         Kind::Rows(kind) => kind.closed_form(COST, case.port, ROW_NODES, ROW_WORDS),
-        Kind::Shift => rows::shift::closed_form(COST, case.port, ROW_NODES, ROW_WORDS),
+        Kind::Shift => rows::shift::closed_form(COST, case.port, case.p.isqrt(), ROW_WORDS),
         Kind::Abort => unreachable!("checked above"),
     };
     if elapsed != want {
@@ -225,12 +237,14 @@ fn verify(case: Case) -> Result<(), String> {
 }
 
 /// One measured case: median wall seconds, messages injected (none
-/// counted for a failed run), and the heap allocations of one run
-/// (exact: every node runs on the measuring thread).
+/// counted for a failed run), and the heap allocations of one run —
+/// exact on one shard, where every node runs on the measuring thread,
+/// and not reported on several, whose other threads the per-thread
+/// counter does not see.
 struct Measured {
     seconds: f64,
     messages: usize,
-    allocations: u64,
+    allocations: Option<u64>,
 }
 
 fn measure(case: Case, reps: usize) -> Measured {
@@ -247,17 +261,18 @@ fn measure(case: Case, reps: usize) -> Measured {
     Measured {
         seconds: samples[samples.len() / 2],
         messages: result.map_or(0, |stats| stats.total_messages()),
-        allocations,
+        allocations: (case.shards == 1).then_some(allocations),
     }
 }
 
-/// A `(case, p, port) -> seconds` row of a baseline file.
-type BaselineRow = (String, usize, String, f64);
+/// A `(case, p, port, shards) -> seconds` row of a baseline file.
+type BaselineRow = (String, usize, String, usize, f64);
 
 /// Pulls the rows back out of a previously written `BENCH_simnet.json`.
 /// Files written while the simulator still had a thread-per-node engine
 /// tag each row with an `engine`; only their `event` rows are
-/// comparable. Rows without a `port` are one-port.
+/// comparable. Rows without a `port` are one-port, and rows without
+/// `shards` ran on one.
 fn parse_baseline(text: &str) -> Result<Vec<BaselineRow>, String> {
     let rows = cubemm_bench::baseline_results(text)?;
     let row = |row: &Json| {
@@ -268,7 +283,8 @@ fn parse_baseline(text: &str) -> Result<Vec<BaselineRow>, String> {
         let case = text("case")?.to_string();
         let p = row.get("p")?.as_index()? as usize;
         let port = text("port").unwrap_or("one").to_string();
-        Some((case, p, port, row.get("seconds")?.as_f64()?))
+        let shards = row.get("shards").and_then(Json::as_index).unwrap_or(1) as usize;
+        Some((case, p, port, shards, row.get("seconds")?.as_f64()?))
     };
     Ok(rows.iter().filter_map(row).collect())
 }
@@ -305,13 +321,16 @@ fn main() {
         kind,
         p,
         port: PortModel::OnePort,
+        shards: 1,
     };
     let grid_case = |kind: Kind, port: PortModel| Case {
         kind,
         p: ROW_NODES * ROW_NODES,
         port,
+        shards: 1,
     };
     let rows_case = |kind: RowCollective, port: PortModel| grid_case(Kind::Rows(kind), port);
+    let sharded = |case: Case, shards: usize| Case { shards, ..case };
     let cases: Vec<Case> = if smoke {
         vec![
             case(Kind::Pingpong, 2),
@@ -321,6 +340,7 @@ fn main() {
             // path is tuned for.
             rows_case(RowCollective::Allgather, PortModel::MultiPort),
             grid_case(Kind::Shift, PortModel::OnePort),
+            sharded(grid_case(Kind::Shift, PortModel::OnePort), 2),
             // The failure path: every node parked when the run dies.
             case(Kind::Abort, 4096),
         ]
@@ -348,6 +368,32 @@ fn main() {
             cases.push(grid_case(Kind::Shift, port));
         }
         cases.push(case(Kind::Abort, 4096));
+        // The same machines on two host threads, and the rows that place
+        // `SHARD_MIN_NODES`: Cannon's shifts and the multi-port row
+        // all-gather at p = 256, 1024 and 4096 on one and on two shards.
+        for port in [PortModel::OnePort, PortModel::MultiPort] {
+            cases.push(sharded(grid_case(Kind::Shift, port), 2));
+        }
+        cases.push(sharded(
+            rows_case(RowCollective::Allgather, PortModel::MultiPort),
+            2,
+        ));
+        cases.push(sharded(case(Kind::Spinup, 65536), 2));
+        cases.push(sharded(case(Kind::Abort, 4096), 2));
+        for p in [256, 1024] {
+            let shift = Case {
+                p,
+                ..grid_case(Kind::Shift, PortModel::OnePort)
+            };
+            let allgather = Case {
+                p,
+                ..rows_case(RowCollective::Allgather, PortModel::MultiPort)
+            };
+            for case in [shift, allgather] {
+                cases.push(case);
+                cases.push(sharded(case, 2));
+            }
+        }
         cases
     };
 
@@ -364,41 +410,44 @@ fn main() {
     let reps = if smoke { 3 } else { 9 };
     let mut rows: Vec<String> = Vec::new();
     println!(
-        "{:<22} {:>6} {:>6} {:>12} {:>10} {:>11} {:>9} {:>10}",
-        "case", "p", "port", "seconds", "ns/msg", "allocs/msg", "allocs", "vs base"
+        "{:<22} {:>6} {:>6} {:>6} {:>12} {:>10} {:>11} {:>9} {:>10}",
+        "case", "p", "port", "shards", "seconds", "ns/msg", "allocs/msg", "allocs", "vs base"
     );
     for &case in &cases {
         let m = measure(case, reps);
         let (name, port) = (case.name(), case.port_name());
         let base = baseline
             .iter()
-            .find(|(n, p, pt, _)| *n == name && *p == case.p && pt == port)
+            .find(|(n, p, pt, k, _)| *n == name && *p == case.p && pt == port && *k == case.shards)
             .map(|&(.., s)| s);
         let per_msg = |total: f64| (m.messages > 0).then(|| total / m.messages as f64);
         let ns_per_msg = per_msg(m.seconds * 1e9);
-        let allocs_per_msg = per_msg(m.allocations as f64);
+        let allocs_per_msg = m.allocations.and_then(|a| per_msg(a as f64));
+        let allocs = m.allocations.map(|a| a as f64);
         let speedup = base.map(|b| b / m.seconds);
         println!(
-            "{:<22} {:>6} {:>6} {:>12.6} {:>10} {:>11} {:>9} {:>10}",
+            "{:<22} {:>6} {:>6} {:>6} {:>12.6} {:>10} {:>11} {:>9} {:>10}",
             name,
             case.p,
             port,
+            case.shards,
             m.seconds,
             num_or(ns_per_msg, 0, "-"),
             num_or(allocs_per_msg, 2, "-"),
-            m.allocations,
+            num_or(allocs, 0, "-"),
             speedup.map_or_else(|| "-".to_string(), |s| format!("{s:.2}x")),
         );
         rows.push(format!(
-            "    {{\"case\": \"{name}\", \"p\": {}, \"port\": \"{port}\", \
+            "    {{\"case\": \"{name}\", \"p\": {}, \"port\": \"{port}\", \"shards\": {}, \
              \"seconds\": {:.6}, \"messages\": {}, \"ns_per_msg\": {}, \"allocs_per_msg\": {}, \
              \"allocs\": {}, \"speedup_vs_baseline\": {}}}",
             case.p,
+            case.shards,
             m.seconds,
             m.messages,
             num_or(ns_per_msg, 1, "null"),
             num_or(allocs_per_msg, 2, "null"),
-            m.allocations,
+            num_or(allocs, 0, "null"),
             num_or(speedup, 3, "null"),
         ));
     }
@@ -444,8 +493,9 @@ mod tests {
             }
             if let (Some(case), Some(p), Some(secs)) = (get("case"), get("p"), get("seconds")) {
                 let port = get("port").unwrap_or("one").to_string();
-                if let (Ok(p), Ok(secs)) = (p.parse(), secs.parse()) {
-                    rows.push((case.to_string(), p, port, secs));
+                let shards = get("shards").map_or(Ok(1), str::parse);
+                if let (Ok(p), Ok(shards), Ok(secs)) = (p.parse(), shards, secs.parse()) {
+                    rows.push((case.to_string(), p, port, shards, secs));
                 }
             }
         }

@@ -4,10 +4,13 @@
 //! (p = 4096 as 64 rows of 64: ns and allocations per message) and the
 //! allocation-budget test (a single 64-node row: allocations per
 //! packet). [`shift`] is the point-to-point counterpart: Cannon's
-//! shift phase on the whole machine.
+//! shift phase on the whole machine. Each runs on a given number of
+//! shards (`cubemm_simnet::with_shards`; 1 is `Machine::run`).
+
+use std::cell::Cell;
 
 use cubemm_collectives as coll;
-use cubemm_simnet::{CostParams, Machine, Op, Payload, PortModel, RunStats};
+use cubemm_simnet::{CostParams, Machine, Op, Payload, PortModel, Proc, RunStats};
 use cubemm_topology::{gray_delta_bit, Grid2, Subcube};
 
 /// A collective that moves many packets per message — the ones whose
@@ -106,8 +109,24 @@ pub fn inputs(kind: RowCollective, p: usize, n: usize, words: usize) -> Vec<Vec<
         .collect()
 }
 
+/// The input builder of a run that builds its inputs once: a healthy
+/// bench run is never repeated on one shard, so the prepared inputs move
+/// in whole, untimed and uncloned.
+fn once<I>(inputs: Vec<I>) -> impl Fn() -> Vec<I> {
+    let inputs = Cell::new(Some(inputs));
+    move || {
+        #[allow(
+            clippy::expect_used,
+            reason = "only a failed sharded run builds twice, and a bench run never fails"
+        )]
+        inputs
+            .take()
+            .expect("a healthy bench run builds its inputs once")
+    }
+}
+
 /// Runs `kind` once on every `n`-node row of `machine` (rooted ones at
-/// rank 0).
+/// rank 0), on `shards` shards.
 ///
 /// # Panics
 /// Panics if the healthy run fails — a bench bug.
@@ -115,10 +134,12 @@ pub fn run(
     machine: &Machine,
     kind: RowCollective,
     n: usize,
+    shards: usize,
     inputs: Vec<Vec<Payload>>,
 ) -> RunStats {
     let words = inputs[0][0].len();
-    let out = machine.run(inputs, move |mut proc, mut mine: Vec<Payload>| async move {
+    let build = once(inputs);
+    let program = move |mut proc: Proc, mut mine: Vec<Payload>| async move {
         let row = row_of(proc.id(), n);
         let delivered = match kind {
             RowCollective::Allgather => {
@@ -144,7 +165,8 @@ pub fn run(
                 .len(),
         };
         std::hint::black_box(delivered);
-    });
+    };
+    let out = cubemm_simnet::with_shards(shards, || machine.run_sharded(build, program));
     #[allow(
         clippy::expect_used,
         reason = "bench machine shapes are fixed and valid; failure is a bench bug"
@@ -186,18 +208,20 @@ pub mod shift {
         (q - 1) as f64 * sends_in_sequence as f64 * cost.hop(words)
     }
 
-    /// Runs the shift phase on every node of `machine`.
+    /// Runs the shift phase on every node of `machine`, on `shards`
+    /// shards.
     ///
     /// # Panics
     /// Panics if `machine.p()` is not a square power of two or the
     /// healthy run fails — a bench bug.
-    pub fn run(machine: &Machine, inputs: Vec<(Payload, Payload)>) -> RunStats {
+    pub fn run(machine: &Machine, shards: usize, inputs: Vec<(Payload, Payload)>) -> RunStats {
         #[allow(
             clippy::expect_used,
             reason = "bench machine shapes are fixed and valid; failure is a bench bug"
         )]
         let grid = Grid2::new(machine.p()).expect("square machine");
-        let out = machine.run(inputs, move |mut proc, (mut a, mut b)| async move {
+        let build = once(inputs);
+        let program = move |mut proc: Proc, (mut a, mut b): (Payload, Payload)| async move {
             let (i, j) = grid.coords(proc.id());
             for step in 0..grid.q() - 1 {
                 let bit = gray_delta_bit(step);
@@ -237,7 +261,8 @@ pub mod shift {
                 }
             }
             std::hint::black_box(a.len() + b.len());
-        });
+        };
+        let out = cubemm_simnet::with_shards(shards, || machine.run_sharded(build, program));
         #[allow(
             clippy::expect_used,
             reason = "bench machine shapes are fixed and valid; failure is a bench bug"

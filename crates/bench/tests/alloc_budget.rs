@@ -1,7 +1,7 @@
 //! The zero-copy data path, guarded as an exact count.
 //!
-//! Heap allocations are deterministic on the single-threaded simulator,
-//! so "a delivered packet costs no allocation of its own" can
+//! Heap allocations are deterministic on a one-shard machine (p = 64
+//! never shards), so "a delivered packet costs no allocation of its own" can
 //! be asserted without a timer. Each collective runs on one 64-node row
 //! with 16-word blocks; the budget is allocations per delivered packet
 //! (a packet counts once per hop), everything included — machine
@@ -68,7 +68,7 @@ fn allocations_per_delivered_packet_stay_within_budget() {
         for kind in RowCollective::ALL {
             let measure = || {
                 let inputs = rows::inputs(kind, P, P, WORDS);
-                allocations_during(|| rows::run(&machine, kind, P, inputs))
+                allocations_during(|| rows::run(&machine, kind, P, 1, inputs))
             };
             let (stats, allocations) = measure();
             assert_eq!(

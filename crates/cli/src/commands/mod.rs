@@ -109,8 +109,9 @@ Defaults: n=64, p=64, port=one, ts=150, tw=3, charge=sender (the paper's
 parameters and accounting), kernel=packed (single-threaded; `packed:0`
 picks a thread count automatically). A flag a command does not read is
 an error (exit 2), never silently ignored.
-The whole simulated machine runs on one host thread under a
-virtual-clock-ordered event loop and scales to p = 4096..65536 nodes.
+The simulated machine runs under a virtual-clock-ordered event loop,
+one loop per spare host core from p = 1024 on (same results), and
+scales to p = 4096..65536 nodes.
 A run that cannot progress (e.g. under --fault-drop: nothing retransmits
 a dropped message) is reported as a structured deadlock naming every
 blocked node, detected exactly and instantly by the simulator's progress

@@ -68,6 +68,10 @@ pub fn sweep(argv: &[String]) -> Result<i32, String> {
         }
     });
 
+    // A failed cell stops the sweep before anything is printed.
+    if let Some(Err(e)) = cells.iter().find(|cell| cell.is_err()) {
+        return Err(e.clone());
+    }
     println!(
         "sweep: n = {n}, {}, ts = {}, tw = {}",
         cfg.port, cfg.cost.ts, cfg.cost.tw
@@ -81,9 +85,9 @@ pub fn sweep(argv: &[String]) -> Result<i32, String> {
         print!("{:<14}", algo.name());
         for cell in row {
             match cell {
-                Ok(None) => print!("{:>10}", "-"),
                 Ok(Some(t)) => print!("{t:>10.0}"),
-                Err(e) => return Err(e.clone()),
+                // A failed cell returned above.
+                Ok(None) | Err(_) => print!("{:>10}", "-"),
             }
         }
         println!();

@@ -25,6 +25,14 @@
 //! break never moves, and glibc's default pad is restored), pages stay
 //! 4 KB and `run` behaves exactly as it would without this module.
 //!
+//! **Shard arenas.** A sharded run's other shards allocate on threads of
+//! their own, which glibc serves from arenas of their own: one 64 MiB
+//! mapping each, aligned to its size, made writable whole (the 512 MiB
+//! pad exceeds it) but advised nothing. [`reserve_arenas`] prepares one
+//! such arena per shard thread the run may start, on helper threads that
+//! advise and pin it as above and then exit; glibc keeps a finished
+//! thread's arena on a free list and hands it to the next new thread.
+//!
 //! Only `run` calls this. `serve`, `chaos`, `analyze` and `sweep` run
 //! many small machines on a warm heap of a few megabytes, where one
 //! 2 MiB page is a sizable share of the resident set and nothing was
@@ -32,6 +40,7 @@
 
 use std::alloc::{alloc, dealloc, Layout};
 use std::ffi::{c_int, c_void};
+use std::sync::Barrier;
 
 extern "C" {
     fn mallopt(param: c_int, value: c_int) -> c_int;
@@ -61,6 +70,9 @@ const PROBE: usize = 64 << 10;
 const MAX_PROBES: usize = 64;
 /// Bytes past a probe that glibc may write: the next chunk's header.
 const HEADER: usize = 2 * std::mem::size_of::<usize>();
+/// glibc's `HEAP_MAX_SIZE` on 64-bit targets: a thread arena's heap is
+/// one mapping of this size, aligned to it.
+const ARENA_HEAP: usize = 64 << 20;
 
 /// Grows the main heap by [`TOP_PAD`], advises the 2 MiB-aligned part
 /// of the new range `MADV_HUGEPAGE`, and pins the unaligned 4 KB head
@@ -117,11 +129,15 @@ pub fn reserve() {
         unsafe { madvise(start as *mut c_void, end - start, MADV_HUGEPAGE) };
     }
 
-    // Pin the rest of the head below `start` (at most 2 MiB of address
-    // space, of which only one header page per probe is ever touched),
-    // so that the top chunk begins on the advised range. The probes
-    // already taken stay pinned too; the one that crosses `start` is
-    // returned to the top chunk.
+    pin_below(start, layout);
+}
+
+/// Pins the rest of the head below `start` (at most 2 MiB of address
+/// space, of which only one header page per probe is ever touched), so
+/// that the top chunk begins on the advised range. The probes already
+/// taken stay pinned too; the one that crosses `start` is returned to
+/// the top chunk.
+fn pin_below(start: usize, layout: Layout) {
     for _ in 0..=HUGE_PAGE / PROBE {
         // SAFETY: `layout` has a nonzero size.
         let ptr = unsafe { alloc(layout) };
@@ -134,4 +150,54 @@ pub fn reserve() {
             return;
         }
     }
+}
+
+/// Prepares `threads` glibc thread arenas, advised and pinned like the
+/// main heap, for the shard threads a sharded run is about to start.
+/// Runs after [`reserve`] (whose pad makes each new arena's heap
+/// writable whole) and before any other thread exists; returns once the
+/// helper threads have exited and left their arenas on glibc's free
+/// list.
+pub fn reserve_arenas(threads: usize) {
+    // Each helper holds its arena until all have one: a helper that
+    // exited first would hand its arena to the next.
+    let ready = Barrier::new(threads);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                advise_arena();
+                ready.wait();
+            });
+        }
+    });
+}
+
+/// Advises the calling thread's arena heap `MADV_HUGEPAGE` past the
+/// first probe, and pins the head below the first 2 MiB boundary.
+fn advise_arena() {
+    let layout = Layout::from_size_align(PROBE, 16).expect("probe layout is valid");
+    // SAFETY: `layout` has a nonzero size. The first allocation on a new
+    // thread makes glibc give it an arena.
+    let first = unsafe { alloc(layout) };
+    // SAFETY: `sbrk(0)` only reads the break.
+    let brk = unsafe { sbrk(0) } as usize;
+    // Below the break is the main heap: glibc made no thread arena
+    // (the arena limit, or a failed mmap). Leave it as it is.
+    if first.is_null() || (first as usize) < brk {
+        return;
+    }
+    let base = first as usize & !(ARENA_HEAP - 1);
+    let start = (first as usize + PROBE + HEADER).next_multiple_of(HUGE_PAGE);
+    // SAFETY: `[start, base + ARENA_HEAP)` is whole pages of the heap
+    // mapping that holds `first`, untouched so far; MADV_HUGEPAGE changes
+    // how they are backed, not what they hold, and a failure leaves
+    // 4 KB pages.
+    unsafe {
+        madvise(
+            start as *mut c_void,
+            base + ARENA_HEAP - start,
+            MADV_HUGEPAGE,
+        )
+    };
+    pin_below(start, layout);
 }

@@ -91,3 +91,62 @@ fn serve_keeps_its_cost_messages() {
     );
     assert!(line("ok").contains(r#""status":"ok""#), "{}", line("ok"));
 }
+
+/// Finite costs can still overflow the virtual clock: `1e308` passes the
+/// per-cost rule, but two such terms sum to infinity. The run reports
+/// it as one typed error instead of printing `inf`.
+const OVERFLOW: &str = "simulated run failed: ts = 1e308 and tw = 1e308 overflow the virtual \
+                        clock: the simulated time is not finite";
+
+#[test]
+fn run_reports_a_clock_overflow_instead_of_inf() {
+    let out = cubemm(
+        &[
+            "run", "--algo", "cannon", "--n", "8", "--p", "4", "--ts", "1e308", "--tw", "1e308",
+        ],
+        "",
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!("error: {OVERFLOW}\n")
+    );
+    assert!(out.stdout.is_empty(), "{out:?}");
+}
+
+#[test]
+fn sweep_reports_a_clock_overflow_before_printing_a_row() {
+    let out = cubemm(
+        &[
+            "sweep", "--n", "8", "--p", "4", "--ts", "1e308", "--tw", "1e308",
+        ],
+        "",
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!("error: {OVERFLOW}\n")
+    );
+    assert!(out.stdout.is_empty(), "{out:?}");
+}
+
+#[test]
+fn serve_answers_a_clock_overflow_on_a_line_that_parses() {
+    let script = concat!(
+        r#"{"id":"big","n":8,"p":4,"algo":"cannon","ts":1e308,"tw":1e308}"#,
+        "\n",
+    );
+    let out = cubemm(&["serve", "--workers", "1"], script);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 responses");
+    let line = stdout.lines().next().expect("one response");
+    let response = cubemm_simnet::json::parse(line).expect("the response is JSON");
+    assert_eq!(
+        response.get("status").and_then(|s| s.as_str()),
+        Some("failed"),
+        "{line}"
+    );
+    let error = response.get("error").and_then(|e| e.as_str()).unwrap_or("");
+    assert!(error.ends_with(OVERFLOW), "{line}");
+    assert!(!line.contains("inf"), "{line}");
+}

@@ -54,16 +54,18 @@ pub fn multiply(
     let wide_c = n / (q * q); // block cols
     let sub = side / q; // rows of a row group of a block (= n/q²)
 
-    let inits: Vec<(Payload, Payload)> = (0..p)
-        .map(|label| {
-            let (i, j, k) = grid.coords(label);
-            let f = partition::f_index(q, i, j);
-            (
-                partition::wide(a, q, k, f).into_payload().into(),
-                partition::wide(b, q, k, f).into_payload().into(),
-            )
-        })
-        .collect();
+    let inits = || -> Vec<(Payload, Payload)> {
+        (0..p)
+            .map(|label| {
+                let (i, j, k) = grid.coords(label);
+                let f = partition::f_index(q, i, j);
+                (
+                    partition::wide(a, q, k, f).into_payload().into(),
+                    partition::wide(b, q, k, f).into_payload().into(),
+                )
+            })
+            .collect()
+    };
 
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {

@@ -85,18 +85,20 @@ pub fn multiply_with_mesh(
     // Supernode (i,j,k) holds the Figure 8 blocks A/B_{k, f(i,j)} of the
     // g × g² partition, spread over its mesh: position (x,y) takes rows
     // chunk x, cols chunk y.
-    let inits: Vec<(Payload, Payload)> = (0..p)
-        .map(|label| {
-            let (x, y, i, j, k) = grid.coords(label);
-            let f = partition::f_index(g, i, j);
-            let r0 = k * (n / g) + x * pr;
-            let c0 = f * (n / (g * g)) + y * pc;
-            (
-                a.block(r0, c0, pr, pc).into_payload().into(),
-                b.block(r0, c0, pr, pc).into_payload().into(),
-            )
-        })
-        .collect();
+    let inits = || -> Vec<(Payload, Payload)> {
+        (0..p)
+            .map(|label| {
+                let (x, y, i, j, k) = grid.coords(label);
+                let f = partition::f_index(g, i, j);
+                let r0 = k * (n / g) + x * pr;
+                let c0 = f * (n / (g * g)) + y * pc;
+                (
+                    a.block(r0, c0, pr, pc).into_payload().into(),
+                    b.block(r0, c0, pr, pc).into_payload().into(),
+                )
+            })
+            .collect()
+    };
 
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {

@@ -48,16 +48,18 @@ pub fn multiply(
     let grid = Grid3::new(p)?;
     let q = grid.q();
 
-    let inits: Vec<(Payload, Payload)> = (0..p)
-        .map(|label| {
-            let (i, j, k) = grid.coords(label);
-            let f = partition::f_index(q, i, j);
-            (
-                partition::wide(a, q, k, f).into_payload().into(),
-                partition::tall(b, q, f, k).into_payload().into(),
-            )
-        })
-        .collect();
+    let inits = || -> Vec<(Payload, Payload)> {
+        (0..p)
+            .map(|label| {
+                let (i, j, k) = grid.coords(label);
+                let f = partition::f_index(q, i, j);
+                (
+                    partition::wide(a, q, k, f).into_payload().into(),
+                    partition::tall(b, q, f, k).into_payload().into(),
+                )
+            })
+            .collect()
+    };
 
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {
@@ -85,16 +87,18 @@ pub fn multiply_from_identical(
     let q = grid.q();
     let sub = n / (q * q); // row-group height = Figure 9 block rows
 
-    let inits: Vec<(Payload, Payload)> = (0..p)
-        .map(|label| {
-            let (i, j, k) = grid.coords(label);
-            let f = partition::f_index(q, i, j);
-            (
-                partition::wide(a, q, k, f).into_payload().into(),
-                partition::wide(b, q, k, f).into_payload().into(),
-            )
-        })
-        .collect();
+    let inits = || -> Vec<(Payload, Payload)> {
+        (0..p)
+            .map(|label| {
+                let (i, j, k) = grid.coords(label);
+                let f = partition::f_index(q, i, j);
+                (
+                    partition::wide(a, q, k, f).into_payload().into(),
+                    partition::wide(b, q, k, f).into_payload().into(),
+                )
+            })
+            .collect()
+    };
 
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {

@@ -169,7 +169,7 @@ pub fn multiply(
     let q = grid.q();
     let bs = n / q;
 
-    let inits = square_blocks(a, b, q, |label| grid.coords(label));
+    let inits = || square_blocks(a, b, q, |label| grid.coords(label));
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {
         let (i, j) = grid.coords(proc.id());

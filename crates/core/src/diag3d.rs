@@ -48,17 +48,19 @@ pub fn multiply(
     let bs = n / q;
 
     // Diagonal plane x = y: p_{i,i,k} holds A_{k,i} and B_{k,i}.
-    let inits: Vec<Option<(Payload, Payload)>> = (0..p)
-        .map(|label| {
-            let (i, j, k) = grid.coords(label);
-            (i == j).then(|| {
-                (
-                    partition::square(a, q, k, i).into_payload().into(),
-                    partition::square(b, q, k, i).into_payload().into(),
-                )
+    let inits = || -> Vec<Option<(Payload, Payload)>> {
+        (0..p)
+            .map(|label| {
+                let (i, j, k) = grid.coords(label);
+                (i == j).then(|| {
+                    (
+                        partition::square(a, q, k, i).into_payload().into(),
+                        partition::square(b, q, k, i).into_payload().into(),
+                    )
+                })
             })
-        })
-        .collect();
+            .collect()
+    };
 
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, init| async move {

@@ -42,17 +42,19 @@ pub fn multiply(
     let q = grid.q();
     let bs = n / q;
 
-    let inits: Vec<Option<(Payload, Payload)>> = (0..p)
-        .map(|label| {
-            let (i, j, k) = grid.coords(label);
-            (k == 0).then(|| {
-                (
-                    partition::square(a, q, i, j).into_payload().into(),
-                    partition::square(b, q, i, j).into_payload().into(),
-                )
+    let inits = || -> Vec<Option<(Payload, Payload)>> {
+        (0..p)
+            .map(|label| {
+                let (i, j, k) = grid.coords(label);
+                (k == 0).then(|| {
+                    (
+                        partition::square(a, q, i, j).into_payload().into(),
+                        partition::square(b, q, i, j).into_payload().into(),
+                    )
+                })
             })
-        })
-        .collect();
+            .collect()
+    };
 
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, init| async move {

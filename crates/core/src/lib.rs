@@ -26,13 +26,13 @@
 //! workaround).
 //!
 //! Every `multiply` function runs the *actual* SPMD data movement on a
-//! simulated `p`-node hypercube (every node on one thread, under a
-//! virtual-clock event loop), returns the assembled product matrix plus
-//! the run's virtual-time and traffic statistics, and is verified
-//! against a sequential reference product in the test suites. The
-//! communication cost of a run is measured, not assumed; the Table 2
-//! validation suite compares these measurements with the paper's closed
-//! forms.
+//! simulated `p`-node hypercube (under a virtual-clock event loop, over
+//! spare host cores when the machine is large), returns the assembled
+//! product matrix plus the run's virtual-time and traffic statistics,
+//! and is verified against a sequential reference product in the test
+//! suites. The communication cost of a run is measured, not assumed; the
+//! Table 2 validation suite compares these measurements with the paper's
+//! closed forms.
 //!
 //! # Quick start
 //!

@@ -140,19 +140,23 @@ pub fn delivered<T>(value: Option<T>, what: &str) -> T {
 }
 
 /// Runs an SPMD program on the machine described by `cfg`, honoring the
-/// tracing flag and the fault plan. Simulator failures — deadlock, node
-/// panic, link faults — come back as [`AlgoError::Sim`] values rather
-/// than panics, so a faulty machine degrades a multiplication into a
-/// reportable error.
+/// tracing flag and the fault plan. `inits` builds each node's initial
+/// data; a large fault-free machine spreads over spare host cores
+/// ([`Machine::run_sharded`]), with the result bit for bit the one-shard
+/// run's. Simulator failures — deadlock, node panic, link faults — come
+/// back as [`AlgoError::Sim`] values rather than panics, so a faulty
+/// machine degrades a multiplication into a reportable error.
 pub fn run_spmd<I, O, F, Fut>(
     cfg: &MachineConfig,
     p: usize,
-    inits: Vec<I>,
+    inits: impl Fn() -> Vec<I>,
     f: F,
 ) -> Result<RunOutcome<O>, AlgoError>
 where
-    F: Fn(Proc, I) -> Fut,
+    F: Fn(Proc, I) -> Fut + Sync,
     Fut: Future<Output = O>,
+    I: Send,
+    O: Send,
 {
     // Reuse a pre-validated machine only when it still describes
     // exactly this run; any mismatch (size, ports, fault plan, ...)
@@ -161,5 +165,5 @@ where
         Some(m) if m.p() == p && *m.options() == cfg.machine_options() => m.clone(),
         _ => Machine::new(p, cfg.machine_options()).map_err(AlgoError::Sim)?,
     };
-    machine.run(inits, f).map_err(AlgoError::Sim)
+    machine.run_sharded(inits, f).map_err(AlgoError::Sim)
 }

@@ -240,6 +240,12 @@ pub fn reference(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
+/// Whether [`alongside_reference`] computes `reference(a, b)` on a
+/// thread of its own: above [`PAR_MIN_ELEMS`].
+pub fn reference_takes_thread(a: &Matrix, b: &Matrix) -> bool {
+    a.rows().saturating_mul(a.cols()).saturating_mul(b.cols()) > PAR_MIN_ELEMS
+}
+
 /// Runs `work` and computes [`reference()`]`(a, b)`, overlapping the two
 /// when the product is big enough to pay for a thread.
 ///
@@ -256,8 +262,7 @@ pub fn alongside_reference<R>(
     b: &Matrix,
     work: impl FnOnce() -> R,
 ) -> (R, Result<Matrix, String>) {
-    let elems = a.rows().saturating_mul(a.cols()).saturating_mul(b.cols());
-    let (out, reference) = if elems > PAR_MIN_ELEMS {
+    let (out, reference) = if reference_takes_thread(a, b) {
         std::thread::scope(|s| {
             let handle = s.spawn(|| reference(a, b));
             (work(), handle.join())

@@ -219,6 +219,10 @@ impl Job {
             Ok((fingerprint_hex(&c), c, stats, abft))
         };
         let (run, reference) = if reference || matches!(self.protection, Protection::Plain) {
+            // A reference on its own thread holds a core the run's
+            // shards then do not take.
+            let _reference_core =
+                cubemm_simnet::cores::lease(usize::from(gemm::reference_takes_thread(&a, &b)));
             let (run, reference) = gemm::alongside_reference(&a, &b, multiply);
             (run, Some(reference))
         } else {

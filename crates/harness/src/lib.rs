@@ -46,6 +46,9 @@ where
         return tasks.iter().map(run).collect();
     }
 
+    // The workers stand in for the caller, which only waits: they hold
+    // `jobs - 1` cores that sharded machines then do not take.
+    let _cores = cubemm_simnet::cores::lease(jobs - 1);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {

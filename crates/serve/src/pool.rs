@@ -163,6 +163,10 @@ fn retry_after_ms(depth: usize) -> u64 {
 pub struct ServePool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+    /// The cores the workers take beyond the one the accepting thread,
+    /// which only waits on input, stands for: sharded machines do not
+    /// take them.
+    _cores: cubemm_simnet::cores::Lease,
 }
 
 impl ServePool {
@@ -193,7 +197,12 @@ impl ServePool {
                     .expect("spawning serve pool worker")
             })
             .collect();
-        ServePool { shared, workers }
+        let _cores = cubemm_simnet::cores::lease(config.workers.max(1) - 1);
+        ServePool {
+            shared,
+            workers,
+            _cores,
+        }
     }
 
     /// Submits one job. Returns `true` if the job was queued for

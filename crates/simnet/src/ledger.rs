@@ -1,9 +1,11 @@
-//! The progress ledger: the central scheduler of the simulated machine.
+//! The progress ledger: the scheduler state of one shard of a run.
 //!
-//! One structure per run, owned by the run's event loop and shared with
-//! its node programs by `Rc` (everything happens on one host thread, so
-//! a `RefCell` is the whole synchronisation story). It tracks everything
-//! the loop needs to make scheduling decisions *exactly*:
+//! One structure per shard, owned by the shard's event loop and shared
+//! with the node programs it polls by `Rc` (a shard runs on one host
+//! thread, so a `RefCell` is the whole synchronisation story; traffic
+//! between shards goes through the loop, never through here). It covers
+//! the shard's contiguous range of labels and tracks everything the loop
+//! needs to make scheduling decisions *exactly*:
 //!
 //! * **per-node mailboxes** — one flat FIFO vector of envelopes per
 //!   node, so a receive is a short scan instead of a channel drain;
@@ -11,7 +13,9 @@
 //!   `(from, tag)`, and at which virtual clock they parked;
 //! * **liveness** — how many nodes are still executing their program;
 //! * **per-node results** — the statistics and trace each [`Proc`]
-//!   deposits when it is dropped.
+//!   deposits when it is dropped;
+//! * **the outbox** — messages for labels outside the range, which the
+//!   loop posts to their shard after every poll.
 //!
 //! The bookkeeping buys two properties:
 //!
@@ -20,20 +24,19 @@
 //!    unparks it *at injection time* and puts it on the wake list the
 //!    loop drains. A parked node is therefore never woken by traffic it
 //!    cannot consume, and never re-scans a queue of unrelated messages.
-//! 2. **Exact, instant deadlock detection.** A node only parks after
-//!    checking its mailbox, and a matching injection eagerly unparks its
-//!    target, so the invariant *"every parked node's awaited message is
-//!    absent"* holds between any two ledger calls. The moment every
-//!    live node is parked, no future injection is possible and the run
-//!    is deadlocked — detected by whichever node parks last (or finishes
-//!    last), not by a host-time watchdog. Virtual clocks never see host
-//!    time, so detection cannot leak into results.
+//! 2. **Exact deadlock detection.** A node only parks after checking its
+//!    mailbox, and a matching injection eagerly unparks its target, so
+//!    the invariant *"every parked node's awaited message is absent"*
+//!    holds between any two ledger calls. Once no shard has a runnable
+//!    node or a message in flight, every live node is parked on a
+//!    receive no future injection can satisfy: the run is deadlocked,
+//!    and [`Ledger::end`] reads the report straight off the parked
+//!    table. No host-time watchdog is involved, so detection cannot leak
+//!    into results.
 //!
-//! Aborts (node panic, typed link failure, scheduled crash, deadlock)
-//! store the first failure as the run's [`RunError`], and the loop polls
-//! no node after it. A deadlock's report is read straight off the parked
-//! table when it is declared: at that instant every live node is parked
-//! on the receive it names.
+//! Aborts (node panic, typed link failure, scheduled crash) store the
+//! first failure as the shard's [`RunError`], and the loop polls no node
+//! after it.
 //!
 //! [`Proc`]: crate::Proc
 
@@ -59,6 +62,9 @@ type Mailbox = Vec<Envelope>;
 /// [`Proc`]: crate::Proc
 pub(crate) type NodeParts = (NodeStats, Vec<TraceEvent>);
 
+/// A message bound for another shard: its destination label and itself.
+pub(crate) type Mail = (usize, Envelope);
+
 /// Where the oldest envelope under `(from, tag)` sits, if any.
 fn position(mailbox: &Mailbox, from: usize, tag: u64) -> Option<usize> {
     mailbox
@@ -75,15 +81,35 @@ fn dequeue(mailbox: &mut Mailbox, from: usize, tag: u64) -> Option<Envelope> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Delivery {
     /// Queued in the destination mailbox (and the destination unparked
-    /// if it was waiting on exactly this `(from, tag)`).
+    /// if it was waiting on exactly this `(from, tag)`), or put in the
+    /// outbox when the destination belongs to another shard.
     Delivered,
     /// The destination already finished its program — an SPMD protocol
     /// bug on a healthy machine.
     DestFinished,
 }
 
-/// Everything the ledger tracks (see module docs).
+/// How a shard's part of a run ended, read off its ledger once the loop
+/// has stopped and every node future has been dropped.
+pub(crate) struct LedgerEnd {
+    /// The shard's first failure, if it had one.
+    pub failure: Option<RunError>,
+    /// Each node's deposited statistics and trace, in label order.
+    pub parts: Vec<Option<NodeParts>>,
+    /// Every receive still parked, sorted by node label.
+    pub blocked: Vec<Blocked>,
+    /// Nodes that never returned from their program.
+    pub live: usize,
+    /// Whether a finished node left a message it never took: a run in
+    /// which some order of the loop sends to an already finished node.
+    pub stray: bool,
+}
+
+/// Everything the ledger tracks (see module docs). Per-node vectors are
+/// indexed by label minus `base`.
 struct State {
+    /// The first label of the shard's range.
+    base: usize,
     mailboxes: Vec<Mailbox>,
     /// Direct-handoff slot: a message injected while its receiver is
     /// parked on exactly that `(from, tag)` bypasses the mailbox and is
@@ -102,66 +128,71 @@ struct State {
     parts: Vec<Option<NodeParts>>,
     /// Nodes still executing their program.
     live: usize,
-    /// Nodes currently blocked in a receive.
-    parked_count: usize,
-    /// The run's failure, once it has one: the loop stops polling then.
+    /// The shard's failure, once it has one: the loop stops polling then.
     failure: Option<RunError>,
     /// Nodes unparked by a direct handoff since the loop last drained
-    /// the list (it does after every poll).
+    /// the list (it does after every poll), by label.
     woken: Vec<usize>,
+    /// Messages for labels outside the range, in injection order.
+    outbox: Vec<Mail>,
 }
 
-/// The per-run scheduler structure (see module docs).
+/// The per-shard scheduler structure (see module docs).
 pub(crate) struct Ledger {
     state: RefCell<State>,
 }
 
 impl Ledger {
-    pub(crate) fn new(p: usize) -> Self {
+    /// A ledger for the `len` nodes labelled `base..base + len`.
+    pub(crate) fn new(base: usize, len: usize) -> Self {
         Ledger {
             state: RefCell::new(State {
-                mailboxes: (0..p).map(|_| Mailbox::default()).collect(),
-                handoff: (0..p).map(|_| None).collect(),
-                parked: vec![None; p],
-                clocks: vec![0.0; p],
-                done: vec![false; p],
-                parts: (0..p).map(|_| None).collect(),
-                live: p,
-                parked_count: 0,
+                base,
+                mailboxes: (0..len).map(|_| Mailbox::default()).collect(),
+                handoff: (0..len).map(|_| None).collect(),
+                parked: vec![None; len],
+                clocks: vec![0.0; len],
+                done: vec![false; len],
+                parts: (0..len).map(|_| None).collect(),
+                live: len,
                 failure: None,
                 woken: Vec::new(),
+                outbox: Vec::new(),
             }),
         }
     }
 
     /// Queues `env` for `to`, waking `to` iff it is parked on exactly
-    /// `(env.from, env.tag)`.
+    /// `(env.from, env.tag)`; a destination outside the range goes to
+    /// the outbox.
     pub(crate) fn inject(&self, to: usize, env: Envelope) -> Delivery {
-        let mut s = self.state.borrow_mut();
-        if s.done[to] {
+        let s = &mut *self.state.borrow_mut();
+        let at = to.wrapping_sub(s.base);
+        if at >= s.done.len() {
+            s.outbox.push((to, env));
+            return Delivery::Delivered;
+        }
+        if s.done[at] {
             return Delivery::DestFinished;
         }
-        if s.parked[to] == Some((env.from, env.tag)) {
+        if s.parked[at] == Some((env.from, env.tag)) {
             // Exact wakeup: hand the envelope straight to the waiting
             // receiver and unpark it here — it is logically runnable
-            // from this instant, and the deadlock predicate must see it
-            // that way even before the loop polls it again.
-            debug_assert!(s.handoff[to].is_none());
-            s.handoff[to] = Some(env);
-            s.parked[to] = None;
-            s.parked_count -= 1;
+            // from this instant.
+            debug_assert!(s.handoff[at].is_none());
+            s.handoff[at] = Some(env);
+            s.parked[at] = None;
             s.woken.push(to);
             return Delivery::Delivered;
         }
-        s.mailboxes[to].push(env);
+        s.mailboxes[at].push(env);
         Delivery::Delivered
     }
 
     /// One non-blocking pass of the check-then-park receive protocol for
     /// node `id` at virtual time `clock`. `Ready` hands over the matching
     /// envelope; `Pending` means the node parked (the loop resumes it
-    /// once [`Ledger::drain_woken`] names it). The receive that parks the
-    /// last live node declares the deadlock and stays parked too.
+    /// once [`Ledger::drain_woken`] names it).
     pub(crate) fn poll_receive(
         &self,
         id: usize,
@@ -169,25 +200,19 @@ impl Ledger {
         tag: u64,
         clock: f64,
     ) -> Poll<Envelope> {
-        let mut s = self.state.borrow_mut();
-        if let Some(env) = s.handoff[id].take() {
+        let s = &mut *self.state.borrow_mut();
+        let at = id - s.base;
+        if let Some(env) = s.handoff[at].take() {
             debug_assert!(env.from == from && env.tag == tag);
             return Poll::Ready(env);
         }
-        if let Some(env) = dequeue(&mut s.mailboxes[id], from, tag) {
+        if let Some(env) = dequeue(&mut s.mailboxes[at], from, tag) {
             return Poll::Ready(env);
         }
         // Only a handoff re-enqueues a parked node, and it unparks it.
-        debug_assert!(s.parked[id].is_none(), "node {id} polled while parked");
-        s.parked[id] = Some((from, tag));
-        s.clocks[id] = clock;
-        s.parked_count += 1;
-        if s.parked_count == s.live {
-            // Every live node is blocked and no matching message exists
-            // (a matching inject would have unparked its target): the
-            // run can never progress again.
-            declare_deadlock(&mut s);
-        }
+        debug_assert!(s.parked[at].is_none(), "node {id} polled while parked");
+        s.parked[at] = Some((from, tag));
+        s.clocks[at] = clock;
         Poll::Pending
     }
 
@@ -197,24 +222,25 @@ impl Ledger {
     pub(crate) fn drain_woken(&self, mut wake: impl FnMut(f64, usize)) -> bool {
         let s = &mut *self.state.borrow_mut();
         for node in s.woken.drain(..) {
-            wake(s.clocks[node], node);
+            wake(s.clocks[node - s.base], node);
         }
         s.failure.is_some()
     }
 
-    /// Marks a node finished (returned from its program) and re-checks
-    /// the deadlock predicate: if the nodes that remain are all parked,
-    /// nobody can feed them.
+    /// Moves the outbox's messages to the end of `mail`.
+    pub(crate) fn take_outbox(&self, mail: &mut Vec<Mail>) {
+        mail.append(&mut self.state.borrow_mut().outbox);
+    }
+
+    /// Marks a node finished (returned from its program).
     pub(crate) fn finish(&self, id: usize) {
-        let mut s = self.state.borrow_mut();
+        let s = &mut *self.state.borrow_mut();
+        let at = id - s.base;
         // A returning node was just polled, so it is not parked, and the
         // loop polls no node once the run has failed.
-        debug_assert!(s.parked[id].is_none() && !s.done[id] && s.failure.is_none());
-        s.done[id] = true;
+        debug_assert!(s.parked[at].is_none() && !s.done[at] && s.failure.is_none());
+        s.done[at] = true;
         s.live -= 1;
-        if s.live > 0 && s.parked_count == s.live {
-            declare_deadlock(&mut s);
-        }
     }
 
     /// Records a failure (keeping the first) and aborts the run.
@@ -224,39 +250,39 @@ impl Ledger {
 
     /// Stores node `id`'s final statistics and trace.
     pub(crate) fn deposit(&self, id: usize, parts: NodeParts) {
-        self.state.borrow_mut().parts[id] = Some(parts);
+        let s = &mut *self.state.borrow_mut();
+        let at = id - s.base;
+        s.parts[at] = Some(parts);
     }
 
-    /// Takes the run's outcome: its failure, or else each node's
-    /// deposited statistics and trace.
-    pub(crate) fn take_outcome(&self) -> Result<Vec<Option<NodeParts>>, RunError> {
+    /// Takes how the shard's part of the run ended (see [`LedgerEnd`]).
+    pub(crate) fn end(&self) -> LedgerEnd {
         let s = &mut *self.state.borrow_mut();
-        match s.failure.take() {
-            Some(failure) => Err(failure),
-            None => Ok(std::mem::take(&mut s.parts)),
+        let blocked: Vec<Blocked> = (s.parked.iter().enumerate())
+            .filter_map(|(at, key)| {
+                key.map(|(from, tag)| Blocked {
+                    node: s.base + at,
+                    from,
+                    tag,
+                })
+            })
+            .collect();
+        debug_assert!(
+            blocked.iter().all(|b| {
+                let mailbox = &s.mailboxes[b.node - s.base];
+                position(mailbox, b.from, b.tag).is_none()
+            }),
+            "a parked node's message was deliverable"
+        );
+        let stray = (s.done.iter().zip(&s.mailboxes)).any(|(&done, mail)| done && !mail.is_empty());
+        LedgerEnd {
+            failure: s.failure.take(),
+            parts: std::mem::take(&mut s.parts),
+            blocked,
+            live: s.live,
+            stray,
         }
     }
-}
-
-/// Every receive still parked, sorted by node label.
-fn blocked(s: &State) -> Vec<Blocked> {
-    s.parked
-        .iter()
-        .enumerate()
-        .filter_map(|(node, key)| key.map(|(from, tag)| Blocked { node, from, tag }))
-        .collect()
-}
-
-/// Fails the run as deadlocked, naming every parked receive.
-fn declare_deadlock(s: &mut State) {
-    let blocked = blocked(s);
-    debug_assert!(
-        blocked
-            .iter()
-            .all(|b| position(&s.mailboxes[b.node], b.from, b.tag).is_none()),
-        "deadlock declared while a parked node's message was deliverable"
-    );
-    s.failure.get_or_insert(RunError::Deadlock { blocked });
 }
 
 #[cfg(test)]
@@ -351,7 +377,8 @@ mod tests {
     /// `(mailbox length, handoff slot filled, parked key)` of `id`.
     fn snapshot(ledger: &Ledger, id: usize) -> (usize, bool, Option<(usize, u64)>) {
         let s = ledger.state.borrow();
-        (s.mailboxes[id].len(), s.handoff[id].is_some(), s.parked[id])
+        let at = id - s.base;
+        (s.mailboxes[at].len(), s.handoff[at].is_some(), s.parked[at])
     }
 
     fn ready(poll: Poll<Envelope>) -> Envelope {
@@ -364,7 +391,7 @@ mod tests {
     #[test]
     fn handoff_and_queued_delivery_hand_over_the_same_envelope() {
         // Queued: injected before anyone waits, taken from the mailbox.
-        let ledger = Ledger::new(2);
+        let ledger = Ledger::new(0, 2);
         assert_eq!(ledger.inject(1, envelope(0, 5, 1.5)), Delivery::Delivered);
         assert_eq!(snapshot(&ledger, 1), (1, false, None));
         let queued = ready(ledger.poll_receive(1, 0, 5, 0.0));
@@ -373,16 +400,9 @@ mod tests {
         // Handoff: node 1 parks first; traffic under another key is
         // queued without waking it, and the matching message goes to
         // the handoff slot, never the mailbox.
-        let ledger = Ledger::new(2);
+        let ledger = Ledger::new(0, 2);
         assert!(ledger.poll_receive(1, 0, 5, 7.0).is_pending());
-        assert_eq!(
-            blocked(&ledger.state.borrow()),
-            [Blocked {
-                node: 1,
-                from: 0,
-                tag: 5
-            }]
-        );
+        assert_eq!(snapshot(&ledger, 1), (0, false, Some((0, 5))));
         assert_eq!(ledger.inject(1, envelope(0, 6, 9.0)), Delivery::Delivered);
         assert_eq!(snapshot(&ledger, 1), (1, false, Some((0, 5))));
         assert_eq!(ledger.inject(1, envelope(0, 5, 1.5)), Delivery::Delivered);

@@ -11,7 +11,7 @@
 //!   data moves, so correctness is checked end to end, not assumed) as a
 //!   resumable async node program, run as suspended continuations on a
 //!   virtual-clock-ordered work queue (which scales to `p = 65536` on
-//!   one host thread);
+//!   one host thread, and spreads a large machine over spare cores);
 //! * each processor carries a **virtual clock**; communication primitives
 //!   advance the clocks according to the paper's cost model, and the
 //!   elapsed virtual time of a run is the maximum clock over all
@@ -75,34 +75,42 @@
 //! # Execution
 //!
 //! Machines are built with [`Machine::builder`] and booted with
-//! [`Machine::run`]; node programs are async functions over an owned
-//! [`Proc`] (see the `machine` module docs for the resumable-step
-//! contract). One single-threaded discrete-event loop resumes suspended
+//! [`Machine::run`] or [`Machine::run_sharded`]; node programs are async
+//! functions over an owned [`Proc`] (see the `machine` module docs for
+//! the resumable-step contract). A discrete-event loop resumes suspended
 //! node continuations in virtual-clock order, so there is no OS-thread
-//! cap — `p = 4096–65536` sweeps run on a laptop core.
+//! cap — `p = 4096–65536` sweeps run on a laptop core. `run` drives the
+//! whole machine with one loop on the calling thread; `run_sharded`
+//! splits a large fault-free machine into contiguous label ranges, one
+//! loop per spare core, and returns the same result bit for bit.
 //!
-//! Scheduling decisions come from a per-run **progress ledger** (see
-//! `ledger.rs` and DESIGN.md §11/§14), owned by the loop: per-node FIFO
-//! mailboxes matched on `(from, tag)`, a record of which nodes are parked
-//! in receives, and the live/parked counts. A blocked receive is woken
-//! *exactly* when its message is injected; the moment every live node is
-//! parked the run is provably deadlocked and aborts instantly — there is
-//! no host-time watchdog, and host timing can never influence virtual
+//! Scheduling decisions come from a **progress ledger** per loop (see
+//! `ledger.rs` and DESIGN.md §11/§14): per-node FIFO mailboxes matched on
+//! `(from, tag)`, a record of which nodes are parked in receives, and the
+//! live count. A blocked receive is woken *exactly* when its message is
+//! injected; once no node can run and no message is in flight, every
+//! live node is parked and the run is provably deadlocked — there is no
+//! host-time watchdog, and host timing can never influence virtual
 //! clocks. A run ends at its first failure: the loop polls no node after
 //! it and drops the node futures still held, and a deadlock names the
-//! blocked receives straight from the ledger's record of parked nodes.
+//! blocked receives straight from the ledgers' records of parked nodes.
 
+pub mod cores;
 pub mod faults;
 #[doc(hidden)]
 pub mod json;
 mod ledger;
 mod machine;
 mod proc;
+mod shard;
 mod stats;
 pub mod trace;
 
 pub use faults::{CorruptKind, Corruption, FaultEntry, FaultPlan, FaultPlanError, LinkQuality};
-pub use machine::{Blocked, Machine, MachineBuilder, MachineOptions, RunError, RunOutcome};
+pub use machine::{
+    most_shards, with_shards, Blocked, Machine, MachineBuilder, MachineOptions, RunError,
+    RunOutcome, SHARD_MIN_NODES,
+};
 pub use proc::{Op, Proc, SendError};
 pub use stats::{FiredFault, FiredKind, NodeStats, RunStats};
 pub use trace::{TraceEvent, TraceKind};

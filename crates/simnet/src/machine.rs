@@ -6,18 +6,23 @@
 //! A node program is an async function `Fn(Proc, I) -> Future<Output = O>`:
 //! the compiler turns it into a state machine whose suspension points are
 //! exactly the simulator's blocking primitives ([`Proc::recv`],
-//! [`Proc::multi`], [`Proc::exchange`]). [`Machine::run`] drives every
-//! node on the calling thread: a blocking primitive parks the node's
-//! *continuation* in the progress ledger, and a virtual-clock-ordered work
-//! queue resumes whichever runnable node has the smallest clock. Machines
-//! of 4096–65536 nodes boot in milliseconds.
+//! [`Proc::multi`], [`Proc::exchange`]). An event loop drives a *shard* —
+//! a contiguous range of labels — on one thread: a blocking primitive
+//! parks the node's *continuation* in the shard's progress ledger, and a
+//! virtual-clock-ordered work queue resumes whichever runnable node has
+//! the smallest clock. [`Machine::run`] is one shard holding every node,
+//! on the calling thread; [`Machine::run_sharded`] runs `K` shards on `K`
+//! threads, passing messages between them through per-shard inboxes
+//! (`shard.rs`). Machines of 4096–65536 nodes boot in milliseconds.
 //!
 //! The ledger (`ledger.rs`) does the exact `(from, tag)` FIFO matching,
-//! first-failure-wins abort and instant deadlock detection; because
+//! first-failure-wins abort and exact deadlock detection; because
 //! clock arithmetic depends only on per-sender program order and matched
-//! receives (crate docs, *Determinism*), the order in which the loop
-//! resumes runnable nodes can never change a result.
+//! receives (crate docs, *Determinism*), the order in which the loops
+//! resume runnable nodes — within a shard or across shards — can never
+//! change a result.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::future::Future;
@@ -29,8 +34,9 @@ use std::task::{Context, Poll, Waker};
 use cubemm_topology::log2_exact;
 
 use crate::faults::FaultPlan;
-use crate::ledger::Ledger;
+use crate::ledger::{Delivery, Ledger, LedgerEnd};
 use crate::proc::SendError;
+use crate::shard::Fabric;
 use crate::stats::RunStats;
 use crate::{ChargePolicy, CostParams, LinkTopology, PortModel, Proc};
 
@@ -98,7 +104,8 @@ pub struct Blocked {
 pub enum RunError {
     /// The machine could not be constructed (bad size, bad init count,
     /// a cost that is negative or not finite, fault plan referencing
-    /// nodes outside the machine).
+    /// nodes outside the machine), or its costs are so large that the
+    /// run's virtual time overflowed to infinity.
     Config(String),
     /// Every live node was blocked in a receive no remaining sender can
     /// satisfy — detected *exactly* by the progress ledger the instant
@@ -185,6 +192,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         "non-string panic payload".to_string()
     }
 }
+
+/// The fewest nodes per shard [`Machine::run_sharded`] splits a machine
+/// into, so machines below `2 · SHARD_MIN_NODES` nodes run on one shard.
+/// Placed from `simnet_bench`'s one- and two-shard rows and whole
+/// multiplies at p = 256, 512, 1024 and 4096 (DESIGN.md §14): two
+/// shards lose 12 % on average at p = 256, are mixed at p = 512 and win
+/// from p = 1024 on.
+pub const SHARD_MIN_NODES: usize = 512;
 
 /// A machine whose configuration has been validated **once**, ready to
 /// boot any number of times without re-validation.
@@ -333,11 +348,13 @@ impl Machine {
     /// paper's accounting. Per-node return values are collected in label
     /// order.
     ///
-    /// All node futures live on the calling thread; a work queue ordered
-    /// by `(virtual clock, node id)` picks the next runnable continuation.
-    /// A poll runs the node until it completes or parks in the ledger;
-    /// handoff injections unpark their target, which re-enters the queue
-    /// at its park-time clock.
+    /// All node futures live on the calling thread, in one shard whose
+    /// work queue, ordered by `(virtual clock, node id)`, picks the next
+    /// runnable continuation ([`Machine::run_sharded`] spreads them over
+    /// several). A poll runs the node until it completes or parks in the
+    /// ledger; handoff injections unpark their target, which re-enters
+    /// the queue at its park-time clock. The run ends when no node can
+    /// run: with every node finished, or deadlocked.
     ///
     /// Failure is a structured [`RunError`]: simulated deadlocks (naming
     /// every blocked node and the `(from, tag)` it awaited), node
@@ -371,24 +388,166 @@ impl Machine {
         F: Fn(Proc, I) -> Fut,
         Fut: Future<Output = O>,
     {
-        if inits.len() != self.p {
+        self.check_inits(inits.len())?;
+        conclude(
+            &mut [self.run_shard(None, 0, inits, &program)],
+            self.options.cost,
+        )
+    }
+
+    /// Boots the machine like [`Machine::run`], spreading a large
+    /// fault-free machine's nodes over spare host cores, with the same
+    /// result bit for bit: the same outputs, statistics, traces and
+    /// [`RunError`].
+    ///
+    /// `build` makes the per-node initial data. It is called once, and
+    /// once more only when a run on several shards fails with anything
+    /// but a deadlock: such a run is repeated on one shard from fresh
+    /// inputs, and that run's outcome is returned, so a failure reads
+    /// exactly as [`Machine::run`] reports it.
+    ///
+    /// The number of shards `K` is a power of two: 1 when the fault plan
+    /// is not empty or `p` is below `2 ·` [`SHARD_MIN_NODES`], and
+    /// otherwise `min(p / SHARD_MIN_NODES, 1 + spare cores)`, the spare
+    /// cores leased from the process-wide count in [`crate::cores`] for
+    /// the length of the run. Shard `k` runs the nodes whose labels'
+    /// top `log₂ K` bits read `k`, on its own thread; shard 0 runs on the
+    /// caller. At `K = 1` no thread is spawned.
+    pub fn run_sharded<I, O, F, Fut, B>(
+        &self,
+        build: B,
+        program: F,
+    ) -> Result<RunOutcome<O>, RunError>
+    where
+        B: Fn() -> Vec<I>,
+        F: Fn(Proc, I) -> Fut + Sync,
+        Fut: Future<Output = O>,
+        I: Send,
+        O: Send,
+    {
+        if let Some(shards) = FORCED_SHARDS.get() {
+            return self.run_on_shards(shards.min(self.p), build, program);
+        }
+        let mut lease = crate::cores::lease(most_shards(self.p, &self.options.faults) - 1);
+        let shards = prev_power_of_two(1 + lease.cores());
+        lease.trim(shards - 1);
+        self.run_on_shards(shards, build, program)
+    }
+
+    /// [`Machine::run_sharded`] on exactly `shards` shards (a power of
+    /// two, at most `p`). One shard is [`Machine::run`] on the calling
+    /// thread.
+    fn run_on_shards<I, O, F, Fut, B>(
+        &self,
+        shards: usize,
+        build: B,
+        program: F,
+    ) -> Result<RunOutcome<O>, RunError>
+    where
+        B: Fn() -> Vec<I>,
+        F: Fn(Proc, I) -> Fut + Sync,
+        Fut: Future<Output = O>,
+        I: Send,
+        O: Send,
+    {
+        if shards == 1 {
+            return self.run(build(), program);
+        }
+        let inits = build();
+        self.check_inits(inits.len())?;
+        let fabric = Fabric::new(self.p, shards);
+        let size = self.p / shards;
+        let mut inits = inits.into_iter();
+        let mut chunks: Vec<Vec<I>> = (0..shards)
+            .map(|_| inits.by_ref().take(size).collect())
+            .collect();
+        let first = chunks.remove(0);
+        let (fabric, program) = (&fabric, &program);
+        let ends = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (chunks.into_iter().enumerate())
+                .map(|(i, chunk)| {
+                    let shard = i + 1;
+                    std::thread::Builder::new()
+                        .name(format!("cubemm-shard-{shard}"))
+                        .spawn_scoped(scope, move || {
+                            self.run_shard(Some((fabric, shard)), shard * size, chunk, program)
+                        })
+                })
+                .collect();
+            // A shard that could not start would leave the others waiting
+            // on it: stop them, and run the machine on one shard instead.
+            let started = spawned.iter().all(Result::is_ok);
+            let mut ends = Vec::with_capacity(shards);
+            if started {
+                ends.push(self.run_shard(Some((fabric, 0)), 0, first, program));
+            } else {
+                fabric.stop();
+            }
+            for handle in spawned.into_iter().flatten() {
+                match handle.join() {
+                    Ok(end) => ends.push(end),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            started.then_some(ends)
+        });
+        match ends {
+            Some(mut ends) if ends.iter().all(|end| !end.diverged()) => {
+                conclude(&mut ends, self.options.cost)
+            }
+            _ => self.run(build(), program),
+        }
+    }
+
+    /// The per-run check: one initial-data entry per node.
+    fn check_inits(&self, count: usize) -> Result<(), RunError> {
+        if count != self.p {
             return Err(RunError::Config(format!(
-                "need exactly one initial-data entry per node: got {} for p = {}",
-                inits.len(),
+                "need exactly one initial-data entry per node: got {count} for p = {}",
                 self.p
             )));
         }
-        let (p, dim, options) = (self.p, self.dim, &self.options);
-        let ledger = Rc::new(Ledger::new(p));
+        Ok(())
+    }
+
+    /// One shard's event loop over the nodes `base..base + inits.len()`
+    /// (all of them when `fabric` is `None`, the one-shard run), on the
+    /// calling thread.
+    ///
+    /// All of the shard's node futures live here; a work queue ordered
+    /// by `(virtual clock, node id)` picks the next runnable
+    /// continuation. A poll runs the node until it completes or parks in
+    /// the ledger; handoff injections unpark their target, which
+    /// re-enters the queue at its park-time clock. On a sharded run the
+    /// loop also posts the ledger's outbox after every poll, delivers its
+    /// inbox whenever the fabric signals, and blocks in the fabric when
+    /// it has nothing to run. The loop ends when nothing can run, or at
+    /// the shard's first failure, and then drops every node future still
+    /// held, which runs its locals' destructors.
+    fn run_shard<I, O, F, Fut>(
+        &self,
+        fabric: Option<(&Fabric, usize)>,
+        base: usize,
+        inits: Vec<I>,
+        program: &F,
+    ) -> ShardEnd<O>
+    where
+        F: Fn(Proc, I) -> Fut,
+        Fut: Future<Output = O>,
+    {
+        // A panic outside a node's poll (a program that panics before it
+        // returns its future, a destructor) must not leave the other
+        // shards waiting for this one.
+        let _stop_on_panic = fabric.map(|(fabric, _)| StopOnPanic(fabric));
+        let (dim, options, len) = (self.dim, &self.options, inits.len());
+        let ledger = Rc::new(Ledger::new(base, len));
         let faults = (!options.faults.is_empty()).then(|| Rc::new(options.faults.clone()));
 
-        let mut outputs: Vec<Option<O>> = Vec::with_capacity(p);
-        outputs.resize_with(p, || None);
-        let mut futures: Vec<Option<Pin<Box<Fut>>>> = inits
-            .into_iter()
-            .enumerate()
-            .map(|(id, init)| {
-                let proc = Proc::new(id, dim, options, faults.clone(), Rc::clone(&ledger));
+        let mut outputs: Vec<Option<O>> = Vec::with_capacity(len);
+        outputs.resize_with(len, || None);
+        let mut futures: Vec<Option<Pin<Box<Fut>>>> = (inits.into_iter().enumerate())
+            .map(|(at, init)| {
+                let proc = Proc::new(base + at, dim, options, faults.clone(), Rc::clone(&ledger));
                 Some(Box::pin(program(proc, init)))
             })
             .collect();
@@ -399,53 +558,216 @@ impl Machine {
         // enqueued at creation or when a handoff unparks it, each
         // strictly after it left the queue and parked.
         let mut ready: BinaryHeap<Reverse<(u64, usize)>> =
-            (0..p).map(|id| Reverse((0, id))).collect();
+            (base..base + len).map(|id| Reverse((0, id))).collect();
         let mut cx = Context::from_waker(Waker::noop());
-
-        while let Some(Reverse((_, id))) = ready.pop() {
-            let Some(fut) = futures[id].as_mut() else {
-                continue;
-            };
-            match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
-                Ok(Poll::Ready(out)) => {
-                    outputs[id] = Some(out);
-                    futures[id] = None;
-                    ledger.finish(id);
+        let mut mail = Vec::new();
+        let failed = 'run: loop {
+            while let Some(Reverse((_, id))) = ready.pop() {
+                let at = id - base;
+                let Some(fut) = futures[at].as_mut() else {
+                    continue;
+                };
+                match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
+                    Ok(Poll::Ready(out)) => {
+                        outputs[at] = Some(out);
+                        futures[at] = None;
+                        ledger.finish(id);
+                    }
+                    // Parked inside a ledger receive; the queue sees it
+                    // again once the ledger wakes it.
+                    Ok(Poll::Pending) => {}
+                    // A quiet unwind has already recorded its typed
+                    // failure; anything else is a genuine program panic.
+                    Err(payload) => {
+                        if !payload.is::<Aborted>() {
+                            ledger.trigger(RunError::NodePanicked {
+                                node: id,
+                                message: panic_message(payload.as_ref()),
+                            });
+                        }
+                    }
                 }
-                // Parked inside a ledger receive; the queue sees it
-                // again once the ledger wakes it.
-                Ok(Poll::Pending) => {}
-                // A quiet unwind has already recorded its typed failure;
-                // anything else is a genuine program panic.
-                Err(payload) => {
-                    if !payload.is::<Aborted>() {
-                        ledger.trigger(RunError::NodePanicked {
-                            node: id,
-                            message: panic_message(payload.as_ref()),
-                        });
+                if ledger.drain_woken(|clock, node| ready.push(Reverse((clock.to_bits(), node)))) {
+                    break 'run true;
+                }
+                if let Some((fabric, shard)) = fabric {
+                    ledger.take_outbox(&mut mail);
+                    if !mail.is_empty() {
+                        fabric.post(&mut mail);
+                    }
+                    if fabric.signaled(shard) {
+                        if !fabric.take_mail(shard, &mut mail) {
+                            break 'run false;
+                        }
+                        if deliver(&ledger, fabric, &mut mail, &mut ready) {
+                            break 'run true;
+                        }
                     }
                 }
             }
-            if ledger.drain_woken(|clock, node| ready.push(Reverse((clock.to_bits(), node)))) {
-                break;
+            // Nothing runnable: on one shard the run is over; a shard
+            // waits for mail until the whole machine is quiet.
+            let Some((fabric, shard)) = fabric else {
+                break false;
+            };
+            if !fabric.idle(shard, &mut mail) {
+                break false;
             }
+            if deliver(&ledger, fabric, &mut mail, &mut ready) {
+                break true;
+            }
+        };
+        if let (true, Some((fabric, _))) = (failed, fabric) {
+            fabric.stop();
         }
-        // A failure returns here, dropping every node future still held:
-        // their locals' destructors run and each `Proc` deposits its parts.
-        let parts = ledger.take_outcome()?;
+        // Dropping the futures still held runs their locals' destructors,
+        // and each `Proc` deposits its parts.
+        drop(futures);
+        ShardEnd {
+            outputs,
+            ledger: ledger.end(),
+        }
+    }
+}
+
+thread_local! {
+    /// The shard count [`with_shards`] fixes for this thread's runs.
+    static FORCED_SHARDS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with every [`Machine::run_sharded`] it starts on this thread
+/// split over exactly `shards` shards (a power of two; machines smaller
+/// than that run on all their nodes' worth), whatever the machine's
+/// size, fault plan or the host's spare cores. For tests and benches
+/// that compare shard counts; nothing else selects `K`.
+///
+/// # Panics
+/// Panics if `shards` is not a power of two.
+#[doc(hidden)]
+pub fn with_shards<R>(shards: usize, f: impl FnOnce() -> R) -> R {
+    assert!(shards.is_power_of_two(), "{shards} shards");
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FORCED_SHARDS.set(self.0);
+        }
+    }
+    let _restore = Restore(FORCED_SHARDS.replace(Some(shards)));
+    f()
+}
+
+/// The most shards [`Machine::run_sharded`] splits a `p`-node machine
+/// with fault plan `faults` into on this host, before spare cores are
+/// leased: 1 under a fault plan, else `p / SHARD_MIN_NODES` capped by
+/// the host's cores, as a power of two.
+pub fn most_shards(p: usize, faults: &FaultPlan) -> usize {
+    let most = p / SHARD_MIN_NODES;
+    if most < 2 || !faults.is_empty() {
+        return 1;
+    }
+    prev_power_of_two(most.min(crate::cores::host()))
+}
+
+/// The largest power of two that is at most `n` (`n >= 1`).
+fn prev_power_of_two(n: usize) -> usize {
+    1 << n.ilog2()
+}
+
+/// Injects every message of `mail` (swapped out of the shard's inbox)
+/// through the shard's ledger, queues the nodes it wakes, and counts the
+/// messages off the fabric. Returns whether the shard has failed: a
+/// message for a node that already finished fails it as the sender's
+/// own `inject` would on one shard.
+fn deliver(
+    ledger: &Ledger,
+    fabric: &Fabric,
+    mail: &mut Vec<crate::ledger::Mail>,
+    ready: &mut BinaryHeap<Reverse<(u64, usize)>>,
+) -> bool {
+    let count = mail.len();
+    for (to, env) in mail.drain(..) {
+        let from = env.from;
+        if ledger.inject(to, env) == Delivery::DestFinished {
+            ledger.trigger(RunError::NodePanicked {
+                node: from,
+                message: format!("send: node {to} already finished its program"),
+            });
+        }
+    }
+    fabric.delivered(count);
+    ledger.drain_woken(|clock, node| ready.push(Reverse((clock.to_bits(), node))))
+}
+
+/// Stops every shard if dropped while its thread is panicking.
+struct StopOnPanic<'a>(&'a Fabric);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop();
+        }
+    }
+}
+
+/// How one shard's event loop ended: its nodes' outputs, in label order,
+/// and its ledger's account.
+struct ShardEnd<O> {
+    outputs: Vec<Option<O>>,
+    ledger: LedgerEnd,
+}
+
+impl<O> ShardEnd<O> {
+    /// Whether this shard's part of a sharded run may differ from the
+    /// one-shard run: it failed, or a node of it finished with a message
+    /// waiting, which on one shard could have been a send to an already
+    /// finished node. Either way the run is repeated on one shard.
+    fn diverged(&self) -> bool {
+        self.ledger.failure.is_some() || self.ledger.stray
+    }
+}
+
+/// The outcome every run shares, from its shards' ends in label order:
+/// the first failure; else a deadlock naming every parked receive; else
+/// the outputs, statistics and traces — unless `cost` overflowed the
+/// virtual clock, which no per-cost check can rule out (finite `ts` and
+/// `tw` can still sum past `f64::MAX`).
+///
+/// Once no node can run, every live node is parked on a receive no
+/// injection can satisfy (a matching one would have unparked it), so the
+/// union of the shards' parked tables is the deadlock report. A healthy
+/// machine's maximal execution is unique, so it names the same receives
+/// however the nodes were sharded.
+fn conclude<O>(ends: &mut [ShardEnd<O>], cost: CostParams) -> Result<RunOutcome<O>, RunError> {
+    if let Some(failure) = ends.iter_mut().find_map(|end| end.ledger.failure.take()) {
+        return Err(failure);
+    }
+    let live: usize = ends.iter().map(|end| end.ledger.live).sum();
+    if live > 0 {
+        let mut tables = ends
+            .iter_mut()
+            .map(|end| std::mem::take(&mut end.ledger.blocked));
+        let mut blocked = tables.next().unwrap_or_default();
+        for mut table in tables {
+            blocked.append(&mut table);
+        }
         assert!(
-            futures.iter().all(Option::is_none),
+            blocked.len() == live,
             "node program suspended on a non-simnet future \
              (only Proc primitives may be awaited)"
         );
+        return Err(RunError::Deadlock { blocked });
+    }
 
-        let mut outs = Vec::with_capacity(p);
-        let mut nodes = Vec::with_capacity(p);
-        let mut traces = Vec::with_capacity(p);
-        for (out, part) in outputs.into_iter().zip(parts) {
+    let p = ends.iter().map(|end| end.outputs.len()).sum();
+    let mut outs = Vec::with_capacity(p);
+    let mut nodes = Vec::with_capacity(p);
+    let mut traces = Vec::with_capacity(p);
+    for end in ends {
+        let parts = std::mem::take(&mut end.ledger.parts);
+        for (out, part) in std::mem::take(&mut end.outputs).into_iter().zip(parts) {
             #[allow(
                 clippy::expect_used,
-                reason = "failed nodes returned RunError above; every surviving output is Some \
+                reason = "a failed or deadlocked run returned above; every node completed \
                           and every dropped Proc deposited its parts"
             )]
             {
@@ -455,13 +777,20 @@ impl Machine {
                 traces.push(trace);
             }
         }
-        let elapsed = nodes.iter().map(|n| n.clock).fold(0.0, f64::max);
-        Ok(RunOutcome {
-            outputs: outs,
-            stats: RunStats { elapsed, nodes },
-            traces,
-        })
     }
+    let elapsed = nodes.iter().map(|n| n.clock).fold(0.0, f64::max);
+    if !elapsed.is_finite() {
+        let CostParams { ts, tw } = cost;
+        return Err(RunError::Config(format!(
+            "ts = {ts:?} and tw = {tw:?} overflow the virtual clock: \
+             the simulated time is not finite"
+        )));
+    }
+    Ok(RunOutcome {
+        outputs: outs,
+        stats: RunStats { elapsed, nodes },
+        traces,
+    })
 }
 
 #[cfg(test)]
@@ -913,7 +1242,7 @@ mod tests {
     fn machines_and_outcomes_cross_threads() {
         // Compile-time guard: serve caches `Machine`s across its workers
         // and `run_grid` returns outcomes across threads, so the
-        // single-threaded ledger (`Rc`) must never leak into these types.
+        // per-shard ledger (`Rc`) must never leak into these types.
         fn send_sync<T: Send + Sync>() {}
         fn send<T: Send>() {}
         fn outcome<O: Send>() {
