@@ -55,6 +55,14 @@ pub fn chaos(argv: &[String]) -> Result<i32, String> {
     if opts.runs == 0 || opts.n == 0 || opts.max_entries == 0 {
         return Err("--runs, --n and --max-entries must be at least 1".into());
     }
+    // Below 1 the healthy run itself breaks the time oracle; NaN or
+    // infinity switch it off.
+    if !(opts.budget_factor.is_finite() && opts.budget_factor >= 1.0) {
+        return Err(format!(
+            "--budget-factor must be finite and at least 1, got {}",
+            opts.budget_factor
+        ));
+    }
 
     let algos: Vec<Algorithm> = if selector == "all" {
         Algorithm::ALL

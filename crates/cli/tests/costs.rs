@@ -4,6 +4,8 @@
 //! rule (`CostParams::validate`) at parse time and exit 2 with a one-line
 //! `error:`, instead of simulating with a cost that means nothing. Serve
 //! applies the same rule with its own wording, which stays as it was.
+//! `chaos --budget-factor`, the multiple of the healthy run's time a
+//! trial may take, is held to finite and at least 1 the same way.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -49,6 +51,22 @@ fn run_sweep_and_regions_reject_impossible_costs() {
                 assert!(out.stdout.is_empty(), "{args:?} printed a result");
             }
         }
+    }
+}
+
+#[test]
+fn chaos_rejects_a_budget_factor_the_time_oracle_cannot_use() {
+    for (value, shown) in [("nan", "NaN"), ("inf", "inf"), ("-1", "-1"), ("0.5", "0.5")] {
+        let args = ["chaos", "cannon", "--runs", "5", "--budget-factor", value];
+        let out = cubemm(&args, "");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("error: --budget-factor must be finite and at least 1, got {shown}\n"),
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
     }
 }
 

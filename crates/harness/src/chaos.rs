@@ -49,7 +49,8 @@ use cubemm_core::abft::{multiply_abft_with_tol, padded_order, AbftOutcome, AbftR
 use cubemm_core::{AlgoError, Algorithm, MachineConfig};
 use cubemm_dense::{gemm, Matrix};
 use cubemm_simnet::{
-    CorruptKind, Corruption, FaultEntry, FaultPlan, FiredKind, RunError, SendError, TraceKind,
+    cores, CorruptKind, Corruption, FaultEntry, FaultPlan, FiredKind, RunError, SendError,
+    TraceKind,
 };
 use cubemm_topology::bits::{dim_walk, hamming};
 
@@ -1137,6 +1138,11 @@ pub fn run_campaign(
 /// [`run_campaign`] on operands already drawn by
 /// [`operands`]`(opts.n)`, so campaigns over several algorithms share
 /// one pair.
+///
+/// Trials run one at a time while coverage still steers plan
+/// generation; the rest, whose plans depend on the seed alone, are
+/// judged on every core the process can spare (DESIGN.md §16 "Steering
+/// prefix, parallel tail"). The report is the same at any core count.
 pub fn run_campaign_on(
     algo: Algorithm,
     seed: u64,
@@ -1144,10 +1150,36 @@ pub fn run_campaign_on(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<CampaignReport, String> {
+    campaign(algo, seed, opts, a, b, None).map(|(report, _)| report)
+}
+
+/// Plans drawn and judged together in the campaign's tail, unless the
+/// workers need more to keep busy: memory stays bounded by the batch,
+/// not by `--runs`.
+const TAIL_BATCH: usize = 64;
+
+/// [`run_campaign_on`] with the tail's worker count: `Some(jobs)` runs
+/// exactly that many, `None` one plus every core [`cores::lease`]
+/// spares. Also returns how many trials the steering prefix ran.
+pub(crate) fn campaign(
+    algo: Algorithm,
+    seed: u64,
+    opts: &ChaosOptions,
+    a: &Matrix,
+    b: &Matrix,
+    jobs: Option<usize>,
+) -> Result<(CampaignReport, usize), String> {
     let probe = probe_operands(algo, a, b)?;
-    let reference = gemm::reference(a, b);
-    let budget = opts.budget_factor * (probe.elapsed + 1.0)
-        + opts.policy.max_backoff * opts.policy.max_attempts as f64;
+    let judge = Judge {
+        algo,
+        a,
+        b,
+        p: probe.p,
+        reference: gemm::reference(a, b),
+        budget: opts.budget_factor * (probe.elapsed + 1.0)
+            + opts.policy.max_backoff * opts.policy.max_attempts as f64,
+        opts,
+    };
     let mut rng = ChaosRng::new(seed ^ algo_salt(algo));
     let mut report = CampaignReport {
         algo,
@@ -1163,55 +1195,141 @@ pub fn run_campaign_on(
         coverage: Coverage::new(),
         violations: Vec::new(),
     };
-    for run in 0..opts.runs {
+    let mut draw = |run, coverage: &Coverage| {
         let k = 1 + rng.below(opts.max_entries.max(1) as u64) as usize;
-        let cells = pick_cells(&report.coverage, &mut rng, k);
+        let cells = pick_cells(coverage, &mut rng, k);
         let (plan, placed) = generate_plan(&probe, &cells, &mut rng);
-        let outcome = run_trial(algo, a, b, probe.p, &plan, &opts.policy);
-        credit_coverage(&mut report.coverage, &placed, &outcome);
-        match &outcome {
-            Ok((res, rep)) => {
-                if rep.attempts > 1 {
-                    report.recovered += 1;
-                } else if matches!(res.outcome, AbftOutcome::Corrected { .. }) {
-                    report.corrected += 1;
-                } else {
-                    report.clean += 1;
-                }
-            }
-            Err(_) => report.typed_failures += 1,
-        }
-        let ctx = TrialContext {
-            plan: &plan,
-            reference: &reference,
-            policy: &opts.policy,
-            budget,
-            fail_on_corrected: opts.fail_on_corrected,
-        };
-        let violations = check_trial(&outcome, &ctx);
-        if violations.is_empty() {
-            continue;
-        }
-        let shrunk = shrink_plan(&plan, |candidate| {
-            let o = run_trial(algo, a, b, probe.p, candidate, &opts.policy);
-            let cctx = TrialContext {
-                plan: candidate,
-                reference: &reference,
-                policy: &opts.policy,
-                budget,
-                fail_on_corrected: opts.fail_on_corrected,
-            };
-            !check_trial(&o, &cctx).is_empty()
-        });
-        report.violations.push(ViolationRecord {
-            run,
-            violations,
-            plan_json: plan.to_json(),
-            shrunk_json: shrunk.to_json(),
-            shrunk_entries: shrunk.entries().len(),
-        });
+        Trial { run, plan, placed }
+    };
+
+    // The steering prefix: each plan aims at the cells the trials
+    // before it left uncovered, so trials run in order.
+    let mut run = 0;
+    while run < opts.runs && !report.coverage.uncovered().is_empty() {
+        let trial = draw(run, &report.coverage);
+        report.fold(judge.judge(&trial));
+        run += 1;
     }
-    Ok(report)
+    let steered = run;
+
+    // The tail: coverage is full and only grows, so every later plan
+    // is the rng's alone and no outcome feeds back into generation.
+    if run < opts.runs {
+        let lease = jobs.is_none().then(|| cores::lease(usize::MAX));
+        let jobs = jobs.unwrap_or_else(|| 1 + lease.as_ref().map_or(0, cores::Lease::cores));
+        let batch = TAIL_BATCH.max(4 * jobs);
+        while run < opts.runs {
+            let trials: Vec<Trial> = (run..opts.runs.min(run + batch))
+                .map(|r| draw(r, &report.coverage))
+                .collect();
+            for verdict in crate::run_grid(&trials, jobs, |trial| judge.judge(trial)) {
+                report.fold(verdict);
+            }
+            run += trials.len();
+        }
+    }
+    Ok((report, steered))
+}
+
+/// One drawn trial: its index in the campaign and its plan.
+struct Trial {
+    run: usize,
+    plan: FaultPlan,
+    placed: Vec<Placed>,
+}
+
+/// Which report tally one trial's outcome counts toward.
+enum Tally {
+    Clean,
+    Corrected,
+    Recovered,
+    TypedFailure,
+}
+
+/// What judging one trial adds to its campaign's report.
+struct Verdict {
+    tally: Tally,
+    /// The cells whose placed entries were seen firing.
+    fired: Coverage,
+    violation: Option<ViolationRecord>,
+}
+
+/// What stays fixed over a campaign's trials: the machine, the
+/// operands and the oracles' baselines.
+struct Judge<'a> {
+    algo: Algorithm,
+    a: &'a Matrix,
+    b: &'a Matrix,
+    p: usize,
+    reference: Matrix,
+    budget: f64,
+    opts: &'a ChaosOptions,
+}
+
+impl Judge<'_> {
+    /// Runs `trial`, credits the cells it fired, tallies its outcome,
+    /// checks every oracle and, on a violation, shrinks the plan.
+    fn judge(&self, trial: &Trial) -> Verdict {
+        let outcome = self.run(&trial.plan);
+        let mut fired = Coverage::new();
+        credit_coverage(&mut fired, &trial.placed, &outcome);
+        let tally = match &outcome {
+            Ok((_, rep)) if rep.attempts > 1 => Tally::Recovered,
+            Ok((res, _)) if matches!(res.outcome, AbftOutcome::Corrected { .. }) => {
+                Tally::Corrected
+            }
+            Ok(_) => Tally::Clean,
+            Err(_) => Tally::TypedFailure,
+        };
+        let violations = self.check(&outcome, &trial.plan);
+        let violation = (!violations.is_empty()).then(|| {
+            let shrunk = shrink_plan(&trial.plan, |candidate| {
+                !self.check(&self.run(candidate), candidate).is_empty()
+            });
+            let shrunk_entries = shrunk.entries().len();
+            ViolationRecord {
+                run: trial.run,
+                violations,
+                plan_json: trial.plan.to_json(),
+                shrunk_json: shrunk.to_json(),
+                shrunk_entries,
+            }
+        });
+        Verdict {
+            tally,
+            fired,
+            violation,
+        }
+    }
+
+    fn run(&self, plan: &FaultPlan) -> TrialOutcome {
+        run_trial(self.algo, self.a, self.b, self.p, plan, &self.opts.policy)
+    }
+
+    fn check(&self, outcome: &TrialOutcome, plan: &FaultPlan) -> Vec<String> {
+        let ctx = TrialContext {
+            plan,
+            reference: &self.reference,
+            policy: &self.opts.policy,
+            budget: self.budget,
+            fail_on_corrected: self.opts.fail_on_corrected,
+        };
+        check_trial(outcome, &ctx)
+    }
+}
+
+impl CampaignReport {
+    /// Adds one trial's verdict; verdicts fold in run order.
+    fn fold(&mut self, verdict: Verdict) {
+        match verdict.tally {
+            Tally::Clean => self.clean += 1,
+            Tally::Corrected => self.corrected += 1,
+            Tally::Recovered => self.recovered += 1,
+            Tally::TypedFailure => self.typed_failures += 1,
+        }
+        self.coverage.merge(&verdict.fired);
+        self.violations.extend(verdict.violation);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1375,6 +1493,93 @@ mod tests {
         assert!(one.coverage.covered() > 6, "{}", one.coverage.summary());
         let other = run_campaign(Algorithm::Cannon, 8, &opts).unwrap_or_else(|e| panic!("{e}"));
         assert_ne!(one.render(), other.render(), "seed must matter");
+    }
+
+    #[test]
+    fn campaign_report_is_the_same_at_any_worker_count() {
+        let (a, b) = operands(6).unwrap_or_else(|e| panic!("{e}"));
+        // (algorithm, runs, fail-on-corrected, trials the prefix steers,
+        // the outcomes the serial loop reported before the tail existed,
+        // the runs that violate an oracle)
+        type Case = (
+            Algorithm,
+            usize,
+            bool,
+            usize,
+            &'static str,
+            &'static [usize],
+        );
+        let cases: [Case; 3] = [
+            // Coverage fills early, so the tail is most of the campaign;
+            // run 12 is shrunk inline and run 28 on a worker.
+            (
+                Algorithm::Cannon,
+                40,
+                true,
+                15,
+                "12 clean, 2 corrected, 16 recovered, 10 typed failures, 2 violations",
+                &[12, 28],
+            ),
+            // Several violations in the tail fold in run order.
+            (
+                Algorithm::Fox,
+                60,
+                true,
+                13,
+                "13 clean, 5 corrected, 25 recovered, 17 typed failures, 7 violations",
+                &[8, 16, 33, 35, 53, 56, 59],
+            ),
+            // Coverage never fills, so there is no tail.
+            (
+                Algorithm::Simple,
+                60,
+                false,
+                60,
+                "13 clean, 6 corrected, 18 recovered, 23 typed failures, 0 violations",
+                &[],
+            ),
+        ];
+        let repros = |report: &CampaignReport| -> Vec<(usize, String, String)> {
+            report
+                .violations
+                .iter()
+                .map(|v| (v.run, v.plan_json.clone(), v.shrunk_json.clone()))
+                .collect()
+        };
+        for (algo, runs, fail_on_corrected, prefix, outcomes, violations) in cases {
+            let opts = ChaosOptions {
+                runs,
+                fail_on_corrected,
+                ..ChaosOptions::default()
+            };
+            let at = |jobs| {
+                campaign(algo, 7, &opts, &a, &b, Some(jobs)).unwrap_or_else(|e| panic!("{e}"))
+            };
+            let (serial, steered) = at(1);
+            let name = algo.name();
+            assert_eq!(steered, prefix, "{name}");
+            assert!(
+                serial.render().contains(&format!("outcomes: {outcomes}\n")),
+                "{}",
+                serial.render()
+            );
+            let runs: Vec<usize> = serial.violations.iter().map(|v| v.run).collect();
+            assert_eq!(runs, violations, "{name}");
+            for jobs in [2, 4] {
+                let (parallel, parallel_steered) = at(jobs);
+                assert_eq!(parallel_steered, steered, "{name} at {jobs} workers");
+                assert_eq!(
+                    parallel.render(),
+                    serial.render(),
+                    "{name} at {jobs} workers"
+                );
+                assert_eq!(
+                    repros(&parallel),
+                    repros(&serial),
+                    "{name} at {jobs} workers"
+                );
+            }
+        }
     }
 
     #[test]

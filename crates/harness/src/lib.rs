@@ -34,7 +34,8 @@ pub mod recovery;
 /// # Panics
 ///
 /// A panicking task propagates out of `run_grid` after the remaining
-/// workers drain (as the scope's generic "a scoped thread panicked").
+/// workers drain: with its own message if it ran on the calling thread,
+/// as the scope's generic "a scoped thread panicked" otherwise.
 pub fn run_grid<T, R, F>(tasks: &[T], jobs: usize, run: F) -> Vec<R>
 where
     T: Sync,
@@ -46,24 +47,26 @@ where
         return tasks.iter().map(run).collect();
     }
 
-    // The workers stand in for the caller, which only waits: they hold
-    // `jobs - 1` cores that sharded machines then do not take.
+    // The caller is one of the workers; the `jobs - 1` it adds hold
+    // cores that sharded machines then do not take.
     let _cores = cubemm_simnet::cores::lease(jobs - 1);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks.len() {
-                    break;
-                }
-                let result = run(&tasks[i]);
-                // Each slot is written once, by the worker that claimed
-                // it, so the lock is never contended or poisoned.
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= tasks.len() {
+            break;
         }
+        let result = run(&tasks[i]);
+        // Each slot is written once, by the worker that claimed it, so
+        // the lock is never contended or poisoned.
+        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            scope.spawn(work);
+        }
+        work();
     });
 
     slots
@@ -96,14 +99,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a scoped thread panicked")]
+    #[should_panic(expected = "grid task panicked")]
     fn panicking_task_propagates() {
+        // Every task panics, so a worker stops at its first task and the
+        // calling thread, one of two workers, claims one of the three
+        // whatever the interleaving: its own panic is the one that
+        // propagates.
         let tasks = [0usize, 1, 2];
-        let _ = run_grid(&tasks, 2, |&t| {
-            if t == 1 {
-                panic!("grid task panicked");
-            }
-            t
-        });
+        let _ = run_grid(&tasks, 2, |_| -> usize { panic!("grid task panicked") });
     }
 }

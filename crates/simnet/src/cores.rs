@@ -3,9 +3,10 @@
 //! A process starts with `available_parallelism − 1` spare cores: the
 //! thread that asks is always running already, so only the threads it
 //! adds need one. Whoever adds threads — grid workers, serve workers,
-//! the host reference's thread, a sharded machine's shards — leases
-//! them here first and hands them back when its threads have joined,
-//! so the parallel layers never oversubscribe the host between them.
+//! the host reference's thread, a sharded machine's shards, the
+//! workers of a chaos campaign's post-coverage tail — leases them here
+//! first and hands them back when its threads have joined, so the
+//! parallel layers never oversubscribe the host between them.
 //! A lease takes what is spare, possibly nothing; it never waits.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
