@@ -1150,7 +1150,7 @@ pub fn run_campaign_on(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<CampaignReport, String> {
-    campaign(algo, seed, opts, a, b, None).map(|(report, _)| report)
+    campaign(algo, seed, opts, a, b, None)
 }
 
 /// Plans drawn and judged together in the campaign's tail, unless the
@@ -1160,7 +1160,7 @@ const TAIL_BATCH: usize = 64;
 
 /// [`run_campaign_on`] with the tail's worker count: `Some(jobs)` runs
 /// exactly that many, `None` one plus every core [`cores::lease`]
-/// spares. Also returns how many trials the steering prefix ran.
+/// spares.
 pub(crate) fn campaign(
     algo: Algorithm,
     seed: u64,
@@ -1168,7 +1168,7 @@ pub(crate) fn campaign(
     a: &Matrix,
     b: &Matrix,
     jobs: Option<usize>,
-) -> Result<(CampaignReport, usize), String> {
+) -> Result<CampaignReport, String> {
     let probe = probe_operands(algo, a, b)?;
     let judge = Judge {
         algo,
@@ -1210,7 +1210,6 @@ pub(crate) fn campaign(
         report.fold(judge.judge(&trial));
         run += 1;
     }
-    let steered = run;
 
     // The tail: coverage is full and only grows, so every later plan
     // is the rng's alone and no outcome feeds back into generation.
@@ -1228,7 +1227,7 @@ pub(crate) fn campaign(
             run += trials.len();
         }
     }
-    Ok((report, steered))
+    Ok(report)
 }
 
 /// One drawn trial: its index in the campaign and its plan.
@@ -1547,27 +1546,31 @@ mod tests {
                 .collect()
         };
         for (algo, runs, fail_on_corrected, prefix, outcomes, violations) in cases {
-            let opts = ChaosOptions {
-                runs,
-                fail_on_corrected,
-                ..ChaosOptions::default()
-            };
-            let at = |jobs| {
+            let at = |runs, jobs| {
+                let opts = ChaosOptions {
+                    runs,
+                    fail_on_corrected,
+                    ..ChaosOptions::default()
+                };
                 campaign(algo, 7, &opts, &a, &b, Some(jobs)).unwrap_or_else(|e| panic!("{e}"))
             };
-            let (serial, steered) = at(1);
+            let full = |runs| at(runs, 1).coverage.uncovered().is_empty();
             let name = algo.name();
-            assert_eq!(steered, prefix, "{name}");
+            // A campaign's first trials are its prefix whatever `runs`
+            // is, so the prefix ends at the first run count whose
+            // coverage is full.
+            assert!(!full(prefix - 1), "{name}");
+            assert_eq!(full(prefix), prefix < runs, "{name}");
+            let serial = at(runs, 1);
             assert!(
                 serial.render().contains(&format!("outcomes: {outcomes}\n")),
                 "{}",
                 serial.render()
             );
-            let runs: Vec<usize> = serial.violations.iter().map(|v| v.run).collect();
-            assert_eq!(runs, violations, "{name}");
+            let violating: Vec<usize> = serial.violations.iter().map(|v| v.run).collect();
+            assert_eq!(violating, violations, "{name}");
             for jobs in [2, 4] {
-                let (parallel, parallel_steered) = at(jobs);
-                assert_eq!(parallel_steered, steered, "{name} at {jobs} workers");
+                let parallel = at(runs, jobs);
                 assert_eq!(
                     parallel.render(),
                     serial.render(),

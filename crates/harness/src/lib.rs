@@ -87,6 +87,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn grid_results_keep_input_order_at_any_job_count() {
@@ -99,13 +101,64 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "grid task panicked")]
+    // Either thread may claim task 1: the payload is the task's own
+    // message on the calling thread and the scope's "a scoped thread
+    // panicked" on a spawned worker. The two tests below pin each.
+    #[should_panic(expected = "panicked")]
     fn panicking_task_propagates() {
-        // Every task panics, so a worker stops at its first task and the
-        // calling thread, one of two workers, claims one of the three
-        // whatever the interleaving: its own panic is the one that
-        // propagates.
         let tasks = [0usize, 1, 2];
-        let _ = run_grid(&tasks, 2, |_| -> usize { panic!("grid task panicked") });
+        let _ = run_grid(&tasks, 2, |&t| {
+            if t == 1 {
+                panic!("grid task panicked");
+            }
+            t
+        });
+    }
+
+    /// The message a caught panic carried.
+    fn message(payload: &(dyn std::any::Any + Send)) -> &str {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("")
+    }
+
+    #[test]
+    fn a_spawned_workers_panic_propagates_after_the_caller_drains() {
+        // The calling thread waits in its first task until a spawned
+        // worker has claimed one and panicked, then runs every task left.
+        let caller = std::thread::current().id();
+        let failed = AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        let tasks: Vec<usize> = (0..8).collect();
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_grid(&tasks, 2, |&t| {
+                if std::thread::current().id() != caller {
+                    failed.store(true, Ordering::Release);
+                    panic!("grid task panicked");
+                }
+                while !failed.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                finished.fetch_add(1, Ordering::Relaxed);
+                t
+            })
+        }))
+        .expect_err("a task that panicked on a spawned worker must propagate");
+        assert_eq!(message(payload.as_ref()), "a scoped thread panicked");
+        assert_eq!(finished.load(Ordering::Relaxed), tasks.len() - 1);
+    }
+
+    #[test]
+    fn a_panic_on_the_calling_thread_keeps_its_message() {
+        // Every task panics, so the one spawned worker stops at its first
+        // task and the calling thread claims one of the three.
+        let tasks = [0usize, 1, 2];
+        let payload = std::panic::catch_unwind(|| {
+            run_grid(&tasks, 2, |_| -> usize { panic!("grid task panicked") })
+        })
+        .expect_err("a task that panicked on the calling thread must propagate");
+        assert_eq!(message(payload.as_ref()), "grid task panicked");
     }
 }
