@@ -22,7 +22,10 @@
 //!    exact `(a, b)` = (start-ups, word volume) on the critical path,
 //!    which one point judge ([`symbolic::judge`]) compares against the
 //!    algorithm certificate's prediction — its composed closed form,
-//!    proven against the paper's Table 2 in `cubemm_model`.
+//!    proven against the paper's Table 2 rows, which `cubemm_model`
+//!    states once as exact polynomials. Table 1 is stated once here,
+//!    as [`symbolic::table1_sym`]: the collective certificates compose
+//!    it, and everything that needs a Table 1 number evaluates it.
 //!
 //! Schedules enter the analyzer two ways: a collective's schema is
 //! expanded for every node ([`symbolic::expand_collective`] — the same
@@ -34,7 +37,6 @@
 //! time exactly ([`AlgoCertificate::analyze`]).
 
 pub mod check;
-pub mod collectives;
 pub mod conformance;
 pub mod ir;
 pub mod report;
@@ -43,7 +45,6 @@ pub mod symbolic;
 pub use check::{
     analyze, replay_elapsed, Analysis, Diagnostic, Extracted, PhaseSummary, Strictness, WaitLink,
 };
-pub use collectives::table1;
 pub use conformance::{applicable_grid, capture};
 pub use ir::{Event, Round, Schedule};
 pub use report::{render, render_analysis};

@@ -37,7 +37,7 @@ use cubemm_collectives::{CollKind, CollSchema};
 use cubemm_core::schema::{AlgoSchema, CollPhase, Phase, SchemaForm};
 use cubemm_core::Algorithm;
 use cubemm_model::sym::{Poly, Rat, SymOverhead};
-use cubemm_model::{overhead_sym, ModelAlgo, Overhead};
+use cubemm_model::{all3d_full_bandwidth, overhead_sym, ModelAlgo, Overhead};
 use cubemm_simnet::{CostParams, Machine, Payload, PortModel};
 use cubemm_topology::Subcube;
 
@@ -89,8 +89,9 @@ impl Obligation {
 
 /// The Table 1 row for `kind` under `port` as exact polynomials in the
 /// collective basis: size variable `m` (the Table 1 unit), `δ` for the
-/// subcube dimension, and `N = 2^δ` encoded as `x¹²`. The symbolic
-/// counterpart of [`crate::collectives::table1`].
+/// subcube dimension, and `N = 2^δ` encoded as `x¹²` — the one
+/// statement of the table, which the certificates, the `table1` bench
+/// and the collective tests all evaluate.
 pub fn table1_sym(kind: CollKind, port: PortModel) -> SymCost {
     let m = Poly::v(1);
     let delta = Poly::d();
@@ -732,21 +733,17 @@ impl Policy {
     }
 }
 
+/// The relation of `algo`'s composed form to Table 2 under `port`: the
+/// registry's row ([`AlgoDescriptor::row`](cubemm_core::registry::AlgoDescriptor::row))
+/// where the paper prints one, and the two documented deviations.
 pub(crate) fn policy(algo: Algorithm, port: PortModel) -> Policy {
     match (algo, port) {
-        (Algorithm::Simple, _) => Policy::Table(ModelAlgo::Simple),
-        (Algorithm::Cannon, _) => Policy::Table(ModelAlgo::Cannon),
-        (Algorithm::Hje, PortModel::OnePort) => Policy::NoRow,
-        (Algorithm::Hje, PortModel::MultiPort) => Policy::Table(ModelAlgo::Hje),
-        (Algorithm::Berntsen, _) => Policy::Table(ModelAlgo::Berntsen),
-        (Algorithm::Dns, _) => Policy::Table(ModelAlgo::Dns),
         (Algorithm::Diag3d, PortModel::OnePort) => Policy::Scaled(ModelAlgo::Diag3d),
-        (Algorithm::Diag3d, PortModel::MultiPort) => Policy::Table(ModelAlgo::Diag3d),
         (Algorithm::AllTrans3d, _) => Policy::AtLeast(ModelAlgo::All3d),
-        (Algorithm::All3d, _) => Policy::Table(ModelAlgo::All3d),
-        // Diag2d is a stepping stone without a row; the extension and
-        // baseline algorithms are outside the paper's table.
-        _ => Policy::NoRow,
+        _ => match algo.descriptor().row {
+            Some(row) if overhead_sym(row, port).is_some() => Policy::Table(row),
+            _ => Policy::NoRow,
+        },
     }
 }
 
@@ -867,7 +864,7 @@ impl AlgoCertificate {
         let cost = self.cost.as_ref()?;
         if self.algo == Algorithm::All3d
             && self.port == PortModel::MultiPort
-            && !all3d_mp_compliant(n, p)
+            && !all3d_full_bandwidth(n, p)
         {
             return None;
         }
@@ -913,13 +910,6 @@ pub fn analyze_algorithm(
 
 fn render_global(p: &Poly) -> String {
     p.render("n", "p", "log p")
-}
-
-/// The All3d multi-port row is the table's large-message regime; its
-/// side condition in (n, p, d).
-fn all3d_mp_compliant(n: usize, p: usize) -> bool {
-    let d = f64::from((p as u32).trailing_zeros());
-    ((n * n) as f64) >= (p as f64) * (p as f64).cbrt() * (d / 3.0).max(1.0)
 }
 
 /// Grounds a certificate against real captured runs at the first and
@@ -1174,25 +1164,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table1_sym_matches_numeric_table() {
-        for coll in CollKind::ALL {
-            for port in [PortModel::OnePort, PortModel::MultiPort] {
-                let sym = table1_sym(coll, port);
-                for d in 1u32..=10 {
-                    for m in [12usize, 60] {
-                        let (na, nb) = crate::collectives::table1(coll, port, d, m);
-                        let (sa, sb) = (
-                            sym.a.eval(m as f64, f64::from(d)),
-                            sym.b.eval(m as f64, f64::from(d)),
-                        );
-                        assert!(
-                            (sa - na).abs() < 1e-6 && (sb - nb).abs() < 1e-6,
-                            "{coll:?} {port:?} d={d} m={m}: sym ({sa}, {sb}) vs num ({na}, {nb})"
-                        );
-                    }
-                }
-            }
-        }
+    fn diag3d_one_port_prediction_is_exact_at_64() {
+        let r = analyze_algorithm(Algorithm::Diag3d, 64, 64, PortModel::OnePort)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let predicted = r.predicted.map(|o| (o.a, o.b));
+        assert_eq!(predicted, Some((6.0, 1536.0)));
     }
 
     #[test]

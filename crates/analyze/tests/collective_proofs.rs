@@ -3,7 +3,7 @@
 //! Table 1 closed forms — all without compiling a plan, materialising a
 //! payload or executing a single message.
 
-use cubemm_analyze::{analyze, expand_collective, table1, Schedule, Strictness};
+use cubemm_analyze::{analyze, expand_collective, table1_sym, Schedule, Strictness};
 use cubemm_collectives::{CollKind, CollSchema};
 use cubemm_simnet::PortModel;
 
@@ -31,7 +31,11 @@ fn check(kind: CollKind, port: PortModel, d: u32) {
     let Some(cost) = a.cost else {
         panic!("certified schedules complete");
     };
-    let (ea, eb) = table1(kind, port, d, M);
+    let row = table1_sym(kind, port);
+    let (ea, eb) = (
+        row.a.eval(M as f64, f64::from(d)),
+        row.b.eval(M as f64, f64::from(d)),
+    );
     assert!(
         (cost.a - ea).abs() < 1e-9 && (cost.b - eb).abs() < 1e-9,
         "{} {port:?} d={d}: extracted (a={}, b={}), Table 1 says (a={ea}, b={eb})",

@@ -12,18 +12,6 @@ use cubemm_dense::Matrix;
 use cubemm_model::{best_algorithm, ModelAlgo};
 use cubemm_simnet::{CostParams, PortModel};
 
-/// The model-side twin of a runnable contender.
-fn model_of(algo: Algorithm) -> Option<ModelAlgo> {
-    Some(match algo {
-        Algorithm::Cannon => ModelAlgo::Cannon,
-        Algorithm::Hje => ModelAlgo::Hje,
-        Algorithm::Berntsen => ModelAlgo::Berntsen,
-        Algorithm::Diag3d => ModelAlgo::Diag3d,
-        Algorithm::All3d => ModelAlgo::All3d,
-        _ => return None,
-    })
-}
-
 fn main() {
     let ns = [16usize, 32, 64];
     let ps = [4usize, 8, 16, 64, 512];
@@ -57,7 +45,7 @@ fn main() {
                 let runnable: Vec<ModelAlgo> = contenders
                     .iter()
                     .filter(|a| a.check(n, p).is_ok())
-                    .filter_map(|a| model_of(*a))
+                    .filter_map(|a| a.descriptor().row)
                     .collect();
                 let predicted = best_algorithm(
                     &runnable,

@@ -5,8 +5,9 @@
 //!
 //! Usage: `cargo run -p cubemm-bench --bin table1 [-- --max-dim D]`
 
+use cubemm_analyze::table1_sym;
 use cubemm_bench::{fmt, write_result, Table};
-use cubemm_collectives as coll;
+use cubemm_collectives::{self as coll, CollKind};
 use cubemm_simnet::{CostParams, Machine, Payload, PortModel};
 use cubemm_topology::Subcube;
 
@@ -16,9 +17,17 @@ fn payload(rank: usize, m: usize) -> Payload {
     (0..m).map(|x| (rank * 100 + x) as f64).collect()
 }
 
+/// The four Table 1 rows, with the bench's row labels.
+const ROWS: [(CollKind, &str); 4] = [
+    (CollKind::Bcast, "one-to-all broadcast"),
+    (CollKind::Scatter, "one-to-all personalized"),
+    (CollKind::Allgather, "all-to-all broadcast"),
+    (CollKind::Alltoall, "all-to-all personalized"),
+];
+
 /// Runs one collective on an N = 2^d cube with M-word messages and
 /// returns the measured elapsed virtual time.
-fn measure(kind: &str, d: u32, m: usize, port: PortModel) -> f64 {
+fn measure(kind: CollKind, d: u32, m: usize, port: PortModel) -> f64 {
     let p = 1usize << d;
     #[allow(
         clippy::expect_used,
@@ -33,23 +42,23 @@ fn measure(kind: &str, d: u32, m: usize, port: PortModel) -> f64 {
             let sc = Subcube::whole(proc.dim());
             let v = sc.rank_of(proc.id());
             match kind {
-                "one-to-all broadcast" => {
+                CollKind::Bcast => {
                     let data = (v == 0).then(|| payload(0, m));
                     let _ = coll::bcast(&mut proc, &sc, 0, 0, data, m).await;
                 }
-                "one-to-all personalized" => {
+                CollKind::Scatter => {
                     let parts =
                         (v == 0).then(|| (0..sc.size()).map(|r| payload(r, m)).collect::<Vec<_>>());
                     let _ = coll::scatter(&mut proc, &sc, 0, 0, parts, m).await;
                 }
-                "all-to-all broadcast" => {
+                CollKind::Allgather => {
                     let _ = coll::allgather(&mut proc, &sc, 0, payload(v, m)).await;
                 }
-                "all-to-all personalized" => {
+                CollKind::Alltoall => {
                     let parts: Vec<Payload> = (0..sc.size()).map(|r| payload(r, m)).collect();
                     let _ = coll::alltoall_personalized(&mut proc, &sc, 0, parts).await;
                 }
-                other => unreachable!("unknown collective {other}"),
+                other => unreachable!("no Table 1 row for {other:?}"),
             }
         })
         .expect("healthy bench run");
@@ -57,22 +66,10 @@ fn measure(kind: &str, d: u32, m: usize, port: PortModel) -> f64 {
 }
 
 /// The paper's Table 1 prediction (t_s = t_w = 1).
-fn predicted(kind: &str, d: u32, m: usize, port: PortModel) -> f64 {
-    let n = (1usize << d) as f64;
-    let mf = m as f64;
-    let df = f64::from(d);
-    let tw = match (kind, port) {
-        ("one-to-all broadcast", PortModel::OnePort) => mf * df,
-        ("one-to-all broadcast", PortModel::MultiPort) => mf,
-        ("one-to-all personalized", PortModel::OnePort) => (n - 1.0) * mf,
-        ("one-to-all personalized", PortModel::MultiPort) => (n - 1.0) * mf / df,
-        ("all-to-all broadcast", PortModel::OnePort) => (n - 1.0) * mf,
-        ("all-to-all broadcast", PortModel::MultiPort) => (n - 1.0) * mf / df,
-        ("all-to-all personalized", PortModel::OnePort) => n * mf * df / 2.0,
-        ("all-to-all personalized", PortModel::MultiPort) => n * mf / 2.0,
-        _ => unreachable!(),
-    };
-    df + tw // t_s term is log N for every row
+fn predicted(kind: CollKind, d: u32, m: usize, port: PortModel) -> f64 {
+    let row = table1_sym(kind, port);
+    let (m, d) = (m as f64, f64::from(d));
+    row.a.eval(m, d) + row.b.eval(m, d)
 }
 
 fn main() {
@@ -85,15 +82,9 @@ fn main() {
     println!("=== Table 1: collective communication costs (measured vs paper) ===");
     println!("message cost model: t_s = 1, t_w = 1; M words per message\n");
 
-    let kinds = [
-        "one-to-all broadcast",
-        "one-to-all personalized",
-        "all-to-all broadcast",
-        "all-to-all personalized",
-    ];
     let mut table = Table::new(&["collective", "port", "N", "M", "measured", "paper", "ratio"]);
     let mut worst: f64 = 1.0;
-    for kind in kinds {
+    for (kind, label) in ROWS {
         for port in [PortModel::OnePort, PortModel::MultiPort] {
             for d in [2u32, 3, max_dim.max(4)] {
                 // M chosen ≥ log N so multi-port slicing has full effect
@@ -104,7 +95,7 @@ fn main() {
                     let ratio = measured / paper;
                     worst = worst.max(ratio.max(1.0 / ratio));
                     table.row(vec![
-                        kind.to_string(),
+                        label.to_string(),
                         port.to_string(),
                         (1usize << d).to_string(),
                         m.to_string(),

@@ -11,20 +11,7 @@
 
 use cubemm_bench::{fmt, measure_ab, write_result, Table};
 use cubemm_core::Algorithm;
-use cubemm_model::{costs, ModelAlgo, PortModel};
-
-fn model_of(algo: Algorithm) -> Option<ModelAlgo> {
-    Some(match algo {
-        Algorithm::Simple => ModelAlgo::Simple,
-        Algorithm::Cannon => ModelAlgo::Cannon,
-        Algorithm::Hje => ModelAlgo::Hje,
-        Algorithm::Berntsen => ModelAlgo::Berntsen,
-        Algorithm::Dns => ModelAlgo::Dns,
-        Algorithm::Diag3d => ModelAlgo::Diag3d,
-        Algorithm::All3d => ModelAlgo::All3d,
-        _ => return None,
-    })
-}
+use cubemm_model::{costs, PortModel};
 
 fn main() {
     let large = std::env::args().any(|a| a == "--large");
@@ -59,7 +46,10 @@ fn main() {
                 let Ok((ma, mb)) = measure_ab(algo, n, p, port) else {
                     continue;
                 };
-                let paper = model_of(algo).and_then(|m| costs::overhead(m, port, n, p));
+                let paper = algo
+                    .descriptor()
+                    .row
+                    .and_then(|m| costs::overhead(m, port, n, p));
                 let (pa, pb) = paper.map_or(("-".into(), "-".into()), |o| (fmt(o.a), fmt(o.b)));
                 table.row(vec![
                     algo.name().to_string(),

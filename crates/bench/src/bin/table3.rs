@@ -7,21 +7,8 @@
 use cubemm_bench::{fmt, write_result, Table};
 use cubemm_core::{Algorithm, MachineConfig};
 use cubemm_dense::Matrix;
-use cubemm_model::{total_space, ModelAlgo, PortModel};
+use cubemm_model::{total_space, PortModel};
 use cubemm_simnet::CostParams;
-
-fn model_of(algo: Algorithm) -> Option<ModelAlgo> {
-    Some(match algo {
-        Algorithm::Simple => ModelAlgo::Simple,
-        Algorithm::Cannon => ModelAlgo::Cannon,
-        Algorithm::Hje => ModelAlgo::Hje,
-        Algorithm::Berntsen => ModelAlgo::Berntsen,
-        Algorithm::Dns => ModelAlgo::Dns,
-        Algorithm::Diag3d => ModelAlgo::Diag3d,
-        Algorithm::All3d => ModelAlgo::All3d,
-        _ => return None,
-    })
-}
 
 fn main() {
     let configs = [(64usize, 64usize), (32, 64), (64, 8)];
@@ -44,7 +31,7 @@ fn main() {
             let cfg = MachineConfig::new(PortModel::OnePort, CostParams::PAPER);
             let res = algo.multiply(&a, &b, p, &cfg).expect("applicable");
             let measured = res.stats.total_peak_words() as f64;
-            let paper = model_of(algo).and_then(|m| total_space(m, n, p));
+            let paper = algo.descriptor().row.and_then(|m| total_space(m, n, p));
             let (ps, ratio) = paper.map_or(("-".into(), "-".into()), |s| {
                 (fmt(s), format!("{:.3}", measured / s))
             });

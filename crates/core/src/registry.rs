@@ -1,15 +1,17 @@
 //! Uniform dispatch over all implemented algorithms.
 //!
 //! Every algorithm is described by one row of the const
-//! [`DESCRIPTORS`] table — name, applicability check, driver, and
-//! grouping — and everything else (`name`/`check`/`multiply` dispatch,
-//! [`Algorithm::ALL`], [`Algorithm::EXTENSIONS`], [`Algorithm::COMPARED`],
-//! `FromStr`) derives from that table. Adding an algorithm means adding
+//! [`DESCRIPTORS`] table — name, applicability check, multiply entry
+//! point, grouping and the Table 2 row it implements — and everything
+//! else (`name`/`check`/`multiply` dispatch, [`Algorithm::ALL`],
+//! [`Algorithm::EXTENSIONS`], [`Algorithm::COMPARED`], `FromStr`)
+//! derives from that table. Adding an algorithm means adding
 //! one enum variant and one table row; a mismatch between the two is a
 //! compile-time error (array lengths) or caught by the
 //! `table_is_aligned_with_enum` test.
 
 use cubemm_dense::Matrix;
+use cubemm_model::ModelAlgo;
 
 use crate::dns_cannon::mesh_split;
 use crate::{AlgoError, MachineConfig, RunResult};
@@ -74,8 +76,10 @@ pub struct AlgoDescriptor {
     pub multiply: fn(&Matrix, &Matrix, usize, &MachineConfig) -> Result<RunResult, AlgoError>,
     /// Paper set or extension/baseline set.
     pub group: AlgoGroup,
-    /// Whether the paper's §5 analysis (Figures 13/14) compares it.
-    pub compared: bool,
+    /// The Table 2 row this algorithm implements, if the paper prints
+    /// one for it (the stepping stones, extensions and baselines have
+    /// none).
+    pub row: Option<ModelAlgo>,
     /// Constructor of the phase-level symbolic schema certified by
     /// `cubemm-analyze`'s parametric pass (every row must have one —
     /// enforced by the registry-coverage lint).
@@ -93,7 +97,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: crate::simple::check,
         multiply: crate::simple::multiply,
         group: AlgoGroup::Paper,
-        compared: false,
+        row: Some(ModelAlgo::Simple),
         schema: || crate::schema::schema(Algorithm::Simple),
     },
     AlgoDescriptor {
@@ -102,7 +106,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: crate::cannon::check,
         multiply: crate::cannon::multiply,
         group: AlgoGroup::Paper,
-        compared: true,
+        row: Some(ModelAlgo::Cannon),
         schema: || crate::schema::schema(Algorithm::Cannon),
     },
     AlgoDescriptor {
@@ -111,7 +115,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: crate::hje::check,
         multiply: crate::hje::multiply,
         group: AlgoGroup::Paper,
-        compared: true,
+        row: Some(ModelAlgo::Hje),
         schema: || crate::schema::schema(Algorithm::Hje),
     },
     AlgoDescriptor {
@@ -120,7 +124,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: crate::berntsen::check,
         multiply: crate::berntsen::multiply,
         group: AlgoGroup::Paper,
-        compared: true,
+        row: Some(ModelAlgo::Berntsen),
         schema: || crate::schema::schema(Algorithm::Berntsen),
     },
     AlgoDescriptor {
@@ -129,7 +133,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: crate::dns::check,
         multiply: crate::dns::multiply,
         group: AlgoGroup::Paper,
-        compared: false,
+        row: Some(ModelAlgo::Dns),
         schema: || crate::schema::schema(Algorithm::Dns),
     },
     AlgoDescriptor {
@@ -138,7 +142,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: crate::diag2d::check,
         multiply: crate::diag2d::multiply,
         group: AlgoGroup::Paper,
-        compared: false,
+        row: None,
         schema: || crate::schema::schema(Algorithm::Diag2d),
     },
     AlgoDescriptor {
@@ -147,7 +151,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: crate::diag3d::check,
         multiply: crate::diag3d::multiply,
         group: AlgoGroup::Paper,
-        compared: true,
+        row: Some(ModelAlgo::Diag3d),
         schema: || crate::schema::schema(Algorithm::Diag3d),
     },
     AlgoDescriptor {
@@ -156,7 +160,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: crate::all_trans3d::check,
         multiply: crate::all_trans3d::multiply,
         group: AlgoGroup::Paper,
-        compared: false,
+        row: None,
         schema: || crate::schema::schema(Algorithm::AllTrans3d),
     },
     AlgoDescriptor {
@@ -165,7 +169,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: crate::all3d::check,
         multiply: crate::all3d::multiply,
         group: AlgoGroup::Paper,
-        compared: true,
+        row: Some(ModelAlgo::All3d),
         schema: || crate::schema::schema(Algorithm::All3d),
     },
     AlgoDescriptor {
@@ -174,7 +178,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: |n, p| mesh_split(n, p, crate::dns_cannon::check).map(drop),
         multiply: crate::dns_cannon::multiply,
         group: AlgoGroup::Extension,
-        compared: false,
+        row: None,
         schema: || crate::schema::schema(Algorithm::DnsCannon),
     },
     AlgoDescriptor {
@@ -183,7 +187,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: |n, p| mesh_split(n, p, crate::all3d_cannon::check).map(drop),
         multiply: crate::all3d_cannon::multiply,
         group: AlgoGroup::Extension,
-        compared: false,
+        row: None,
         schema: || crate::schema::schema(Algorithm::All3dCannon),
     },
     AlgoDescriptor {
@@ -192,7 +196,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: crate::all3d_flat::check,
         multiply: crate::all3d_flat::multiply,
         group: AlgoGroup::Extension,
-        compared: false,
+        row: None,
         schema: || crate::schema::schema(Algorithm::All3dFlat),
     },
     AlgoDescriptor {
@@ -201,7 +205,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: crate::cannon_torus::check,
         multiply: crate::cannon_torus::multiply,
         group: AlgoGroup::Extension,
-        compared: false,
+        row: None,
         schema: || crate::schema::schema(Algorithm::CannonTorus),
     },
     AlgoDescriptor {
@@ -210,7 +214,7 @@ pub const DESCRIPTORS: [AlgoDescriptor; 14] = [
         check: crate::fox::check,
         multiply: crate::fox::multiply,
         group: AlgoGroup::Extension,
-        compared: false,
+        row: None,
         schema: || crate::schema::schema(Algorithm::Fox),
     },
 ];
@@ -232,15 +236,22 @@ const fn collect_group<const N: usize>(group: AlgoGroup) -> [Algorithm; N] {
     out
 }
 
-/// Collects the `N` algorithms the paper's §5 analysis compares.
+/// Collects the `N` algorithms whose row the paper's §5 analysis
+/// compares ([`ModelAlgo::COMPARED`]), in table order.
 const fn collect_compared<const N: usize>() -> [Algorithm; N] {
     let mut out = [Algorithm::Simple; N];
     let mut filled = 0;
     let mut i = 0;
     while i < DESCRIPTORS.len() {
-        if DESCRIPTORS[i].compared {
-            out[filled] = DESCRIPTORS[i].algo;
-            filled += 1;
+        if let Some(row) = DESCRIPTORS[i].row {
+            let mut j = 0;
+            while j < ModelAlgo::COMPARED.len() {
+                if ModelAlgo::COMPARED[j] as usize == row as usize {
+                    out[filled] = DESCRIPTORS[i].algo;
+                    filled += 1;
+                }
+                j += 1;
+            }
         }
         i += 1;
     }
@@ -259,7 +270,10 @@ impl Algorithm {
     /// tabulated eight (see DESIGN.md E8).
     pub const EXTENSIONS: [Algorithm; 5] = collect_group(AlgoGroup::Extension);
 
-    /// The algorithms compared in the paper's §5 analysis (Figures 13/14).
+    /// The algorithms compared in the paper's §5 analysis (Figures
+    /// 13/14): those whose row is in [`ModelAlgo::COMPARED`]. Table
+    /// order, which is also that list's order — serve's `auto` breaks
+    /// ties by it.
     pub const COMPARED: [Algorithm; 5] = collect_compared();
 
     /// This algorithm's registry row.
@@ -372,6 +386,18 @@ mod tests {
         );
         let cmp: Vec<_> = Algorithm::COMPARED.iter().map(|a| a.name()).collect();
         assert_eq!(cmp, ["cannon", "hje", "berntsen", "3dd", "3d-all"]);
+    }
+
+    #[test]
+    fn compared_rows_are_the_models_in_its_order() {
+        // Serve's `auto` walks `Algorithm::COMPARED` and keeps the first
+        // of equal times, so this order is its tie-break.
+        let rows: Vec<_> = Algorithm::COMPARED
+            .iter()
+            .map(|a| a.descriptor().row)
+            .collect();
+        let model: Vec<_> = ModelAlgo::COMPARED.into_iter().map(Some).collect();
+        assert_eq!(rows, model);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Table 2 — communication overheads `(a, b)` with time `t_s·a + t_w·b`.
+//! Table 2 — communication overheads `(a, b)` with time `t_s·a + t_w·b`,
+//! evaluated from the exact rows of [`crate::sym::overhead_sym`].
 
 use cubemm_simnet::PortModel;
 
@@ -107,96 +108,37 @@ pub fn structurally_applicable(algo: ModelAlgo, n: usize, p: usize) -> bool {
     }
 }
 
+/// Whether ALL3D's first-phase all-to-all runs at full bandwidth on a
+/// multi-port machine, `n² ≥ p^{4/3}·log ∛p` (with `log ∛p` at least
+/// 1): the regime that picks the first of its two Table 2 rows.
+pub fn all3d_full_bandwidth(n: usize, p: usize) -> bool {
+    let (nf, pf) = (n as f64, p as f64);
+    nf * nf >= pf * pf.cbrt() * (pf.log2() / 3.0).max(1.0)
+}
+
 /// The Table 2 overhead of `algo` on a `p`-node machine of the given port
 /// model for `n × n` matrices, or `None` where the paper gives no entry
-/// (HJE one-port) or the algorithm is structurally inapplicable.
+/// (HJE one-port) or the algorithm is structurally inapplicable: the
+/// exact row of [`overhead_sym`](crate::sym::overhead_sym) evaluated at
+/// `(n, log p)`.
 ///
 /// ```
 /// use cubemm_model::{overhead, ModelAlgo, PortModel};
 ///
 /// // 3DD one-port: a = 4/3 log p, b = (n²/p^{2/3}) · 4/3 log p.
 /// let o = overhead(ModelAlgo::Diag3d, PortModel::OnePort, 64, 64).unwrap();
-/// assert!((o.a - 8.0).abs() < 1e-9);
-/// assert!((o.b - 2048.0).abs() < 1e-9);
-/// assert!((o.time(150.0, 3.0) - (150.0 * 8.0 + 3.0 * 2048.0)).abs() < 1e-6);
+/// assert_eq!((o.a, o.b), (8.0, 2048.0));
+/// assert_eq!(o.time(150.0, 3.0), 150.0 * 8.0 + 3.0 * 2048.0);
 /// ```
 pub fn overhead(algo: ModelAlgo, port: PortModel, n: usize, p: usize) -> Option<Overhead> {
     if p < 2 || !structurally_applicable(algo, n, p) {
         return None;
     }
-    let nf = n as f64;
-    let n2 = nf * nf;
-    let pf = p as f64;
-    let logp = pf.log2();
-    let sq = pf.sqrt();
-    let cb = pf.cbrt();
-    let p23 = pf.powf(2.0 / 3.0);
-    Some(match (algo, port) {
-        (ModelAlgo::Simple, PortModel::OnePort) => Overhead {
-            a: logp,
-            b: 2.0 * n2 / sq * (1.0 - 1.0 / sq),
-        },
-        (ModelAlgo::Simple, PortModel::MultiPort) => Overhead {
-            a: 0.5 * logp,
-            b: n2 / (sq * (0.5 * logp)) * (1.0 - 1.0 / sq),
-        },
-        (ModelAlgo::Cannon, PortModel::OnePort) => Overhead {
-            a: 2.0 * (sq - 1.0) + logp,
-            b: n2 / sq * (2.0 - 2.0 / sq + logp / sq),
-        },
-        (ModelAlgo::Cannon, PortModel::MultiPort) => Overhead {
-            a: sq - 1.0 + 0.5 * logp,
-            b: n2 / sq * (1.0 - 1.0 / sq + logp / (2.0 * sq)),
-        },
-        (ModelAlgo::Hje, PortModel::OnePort) => return None,
-        (ModelAlgo::Hje, PortModel::MultiPort) => Overhead {
-            a: sq - 1.0 + 0.5 * logp,
-            b: n2 / sq * (2.0 / logp - 2.0 / (sq * logp) + logp / (2.0 * sq)),
-        },
-        (ModelAlgo::Berntsen, PortModel::OnePort) => Overhead {
-            a: 2.0 * (cb - 1.0) + logp,
-            b: n2 / p23 * (3.0 * (1.0 - 1.0 / cb) + 2.0 * logp / (3.0 * cb)),
-        },
-        (ModelAlgo::Berntsen, PortModel::MultiPort) => Overhead {
-            a: cb - 1.0 + 2.0 / 3.0 * logp,
-            b: n2 / p23 * ((1.0 + 3.0 / logp) * (1.0 - 1.0 / cb) + logp / (3.0 * cb)),
-        },
-        (ModelAlgo::Dns, PortModel::OnePort) => Overhead {
-            a: 5.0 / 3.0 * logp,
-            b: n2 / p23 * (5.0 / 3.0 * logp),
-        },
-        (ModelAlgo::Dns, PortModel::MultiPort) => Overhead {
-            a: 4.0 / 3.0 * logp,
-            b: 4.0 * n2 / p23,
-        },
-        (ModelAlgo::Diag3d, PortModel::OnePort) => Overhead {
-            a: 4.0 / 3.0 * logp,
-            b: n2 / p23 * (4.0 / 3.0 * logp),
-        },
-        (ModelAlgo::Diag3d, PortModel::MultiPort) => Overhead {
-            a: logp,
-            b: 3.0 * n2 / p23,
-        },
-        (ModelAlgo::All3d, PortModel::OnePort) => Overhead {
-            a: 4.0 / 3.0 * logp,
-            b: n2 / p23 * (3.0 * (1.0 - 1.0 / cb) + logp / (6.0 * cb)),
-        },
-        (ModelAlgo::All3d, PortModel::MultiPort) => {
-            // Two Table 2 rows: the first-phase AAPC can use all links
-            // only when n² ≥ p^{4/3} log ∛p; otherwise only phases 2–3
-            // run full bandwidth.
-            let log_cb = (logp / 3.0).max(1.0);
-            let full = n2 >= pf * cb * log_cb;
-            let tail = if full {
-                1.0 / (2.0 * cb)
-            } else {
-                logp / (6.0 * cb)
-            };
-            Overhead {
-                a: logp,
-                b: n2 / p23 * (6.0 / logp * (1.0 - 1.0 / cb) + tail),
-            }
-        }
+    let row = crate::sym::table2(algo, port, all3d_full_bandwidth(n, p))?;
+    let (n, d) = (n as f64, (p as f64).log2());
+    Some(Overhead {
+        a: row.a.eval(n, d),
+        b: row.b.eval(n, d),
     })
 }
 

@@ -23,6 +23,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use cubemm_simnet::PortModel;
 
@@ -97,11 +98,6 @@ impl Rat {
             out = out * base;
         }
         out
-    }
-
-    /// Nearest floating-point value.
-    pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
     }
 }
 
@@ -257,12 +253,26 @@ impl Poly {
         out
     }
 
-    /// Numeric value at `(v, d)`; `x` is derived as `2^(d/12)`.
+    /// Numeric value at `(v, d)`. Each term is one product of its
+    /// integer parts — the coefficient's numerator, `v^a`, `d^k` and
+    /// `2^(e·d/12)`, which is an exact power of two whenever `12 | e·d`
+    /// — divided once by the rest, so a term whose exact value is
+    /// representable evaluates to it: at `p = 64`, `4/3 · n²·log p /
+    /// p^(2/3)` is exactly 2048.
     pub fn eval(&self, v: f64, d: f64) -> f64 {
-        let x = 2f64.powf(d / 12.0);
         self.terms
             .iter()
-            .map(|(&(ve, xe, de), &c)| c.to_f64() * v.powi(ve) * x.powi(xe) * d.powi(de))
+            .map(|(&(ve, xe, de), &c)| {
+                let (mut num, mut den) = (c.num as f64 * pow2_twelfths(xe, d), c.den as f64);
+                for (base, e) in [(v, ve), (d, de)] {
+                    if e >= 0 {
+                        num *= base.powi(e);
+                    } else {
+                        den *= base.powi(-e);
+                    }
+                }
+                num / den
+            })
             .sum()
     }
 
@@ -407,6 +417,16 @@ impl Poly {
     }
 }
 
+/// `2^(e·d/12)` as an exact power of two times `2^(r/12)` for the
+/// remainder `r ∈ [0, 12)` of `e·d`: exact when `12 | e·d`, and
+/// otherwise one `exp2` of a small exponent, so no error in a large one
+/// is magnified.
+fn pow2_twelfths(e: i32, d: f64) -> f64 {
+    let t = f64::from(e) * d;
+    let whole = (t / 12.0).floor();
+    2f64.powi(whole as i32) * ((t - 12.0 * whole) / 12.0).exp2()
+}
+
 impl fmt::Display for Poly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.render("n", "p", "log p"))
@@ -426,17 +446,34 @@ pub struct SymOverhead {
     pub conditions: Vec<&'static str>,
 }
 
-/// The Table 2 row for `algo` under `port`, as exact polynomials —
-/// the symbolic counterpart of [`crate::costs::overhead`]. `None`
-/// mirrors the numeric table: the paper gives no one-port HJE row.
+/// The Table 2 row for `algo` under `port`, as exact polynomials: the
+/// one statement of the table, which [`crate::costs::overhead`]
+/// evaluates. `None` where the paper gives no row (one-port HJE).
 ///
 /// For ALL3D multi-port the table is piecewise; this returns the
 /// large-`n` row (`b` tail `1/(2∛p)`) and records the regime as a side
 /// condition, matching the region the paper's comparison uses.
 pub fn overhead_sym(algo: ModelAlgo, port: PortModel) -> Option<SymOverhead> {
+    table2(algo, port, true).cloned()
+}
+
+/// Table 2, built once per process: the row of `algo` under `port`,
+/// where `full` picks ALL3D multi-port's regime
+/// ([`all3d_full_bandwidth`](crate::costs::all3d_full_bandwidth)) and
+/// is ignored by every other row.
+pub(crate) fn table2(algo: ModelAlgo, port: PortModel, full: bool) -> Option<&'static SymOverhead> {
+    static TABLE: OnceLock<[[[Option<SymOverhead>; 2]; 2]; 7]> = OnceLock::new();
+    let ports = [PortModel::OnePort, PortModel::MultiPort];
+    let table = TABLE.get_or_init(|| {
+        ModelAlgo::ALL.map(|a| ports.map(|p| [false, true].map(|f| table2_row(a, p, f))))
+    });
+    table[algo as usize][port as usize][usize::from(full)].as_ref()
+}
+
+/// Builds one Table 2 row.
+fn table2_row(algo: ModelAlgo, port: PortModel, full: bool) -> Option<SymOverhead> {
     use ModelAlgo as A;
     use PortModel as P;
-    let n2 = || Poly::v(2);
     let d = Poly::d;
     // n² · p^(num/den) shorthands.
     let n2p = |num: i32, den: i32| Poly::v(2).mul(&Poly::p_pow(num, den));
@@ -547,18 +584,29 @@ pub fn overhead_sym(algo: ModelAlgo, port: PortModel) -> Option<SymOverhead> {
                 .add(&n2p(-1, 1).mul(&d()).scale(r(1, 6))),
             vec!["p ≤ n^(3/2)"],
         ),
-        (A::All3d, P::MultiPort) => (
-            d(),
-            // b = 6/log p (n²/p^(2/3) − n²/p) + n²/(2p)
-            n2p(-2, 3)
+        (A::All3d, P::MultiPort) => {
+            // b = 6/log p (n²/p^(2/3) − n²/p) + tail: n²/(2p) when the
+            // first-phase AAPC runs at full bandwidth, n² log p/(6p)
+            // otherwise.
+            let (tail, regime) = if full {
+                (
+                    n2p(-1, 1).scale(r(1, 2)),
+                    "n² ≥ p·∛p·max(log p / 3, 1) (large-n row)",
+                )
+            } else {
+                (
+                    n2p(-1, 1).mul(&d()).scale(r(1, 6)),
+                    "n² < p·∛p·max(log p / 3, 1) (small-n row)",
+                )
+            };
+            let b = n2p(-2, 3)
                 .sub(&n2p(-1, 1))
                 .scale(r(6, 1))
                 .mul(&Poly::term(Rat::ONE, 0, 0, -1))
-                .add(&n2p(-1, 1).scale(r(1, 2))),
-            vec!["p ≤ n^(3/2)", "n² ≥ p·∛p·max(log p / 3, 1) (large-n row)"],
-        ),
+                .add(&tail);
+            (d(), b, vec!["p ≤ n^(3/2)", regime])
+        }
     };
-    let _ = n2;
     conditions.push(divisibility);
     Some(SymOverhead { a, b, conditions })
 }
@@ -566,7 +614,6 @@ pub fn overhead_sym(algo: ModelAlgo, port: PortModel) -> Option<SymOverhead> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costs::{overhead, structurally_applicable};
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()))
@@ -599,6 +646,22 @@ mod tests {
         assert!(close(q.eval(8.0, 4.0), 16.0));
         // log p itself.
         assert!(close(Poly::d().eval(1.0, 6.0), 6.0));
+    }
+
+    #[test]
+    fn integer_powers_of_p_evaluate_exactly() {
+        // x^e with 12 | e·d is the power of two 2^(e·d/12) itself, with
+        // no rounding from a twelfth root raised back up.
+        for d in 0..=30i32 {
+            for e in -24..=24i32 {
+                if (e * d) % 12 != 0 {
+                    continue;
+                }
+                let want = 2f64.powi(e * d / 12);
+                let got = Poly::term(Rat::ONE, 0, e, 0).eval(1.0, f64::from(d));
+                assert_eq!(got, want, "x^{e} at d = {d}");
+            }
+        }
     }
 
     #[test]
@@ -636,56 +699,6 @@ mod tests {
         // n²·d − n² ≥ 0 (d ≥ 1 dominates).
         let q = Poly::v(2).mul(&Poly::d()).sub(&Poly::v(2));
         assert!(q.nonnegative_for_ge_one());
-    }
-
-    #[test]
-    fn overhead_sym_matches_numeric_table_on_grid() {
-        // The symbolic transcription and the numeric one must agree at
-        // every applicable grid point — two independent encodings of
-        // Table 2 cross-validating each other.
-        for algo in ModelAlgo::ALL {
-            for port in [PortModel::OnePort, PortModel::MultiPort] {
-                let Some(sym) = overhead_sym(algo, port) else {
-                    assert!(
-                        overhead(algo, port, 64, 16).is_none(),
-                        "{algo:?} numeric row exists but symbolic is None"
-                    );
-                    continue;
-                };
-                for d in 2u32..=12 {
-                    let p = 1usize << d;
-                    for n in [64usize, 256, 4096] {
-                        if !structurally_applicable(algo, n, p) {
-                            continue;
-                        }
-                        // ALL3D multi-port: symbolic is the large-n row.
-                        if algo == ModelAlgo::All3d
-                            && port == PortModel::MultiPort
-                            && ((n * n) as f64)
-                                < (p as f64) * (p as f64).cbrt() * (f64::from(d) / 3.0).max(1.0)
-                        {
-                            continue;
-                        }
-                        let Some(num) = overhead(algo, port, n, p) else {
-                            continue;
-                        };
-                        let (nf, df) = (n as f64, f64::from(d));
-                        assert!(
-                            close(sym.a.eval(nf, df), num.a),
-                            "{algo:?} {port:?} a: sym {} vs num {} at n={n} p={p}",
-                            sym.a.eval(nf, df),
-                            num.a
-                        );
-                        assert!(
-                            close(sym.b.eval(nf, df), num.b),
-                            "{algo:?} {port:?} b: sym {} vs num {} at n={n} p={p}",
-                            sym.b.eval(nf, df),
-                            num.b
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -13,7 +13,6 @@ use cubemm_core::abft::AbftOutcome;
 use cubemm_core::{Algorithm, MachineConfig};
 use cubemm_harness::job::{Job, JobError, JobOutcome, Protection};
 use cubemm_harness::recovery::{RecoveryError, RecoveryPolicy};
-use cubemm_model::ModelAlgo;
 use cubemm_simnet::RunError;
 
 use crate::protocol::{AlgoChoice, JobRequest, JobResponse, JobStatus};
@@ -54,8 +53,8 @@ fn job_of(req: &JobRequest, algo: Algorithm) -> Job {
 /// the shape (ABFT jobs accept the padded order instead).
 pub fn resolve_auto(req: &JobRequest) -> Option<Algorithm> {
     let mut best: Option<(Algorithm, f64)> = None;
-    for model in ModelAlgo::COMPARED {
-        let Ok(algo) = model.name().parse::<Algorithm>() else {
+    for algo in Algorithm::COMPARED {
+        let Some(model) = algo.descriptor().row else {
             continue;
         };
         if job_of(req, algo).check().is_err() {
@@ -309,7 +308,7 @@ mod tests {
         match out.response.status {
             JobStatus::Ok { algo, .. } => {
                 assert!(
-                    ModelAlgo::COMPARED.iter().any(|m| m.name() == algo),
+                    Algorithm::COMPARED.iter().any(|a| a.name() == algo),
                     "auto picked {algo}, not a §5 contender"
                 );
             }
