@@ -116,7 +116,7 @@ where
     O: Send,
 {
     cubemm_simnet::with_shards(shards, || {
-        machine.run_sharded(|| vec![(); machine.p()], program)
+        machine.run_sharded(vec![(); machine.p()], program)
     })
     .map(|out| out.stats)
 }

@@ -7,8 +7,6 @@
 //! shift phase on the whole machine. Each runs on a given number of
 //! shards (`cubemm_simnet::with_shards`; 1 is `Machine::run`).
 
-use std::cell::Cell;
-
 use cubemm_collectives as coll;
 use cubemm_simnet::{CostParams, Machine, Op, Payload, PortModel, Proc, RunStats};
 use cubemm_topology::{gray_delta_bit, Grid2, Subcube};
@@ -109,22 +107,6 @@ pub fn inputs(kind: RowCollective, p: usize, n: usize, words: usize) -> Vec<Vec<
         .collect()
 }
 
-/// The input builder of a run that builds its inputs once: a healthy
-/// bench run is never repeated on one shard, so the prepared inputs move
-/// in whole, untimed and uncloned.
-fn once<I>(inputs: Vec<I>) -> impl Fn() -> Vec<I> {
-    let inputs = Cell::new(Some(inputs));
-    move || {
-        #[allow(
-            clippy::expect_used,
-            reason = "only a failed sharded run builds twice, and a bench run never fails"
-        )]
-        inputs
-            .take()
-            .expect("a healthy bench run builds its inputs once")
-    }
-}
-
 /// Runs `kind` once on every `n`-node row of `machine` (rooted ones at
 /// rank 0), on `shards` shards.
 ///
@@ -138,7 +120,6 @@ pub fn run(
     inputs: Vec<Vec<Payload>>,
 ) -> RunStats {
     let words = inputs[0][0].len();
-    let build = once(inputs);
     let program = move |mut proc: Proc, mut mine: Vec<Payload>| async move {
         let row = row_of(proc.id(), n);
         let delivered = match kind {
@@ -166,7 +147,7 @@ pub fn run(
         };
         std::hint::black_box(delivered);
     };
-    let out = cubemm_simnet::with_shards(shards, || machine.run_sharded(build, program));
+    let out = cubemm_simnet::with_shards(shards, || machine.run_sharded(inputs, program));
     #[allow(
         clippy::expect_used,
         reason = "bench machine shapes are fixed and valid; failure is a bench bug"
@@ -220,7 +201,6 @@ pub mod shift {
             reason = "bench machine shapes are fixed and valid; failure is a bench bug"
         )]
         let grid = Grid2::new(machine.p()).expect("square machine");
-        let build = once(inputs);
         let program = move |mut proc: Proc, (mut a, mut b): (Payload, Payload)| async move {
             let (i, j) = grid.coords(proc.id());
             for step in 0..grid.q() - 1 {
@@ -262,7 +242,7 @@ pub mod shift {
             }
             std::hint::black_box(a.len() + b.len());
         };
-        let out = cubemm_simnet::with_shards(shards, || machine.run_sharded(build, program));
+        let out = cubemm_simnet::with_shards(shards, || machine.run_sharded(inputs, program));
         #[allow(
             clippy::expect_used,
             reason = "bench machine shapes are fixed and valid; failure is a bench bug"

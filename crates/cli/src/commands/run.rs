@@ -38,7 +38,7 @@ pub fn run(argv: &[String]) -> Result<i32, String> {
     // The run's shard threads, if it starts any, allocate in arenas
     // prepared now, while no other thread exists.
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    crate::heap::reserve_arenas(cubemm_simnet::most_shards(p, &cfg.faults) - 1);
+    crate::heap::reserve_arenas(cubemm_simnet::most_shards(p) - 1);
     if let Some(path) = args.raw("fault-plan-dump") {
         std::fs::write(path, cfg.faults.to_json() + "\n")
             .map_err(|e| format!("--fault-plan-dump {path:?}: {e}"))?;

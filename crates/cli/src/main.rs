@@ -26,8 +26,25 @@ mod commands;
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 mod heap;
 
+#[cfg(unix)]
+extern "C" {
+    fn signal(signum: std::ffi::c_int, handler: usize) -> usize;
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    // A reader that closes stdout early (`cubemm sweep | head`) ends the
+    // process by SIGPIPE, as it would any filter, instead of a panic in
+    // `println!`. `serve` keeps Rust's ignored SIGPIPE: it answers a
+    // broken stream with its own exit code.
+    #[cfg(unix)]
+    if argv.first().map(String::as_str) != Some("serve") {
+        const SIGPIPE: std::ffi::c_int = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: restoring a signal's default disposition touches no
+        // memory, and no other thread exists yet to race it.
+        unsafe { signal(SIGPIPE, SIG_DFL) };
+    }
     let result = match argv.first().map(String::as_str) {
         Some("list") => commands::list(&argv[1..]),
         Some("run") => {

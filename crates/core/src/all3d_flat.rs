@@ -53,18 +53,16 @@ pub fn multiply(
 
     // p_{i,j,k} holds A and B blocks (k-th row group, f(i,j)-th column
     // group) of the h × g² partition — Figure 8 stretched to depth g².
-    let inits = || -> Vec<(Payload, Payload)> {
-        (0..p)
-            .map(|label| {
-                let (i, j, k) = grid.coords(label);
-                let f = partition::f_index(g, i, j);
-                (
-                    a.block(k * w, f * w, w, w).into_payload().into(),
-                    b.block(k * w, f * w, w, w).into_payload().into(),
-                )
-            })
-            .collect()
-    };
+    let inits: Vec<(Payload, Payload)> = (0..p)
+        .map(|label| {
+            let (i, j, k) = grid.coords(label);
+            let f = partition::f_index(g, i, j);
+            (
+                a.block(k * w, f * w, w, w).into_payload().into(),
+                b.block(k * w, f * w, w, w).into_payload().into(),
+            )
+        })
+        .collect();
 
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {

@@ -48,16 +48,14 @@ pub fn multiply(
 
     // Node p_{i,j,m}: block (i,j) of column set m of A (n/q × n/q²) and
     // block (i,j) of row set m of B (n/q² × n/q).
-    let inits = || -> Vec<(Payload, Payload)> {
-        (0..p)
-            .map(|label| {
-                let (i, j, m) = grid.coords(label);
-                let ab = a.block(i * big, m * big + j * small, big, small);
-                let bb = b.block(m * big + i * small, j * big, small, big);
-                (ab.into_payload().into(), bb.into_payload().into())
-            })
-            .collect()
-    };
+    let inits: Vec<(Payload, Payload)> = (0..p)
+        .map(|label| {
+            let (i, j, m) = grid.coords(label);
+            let ab = a.block(i * big, m * big + j * small, big, small);
+            let bb = b.block(m * big + i * small, j * big, small, big);
+            (ab.into_payload().into(), bb.into_payload().into())
+        })
+        .collect();
 
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (pa, pb)| async move {

@@ -50,7 +50,7 @@ pub fn multiply(
 
     let ring = GrayRing(grid);
     let kernel = cfg.kernel;
-    let inits = || ring.inits(a, b);
+    let inits = ring.inits(a, b);
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (a, b)| async move {
         let (i, j) = ring.coords(proc.id());
         proc.track_peak_words(3 * bs * bs);

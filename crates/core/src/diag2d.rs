@@ -44,19 +44,17 @@ pub fn multiply(
 
     // Only diagonal nodes start with data: column group j of A and row
     // group j of B.
-    let inits = || -> Vec<Option<(Payload, Payload)>> {
-        (0..p)
-            .map(|label| {
-                let (i, j) = grid.coords(label);
-                (i == j).then(|| {
-                    (
-                        partition::col_group(a, q, j).into_payload().into(),
-                        partition::row_group(b, q, j).into_payload().into(),
-                    )
-                })
+    let inits: Vec<Option<(Payload, Payload)>> = (0..p)
+        .map(|label| {
+            let (i, j) = grid.coords(label);
+            (i == j).then(|| {
+                (
+                    partition::col_group(a, q, j).into_payload().into(),
+                    partition::row_group(b, q, j).into_payload().into(),
+                )
             })
-            .collect()
-    };
+        })
+        .collect();
 
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, init| async move {

@@ -92,21 +92,19 @@ pub fn multiply_with_mesh(
     let sub = n / (qs * qm); // sub-block side
 
     // Supernode (i, j, 0) holds A_{ij} and B_{ij}, spread over its mesh.
-    let inits = || -> Vec<Option<(Payload, Payload)>> {
-        (0..p)
-            .map(|label| {
-                let (x, y, i, j, k) = grid.coords(label);
-                (k == 0).then(|| {
-                    let r0 = i * (n / qs) + x * sub;
-                    let c0 = j * (n / qs) + y * sub;
-                    (
-                        a.block(r0, c0, sub, sub).into_payload().into(),
-                        b.block(r0, c0, sub, sub).into_payload().into(),
-                    )
-                })
+    let inits: Vec<Option<(Payload, Payload)>> = (0..p)
+        .map(|label| {
+            let (x, y, i, j, k) = grid.coords(label);
+            (k == 0).then(|| {
+                let r0 = i * (n / qs) + x * sub;
+                let c0 = j * (n / qs) + y * sub;
+                (
+                    a.block(r0, c0, sub, sub).into_payload().into(),
+                    b.block(r0, c0, sub, sub).into_payload().into(),
+                )
             })
-            .collect()
-    };
+        })
+        .collect();
 
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, init| async move {

@@ -44,7 +44,7 @@ pub fn multiply(
     let ring = GrayRing(grid);
     let kernel = cfg.kernel;
     // A's home block stays resident all run; B rolls.
-    let inits = || ring.inits(a, b);
+    let inits = ring.inits(a, b);
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (a_home, mut b)| async move {
         let (i, j) = ring.coords(proc.id());
         proc.track_peak_words(4 * bs * bs); // A home + A bcast + B + C

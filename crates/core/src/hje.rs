@@ -70,7 +70,7 @@ pub fn multiply(
     let bs = n / q;
     let d = grid.axis_bits() as usize;
 
-    let inits = || square_blocks(a, b, q, |label| grid.coords(label));
+    let inits = square_blocks(a, b, q, |label| grid.coords(label));
     let kernel = cfg.kernel;
     let out = crate::util::run_spmd(cfg, p, inits, move |mut proc, (a, b)| async move {
         let (i, j) = grid.coords(proc.id());

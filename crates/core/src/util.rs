@@ -140,8 +140,8 @@ pub fn delivered<T>(value: Option<T>, what: &str) -> T {
 }
 
 /// Runs an SPMD program on the machine described by `cfg`, honoring the
-/// tracing flag and the fault plan. `inits` builds each node's initial
-/// data; a large fault-free machine spreads over spare host cores
+/// tracing flag and the fault plan. `inits` holds each node's initial
+/// data; a large machine spreads over spare host cores
 /// ([`Machine::run_sharded`]), with the result bit for bit the one-shard
 /// run's. Simulator failures — deadlock, node panic, link faults — come
 /// back as [`AlgoError::Sim`] values rather than panics, so a faulty
@@ -149,7 +149,7 @@ pub fn delivered<T>(value: Option<T>, what: &str) -> T {
 pub fn run_spmd<I, O, F, Fut>(
     cfg: &MachineConfig,
     p: usize,
-    inits: impl Fn() -> Vec<I>,
+    inits: Vec<I>,
     f: F,
 ) -> Result<RunOutcome<O>, AlgoError>
 where

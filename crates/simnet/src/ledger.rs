@@ -34,9 +34,9 @@
 //!    table. No host-time watchdog is involved, so detection cannot leak
 //!    into results.
 //!
-//! Aborts (node panic, typed link failure, scheduled crash) store the
-//! first failure as the shard's [`RunError`], and the loop polls no node
-//! after it.
+//! A failure (node panic, typed link failure, scheduled crash) stops only
+//! its node; the ledger keeps the shard's least by [`Rank`], and the
+//! other nodes run on to quiescence.
 //!
 //! [`Proc`]: crate::Proc
 
@@ -77,32 +77,23 @@ fn dequeue(mailbox: &mut Mailbox, from: usize, tag: u64) -> Option<Envelope> {
     position(mailbox, from, tag).map(|at| mailbox.remove(at))
 }
 
-/// What [`Ledger::inject`] did with a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Delivery {
-    /// Queued in the destination mailbox (and the destination unparked
-    /// if it was waiting on exactly this `(from, tag)`), or put in the
-    /// outbox when the destination belongs to another shard.
-    Delivered,
-    /// The destination already finished its program — an SPMD protocol
-    /// bug on a healthy machine.
-    DestFinished,
-}
+/// Where a failure falls in the one order every shard count and every
+/// resume order agree on: the clock and label of the node at fault, then,
+/// for one node, its own failure (`None`) before any message it left
+/// untaken, those by `(destination, tag)`.
+pub(crate) type Rank = (u64, usize, Option<(usize, u64)>);
 
 /// How a shard's part of a run ended, read off its ledger once the loop
 /// has stopped and every node future has been dropped.
 pub(crate) struct LedgerEnd {
-    /// The shard's first failure, if it had one.
-    pub failure: Option<RunError>,
+    /// The shard's least failure by [`Rank`], if it had one.
+    pub failure: Option<(Rank, RunError)>,
     /// Each node's deposited statistics and trace, in label order.
     pub parts: Vec<Option<NodeParts>>,
     /// Every receive still parked, sorted by node label.
     pub blocked: Vec<Blocked>,
-    /// Nodes that never returned from their program.
+    /// Nodes that neither returned from their program nor failed.
     pub live: usize,
-    /// Whether a finished node left a message it never took: a run in
-    /// which some order of the loop sends to an already finished node.
-    pub stray: bool,
 }
 
 /// Everything the ledger tracks (see module docs). Per-node vectors are
@@ -128,8 +119,8 @@ struct State {
     parts: Vec<Option<NodeParts>>,
     /// Nodes still executing their program.
     live: usize,
-    /// The shard's failure, once it has one: the loop stops polling then.
-    failure: Option<RunError>,
+    /// The shard's least failure so far.
+    failure: Option<(Rank, RunError)>,
     /// Nodes unparked by a direct handoff since the loop last drained
     /// the list (it does after every poll), by label.
     woken: Vec<usize>,
@@ -164,18 +155,14 @@ impl Ledger {
 
     /// Queues `env` for `to`, waking `to` iff it is parked on exactly
     /// `(env.from, env.tag)`; a destination outside the range goes to
-    /// the outbox.
-    pub(crate) fn inject(&self, to: usize, env: Envelope) -> Delivery {
+    /// the outbox. Mail for a node that has finished or failed waits in
+    /// its mailbox like any other, to be judged by [`Ledger::end`].
+    pub(crate) fn inject(&self, to: usize, env: Envelope) {
         let s = &mut *self.state.borrow_mut();
         let at = to.wrapping_sub(s.base);
         if at >= s.done.len() {
             s.outbox.push((to, env));
-            return Delivery::Delivered;
-        }
-        if s.done[at] {
-            return Delivery::DestFinished;
-        }
-        if s.parked[at] == Some((env.from, env.tag)) {
+        } else if s.parked[at] == Some((env.from, env.tag)) {
             // Exact wakeup: hand the envelope straight to the waiting
             // receiver and unpark it here — it is logically runnable
             // from this instant.
@@ -183,10 +170,9 @@ impl Ledger {
             s.handoff[at] = Some(env);
             s.parked[at] = None;
             s.woken.push(to);
-            return Delivery::Delivered;
+        } else {
+            s.mailboxes[at].push(env);
         }
-        s.mailboxes[at].push(env);
-        Delivery::Delivered
     }
 
     /// One non-blocking pass of the check-then-park receive protocol for
@@ -217,14 +203,12 @@ impl Ledger {
     }
 
     /// Hands every node unparked by a handoff since the last call to
-    /// `wake`, with the clock it parked at, and reports whether the run
-    /// has failed.
-    pub(crate) fn drain_woken(&self, mut wake: impl FnMut(f64, usize)) -> bool {
+    /// `wake`, with the clock it parked at.
+    pub(crate) fn drain_woken(&self, mut wake: impl FnMut(f64, usize)) {
         let s = &mut *self.state.borrow_mut();
         for node in s.woken.drain(..) {
             wake(s.clocks[node - s.base], node);
         }
-        s.failure.is_some()
     }
 
     /// Moves the outbox's messages to the end of `mail`.
@@ -236,16 +220,22 @@ impl Ledger {
     pub(crate) fn finish(&self, id: usize) {
         let s = &mut *self.state.borrow_mut();
         let at = id - s.base;
-        // A returning node was just polled, so it is not parked, and the
-        // loop polls no node once the run has failed.
-        debug_assert!(s.parked[at].is_none() && !s.done[at] && s.failure.is_none());
+        // A returning node was just polled, so it is not parked.
+        debug_assert!(s.parked[at].is_none() && !s.done[at]);
         s.done[at] = true;
         s.live -= 1;
     }
 
-    /// Records a failure (keeping the first) and aborts the run.
-    pub(crate) fn trigger(&self, failure: RunError) {
-        self.state.borrow_mut().failure.get_or_insert(failure);
+    /// Records node `id`'s failure, ranked by the clock its `Proc` left
+    /// in its deposited parts, and keeps the shard's least.
+    pub(crate) fn fail(&self, id: usize, error: RunError) {
+        let s = &mut *self.state.borrow_mut();
+        let at = id - s.base;
+        let clock = s.parts[at]
+            .as_ref()
+            .map_or(s.clocks[at], |(stats, _)| stats.clock);
+        s.live -= 1;
+        least(&mut s.failure, ((clock.to_bits(), id, None), error));
     }
 
     /// Stores node `id`'s final statistics and trace.
@@ -274,14 +264,40 @@ impl Ledger {
             }),
             "a parked node's message was deliverable"
         );
-        let stray = (s.done.iter().zip(&s.mailboxes)).any(|(&done, mail)| done && !mail.is_empty());
+        // A message a finished node never took is one more failure, its
+        // sender's, ranked where the sender's port finished the send.
+        let untaken = (s.mailboxes.iter().enumerate())
+            .filter(|&(at, _)| s.done[at])
+            .flat_map(|(at, mailbox)| mailbox.iter().map(move |env| (at, env)))
+            .map(|(at, env)| (env.arrive.to_bits(), env.from, Some((s.base + at, env.tag))))
+            .min();
+        if let Some(rank @ (_, from, Some((to, tag)))) = untaken {
+            let message =
+                format!("send: node {to} finished its program without receiving tag {tag:#x}");
+            least(
+                &mut s.failure,
+                (
+                    rank,
+                    RunError::NodePanicked {
+                        node: from,
+                        message,
+                    },
+                ),
+            );
+        }
         LedgerEnd {
             failure: s.failure.take(),
             parts: std::mem::take(&mut s.parts),
             blocked,
             live: s.live,
-            stray,
         }
+    }
+}
+
+/// Keeps in `kept` the lesser by rank of itself and `failure`.
+pub(crate) fn least(kept: &mut Option<(Rank, RunError)>, failure: (Rank, RunError)) {
+    if kept.as_ref().is_none_or(|(rank, _)| failure.0 < *rank) {
+        *kept = Some(failure);
     }
 }
 
@@ -392,7 +408,7 @@ mod tests {
     fn handoff_and_queued_delivery_hand_over_the_same_envelope() {
         // Queued: injected before anyone waits, taken from the mailbox.
         let ledger = Ledger::new(0, 2);
-        assert_eq!(ledger.inject(1, envelope(0, 5, 1.5)), Delivery::Delivered);
+        ledger.inject(1, envelope(0, 5, 1.5));
         assert_eq!(snapshot(&ledger, 1), (1, false, None));
         let queued = ready(ledger.poll_receive(1, 0, 5, 0.0));
         assert_eq!(snapshot(&ledger, 1), (0, false, None));
@@ -403,12 +419,12 @@ mod tests {
         let ledger = Ledger::new(0, 2);
         assert!(ledger.poll_receive(1, 0, 5, 7.0).is_pending());
         assert_eq!(snapshot(&ledger, 1), (0, false, Some((0, 5))));
-        assert_eq!(ledger.inject(1, envelope(0, 6, 9.0)), Delivery::Delivered);
+        ledger.inject(1, envelope(0, 6, 9.0));
         assert_eq!(snapshot(&ledger, 1), (1, false, Some((0, 5))));
-        assert_eq!(ledger.inject(1, envelope(0, 5, 1.5)), Delivery::Delivered);
+        ledger.inject(1, envelope(0, 5, 1.5));
         assert_eq!(snapshot(&ledger, 1), (1, true, None));
         let mut woken = Vec::new();
-        assert!(!ledger.drain_woken(|clock, node| woken.push((clock, node))));
+        ledger.drain_woken(|clock, node| woken.push((clock, node)));
         assert_eq!(woken, [(7.0, 1)]);
         let handed = ready(ledger.poll_receive(1, 0, 5, 7.0));
         // The other key's message is still queued; the slot is drained.

@@ -81,8 +81,8 @@
 //! node continuations in virtual-clock order, so there is no OS-thread
 //! cap — `p = 4096–65536` sweeps run on a laptop core. `run` drives the
 //! whole machine with one loop on the calling thread; `run_sharded`
-//! splits a large fault-free machine into contiguous label ranges, one
-//! loop per spare core, and returns the same result bit for bit.
+//! splits a large machine into contiguous label ranges, one loop per
+//! spare core, and returns the same result bit for bit.
 //!
 //! Scheduling decisions come from a **progress ledger** per loop (see
 //! `ledger.rs` and DESIGN.md §11/§14): per-node FIFO mailboxes matched on
@@ -91,9 +91,11 @@
 //! injected; once no node can run and no message is in flight, every
 //! live node is parked and the run is provably deadlocked — there is no
 //! host-time watchdog, and host timing can never influence virtual
-//! clocks. A run ends at its first failure: the loop polls no node after
-//! it and drops the node futures still held, and a deadlock names the
-//! blocked receives straight from the ledgers' records of parked nodes.
+//! clocks. A failure stops only its node: the others run on until no
+//! node can run, the run reports the failure with the least
+//! `(clock at failure, node)` whatever the resume order or shard count,
+//! and a deadlock names the blocked receives straight from the ledgers'
+//! records of parked nodes.
 
 pub mod cores;
 pub mod faults;

@@ -15,12 +15,14 @@
 //! threads, passing messages between them through per-shard inboxes
 //! (`shard.rs`). Machines of 4096–65536 nodes boot in milliseconds.
 //!
-//! The ledger (`ledger.rs`) does the exact `(from, tag)` FIFO matching,
-//! first-failure-wins abort and exact deadlock detection; because
-//! clock arithmetic depends only on per-sender program order and matched
-//! receives (crate docs, *Determinism*), the order in which the loops
-//! resume runnable nodes — within a shard or across shards — can never
-//! change a result.
+//! The ledger (`ledger.rs`) does the exact `(from, tag)` FIFO matching
+//! and exact deadlock detection. A failure stops only its own node: the
+//! others run on to quiescence, and the run reports the least failure by
+//! `(clock at failure, node)` (see [`conclude`]). Clock arithmetic
+//! depends only on per-sender program order and matched receives (crate
+//! docs, *Determinism*), so a run's maximal execution is unique, and the
+//! order in which the loops resume runnable nodes — within a shard or
+//! across shards — can never change a result, a failure included.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -34,7 +36,7 @@ use std::task::{Context, Poll, Waker};
 use cubemm_topology::log2_exact;
 
 use crate::faults::FaultPlan;
-use crate::ledger::{Delivery, Ledger, LedgerEnd};
+use crate::ledger::{least, Ledger, LedgerEnd};
 use crate::proc::SendError;
 use crate::shard::Fabric;
 use crate::stats::RunStats;
@@ -177,10 +179,9 @@ impl std::fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// The unwind payload of a node whose scheduled crash or strict send
-/// has just recorded the run's typed failure in the ledger: carries no
-/// message and is swallowed by the event loop, unlike a genuine program
-/// panic.
-pub(crate) struct Aborted;
+/// has just failed: the typed failure, which the event loop records,
+/// where a genuine program panic carries a message.
+pub(crate) struct Aborted(pub RunError);
 
 /// Stringifies a panic payload for [`RunError::NodePanicked`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -359,9 +360,11 @@ impl Machine {
     /// Failure is a structured [`RunError`]: simulated deadlocks (naming
     /// every blocked node and the `(from, tag)` it awaited), node
     /// panics, typed link faults, and scheduled crashes are all values.
-    /// A run ends at its first failure: no node is polled after it, and
-    /// every remaining node future is dropped, which runs its locals'
-    /// destructors.
+    /// A failing node is polled no more; the others run on until nothing
+    /// can run, and the run reports the failure with the least
+    /// `(clock at failure, node)`. A message a finished node never
+    /// received is a failure too, its sender's. Every node future still
+    /// held at the end is dropped, which runs its locals' destructors.
     ///
     /// ```
     /// use cubemm_simnet::{FaultPlan, Machine, RunError};
@@ -396,106 +399,96 @@ impl Machine {
     }
 
     /// Boots the machine like [`Machine::run`], spreading a large
-    /// fault-free machine's nodes over spare host cores, with the same
-    /// result bit for bit: the same outputs, statistics, traces and
-    /// [`RunError`].
+    /// machine's nodes over spare host cores, with the same result bit
+    /// for bit: the same outputs, statistics, traces and [`RunError`].
     ///
-    /// `build` makes the per-node initial data. It is called once, and
-    /// once more only when a run on several shards fails with anything
-    /// but a deadlock: such a run is repeated on one shard from fresh
-    /// inputs, and that run's outcome is returned, so a failure reads
-    /// exactly as [`Machine::run`] reports it.
-    ///
-    /// The number of shards `K` is a power of two: 1 when the fault plan
-    /// is not empty or `p` is below `2 ·` [`SHARD_MIN_NODES`], and
-    /// otherwise `min(p / SHARD_MIN_NODES, 1 + spare cores)`, the spare
-    /// cores leased from the process-wide count in [`crate::cores`] for
-    /// the length of the run. Shard `k` runs the nodes whose labels'
-    /// top `log₂ K` bits read `k`, on its own thread; shard 0 runs on the
-    /// caller. At `K = 1` no thread is spawned.
-    pub fn run_sharded<I, O, F, Fut, B>(
+    /// The number of shards `K` is a power of two: 1 when `p` is below
+    /// `2 ·` [`SHARD_MIN_NODES`], and otherwise
+    /// `min(p / SHARD_MIN_NODES, 1 + spare cores)`, the spare cores
+    /// leased from the process-wide count in [`crate::cores`] for the
+    /// length of the run. Shard `k` runs the nodes whose labels' top
+    /// `log₂ K` bits read `k`, on its own thread; shard 0 runs on the
+    /// caller. At `K = 1`, or when a shard thread cannot be spawned, the
+    /// whole machine runs on the caller.
+    pub fn run_sharded<I, O, F, Fut>(
         &self,
-        build: B,
+        inits: Vec<I>,
         program: F,
     ) -> Result<RunOutcome<O>, RunError>
     where
-        B: Fn() -> Vec<I>,
         F: Fn(Proc, I) -> Fut + Sync,
         Fut: Future<Output = O>,
         I: Send,
         O: Send,
     {
         if let Some(shards) = FORCED_SHARDS.get() {
-            return self.run_on_shards(shards.min(self.p), build, program);
+            return self.run_on_shards(shards.min(self.p), inits, program);
         }
-        let mut lease = crate::cores::lease(most_shards(self.p, &self.options.faults) - 1);
+        let mut lease = crate::cores::lease(most_shards(self.p) - 1);
         let shards = prev_power_of_two(1 + lease.cores());
         lease.trim(shards - 1);
-        self.run_on_shards(shards, build, program)
+        self.run_on_shards(shards, inits, program)
     }
 
     /// [`Machine::run_sharded`] on exactly `shards` shards (a power of
     /// two, at most `p`). One shard is [`Machine::run`] on the calling
     /// thread.
-    fn run_on_shards<I, O, F, Fut, B>(
+    fn run_on_shards<I, O, F, Fut>(
         &self,
         shards: usize,
-        build: B,
+        inits: Vec<I>,
         program: F,
     ) -> Result<RunOutcome<O>, RunError>
     where
-        B: Fn() -> Vec<I>,
         F: Fn(Proc, I) -> Fut + Sync,
         Fut: Future<Output = O>,
         I: Send,
         O: Send,
     {
-        if shards == 1 {
-            return self.run(build(), program);
-        }
-        let inits = build();
         self.check_inits(inits.len())?;
+        if shards == 1 {
+            return self.run(inits, program);
+        }
         let fabric = Fabric::new(self.p, shards);
         let size = self.p / shards;
-        let mut inits = inits.into_iter();
-        let mut chunks: Vec<Vec<I>> = (0..shards)
-            .map(|_| inits.by_ref().take(size).collect())
-            .collect();
-        let first = chunks.remove(0);
         let (fabric, program) = (&fabric, &program);
         let ends = std::thread::scope(|scope| {
-            let spawned: Vec<_> = (chunks.into_iter().enumerate())
-                .map(|(i, chunk)| {
-                    let shard = i + 1;
-                    std::thread::Builder::new()
-                        .name(format!("cubemm-shard-{shard}"))
-                        .spawn_scoped(scope, move || {
-                            self.run_shard(Some((fabric, shard)), shard * size, chunk, program)
-                        })
-                })
-                .collect();
-            // A shard that could not start would leave the others waiting
-            // on it: stop them, and run the machine on one shard instead.
-            let started = spawned.iter().all(Result::is_ok);
-            let mut ends = Vec::with_capacity(shards);
-            if started {
-                ends.push(self.run_shard(Some((fabric, 0)), 0, first, program));
-            } else {
-                fabric.stop();
+            // Every shard thread waits for its chunk until all have
+            // started, so one that cannot start leaves every input here:
+            // the others see their channel close and return, and the
+            // machine runs on one shard instead.
+            let mut started = Vec::with_capacity(shards - 1);
+            for shard in 1..shards {
+                let (post, chunk) = std::sync::mpsc::channel();
+                let spawned = std::thread::Builder::new()
+                    .name(format!("cubemm-shard-{shard}"))
+                    .spawn_scoped(scope, move || {
+                        let chunk = chunk.recv().ok()?;
+                        Some(self.run_shard(Some((fabric, shard)), shard * size, chunk, program))
+                    });
+                match spawned {
+                    Ok(handle) => started.push((post, handle)),
+                    Err(_) => return Err(inits),
+                }
             }
-            for handle in spawned.into_iter().flatten() {
+            let mut inits = inits.into_iter();
+            let first = inits.by_ref().take(size).collect();
+            for (post, _) in &started {
+                // The thread is blocked on its channel, so it takes this.
+                let _ = post.send(inits.by_ref().take(size).collect());
+            }
+            let mut ends = vec![self.run_shard(Some((fabric, 0)), 0, first, program)];
+            for (_, handle) in started {
                 match handle.join() {
-                    Ok(end) => ends.push(end),
+                    Ok(end) => ends.extend(end),
                     Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
-            started.then_some(ends)
+            Ok(ends)
         });
         match ends {
-            Some(mut ends) if ends.iter().all(|end| !end.diverged()) => {
-                conclude(&mut ends, self.options.cost)
-            }
-            _ => self.run(build(), program),
+            Ok(mut ends) => conclude(&mut ends, self.options.cost),
+            Err(inits) => self.run(inits, program),
         }
     }
 
@@ -518,12 +511,13 @@ impl Machine {
     /// by `(virtual clock, node id)` picks the next runnable
     /// continuation. A poll runs the node until it completes or parks in
     /// the ledger; handoff injections unpark their target, which
-    /// re-enters the queue at its park-time clock. On a sharded run the
-    /// loop also posts the ledger's outbox after every poll, delivers its
-    /// inbox whenever the fabric signals, and blocks in the fabric when
-    /// it has nothing to run. The loop ends when nothing can run, or at
-    /// the shard's first failure, and then drops every node future still
-    /// held, which runs its locals' destructors.
+    /// re-enters the queue at its park-time clock. A node that fails is
+    /// dropped and its failure recorded; the rest run on. On a sharded
+    /// run the loop also posts the ledger's outbox after every poll,
+    /// delivers its inbox whenever the fabric signals, and blocks in the
+    /// fabric when it has nothing to run. The loop ends when nothing can
+    /// run on any shard, and then drops every node future still held,
+    /// which runs its locals' destructors.
     fn run_shard<I, O, F, Fut>(
         &self,
         fabric: Option<(&Fabric, usize)>,
@@ -561,7 +555,7 @@ impl Machine {
             (base..base + len).map(|id| Reverse((0, id))).collect();
         let mut cx = Context::from_waker(Waker::noop());
         let mut mail = Vec::new();
-        let failed = 'run: loop {
+        'run: loop {
             while let Some(Reverse((_, id))) = ready.pop() {
                 let at = id - base;
                 let Some(fut) = futures[at].as_mut() else {
@@ -576,20 +570,22 @@ impl Machine {
                     // Parked inside a ledger receive; the queue sees it
                     // again once the ledger wakes it.
                     Ok(Poll::Pending) => {}
-                    // A quiet unwind has already recorded its typed
-                    // failure; anything else is a genuine program panic.
+                    // The node failed. Dropping its future drops its
+                    // `Proc`, if the unwind has not, which deposits the
+                    // clock that ranks the failure.
                     Err(payload) => {
-                        if !payload.is::<Aborted>() {
-                            ledger.trigger(RunError::NodePanicked {
+                        futures[at] = None;
+                        let error = match payload.downcast::<Aborted>() {
+                            Ok(aborted) => aborted.0,
+                            Err(payload) => RunError::NodePanicked {
                                 node: id,
                                 message: panic_message(payload.as_ref()),
-                            });
-                        }
+                            },
+                        };
+                        ledger.fail(id, error);
                     }
                 }
-                if ledger.drain_woken(|clock, node| ready.push(Reverse((clock.to_bits(), node)))) {
-                    break 'run true;
-                }
+                ledger.drain_woken(|clock, node| ready.push(Reverse((clock.to_bits(), node))));
                 if let Some((fabric, shard)) = fabric {
                     ledger.take_outbox(&mut mail);
                     if !mail.is_empty() {
@@ -597,28 +593,21 @@ impl Machine {
                     }
                     if fabric.signaled(shard) {
                         if !fabric.take_mail(shard, &mut mail) {
-                            break 'run false;
+                            break 'run;
                         }
-                        if deliver(&ledger, fabric, &mut mail, &mut ready) {
-                            break 'run true;
-                        }
+                        deliver(&ledger, fabric, &mut mail, &mut ready);
                     }
                 }
             }
             // Nothing runnable: on one shard the run is over; a shard
             // waits for mail until the whole machine is quiet.
             let Some((fabric, shard)) = fabric else {
-                break false;
+                break;
             };
             if !fabric.idle(shard, &mut mail) {
-                break false;
+                break;
             }
-            if deliver(&ledger, fabric, &mut mail, &mut ready) {
-                break true;
-            }
-        };
-        if let (true, Some((fabric, _))) = (failed, fabric) {
-            fabric.stop();
+            deliver(&ledger, fabric, &mut mail, &mut ready);
         }
         // Dropping the futures still held runs their locals' destructors,
         // and each `Proc` deposits its parts.
@@ -638,8 +627,8 @@ thread_local! {
 /// Runs `f` with every [`Machine::run_sharded`] it starts on this thread
 /// split over exactly `shards` shards (a power of two; machines smaller
 /// than that run on all their nodes' worth), whatever the machine's
-/// size, fault plan or the host's spare cores. For tests and benches
-/// that compare shard counts; nothing else selects `K`.
+/// size or the host's spare cores. For tests and benches that compare
+/// shard counts; nothing else selects `K`.
 ///
 /// # Panics
 /// Panics if `shards` is not a power of two.
@@ -657,15 +646,10 @@ pub fn with_shards<R>(shards: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// The most shards [`Machine::run_sharded`] splits a `p`-node machine
-/// with fault plan `faults` into on this host, before spare cores are
-/// leased: 1 under a fault plan, else `p / SHARD_MIN_NODES` capped by
-/// the host's cores, as a power of two.
-pub fn most_shards(p: usize, faults: &FaultPlan) -> usize {
-    let most = p / SHARD_MIN_NODES;
-    if most < 2 || !faults.is_empty() {
-        return 1;
-    }
-    prev_power_of_two(most.min(crate::cores::host()))
+/// into on this host, before spare cores are leased: `p /
+/// SHARD_MIN_NODES` capped by the host's cores, as a power of two.
+pub fn most_shards(p: usize) -> usize {
+    prev_power_of_two((p / SHARD_MIN_NODES).clamp(1, crate::cores::host()))
 }
 
 /// The largest power of two that is at most `n` (`n >= 1`).
@@ -675,27 +659,19 @@ fn prev_power_of_two(n: usize) -> usize {
 
 /// Injects every message of `mail` (swapped out of the shard's inbox)
 /// through the shard's ledger, queues the nodes it wakes, and counts the
-/// messages off the fabric. Returns whether the shard has failed: a
-/// message for a node that already finished fails it as the sender's
-/// own `inject` would on one shard.
+/// messages off the fabric.
 fn deliver(
     ledger: &Ledger,
     fabric: &Fabric,
     mail: &mut Vec<crate::ledger::Mail>,
     ready: &mut BinaryHeap<Reverse<(u64, usize)>>,
-) -> bool {
+) {
     let count = mail.len();
     for (to, env) in mail.drain(..) {
-        let from = env.from;
-        if ledger.inject(to, env) == Delivery::DestFinished {
-            ledger.trigger(RunError::NodePanicked {
-                node: from,
-                message: format!("send: node {to} already finished its program"),
-            });
-        }
+        ledger.inject(to, env);
     }
     fabric.delivered(count);
-    ledger.drain_woken(|clock, node| ready.push(Reverse((clock.to_bits(), node))))
+    ledger.drain_woken(|clock, node| ready.push(Reverse((clock.to_bits(), node))));
 }
 
 /// Stops every shard if dropped while its thread is panicking.
@@ -716,29 +692,28 @@ struct ShardEnd<O> {
     ledger: LedgerEnd,
 }
 
-impl<O> ShardEnd<O> {
-    /// Whether this shard's part of a sharded run may differ from the
-    /// one-shard run: it failed, or a node of it finished with a message
-    /// waiting, which on one shard could have been a send to an already
-    /// finished node. Either way the run is repeated on one shard.
-    fn diverged(&self) -> bool {
-        self.ledger.failure.is_some() || self.ledger.stray
-    }
-}
-
 /// The outcome every run shares, from its shards' ends in label order:
-/// the first failure; else a deadlock naming every parked receive; else
-/// the outputs, statistics and traces — unless `cost` overflowed the
-/// virtual clock, which no per-cost check can rule out (finite `ts` and
-/// `tw` can still sum past `f64::MAX`).
+/// the least failure by `(clock at failure, node)`; else a deadlock
+/// naming every parked receive; else the outputs, statistics and traces —
+/// unless `cost` overflowed the virtual clock, which no per-cost check
+/// can rule out (finite `ts` and `tw` can still sum past `f64::MAX`).
 ///
 /// Once no node can run, every live node is parked on a receive no
-/// injection can satisfy (a matching one would have unparked it), so the
-/// union of the shards' parked tables is the deadlock report. A healthy
-/// machine's maximal execution is unique, so it names the same receives
-/// however the nodes were sharded.
+/// injection can satisfy (a matching one would have unparked it). A
+/// machine's maximal execution is unique: each node is a deterministic
+/// program over FIFO channels it reads one at a time, so every node
+/// stops at the same receive, fails at the same clock and leaves the
+/// same mail untaken however the nodes were scheduled or sharded. So
+/// the union of the shards' parked tables is the deadlock report, and
+/// the least failure is the same on any number of shards.
 fn conclude<O>(ends: &mut [ShardEnd<O>], cost: CostParams) -> Result<RunOutcome<O>, RunError> {
-    if let Some(failure) = ends.iter_mut().find_map(|end| end.ledger.failure.take()) {
+    let mut failure = None;
+    for end in ends.iter_mut() {
+        if let Some(failed) = end.ledger.failure.take() {
+            least(&mut failure, failed);
+        }
+    }
+    if let Some((_, failure)) = failure {
         return Err(failure);
     }
     let live: usize = ends.iter().map(|end| end.ledger.live).sum();

@@ -5,7 +5,7 @@ use std::rc::Rc;
 use cubemm_topology::bits::{dim_walk, hamming};
 
 use crate::faults::{FaultPlan, LinkQuality};
-use crate::ledger::{Delivery, Ledger};
+use crate::ledger::Ledger;
 use crate::machine::{MachineOptions, RunError};
 use crate::stats::{FiredFault, FiredKind, NodeStats};
 use crate::trace::{TraceEvent, TraceKind};
@@ -42,7 +42,7 @@ pub enum Op {
     },
 }
 
-/// A typed send failure: the run aborts with it as
+/// A typed send failure: the sending node fails with it as
 /// [`crate::RunError::LinkDead`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendError {
@@ -103,9 +103,8 @@ pub struct Proc {
     /// `None` when the plan is empty: the healthy fast path performs the
     /// exact arithmetic of the fault-free simulator.
     faults: Option<Rc<FaultPlan>>,
-    /// The run's progress ledger: mailboxes, parked receives, liveness,
-    /// the abort/failure channel, and where `Drop` deposits the node's
-    /// final stats and trace.
+    /// The shard's progress ledger: mailboxes, parked receives, liveness,
+    /// and where `Drop` deposits the node's final stats and trace.
     ledger: Rc<Ledger>,
     /// Per-destination injection counters driving the drop schedules.
     /// Only maintained while the plan schedules drops.
@@ -165,8 +164,7 @@ impl Proc {
     /// `with_crash(id, k)` kills the node as it *begins* its k-th
     /// (0-based) communication call, before any cost is charged or any
     /// message moves — modelling a rank that dies between algorithm
-    /// steps. The crash rides the ledger's abort machinery and surfaces
-    /// as [`crate::RunError::NodeCrashed`].
+    /// steps. The crash surfaces as [`crate::RunError::NodeCrashed`].
     fn begin_round(&mut self) {
         let step = self.round;
         self.round += 1;
@@ -181,11 +179,10 @@ impl Proc {
             .is_some_and(|plan| plan.crash_step(self.id) == Some(step));
         if crashes {
             self.note_fired(FiredKind::Crash, self.id, self.id);
-            self.ledger.trigger(RunError::NodeCrashed {
+            self.quiet_abort(RunError::NodeCrashed {
                 node: self.id,
                 step,
             });
-            self.quiet_abort();
         }
     }
 
@@ -311,9 +308,8 @@ impl Proc {
     /// If the direct link is dead the message transparently re-routes
     /// over a live detour, charging the extra hops honestly (strict fault
     /// plans fail instead). A scheduled message drop silently loses the
-    /// payload in flight, so the receiver deadlocks. Failures abort the
-    /// run with a structured [`crate::RunError`] from
-    /// [`crate::Machine::run`].
+    /// payload in flight, so the receiver deadlocks. A failure stops this
+    /// node and fails the run with a structured [`crate::RunError`].
     pub fn send(&mut self, to: usize, tag: u64, data: impl Into<Payload>) {
         self.begin_round();
         let detour = self.route(to, true).unwrap_or_else(|e| self.fail_link(e));
@@ -332,7 +328,7 @@ impl Proc {
     ///
     /// Under a fault plan the route deterministically detours around dead
     /// links (charging the extra hops); if the destination is cut off the
-    /// run aborts with [`SendError::Unroutable`].
+    /// node fails with [`SendError::Unroutable`].
     pub fn send_routed(&mut self, to: usize, tag: u64, data: impl Into<Payload>) {
         self.begin_round();
         let detour = self.route(to, false).unwrap_or_else(|e| self.fail_link(e));
@@ -525,7 +521,7 @@ impl Proc {
     /// returned vector is aligned with `ops`: `Some(payload)` for each
     /// `Recv`, `None` for each `Send`. Sends over dead links re-route
     /// exactly as [`Proc::send`] does (detours occupy the first-hop
-    /// link); under a strict plan they abort the run.
+    /// link); under a strict plan they fail the node.
     ///
     /// Blocking point: awaiting suspends the node at each batched
     /// receive whose message has not been injected yet.
@@ -631,23 +627,20 @@ impl Proc {
         out.into_iter().flatten().next().expect("exchange recv")
     }
 
-    /// Registers the typed failure as the run's outcome and unwinds this
-    /// node quietly (no panic hook, no message: the failure is reported
-    /// by [`crate::Machine::run`]).
+    /// Fails this node with the typed send failure.
     fn fail_link(&self, error: SendError) -> ! {
-        self.ledger.trigger(RunError::LinkDead {
+        self.quiet_abort(RunError::LinkDead {
             node: self.id,
             error,
-        });
-        self.quiet_abort();
+        })
     }
 
     /// Leaves a node whose own scheduled crash or strict send has just
-    /// failed the run. `send` is synchronous, so this unwind is the only
-    /// way out of it; it happens at most once per run, since the loop
-    /// polls no node after the failure.
-    fn quiet_abort(&self) -> ! {
-        std::panic::resume_unwind(Box::new(crate::machine::Aborted))
+    /// failed, carrying the failure to the event loop (no panic hook, no
+    /// message). `send` is synchronous, so this unwind is the only way
+    /// out of it; it happens at most once per node.
+    fn quiet_abort(&self, error: RunError) -> ! {
+        std::panic::resume_unwind(Box::new(crate::machine::Aborted(error)))
     }
 
     /// Counts the message against this node and delivers it, honoring the
@@ -673,11 +666,7 @@ impl Proc {
             arrive,
             data,
         };
-        if self.ledger.inject(to, env) == Delivery::DestFinished {
-            // No node runs once the run has failed, so on a live run
-            // this is an SPMD protocol bug.
-            panic!("send: node {} already finished its program", to)
-        }
+        self.ledger.inject(to, env);
     }
 
     /// The shared blocking receive behind [`Proc::recv`] and
@@ -695,9 +684,9 @@ impl Drop for Proc {
     /// Deposits the node's final statistics and trace in the ledger.
     /// Runs on every exit path — normal completion of the async body,
     /// quiet abort, a genuine panic, or the loop dropping a node future
-    /// after the run failed — so the event loop can always read the
-    /// parts after the node future is gone (they are only *used* when
-    /// the run succeeds).
+    /// still parked when the run ends — so the event loop can always
+    /// read the parts after the node future is gone: a failed node's
+    /// clock ranks its failure, and a run that succeeds uses them all.
     fn drop(&mut self) {
         self.stats.clock = self.clock;
         self.stats.rounds = self.round;

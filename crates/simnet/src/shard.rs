@@ -17,9 +17,9 @@
 //! `active` cannot touch zero while anything can still happen. A shard
 //! with an empty queue and an empty inbox counts itself off and blocks
 //! on its inbox's condition variable; the one whose decrement reaches
-//! zero knows every shard is idle with nothing in flight — the run has
-//! finished or deadlocked — and stops them all. A failure stops them all
-//! the same way.
+//! zero knows every shard is idle with nothing in flight — every node
+//! has finished, failed or parked for good — and stops them all. A node
+//! failure stops nothing: its shard runs on like any other.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -36,7 +36,8 @@ struct InboxState {
     mail: Vec<Mail>,
     /// The owner is blocked on the condition variable.
     waiting: bool,
-    /// The run is over (quiet or failed): the owner stops polling.
+    /// The run is over (quiet, or a shard thread is unwinding): the
+    /// owner stops polling.
     stop: bool,
 }
 
@@ -175,7 +176,7 @@ impl Fabric {
     }
 
     /// Ends the run for every shard: the machine is quiet, or a shard
-    /// failed.
+    /// thread is unwinding.
     pub(crate) fn stop(&self) {
         for inbox in &*self.inboxes {
             let mut state = inbox.lock();

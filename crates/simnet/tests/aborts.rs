@@ -1,7 +1,8 @@
-//! A failed run ends at its failure: no node program runs after it,
-//! every node's locals are dropped, only a node that fails on its own
-//! unwinds, and a deadlock names every blocked receive straight from
-//! the ledger's parked table.
+//! A failure stops only its own node: the failed node's program runs
+//! nothing after it, every other node runs on to quiescence, every
+//! node's locals are dropped, only a node that fails on its own unwinds,
+//! and a deadlock names every blocked receive straight from the ledger's
+//! parked table.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -35,15 +36,19 @@ const KINDS: [Kind; 4] = [
 ];
 
 /// Shared by every node: set `failing` right before the action that
-/// fails the run, and count how often a node program runs code after it.
+/// fails the run, count how often the failing node's program runs code
+/// after it, and how many exchange rounds each node completes.
 #[derive(Default)]
 struct Watch {
     failing: Cell<bool>,
     /// Nodes about to wait on a message nobody sends (deadlock kind):
     /// the last of them to park declares the deadlock.
     doomed: Cell<usize>,
-    /// Node program entries and await returns seen after `failing`.
+    /// The failing node's program entries and await returns seen after
+    /// `failing`.
     after_failure: Cell<usize>,
+    /// Exchange rounds each node completed.
+    rounds: [Cell<u64>; P],
     /// Nodes whose locals were dropped by an unwind.
     unwound: Cell<usize>,
 }
@@ -62,11 +67,16 @@ impl Drop for Guard<'_> {
 
 impl Watch {
     /// Bumped at a node program's start and after every await.
-    fn resumed(&self) {
-        if self.failing.get() {
+    fn resumed(&self, id: usize) {
+        if id == FAILING && self.failing.get() {
             self.after_failure.set(self.after_failure.get() + 1);
         }
     }
+}
+
+/// The exchange partner of `id` in `round`.
+fn partner(id: usize, round: u64) -> usize {
+    id ^ (1 << (round % 3))
 }
 
 fn plan(kind: Kind, fail_round: u64) -> FaultPlan {
@@ -94,9 +104,9 @@ fn run(kind: Kind, fail_round: u64) -> (RunError, Rc<Watch>) {
     let inits = (0..P).map(|_| Rc::clone(&watch)).collect();
     let err = machine
         .run(inits, move |mut proc, watch: Rc<Watch>| async move {
-            watch.resumed();
-            let _guard = Guard(&watch);
             let id = proc.id();
+            watch.resumed(id);
+            let _guard = Guard(&watch);
             for round in 0..ROUNDS {
                 if id == FAILING && round == fail_round {
                     match kind {
@@ -112,16 +122,16 @@ fn run(kind: Kind, fail_round: u64) -> (RunError, Rc<Watch>) {
                         }
                     }
                 }
-                let partner = id ^ (1 << (round % 3));
-                proc.exchange(partner, round, [id as f64]).await;
-                watch.resumed();
+                proc.exchange(partner(id, round), round, [id as f64]).await;
+                watch.resumed(id);
+                watch.rounds[id].set(round + 1);
             }
             watch.doomed.set(watch.doomed.get() + 1);
             if watch.doomed.get() == P {
                 watch.failing.set(true);
             }
             let _ = proc.recv(id ^ 1, 1000).await;
-            watch.resumed();
+            watch.resumed(id);
         })
         .expect_err("every kind fails the run");
     (err, watch)
@@ -166,12 +176,43 @@ fn each_failure_kind_is_the_run_error() {
     }
 }
 
+/// The exchange rounds each node completes when the run reaches
+/// quiescence: a node completes a round iff its partner sends in it, and
+/// a node sends in every round it starts but the failing node's failing
+/// one.
+fn quiescent_rounds(kind: Kind, fail_round: u64) -> Vec<u64> {
+    let fails = kind != Kind::Deadlock;
+    let mut rounds = vec![ROUNDS; P];
+    if fails {
+        rounds[FAILING] = fail_round;
+    }
+    loop {
+        let sends = |id: usize, round: u64, rounds: &[u64]| {
+            round < rounds[id] || (round == rounds[id] && !(fails && id == FAILING))
+        };
+        let next: Vec<u64> = (0..P)
+            .map(|id| {
+                (0..rounds[id])
+                    .find(|&round| !sends(partner(id, round), round, &rounds))
+                    .unwrap_or(rounds[id])
+            })
+            .collect();
+        if next == rounds {
+            return rounds;
+        }
+        rounds = next;
+    }
+}
+
 #[test]
-fn no_node_program_runs_after_the_failure() {
+fn a_failed_node_runs_nothing_more_and_the_rest_run_to_quiescence() {
     for (kind, fail_round) in cases() {
         let (_, watch) = run(kind, fail_round);
-        assert!(watch.failing.get(), "{kind:?} at {fail_round}: not reached");
-        assert_eq!(watch.after_failure.get(), 0, "{kind:?} at {fail_round}");
+        let what = format!("{kind:?} at {fail_round}");
+        assert!(watch.failing.get(), "{what}: not reached");
+        assert_eq!(watch.after_failure.get(), 0, "{what}");
+        let rounds: Vec<u64> = watch.rounds.iter().map(Cell::get).collect();
+        assert_eq!(rounds, quiescent_rounds(kind, fail_round), "{what}");
     }
 }
 

@@ -2,15 +2,19 @@
 //!
 //! `with_shards` fixes the shard count, so these run at small `p` in
 //! debug builds. Outputs, every node's statistics and every trace event
-//! must match bit for bit, a deadlock must name the same receives, and
-//! a failure must come back as the one-shard run's `RunError`.
+//! must match bit for bit, a deadlock must name the same receives, and a
+//! failure must come back as the same `RunError` on 1, 2, 4 and 8
+//! shards: the one with the least `(clock at failure, node)`, a message
+//! a finished node never received counting as its sender's failure at
+//! the time the send finished.
 
+use std::future::Future;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use cubemm_simnet::{
-    with_shards, Blocked, CostParams, FaultPlan, Machine, Op, PortModel, RunError, RunOutcome,
-    SHARD_MIN_NODES,
+    with_shards, Blocked, CostParams, FaultPlan, Machine, Op, PortModel, Proc, RunError,
+    RunOutcome, SHARD_MIN_NODES,
 };
 
 const COST: CostParams = CostParams { ts: 10.0, tw: 2.0 };
@@ -34,7 +38,7 @@ fn mix(machine: &Machine, shards: usize) -> Result<RunOutcome<(Vec<f64>, f64)>, 
     let far = p - (p >> (p.trailing_zeros() / 2));
     with_shards(shards, || {
         machine.run_sharded(
-            || (0..p).map(|id| id as f64 * 0.5).collect(),
+            (0..p).map(|id| id as f64 * 0.5).collect(),
             move |mut proc, mine: f64| async move {
                 let id = proc.id();
                 let mut all = vec![mine];
@@ -105,13 +109,10 @@ fn a_sharded_4096_node_deadlock_names_every_blocked_receive() {
     for shards in [1, 2, 4] {
         let wall = Instant::now();
         let err = with_shards(shards, || {
-            machine.run_sharded(
-                || vec![(); BIG],
-                |mut proc, ()| async move {
-                    let id = proc.id();
-                    let _ = proc.recv(id ^ 1, id as u64).await;
-                },
-            )
+            machine.run_sharded(vec![(); BIG], |mut proc, ()| async move {
+                let id = proc.id();
+                let _ = proc.recv(id ^ 1, id as u64).await;
+            })
         })
         .expect_err("nobody sends");
         assert!(
@@ -135,18 +136,15 @@ fn a_sharded_deadlock_across_shards_equals_the_one_shard_report() {
     let machine = machine(16, PortModel::OnePort);
     let run = |shards| {
         with_shards(shards, || {
-            machine.run_sharded(
-                || vec![(); 16],
-                |mut proc, ()| async move {
-                    let id = proc.id();
-                    let partner = id ^ 8;
-                    proc.send(partner, 1, [id as f64]);
-                    let _ = proc.recv(partner, 1).await;
-                    if id % 3 == 0 {
-                        let _ = proc.recv(partner, 2).await;
-                    }
-                },
-            )
+            machine.run_sharded(vec![(); 16], |mut proc, ()| async move {
+                let id = proc.id();
+                let partner = id ^ 8;
+                proc.send(partner, 1, [id as f64]);
+                let _ = proc.recv(partner, 1).await;
+                if id % 3 == 0 {
+                    let _ = proc.recv(partner, 2).await;
+                }
+            })
         })
     };
     let one = run(1).expect_err("nodes 0, 3, 6, 9, 12 and 15 wait on tag 2");
@@ -156,32 +154,54 @@ fn a_sharded_deadlock_across_shards_equals_the_one_shard_report() {
     }
 }
 
-/// A node panics in each of two shards, after communicating: the
-/// sharded run returns the one-shard run's `NodePanicked`.
+/// The failure `program` ends in on `machine`, required to be the same
+/// on 1, 2, 4 and 8 shards.
+#[allow(
+    clippy::expect_used,
+    reason = "a run that does not fail is a test failure"
+)]
+fn failure<F, Fut>(machine: &Machine, program: F) -> RunError
+where
+    F: Fn(Proc, ()) -> Fut + Sync,
+    Fut: Future<Output = ()>,
+{
+    let fail = |shards| {
+        with_shards(shards, || {
+            machine.run_sharded(vec![(); machine.p()], &program)
+        })
+        .map(|_| ())
+        .expect_err("the run fails")
+    };
+    let one = fail(1);
+    for shards in [2, 4, 8] {
+        assert_eq!(fail(shards), one, "{shards} shards");
+    }
+    one
+}
+
+/// A panic with `message` on `node`.
+fn panicked(node: usize, message: &str) -> RunError {
+    RunError::NodePanicked {
+        node,
+        message: message.into(),
+    }
+}
+
+/// A node panics in each of two shards, after communicating: the later
+/// label fails earlier, after three exchanges (clock 36) against five.
 #[test]
 fn a_panic_in_each_of_two_shards_reports_the_one_shard_error() {
-    let p = 64;
-    let machine = machine(p, PortModel::MultiPort);
-    let run = |shards| {
-        with_shards(shards, || {
-            machine.run_sharded(
-                || vec![(); p],
-                |mut proc, ()| async move {
-                    let id = proc.id();
-                    for dim in 0..proc.dim() {
-                        let _ = proc.exchange(id ^ (1 << dim), u64::from(dim), [1.0]).await;
-                        if (id == 5 && dim == 4) || (id == 37 && dim == 2) {
-                            panic!("node {id} gives up at dimension {dim}");
-                        }
-                    }
-                },
-            )
-        })
-    };
-    let one = run(1).expect_err("two nodes panic");
-    assert!(matches!(&one, RunError::NodePanicked { .. }), "{one}");
-    assert_eq!(run(2).expect_err("two nodes panic"), one);
-    assert_eq!(run(4).expect_err("two nodes panic"), one);
+    let machine = machine(64, PortModel::MultiPort);
+    let err = failure(&machine, |mut proc, ()| async move {
+        let id = proc.id();
+        for dim in 0..proc.dim() {
+            let _ = proc.exchange(id ^ (1 << dim), u64::from(dim), [1.0]).await;
+            if (id == 5 && dim == 4) || (id == 37 && dim == 2) {
+                panic!("node {id} gives up at dimension {dim}");
+            }
+        }
+    });
+    assert_eq!(err, panicked(37, "node 37 gives up at dimension 2"));
 }
 
 /// Node 0 returns at once; its neighbour across the top dimension, in
@@ -190,47 +210,126 @@ fn a_panic_in_each_of_two_shards_reports_the_one_shard_error() {
 #[test]
 fn a_cross_shard_send_to_a_finished_node_reports_the_one_shard_error() {
     let p = 16;
-    let machine = machine(p, PortModel::OnePort);
-    let run = |shards| {
-        with_shards(shards, || {
-            machine.run_sharded(
-                || vec![(); p],
-                |mut proc, ()| async move {
-                    let id = proc.id();
-                    if id == 0 {
-                        return;
-                    }
-                    if id != 1 {
-                        let _ = proc.exchange(id ^ 1, 1, [1.0]).await;
-                    }
-                    if id == p / 2 {
-                        proc.send(0, 2, [2.0]);
-                    }
-                },
-            )
-        })
-    };
-    let one = run(1).expect_err("a send to a finished node");
-    assert_eq!(
-        one,
-        RunError::NodePanicked {
-            node: p / 2,
-            message: "send: node 0 already finished its program".into()
+    let err = failure(&machine(p, PortModel::OnePort), |mut proc, ()| async move {
+        let id = proc.id();
+        if id == 0 {
+            return;
         }
+        if id != 1 {
+            let _ = proc.exchange(id ^ 1, 1, [1.0]).await;
+        }
+        if id == p / 2 {
+            proc.send(0, 2, [2.0]);
+        }
+    });
+    let message = "send: node 0 finished its program without receiving tag 0x2";
+    assert_eq!(err, panicked(p / 2, message));
+}
+
+/// Two failures at different clocks, the earlier on the higher label:
+/// node 13 panics after one exchange (clock 12), node 2 after three
+/// (clock 36), and neither waits on the other. The messages node 15
+/// sends to the failed node 13 are not judged.
+#[test]
+fn the_earlier_failure_wins_on_every_shard_count_even_on_a_higher_label() {
+    let err = failure(
+        &machine(16, PortModel::OnePort),
+        |mut proc, ()| async move {
+            let id = proc.id();
+            for dim in 0..proc.dim() {
+                let _ = proc.exchange(id ^ (1 << dim), u64::from(dim), [1.0]).await;
+                if (id == 13 && dim == 0) || (id == 2 && dim == 2) {
+                    panic!("node {id} gives up at clock {}", proc.clock());
+                }
+            }
+        },
     );
-    for shards in [2, 4] {
-        assert_eq!(run(shards).expect_err("same failure"), one);
-    }
+    assert_eq!(err, panicked(13, "node 13 gives up at clock 12"));
+}
+
+/// With `ts = tw = 0` every clock reads 0, so the label decides: node 6's
+/// panic wins over node 9's scheduled crash at the same step, on every
+/// shard count.
+#[test]
+fn zero_cost_failures_tie_on_the_clock_and_break_on_the_label_on_every_shard_count() {
+    #[allow(clippy::expect_used, reason = "a fixed, valid test machine")]
+    let machine = Machine::builder(16)
+        .cost(CostParams { ts: 0.0, tw: 0.0 })
+        .faults(FaultPlan::new().with_crash(9, 2))
+        .build()
+        .expect("valid test machine");
+    let err = failure(&machine, |mut proc, ()| async move {
+        let id = proc.id();
+        for dim in 0..proc.dim() {
+            if id == 6 && dim == 2 {
+                panic!("node 6 gives up at clock {}", proc.clock());
+            }
+            let _ = proc.exchange(id ^ (1 << dim), u64::from(dim), [1.0]).await;
+        }
+    });
+    assert_eq!(err, panicked(6, "node 6 gives up at clock 0"));
+}
+
+/// Every node finishes its exchanges at clock 48. Then node 12 sends to
+/// node 4, which has returned (the send ends at 60), while nodes 0 and 1
+/// exchange twice more and node 1 panics at 72: the send to the finished
+/// node is the earlier failure.
+#[test]
+fn a_send_to_a_finished_node_fails_its_sender_on_every_shard_count() {
+    let err = failure(
+        &machine(16, PortModel::OnePort),
+        |mut proc, ()| async move {
+            let id = proc.id();
+            for dim in 0..proc.dim() {
+                let _ = proc.exchange(id ^ (1 << dim), u64::from(dim), [1.0]).await;
+            }
+            match id {
+                12 => proc.send(4, 7, [1.0]),
+                0 | 1 => {
+                    for tag in [10, 11] {
+                        let _ = proc.exchange(id ^ 1, tag, [1.0]).await;
+                    }
+                    assert_ne!(id, 1, "node 1 gives up");
+                }
+                _ => {}
+            }
+        },
+    );
+    let message = "send: node 4 finished its program without receiving tag 0x7";
+    assert_eq!(err, panicked(12, message));
+}
+
+/// Node 8 sends node 0 two messages and node 0 takes only the first
+/// before it returns: the second is a failure of node 8's, at the clock
+/// its send finished (24), though every node finished.
+#[test]
+fn a_message_a_finished_node_never_received_fails_on_every_shard_count() {
+    let err = failure(
+        &machine(16, PortModel::OnePort),
+        |mut proc, ()| async move {
+            match proc.id() {
+                0 => {
+                    let _ = proc.recv(8, 1).await;
+                }
+                8 => {
+                    proc.send(0, 1, [1.0]);
+                    proc.send(0, 2, [2.0]);
+                }
+                _ => {}
+            }
+        },
+    );
+    let message = "send: node 0 finished its program without receiving tag 0x2";
+    assert_eq!(err, panicked(8, message));
 }
 
 /// Each node's output: the thread that ran it.
 #[allow(clippy::expect_used, reason = "a healthy test machine")]
 fn threads(machine: &Machine) -> Vec<ThreadId> {
     machine
-        .run_sharded(
-            || vec![(); machine.p()],
-            |_proc, ()| async move { std::thread::current().id() },
-        )
+        .run_sharded(vec![(); machine.p()], |_proc, ()| async move {
+            std::thread::current().id()
+        })
         .expect("healthy run")
         .outputs
 }
@@ -250,17 +349,11 @@ fn a_one_shard_run_spawns_no_thread() {
 }
 
 #[test]
-fn small_or_faulty_or_core_starved_machines_run_on_one_shard() {
+fn small_or_core_starved_machines_run_on_one_shard() {
     let me = std::thread::current().id();
     let on_caller = |machine: &Machine| threads(machine).iter().all(|&thread| thread == me);
     // Below two shards' worth of nodes.
     assert!(on_caller(&machine(SHARD_MIN_NODES, PortModel::OnePort)));
-    // A fault plan, however large the machine.
-    let faulty = Machine::builder(2 * SHARD_MIN_NODES)
-        .faults(FaultPlan::new().with_straggler(3, 2.0))
-        .build()
-        .expect("valid test machine");
-    assert!(on_caller(&faulty));
     // No spare core: this test is the only one here that leases.
     let _all = cubemm_simnet::cores::lease(usize::MAX);
     assert!(on_caller(&machine(2 * SHARD_MIN_NODES, PortModel::OnePort)));
@@ -274,15 +367,12 @@ fn small_or_faulty_or_core_starved_machines_run_on_one_shard() {
 fn a_panic_outside_a_poll_on_a_shard_thread_unwinds_the_sharded_run() {
     let machine = machine(64, PortModel::OnePort);
     let _ = with_shards(2, || {
-        machine.run_sharded(
-            || vec![(); 64],
-            |mut proc, ()| {
-                assert_ne!(proc.id(), 40, "no future for node 40");
-                async move {
-                    let id = proc.id();
-                    let _ = proc.exchange(id ^ 1, 0, [1.0]).await;
-                }
-            },
-        )
+        machine.run_sharded(vec![(); 64], |mut proc, ()| {
+            assert_ne!(proc.id(), 40, "no future for node 40");
+            async move {
+                let id = proc.id();
+                let _ = proc.exchange(id ^ 1, 0, [1.0]).await;
+            }
+        })
     });
 }
