@@ -8,9 +8,7 @@
 //! computation, so the `(a, b)` it extracts are exactly the values a
 //! real run would measure at `(t_s, t_w) = (1, 0)` and `(0, 1)`.
 
-use std::collections::{HashMap, VecDeque};
-
-use cubemm_simnet::{CostParams, PortModel};
+use cubemm_simnet::{CostParams, IdMap, PortModel};
 use cubemm_topology::bits::hamming;
 
 use crate::ir::{Event, Round, Schedule};
@@ -315,47 +313,61 @@ type EvRef = (usize, usize, usize);
 /// The send/receive pairing of a schedule.
 struct Matching {
     /// Matched receive for each send.
-    send_to_recv: HashMap<EvRef, EvRef>,
+    send_to_recv: IdMap<EvRef, EvRef>,
     /// Originating `(node, round)` of each receive's matched send.
-    recv_src: HashMap<EvRef, (usize, usize)>,
+    recv_src: IdMap<EvRef, (usize, usize)>,
 }
 
 /// Pairs every send with its receive, FIFO per `(src, dst, tag)` in
 /// node program order — the same discipline the simulator's per-channel
 /// queues implement. Unmatched leftovers become diagnostics.
+///
+/// Each side is listed and sorted by `(key, event)`; an event reference
+/// `(node, round, index)` orders a key's events in program order, since
+/// one node issues all of them. One merge walk then visits the keys in
+/// order and pairs each key's sends and receives FIFO. The pairing maps
+/// are keyed by event references the schedule computed, so they are
+/// [`IdMap`]s, sized once for every pair.
 fn match_events(s: &Schedule, diags: &mut Vec<Diagnostic>) -> Matching {
-    let mut sendq: HashMap<Key, VecDeque<(EvRef, usize)>> = HashMap::new();
-    let mut recvq: HashMap<Key, VecDeque<(EvRef, Option<usize>)>> = HashMap::new();
+    let mut sends: Vec<(Key, EvRef, usize)> = Vec::new();
+    let mut recvs: Vec<(Key, EvRef, Option<usize>)> = Vec::new();
     for (u, rounds) in s.nodes.iter().enumerate() {
         for (r, round) in rounds.iter().enumerate() {
             for (i, ev) in round.events.iter().enumerate() {
                 match *ev {
-                    Event::Send { to, tag, words, .. } => sendq
-                        .entry((u, to, tag))
-                        .or_default()
-                        .push_back(((u, r, i), words)),
-                    Event::Recv { from, tag, expect } => recvq
-                        .entry((from, u, tag))
-                        .or_default()
-                        .push_back(((u, r, i), expect)),
+                    Event::Send { to, tag, words, .. } => {
+                        sends.push(((u, to, tag), (u, r, i), words));
+                    }
+                    Event::Recv { from, tag, expect } => {
+                        recvs.push(((from, u, tag), (u, r, i), expect));
+                    }
                 }
             }
         }
     }
+    sends.sort_unstable_by_key(|&(key, ev, _)| (key, ev));
+    recvs.sort_unstable_by_key(|&(key, ev, _)| (key, ev));
 
+    let pairs = sends.len().min(recvs.len());
     let mut m = Matching {
-        send_to_recv: HashMap::new(),
-        recv_src: HashMap::new(),
+        send_to_recv: IdMap::with_capacity_and_hasher(pairs, Default::default()),
+        recv_src: IdMap::with_capacity_and_hasher(pairs, Default::default()),
     };
-    let mut keys: Vec<Key> = sendq.keys().chain(recvq.keys()).copied().collect();
-    keys.sort_unstable();
-    keys.dedup();
-    for key in keys {
-        let mut sends = sendq.remove(&key).unwrap_or_default();
-        let mut recvs = recvq.remove(&key).unwrap_or_default();
+    let mut sends = sends.into_iter().peekable();
+    let mut recvs = recvs.into_iter().peekable();
+    loop {
+        let key = match (sends.peek(), recvs.peek()) {
+            (Some(send), Some(recv)) => send.0.min(recv.0),
+            (Some(send), None) => send.0,
+            (None, Some(recv)) => recv.0,
+            (None, None) => break,
+        };
         loop {
-            match (sends.pop_front(), recvs.pop_front()) {
-                (Some((sref, words)), Some((rref, expect))) => {
+            match (
+                sends.next_if(|send| send.0 == key),
+                recvs.next_if(|recv| recv.0 == key),
+            ) {
+                (Some((_, sref, words)), Some((_, rref, expect))) => {
                     if let Some(expected) = expect {
                         if expected != words {
                             diags.push(Diagnostic::VolumeMismatch {
@@ -371,13 +383,13 @@ fn match_events(s: &Schedule, diags: &mut Vec<Diagnostic>) -> Matching {
                     m.send_to_recv.insert(sref, rref);
                     m.recv_src.insert(rref, (sref.0, sref.1));
                 }
-                (Some((sref, _)), None) => diags.push(Diagnostic::StraySend {
+                (Some((_, sref, _)), None) => diags.push(Diagnostic::StraySend {
                     node: sref.0,
                     round: sref.1,
                     to: key.1,
                     tag: key.2,
                 }),
-                (None, Some((rref, _))) => diags.push(Diagnostic::UnmatchedRecv {
+                (None, Some((_, rref, _))) => diags.push(Diagnostic::UnmatchedRecv {
                     node: rref.0,
                     round: rref.1,
                     from: key.0,
@@ -410,7 +422,7 @@ struct SimOutcome {
     /// Elapsed virtual time, valid only when `stuck` is empty.
     elapsed: f64,
     /// Nodes that could not finish, keyed by node label.
-    stuck: HashMap<usize, Blocked>,
+    stuck: IdMap<usize, Blocked>,
 }
 
 /// Symbolically executes the schedule under the simulator's clock
@@ -435,16 +447,17 @@ fn simulate(s: &Schedule, port: PortModel, m: &Matching, cost: CostParams) -> Si
             send_end: 0.0,
         })
         .collect();
-    let mut arrivals: HashMap<EvRef, f64> = HashMap::new();
+    let mut arrivals: IdMap<EvRef, f64> =
+        IdMap::with_capacity_and_hasher(m.send_to_recv.len(), Default::default());
 
     let issue = |u: usize,
                  r: usize,
                  round: &Round,
                  batch_start: f64,
-                 arrivals: &mut HashMap<EvRef, f64>|
+                 arrivals: &mut IdMap<EvRef, f64>|
      -> f64 {
         let mut send_end = batch_start;
-        let mut link_busy: HashMap<usize, f64> = HashMap::new();
+        let mut link_busy: IdMap<usize, f64> = IdMap::default();
         for (i, ev) in round.events.iter().enumerate() {
             let Event::Send {
                 to, words, hops, ..
@@ -513,7 +526,7 @@ fn simulate(s: &Schedule, port: PortModel, m: &Matching, cost: CostParams) -> Si
         }
     }
 
-    let mut stuck = HashMap::new();
+    let mut stuck = IdMap::default();
     for (u, state) in st.iter().enumerate() {
         let Some(round) = s.nodes[u].get(state.pc) else {
             continue;
@@ -547,7 +560,7 @@ fn simulate(s: &Schedule, port: PortModel, m: &Matching, cost: CostParams) -> Si
 /// Turns the stuck set of a failed simulation into cyclic-wait
 /// counterexamples. Chains ending in an unmatched receive are already
 /// reported as [`Diagnostic::UnmatchedRecv`] and produce no cycle.
-fn extract_cycles(stuck: &HashMap<usize, Blocked>, diags: &mut Vec<Diagnostic>) {
+fn extract_cycles(stuck: &IdMap<usize, Blocked>, diags: &mut Vec<Diagnostic>) {
     let mut done: std::collections::HashSet<usize> = std::collections::HashSet::new();
     let mut nodes: Vec<usize> = stuck.keys().copied().collect();
     nodes.sort_unstable();
@@ -556,7 +569,7 @@ fn extract_cycles(stuck: &HashMap<usize, Blocked>, diags: &mut Vec<Diagnostic>) 
             continue;
         }
         let mut path: Vec<usize> = Vec::new();
-        let mut pos: HashMap<usize, usize> = HashMap::new();
+        let mut pos: IdMap<usize, usize> = IdMap::default();
         let mut cur = start;
         loop {
             if done.contains(&cur) {
@@ -598,7 +611,7 @@ fn check_legality(s: &Schedule, port: PortModel, strict: Strictness, diags: &mut
     for (u, rounds) in s.nodes.iter().enumerate() {
         for (r, round) in rounds.iter().enumerate() {
             let mut sends = 0usize;
-            let mut links: HashMap<usize, usize> = HashMap::new();
+            let mut links: IdMap<usize, usize> = IdMap::default();
             for ev in &round.events {
                 let Event::Send { to, hops, .. } = *ev else {
                     continue;
@@ -653,7 +666,7 @@ fn check_legality(s: &Schedule, port: PortModel, strict: Strictness, diags: &mut
 
 /// Per-phase traffic summaries, grouped by `tag / TAG_SPACE`.
 fn summarize_phases(s: &Schedule) -> Vec<PhaseSummary> {
-    let mut phases: HashMap<u64, PhaseSummary> = HashMap::new();
+    let mut phases: IdMap<u64, PhaseSummary> = IdMap::default();
     for rounds in &s.nodes {
         for (r, round) in rounds.iter().enumerate() {
             for ev in &round.events {

@@ -25,6 +25,14 @@ mod args;
 mod commands;
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 mod heap;
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+mod small_alloc;
+
+/// Small blocks come from a per-thread cache (`small_alloc.rs`); its
+/// size classes are glibc's, so it is installed where glibc is.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[global_allocator]
+static ALLOC: small_alloc::SmallCache = small_alloc::SmallCache;
 
 #[cfg(unix)]
 extern "C" {
@@ -49,15 +57,25 @@ fn main() {
         Some("list") => commands::list(&argv[1..]),
         Some("run") => {
             // Before `run` draws its operands and before any other
-            // thread exists.
+            // thread exists. A run's heap stays glibc's, which `heap`
+            // tunes.
             #[cfg(all(target_os = "linux", target_env = "gnu"))]
-            heap::reserve();
+            {
+                small_alloc::bypass();
+                heap::reserve();
+            }
             commands::run(&argv[1..])
         }
         Some("sweep") => commands::sweep(&argv[1..]),
         Some("regions") => commands::regions(&argv[1..]),
         Some("analyze") => commands::analyze(&argv[1..]),
-        Some("serve") => commands::serve(&argv[1..]),
+        Some("serve") => {
+            // A long-lived service keeps glibc's heap: the cache grew its
+            // resident set more than it cut its latency.
+            #[cfg(all(target_os = "linux", target_env = "gnu"))]
+            small_alloc::bypass();
+            commands::serve(&argv[1..])
+        }
         Some("chaos") => commands::chaos(&argv[1..]),
         Some("tune-kernel") => commands::tune_kernel(&argv[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {

@@ -76,8 +76,9 @@ pub(crate) fn assemble_blocks(
 /// send in move order, then every receive in move order — issued even
 /// when there are no moves, because a scheduled crash counts
 /// communication calls. It resolves to the batch's results, whose `Some`s
-/// are the replacement blocks in move order, and allocates nothing
-/// beyond the `Vec<Op>` that `multi` takes.
+/// are the replacement blocks in move order. It allocates two vectors:
+/// the `Vec<Op>` that `multi` takes, and the results vector `multi`
+/// returns.
 ///
 /// The batch is built before the returned future is first polled, and
 /// that future is `multi`'s own: a round runs once per step on every
