@@ -8,7 +8,7 @@
 //! computation, so the `(a, b)` it extracts are exactly the values a
 //! real run would measure at `(t_s, t_w) = (1, 0)` and `(0, 1)`.
 
-use cubemm_simnet::{CostParams, IdMap, PortModel};
+use cubemm_simnet::{CostParams, IdMap, IdSet, PortModel};
 use cubemm_topology::bits::hamming;
 
 use crate::ir::{Event, Round, Schedule};
@@ -561,7 +561,7 @@ fn simulate(s: &Schedule, port: PortModel, m: &Matching, cost: CostParams) -> Si
 /// counterexamples. Chains ending in an unmatched receive are already
 /// reported as [`Diagnostic::UnmatchedRecv`] and produce no cycle.
 fn extract_cycles(stuck: &IdMap<usize, Blocked>, diags: &mut Vec<Diagnostic>) {
-    let mut done: std::collections::HashSet<usize> = std::collections::HashSet::new();
+    let mut done: IdSet<usize> = IdSet::default();
     let mut nodes: Vec<usize> = stuck.keys().copied().collect();
     nodes.sort_unstable();
     for start in nodes {

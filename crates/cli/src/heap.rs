@@ -36,9 +36,8 @@
 //! Only `run` calls this. `serve`, `chaos`, `analyze` and `sweep` run
 //! many small machines on a warm heap of a few megabytes, where one
 //! 2 MiB page is a sizable share of the resident set and huge pages
-//! measured no gain. What they gain from instead is the per-thread
-//! cache of small blocks in `small_alloc.rs`, which `run` bypasses
-//! (DESIGN.md §11).
+//! measured no gain. What `chaos` gains from instead is the per-thread
+//! cache of small blocks in `small_alloc.rs` (DESIGN.md §11).
 
 use std::alloc::{alloc, dealloc, Layout};
 use std::ffi::{c_int, c_void};

@@ -28,8 +28,9 @@ mod heap;
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 mod small_alloc;
 
-/// Small blocks come from a per-thread cache (`small_alloc.rs`); its
-/// size classes are glibc's, so it is installed where glibc is.
+/// Small blocks of `chaos` come from a per-thread cache
+/// (`small_alloc.rs`); its size classes are glibc's, so it is installed
+/// where glibc is.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 #[global_allocator]
 static ALLOC: small_alloc::SmallCache = small_alloc::SmallCache;
@@ -57,26 +58,22 @@ fn main() {
         Some("list") => commands::list(&argv[1..]),
         Some("run") => {
             // Before `run` draws its operands and before any other
-            // thread exists. A run's heap stays glibc's, which `heap`
-            // tunes.
+            // thread exists.
             #[cfg(all(target_os = "linux", target_env = "gnu"))]
-            {
-                small_alloc::bypass();
-                heap::reserve();
-            }
+            heap::reserve();
             commands::run(&argv[1..])
         }
         Some("sweep") => commands::sweep(&argv[1..]),
         Some("regions") => commands::regions(&argv[1..]),
         Some("analyze") => commands::analyze(&argv[1..]),
-        Some("serve") => {
-            // A long-lived service keeps glibc's heap: the cache grew its
-            // resident set more than it cut its latency.
+        Some("serve") => commands::serve(&argv[1..]),
+        Some("chaos") => {
+            // Before the campaign starts its threads, which build and
+            // tear down thousands of tiny machines.
             #[cfg(all(target_os = "linux", target_env = "gnu"))]
-            small_alloc::bypass();
-            commands::serve(&argv[1..])
+            small_alloc::enable();
+            commands::chaos(&argv[1..])
         }
-        Some("chaos") => commands::chaos(&argv[1..]),
         Some("tune-kernel") => commands::tune_kernel(&argv[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{}", commands::USAGE);

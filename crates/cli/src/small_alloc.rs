@@ -20,25 +20,28 @@
 //! not change.
 //!
 //! **Cap and thread exit.** A thread caches at most [`CAP`] bytes; a
-//! free past the cap goes to [`System`]. The cap is the largest that
-//! left `chaos_certify`'s peak RSS flat: a larger cache holds more of a
-//! run's teardown burst, but its idle blocks serve no other class. A
-//! thread's first cached block registers a pthread key whose destructor
-//! hands the whole cache back to [`System`] when the thread exits, and
-//! marks it drained, so a free later in the thread's teardown goes to
-//! [`System`] too.
+//! free past the cap goes to [`System`]. A larger cache holds more of a
+//! run's teardown burst, but its idle blocks serve no other class, so
+//! the cap trades hits against resident memory. A thread's first cached
+//! block registers a pthread key whose destructor hands the whole cache
+//! back to [`System`] when the thread exits, and marks it drained, so a
+//! free later in the thread's teardown goes to [`System`] too.
 //!
 //! **Other requests.** Larger or over-aligned requests go straight to
-//! [`System`], as does every `alloc_zeroed` (in its class's layout, so
-//! it keeps calloc's zeroing). A `realloc` inside one class returns the
-//! same block, and one between two classes takes a cached block and
-//! copies. Any other is glibc's `realloc`, to the new class's size when
-//! the new size is small, so glibc still grows a block in place where
-//! it can.
+//! [`System`]. A small `alloc_zeroed` takes a cached block and zeroes
+//! it, since glibc's `calloc` skips its own per-thread cache and, once
+//! the process has threads, takes the arena lock every time; with none
+//! cached it is `calloc`. A `realloc`
+//! inside one class returns the same block; any other is glibc's
+//! `realloc`, to the new class's size when the new size is small, so
+//! glibc still grows a block in place where it can.
 //!
-//! **`run` and `serve`** call [`bypass`] first: they keep rounding but
-//! cache nothing. A run's heap is glibc's, which `heap.rs` tunes, and a
-//! long-lived service's resident set grew more than its latency fell.
+//! **Only `chaos` caches.** It calls [`enable`] before it starts any
+//! thread; every other command rounds but caches nothing. A run's heap
+//! is glibc's, which `heap.rs` tunes; a long-lived service's resident
+//! set grew more than its latency fell; and `analyze` runs on one
+//! thread, where glibc's own cache takes no lock, so caching only grew
+//! its resident set.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,17 +86,17 @@ static LAYOUTS: [Layout; CLASSES] = {
     layouts
 };
 
-/// Whether freed small blocks are cached; [`bypass`] clears it.
-static CACHING: AtomicBool = AtomicBool::new(true);
+/// Whether freed small blocks are cached; [`enable`] sets it.
+static CACHING: AtomicBool = AtomicBool::new(false);
 
 /// The allocator; see the module docs.
 pub struct SmallCache;
 
-/// Caches nothing from now on, on any thread: every small request still
-/// rounds to its class but goes to [`System`]. `run` and `serve` call
-/// this before they start any thread.
-pub fn bypass() {
-    CACHING.store(false, Ordering::Relaxed);
+/// Caches freed small blocks from now on, on every thread. Before it,
+/// every small request still rounds to its class but goes to
+/// [`System`]. `chaos` calls this before it starts any thread.
+pub fn enable() {
+    CACHING.store(true, Ordering::Relaxed);
 }
 
 /// The class of `layout`, or `None` when [`System`] serves it.
@@ -264,15 +267,15 @@ unsafe extern "C" fn drain_at_exit(_: *mut c_void) {
 }
 
 // SAFETY (the `GlobalAlloc` contract): `System` sees every block with
-// `system_layout` of the caller's layout, on `alloc`, `dealloc` and
-// `realloc` alike, since all three see the same layout. For a small
-// layout that is its class's: 16-aligned and at least as large as any
-// request of the class, so a class block may serve any of them, and the
-// cache hands out and takes back nothing else. A cached block is owned
-// by exactly one free list until it is handed out again. The cache is
-// thread-local and touched through `Cell`s only, and nothing it calls
-// (`System`, the pthread key functions) re-enters this allocator, so no
-// list is ever seen half-updated.
+// `system_layout` of the caller's layout, on `alloc`, `alloc_zeroed`,
+// `dealloc` and `realloc` alike, since all of them see the same layout.
+// For a small layout that is its class's: 16-aligned and at least as
+// large as any request of the class, so a class block may serve any of
+// them, and the cache hands out and takes back nothing else. A cached
+// block is owned by exactly one free list until it is handed out again.
+// The cache is thread-local and touched through `Cell`s only, and
+// nothing it calls (`System`, the pthread key functions) re-enters this
+// allocator, so no list is ever seen half-updated.
 unsafe impl GlobalAlloc for SmallCache {
     #[inline]
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -301,6 +304,17 @@ unsafe impl GlobalAlloc for SmallCache {
 
     #[inline]
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        if let Some(class) = class_of(layout) {
+            if CACHING.load(Ordering::Relaxed) {
+                let block = CACHE.with(|cache| cache.pop(class));
+                if !block.is_null() {
+                    // SAFETY: a cached block of `class` is a live,
+                    // unaliased block of its class's size.
+                    unsafe { block.write_bytes(0, LAYOUTS[class].size()) };
+                    return block;
+                }
+            }
+        }
         // SAFETY: `system_layout` keeps a nonzero size. calloc zeroes the
         // whole block.
         unsafe { System.alloc_zeroed(system_layout(layout)) }
@@ -314,20 +328,6 @@ unsafe impl GlobalAlloc for SmallCache {
         match (class_of(layout), class_of(new)) {
             // The class block already holds `new_size` bytes.
             (Some(old), Some(class)) if old == class => ptr,
-            // Between two classes, the cache serves both ends without
-            // glibc's lock.
-            //
-            // SAFETY: `new` has a nonzero size. The copy stays inside both
-            // blocks, which are distinct, and `ptr` is freed with the
-            // layout it was allocated with.
-            (Some(_), Some(_)) if CACHING.load(Ordering::Relaxed) => unsafe {
-                let moved = self.alloc(new);
-                if !moved.is_null() {
-                    ptr::copy_nonoverlapping(ptr, moved, layout.size().min(new_size));
-                    self.dealloc(ptr, layout);
-                }
-                moved
-            },
             // glibc resizes in place where it can. The result is a
             // `System` block of `system_layout(new)`: both layouts have
             // the same alignment, and a small one's size is its class's.
@@ -342,6 +342,8 @@ unsafe impl GlobalAlloc for SmallCache {
 mod tests {
     //! These run in the `cubemm` binary's test harness, whose global
     //! allocator is [`SmallCache`]: each test thread has its own cache.
+    //! Each test first turns caching on, as `chaos` does, so the binary's
+    //! other tests run on the cache as well.
 
     use super::*;
     use std::alloc::{alloc, alloc_zeroed, dealloc, realloc};
@@ -373,6 +375,7 @@ mod tests {
 
     #[test]
     fn the_class_edges_are_glibcs_usable_sizes() {
+        enable();
         assert_eq!(LAYOUTS.len(), 64);
         assert_eq!(cached_by_free(1, 8), 24);
         assert_eq!(cached_by_free(24, 8), 24);
@@ -395,6 +398,7 @@ mod tests {
 
     #[test]
     fn over_aligned_requests_bypass_the_cache() {
+        enable();
         assert_eq!(cached_by_free(64, 16), 72);
         assert_eq!(cached_by_free(64, 32), 0);
         assert_eq!(cached_by_free(64, 64), 0);
@@ -403,6 +407,7 @@ mod tests {
 
     #[test]
     fn realloc_keeps_a_class_block_and_the_contents_across_classes() {
+        enable();
         // SAFETY: every block is freed once with the layout it has.
         unsafe {
             let block = alloc(layout(30, 8));
@@ -412,8 +417,11 @@ mod tests {
                 block,
                 "30 and 40 share a class"
             );
-            // glibc may grow the block in place or move it.
+            // glibc may grow the block in place or move it; either way
+            // it frees the old block itself, so nothing is cached.
+            let before = cached();
             let grown = realloc(block, layout(40, 8), 41);
+            assert_eq!(cached(), before, "glibc resizes across classes");
             assert!((0..30).all(|i| *grown.add(i) == 0x5a));
             grown.add(30).write_bytes(0x5a, 11);
             // Out of the class range and back.
@@ -432,6 +440,7 @@ mod tests {
 
     #[test]
     fn alloc_zeroed_zeroes_a_recycled_block() {
+        enable();
         let layout = layout(200, 8);
         // SAFETY: every block is freed once with `layout`.
         unsafe {
@@ -439,18 +448,20 @@ mod tests {
             block.write_bytes(0xff, 200);
             dealloc(block, layout);
             let zeroed = alloc_zeroed(layout);
+            assert_eq!(zeroed, block, "the dirty block is reused");
             assert!((0..200).all(|i| *zeroed.add(i) == 0));
-            assert_eq!(alloc(layout), block, "the dirty block stayed cached");
-            dealloc(block, layout);
-            // A zeroed block is an ordinary class block once freed.
-            dealloc(zeroed, layout);
-            assert_eq!(alloc(layout), zeroed);
+            // A second one is zeroed too, from the cache or from calloc.
+            let fresh = alloc_zeroed(layout);
+            assert_ne!(fresh, zeroed);
+            assert!((0..200).all(|i| *fresh.add(i) == 0));
+            dealloc(fresh, layout);
             dealloc(zeroed, layout);
         }
     }
 
     #[test]
     fn a_block_freed_on_another_thread_is_reused_there() {
+        enable();
         struct Block(*mut u8);
         // SAFETY: the block is a plain heap allocation, handed over whole.
         unsafe impl Send for Block {}
@@ -473,6 +484,7 @@ mod tests {
 
     #[test]
     fn a_thread_caches_at_most_the_cap() {
+        enable();
         std::thread::spawn(|| {
             let layout = layout(MAX_SMALL, 8);
             let count = 2 * CAP / MAX_SMALL;
@@ -491,6 +503,7 @@ mod tests {
 
     #[test]
     fn a_threads_cache_empties_when_it_exits() {
+        enable();
         static MIRROR: AtomicUsize = AtomicUsize::new(0);
         std::thread::spawn(|| {
             CACHE.with(|cache| cache.mirror.set(Some(&MIRROR)));

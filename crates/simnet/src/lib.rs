@@ -117,7 +117,7 @@ pub use proc::{Op, Proc, SendError};
 pub use stats::{FiredFault, FiredKind, NodeStats, RunStats};
 pub use trace::{TraceEvent, TraceKind};
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -159,6 +159,9 @@ impl Hasher for IdHasher {
 
 /// A `HashMap` keyed by simulator-internal integers (see [`IdHasher`]).
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` of simulator-internal integers (see [`IdHasher`]).
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Words a [`Payload`] stores inline, without touching the heap.
 pub const PAYLOAD_INLINE_WORDS: usize = 3;
