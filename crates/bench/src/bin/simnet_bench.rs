@@ -4,7 +4,8 @@
 //! spin-up, neighbor ping-pong latency, and a full recursive-doubling
 //! all-gather — plus the collective data path at p = 4096 (all-gather,
 //! reduce-scatter and all-to-all on 64 rows of 64 nodes, both port
-//! models, as ns and heap allocations per message) and Cannon's shift
+//! models, as ns and heap allocations per message; the one-port
+//! all-gather also at 1- and 256-word blocks) and Cannon's shift
 //! phase on the same machine's 64 × 64 grid (`rows64_shift`: 63 XOR-Gray
 //! steps, each node trading a 16-word block with its row and its column
 //! neighbour per step), plus the failure path (`abort`: a p = 4096
@@ -21,8 +22,10 @@
 //!     --baseline OLD.json                                             # + speedups
 //! ```
 //!
-//! `--smoke` runs the small sizes only — plus a p = 4096 spin-up, one
-//! collective row, the one-port shift row and the abort row — and
+//! `--smoke` runs the small sizes only — plus a p = 4096 spin-up, the
+//! one-port all-gather, reduce-scatter and all-to-all rows and the
+//! multi-port all-gather row, the one-port shift row and the abort
+//! row — and
 //! cross-checks every case's virtual-time result against its closed form
 //! (the abort row's exact list of blocked receives instead), exiting
 //! non-zero on mismatch — a cheap guard that keeps the simulator and bench code
@@ -57,7 +60,10 @@ const PINGPONG_ROUNDS: usize = 512;
 const ALLGATHER_WORDS: usize = 64;
 
 /// The row collectives run as `run_comm` uses them: 64-node rows (64 of
-/// them at p = 4096), 16-word blocks.
+/// them at p = 4096), 16-word blocks. The one-port all-gather also runs
+/// at 1- and 256-word blocks (`rows64_allgather_w1`, `_w256`): its
+/// messages carry 1 to 32 packets, so the three rows separate a
+/// message's fixed host cost from its per-packet and per-word cost.
 const ROW_NODES: usize = 64;
 const ROW_WORDS: usize = 16;
 
@@ -70,8 +76,9 @@ enum Kind {
     /// Full-cube recursive-doubling all-gather of `ALLGATHER_WORDS`-word
     /// contributions.
     Allgather,
-    /// One collective on every `ROW_NODES`-node row at once.
-    Rows(RowCollective),
+    /// One collective on every `ROW_NODES`-node row at once, blocks of
+    /// the given number of words.
+    Rows(RowCollective, usize),
     /// Cannon's shift phase on the `ROW_NODES × ROW_NODES` grid.
     Shift,
     /// One exchange round, then every node waits on a message its
@@ -94,7 +101,8 @@ impl Case {
             Kind::Spinup => "spinup".to_string(),
             Kind::Pingpong => "pingpong".to_string(),
             Kind::Allgather => "allgather".to_string(),
-            Kind::Rows(kind) => format!("rows{ROW_NODES}_{}", kind.name()),
+            Kind::Rows(kind, ROW_WORDS) => format!("rows{ROW_NODES}_{}", kind.name()),
+            Kind::Rows(kind, words) => format!("rows{ROW_NODES}_{}_w{words}", kind.name()),
             Kind::Shift => format!("rows{ROW_NODES}_shift"),
             Kind::Abort => "abort".to_string(),
         }
@@ -173,8 +181,8 @@ fn prepare(case: Case) -> Box<dyn FnOnce() -> Result<RunStats, RunError>> {
                 got[p - 1].len()
             })
         }),
-        Kind::Rows(kind) => {
-            let inputs = rows::inputs(kind, p, ROW_NODES, ROW_WORDS);
+        Kind::Rows(kind, words) => {
+            let inputs = rows::inputs(kind, p, ROW_NODES, words);
             Box::new(move || Ok(rows::run(&machine, kind, ROW_NODES, shards, inputs)))
         }
         Kind::Shift => {
@@ -224,7 +232,7 @@ fn verify(case: Case) -> Result<(), String> {
             COST.ts * f64::from(case.p.trailing_zeros())
                 + COST.tw * ((case.p - 1) * ALLGATHER_WORDS) as f64
         }
-        Kind::Rows(kind) => kind.closed_form(COST, case.port, ROW_NODES, ROW_WORDS),
+        Kind::Rows(kind, words) => kind.closed_form(COST, case.port, ROW_NODES, words),
         Kind::Shift => rows::shift::closed_form(COST, case.port, case.p.isqrt(), ROW_WORDS),
         Kind::Abort => unreachable!("checked above"),
     };
@@ -329,15 +337,21 @@ fn main() {
         port,
         shards: 1,
     };
-    let rows_case = |kind: RowCollective, port: PortModel| grid_case(Kind::Rows(kind), port);
+    let rows_case =
+        |kind: RowCollective, port: PortModel| grid_case(Kind::Rows(kind, ROW_WORDS), port);
     let sharded = |case: Case, shards: usize| Case { shards, ..case };
     let cases: Vec<Case> = if smoke {
         vec![
             case(Kind::Pingpong, 2),
             case(Kind::Allgather, 8),
             case(Kind::Spinup, 4096),
-            // One collective and Cannon's shifts at the scale the data
-            // path is tuned for.
+            // The collectives and Cannon's shifts at the scale the data
+            // path is tuned for: the one-port rows walk the packet
+            // store's contiguous bundles (all-gather, reduce-scatter) and
+            // its strided ones (all-to-all).
+            rows_case(RowCollective::Allgather, PortModel::OnePort),
+            rows_case(RowCollective::ReduceScatter, PortModel::OnePort),
+            rows_case(RowCollective::Alltoall, PortModel::OnePort),
             rows_case(RowCollective::Allgather, PortModel::MultiPort),
             grid_case(Kind::Shift, PortModel::OnePort),
             sharded(grid_case(Kind::Shift, PortModel::OnePort), 2),
@@ -363,6 +377,13 @@ fn main() {
             for port in [PortModel::OnePort, PortModel::MultiPort] {
                 cases.push(rows_case(kind, port));
             }
+        }
+        // Per-message, per-packet and per-word cost apart.
+        for words in [1, 256] {
+            cases.push(grid_case(
+                Kind::Rows(RowCollective::Allgather, words),
+                PortModel::OnePort,
+            ));
         }
         for port in [PortModel::OnePort, PortModel::MultiPort] {
             cases.push(grid_case(Kind::Shift, port));

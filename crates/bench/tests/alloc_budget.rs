@@ -11,11 +11,12 @@
 //! collective-heavy end, are guarded the same way per delivered message
 //! (see their tests below).
 //!
-//! What the budgets pin: splitting a received bundle allocates nothing
-//! (windows), a bundle is one allocation however many packets it
+//! What the budgets pin: a received bundle is stored whole (no
+//! allocation), a bundle is one allocation however many packets it
 //! carries, a round is read off its schema with no per-node plan
-//! compiled first, a multi-port batch keeps its link clocks in a buffer
-//! the node reuses, and the packet store grows with what a node holds.
+//! compiled first, a collective's batch and result vectors and a
+//! multi-port batch's link clocks are buffers the node reuses, and the
+//! packet store grows with the bundles a node holds.
 
 use cubemm_bench::alloc_count::{allocations_during, CountingAlloc};
 use cubemm_bench::rows::{self, RowCollective};
@@ -36,22 +37,25 @@ const COST: CostParams = CostParams { ts: 10.0, tw: 2.0 };
 /// deliver few packets per node — 3 on average one-port — so their
 /// figure is mostly the per-node fixed cost of a run.)
 ///
-/// Measured with a compiled per-node plan, same order: 0.73, 0.58,
-/// 0.68, 0.40, 5.61, 2.29, 5.17, 2.27, 0.23, 0.20 (and before the
-/// zero-copy path: 5.84, 1.97, 5.82, 1.47, 10.96, 5.57, 10.81, 5.45,
-/// 3.05, 0.79).
+/// Measured with a packet store of one entry per packet and a fresh
+/// batch per round, in the order of the match below: 0.44, 0.32, 0.40,
+/// 0.14, 4.30, 1.30, 4.03, 1.24, 0.14, 0.10; with a compiled per-node
+/// plan before that: 0.73, 0.58, 0.68, 0.40, 5.61, 2.29, 5.17, 2.27,
+/// 0.23, 0.20 (and before the zero-copy path: 5.84, 1.97, 5.82, 1.47,
+/// 10.96, 5.57, 10.81, 5.45, 3.05, 0.79). Now, with one entry per
+/// bundle: 0.22, 0.11, 0.27, 0.13, 3.22, 0.79, 2.56, 0.66, 0.08, 0.04.
 fn budget(kind: RowCollective, port: PortModel) -> u64 {
     match (kind, port) {
-        (RowCollective::Allgather, PortModel::OnePort) => 50,
-        (RowCollective::Allgather, PortModel::MultiPort) => 33,
-        (RowCollective::ReduceScatter, PortModel::OnePort) => 46,
+        (RowCollective::Allgather, PortModel::OnePort) => 26,
+        (RowCollective::Allgather, PortModel::MultiPort) => 13,
+        (RowCollective::ReduceScatter, PortModel::OnePort) => 31,
         (RowCollective::ReduceScatter, PortModel::MultiPort) => 14,
-        (RowCollective::Scatter, PortModel::OnePort) => 495,
-        (RowCollective::Scatter, PortModel::MultiPort) => 138,
-        (RowCollective::Gather, PortModel::OnePort) => 465,
-        (RowCollective::Gather, PortModel::MultiPort) => 131,
-        (RowCollective::Alltoall, PortModel::OnePort) => 16,
-        (RowCollective::Alltoall, PortModel::MultiPort) => 12,
+        (RowCollective::Scatter, PortModel::OnePort) => 370,
+        (RowCollective::Scatter, PortModel::MultiPort) => 90,
+        (RowCollective::Gather, PortModel::OnePort) => 300,
+        (RowCollective::Gather, PortModel::MultiPort) => 78,
+        (RowCollective::Alltoall, PortModel::OnePort) => 10,
+        (RowCollective::Alltoall, PortModel::MultiPort) => 5,
     }
 }
 
@@ -128,12 +132,13 @@ fn cannon_budget(port: PortModel) -> u64 {
 /// compiled first.
 ///
 /// Measured with a compiled per-node plan: 10.92 one-port, 8.43
-/// multi-port; and before a finish joined consecutive windows without a
-/// copy, 7.92 and 5.36 (now 7.92 and 5.18).
+/// multi-port; before a finish joined consecutive windows without a
+/// copy, 7.92 and 5.36; with a packet store of one entry per packet,
+/// 7.92 and 5.18 (now, one entry per bundle, 5.29 and 3.55).
 fn all3d_budget(port: PortModel) -> u64 {
     match port {
-        PortModel::OnePort => 910,
-        PortModel::MultiPort => 595,
+        PortModel::OnePort => 610,
+        PortModel::MultiPort => 410,
     }
 }
 

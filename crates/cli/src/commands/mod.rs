@@ -531,6 +531,13 @@ mod tests {
     }
 
     #[test]
+    fn sweep_machine_sizes_are_validated() {
+        assert_ne!(sweep(&argv("--n 16 --p 3,0,4")), 0);
+        assert_ne!(sweep(&argv("--n 16 --p 4,0")), 0);
+        assert_ne!(sweep(&argv("--n 16 --p 4,x")), 0);
+    }
+
+    #[test]
     fn jobs_flag_is_validated() {
         assert_ne!(sweep(&argv("--n 16 --p 4 --jobs 0")), 0);
         assert_ne!(sweep(&argv("--n 16 --p 4 --jobs many")), 0);

@@ -30,6 +30,12 @@ pub fn sweep(argv: &[String]) -> Result<i32, String> {
             .collect::<Result<_, _>>()
             .map_err(|_| format!("invalid --p list {list:?}"))?,
     };
+    // A machine size no algorithm can take is a typo, not a row of '-'.
+    if let Some(p) = ps.iter().find(|p| !p.is_power_of_two()) {
+        return Err(format!(
+            "--p entry {p} is not a power of two (node counts are 1, 2, 4, ...)"
+        ));
+    }
     let jobs = jobs_from(&args)?;
 
     // One operand pair and one reference serve every cell.

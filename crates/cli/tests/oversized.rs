@@ -150,6 +150,25 @@ fn an_incurable_abft_shape_is_answered_at_once() {
     );
 }
 
+/// A `--p` entry no machine can have is refused by name, like `--n 0`,
+/// instead of printing a row of inapplicable cells.
+#[test]
+fn sweep_refuses_a_machine_size_that_is_not_a_power_of_two() {
+    for (list, entry) in [("3,0,4", 3), ("4,0", 0), ("16,12", 12)] {
+        let args = format!("sweep --n 16 --p {list}");
+        let out = cubemm(&args, "");
+        assert_eq!(out.status.code(), Some(2), "{args}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!(
+                "error: --p entry {entry} is not a power of two (node counts are 1, 2, 4, ...)\n"
+            ),
+            "{args}"
+        );
+        assert!(out.stdout.is_empty(), "{args}");
+    }
+}
+
 /// The other end: an empty order is refused by the one `--n` rule that
 /// `run` and `sweep` share, before any node could see an empty block.
 #[test]

@@ -4,9 +4,9 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::chunk;
 use crate::plan::{execute, CollectiveRun};
-use crate::schema::CollKind;
+use crate::schema::{CollKind, IdMask};
+use crate::{chunk, chunk_span};
 
 /// A planned all-gather, ready to execute (possibly fused with others).
 #[derive(Debug)]
@@ -22,14 +22,20 @@ impl AllgatherRun {
     }
 
     /// Extracts all contributions, indexed by rank, after execution.
-    pub fn finish(mut self) -> Vec<Payload> {
-        let (n, nc, store) = (self.n, self.inner.ncopies(), &mut self.inner.store);
-        (0..n)
-            .map(|r| {
-                let slices = (0..nc).map(|c| c * n + r);
-                store.bundle(slices, true, format_args!("all-gather finish"))
-            })
-            .collect()
+    /// One-port, each is a window of the bundle it arrived in.
+    pub fn finish(self) -> Vec<Payload> {
+        self.inner
+            .store
+            .messages(IdMask::below(self.n), format_args!("all-gather finish"))
+    }
+
+    /// Extracts all contributions after execution as one payload, in
+    /// rank order: [`AllgatherRun::finish`]'s messages back to back,
+    /// joined straight from the bundles the node holds.
+    pub fn finish_stacked(self) -> Payload {
+        self.inner
+            .store
+            .message(IdMask::below(self.n), format_args!("all-gather finish"))
     }
 }
 
@@ -47,8 +53,6 @@ pub fn allgather_plan(
 
     let mut inner = CollectiveRun::new(CollKind::Allgather, port, sc, me, 0, base, mine.len());
     let ncopies = inner.ncopies();
-    // Half the row arrives in the last round (see `reserve`).
-    inner.store.reserve(ncopies * n / 2);
     for c in 0..ncopies {
         inner.store.put(c * n + v, chunk(&mine, ncopies, c));
     }
@@ -71,7 +75,6 @@ pub async fn allgather(proc: &mut Proc, sc: &Subcube, base: u64, mine: Payload) 
 #[derive(Debug)]
 pub struct ReduceScatterRun {
     inner: CollectiveRun,
-    n: usize,
     v: usize,
 }
 
@@ -82,17 +85,18 @@ impl ReduceScatterRun {
     }
 
     /// Extracts this node's summed part after execution.
-    pub fn finish(mut self) -> Payload {
-        let slices = (0..self.inner.ncopies()).map(|c| c * self.n + self.v);
-        self.inner
-            .store
-            .bundle(slices, true, format_args!("reduce-scatter finish"))
+    pub fn finish(self) -> Payload {
+        self.inner.store.message(
+            IdMask::single(self.v),
+            format_args!("reduce-scatter finish"),
+        )
     }
 }
 
 /// Compiles the recursive-halving reduce-scatter for this node. Packet
 /// `(c, r)` is slice `c` of the (partially summed) part destined for
-/// rank `r`.
+/// rank `r`; each copy starts as one bundle of all `n` (joined without a
+/// copy when the parts are consecutive windows of one payload).
 pub fn reduce_scatter_plan(
     port: PortModel,
     sc: &Subcube,
@@ -113,16 +117,14 @@ pub fn reduce_scatter_plan(
 
     let mut inner = CollectiveRun::new(CollKind::ReduceScatter, port, sc, me, 0, base, part_len);
     let ncopies = inner.ncopies();
-    inner.store.reserve(ncopies * n);
-    for (r, part) in parts.iter().enumerate() {
-        for c in 0..ncopies {
-            inner.store.put(c * n + r, chunk(part, ncopies, c));
-        }
+    for c in 0..ncopies {
+        let slices = parts.iter().map(|part| chunk_span(part, ncopies, c));
+        let bundle = Payload::concat(n * inner.store.expected_len(c * n), slices);
+        inner.store.put_bundle(c, IdMask::below(n), bundle);
     }
 
     ReduceScatterRun {
         inner,
-        n,
         v: sc.rank_of(me),
     }
 }

@@ -13,9 +13,9 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::chunk;
+use crate::chunk_span;
 use crate::plan::{execute, CollectiveRun};
-use crate::schema::CollKind;
+use crate::schema::{CollKind, IdMask};
 
 /// A planned all-to-all personalized exchange.
 #[derive(Debug)]
@@ -32,20 +32,21 @@ impl AlltoallRun {
     }
 
     /// Extracts the received messages, indexed by origin rank.
-    pub fn finish(mut self) -> Vec<Payload> {
-        let (n, nc, store) = (self.n, self.inner.ncopies(), &mut self.inner.store);
-        (0..n)
-            .map(|origin| {
-                let slices = (0..nc).map(|c| c * n * n + self.v * n + origin);
-                store.bundle(slices, true, format_args!("all-to-all finish"))
-            })
-            .collect()
+    pub fn finish(self) -> Vec<Payload> {
+        let to_me = IdMask {
+            fixed: self.v * self.n,
+            ..IdMask::below(self.n)
+        };
+        self.inner
+            .store
+            .messages(to_me, format_args!("all-to-all finish"))
     }
 }
 
 /// Compiles the dimension-exchange AAPC for this node. Packet
 /// `(c, dest, origin)` is slice `c` of the message from `origin` to
-/// `dest`; copy `c` routes with dimension order `o_i = (c + i) mod d`.
+/// `dest`; copy `c` routes with dimension order `o_i = (c + i) mod d`,
+/// and starts as one bundle of this node's `n` messages.
 pub fn alltoall_plan(
     port: PortModel,
     sc: &Subcube,
@@ -63,14 +64,15 @@ pub fn alltoall_plan(
 
     let mut inner = CollectiveRun::new(CollKind::Alltoall, port, sc, me, 0, base, part_len);
     let ncopies = inner.ncopies();
-    // Every round trades half of a copy's n packets for as many others.
-    inner.store.reserve(ncopies * n);
-    for (dest, part) in parts.iter().enumerate() {
-        for c in 0..ncopies {
-            inner
-                .store
-                .put(c * n * n + dest * n + v, chunk(part, ncopies, c));
-        }
+    // Packet `(dest, v)` for every `dest`: ids `dest·n + v`.
+    let from_me = IdMask {
+        fixed: v,
+        free: (n - 1) * n,
+    };
+    for c in 0..ncopies {
+        let slices = parts.iter().map(|part| chunk_span(part, ncopies, c));
+        let bundle = Payload::concat(n * inner.store.expected_len(c * n * n), slices);
+        inner.store.put_bundle(c, from_me, bundle);
     }
 
     AlltoallRun { inner, n, v }

@@ -5,7 +5,7 @@ use cubemm_topology::Subcube;
 
 use crate::chunk;
 use crate::plan::{execute, CollectiveRun};
-use crate::schema::CollKind;
+use crate::schema::{CollKind, IdMask};
 
 /// A planned broadcast, ready to execute (possibly fused with others).
 #[derive(Debug)]
@@ -20,11 +20,10 @@ impl BcastRun {
     }
 
     /// Extracts the broadcast payload after execution.
-    pub fn finish(mut self) -> Payload {
-        let slices = 0..self.inner.ncopies();
+    pub fn finish(self) -> Payload {
         self.inner
             .store
-            .bundle(slices, true, format_args!("broadcast finish"))
+            .message(IdMask::single(0), format_args!("broadcast finish"))
     }
 }
 

@@ -7,7 +7,7 @@ use cubemm_topology::Subcube;
 
 use crate::chunk;
 use crate::plan::{execute, CollectiveRun};
-use crate::schema::CollKind;
+use crate::schema::{CollKind, IdMask};
 
 /// A planned gather, ready to execute (possibly fused with others).
 #[derive(Debug)]
@@ -26,18 +26,18 @@ impl GatherRun {
 
     /// Extracts the gathered parts (indexed by *actual* rank) at the
     /// root; `None` elsewhere.
-    pub fn finish(mut self) -> Option<Vec<Payload>> {
+    pub fn finish(self) -> Option<Vec<Payload>> {
         if !self.is_root {
             return None;
         }
-        let (n, nc, store) = (self.n, self.inner.ncopies(), &mut self.inner.store);
+        // By relative rank `u`; rank `u ⊕ root` contributed it.
+        let mut parts = self.inner.store.messages(
+            IdMask::below(self.n),
+            format_args!("gather finish at the root"),
+        );
         Some(
-            (0..n)
-                .map(|rank| {
-                    let u = rank ^ self.root; // relative rank
-                    let slices = (0..nc).map(|c| c * n + u);
-                    store.bundle(slices, true, format_args!("gather finish at the root"))
-                })
+            (0..self.n)
+                .map(|rank| std::mem::take(&mut parts[rank ^ self.root]))
                 .collect(),
         )
     }

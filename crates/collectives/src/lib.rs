@@ -101,6 +101,13 @@ pub(crate) fn chunk(data: &Payload, parts: usize, c: usize) -> Payload {
     data.slice(lo, hi)
 }
 
+/// Chunk `c` of `data` as a span of it, a part for [`Payload::concat`]:
+/// the words [`chunk`] would window, read in place.
+pub(crate) fn chunk_span(data: &Payload, parts: usize, c: usize) -> (&Payload, usize, usize) {
+    let (lo, hi) = chunk_bounds(data.len(), parts, c);
+    (data, lo, hi)
+}
+
 /// The bounds of chunk `c` of a `len`-word message split `parts` ways.
 #[inline]
 pub(crate) fn chunk_bounds(len: usize, parts: usize, c: usize) -> (usize, usize) {

@@ -46,6 +46,11 @@ pub enum PacketError {
         /// The occupied packet id.
         id: usize,
     },
+    /// A bundle or a sum named a packet the store does not hold.
+    Absent {
+        /// The first missing packet id.
+        id: usize,
+    },
 }
 
 impl std::fmt::Display for PacketError {
@@ -58,33 +63,117 @@ impl std::fmt::Display for PacketError {
                 write!(f, "packet {id} length mismatch: got {got}, want {want}")
             }
             PacketError::AlreadyFilled { id } => write!(f, "packet {id} already present"),
+            PacketError::Absent { id } => write!(f, "packet {id} not present"),
         }
     }
 }
 
 impl std::error::Error for PacketError {}
 
-/// Packet storage for one in-flight collective. Packet lengths are known
-/// up front (every caller knows its block shapes), so received
-/// bundles can be split without headers.
+/// Packet storage for one in-flight collective, kept as the bundles the
+/// node holds rather than packet by packet.
 ///
 /// Ids are dense in the collective's id space (`copies × per_copy`, for
-/// all-to-all `copies × N²`), but a node only ever holds the packets its
-/// own transfers name — a scatter leaf one per copy. So the store is
-/// sized by what the node holds: a slot exists exactly while its packet
-/// is present, and lengths are kept once per copy, not per id.
+/// all-to-all `copies × N²`), and every transfer names a sub-mask set of
+/// one copy's ids ([`IdMask`]). So an *entry* is one bundle: the packets
+/// of one `IdMask` of one copy in a single [`Payload`], in ascending id
+/// order. A received bundle is stored as it arrives, as one entry; a
+/// send reads one entry, a window of one, or one concatenation over the
+/// entries it covers; a consuming send narrows or splits the entries it
+/// drew from instead of removing ids one at a time; and a reduction adds
+/// a received bundle into what it covers in one pass. Packet lengths are
+/// known up front (every caller knows its block shapes) and kept once
+/// per copy, so no bundle carries a header.
 #[derive(Debug)]
 pub struct PacketStore {
     /// Packet length of each copy; copy `c` owns ids
     /// `c·per_copy .. (c + 1)·per_copy`.
     copy_lens: Vec<usize>,
     per_copy: usize,
-    /// The packets present, as `(id, packet)` in no particular order.
-    held: Vec<(usize, Payload)>,
-    /// Open-addressed map from id to its position in `held`, plus one
-    /// (0 marks a vacant cell): linear probing, deletion by backward
-    /// shift. Length is a power of two, at least twice `held.len()`.
-    index: Vec<u32>,
+    /// The bundles present, in no particular order; their live sets are
+    /// disjoint.
+    held: Vec<Entry>,
+}
+
+/// One bundle: the packets `live` of copy `copy`. `data` holds the
+/// packets of `span` in ascending id order — the set the bundle was
+/// stored as, of which a consuming send may since have taken some
+/// without moving a word — so packet `id` sits at position
+/// [`rank_in`]`(id, span.free)`.
+#[derive(Debug, Clone)]
+struct Entry {
+    copy: usize,
+    span: IdMask,
+    /// The packets still present: `span` with some free bits fixed.
+    live: IdMask,
+    data: Payload,
+}
+
+/// The position of `id` in the ascending list of a set whose free bits
+/// are `free`: the bits of `id` at `free`'s positions, packed low.
+fn rank_in(id: usize, free: usize) -> usize {
+    let (mut rank, mut free, mut bit) = (0, free, 1);
+    while free != 0 {
+        if id & free & free.wrapping_neg() != 0 {
+            rank |= bit;
+        }
+        free &= free - 1;
+        bit <<= 1;
+    }
+    rank
+}
+
+/// Walks a set of ids in ascending order one *run* at a time: ids that
+/// sit at consecutive positions of one entry.
+struct Cursor {
+    ids: IdMask,
+    /// The free bits of the next id.
+    sub: usize,
+    /// Ids not yet walked.
+    left: usize,
+}
+
+impl Cursor {
+    fn new(ids: IdMask) -> Self {
+        Cursor {
+            ids,
+            sub: 0,
+            left: ids.len(),
+        }
+    }
+
+    /// The id the next run starts at, while any remain.
+    fn next_id(&self) -> Option<usize> {
+        (self.left > 0).then_some(self.ids.fixed | self.sub)
+    }
+
+    /// Steps over the run that starts at the next id, inside the entry
+    /// laid out by `span` that holds `live` (which must contain that
+    /// id): returns the run's first position in the entry and its
+    /// length in packets.
+    ///
+    /// Consecutive ids of the walk stay consecutive in the entry for as
+    /// long as the lowest free bits of the walk are the lowest free bits
+    /// of `span` and live there: a run spans those bits, and starts
+    /// aligned to them because every earlier run did.
+    fn run(&mut self, span: IdMask, live: IdMask) -> (usize, usize) {
+        let id = self.ids.fixed | self.sub;
+        let (mut want, mut have, mut shared) = (self.ids.free, span.free, 0);
+        while want != 0 {
+            let low = want & want.wrapping_neg();
+            if low != have & have.wrapping_neg() || live.free & low == 0 {
+                break;
+            }
+            shared |= low;
+            want ^= low;
+            have ^= low;
+        }
+        debug_assert_eq!(self.sub & shared, 0, "runs start aligned");
+        let count = 1 << shared.count_ones();
+        self.left -= count;
+        self.sub = ((self.sub | shared | !self.ids.free).wrapping_add(1)) & self.ids.free;
+        (rank_in(id, span.free), count)
+    }
 }
 
 impl PacketStore {
@@ -103,7 +192,6 @@ impl PacketStore {
             copy_lens,
             per_copy,
             held: Vec::new(),
-            index: Vec::new(),
         }
     }
 
@@ -117,67 +205,14 @@ impl PacketStore {
         self.len() == 0
     }
 
-    /// The index cell probing for `id` starts at (Fibonacci hashing:
-    /// the top bits of the product are the well-mixed ones).
-    fn home(&self, id: usize) -> usize {
-        let bits = self.index.len().trailing_zeros();
-        ((id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize
+    /// Number of entries — bundles — the store holds.
+    pub fn entries(&self) -> usize {
+        self.held.len()
     }
 
-    /// The cell after `cell`, cyclically.
-    fn after(&self, cell: usize) -> usize {
-        (cell + 1) & (self.index.len() - 1)
-    }
-
-    /// The index cell naming packet `id`, if the packet is present.
-    fn cell_of(&self, id: usize) -> Option<usize> {
-        if self.index.is_empty() {
-            return None;
-        }
-        let mut cell = self.home(id);
-        loop {
-            match self.index[cell] as usize {
-                0 => return None,
-                at if self.held[at - 1].0 == id => return Some(cell),
-                _ => cell = self.after(cell),
-            }
-        }
-    }
-
-    /// Position in `held` of packet `id`, if present.
-    fn position(&self, id: usize) -> Option<usize> {
-        self.cell_of(id).map(|cell| self.index[cell] as usize - 1)
-    }
-
-    /// Enters `held[at]` into the index.
-    fn link(&mut self, at: usize) {
-        let mut cell = self.home(self.held[at].0);
-        while self.index[cell] != 0 {
-            cell = self.after(cell);
-        }
-        #[allow(
-            clippy::expect_used,
-            reason = "a node holding 2^32 packets is far outside any simulated machine"
-        )]
-        let entry = u32::try_from(at + 1).expect("held packet count fits u32");
-        self.index[cell] = entry;
-    }
-
-    /// Vacates `cell`, then closes the gap: every entry further along
-    /// the probe run whose home lies at or before the gap moves back
-    /// into it, so no later lookup meets a vacant cell too early.
-    fn unlink(&mut self, mut cell: usize) {
-        let mask = self.index.len() - 1;
-        let mut probe = self.after(cell);
-        while self.index[probe] != 0 {
-            let home = self.home(self.held[self.index[probe] as usize - 1].0);
-            if probe.wrapping_sub(home) & mask >= probe.wrapping_sub(cell) & mask {
-                self.index[cell] = self.index[probe];
-                cell = probe;
-            }
-            probe = self.after(probe);
-        }
-        self.index[cell] = 0;
+    /// Makes room for `more` entries beyond those present.
+    pub(crate) fn reserve(&mut self, more: usize) {
+        self.held.reserve_exact(more);
     }
 
     /// The expected length of packet `id`.
@@ -202,6 +237,370 @@ impl PacketStore {
             })
     }
 
+    /// Packet `id` as a copy and a one-id set within it.
+    fn locate(&self, id: usize) -> Result<(usize, IdMask), PacketError> {
+        self.try_expected_len(id)?;
+        Ok((id / self.per_copy, IdMask::single(id % self.per_copy)))
+    }
+
+    /// The packet id of `id` within copy `copy`.
+    fn global(&self, copy: usize, id: usize) -> usize {
+        copy.saturating_mul(self.per_copy).saturating_add(id)
+    }
+
+    /// The packet length of copy `copy`, if `ids` address real slots of
+    /// it; `OutOfRange` names the set's last id otherwise.
+    fn packet_len(&self, copy: usize, ids: IdMask) -> Result<usize, PacketError> {
+        match self.copy_lens.get(copy) {
+            Some(&len) if ids.last() < self.per_copy => Ok(len),
+            _ => Err(PacketError::OutOfRange {
+                id: self.global(copy, ids.last()),
+                slots: self.len(),
+            }),
+        }
+    }
+
+    /// The entries of copy `copy` that hold some of `ids`, with the ids
+    /// they hold.
+    fn meeting(&self, copy: usize, ids: IdMask) -> impl Iterator<Item = IdMask> + '_ {
+        self.held
+            .iter()
+            .filter(move |entry| entry.copy == copy)
+            .filter_map(move |entry| entry.live.meet(ids))
+    }
+
+    /// The entry holding id `id` of copy `copy`.
+    fn find(&self, copy: usize, id: usize) -> Option<usize> {
+        self.held
+            .iter()
+            .position(|entry| entry.copy == copy && entry.live.contains(id))
+    }
+
+    /// `Ok` when every id of `ids` is present; otherwise the first one
+    /// missing.
+    fn check_held(&self, copy: usize, ids: IdMask) -> Result<(), PacketError> {
+        let held: usize = self.meeting(copy, ids).map(|ids| ids.len()).sum();
+        if held == ids.len() {
+            return Ok(());
+        }
+        let id = ids
+            .ids(0)
+            .find(|&id| self.find(copy, id).is_none())
+            .unwrap_or(ids.fixed);
+        Err(PacketError::Absent {
+            id: self.global(copy, id),
+        })
+    }
+
+    /// `ids` of copy `copy` (all present), ascending, one run at a time:
+    /// the run's entry payload, first position and packet count.
+    fn runs(
+        &self,
+        copy: usize,
+        ids: IdMask,
+    ) -> impl Iterator<Item = (&Payload, usize, usize)> + '_ {
+        let mut cursor = Cursor::new(ids);
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let id = cursor.next_id()?;
+            // A walk's runs come from few entries: try the last one first.
+            let holds = |at: usize| {
+                self.held
+                    .get(at)
+                    .is_some_and(|entry| entry.copy == copy && entry.live.contains(id))
+            };
+            if !holds(at) {
+                at = self.find(copy, id)?;
+            }
+            let entry = &self.held[at];
+            let (pos, count) = cursor.run(entry.span, entry.live);
+            Some((&entry.data, pos, count))
+        })
+    }
+
+    /// `ids` of copy `copy` (all present) as word spans of the entries,
+    /// one per run.
+    fn spans(
+        &self,
+        copy: usize,
+        ids: IdMask,
+    ) -> impl Iterator<Item = (&Payload, usize, usize)> + '_ {
+        let len = self.copy_lens[copy];
+        self.runs(copy, ids)
+            .map(move |(data, pos, count)| (data, pos * len, (pos + count) * len))
+    }
+
+    /// `ids` of copy `copy` (all present) as one payload: a window when
+    /// they are one run, else one concatenation of the runs (which
+    /// copies each word once, unless the runs are consecutive windows of
+    /// one allocation).
+    fn read(&self, copy: usize, ids: IdMask) -> Payload {
+        let mut spans = self.spans(copy, ids);
+        #[allow(
+            clippy::expect_used,
+            reason = "an id set is never empty, and every caller checked it is held"
+        )]
+        let first = spans.next().expect("a held set has a run");
+        match spans.next() {
+            None => first.0.slice(first.1, first.2),
+            Some(second) => {
+                let len = ids.len() * self.copy_lens[copy];
+                Payload::concat(len, [first, second].into_iter().chain(spans))
+            }
+        }
+    }
+
+    /// Drops `ids` (all present) from copy `copy`. An entry inside `ids`
+    /// leaves; one that `ids` only cuts into keeps what remains, as one
+    /// entry per bit `ids` fixes where the entry is free — the ids that
+    /// first leave `ids` at that bit — sharing its words. A narrowed entry
+    /// may then move its packets to an allocation of their own
+    /// ([`PacketStore::compact`]).
+    fn remove(&mut self, copy: usize, ids: IdMask) {
+        let mut at = 0;
+        while at < self.held.len() {
+            let entry = &self.held[at];
+            if entry.copy != copy || entry.live.meet(ids).is_none() {
+                at += 1;
+                continue;
+            }
+            let live = entry.live;
+            let mut cut = live.free & !ids.free;
+            if cut == 0 {
+                self.held.swap_remove(at);
+                continue;
+            }
+            let mut below = 0;
+            while cut != 0 {
+                let bit = cut & cut.wrapping_neg();
+                let rest = IdMask {
+                    fixed: live.fixed | (ids.fixed & below) | (!ids.fixed & bit),
+                    free: live.free & !(below | bit),
+                };
+                if below == 0 {
+                    self.held[at].live = rest;
+                } else {
+                    let piece = Entry {
+                        live: rest,
+                        ..self.held[at].clone()
+                    };
+                    self.held.push(piece);
+                }
+                below |= bit;
+                cut ^= bit;
+            }
+            self.compact(at);
+            at += 1;
+        }
+    }
+
+    /// Moves entry `at`'s packets to an allocation of their own when they
+    /// fill at most half of the one they share with packets already sent,
+    /// the sent ones fill at least a page, and nothing else holds the
+    /// allocation. Windows into it would keep every sent packet resident
+    /// with the kept ones — a reduce-scatter's first bundle whole to its
+    /// last round — where the per-packet store freed each part as it
+    /// left; below a page there is nothing for the allocator to give back.
+    fn compact(&mut self, at: usize) {
+        /// Words in a 4 KiB page.
+        const PAGE_WORDS: usize = 4096 / std::mem::size_of::<f64>();
+        let entry = &mut self.held[at];
+        let (span, live, len) = (entry.span, entry.live, self.copy_lens[entry.copy]);
+        let sent = (span.len() - live.len()) * len;
+        if 2 * live.len() > span.len() || sent < PAGE_WORDS || entry.data.unique_mut().is_none() {
+            return;
+        }
+        let mut cursor = Cursor::new(live);
+        let data = &entry.data;
+        let runs = std::iter::from_fn(|| {
+            cursor.next_id()?;
+            let (pos, count) = cursor.run(span, live);
+            Some(&data[pos * len..(pos + count) * len])
+        });
+        entry.data = Payload::concat(live.len() * len, runs);
+        entry.span = live;
+    }
+
+    /// Stores `bundle` — the packets `ids` of copy `copy`, ascending — as
+    /// one entry.
+    pub fn try_put_bundle(
+        &mut self,
+        copy: usize,
+        ids: IdMask,
+        bundle: Payload,
+    ) -> Result<(), PacketError> {
+        let want = ids.len() * self.packet_len(copy, ids)?;
+        if bundle.len() != want {
+            return Err(PacketError::LengthMismatch {
+                id: self.global(copy, ids.fixed),
+                got: bundle.len(),
+                want,
+            });
+        }
+        if let Some(first) = self.meeting(copy, ids).map(|ids| ids.fixed).min() {
+            return Err(PacketError::AlreadyFilled {
+                id: self.global(copy, first),
+            });
+        }
+        self.held.push(Entry {
+            copy,
+            span: ids,
+            live: ids,
+            data: bundle,
+        });
+        Ok(())
+    }
+
+    /// [`PacketStore::try_put_bundle`] for a bundle a plan built itself.
+    ///
+    /// # Panics
+    /// Panics with the [`PacketError`] rendering if the bundle does not
+    /// fit: a bug in the plan.
+    pub(crate) fn put_bundle(&mut self, copy: usize, ids: IdMask, bundle: Payload) {
+        if let Err(e) = self.try_put_bundle(copy, ids, bundle) {
+            panic!("PacketStore::put_bundle: {e}");
+        }
+    }
+
+    /// The packets `ids` of copy `copy` as one payload, in ascending id
+    /// order, leaving the store if `consume`: a whole entry as stored, a
+    /// window of one when `ids` are consecutive in it, else one
+    /// concatenation over the entries they cover. A consumed set cut from
+    /// an entry that keeps other packets is copied, and the entries it was
+    /// drawn from are narrowed or split (and may be compacted).
+    pub fn try_bundle(
+        &mut self,
+        copy: usize,
+        ids: IdMask,
+        consume: bool,
+    ) -> Result<Payload, PacketError> {
+        self.packet_len(copy, ids)?;
+        // A whole entry — the one packet a broadcast forwards, a bundle
+        // a gather passes on — is handed over as stored.
+        let whole = |entry: &Entry| entry.copy == copy && entry.span == ids && entry.live == ids;
+        if let Some(at) = self.held.iter().position(whole) {
+            return Ok(match consume {
+                true => self.held.swap_remove(at).data,
+                false => self.held[at].data.clone(),
+            });
+        }
+        self.check_held(copy, ids)?;
+        if !consume {
+            return Ok(self.read(copy, ids));
+        }
+        // Taken from an entry that keeps other packets, a window would
+        // share its words: the packets sent would stay resident as long as
+        // the kept ones, and no sum could land in the kept ones in place.
+        // So such a set is copied, once, as the per-packet store did.
+        let cuts = |entry: &Entry| {
+            entry.copy == copy && entry.live.meet(ids).is_some() && !ids.covers(entry.live)
+        };
+        let bundle = match self.held.iter().any(cuts) {
+            true => self.copied(copy, ids),
+            false => self.read(copy, ids),
+        };
+        self.remove(copy, ids);
+        Ok(bundle)
+    }
+
+    /// `ids` of copy `copy` (all present) copied into one fresh payload.
+    fn copied(&self, copy: usize, ids: IdMask) -> Payload {
+        let len = ids.len() * self.copy_lens[copy];
+        Payload::concat(
+            len,
+            self.spans(copy, ids).map(|(data, lo, hi)| &data[lo..hi]),
+        )
+    }
+
+    /// [`PacketStore::try_bundle`] for sets a schedule has put in the
+    /// store by then, so an absent packet is a schedule bug: it panics,
+    /// naming `context` and the packet (node panics surface as structured
+    /// run failures, not process aborts).
+    pub(crate) fn bundle(
+        &mut self,
+        copy: usize,
+        ids: IdMask,
+        consume: bool,
+        context: std::fmt::Arguments<'_>,
+    ) -> Payload {
+        self.try_bundle(copy, ids, consume)
+            .unwrap_or_else(|e| panic!("{context}: {e}"))
+    }
+
+    /// Adds `bundle` — the packets `ids` of copy `copy`, ascending —
+    /// element-wise into the packets held for them, in one pass: in
+    /// place when one entry holds all of `ids` and owns its words
+    /// outright, otherwise into the bundle itself when nothing else
+    /// shares it (into a copy of it when something does), which then
+    /// replaces what it covered as one entry. Every path computes
+    /// `held + incoming` in that operand order, so sums are bit-identical
+    /// whichever runs, and no payload a caller kept is written through.
+    pub fn try_accumulate(
+        &mut self,
+        copy: usize,
+        ids: IdMask,
+        bundle: Payload,
+    ) -> Result<(), PacketError> {
+        let len = self.packet_len(copy, ids)?;
+        let want = ids.len() * len;
+        if bundle.len() != want {
+            return Err(PacketError::LengthMismatch {
+                id: self.global(copy, ids.fixed),
+                got: bundle.len(),
+                want,
+            });
+        }
+        self.check_held(copy, ids)?;
+        let sole = self
+            .held
+            .iter()
+            .position(|entry| entry.copy == copy && entry.live.covers(ids));
+        if let Some(entry) = sole.map(|at| &mut self.held[at]) {
+            let (span, live) = (entry.span, entry.live);
+            if let Some(words) = entry.data.unique_mut() {
+                let (mut cursor, mut at) = (Cursor::new(ids), 0);
+                while cursor.next_id().is_some() {
+                    let (pos, count) = cursor.run(span, live);
+                    let sum = &mut words[pos * len..(pos + count) * len];
+                    let piece = &bundle[at..at + count * len];
+                    sum.iter_mut().zip(piece).for_each(|(s, p)| *s += p);
+                    at += count * len;
+                }
+                return Ok(());
+            }
+        }
+        let mut sum = bundle;
+        if sum.unique_mut().is_none() {
+            sum = Payload::concat(want, [&sum[..]]);
+        }
+        #[allow(
+            clippy::expect_used,
+            reason = "`sum` is inline, the sole owner, or the fresh copy made just above"
+        )]
+        let words = sum.unique_mut().expect("a fresh or unshared bundle");
+        let mut at = 0;
+        for (held, lo, hi) in self.spans(copy, ids) {
+            let piece = &mut words[at..at + hi - lo];
+            #[allow(
+                clippy::assign_op_pattern,
+                reason = "`held + incoming`, in that operand order, like every other path"
+            )]
+            piece
+                .iter_mut()
+                .zip(&held[lo..hi])
+                .for_each(|(p, h)| *p = h + *p);
+            at += hi - lo;
+        }
+        self.remove(copy, ids);
+        self.held.push(Entry {
+            copy,
+            span: ids,
+            live: ids,
+            data: sum,
+        });
+        Ok(())
+    }
+
     /// Fills slot `id` with an initial payload.
     ///
     /// # Panics
@@ -217,43 +616,8 @@ impl PacketStore {
     /// Fallible [`PacketStore::put`]: reports malformed accesses as a
     /// typed [`PacketError`] instead of panicking.
     pub fn try_put(&mut self, id: usize, payload: Payload) -> Result<(), PacketError> {
-        let want = self.try_expected_len(id)?;
-        if payload.len() != want {
-            return Err(PacketError::LengthMismatch {
-                id,
-                got: payload.len(),
-                want,
-            });
-        }
-        if self.cell_of(id).is_some() {
-            return Err(PacketError::AlreadyFilled { id });
-        }
-        self.held.push((id, payload));
-        if self.held.len() * 2 > self.index.len() {
-            self.reindex(self.index.len() * 2);
-        } else {
-            self.link(self.held.len() - 1);
-        }
-        Ok(())
-    }
-
-    /// Replaces the index with one of at least `cells` cells.
-    fn reindex(&mut self, cells: usize) {
-        self.index = vec![0; cells.next_power_of_two().max(8)];
-        (0..self.held.len()).for_each(|at| self.link(at));
-    }
-
-    /// Makes room for `more` packets beyond those present. Worth calling
-    /// with what a node is about to put anyway; reserving for arrivals
-    /// of the *last* round costs memory instead — grown on demand, that
-    /// last doubling lives from one node's final round to its finish,
-    /// reserved it is resident on every node for the whole collective.
-    pub(crate) fn reserve(&mut self, more: usize) {
-        self.held.reserve_exact(more);
-        let cells = (self.held.len() + more) * 2;
-        if cells > self.index.len() {
-            self.reindex(cells);
-        }
+        let (copy, ids) = self.locate(id)?;
+        self.try_put_bundle(copy, ids, payload)
     }
 
     /// Removes and returns packet `id` (`None` when the slot is empty).
@@ -269,72 +633,104 @@ impl PacketStore {
     /// Fallible [`PacketStore::take`]: `Ok(None)` when the slot exists
     /// but is empty, `Err` when the slot does not exist at all.
     pub fn try_take(&mut self, id: usize) -> Result<Option<Payload>, PacketError> {
-        self.try_expected_len(id)?;
-        let Some(cell) = self.cell_of(id) else {
-            return Ok(None);
-        };
-        let at = self.index[cell] as usize - 1;
-        self.unlink(cell);
-        // `swap_remove` moves the last packet into the hole: re-point
-        // its cell first, while `held` still agrees with the index.
-        let last = self.held.len() - 1;
-        if at != last {
-            if let Some(cell) = self.cell_of(self.held[last].0) {
-                self.index[cell] = at as u32 + 1;
+        let (copy, ids) = self.locate(id)?;
+        match self.try_bundle(copy, ids, true) {
+            Ok(packet) => Ok(Some(packet)),
+            Err(PacketError::Absent { .. }) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Returns packet `id` if present: a window of the entry holding it.
+    pub fn get(&self, id: usize) -> Option<Payload> {
+        let (copy, ids) = self.locate(id).ok()?;
+        self.find(copy, ids.fixed)?;
+        Some(self.read(copy, ids))
+    }
+
+    /// Panics, naming `context`, unless every copy holds all of `ids`.
+    fn check_every_copy(&self, ids: IdMask, context: std::fmt::Arguments<'_>) {
+        for copy in 0..self.copy_lens.len() {
+            if let Err(e) = self.check_held(copy, ids) {
+                panic!("{context}: {e}");
             }
         }
-        Ok(Some(self.held.swap_remove(at).1))
     }
 
-    /// Returns a clone of packet `id` if present.
-    pub fn get(&self, id: usize) -> Option<Payload> {
-        self.peek(id).cloned()
-    }
-
-    /// Borrows packet `id` if present.
-    fn peek(&self, id: usize) -> Option<&Payload> {
-        self.position(id).map(|at| &self.held[at].1)
-    }
-
-    /// Mutably borrows packet `id` if present.
-    fn peek_mut(&mut self, id: usize) -> Option<&mut Payload> {
-        self.position(id).map(|at| &mut self.held[at].1)
-    }
-
-    /// Packets `ids` as one payload, in order, leaving the store if
-    /// `consume`. A single packet is returned as stored; several are
-    /// joined by [`Payload::concat`]: packets that are consecutive
-    /// windows of one allocation come back as their span with no copy
-    /// (a multi-port broadcast's slices at the finish), anything else as
-    /// one exactly-sized allocation with one copy of each word.
-    ///
-    /// Both callers — a round's sends and the finish paths — only name
-    /// packets the schedule has put in this store by then, so an absent one
-    /// is a schedule bug, not a runtime condition: it panics, naming
-    /// `context` and the packet (node panics surface as structured run
-    /// failures, not process aborts).
+    /// The messages `ids` name, in ascending id order, each reassembled
+    /// from its slice in every copy: how a finish hands out what its
+    /// copies carried. With one copy every message is a window of the
+    /// entry holding it; with several, a window of
+    /// [`PacketStore::message`]'s one payload.
     ///
     /// # Panics
-    /// Panics if a packet is absent or out of range.
-    pub(crate) fn bundle(
-        &mut self,
-        ids: impl Iterator<Item = usize> + Clone,
-        consume: bool,
-        context: std::fmt::Arguments<'_>,
-    ) -> Payload {
-        let absent = |id: usize| -> ! { panic!("{context}: packet {id} not present") };
-        let mut probe = ids.clone();
-        if let (Some(id), None) = (probe.next(), probe.next()) {
-            let packet = if consume { self.take(id) } else { self.get(id) };
-            return packet.unwrap_or_else(|| absent(id));
+    /// Panics, naming `context`, if a copy misses one of `ids` — a
+    /// schedule bug.
+    pub(crate) fn messages(&self, ids: IdMask, context: std::fmt::Arguments<'_>) -> Vec<Payload> {
+        if let [len] = self.copy_lens[..] {
+            self.check_every_copy(ids, context);
+            let mut out = Vec::with_capacity(ids.len());
+            for (data, pos, count) in self.runs(0, ids) {
+                out.extend((pos..pos + count).map(|at| data.slice(at * len, (at + 1) * len)));
+            }
+            return out;
         }
-        let len = ids.clone().map(|id| self.expected_len(id)).sum();
-        let packet = |id| self.peek(id).unwrap_or_else(|| absent(id));
-        let bundle = Payload::concat(len, ids.clone().map(packet));
-        if consume {
-            ids.for_each(|id| drop(self.take(id)));
+        let all = self.message(ids, context);
+        let len: usize = self.copy_lens.iter().sum();
+        (0..ids.len())
+            .map(|k| all.slice(k * len, (k + 1) * len))
+            .collect()
+    }
+
+    /// The messages `ids` name back to back in one payload — what
+    /// [`PacketStore::messages`] returns, joined — read off the entries
+    /// without building the messages first. One message of several
+    /// copies is joined by [`Payload::concat`], so slices that are
+    /// consecutive windows of one allocation come back as their span.
+    ///
+    /// # Panics
+    /// Panics, naming `context`, if a copy misses one of `ids` — a
+    /// schedule bug.
+    pub(crate) fn message(&self, ids: IdMask, context: std::fmt::Arguments<'_>) -> Payload {
+        self.check_every_copy(ids, context);
+        if let [_] = self.copy_lens[..] {
+            // A window of an entry that consuming sends have narrowed
+            // would keep the words they took alive with the result — a
+            // reduce-scatter's whole first bundle behind its one part —
+            // so the result is copied out of such an entry instead.
+            let narrowed =
+                |entry: &Entry| entry.live != entry.span && entry.live.meet(ids).is_some();
+            return match self.held.iter().any(narrowed) {
+                true => self.copied(0, ids),
+                false => self.read(0, ids),
+            };
         }
-        bundle
+        let len: usize = self.copy_lens.iter().sum();
+        if ids.len() == 1 {
+            let slices = (0..self.copy_lens.len()).flat_map(|copy| self.spans(copy, ids));
+            return Payload::concat(len, slices);
+        }
+        // Message k takes its slice of copy c at k·len + (the slices of
+        // the copies before c): a copy's packets land in place, run by
+        // run, with no per-message join.
+        let mut words: Arc<[f64]> = std::iter::repeat_n(0.0, ids.len() * len).collect();
+        #[allow(
+            clippy::expect_used,
+            reason = "the Arc was created on the line above and has not been cloned"
+        )]
+        let out = Arc::get_mut(&mut words).expect("fresh allocation");
+        let mut before = 0;
+        for (copy, &slice) in self.copy_lens.iter().enumerate() {
+            let mut at = before;
+            for (data, pos, count) in self.runs(copy, ids) {
+                for packet in data[pos * slice..(pos + count) * slice].chunks_exact(slice.max(1)) {
+                    out[at..at + slice].copy_from_slice(packet);
+                    at += len;
+                }
+            }
+            before += slice;
+        }
+        Payload::from(words)
     }
 }
 
@@ -412,10 +808,14 @@ impl Xfer {
 pub struct CollectiveRun {
     schema: CollSchema,
     port: PortModel,
-    sc: Subcube,
+    /// This node's label, and the machine dimension of each rank bit of
+    /// the subcube (its first `delta`): every peer is `me` with one of
+    /// them flipped.
+    me: usize,
+    dims: [u8; usize::BITS as usize],
+    delta: u32,
     /// This node's relative rank, `rank ⊕ root`.
     v: usize,
-    root: usize,
     base: u64,
     /// Packets, and the slice length of each copy.
     pub(crate) store: PacketStore,
@@ -443,14 +843,28 @@ impl CollectiveRun {
                 hi - lo
             })
             .collect();
+        let mut store = PacketStore::new(slice_lens, schema.kind.ids_per_copy(sc.dim()));
+        // What a node holds at most per copy: its own bundle plus one
+        // received per round where receives fill, one entry where they
+        // narrow it or sum into it.
+        let entries = match kind {
+            CollKind::Allgather | CollKind::Gather | CollKind::Alltoall => sc.dim() as usize + 1,
+            _ => 1,
+        };
+        store.reserve(nc * entries);
+        let mut dims = [0; usize::BITS as usize];
+        for (at, &dim) in dims.iter_mut().zip(sc.dims()) {
+            *at = dim as u8;
+        }
         CollectiveRun {
             schema,
             port,
-            sc: sc.clone(),
+            me,
+            dims,
+            delta: sc.dim(),
             v: sc.rank_of(me) ^ root,
-            root,
             base,
-            store: PacketStore::new(slice_lens, schema.kind.ids_per_copy(sc.dim())),
+            store,
         }
     }
 
@@ -462,19 +876,23 @@ impl CollectiveRun {
     /// The copies the message is sliced across: one, or `δ` rotated
     /// link-disjoint copies (multi-port).
     pub(crate) fn ncopies(&self) -> usize {
-        self.schema.ncopies(self.port, self.sc.dim())
+        self.schema.ncopies(self.port, self.delta)
     }
 
     /// Rounds this run takes part in.
     pub fn rounds(&self) -> usize {
-        self.schema.rounds(self.sc.dim())
+        self.schema.rounds(self.delta)
     }
 
     /// This node's transfer for copy `c` in round `r`, if it has one.
     fn xfer(&self, r: usize, c: usize) -> Option<Xfer> {
-        let x = self.schema.xfer(self.sc.dim(), r, c, self.v)?;
+        let x = self.schema.xfer(self.delta, r, c, self.v)?;
+        // A reference schema's peer differs from this node in one rank
+        // bit, so its label differs in that bit's dimension.
+        let bit = x.peer_v ^ self.v;
+        debug_assert_eq!(bit.count_ones(), 1, "a transfer crosses one dimension");
         Some(Xfer {
-            peer: self.sc.member(x.peer_v ^ self.root),
+            peer: self.me ^ (1 << self.dims[bit.trailing_zeros() as usize]),
             tag: round_tag(self.base, r as u32, c as u32),
             offset: c * self.store.per_copy,
             send: x.send,
@@ -487,47 +905,49 @@ impl CollectiveRun {
     pub fn xfers(&self, r: usize) -> impl Iterator<Item = Xfer> + '_ {
         (0..self.ncopies()).filter_map(move |c| self.xfer(r, c))
     }
-}
 
-/// Delivers the `bundle` received for `xfer` in round `r` into the
-/// store. The packets are windows of the bundle: no word is copied.
-fn deliver(store: &mut PacketStore, mode: RecvMode, xfer: &Xfer, bundle: &Payload, r: usize) {
-    let Some(ids) = xfer.recv else {
-        return;
-    };
-    // Every id of one copy has the copy's slice length.
-    let len = store.expected_len(xfer.offset + ids.fixed);
-    assert_eq!(
-        bundle.len(),
-        ids.len() * len,
-        "round {r}: bundle length mismatch from node {}",
-        xfer.peer
-    );
-    for (at, id) in ids.ids(xfer.offset).enumerate() {
-        let piece = bundle.slice(at * len, (at + 1) * len);
-        match mode {
-            RecvMode::Fill => store.put(id, piece),
-            RecvMode::Accumulate => {
-                let sum = store
-                    .peek_mut(id)
-                    .unwrap_or_else(|| panic!("accumulate target {id} missing"));
-                accumulate(sum, &piece);
-            }
-        }
+    /// The copy `xfer` belongs to.
+    fn copy_of(&self, xfer: &Xfer) -> usize {
+        xfer.offset / self.store.per_copy
     }
-}
 
-/// `sum[i] = sum[i] + piece[i]`: in place when `sum` owns its words
-/// outright, into a fresh allocation when something else (the caller's
-/// input, a sibling window) still shares them. Same operand order either
-/// way, so reductions are bit-identical whichever path runs.
-fn accumulate(sum: &mut Payload, piece: &[f64]) {
-    assert_eq!(sum.len(), piece.len(), "reduction operand length mismatch");
-    match sum.unique_mut() {
-        Some(words) => words.iter_mut().zip(piece).for_each(|(s, p)| *s += p),
-        None => {
-            let fresh: Arc<[f64]> = sum.iter().zip(piece).map(|(s, p)| s + p).collect();
-            *sum = Payload::from(fresh);
+    /// The bundle `xfer` (one of round `r`'s) sends, `None` for a pure
+    /// receive: its packets in ascending id order, taken from the store
+    /// where the kind consumes its sends. This and
+    /// [`CollectiveRun::deliver`] are the executor's two halves of a
+    /// transfer, public so a round can be replayed without a machine.
+    ///
+    /// # Panics
+    /// Panics, naming the round, if the store misses a packet `xfer`
+    /// sends — a schedule bug.
+    pub fn outgoing(&mut self, r: usize, xfer: &Xfer) -> Option<Payload> {
+        let ids = xfer.send?;
+        let copy = self.copy_of(xfer);
+        let consume = self.schema.kind.consume_sends();
+        Some(
+            self.store
+                .bundle(copy, ids, consume, format_args!("round {r} send")),
+        )
+    }
+
+    /// Lands `bundle`, received for `xfer` in round `r`, in the store:
+    /// as one entry where the kind fills, summed into the packets held
+    /// for it where the kind reduces. A pure send receives nothing.
+    ///
+    /// # Panics
+    /// Panics, naming the round and the peer, if the bundle does not fit
+    /// the store — a schedule bug.
+    pub fn deliver(&mut self, r: usize, xfer: &Xfer, bundle: Payload) {
+        let Some(ids) = xfer.recv else {
+            return;
+        };
+        let copy = self.copy_of(xfer);
+        let landed = match self.schema.kind.recv_mode() {
+            RecvMode::Fill => self.store.try_put_bundle(copy, ids, bundle),
+            RecvMode::Accumulate => self.store.try_accumulate(copy, ids, bundle),
+        };
+        if let Err(e) = landed {
+            panic!("round {r}: bundle from node {}: {e}", xfer.peer);
         }
     }
 }
@@ -537,19 +957,20 @@ fn accumulate(sum: &mut Payload, piece: &[f64]) {
 /// must fuse the same set of collectives in the same order.
 pub async fn execute_fused(proc: &mut Proc, runs: &mut [&mut CollectiveRun]) {
     let max_rounds = runs.iter().map(|run| run.rounds()).max().unwrap_or(0);
-    // (run index, transfer) for every transfer of a round, in op order.
-    let mut round: Vec<(usize, Xfer)> =
-        Vec::with_capacity(runs.iter().map(|run| run.ncopies()).sum());
+    // (run index, transfer) for every transfer of a round, in op order,
+    // and the batch and its results: all three reused round to round,
+    // so a round this node sits out still takes its step,
+    // allocation-free.
+    let copies = runs.iter().map(|run| run.ncopies()).sum();
+    let mut round: Vec<(usize, Xfer)> = Vec::with_capacity(copies);
+    let mut ops: Vec<Op> = Vec::with_capacity(2 * copies);
+    let mut results: Vec<Option<Payload>> = Vec::with_capacity(2 * copies);
     for r in 0..max_rounds {
         round.clear();
         for (ri, run) in runs.iter().enumerate() {
             round.extend(run.xfers(r).map(|xfer| (ri, xfer)));
         }
-        // Build the batch: all sends (across runs), then all receives. A
-        // round this node sits out still takes its step, allocation-free.
-        let sides =
-            |(_, x): &(usize, Xfer)| usize::from(x.send.is_some()) + usize::from(x.recv.is_some());
-        let mut ops: Vec<Op> = Vec::with_capacity(round.iter().map(sides).sum());
+        // Build the batch: all sends (across runs), then all receives.
         for (ri, xfer) in &round {
             let run = &mut *runs[*ri];
             // Self-check every transfer in debug builds: a malformed
@@ -560,15 +981,7 @@ pub async fn execute_fused(proc: &mut Proc, runs: &mut [&mut CollectiveRun]) {
             if let Err(e) = xfer.validate_local(proc.id(), proc.p(), &run.store) {
                 panic!("execute_fused: malformed transfer in round {r}: {e}");
             }
-            if let Some(ids) = xfer.send {
-                // One packet travels as stored; several are bundled — the
-                // single copy a word sees on its way to the peer.
-                let consume = run.schema.kind.consume_sends();
-                let data = run.store.bundle(
-                    ids.ids(xfer.offset),
-                    consume,
-                    format_args!("round {r} send"),
-                );
+            if let Some(data) = run.outgoing(r, xfer) {
                 ops.push(Op::Send {
                     to: xfer.peer,
                     tag: xfer.tag,
@@ -582,16 +995,9 @@ pub async fn execute_fused(proc: &mut Proc, runs: &mut [&mut CollectiveRun]) {
             tag: xfer.tag,
         }));
 
-        let results = proc.multi(ops).await;
-        for ((ri, xfer), bundle) in recvs().zip(results.into_iter().flatten()) {
-            let run = &mut *runs[*ri];
-            deliver(
-                &mut run.store,
-                run.schema.kind.recv_mode(),
-                xfer,
-                &bundle,
-                r,
-            );
+        proc.multi_into(&mut ops, &mut results).await;
+        for ((ri, xfer), bundle) in recvs().zip(results.drain(..).flatten()) {
+            runs[*ri].deliver(r, xfer, bundle);
         }
     }
 }
@@ -660,17 +1066,17 @@ mod tests {
         // 3 copies × 1000 ids, of which this "node" touches four.
         let mut store = PacketStore::new(vec![4, 2, 3], 1000);
         assert_eq!(store.len(), 3000);
-        assert_eq!(store.held.len(), 0);
+        assert_eq!(store.entries(), 0);
         for id in [1999, 7, 2000, 1000] {
             let len = store.expected_len(id);
             // Empty-but-addressable before the first arrival.
             assert_eq!(store.try_take(id), Ok(None));
             assert_eq!(store.try_put(id, payload(len)), Ok(()));
         }
-        assert_eq!(store.held.len(), 4);
+        assert_eq!(store.entries(), 4);
         // take → put → put on the same id.
         assert_eq!(store.try_take(7).map(|p| p.map(|p| p.len())), Ok(Some(4)));
-        assert_eq!(store.held.len(), 3);
+        assert_eq!(store.entries(), 3);
         assert_eq!(store.try_take(7), Ok(None));
         assert_eq!(
             store.try_put(7, payload(2)),
@@ -685,7 +1091,7 @@ mod tests {
             store.try_put(7, payload(4)),
             Err(PacketError::AlreadyFilled { id: 7 })
         );
-        assert_eq!(store.held.len(), 4);
+        assert_eq!(store.entries(), 4);
         let oob = PacketError::OutOfRange {
             id: 3000,
             slots: 3000,
@@ -696,9 +1102,9 @@ mod tests {
 
     #[test]
     fn every_present_id_stays_findable_through_growth_and_removal() {
-        // Strided ids (the all-to-all pattern) through several index
-        // doublings, then an interleaving of removals and arrivals that
-        // exercises the backward shift and the swap-remove re-pointing.
+        // Strided single-packet entries (the all-to-all pattern), then an
+        // interleaving of removals and arrivals that exercises the
+        // swap-remove of whole entries.
         let tag = |id: usize| Payload::from([id as f64]);
         let mut store = PacketStore::new(vec![1], 64 * 64);
         let mut present: Vec<usize> = (0..64).map(|dest| dest * 64 + 5).collect();
@@ -723,7 +1129,7 @@ mod tests {
                 let id = present.swap_remove(pick % present.len());
                 assert_eq!(store.take(id), Some(tag(id)));
             }
-            assert_eq!(store.held.len(), present.len());
+            assert_eq!(store.entries(), present.len());
             for &id in &present {
                 assert_eq!(store.get(id), Some(tag(id)), "step {step}");
             }
@@ -732,30 +1138,43 @@ mod tests {
 
     #[test]
     fn accumulate_adds_in_place_only_when_unshared() {
-        let piece: Payload = (0..12).map(|x| f64::from(x) * 0.5).collect();
+        let piece = || -> Payload { (0..12).map(|x| f64::from(x) * 0.5).collect() };
         let want: Vec<f64> = (0..12).map(|x| f64::from(x) + f64::from(x) * 0.5).collect();
+        let words_at = |store: &PacketStore| store.get(0).map(|p| p.as_ptr() as usize);
 
         // Sole owner: the sum lands in the same allocation.
-        let mut sum = payload(12);
-        let before = sum.as_ptr();
-        accumulate(&mut sum, &piece);
-        assert_eq!(&sum[..], &want[..]);
-        assert_eq!(sum.as_ptr(), before);
+        let mut store = PacketStore::new(vec![12], 1);
+        store.put(0, payload(12));
+        let before = words_at(&store);
+        assert_eq!(store.try_accumulate(0, IdMask::single(0), piece()), Ok(()));
+        assert_eq!(store.get(0).as_deref(), Some(&want[..]));
+        assert_eq!(words_at(&store), before);
 
-        // Shared with a caller's clone: the clone must not see the sum.
+        // Shared with a caller's clone: the clone must not see the sum,
+        // which lands in the incoming bundle instead.
         let held = payload(12);
-        let mut sum = held.clone();
-        accumulate(&mut sum, &piece);
-        assert_eq!(&sum[..], &want[..]);
+        let mut store = PacketStore::new(vec![12], 1);
+        store.put(0, held.clone());
+        let incoming = piece();
+        let incoming_at = incoming.as_ptr() as usize;
+        assert_eq!(store.try_accumulate(0, IdMask::single(0), incoming), Ok(()));
+        assert_eq!(store.get(0).as_deref(), Some(&want[..]));
+        assert_eq!(words_at(&store), Some(incoming_at));
         assert_eq!(held, payload(12));
 
-        // Shared with a sibling window of the same bundle.
+        // Shared with a sibling window of the same bundle, the incoming
+        // bundle shared too: a fresh allocation, neither written.
         let bundle = payload(24);
-        let (mut low, high) = (bundle.slice(0, 12), bundle.slice(12, 24));
+        let (low, high) = (bundle.slice(0, 12), bundle.slice(12, 24));
         drop(bundle);
-        accumulate(&mut low, &piece);
-        assert_eq!(&low[..], &want[..]);
+        let mut store = PacketStore::new(vec![12], 1);
+        store.put(0, low);
+        let incoming = piece();
+        let kept = incoming.clone();
+        assert_eq!(store.try_accumulate(0, IdMask::single(0), incoming), Ok(()));
+        assert_eq!(store.get(0).as_deref(), Some(&want[..]));
         assert_eq!(&high[..], &payload(24)[12..]);
+        assert_eq!(kept, piece());
     }
 
     #[test]

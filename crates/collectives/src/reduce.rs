@@ -6,7 +6,7 @@ use cubemm_topology::Subcube;
 
 use crate::chunk;
 use crate::plan::{execute, CollectiveRun};
-use crate::schema::CollKind;
+use crate::schema::{CollKind, IdMask};
 
 /// A planned reduction, ready to execute (possibly fused with others).
 #[derive(Debug)]
@@ -22,15 +22,14 @@ impl ReduceRun {
     }
 
     /// Extracts the sum at the root (`None` elsewhere) after execution.
-    pub fn finish(mut self) -> Option<Payload> {
+    pub fn finish(self) -> Option<Payload> {
         if !self.is_root {
             return None;
         }
-        let slices = 0..self.inner.ncopies();
         Some(
             self.inner
                 .store
-                .bundle(slices, true, format_args!("reduce finish at the root")),
+                .message(IdMask::single(0), format_args!("reduce finish at the root")),
         )
     }
 }

@@ -3,15 +3,14 @@
 use cubemm_simnet::{Payload, PortModel, Proc};
 use cubemm_topology::Subcube;
 
-use crate::chunk;
+use crate::chunk_span;
 use crate::plan::{execute, CollectiveRun};
-use crate::schema::CollKind;
+use crate::schema::{CollKind, IdMask};
 
 /// A planned scatter, ready to execute (possibly fused with others).
 #[derive(Debug)]
 pub struct ScatterRun {
     inner: CollectiveRun,
-    n: usize,
     v: usize,
 }
 
@@ -22,16 +21,16 @@ impl ScatterRun {
     }
 
     /// Extracts this node's part after execution.
-    pub fn finish(mut self) -> Payload {
-        let slices = (0..self.inner.ncopies()).map(|c| c * self.n + self.v);
+    pub fn finish(self) -> Payload {
         self.inner
             .store
-            .bundle(slices, true, format_args!("scatter finish"))
+            .message(IdMask::single(self.v), format_args!("scatter finish"))
     }
 }
 
 /// Compiles the SBT scatter for this node. Packet `(c, u)` is slice `c`
-/// of the part for *relative* rank `u`.
+/// of the part for *relative* rank `u`; at the root each copy starts as
+/// one bundle of all `n`.
 pub fn scatter_plan(
     port: PortModel,
     sc: &Subcube,
@@ -56,14 +55,11 @@ pub fn scatter_plan(
         for part in &parts {
             assert_eq!(part.len(), part_len, "scatter parts must have equal length");
         }
-        inner.store.reserve(ncopies * n);
-        for u in 0..n {
+        for c in 0..ncopies {
             // Relative rank u corresponds to actual rank u ^ root.
-            for c in 0..ncopies {
-                inner
-                    .store
-                    .put(c * n + u, chunk(&parts[u ^ root], ncopies, c));
-            }
+            let slices = (0..n).map(|u| chunk_span(&parts[u ^ root], ncopies, c));
+            let bundle = Payload::concat(n * inner.store.expected_len(c * n), slices);
+            inner.store.put_bundle(c, IdMask::below(n), bundle);
         }
     } else {
         assert!(parts.is_none(), "non-root nodes must not supply parts");
@@ -71,7 +67,6 @@ pub fn scatter_plan(
 
     ScatterRun {
         inner,
-        n,
         v: my_rank ^ root,
     }
 }

@@ -178,6 +178,16 @@ impl IdMask {
         IdMask { fixed: id, free: 0 }
     }
 
+    /// Every id below `n`, a power of two: one per rank of an `n`-node
+    /// subcube.
+    pub(crate) fn below(n: usize) -> IdMask {
+        debug_assert!(n.is_power_of_two());
+        IdMask {
+            fixed: 0,
+            free: n - 1,
+        }
+    }
+
     /// How many ids the set holds: `2^popcount(free)`.
     #[allow(
         clippy::len_without_is_empty,
@@ -191,6 +201,30 @@ impl IdMask {
     /// id). The length is exact, so collecting allocates once.
     pub fn ids(&self, offset: usize) -> impl ExactSizeIterator<Item = usize> + Clone {
         submasks(self.fixed, self.free).map(move |id| offset + id)
+    }
+
+    /// The largest id of the set.
+    pub(crate) fn last(&self) -> usize {
+        self.fixed | self.free
+    }
+
+    /// Whether `id` is in the set.
+    pub(crate) fn contains(&self, id: usize) -> bool {
+        id & !self.free == self.fixed
+    }
+
+    /// Whether every id of `other` is in the set.
+    pub(crate) fn covers(&self, other: IdMask) -> bool {
+        other.free & !self.free == 0 && self.contains(other.fixed)
+    }
+
+    /// The ids both sets hold, if they share any: the two agree wherever
+    /// neither is free.
+    pub(crate) fn meet(&self, other: IdMask) -> Option<IdMask> {
+        ((self.fixed ^ other.fixed) & !(self.free | other.free) == 0).then_some(IdMask {
+            fixed: self.fixed | other.fixed,
+            free: self.free & other.free,
+        })
     }
 }
 
@@ -308,6 +342,19 @@ impl CollSchema {
         }
     }
 
+    /// The dimensions rounds `0..r` of copy `c` peel on a `d`-cube
+    /// (`r < d`), as a mask: `r` consecutive dimensions, rotated —
+    /// forward from `c`, or for the "up" shapes backward from `c − 1`.
+    fn done(&self, d: usize, c: usize, r: usize) -> usize {
+        let first = match self.kind.reverse_order() {
+            true => (c + d - r) % d,
+            false => c % d,
+        };
+        let run = (1usize << r) - 1;
+        let wrapped = run.checked_shr((d - first) as u32).unwrap_or(0);
+        ((run << first) | wrapped) & ((1usize << d) - 1)
+    }
+
     /// The guard function — the one place the seven schedules are
     /// written down. For relative rank `v` in round `r` of copy `c` on
     /// a `δ`-cube it returns the transfer across the round's dimension,
@@ -338,7 +385,7 @@ impl CollSchema {
             return None;
         }
         let bit = 1usize << self.dim_at(d, c, r);
-        let done: usize = (0..r).map(|i| 1usize << self.dim_at(d, c, i)).sum();
+        let done = self.done(d, c, r);
         let rest = ((1usize << d) - 1) & !(done | bit);
         let peer = v ^ bit;
         let one_way = |sender: bool, ids: IdMask| XferShape {
@@ -478,6 +525,21 @@ mod tests {
                     dims.sort_unstable();
                     dims.dedup();
                     assert_eq!(dims.len(), delta as usize, "{kind:?} δ={delta} r={r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn peeled_dimensions_are_a_rotated_run() {
+        for kind in CollKind::ALL {
+            let s = CollSchema::reference(kind);
+            for d in 1..=12 {
+                for c in 0..d {
+                    for r in 0..d {
+                        let walked: usize = (0..r).map(|i| 1usize << s.dim_at(d, c, i)).sum();
+                        assert_eq!(s.done(d, c, r), walked, "{kind:?} d={d} c={c} r={r}");
+                    }
                 }
             }
         }

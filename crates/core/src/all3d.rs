@@ -27,7 +27,7 @@ use cubemm_dense::{partition, Matrix, MatrixView};
 use cubemm_simnet::Payload;
 use cubemm_topology::Grid3;
 
-use crate::util::{concat_cols, phase_tag, require_divides, square_order, to_matrix};
+use crate::util::{col_groups, concat_cols, phase_tag, require_divides, square_order, to_matrix};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates that 3-D All can run `n × n` matrices on `p` processors.
@@ -110,10 +110,7 @@ pub fn multiply(
 
         // Phase 3: all-to-all reduction along y (column group l to rank
         // l) — this node ends with C_{k,f(i,j)}.
-        let parts: Vec<Payload> = (0..q)
-            .map(|l| partition::col_group(&outer, q, l).into_payload().into())
-            .collect();
-        reduce_scatter(&mut proc, &y_line, phase_tag(3), parts).await
+        reduce_scatter(&mut proc, &y_line, phase_tag(3), col_groups(&outer, q)).await
     })?;
 
     let mut c = Matrix::zeros(n, n);

@@ -34,7 +34,7 @@ use cubemm_topology::SupernodeGrid;
 use crate::cannon::cannon_phase;
 use crate::dns_cannon::mesh_split;
 use crate::util::{
-    concat_cols, delivered, phase_tag, require_divides, square_order, stack_rows, to_matrix,
+    col_groups, concat_cols, delivered, phase_tag, require_divides, square_order, to_matrix,
 };
 use crate::{AlgoError, MachineConfig, RunResult};
 
@@ -157,7 +157,7 @@ pub fn multiply_with_mesh(
         // operands (both are n/(g·qm) square): the pr × pc A pieces side
         // by side, the pc × g·pc B strips stacked.
         let a_cat = concat_cols(pr, &ga.finish());
-        let b_stack = stack_rows(&gb.finish());
+        let b_stack = gb.finish_stacked();
         proc.track_peak_words(2 * pr * pc + a_cat.len() + b_stack.len());
 
         // Multiply stage: Cannon inside the supernode mesh on the
@@ -169,11 +169,8 @@ pub fn multiply_with_mesh(
 
         // Phase 3: all-to-all reduction along super-y — column group l of
         // the outer-product piece to super rank l.
-        let parts: Vec<Payload> = (0..g)
-            .map(|l| partition::col_group(&outer, g, l).into_payload().into())
-            .collect();
         let y_line = grid.super_y_line(me);
-        reduce_scatter(&mut proc, &y_line, phase_tag(7), parts).await
+        reduce_scatter(&mut proc, &y_line, phase_tag(7), col_groups(&outer, g)).await
     })?;
 
     // The mesh layout of C comes out row-major over (y, j): node

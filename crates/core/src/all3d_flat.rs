@@ -26,7 +26,7 @@ use cubemm_dense::{partition, Matrix, MatrixView};
 use cubemm_simnet::Payload;
 use cubemm_topology::FlatGrid3;
 
-use crate::util::{concat_cols, phase_tag, require_divides, square_order, stack_rows, to_matrix};
+use crate::util::{col_groups, concat_cols, phase_tag, require_divides, square_order, to_matrix};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates the flat variant for `(n, p)`.
@@ -90,8 +90,7 @@ pub fn multiply(
             execute_fused(&mut proc, &mut [ga.run_mut(), gb.run_mut()]).await;
             // Rank k_hi ↔ row group k_hi·g + j. Stack vertically: rows of
             // B[S_j, i-band], a g·w × g·w tile.
-            let strips = gb.finish();
-            let stacked = stack_rows(&strips);
+            let stacked = gb.finish_stacked();
             // Phase 3a: broadcast the tile along the z-low subcube.
             let z_low = grid.z_low_line(me);
             let _ = cubemm_collectives::bcast(
@@ -157,10 +156,13 @@ async fn finish(
 
     // Reduce-scatter along y: column group l to rank l.
     let y_line = grid.y_line(proc.id());
-    let parts: Vec<Payload> = (0..g)
-        .map(|l| partition::col_group(&outer, g, l).into_payload().into())
-        .collect();
-    reduce_scatter(proc, &y_line, crate::util::phase_tag(4), parts).await
+    reduce_scatter(
+        proc,
+        &y_line,
+        crate::util::phase_tag(4),
+        col_groups(&outer, g),
+    )
+    .await
 }
 
 #[cfg(test)]

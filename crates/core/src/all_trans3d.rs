@@ -23,7 +23,8 @@ use cubemm_simnet::Payload;
 use cubemm_topology::Grid3;
 
 use crate::util::{
-    concat_cols, delivered, phase_tag, require_divides, square_order, stack_rows, to_matrix,
+    col_groups, concat_cols, delivered, phase_tag, require_divides, square_order, stack_rows,
+    to_matrix,
 };
 use crate::{AlgoError, MachineConfig, RunResult};
 
@@ -195,10 +196,7 @@ async fn program(
         // Phase 3: all-to-all reduction along y; destination rank l gets
         // column group l, so this node ends with C_{k,f(i,j)}.
         let y_line = grid.y_line(i, k);
-        let parts: Vec<Payload> = (0..q)
-            .map(|l| partition::col_group(&outer, q, l).into_payload().into())
-            .collect();
-        reduce_scatter(proc, &y_line, phase_tag(3), parts).await
+        reduce_scatter(proc, &y_line, phase_tag(3), col_groups(&outer, q)).await
     }
 }
 

@@ -11,12 +11,12 @@
 //! Applicability: `p^{2/3} | n` (blocks of shape `n/∛p × n/p^{2/3}`),
 //! which implies the paper's `p ≤ n^{3/2}`.
 
-use cubemm_dense::{partition, Matrix};
+use cubemm_dense::Matrix;
 use cubemm_simnet::Payload;
 use cubemm_topology::Grid3;
 
 use crate::cannon::cannon_phase;
-use crate::util::{phase_tag, require_divides, square_order, to_matrix};
+use crate::util::{phase_tag, require_divides, row_groups, square_order, to_matrix};
 use crate::{AlgoError, MachineConfig, RunResult};
 
 /// Validates that Berntsen's algorithm can run `n × n` on `p` processors.
@@ -72,11 +72,13 @@ pub fn multiply(
         // the ∛p outer products are summed, each fibre member keeping one
         // row strip of the total.
         let fibre = grid.z_line(i, j);
-        let parts: Vec<Payload> = (0..q)
-            .map(|l| partition::row_group(&outer, q, l).into_payload().into())
-            .collect();
-        let strip =
-            cubemm_collectives::reduce_scatter(&mut proc, &fibre, phase_tag(4), parts).await;
+        let strip = cubemm_collectives::reduce_scatter(
+            &mut proc,
+            &fibre,
+            phase_tag(4),
+            row_groups(outer, q),
+        )
+        .await;
         proc.track_peak_words(2 * big * small + big * big + small * big);
         strip
     })?;

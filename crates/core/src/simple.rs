@@ -46,16 +46,19 @@ pub fn multiply(
         let mut ga = allgather_plan(port, &row, proc.id(), phase_tag(0), pa);
         let mut gb = allgather_plan(port, &col, proc.id(), phase_tag(1), pb);
         execute_fused(&mut proc, &mut [ga.run_mut(), gb.run_mut()]).await;
-        let a_row = ga.finish(); // a_row[k] = A_{i,k}
-        let b_col = gb.finish(); // b_col[k] = B_{k,j}
+        // Block k of each: A_{i,k} and B_{k,j}.
+        let a_row = ga.finish_stacked();
+        let b_col = gb.finish_stacked();
         proc.track_peak_words(2 * q * bs * bs + bs * bs);
 
         let mut c = Matrix::zeros(bs, bs);
-        for (ak, bk) in a_row.iter().zip(&b_col) {
+        let words = bs * bs;
+        for k in 0..q {
+            let block = k * words..(k + 1) * words;
             gemm_acc(
                 &mut c,
-                MatrixView::new(bs, bs, ak),
-                MatrixView::new(bs, bs, bk),
+                MatrixView::new(bs, bs, &a_row[block.clone()]),
+                MatrixView::new(bs, bs, &b_col[block]),
                 kernel,
             );
         }

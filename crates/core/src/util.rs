@@ -100,6 +100,36 @@ pub(crate) fn shift_round(
     proc.multi(ops)
 }
 
+/// The `g` column groups of `m`, each row-major — the payload form of
+/// [`cubemm_dense::partition::col_group`] for every group at once — as
+/// consecutive windows of one allocation: one copy of each word, and a
+/// reduce-scatter takes them as one bundle without another.
+///
+/// # Panics
+/// Panics if `g` does not divide the column count.
+pub fn col_groups(m: &Matrix, g: usize) -> Vec<Payload> {
+    assert_eq!(m.cols() % g, 0, "cols not divisible into {g} groups");
+    let (rows, w) = (m.rows(), m.cols() / g);
+    let segments = (0..g).flat_map(|l| (0..rows).map(move |r| &m.row(r)[l * w..(l + 1) * w]));
+    let all = Payload::concat(m.words(), segments);
+    (0..g)
+        .map(|l| all.slice(l * rows * w, (l + 1) * rows * w))
+        .collect()
+}
+
+/// The `g` row groups of `m` — [`cubemm_dense::partition::row_group`]
+/// for every group at once — as consecutive windows of `m`'s words,
+/// which are copied once.
+///
+/// # Panics
+/// Panics if `g` does not divide the row count.
+pub fn row_groups(m: Matrix, g: usize) -> Vec<Payload> {
+    assert_eq!(m.rows() % g, 0, "rows not divisible into {g} groups");
+    let h = m.words() / g;
+    let all = Payload::from(m.into_payload());
+    (0..g).map(|l| all.slice(l * h, (l + 1) * h)).collect()
+}
+
 /// Stacks row-major blocks of equal width vertically — the payload form
 /// of [`cubemm_dense::partition::stack_rows`] — copying each word once,
 /// straight from the received payloads (or nothing, when they are

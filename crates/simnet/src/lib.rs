@@ -247,8 +247,9 @@ fn window_bound(words: usize) -> u32 {
     })
 }
 
-/// What [`Payload::concat`] accepts as a part: a [`Payload`], which may
-/// join its neighbours without a copy, or a plain `&[f64]`, which is
+/// What [`Payload::concat`] accepts as a part: a [`Payload`] or a
+/// `(payload, lo, hi)` span of one (its words `lo..hi`), either of which
+/// may join its neighbours without a copy, or a plain `&[f64]`, which is
 /// always copied.
 mod part {
     use super::{Payload, PayloadRepr};
@@ -279,6 +280,17 @@ mod part {
                 PayloadRepr::Window { data, off, .. } => Some((data, *off as usize)),
                 PayloadRepr::Inline { .. } => None,
             }
+        }
+    }
+
+    /// Words `lo..hi` of a payload, read in place: joins exactly as
+    /// `payload.slice(lo, hi)` would, without building that handle.
+    impl<'a> Part<'a> for (&'a Payload, usize, usize) {
+        fn words(self) -> &'a [f64] {
+            &self.0[self.1..self.2]
+        }
+        fn window(self) -> Option<(&'a Arc<[f64]>, usize)> {
+            Part::window(self.0).map(|(data, off)| (data, off + self.1))
         }
     }
 }
@@ -320,6 +332,7 @@ impl Payload {
     ///
     /// # Panics
     /// Panics unless `lo <= hi <= self.len()`.
+    #[inline]
     pub fn slice(&self, lo: usize, hi: usize) -> Payload {
         assert!(
             lo <= hi && hi <= self.len(),
@@ -334,8 +347,9 @@ impl Payload {
         }
     }
 
-    /// Concatenates `parts` — payloads or `&[f64]` word slices — whose
-    /// lengths must sum to `len`, into one payload.
+    /// Concatenates `parts` — payloads, `(payload, lo, hi)` spans of
+    /// payloads, or `&[f64]` word slices — whose lengths must sum to
+    /// `len`, into one payload.
     ///
     /// When the non-empty parts are consecutive windows of one
     /// allocation (each starts where the previous one ends), the result
@@ -409,6 +423,7 @@ impl Payload {
     /// observe the write: inline payloads own their words, and a window
     /// is unique when no other payload (or outside `Arc`) shares its
     /// allocation.
+    #[inline]
     pub fn unique_mut(&mut self) -> Option<&mut [f64]> {
         match &mut self.0 {
             PayloadRepr::Inline { len, words } => Some(&mut words[..usize::from(*len)]),
@@ -442,6 +457,7 @@ impl AsRef<[f64]> for Payload {
 }
 
 impl Default for Payload {
+    #[inline]
     fn default() -> Self {
         Payload::inline(&[])
     }
@@ -735,6 +751,26 @@ mod payload_tests {
         let got = Payload::concat(40, [&whole[..20], &whole[20..]]);
         assert_eq!(got, whole);
         assert!(!std::ptr::eq(&got[0], &whole[0]));
+    }
+
+    #[test]
+    fn spans_join_like_the_slices_they_name() {
+        let whole = ramp(40);
+        let joined = Payload::concat(30, [(&whole, 5, 20), (&whole, 20, 35)]);
+        assert_eq!(
+            window_of(&joined).map(|(_, off, len)| (off, len)),
+            Some((5, 30)),
+            "the span, not a copy"
+        );
+        // Spans of two windows that meet in their allocation join too.
+        let (low, high) = (whole.slice(0, 12), whole.slice(12, 40));
+        let joined = Payload::concat(20, [(&low, 2, 12), (&high, 0, 10)]);
+        assert!(std::ptr::eq(&joined[0], &whole[2]));
+        // A gap copies once, exactly sized.
+        let gapped = Payload::concat(20, [(&whole, 0, 10), (&whole, 11, 21)]);
+        let want: Vec<f64> = (0..10).chain(11..21).map(|x| x as f64).collect();
+        assert_eq!(&gapped[..], &want[..]);
+        assert_eq!(window_of(&gapped).map(|(data, ..)| data.len()), Some(20));
     }
 
     #[test]

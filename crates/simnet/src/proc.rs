@@ -526,14 +526,24 @@ impl Proc {
     /// Blocking point: awaiting suspends the node at each batched
     /// receive whose message has not been injected yet.
     pub async fn multi(&mut self, mut ops: Vec<Op>) -> Vec<Option<Payload>> {
+        let mut results = Vec::with_capacity(ops.len());
+        self.multi_into(&mut ops, &mut results).await;
+        results
+    }
+
+    /// [`Proc::multi`] over buffers the caller keeps: drains `ops` and
+    /// appends the results to `results`, so a node that issues a batch
+    /// per round allocates neither vector again once they have grown.
+    ///
+    /// Blocking point: as [`Proc::multi`].
+    pub async fn multi_into(&mut self, ops: &mut Vec<Op>, results: &mut Vec<Option<Payload>>) {
         self.begin_round();
         let batch_start = self.clock;
         self.link_busy.clear();
-        let mut results: Vec<Option<Payload>> = Vec::with_capacity(ops.len());
         let mut batch_end = batch_start;
 
         // Phase 1: inject all sends (moving each payload out of its op).
-        for op in &mut ops {
+        for op in ops.iter_mut() {
             if let Op::Send { to, tag, data } = op {
                 let (to, tag, data) = (*to, *tag, std::mem::take(data));
                 let detour = self.route(to, true).unwrap_or_else(|e| self.fail_link(e));
@@ -556,7 +566,7 @@ impl Proc {
         }
 
         // Phase 2: satisfy all receives (passive).
-        for op in ops {
+        for op in ops.drain(..) {
             match op {
                 Op::Send { .. } => results.push(None),
                 Op::Recv { from, tag } => {
@@ -593,7 +603,6 @@ impl Proc {
         }
 
         self.clock = self.clock.max(batch_end);
-        results
     }
 
     /// Convenience: simultaneous exchange with one partner — send `data`
