@@ -35,6 +35,13 @@
 //! `BENCH_simnet.json` and emits a `speedup_vs_baseline` column, the
 //! before/after evidence for simulator changes; a case with no baseline
 //! row reports `null`, not zero.
+//!
+//! Every case is timed in a process of its own: the binary re-executes
+//! itself with `--case INDEX` (an index into the run's case list) and
+//! reads the one line that child prints. So no row runs on a heap the
+//! rows before it left behind (Cannon's shift row, timed after the
+//! collective rows in one process, read ~40 % slower than alone), and
+//! `--case INDEX` times a single row by hand.
 
 use std::time::Instant;
 
@@ -303,6 +310,37 @@ fn num_or(x: Option<f64>, digits: usize, absent: &str) -> String {
     x.map_or_else(|| absent.to_string(), |x| format!("{x:.digits$}"))
 }
 
+/// Times case `index` of the run's case list in a child process (this
+/// binary with `--case INDEX`) and reads back its [`Measured`].
+fn measure_in_child(index: usize, smoke: bool) -> Result<Measured, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("cannot find this binary: {e}"))?;
+    let mut child = std::process::Command::new(exe);
+    if smoke {
+        child.arg("--smoke");
+    }
+    let out = child
+        .args(["--case", &index.to_string()])
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .map_err(|e| format!("cannot start the case's process: {e}"))?;
+    let line = String::from_utf8_lossy(&out.stdout);
+    let fields: Vec<&str> = line.split_whitespace().collect();
+    let parsed = match (out.status.success(), fields.as_slice()) {
+        (true, [seconds, messages, allocations]) => (|| {
+            Some(Measured {
+                seconds: seconds.parse().ok()?,
+                messages: messages.parse().ok()?,
+                allocations: match *allocations {
+                    "-" => None,
+                    count => Some(count.parse().ok()?),
+                },
+            })
+        })(),
+        _ => None,
+    };
+    parsed.ok_or_else(|| format!("case {index}'s process ended {}: {line:?}", out.status))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -418,6 +456,27 @@ fn main() {
         cases
     };
 
+    // A child process: time the one case and report it on one line.
+    let case_index = args.iter().position(|a| a == "--case").map(|at| {
+        let index = args
+            .get(at + 1)
+            .and_then(|index| index.parse::<usize>().ok());
+        index.unwrap_or_else(|| {
+            eprintln!("error: --case needs a case index");
+            std::process::exit(2);
+        })
+    });
+    if let Some(index) = case_index {
+        let Some(&case) = cases.get(index) else {
+            eprintln!("error: --case {index}: there are {} cases", cases.len());
+            std::process::exit(2);
+        };
+        let m = measure(case, if smoke { 3 } else { 9 });
+        let allocations = m.allocations.map_or("-".to_string(), |a| a.to_string());
+        println!("{} {} {allocations}", m.seconds, m.messages);
+        return;
+    }
+
     // Correctness first: a fast simulator that produces wrong times is
     // worse than a slow one.
     for &case in &cases {
@@ -428,14 +487,16 @@ fn main() {
     }
     println!("all cases verified against closed-form virtual times");
 
-    let reps = if smoke { 3 } else { 9 };
     let mut rows: Vec<String> = Vec::new();
     println!(
         "{:<22} {:>6} {:>6} {:>6} {:>12} {:>10} {:>11} {:>9} {:>10}",
         "case", "p", "port", "shards", "seconds", "ns/msg", "allocs/msg", "allocs", "vs base"
     );
-    for &case in &cases {
-        let m = measure(case, reps);
+    for (index, &case) in cases.iter().enumerate() {
+        let m = measure_in_child(index, smoke).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
         let (name, port) = (case.name(), case.port_name());
         let base = baseline
             .iter()

@@ -18,7 +18,7 @@
 //! multi-port batch's link clocks are buffers the node reuses, and the
 //! packet store grows with the bundles a node holds.
 
-use cubemm_bench::alloc_count::{allocations_during, CountingAlloc};
+use cubemm_bench::alloc_count::{allocations_during, peak_bytes_during, CountingAlloc};
 use cubemm_bench::rows::{self, RowCollective};
 use cubemm_core::{Algorithm, MachineConfig};
 use cubemm_dense::Matrix;
@@ -225,4 +225,63 @@ fn hje_allocations_per_delivered_message_stay_within_budget() {
 #[test]
 fn cannon_torus_allocations_per_delivered_message_stay_within_budget() {
     within_budget(Algorithm::CannonTorus, cannon_torus_budget);
+}
+
+/// The most bytes a one-shard multiply of 3-D All and of Simple holds at
+/// once (n = 192 on 64 nodes, operands and product excluded): what the
+/// run measures now plus 10 %. The simulator resumes the runnable node
+/// with the least label first, so a low subcube runs through its phase
+/// and frees its blocks before the next one gathers its own, and 3-D
+/// All drops each block once it is dead instead of at the end of its
+/// node program. Now: 1 620 968 / 1 750 632 bytes (3-D All, one- /
+/// multi-port) and 2 948 192 / 2 640 984 (Simple). With the nodes in
+/// lock step, as under the `(park clock, label)` queue before: 3 788 312
+/// / 5 501 704 and 3 481 096 / 3 771 296 at the parent commit, and
+/// 2 112 136 / 2 604 184 for 3-D All with its early drops, so every row
+/// fails here if the lock step comes back.
+fn peak_budget(algo: Algorithm, port: PortModel) -> u64 {
+    match (algo, port) {
+        (Algorithm::All3d, PortModel::OnePort) => 1_780_000,
+        (Algorithm::All3d, PortModel::MultiPort) => 1_930_000,
+        (Algorithm::Simple, PortModel::OnePort) => 3_240_000,
+        (Algorithm::Simple, PortModel::MultiPort) => 2_900_000,
+        _ => unreachable!("no peak budget for {algo} {port}"),
+    }
+}
+
+#[test]
+fn space_hungry_algorithms_hold_no_more_than_their_peak_budget() {
+    let (n, p) = (192, 64);
+    let (a, b) = (Matrix::random(n, n, 1), Matrix::random(n, n, 2));
+    let mut report = String::new();
+    let mut over = Vec::new();
+    for algo in [Algorithm::All3d, Algorithm::Simple] {
+        for port in [PortModel::OnePort, PortModel::MultiPort] {
+            let cfg = MachineConfig::new(port, COST);
+            let measure = || {
+                peak_bytes_during(|| {
+                    algo.multiply(&a, &b, p, &cfg)
+                        .unwrap_or_else(|e| panic!("{algo} applies at n = {n}, p = {p}: {e}"))
+                })
+            };
+            // As above: the first multiply also fills per-thread caches.
+            let _ = measure();
+            let (run, peak) = measure();
+            assert!(run.c.max_abs_diff(&cubemm_dense::gemm::reference(&a, &b)) <= 1e-12);
+            assert_eq!(
+                measure().1,
+                peak,
+                "{algo} {port}: peaks must repeat exactly"
+            );
+            let budget = peak_budget(algo, port);
+            report.push_str(&format!(
+                "{algo:<7} {port:<10} peak {peak:>9} bytes (budget {budget})\n"
+            ));
+            if peak > budget {
+                over.push(format!("{algo} {port}"));
+            }
+        }
+    }
+    println!("{report}");
+    assert!(over.is_empty(), "over budget: {over:?}\n{report}");
 }

@@ -109,7 +109,7 @@ Defaults: n=64, p=64, port=one, ts=150, tw=3, charge=sender (the paper's
 parameters and accounting), kernel=packed (single-threaded; `packed:0`
 picks a thread count automatically). A flag a command does not read is
 an error (exit 2), never silently ignored.
-The simulated machine runs under a virtual-clock-ordered event loop,
+The simulated machine runs under one event loop (least label first),
 one loop per spare host core from p = 1024 on (same results), and
 scales to p = 4096..65536 nodes.
 A run that cannot progress (e.g. under --fault-drop: nothing retransmits

@@ -85,6 +85,10 @@ pub fn multiply(
         // B_{k,f(i,l)}; side by side (l ascending) they form the Figure 9
         // block B_{f(k,j),i} (§4.2.2 proof of correctness).
         let b_tall = concat_cols(sub, &received); // sub × side = n/q² × n/q
+                                                  // An async body keeps its locals to its end, and low labels reach
+                                                  // the reduce while higher ones still gather (DESIGN.md §11, "The
+                                                  // ready set"): drop each block once it is dead.
+        drop((pb, received));
 
         // Phase 2 (fused): all-gather A along x and the reassembled B
         // along z.
@@ -108,6 +112,7 @@ pub fn multiply(
             );
         }
 
+        drop((a_blocks, b_blocks));
         // Phase 3: all-to-all reduction along y (column group l to rank
         // l) — this node ends with C_{k,f(i,j)}.
         reduce_scatter(&mut proc, &y_line, phase_tag(3), col_groups(&outer, q)).await

@@ -1626,6 +1626,53 @@ mod tests {
         }
     }
 
+    /// The chaos share of the resume-order oracle (`tests/resume_order.rs`
+    /// has the rest): every algorithm's campaign, with `runs` trials on
+    /// one worker so that every trial runs on this thread, whose seeded
+    /// order applies, renders the same report and the same repro plans
+    /// under every seed of `seeds` on 1, 2 and 4 shards as under the
+    /// default order on one.
+    fn campaigns_are_the_same_under_resume_orders(seeds: &[u64], runs: usize) {
+        let (a, b) = operands(ChaosOptions::default().n).unwrap_or_else(|e| panic!("{e}"));
+        let opts = ChaosOptions {
+            runs,
+            ..ChaosOptions::default()
+        };
+        for algo in Algorithm::ALL.into_iter().chain(Algorithm::EXTENSIONS) {
+            let report = || {
+                let report = campaign(algo, 20260807, &opts, &a, &b, Some(1))
+                    .unwrap_or_else(|e| panic!("{e}"));
+                let repros: Vec<(usize, String, String)> = (report.violations.iter())
+                    .map(|v| (v.run, v.plan_json.clone(), v.shrunk_json.clone()))
+                    .collect();
+                (report.render(), repros)
+            };
+            let want = cubemm_simnet::with_shards(1, report);
+            for &seed in seeds {
+                for shards in [1, 2, 4] {
+                    let got = cubemm_simnet::with_resume_order(seed, || {
+                        cubemm_simnet::with_shards(shards, report)
+                    });
+                    assert!(got == want, "{algo}: seed {seed:#x} on {shards} shards");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn campaign_reports_are_the_same_under_any_resume_order() {
+        campaigns_are_the_same_under_resume_orders(&[1, 2], 4);
+    }
+
+    #[test]
+    #[ignore = "more seeds and trials: CI runs them in release"]
+    fn campaign_reports_are_the_same_under_the_remaining_resume_orders() {
+        campaigns_are_the_same_under_resume_orders(
+            &[3, 0x5eed, 77, 1 << 40, 0xdead_beef, u64::MAX],
+            20,
+        );
+    }
+
     #[test]
     fn shrinker_isolates_the_culprit_entry() {
         let plan = FaultPlan::new()

@@ -9,8 +9,8 @@
 //!
 //! * **per-node mailboxes** — one flat FIFO vector of envelopes per
 //!   node, so a receive is a short scan instead of a channel drain;
-//! * **parked receives** — which nodes are blocked, on which
-//!   `(from, tag)`, and at which virtual clock they parked;
+//! * **parked receives** — which nodes are blocked, and on which
+//!   `(from, tag)`;
 //! * **liveness** — how many nodes are still executing their program;
 //! * **per-node results** — the statistics and trace each [`Proc`]
 //!   deposits when it is dropped;
@@ -22,8 +22,9 @@
 //! 1. **Exact wakeups.** When a message is injected for a parked
 //!    receiver waiting on precisely that `(from, tag)`, the ledger
 //!    unparks it *at injection time* and puts it on the wake list the
-//!    loop drains. A parked node is therefore never woken by traffic it
-//!    cannot consume, and never re-scans a queue of unrelated messages.
+//!    loop drains into its ready set (`ready.rs`). A parked node is
+//!    therefore never woken by traffic it cannot consume, and never
+//!    re-scans a queue of unrelated messages.
 //! 2. **Exact deadlock detection.** A node only parks after checking its
 //!    mailbox, and a matching injection eagerly unparks its target, so
 //!    the invariant *"every parked node's awaited message is absent"*
@@ -110,9 +111,6 @@ struct State {
     handoff: Vec<Option<Envelope>>,
     /// `Some((from, tag))` while a node is blocked in a receive.
     parked: Vec<Option<(usize, u64)>>,
-    /// The virtual clock each node last parked at: where the loop
-    /// re-enqueues it when it wakes.
-    clocks: Vec<f64>,
     /// Whether each node has returned from its program.
     done: Vec<bool>,
     /// Each node's final statistics and trace, once its `Proc` dropped.
@@ -122,7 +120,7 @@ struct State {
     /// The shard's least failure so far.
     failure: Option<(Rank, RunError)>,
     /// Nodes unparked by a direct handoff since the loop last drained
-    /// the list (it does after every poll), by label.
+    /// the list (it does after every poll), by offset into the range.
     woken: Vec<usize>,
     /// Messages for labels outside the range, in injection order.
     outbox: Vec<Mail>,
@@ -142,7 +140,6 @@ impl Ledger {
                 mailboxes: (0..len).map(|_| Mailbox::default()).collect(),
                 handoff: (0..len).map(|_| None).collect(),
                 parked: vec![None; len],
-                clocks: vec![0.0; len],
                 done: vec![false; len],
                 parts: (0..len).map(|_| None).collect(),
                 live: len,
@@ -169,23 +166,17 @@ impl Ledger {
             debug_assert!(s.handoff[at].is_none());
             s.handoff[at] = Some(env);
             s.parked[at] = None;
-            s.woken.push(to);
+            s.woken.push(at);
         } else {
             s.mailboxes[at].push(env);
         }
     }
 
     /// One non-blocking pass of the check-then-park receive protocol for
-    /// node `id` at virtual time `clock`. `Ready` hands over the matching
-    /// envelope; `Pending` means the node parked (the loop resumes it
-    /// once [`Ledger::drain_woken`] names it).
-    pub(crate) fn poll_receive(
-        &self,
-        id: usize,
-        from: usize,
-        tag: u64,
-        clock: f64,
-    ) -> Poll<Envelope> {
+    /// node `id`. `Ready` hands over the matching envelope; `Pending`
+    /// means the node parked (the loop resumes it once
+    /// [`Ledger::drain_woken`] names it).
+    pub(crate) fn poll_receive(&self, id: usize, from: usize, tag: u64) -> Poll<Envelope> {
         let s = &mut *self.state.borrow_mut();
         let at = id - s.base;
         if let Some(env) = s.handoff[at].take() {
@@ -198,17 +189,13 @@ impl Ledger {
         // Only a handoff re-enqueues a parked node, and it unparks it.
         debug_assert!(s.parked[at].is_none(), "node {id} polled while parked");
         s.parked[at] = Some((from, tag));
-        s.clocks[at] = clock;
         Poll::Pending
     }
 
     /// Hands every node unparked by a handoff since the last call to
-    /// `wake`, with the clock it parked at.
-    pub(crate) fn drain_woken(&self, mut wake: impl FnMut(f64, usize)) {
-        let s = &mut *self.state.borrow_mut();
-        for node in s.woken.drain(..) {
-            wake(s.clocks[node - s.base], node);
-        }
+    /// `wake`, by its offset into the shard's range.
+    pub(crate) fn drain_woken(&self, wake: impl FnMut(usize)) {
+        self.state.borrow_mut().woken.drain(..).for_each(wake);
     }
 
     /// Moves the outbox's messages to the end of `mail`.
@@ -228,12 +215,23 @@ impl Ledger {
 
     /// Records node `id`'s failure, ranked by the clock its `Proc` left
     /// in its deposited parts, and keeps the shard's least.
+    ///
+    /// # Panics
+    /// Panics if the node has deposited no parts. The loop calls this
+    /// only after dropping the failed node's future, which owns the
+    /// node's `Proc` (unless the program leaked it), so the `Proc`'s
+    /// `Drop` has deposited them by then, in the unwind or in that drop.
     pub(crate) fn fail(&self, id: usize, error: RunError) {
         let s = &mut *self.state.borrow_mut();
         let at = id - s.base;
+        #[allow(
+            clippy::expect_used,
+            reason = "a failed node's future was dropped before this call, and with it its Proc"
+        )]
         let clock = s.parts[at]
             .as_ref()
-            .map_or(s.clocks[at], |(stats, _)| stats.clock);
+            .map(|(stats, _)| stats.clock)
+            .expect("a failed node deposits its parts when its future drops");
         s.live -= 1;
         least(&mut s.failure, ((clock.to_bits(), id, None), error));
     }
@@ -410,23 +408,23 @@ mod tests {
         let ledger = Ledger::new(0, 2);
         ledger.inject(1, envelope(0, 5, 1.5));
         assert_eq!(snapshot(&ledger, 1), (1, false, None));
-        let queued = ready(ledger.poll_receive(1, 0, 5, 0.0));
+        let queued = ready(ledger.poll_receive(1, 0, 5));
         assert_eq!(snapshot(&ledger, 1), (0, false, None));
 
         // Handoff: node 1 parks first; traffic under another key is
         // queued without waking it, and the matching message goes to
         // the handoff slot, never the mailbox.
         let ledger = Ledger::new(0, 2);
-        assert!(ledger.poll_receive(1, 0, 5, 7.0).is_pending());
+        assert!(ledger.poll_receive(1, 0, 5).is_pending());
         assert_eq!(snapshot(&ledger, 1), (0, false, Some((0, 5))));
         ledger.inject(1, envelope(0, 6, 9.0));
         assert_eq!(snapshot(&ledger, 1), (1, false, Some((0, 5))));
         ledger.inject(1, envelope(0, 5, 1.5));
         assert_eq!(snapshot(&ledger, 1), (1, true, None));
         let mut woken = Vec::new();
-        ledger.drain_woken(|clock, node| woken.push((clock, node)));
-        assert_eq!(woken, [(7.0, 1)]);
-        let handed = ready(ledger.poll_receive(1, 0, 5, 7.0));
+        ledger.drain_woken(|at| woken.push(at));
+        assert_eq!(woken, [1]);
+        let handed = ready(ledger.poll_receive(1, 0, 5));
         // The other key's message is still queued; the slot is drained.
         assert_eq!(snapshot(&ledger, 1), (1, false, None));
         for env in [&queued, &handed] {

@@ -9,9 +9,10 @@
 //!
 //! * every virtual processor executes the *actual* SPMD algorithm (real
 //!   data moves, so correctness is checked end to end, not assumed) as a
-//!   resumable async node program, run as suspended continuations on a
-//!   virtual-clock-ordered work queue (which scales to `p = 65536` on
-//!   one host thread, and spreads a large machine over spare cores);
+//!   resumable async node program, run as suspended continuations by an
+//!   event loop that resumes the runnable node with the least label
+//!   (which scales to `p = 65536` on one host thread, and spreads a
+//!   large machine over spare cores);
 //! * each processor carries a **virtual clock**; communication primitives
 //!   advance the clocks according to the paper's cost model, and the
 //!   elapsed virtual time of a run is the maximum clock over all
@@ -78,7 +79,7 @@
 //! [`Machine::run`] or [`Machine::run_sharded`]; node programs are async
 //! functions over an owned [`Proc`] (see the `machine` module docs for
 //! the resumable-step contract). A discrete-event loop resumes suspended
-//! node continuations in virtual-clock order, so there is no OS-thread
+//! node continuations, least label first, so there is no OS-thread
 //! cap — `p = 4096–65536` sweeps run on a laptop core. `run` drives the
 //! whole machine with one loop on the calling thread; `run_sharded`
 //! splits a large machine into contiguous label ranges, one loop per
@@ -104,14 +105,15 @@ pub mod json;
 mod ledger;
 mod machine;
 mod proc;
+mod ready;
 mod shard;
 mod stats;
 pub mod trace;
 
 pub use faults::{CorruptKind, Corruption, FaultEntry, FaultPlan, FaultPlanError, LinkQuality};
 pub use machine::{
-    most_shards, with_shards, Blocked, Machine, MachineBuilder, MachineOptions, RunError,
-    RunOutcome, SHARD_MIN_NODES,
+    most_shards, with_resume_order, with_shards, Blocked, Machine, MachineBuilder, MachineOptions,
+    RunError, RunOutcome, SHARD_MIN_NODES,
 };
 pub use proc::{Op, Proc, SendError};
 pub use stats::{FiredFault, FiredKind, NodeStats, RunStats};
@@ -296,12 +298,13 @@ mod part {
 }
 
 impl Payload {
-    /// Builds the inline representation; `slice` must fit.
+    /// Builds the inline representation; `slice` must fit. Each word is
+    /// read on its own: a `copy_from_slice` of a run-time length calls
+    /// libc's `memcpy` for at most three words.
     #[inline]
     fn inline(slice: &[f64]) -> Self {
         debug_assert!(slice.len() <= PAYLOAD_INLINE_WORDS);
-        let mut words = [0.0; PAYLOAD_INLINE_WORDS];
-        words[..slice.len()].copy_from_slice(slice);
+        let words = std::array::from_fn(|at| slice.get(at).copied().unwrap_or(0.0));
         Payload(PayloadRepr::Inline {
             len: slice.len() as u8,
             words,

@@ -8,12 +8,14 @@
 //! exactly the simulator's blocking primitives ([`Proc::recv`],
 //! [`Proc::multi`], [`Proc::exchange`]). An event loop drives a *shard* —
 //! a contiguous range of labels — on one thread: a blocking primitive
-//! parks the node's *continuation* in the shard's progress ledger, and a
-//! virtual-clock-ordered work queue resumes whichever runnable node has
-//! the smallest clock. [`Machine::run`] is one shard holding every node,
-//! on the calling thread; [`Machine::run_sharded`] runs `K` shards on `K`
-//! threads, passing messages between them through per-shard inboxes
-//! (`shard.rs`). Machines of 4096–65536 nodes boot in milliseconds.
+//! parks the node's *continuation* in the shard's progress ledger, and
+//! the loop resumes whichever runnable node has the least label (the
+//! ready set, `ready.rs`), so a low subcube runs through a phase and
+//! frees its blocks before a higher one fills. [`Machine::run`] is one
+//! shard holding every node, on the calling thread;
+//! [`Machine::run_sharded`] runs `K` shards on `K` threads, passing
+//! messages between them through per-shard inboxes (`shard.rs`).
+//! Machines of 4096–65536 nodes boot in milliseconds.
 //!
 //! The ledger (`ledger.rs`) does the exact `(from, tag)` FIFO matching
 //! and exact deadlock detection. A failure stops only its own node: the
@@ -25,8 +27,6 @@
 //! across shards — can never change a result, a failure included.
 
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
@@ -38,6 +38,7 @@ use cubemm_topology::log2_exact;
 use crate::faults::FaultPlan;
 use crate::ledger::{least, Ledger, LedgerEnd};
 use crate::proc::SendError;
+use crate::ready::{mix, Ready};
 use crate::shard::Fabric;
 use crate::stats::RunStats;
 use crate::{ChargePolicy, CostParams, LinkTopology, PortModel, Proc};
@@ -349,13 +350,14 @@ impl Machine {
     /// paper's accounting. Per-node return values are collected in label
     /// order.
     ///
-    /// All node futures live on the calling thread, in one shard whose
-    /// work queue, ordered by `(virtual clock, node id)`, picks the next
-    /// runnable continuation ([`Machine::run_sharded`] spreads them over
-    /// several). A poll runs the node until it completes or parks in the
-    /// ledger; handoff injections unpark their target, which re-enters
-    /// the queue at its park-time clock. The run ends when no node can
-    /// run: with every node finished, or deadlocked.
+    /// All node futures live on the calling thread, in one shard that
+    /// resumes the runnable node with the least label next
+    /// ([`Machine::run_sharded`] spreads them over several). A poll runs
+    /// the node until it completes or parks in the ledger; handoff
+    /// injections unpark their target, which becomes runnable again.
+    /// The run ends when no node can run: with every node finished, or
+    /// deadlocked. The order changes no result, only how many nodes hold
+    /// their blocks at once.
     ///
     /// Failure is a structured [`RunError`]: simulated deadlocks (naming
     /// every blocked node and the `(from, tag)` it awaited), node
@@ -392,8 +394,9 @@ impl Machine {
         Fut: Future<Output = O>,
     {
         self.check_inits(inits.len())?;
+        let order = RESUME_ORDER.get();
         conclude(
-            &mut [self.run_shard(None, 0, inits, &program)],
+            &mut [self.run_shard(None, 0, inits, &program, order)],
             self.options.cost,
         )
     }
@@ -452,6 +455,9 @@ impl Machine {
         let fabric = Fabric::new(self.p, shards);
         let size = self.p / shards;
         let (fabric, program) = (&fabric, &program);
+        // Each shard draws its own seeded order from the caller's seed.
+        let order = RESUME_ORDER.get();
+        let order = move |shard: usize| order.map(|seed| mix(seed ^ shard as u64));
         let ends = std::thread::scope(|scope| {
             // Every shard thread waits for its chunk until all have
             // started, so one that cannot start leaves every input here:
@@ -464,7 +470,8 @@ impl Machine {
                     .name(format!("cubemm-shard-{shard}"))
                     .spawn_scoped(scope, move || {
                         let chunk = chunk.recv().ok()?;
-                        Some(self.run_shard(Some((fabric, shard)), shard * size, chunk, program))
+                        let at = Some((fabric, shard));
+                        Some(self.run_shard(at, shard * size, chunk, program, order(shard)))
                     });
                 match spawned {
                     Ok(handle) => started.push((post, handle)),
@@ -477,7 +484,7 @@ impl Machine {
                 // The thread is blocked on its channel, so it takes this.
                 let _ = post.send(inits.by_ref().take(size).collect());
             }
-            let mut ends = vec![self.run_shard(Some((fabric, 0)), 0, first, program)];
+            let mut ends = vec![self.run_shard(Some((fabric, 0)), 0, first, program, order(0))];
             for (_, handle) in started {
                 match handle.join() {
                     Ok(end) => ends.extend(end),
@@ -507,23 +514,24 @@ impl Machine {
     /// (all of them when `fabric` is `None`, the one-shard run), on the
     /// calling thread.
     ///
-    /// All of the shard's node futures live here; a work queue ordered
-    /// by `(virtual clock, node id)` picks the next runnable
-    /// continuation. A poll runs the node until it completes or parks in
-    /// the ledger; handoff injections unpark their target, which
-    /// re-enters the queue at its park-time clock. A node that fails is
-    /// dropped and its failure recorded; the rest run on. On a sharded
-    /// run the loop also posts the ledger's outbox after every poll,
-    /// delivers its inbox whenever the fabric signals, and blocks in the
-    /// fabric when it has nothing to run. The loop ends when nothing can
-    /// run on any shard, and then drops every node future still held,
-    /// which runs its locals' destructors.
+    /// All of the shard's node futures live here; the ready set resumes
+    /// the runnable node with the least label next (a seeded
+    /// pseudo-random one when `order` is set, see [`with_resume_order`]).
+    /// A poll runs the node until it completes or parks in the ledger;
+    /// handoff injections unpark their target, which re-enters the ready
+    /// set. A node that fails is dropped and its failure recorded; the
+    /// rest run on. On a sharded run the loop also posts the ledger's
+    /// outbox after every poll, delivers its inbox whenever the fabric
+    /// signals, and blocks in the fabric when it has nothing to run. The
+    /// loop ends when nothing can run on any shard, and then drops every
+    /// node future still held, which runs its locals' destructors.
     fn run_shard<I, O, F, Fut>(
         &self,
         fabric: Option<(&Fabric, usize)>,
         base: usize,
         inits: Vec<I>,
         program: &F,
+        order: Option<u64>,
     ) -> ShardEnd<O>
     where
         F: Fn(Proc, I) -> Fut,
@@ -546,18 +554,12 @@ impl Machine {
             })
             .collect();
 
-        // Min-queue on (clock bits, node id): non-negative f64 bit
-        // patterns order like the floats, and the id tiebreak keeps the
-        // schedule deterministic. A node appears at most once: it is
-        // enqueued at creation or when a handoff unparks it, each
-        // strictly after it left the queue and parked.
-        let mut ready: BinaryHeap<Reverse<(u64, usize)>> =
-            (base..base + len).map(|id| Reverse((0, id))).collect();
+        let mut ready = Ready::full(len, order);
         let mut cx = Context::from_waker(Waker::noop());
         let mut mail = Vec::new();
         'run: loop {
-            while let Some(Reverse((_, id))) = ready.pop() {
-                let at = id - base;
+            while let Some(at) = ready.pop() {
+                let id = base + at;
                 let Some(fut) = futures[at].as_mut() else {
                     continue;
                 };
@@ -567,8 +569,8 @@ impl Machine {
                         futures[at] = None;
                         ledger.finish(id);
                     }
-                    // Parked inside a ledger receive; the queue sees it
-                    // again once the ledger wakes it.
+                    // Parked inside a ledger receive; the ready set holds
+                    // it again once the ledger wakes it.
                     Ok(Poll::Pending) => {}
                     // The node failed. Dropping its future drops its
                     // `Proc`, if the unwind has not, which deposits the
@@ -585,7 +587,7 @@ impl Machine {
                         ledger.fail(id, error);
                     }
                 }
-                ledger.drain_woken(|clock, node| ready.push(Reverse((clock.to_bits(), node))));
+                ledger.drain_woken(|at| ready.push(at));
                 if let Some((fabric, shard)) = fabric {
                     ledger.take_outbox(&mut mail);
                     if !mail.is_empty() {
@@ -622,6 +624,27 @@ impl Machine {
 thread_local! {
     /// The shard count [`with_shards`] fixes for this thread's runs.
     static FORCED_SHARDS: Cell<Option<usize>> = const { Cell::new(None) };
+    /// The seed [`with_resume_order`] fixes for this thread's runs.
+    static RESUME_ORDER: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with every [`Machine::run`] and [`Machine::run_sharded`] it
+/// starts on this thread resuming its runnable nodes in a pseudo-random
+/// order drawn from `seed` (each shard its own), instead of least label
+/// first. Resume order never changes a result (DESIGN.md §11, "One
+/// failure rule"), so every output, statistic, trace and failure must
+/// equal the default order's: the oracle tests that check that claim
+/// run under it. Nothing else selects the order.
+#[doc(hidden)]
+pub fn with_resume_order<R>(seed: u64, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<u64>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            RESUME_ORDER.set(self.0);
+        }
+    }
+    let _restore = Restore(RESUME_ORDER.replace(Some(seed)));
+    f()
 }
 
 /// Runs `f` with every [`Machine::run_sharded`] it starts on this thread
@@ -664,14 +687,14 @@ fn deliver(
     ledger: &Ledger,
     fabric: &Fabric,
     mail: &mut Vec<crate::ledger::Mail>,
-    ready: &mut BinaryHeap<Reverse<(u64, usize)>>,
+    ready: &mut Ready,
 ) {
     let count = mail.len();
     for (to, env) in mail.drain(..) {
         ledger.inject(to, env);
     }
     fabric.delivered(count);
-    ledger.drain_woken(|clock, node| ready.push(Reverse((clock.to_bits(), node))));
+    ledger.drain_woken(|at| ready.push(at));
 }
 
 /// Stops every shard if dropped while its thread is panicking.

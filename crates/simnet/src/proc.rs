@@ -85,8 +85,8 @@ impl std::error::Error for SendError {}
 /// it; the blocking primitives ([`Proc::recv`], [`Proc::multi`],
 /// [`Proc::exchange`]) are `async` — they suspend the node's
 /// continuation until the awaited message exists, handing control back
-/// to the machine's virtual-clock work queue. Only `Proc` futures may be
-/// awaited inside a node program.
+/// to the machine's event loop. Only `Proc` futures may be awaited
+/// inside a node program.
 ///
 /// See the crate-level documentation for the cost semantics and the
 /// [`crate::faults`] module for the fault model.
@@ -681,11 +681,10 @@ impl Proc {
     /// The shared blocking receive behind [`Proc::recv`] and
     /// [`Proc::multi`]: polls the ledger's receive until the `(from, tag)`
     /// message is available, suspending the continuation while the node
-    /// is parked. The ledger records the park-time clock so the event
-    /// loop re-enqueues this node at the right virtual time.
+    /// is parked; a handoff puts it back in the event loop's ready set.
     async fn take_matching(&mut self, from: usize, tag: u64) -> Envelope {
-        let (ledger, id, clock) = (&self.ledger, self.id, self.clock);
-        std::future::poll_fn(|_cx| ledger.poll_receive(id, from, tag, clock)).await
+        let (ledger, id) = (&self.ledger, self.id);
+        std::future::poll_fn(|_cx| ledger.poll_receive(id, from, tag)).await
     }
 }
 
