@@ -8,7 +8,7 @@
 //! extracts its exact `(a, b)`. Judging that `(a, b)` is the symbolic
 //! certificate's job ([`crate::symbolic::AlgoCertificate::analyze`]).
 
-use cubemm_core::{Algorithm, MachineConfig};
+use cubemm_core::{AlgoError, Algorithm, MachineConfig};
 use cubemm_dense::Matrix;
 use cubemm_simnet::{CostParams, PortModel};
 
@@ -45,6 +45,26 @@ pub fn capture(
         .map_err(|e| format!("capture run failed: {e}"))?;
     let schedule = Schedule::from_traces(p, &res.traces)?;
     Ok((schedule, res.stats.elapsed))
+}
+
+/// Measures an algorithm's effective `(a, b)` overhead by running the
+/// simulator twice: once with `t_s = 1, t_w = 0` (elapsed = start-ups on
+/// the critical path) and once with `t_s = 0, t_w = 1` (elapsed = words
+/// on the critical path). The schedule is data-oblivious, so the
+/// operands' values do not matter.
+pub fn measure_ab(
+    algo: Algorithm,
+    n: usize,
+    p: usize,
+    port: PortModel,
+) -> Result<(f64, f64), AlgoError> {
+    let a = Matrix::random(n, n, 1234);
+    let b = Matrix::random(n, n, 5678);
+    let cfg_a = MachineConfig::new(port, CostParams::STARTUPS_ONLY);
+    let cfg_b = MachineConfig::new(port, CostParams::WORDS_ONLY);
+    let ra = algo.multiply(&a, &b, p, &cfg_a)?;
+    let rb = algo.multiply(&a, &b, p, &cfg_b)?;
+    Ok((ra.stats.elapsed, rb.stats.elapsed))
 }
 
 /// Captures one `(algorithm, n, p, port)` point and runs the static
@@ -94,4 +114,16 @@ pub fn applicable_grid(algo: Algorithm) -> Vec<(usize, usize)> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn measure_ab_recovers_table2_for_cannon() {
+        let (a, b) = measure_ab(Algorithm::Cannon, 16, 16, PortModel::OnePort).unwrap();
+        assert_eq!(a, 10.0); // 2(√p−1) + log p
+        assert_eq!(b, 160.0); // n²/√p (2 − 2/√p + log p/√p)
+    }
 }

@@ -45,12 +45,12 @@ pub mod symbolic;
 pub use check::{
     analyze, replay_elapsed, Analysis, Diagnostic, Extracted, PhaseSummary, Strictness, WaitLink,
 };
-pub use conformance::{applicable_grid, capture};
+pub use conformance::{applicable_grid, capture, measure_ab};
 pub use ir::{Event, Round, Schedule};
 pub use report::{render, render_analysis};
 pub use symbolic::{
     algo_cost_sym, analyze_algorithm, captured_collective, certify_algorithm,
     certify_all_algorithms, certify_all_collectives, certify_collective, coll_cost_sym,
-    compose_algorithm, diff_schedules, expand_collective, judge, table1_sym, AlgoAnalysis,
-    AlgoCertificate, CollCertificate, Obligation, SymCost, Verdict,
+    compose_algorithm, diff_schedules, expand_collective, judge, run_collective, table1_sym,
+    AlgoAnalysis, AlgoCertificate, CollCertificate, Obligation, SymCost, Verdict,
 };

@@ -38,7 +38,7 @@ use cubemm_core::schema::{AlgoSchema, CollPhase, Phase, SchemaForm};
 use cubemm_core::Algorithm;
 use cubemm_model::sym::{Poly, Rat, SymOverhead};
 use cubemm_model::{all3d_full_bandwidth, overhead_sym, ModelAlgo, Overhead};
-use cubemm_simnet::{CostParams, Machine, Payload, PortModel};
+use cubemm_simnet::{CostParams, Machine, Payload, PortModel, RunOutcome};
 use cubemm_topology::Subcube;
 
 use crate::check::{analyze, Analysis, Strictness};
@@ -269,26 +269,30 @@ pub fn diff_schedules(lhs: &Schedule, rhs: &Schedule, skip_empty: bool) -> Resul
     Ok(())
 }
 
-/// Runs the real collective `kind` on a traced simulated machine and
-/// rebuilds its schedule from the trace — the experimental side of the
-/// differential harness.
-pub fn captured_collective(
+/// Runs the real collective `kind` once on the whole `2^d`-node cube
+/// with `m`-word messages of zeros (rooted kinds at rank `root`; the
+/// schedule is data-oblivious) under `cost`, tracing every event when
+/// `traced`. The one runner behind [`captured_collective`], the `table1`
+/// bench and the Table 1 validation.
+pub fn run_collective(
     kind: CollKind,
     port: PortModel,
+    cost: CostParams,
     d: u32,
     m: usize,
     root: usize,
-) -> Result<Schedule, String> {
+    traced: bool,
+) -> Result<RunOutcome<()>, String> {
     use cubemm_collectives as coll;
     let p = 1usize << d;
     let machine = Machine::builder(p)
         .port(port)
-        .cost(CostParams::PAPER)
-        .traced(true)
+        .cost(cost)
+        .traced(traced)
         .build()
         .map_err(|e| format!("machine build failed: {e}"))?;
     let zeros = |len: usize| -> Payload { std::iter::repeat_n(0.0, len).collect() };
-    let out = machine
+    machine
         .run(vec![(); p], move |mut proc, ()| async move {
             let sc = Subcube::whole(proc.dim());
             let v = sc.rank_of(proc.id());
@@ -319,8 +323,21 @@ pub fn captured_collective(
                 }
             }
         })
-        .map_err(|e| format!("collective run failed: {e}"))?;
-    Schedule::from_traces(p, &out.traces)
+        .map_err(|e| format!("collective run failed: {e}"))
+}
+
+/// Runs the real collective `kind` on a traced simulated machine and
+/// rebuilds its schedule from the trace — the experimental side of the
+/// differential harness.
+pub fn captured_collective(
+    kind: CollKind,
+    port: PortModel,
+    d: u32,
+    m: usize,
+    root: usize,
+) -> Result<Schedule, String> {
+    let out = run_collective(kind, port, CostParams::PAPER, d, m, root, true)?;
+    Schedule::from_traces(1 << d, &out.traces)
 }
 
 /// A collective's symbolic certificate: its claimed closed-form cost,

@@ -5,17 +5,12 @@
 //!
 //! Usage: `cargo run -p cubemm-bench --bin table1 [-- --max-dim D]`
 
-use cubemm_analyze::table1_sym;
+use cubemm_analyze::{run_collective, table1_sym};
 use cubemm_bench::{fmt, write_result, Table};
-use cubemm_collectives::{self as coll, CollKind};
-use cubemm_simnet::{CostParams, Machine, Payload, PortModel};
-use cubemm_topology::Subcube;
+use cubemm_collectives::CollKind;
+use cubemm_simnet::{CostParams, PortModel};
 
 const COST: CostParams = CostParams { ts: 1.0, tw: 1.0 };
-
-fn payload(rank: usize, m: usize) -> Payload {
-    (0..m).map(|x| (rank * 100 + x) as f64).collect()
-}
 
 /// The four Table 1 rows, with the bench's row labels.
 const ROWS: [(CollKind, &str); 4] = [
@@ -28,41 +23,14 @@ const ROWS: [(CollKind, &str); 4] = [
 /// Runs one collective on an N = 2^d cube with M-word messages and
 /// returns the measured elapsed virtual time.
 fn measure(kind: CollKind, d: u32, m: usize, port: PortModel) -> f64 {
-    let p = 1usize << d;
     #[allow(
         clippy::expect_used,
         reason = "fixed, valid bench machines; a failure is a bench bug"
     )]
-    let out = Machine::builder(p)
-        .port(port)
-        .cost(COST)
-        .build()
-        .expect("valid bench machine")
-        .run(vec![(); p], move |mut proc, ()| async move {
-            let sc = Subcube::whole(proc.dim());
-            let v = sc.rank_of(proc.id());
-            match kind {
-                CollKind::Bcast => {
-                    let data = (v == 0).then(|| payload(0, m));
-                    let _ = coll::bcast(&mut proc, &sc, 0, 0, data, m).await;
-                }
-                CollKind::Scatter => {
-                    let parts =
-                        (v == 0).then(|| (0..sc.size()).map(|r| payload(r, m)).collect::<Vec<_>>());
-                    let _ = coll::scatter(&mut proc, &sc, 0, 0, parts, m).await;
-                }
-                CollKind::Allgather => {
-                    let _ = coll::allgather(&mut proc, &sc, 0, payload(v, m)).await;
-                }
-                CollKind::Alltoall => {
-                    let parts: Vec<Payload> = (0..sc.size()).map(|r| payload(r, m)).collect();
-                    let _ = coll::alltoall_personalized(&mut proc, &sc, 0, parts).await;
-                }
-                other => unreachable!("no Table 1 row for {other:?}"),
-            }
-        })
-        .expect("healthy bench run");
-    out.stats.elapsed
+    run_collective(kind, port, COST, d, m, 0, false)
+        .expect("healthy bench run")
+        .stats
+        .elapsed
 }
 
 /// The paper's Table 1 prediction (t_s = t_w = 1).

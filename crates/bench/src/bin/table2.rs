@@ -9,7 +9,8 @@
 //!
 //! Usage: `cargo run --release -p cubemm-bench --bin table2 [-- --large]`
 
-use cubemm_bench::{fmt, measure_ab, write_result, Table};
+use cubemm_analyze::measure_ab;
+use cubemm_bench::{fmt, write_result, Table};
 use cubemm_core::Algorithm;
 use cubemm_model::{costs, PortModel};
 

@@ -12,29 +12,6 @@ use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Measures an algorithm's effective `(a, b)` overhead by running the
-/// simulator twice: once with `t_s = 1, t_w = 0` (elapsed = start-ups on
-/// the critical path) and once with `t_s = 0, t_w = 1` (elapsed = words
-/// on the critical path).
-pub fn measure_ab(
-    algo: cubemm_core::Algorithm,
-    n: usize,
-    p: usize,
-    port: cubemm_simnet::PortModel,
-) -> Result<(f64, f64), cubemm_core::AlgoError> {
-    use cubemm_core::MachineConfig;
-    use cubemm_dense::Matrix;
-    use cubemm_simnet::CostParams;
-
-    let a = Matrix::random(n, n, 1234);
-    let b = Matrix::random(n, n, 5678);
-    let cfg_a = MachineConfig::new(port, CostParams::STARTUPS_ONLY);
-    let cfg_b = MachineConfig::new(port, CostParams::WORDS_ONLY);
-    let ra = algo.multiply(&a, &b, p, &cfg_a)?;
-    let rb = algo.multiply(&a, &b, p, &cfg_b)?;
-    Ok((ra.stats.elapsed, rb.stats.elapsed))
-}
-
 /// Who measured, as the `BENCH_*.json` header lines every per-layer
 /// bench writes: cores, architecture, the reference kernel's ISA, and
 /// the detected cache sizes (each line indented and comma-terminated).
@@ -166,18 +143,5 @@ mod tests {
     fn fmt_integers_and_floats() {
         assert_eq!(fmt(4.0), "4");
         assert_eq!(fmt(4.25), "4.25");
-    }
-
-    #[test]
-    fn measure_ab_recovers_table2_for_cannon() {
-        let (a, b) = measure_ab(
-            cubemm_core::Algorithm::Cannon,
-            16,
-            16,
-            cubemm_simnet::PortModel::OnePort,
-        )
-        .unwrap();
-        assert_eq!(a, 10.0); // 2(√p−1) + log p
-        assert_eq!(b, 160.0); // n²/√p (2 − 2/√p + log p/√p)
     }
 }

@@ -7,7 +7,8 @@
 //! shift phase on the whole machine. Each runs on a given number of
 //! shards (`cubemm_simnet::with_shards`; 1 is `Machine::run`).
 
-use cubemm_collectives as coll;
+use cubemm_analyze::table1_sym;
+use cubemm_collectives::{self as coll, CollKind};
 use cubemm_simnet::{CostParams, Machine, Op, Payload, PortModel, Proc, RunStats};
 use cubemm_topology::{gray_delta_bit, Grid2, Subcube};
 
@@ -51,20 +52,31 @@ impl RowCollective {
     }
 
     /// Table 1's virtual time for this collective over `n = 2^d`-node
-    /// rows with `words`-word blocks. Multi-port schedules cut a block
-    /// into `d` slices and every round moves the same number of packets
-    /// in each, so the longest slice, `⌈words/d⌉`, sets the pace.
+    /// rows with `words`-word blocks: `cubemm_analyze::table1_sym`
+    /// evaluated at `M = words` one-port and `M = d·⌈words/d⌉`
+    /// multi-port. Multi-port schedules cut a block into `d` slices and
+    /// every round moves the same number of packets in each, so the
+    /// longest slice, `⌈words/d⌉`, sets the pace.
     pub fn closed_form(self, cost: CostParams, port: PortModel, n: usize, words: usize) -> f64 {
         let d = n.trailing_zeros() as usize;
-        let slice = match port {
+        let m = match port {
             PortModel::OnePort => words,
-            PortModel::MultiPort => words.div_ceil(d.max(1)),
+            PortModel::MultiPort => d * words.div_ceil(d.max(1)),
         };
-        let packets_in_sequence = match self {
-            RowCollective::Alltoall => d * n / 2,
-            _ => n - 1,
-        };
-        cost.ts * d as f64 + cost.tw * (packets_in_sequence * slice) as f64
+        let row = table1_sym(self.kind(), port);
+        let (m, d) = (m as f64, d as f64);
+        cost.ts * row.a.eval(m, d) + cost.tw * row.b.eval(m, d)
+    }
+
+    /// The Table 1 collective this is.
+    fn kind(self) -> CollKind {
+        match self {
+            RowCollective::Allgather => CollKind::Allgather,
+            RowCollective::ReduceScatter => CollKind::ReduceScatter,
+            RowCollective::Scatter => CollKind::Scatter,
+            RowCollective::Gather => CollKind::Gather,
+            RowCollective::Alltoall => CollKind::Alltoall,
+        }
     }
 
     /// Packets delivered (each counted at every hop) over all `n`-node

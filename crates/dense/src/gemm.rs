@@ -10,8 +10,8 @@
 //! ([`crate::pack`]), a runtime-dispatched register-tiled microkernel
 //! ([`crate::microkernel`] — AVX2+FMA `6×8` where the host has it,
 //! portable `4×8` otherwise), blocking parameters resolved through the
-//! tuning layer ([`crate::tune`]), and 2-D tiled parallelism over the
-//! in-tree work-stealing pool ([`crate::pool`]).
+//! tuning layer ([`crate::tune`]), and 2-D tiled parallelism on scoped
+//! threads that steal work from one cursor ([`crate::pool::par_for`]).
 //!
 //! # Determinism contract
 //!
@@ -30,7 +30,7 @@ use std::sync::OnceLock;
 
 use crate::microkernel::MicrokernelImpl;
 use crate::pack::{pack_a, pack_a_panel, pack_b, pack_b_panel, packed_a_len, packed_b_len};
-use crate::pool::{take_scratch, ThreadPool};
+use crate::pool::{host_threads, par_for, take_scratch};
 use crate::tune::{self, Blocking};
 use crate::{Matrix, MatrixView};
 
@@ -47,7 +47,8 @@ pub const DEFAULT_NC: usize = 512;
 
 /// Products with at most this many `m·k·n` flops-elements run the packed
 /// path single-threaded even when more threads were requested: below
-/// roughly `256³` the pool's dispatch + barrier costs more than the
+/// roughly `256³`, starting and joining the scoped workers of two
+/// [`par_for`] calls per `(jc, pc)` block costs more than the
 /// parallelism recovers (BENCH_kernels.json showed 2 threads *losing*
 /// to 1 at `n = 128` under the old always-dispatch driver).
 pub const PAR_MIN_ELEMS: usize = 1 << 24;
@@ -592,11 +593,7 @@ fn packed(
         mk.run_unpacked(c.as_mut_slice(), a.as_slice(), b.as_slice(), k, n);
         return;
     }
-    let threads = if threads == 0 {
-        ThreadPool::global().parallelism()
-    } else {
-        threads
-    };
+    let threads = host_threads(threads);
     if threads <= 1 || work <= PAR_MIN_ELEMS {
         packed_serial(c, a, b, &bl, mk);
     } else {
@@ -604,7 +601,7 @@ fn packed(
     }
 }
 
-/// Single-threaded packed path: no pool dispatch, no barriers, `A`
+/// Single-threaded packed path: no threads, no barriers, `A`
 /// blocks packed on first use so the working set is one `mc × kc` block
 /// plus one `B` panel.
 fn packed_serial(
@@ -651,8 +648,8 @@ fn packed_serial(
     }
 }
 
-/// Parallel packed path. Per `(jc, pc)` macro-iteration the pool runs
-/// two phases:
+/// Parallel packed path. Per `(jc, pc)` macro-iteration two [`par_for`]
+/// calls run two phases:
 ///
 /// 1. **Pack** — every `mr`-row panel of the `A` k-slab and every
 ///    `nr`-column panel of the `B` block is one job writing one
@@ -674,7 +671,6 @@ fn packed_parallel(
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let (mr, nr) = (mk.mr(), mk.nr());
     let ldc = n;
-    let pool = ThreadPool::global();
     let cp = SendPtr(c.as_mut_slice().as_mut_ptr());
     let apan = m.div_ceil(mr);
     let nblocks = m.div_ceil(bl.mc);
@@ -689,14 +685,14 @@ fn packed_parallel(
             let bp = SendPtr(bbuf.as_mut_slice().as_mut_ptr());
             // Phase 1: pack every panel of this k-slab (A) and block
             // (B); jobs 0..apan are A panels, the rest B panels.
-            pool.run(threads, apan + npan, &move |job| {
+            par_for(threads, apan + npan, &move |job| {
                 if job < apan {
                     let row0 = job * mr;
                     let live = mr.min(m - row0);
                     // SAFETY: job < apan owns exactly the A slice
                     // [job·mr·kcw, (job+1)·mr·kcw) — in bounds of the
                     // apan·mr·kcw buffer and disjoint from every other
-                    // job's slice; the buffer outlives the pool call.
+                    // job's slice; the buffer outlives the par_for call.
                     let dst = unsafe {
                         std::slice::from_raw_parts_mut(ap.get().add(job * mr * kcw), mr * kcw)
                     };
@@ -713,16 +709,17 @@ fn packed_parallel(
                 }
             });
             // Phase 2: 2-D tile jobs over (row block, column panel).
-            // pool.run's completion barrier orders every pack write
-            // before any compute read.
-            pool.run(threads, nblocks * npan, &move |job| {
+            // The pack phase's par_for joined its workers before
+            // returning, which orders every pack write before any
+            // compute read.
+            par_for(threads, nblocks * npan, &move |job| {
                 let ic = (job / npan) * bl.mc;
                 let jr = job % npan;
                 let mcw = bl.mc.min(m - ic);
                 let nrw = nr.min(ncw - jr * nr);
                 // SAFETY: shared re-borrow of the fully packed,
                 // no-longer-written B panel jr (pack phase completed
-                // under the pool barrier above).
+                // before the par_for above returned).
                 let bpan = unsafe {
                     std::slice::from_raw_parts(bp.get().add(jr * nr * kcw).cast_const(), nr * kcw)
                 };

@@ -12,8 +12,8 @@
 //!   reference verifies with, both accumulating (`C += A·B`),
 //! * [`pack`] / [`microkernel`] / [`pool`] — the packed kernel's panel
 //!   layouts, runtime-dispatched register-tiled microkernels (AVX2+FMA
-//!   `6×8` with a portable `4×8` fallback), and in-tree thread/buffer
-//!   pools,
+//!   `6×8` with a portable `4×8` fallback), and its parallel-for on
+//!   scoped threads with per-thread scratch buffers,
 //! * [`tune`] — cache detection, blocking-parameter sweeps, and the
 //!   persisted tuning file behind `cubemm tune-kernel`,
 //! * [`partition`] — the exact block/group layouts the paper's algorithms

@@ -29,7 +29,7 @@
 //! of `nr·kc` keeps successive `k` steps on one or two cache lines.
 //!
 //! [`pack_a_panel`]/[`pack_b_panel`] expose single-panel granularity so
-//! the parallel driver can fan the packing itself out across the pool
+//! the parallel driver can fan the packing itself out across threads
 //! (each panel has exactly one writer — same determinism argument as
 //! the compute tiles).
 

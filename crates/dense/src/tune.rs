@@ -364,7 +364,7 @@ pub fn sweep(
             threads,
         };
         let mut c = Matrix::zeros(n, n);
-        // Untimed warm-up: faults the buffers in, primes the pool.
+        // Untimed warm-up: faults the buffers in, fills the scratch lists.
         gemm_acc_with_microkernel(&mut c, &a, &b, kernel, mk);
         let mut best = f64::INFINITY;
         for _ in 0..reps.max(1) {

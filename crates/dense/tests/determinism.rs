@@ -191,7 +191,8 @@ fn default_blocking_is_bitwise_stable_across_impls_and_threads() {
 fn determinism_holds_above_the_parallel_threshold() {
     // The shapes above all take the small-product serial fast path, so
     // also pin a product big enough (m·k·n > 2^24) that requesting
-    // threads really fans out over the pool. Ragged on every dimension.
+    // threads really fans out over scoped workers; `0` asks for every
+    // core. Ragged on every dimension.
     let (m, k, n) = (264, 262, 291);
     assert!(m * k * n > cubemm_dense::gemm::PAR_MIN_ELEMS);
     let a = Matrix::random(m, k, 31);
@@ -199,7 +200,7 @@ fn determinism_holds_above_the_parallel_threshold() {
     let mut want = Matrix::zeros(m, n);
     gemm_acc_with_microkernel(&mut want, &a, &b, Kernel::packed(), MicrokernelImpl::Scalar);
     for mk in impls() {
-        for threads in [1usize, 2, 4, 8] {
+        for threads in [0usize, 1, 2, 4, 8] {
             let mut got = Matrix::zeros(m, n);
             gemm_acc_with_microkernel(&mut got, &a, &b, Kernel::packed_mt(threads), mk);
             assert_eq!(got, want, "{mk:?} with {threads} threads");

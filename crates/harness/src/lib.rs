@@ -13,8 +13,9 @@
 //! output is bitwise identical at any `jobs` value — property-tested by
 //! the workspace determinism suite.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+use cubemm_dense::pool::par_for;
 
 pub mod chaos;
 pub mod job;
@@ -50,23 +51,12 @@ where
     // The caller is one of the workers; the `jobs - 1` it adds hold
     // cores that sharded machines then do not take.
     let _cores = cubemm_simnet::cores::lease(jobs - 1);
-    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-    let work = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= tasks.len() {
-            break;
-        }
+    par_for(jobs, tasks.len(), &|i| {
         let result = run(&tasks[i]);
         // Each slot is written once, by the worker that claimed it, so
         // the lock is never contended or poisoned.
         *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..jobs {
-            scope.spawn(work);
-        }
-        work();
     });
 
     slots
@@ -74,7 +64,7 @@ where
         .map(|slot| {
             #[allow(
                 clippy::expect_used,
-                reason = "a task that failed would have panicked the scope above; \
+                reason = "a task that failed would have panicked par_for above; \
                           every surviving slot is filled"
             )]
             slot.into_inner()
@@ -88,7 +78,7 @@ where
 mod tests {
     use super::*;
     use std::panic::AssertUnwindSafe;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn grid_results_keep_input_order_at_any_job_count() {

@@ -2,27 +2,11 @@
 //! for the DNS+Cannon combination (§3.5) and the flat-grid 3-D All
 //! variant (§4.2.2).
 
+use cubemm_analyze::measure_ab;
 use cubemm_core::{dns_cannon, Algorithm, MachineConfig};
 use cubemm_dense::{gemm, Matrix};
 use cubemm_model::{dns_cannon_overhead, flat_all3d_overhead};
 use cubemm_simnet::{CostParams, PortModel};
-
-fn measure_ab(algo: Algorithm, n: usize, p: usize, port: PortModel) -> (f64, f64) {
-    let a = Matrix::random(n, n, 13);
-    let b = Matrix::random(n, n, 14);
-    let ra = algo
-        .multiply(
-            &a,
-            &b,
-            p,
-            &MachineConfig::new(port, CostParams::STARTUPS_ONLY),
-        )
-        .unwrap();
-    let rb = algo
-        .multiply(&a, &b, p, &MachineConfig::new(port, CostParams::WORDS_ONLY))
-        .unwrap();
-    (ra.stats.elapsed, rb.stats.elapsed)
-}
 
 #[test]
 fn extensions_are_correct_via_registry() {
@@ -98,14 +82,14 @@ fn dns_cannon_one_port_startups_exact() {
     // s = 8, r = 4: a = 5·log∛s + log r + 2(√r−1) = 5 + 2 + 2 = 9
     // (DNS sub-phases overlap less here because every mesh position
     // repeats the pattern; measured value pinned by the core unit test).
-    let (a, _b) = measure_ab(Algorithm::DnsCannon, 16, 32, PortModel::OnePort);
+    let (a, _b) = measure_ab(Algorithm::DnsCannon, 16, 32, PortModel::OnePort).unwrap();
     assert_eq!(a, 9.0);
 }
 
 #[test]
 fn flat_all3d_measured_matches_model() {
     for (n, p) in [(16usize, 16usize), (32, 256)] {
-        let (ma, mb) = measure_ab(Algorithm::All3dFlat, n, p, PortModel::OnePort);
+        let (ma, mb) = measure_ab(Algorithm::All3dFlat, n, p, PortModel::OnePort).unwrap();
         let model = flat_all3d_overhead(n, p, PortModel::OnePort).unwrap();
         assert!(ma <= model.a + 1e-9, "a {ma} vs model {}", model.a);
         assert!(mb <= model.b + 1e-9, "b {mb} vs model {}", model.b);
@@ -125,8 +109,8 @@ fn flat_all3d_trades_startups_for_volume() {
     // square-of-cube nor a cube) — compare against Cannon (p = 256 is
     // square): fewer start-ups, more volume.
     let (n, p) = (64usize, 256usize);
-    let (fa, fb) = measure_ab(Algorithm::All3dFlat, n, p, PortModel::OnePort);
-    let (ca, cb) = measure_ab(Algorithm::Cannon, n, p, PortModel::OnePort);
+    let (fa, fb) = measure_ab(Algorithm::All3dFlat, n, p, PortModel::OnePort).unwrap();
+    let (ca, cb) = measure_ab(Algorithm::Cannon, n, p, PortModel::OnePort).unwrap();
     assert!(fa < ca, "flat a {fa} should beat cannon a {ca}");
     assert!(fb > cb, "flat b {fb} expected above cannon b {cb}");
 }

@@ -9,28 +9,11 @@
 //! All_Trans as a stepping stone, the granularity slack) live in the
 //! certificates, not here.
 
-use cubemm_analyze::{compose_algorithm, judge, Verdict};
+use cubemm_analyze::{compose_algorithm, judge, measure_ab, Verdict};
 use cubemm_core::{Algorithm, MachineConfig};
 use cubemm_dense::Matrix;
 use cubemm_model::{costs, ModelAlgo, PortModel};
 use cubemm_simnet::CostParams;
-
-fn measure_ab(algo: Algorithm, n: usize, p: usize, port: PortModel) -> (f64, f64) {
-    let a = Matrix::random(n, n, 77);
-    let b = Matrix::random(n, n, 88);
-    let ra = algo
-        .multiply(
-            &a,
-            &b,
-            p,
-            &MachineConfig::new(port, CostParams::STARTUPS_ONLY),
-        )
-        .unwrap();
-    let rb = algo
-        .multiply(&a, &b, p, &MachineConfig::new(port, CostParams::WORDS_ONLY))
-        .unwrap();
-    (ra.stats.elapsed, rb.stats.elapsed)
-}
 
 /// The measured `(a, b)` judged against the certificate's prediction,
 /// after checking the certificate's own Table 2 obligations hold.
@@ -40,7 +23,7 @@ fn judged(algo: Algorithm, n: usize, p: usize, port: PortModel) -> Verdict {
     let predicted = cert
         .predict(n, p)
         .unwrap_or_else(|| panic!("{algo} {port}: no prediction at n={n}, p={p}"));
-    let (ma, mb) = measure_ab(algo, n, p, port);
+    let (ma, mb) = measure_ab(algo, n, p, port).unwrap();
     judge(predicted, ma, mb)
 }
 
@@ -61,7 +44,7 @@ fn one_port_rows_match_exactly() {
     }
     // All_Trans shares 3-D All's a; its b is strictly larger (the paper
     // motivates 3-D All by exactly this delta).
-    let (ma, mb) = measure_ab(Algorithm::AllTrans3d, n, p, PortModel::OnePort);
+    let (ma, mb) = measure_ab(Algorithm::AllTrans3d, n, p, PortModel::OnePort).unwrap();
     let o = costs::overhead(ModelAlgo::All3d, PortModel::OnePort, n, p).unwrap();
     assert_eq!(ma, o.a, "3d-all-trans a");
     assert!(mb > o.b, "3d-all-trans should cost more words than 3-D All");
@@ -74,7 +57,7 @@ fn one_port_3dd_beats_the_papers_additive_bound() {
     let v = judged(Algorithm::Diag3d, n, p, PortModel::OnePort);
     assert_eq!(v, Verdict::Exact, "{v}");
     // ... and the phase overlap puts it strictly under the paper's row.
-    let (ma, mb) = measure_ab(Algorithm::Diag3d, n, p, PortModel::OnePort);
+    let (ma, mb) = measure_ab(Algorithm::Diag3d, n, p, PortModel::OnePort).unwrap();
     let o = costs::overhead(ModelAlgo::Diag3d, PortModel::OnePort, n, p).unwrap();
     assert!(ma < o.a && mb < o.b, "paper bound not beaten: ({ma}, {mb})");
 }
@@ -120,7 +103,7 @@ fn measured_time_is_linear_in_ts_tw() {
     let (n, p) = (32usize, 16usize);
     for algo in [Algorithm::Cannon, Algorithm::Simple] {
         for port in [PortModel::OnePort, PortModel::MultiPort] {
-            let (a_ov, b_ov) = measure_ab(algo, n, p, port);
+            let (a_ov, b_ov) = measure_ab(algo, n, p, port).unwrap();
             let a = Matrix::random(n, n, 5);
             let b = Matrix::random(n, n, 6);
             let cost = CostParams { ts: 150.0, tw: 3.0 };
