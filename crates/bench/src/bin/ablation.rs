@@ -39,6 +39,7 @@ fn virtual_time(algo: Algorithm, port: PortModel, kernel: Kernel) -> f64 {
 }
 
 fn main() {
+    cubemm_bench::die_quietly_on_closed_stdout();
     let time = |algo, port| virtual_time(algo, port, Kernel::default());
     let (one, multi) = (PortModel::OnePort, PortModel::MultiPort);
     println!(

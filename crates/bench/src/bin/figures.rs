@@ -49,6 +49,7 @@ fn emit(figure: u32, port: PortModel) {
 }
 
 fn main() {
+    cubemm_bench::die_quietly_on_closed_stdout();
     let figure: Option<u32> = std::env::args()
         .skip_while(|a| a != "--figure")
         .nth(1)

@@ -14,19 +14,25 @@
 //!                           (soft-warns instead when the host has
 //!                           fewer cores than the top thread count),
 //!                           and unless `reference` ≥ 2.0x `ikj` there
-//!                           (soft-warns on hosts without AVX2)
+//!                           (soft-warns where the reference runs its
+//!                           baseline instantiation)
 //! ```
 //!
-//! The packed kernel is benched per microkernel implementation
-//! (`packed-scalar-*` forced onto the portable 4×8 tile,
-//! `packed-simd-*` on the AVX2+FMA 6×8 tile when the host has it) and
-//! per thread count, with a machine-readable `speedup_vs_1t` column so
-//! CI can assert parallel scaling. The `reference` row times
-//! `gemm::reference` itself — the host re-multiply every front door
-//! verifies against: the `blocked64` loop plus its output allocation.
-//! The `naive` and `ikj` rows are unblocked baseline loops that live
-//! only here; the product's `Kernel` has just the packed and blocked
-//! kernels. `--smoke` runs small sizes only,
+//! The packed kernel is benched on every microkernel the host can run
+//! (`packed-scalar-*` on the portable 4×8 tile, `packed-avx2-*` on the
+//! 6×8 `ymm` tile, `packed-avx512-*` on the 12×8 `zmm` tile) and per
+//! thread count, with a machine-readable `speedup_vs_1t` column so CI
+//! can assert parallel scaling. The reference loop is benched the same
+//! way, one `blocked64-*` row per instantiation the host runs, and the
+//! `reference` row times `gemm::reference` itself — the host
+//! re-multiply every front door verifies against: the dispatched
+//! `blocked64` loop plus its output allocation. The `naive` and `ikj`
+//! rows are unblocked baseline loops that live only here; the
+//! product's `Kernel` has just the packed and blocked kernels. Rows
+//! compare within one run (one file) only. The `fma_peak` rows are
+//! the ceiling the kernel rows are read against: twelve
+//! register-resident FMA chains per vector width the host has.
+//! `--smoke` runs small sizes only,
 //! cross-checks every kernel against the naive product, and exits
 //! non-zero on mismatch — a cheap guard that keeps the kernel and bench
 //! code from bit-rotting. The full run performs the same verification
@@ -34,13 +40,15 @@
 
 use std::time::Instant;
 
-use cubemm_dense::gemm::{self, gemm_acc_with_microkernel, Kernel, ReferenceIsa, PAR_MIN_ELEMS};
+use cubemm_dense::gemm::{
+    self, blocked_acc_with_isa, gemm_acc_with_microkernel, Kernel, ReferenceIsa, PAR_MIN_ELEMS,
+};
 use cubemm_dense::microkernel::MicrokernelImpl;
 use cubemm_dense::pack::{pack_a, pack_b, packed_a_len, packed_b_len};
 use cubemm_dense::{tune, Matrix};
 
 /// `--assert-scaling`'s floor for `reference` over `ikj` at the gated
-/// size, where the AVX2 instantiation is the active one.
+/// size, where a vector instantiation is the active one.
 const REFERENCE_FLOOR: f64 = 2.0;
 
 /// What one row times.
@@ -50,6 +58,8 @@ enum Body {
     Loop(fn(&mut Matrix, &Matrix, &Matrix)),
     /// A product kernel on a pinned microkernel.
     Kernel(Kernel, MicrokernelImpl),
+    /// The reference loop, 64 deep, on a pinned instantiation.
+    Blocked(ReferenceIsa),
 }
 
 struct KernelSpec {
@@ -74,6 +84,7 @@ impl KernelSpec {
         match self.body {
             Body::Loop(run) => run(c, a, b),
             Body::Kernel(kernel, mk) => gemm_acc_with_microkernel(c, a, b, kernel, mk),
+            Body::Blocked(isa) => blocked_acc_with_isa(c, a, b, 64, isa),
         }
     }
 
@@ -120,23 +131,29 @@ fn ikj(c: &mut Matrix, a: &Matrix, b: &Matrix) {
     }
 }
 
+/// The row family of the packed kernel on `mk`: `packed-` and the
+/// ISA part of its name (`packed-avx512` for `avx512-12x8`).
+fn packed_family(mk: MicrokernelImpl) -> String {
+    let isa = mk.name().split('-').next().unwrap_or(mk.name());
+    format!("packed-{isa}")
+}
+
 fn kernels(threads: &[usize]) -> Vec<KernelSpec> {
-    let scalar = MicrokernelImpl::Scalar;
     let mut v = vec![
         KernelSpec::new("naive", Body::Loop(naive)),
         KernelSpec::new("ikj", Body::Loop(ikj)),
-        KernelSpec::new("blocked64", Body::Kernel(Kernel::Blocked(64), scalar)),
-        // `gemm::reference` itself, fresh output and all.
-        KernelSpec::new(
-            "reference",
-            Body::Loop(|c, a, b| *c = gemm::reference(a, b)),
-        ),
     ];
-    let mut impls = vec![("packed-scalar", scalar)];
-    if MicrokernelImpl::detect() == MicrokernelImpl::Avx2 {
-        impls.push(("packed-simd", MicrokernelImpl::Avx2));
+    for isa in ReferenceIsa::available() {
+        let name = format!("blocked64-{}", isa.name());
+        v.push(KernelSpec::new(&name, Body::Blocked(isa)));
     }
-    for (family, mk) in impls {
+    // `gemm::reference` itself, fresh output and all.
+    v.push(KernelSpec::new(
+        "reference",
+        Body::Loop(|c, a, b| *c = gemm::reference(a, b)),
+    ));
+    for mk in MicrokernelImpl::available() {
+        let family = packed_family(mk);
         for &t in threads {
             v.push(KernelSpec {
                 name: format!("{family}-{t}t"),
@@ -281,10 +298,7 @@ const SWEEP_SHAPES: [(usize, usize, usize); 12] = [
 /// each shape on every microkernel the host runs, after checking that
 /// the three agree bitwise. Returns JSON rows, or the first mismatch.
 fn small_rows(shapes: &[(usize, usize, usize)]) -> Result<Vec<String>, String> {
-    let mut impls = vec![MicrokernelImpl::Scalar];
-    if MicrokernelImpl::detect() == MicrokernelImpl::Avx2 {
-        impls.push(MicrokernelImpl::Avx2);
-    }
+    let impls = MicrokernelImpl::available();
     let bits = |m: &Matrix| {
         m.as_slice()
             .iter()
@@ -337,6 +351,87 @@ fn small_rows(shapes: &[(usize, usize, usize)]) -> Result<Vec<String>, String> {
     Ok(rows)
 }
 
+/// Twelve independent FMA chains on `$vec` vectors, `iters` steps each:
+/// enough chains to cover the FMA latency on two ports, and no memory
+/// traffic. `acc ← acc·x + y` with `x < 1` converges, so no chain
+/// overflows or goes subnormal; every chain starts elsewhere (through
+/// `black_box`) so the compiler cannot merge them. Written with the
+/// intrinsics so that the measured ceiling never rests on the
+/// vectorizer.
+macro_rules! fma_chains {
+    ($name:ident, $features:literal, $lanes:literal, $vec:ident, $set1:ident, $fmadd:ident) => {
+        /// # Safety
+        #[doc = concat!("The host must support `", $features, "`.")]
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $features)]
+        unsafe fn $name(iters: u64) -> f64 {
+            use std::arch::x86_64::{$fmadd, $set1, $vec};
+            let x = $set1(std::hint::black_box(0.999_999));
+            let y = $set1(std::hint::black_box(0.000_001));
+            let mut acc: [$vec; 12] =
+                std::array::from_fn(|i| $set1(std::hint::black_box(1.0 + i as f64 / 16.0)));
+            for _ in 0..iters {
+                for a in &mut acc {
+                    *a = $fmadd(*a, x, y);
+                }
+            }
+            // SAFETY: `$vec` is `$lanes` f64 lanes, plain data.
+            let lanes: [[f64; $lanes]; 12] = unsafe { std::mem::transmute(acc) };
+            lanes.iter().flatten().sum()
+        }
+    };
+}
+
+fma_chains!(
+    fma_chains_ymm,
+    "avx2,fma",
+    4,
+    __m256d,
+    _mm256_set1_pd,
+    _mm256_fmadd_pd
+);
+fma_chains!(
+    fma_chains_zmm,
+    "avx512f",
+    8,
+    __m512d,
+    _mm512_set1_pd,
+    _mm512_fmadd_pd
+);
+
+/// One core's FMA peak per vector width the packed tiles use on this
+/// host (`ymm` for the AVX2 tile, `zmm` for the AVX-512 one), in GFLOP/s:
+/// the best of five timed runs of twelve chains (a warm-up run first).
+fn fma_peaks() -> Vec<(&'static str, f64)> {
+    #[cfg(target_arch = "x86_64")]
+    const ITERS: u64 = 1 << 22;
+    #[cfg(not(target_arch = "x86_64"))]
+    return Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    MicrokernelImpl::available()
+        .into_iter()
+        .filter_map(|mk| {
+            let (width, lanes, chains): (_, u64, unsafe fn(u64) -> f64) = match mk {
+                MicrokernelImpl::Scalar => return None,
+                MicrokernelImpl::Avx2 => ("ymm", 4, fma_chains_ymm),
+                MicrokernelImpl::Avx512 => ("zmm", 8, fma_chains_zmm),
+            };
+            let best = (0..6)
+                .map(|_| {
+                    let t = Instant::now();
+                    // SAFETY: `mk` runs here, and each chain function
+                    // needs no more than its tile's features.
+                    std::hint::black_box(unsafe { chains(std::hint::black_box(ITERS)) });
+                    t.elapsed().as_secs_f64()
+                })
+                .skip(1)
+                .fold(f64::INFINITY, f64::min);
+            // 12 chains × `lanes` lanes × 2 flops per fused multiply-add.
+            Some((width, (ITERS * 12 * lanes * 2) as f64 / best / 1e9))
+        })
+        .collect()
+}
+
 /// The first `model name` in /proc/cpuinfo, JSON-safe; `unknown` where
 /// there is none.
 fn cpu_model() -> String {
@@ -364,6 +459,7 @@ fn parse_list(raw: &str, flag: &str) -> Vec<usize> {
 }
 
 fn main() {
+    cubemm_bench::die_quietly_on_closed_stdout();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let smoke = argv.iter().any(|a| a == "--smoke");
     let flag_val = |flag: &str| -> Option<String> {
@@ -412,7 +508,7 @@ fn main() {
     let mut rows: Vec<String> = Vec::new();
     let mut table: Vec<(String, usize, f64)> = Vec::new();
     println!(
-        "{:<16} {:>6} {:>12} {:>10} {:>8}",
+        "{:<18} {:>6} {:>12} {:>10} {:>8}",
         "kernel", "n", "time", "GFLOP/s", "vs-1t"
     );
     for &n in &sizes {
@@ -431,7 +527,7 @@ fn main() {
             table.push((spec.name.clone(), n, gflops));
             let t = spec.threads();
             println!(
-                "{:<16} {:>6} {:>10.2}ms {:>10.2} {:>7.2}x{}",
+                "{:<18} {:>6} {:>10.2}ms {:>10.2} {:>7.2}x{}",
                 spec.name,
                 n,
                 secs * 1e3,
@@ -448,6 +544,18 @@ fn main() {
                 spec.name, n, t, secs, gflops, speedup
             ));
         }
+    }
+
+    let peaks = fma_peaks();
+    println!();
+    for (width, gflops) in &peaks {
+        println!(
+            "{:<18} {:>6} {:>12} {:>10.2}",
+            format!("fma-peak-{width}"),
+            "-",
+            "-",
+            gflops
+        );
     }
 
     // Per-call cost of small products: `gemm_acc`'s choice beside the
@@ -477,7 +585,7 @@ fn main() {
         // ISA dispatches, and the cache sizes the blocking was pruned to.
         let caches = tune::detect_caches();
         let json = format!(
-            "{{\n  \"bench\": \"local_gemm_kernels\",\n  \"flops_formula\": \"2*n^3\",\n  \"host_cpu\": \"{}\",\n  \"microkernel\": \"{}\",\n  \"reference_isa\": \"{}\",\n  \"host_cores\": {},\n  \"l1d_bytes\": {},\n  \"l2_bytes\": {},\n  \"results\": [\n{}\n  ],\n  \"small_max_elems\": {},\n  \"small\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"local_gemm_kernels\",\n  \"flops_formula\": \"2*n^3\",\n  \"host_cpu\": \"{}\",\n  \"microkernel\": \"{}\",\n  \"reference_isa\": \"{}\",\n  \"host_cores\": {},\n  \"l1d_bytes\": {},\n  \"l2_bytes\": {},\n  \"results\": [\n{}\n  ],\n  \"fma_peak\": [\n{}\n  ],\n  \"small_max_elems\": {},\n  \"small\": [\n{}\n  ]\n}}\n",
             cpu_model(),
             MicrokernelImpl::active().name(),
             ReferenceIsa::active().name(),
@@ -485,6 +593,13 @@ fn main() {
             caches.l1d,
             caches.l2,
             rows.join(",\n"),
+            peaks
+                .iter()
+                .map(|(width, gflops)| format!(
+                    "    {{\"width\": \"{width}\", \"gflops\": {gflops:.3}}}"
+                ))
+                .collect::<Vec<_>>()
+                .join(",\n"),
             gemm::SMALL_MAX_ELEMS,
             small.join(",\n")
         );
@@ -499,11 +614,7 @@ fn main() {
 
     if let Some(min) = assert_scaling {
         let top = threads.iter().copied().max().unwrap_or(1);
-        let family = if MicrokernelImpl::active() == MicrokernelImpl::Avx2 {
-            "packed-simd"
-        } else {
-            "packed-scalar"
-        };
+        let family = packed_family(MicrokernelImpl::active());
         let Some(&n) = sizes.iter().filter(|&&n| n >= 512).max() else {
             eprintln!("warning: --assert-scaling needs a size >= 512 in --sizes; skipping");
             return;
@@ -514,8 +625,8 @@ fn main() {
                 .find(|(t, bn, _)| t == name && *bn == n)
                 .map(|&(_, _, g)| g)
         };
-        // The reference-kernel floor: the register-tiled AVX2
-        // instantiation must stay well clear of the plain `ikj` loop it
+        // The reference-kernel floor: the register-tiled vector
+        // instantiations must stay well clear of the plain `ikj` loop it
         // verifies beside.
         if let (Some(reference), Some(ikj)) = (find("reference"), find("ikj")) {
             let ratio = reference / ikj;
@@ -523,7 +634,7 @@ fn main() {
                 "reference: reference / ikj = {ratio:.2}x at n={n} (want >= {REFERENCE_FLOOR:.2}x)"
             );
             if ratio < REFERENCE_FLOOR {
-                if ReferenceIsa::active() == ReferenceIsa::Avx2 {
+                if ReferenceIsa::active() != ReferenceIsa::Baseline {
                     eprintln!(
                         "error: reference kernel regression: {ratio:.2}x < {REFERENCE_FLOOR:.2}x over ikj"
                     );

@@ -13,6 +13,7 @@ use cubemm_model::{best_algorithm, ModelAlgo};
 use cubemm_simnet::{CostParams, PortModel};
 
 fn main() {
+    cubemm_bench::die_quietly_on_closed_stdout();
     let ns = [16usize, 32, 64];
     let ps = [4usize, 8, 16, 64, 512];
     let contenders = Algorithm::COMPARED;

@@ -9,6 +9,7 @@ use cubemm_bench::{write_result, Table};
 use cubemm_model::{efficiency, isoefficiency_n, ModelAlgo, PortModel, ScaleParams};
 
 fn main() {
+    cubemm_bench::die_quietly_on_closed_stdout();
     let params = ScaleParams::PAPER;
     let machines = [64usize, 512, 4096, 1 << 15, 1 << 18];
 

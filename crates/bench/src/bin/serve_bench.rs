@@ -43,14 +43,14 @@ struct Level {
 /// machine sizes.
 fn job_line(i: usize, faulty: bool) -> String {
     let n = [8usize, 12, 16][i % 3];
-    let p = if i % 7 == 0 { 16 } else { 4 };
-    let faults = if faulty && i % 3 == 0 {
+    let p = if i.is_multiple_of(7) { 16 } else { 4 };
+    let faults = if faulty && i.is_multiple_of(3) {
         format!(
             r#","faults":{{"crashes":[{{"node":{},"step":{}}}]}}"#,
             i % p,
             i % 2
         )
-    } else if faulty && i % 5 == 0 {
+    } else if faulty && i.is_multiple_of(5) {
         format!(
             r#","faults":{{"corruptions":[{{"from":0,"to":1,"seq":{},"word":{},"perturb":64.0}}]}}"#,
             i % 3,
@@ -212,6 +212,7 @@ fn run_soak() {
 }
 
 fn main() {
+    cubemm_bench::die_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     if args.iter().any(|a| a == "--soak") {

@@ -342,6 +342,7 @@ fn measure_in_child(index: usize, smoke: bool) -> Result<Measured, String> {
 }
 
 fn main() {
+    cubemm_bench::die_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let baseline_path = args

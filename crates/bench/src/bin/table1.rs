@@ -41,6 +41,7 @@ fn predicted(kind: CollKind, d: u32, m: usize, port: PortModel) -> f64 {
 }
 
 fn main() {
+    cubemm_bench::die_quietly_on_closed_stdout();
     let max_dim: u32 = std::env::args()
         .skip_while(|a| a != "--max-dim")
         .nth(1)

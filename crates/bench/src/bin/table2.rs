@@ -15,6 +15,7 @@ use cubemm_core::Algorithm;
 use cubemm_model::{costs, PortModel};
 
 fn main() {
+    cubemm_bench::die_quietly_on_closed_stdout();
     let large = std::env::args().any(|a| a == "--large");
     // (n, p) pairs: p must be a 6th power of two to exercise both 2-D
     // and 3-D algorithms at the same size; 64 covers the default run,

@@ -11,6 +11,7 @@ use cubemm_model::{total_space, PortModel};
 use cubemm_simnet::CostParams;
 
 fn main() {
+    cubemm_bench::die_quietly_on_closed_stdout();
     let configs = [(64usize, 64usize), (32, 64), (64, 8)];
     println!("=== Table 3: overall space used (measured peak words vs paper) ===\n");
     let mut table = Table::new(&[

@@ -12,6 +12,25 @@ use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
+/// Restores SIGPIPE's default disposition, so that a reader that closes
+/// stdout early (`kernel_bench --smoke | head -1`) ends the bench by the
+/// signal, quietly, as it ends any filter, instead of by a panic in
+/// `println!`. Every bench bin calls it first thing in `main`, before any
+/// other thread exists.
+pub fn die_quietly_on_closed_stdout() {
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: std::ffi::c_int, handler: usize) -> usize;
+        }
+        const SIGPIPE: std::ffi::c_int = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: restoring a signal's default disposition touches no
+        // memory, and no other thread exists yet to race it.
+        unsafe { signal(SIGPIPE, SIG_DFL) };
+    }
+}
+
 /// Who measured, as the `BENCH_*.json` header lines every per-layer
 /// bench writes: cores, architecture, the reference kernel's ISA, and
 /// the detected cache sizes (each line indented and comma-terminated).

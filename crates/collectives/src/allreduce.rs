@@ -28,7 +28,7 @@ pub async fn allreduce_sum(proc: &mut Proc, sc: &Subcube, base: u64, mine: Paylo
     if n == 1 {
         return mine;
     }
-    if m % n == 0 {
+    if m.is_multiple_of(n) {
         // Reduce-scatter my chunks, then all-gather the reduced pieces.
         let each = m / n;
         let parts: Vec<Payload> = (0..n)

@@ -1121,7 +1121,7 @@ mod tests {
             if let Some(at) = present.iter().position(|&held| held == id) {
                 present.swap_remove(at);
                 assert_eq!(store.take(id), Some(tag(id)));
-            } else if pick % 2 == 0 || present.is_empty() {
+            } else if pick.is_multiple_of(2) || present.is_empty() {
                 store.put(id, tag(id));
                 present.push(id);
             } else {

@@ -202,7 +202,7 @@ fn localize(
     p: usize,
 ) -> (Option<(usize, usize)>, Option<usize>) {
     let q = (p as f64).sqrt().round() as usize;
-    if q == 0 || q * q != p || total % q != 0 || entries.is_empty() {
+    if q == 0 || q * q != p || !total.is_multiple_of(q) || entries.is_empty() {
         return (None, None);
     }
     let side = total / q;

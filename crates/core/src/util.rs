@@ -28,7 +28,7 @@ pub fn square_order(a: &Matrix, b: &Matrix) -> Result<usize, AlgoError> {
 
 /// Checks `divisor | n`, attributing the requirement to `what`.
 pub fn require_divides(n: usize, divisor: usize, what: &'static str) -> Result<(), AlgoError> {
-    if divisor == 0 || n % divisor != 0 {
+    if divisor == 0 || !n.is_multiple_of(divisor) {
         return Err(AlgoError::Indivisible { n, divisor, what });
     }
     Ok(())

@@ -8,8 +8,9 @@
 //! to make end-to-end runs as fast as the host allows. The fast path is
 //! [`Kernel::Packed`]: a cache-blocked GEMM with panel packing
 //! ([`crate::pack`]), a runtime-dispatched register-tiled microkernel
-//! ([`crate::microkernel`] — AVX2+FMA `6×8` where the host has it,
-//! portable `4×8` otherwise), blocking parameters resolved through the
+//! ([`crate::microkernel`] — AVX-512 `12×8` or AVX2 `6×8` where the host
+//! has them, portable `4×8` otherwise), blocking parameters resolved
+//! through the
 //! tuning layer ([`crate::tune`]), and 2-D tiled parallelism on scoped
 //! threads that steal work from one cursor ([`crate::pool::par_for`]).
 //!
@@ -20,7 +21,7 @@
 //! FMA chain per `kc` block in ascending `k`, and `kc` blocks are
 //! barrier-ordered — the schedule decides *who* computes a tile, never
 //! *what* is computed. It is also bitwise identical across the
-//! SIMD/scalar microkernels for a fixed `kc` split (both are
+//! AVX-512/AVX2/scalar microkernels for a fixed `kc` split (all are
 //! correctly-rounded FMA; see `microkernel.rs`). Changing `kc` changes
 //! where the per-block accumulator is folded into `C` and therefore the
 //! rounding — so reproducible deployments pin `kc` (or rely on the
@@ -179,13 +180,13 @@ pub fn gemm_acc<'a, 'b>(
 
 /// [`gemm_acc`] with an explicit microkernel implementation for the
 /// packed path (other kernels ignore it). This is how the forced-scalar
-/// determinism suite and the `packed-scalar`/`packed-simd` bench rows
-/// pin a specific impl; ordinary callers use [`gemm_acc`], which runs
-/// the host-detected best kernel.
+/// determinism suite and the per-impl `packed-*` bench rows pin a
+/// specific impl; ordinary callers use [`gemm_acc`], which runs the
+/// host-detected best kernel.
 ///
 /// # Panics
-/// Panics on dimension mismatch, and if an `Avx2` impl is passed on a
-/// host without AVX2+FMA.
+/// Panics on dimension mismatch, and if `mk` cannot run on this host
+/// ([`MicrokernelImpl::runs_here`]).
 pub fn gemm_acc_with_microkernel<'a, 'b>(
     c: &mut Matrix,
     a: impl Into<MatrixView<'a>>,
@@ -195,13 +196,11 @@ pub fn gemm_acc_with_microkernel<'a, 'b>(
 ) {
     let (a, b) = (a.into(), b.into());
     assert_conformable(c, a, b);
-    if mk == MicrokernelImpl::Avx2 {
-        assert_eq!(
-            MicrokernelImpl::detect(),
-            MicrokernelImpl::Avx2,
-            "AVX2 microkernel requested on a host without AVX2+FMA"
-        );
-    }
+    assert!(
+        mk.is_active_or_runs_here(),
+        "{} microkernel requested on a host that cannot run it",
+        mk.name()
+    );
     match kernel {
         Kernel::Blocked(tile) => blocked(c, a, b, tile, ReferenceIsa::active()),
         Kernel::Packed {
@@ -286,31 +285,65 @@ pub fn alongside_reference<R>(
 
 /// Which compiled instantiation of the [`Kernel::Blocked`] loop runs.
 ///
-/// One `#[inline(always)]` body is compiled twice — for the baseline
-/// target and under `#[target_feature(enable = "avx2")]` (wider
-/// vectors, still no FMA) — so the two differ in speed only, never in
-/// bits. Ordinary callers get [`ReferenceIsa::active`] through
-/// [`gemm_acc`]/[`reference()`]; the equivalence suite and the kernel
-/// bench pin one with [`blocked_acc_with_isa`].
+/// One `#[inline(always)]` body is compiled three times — for the
+/// baseline target, under `#[target_feature(enable = "avx2")]` and under
+/// `#[target_feature(enable = "avx512f,avx2")]` (wider vectors, still no
+/// FMA) — so they differ in speed only, never in bits. Ordinary callers
+/// get [`ReferenceIsa::active`] through [`gemm_acc`]/[`reference()`];
+/// the equivalence suite and the kernel bench pin one with
+/// [`blocked_acc_with_isa`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReferenceIsa {
     /// The build target's baseline instruction set.
     Baseline,
     /// 256-bit AVX2 vectors (x86_64, runtime-detected).
     Avx2,
+    /// 512-bit AVX-512F vectors (x86_64, runtime-detected).
+    Avx512,
 }
 
 impl ReferenceIsa {
-    /// The best instantiation the host can run, ignoring the
-    /// `CUBEMM_FORCE_SCALAR` override.
-    pub fn detect() -> ReferenceIsa {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return ReferenceIsa::Avx2;
+    /// Every instantiation, narrowest first.
+    const ALL: [ReferenceIsa; 3] = [
+        ReferenceIsa::Baseline,
+        ReferenceIsa::Avx2,
+        ReferenceIsa::Avx512,
+    ];
+
+    /// Whether this host can run `self` (`Baseline` always; the vector
+    /// builds where their features are detected, never under Miri).
+    pub fn runs_here(self) -> bool {
+        match self {
+            ReferenceIsa::Baseline => true,
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            ReferenceIsa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            ReferenceIsa::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx2")
             }
+            #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+            _ => false,
         }
-        ReferenceIsa::Baseline
+    }
+
+    /// Every instantiation this host can run, narrowest first.
+    pub fn available() -> Vec<ReferenceIsa> {
+        Self::ALL
+            .into_iter()
+            .filter(|isa| isa.runs_here())
+            .collect()
+    }
+
+    /// The best instantiation the host can run (the widest of
+    /// [`ReferenceIsa::available`]), ignoring the `CUBEMM_FORCE_SCALAR`
+    /// override.
+    pub fn detect() -> ReferenceIsa {
+        Self::ALL
+            .into_iter()
+            .rev()
+            .find(|isa| isa.runs_here())
+            .unwrap_or(ReferenceIsa::Baseline)
     }
 
     /// The process-wide selection: [`ReferenceIsa::detect`] unless
@@ -331,6 +364,7 @@ impl ReferenceIsa {
         match self {
             ReferenceIsa::Baseline => "baseline",
             ReferenceIsa::Avx2 => "avx2",
+            ReferenceIsa::Avx512 => "avx512",
         }
     }
 }
@@ -339,8 +373,8 @@ impl ReferenceIsa {
 /// instantiation (see [`ReferenceIsa`]).
 ///
 /// # Panics
-/// Panics on dimension mismatch, and if `Avx2` is passed on a host
-/// without AVX2.
+/// Panics on dimension mismatch, and if `isa` cannot run on this host
+/// ([`ReferenceIsa::runs_here`]).
 pub fn blocked_acc_with_isa<'a, 'b>(
     c: &mut Matrix,
     a: impl Into<MatrixView<'a>>,
@@ -365,41 +399,49 @@ fn blocked(c: &mut Matrix, a: MatrixView<'_>, b: MatrixView<'_>, tile: usize, is
     let lt = tile.max(1);
     let jt = lt.div_ceil(2).saturating_mul(STRIP);
     let (c, a, b) = (c.as_mut_slice(), a.as_slice(), b.as_slice());
-    match isa {
-        ReferenceIsa::Baseline => blocked_body(c, a, b, k, n, lt, jt),
-        ReferenceIsa::Avx2 => {
-            assert_eq!(
-                ReferenceIsa::detect(),
-                ReferenceIsa::Avx2,
-                "AVX2 reference kernel requested on a host without AVX2"
-            );
-            #[cfg(all(target_arch = "x86_64", not(miri)))]
-            // SAFETY: AVX2 support was just checked at runtime.
-            unsafe {
-                blocked_avx2(c, a, b, k, n, lt, jt)
-            }
+    assert!(
+        isa.runs_here(),
+        "{} reference kernel requested on a host that cannot run it",
+        isa.name()
+    );
+    // SAFETY: the instantiation's features were just checked at runtime.
+    unsafe {
+        match isa {
+            ReferenceIsa::Baseline => blocked_body(c, a, b, k, n, lt, jt),
+            ReferenceIsa::Avx2 => blocked_avx2(c, a, b, k, n, lt, jt),
+            ReferenceIsa::Avx512 => blocked_avx512(c, a, b, k, n, lt, jt),
         }
     }
 }
 
-/// # Safety
-/// The host must support AVX2.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-unsafe fn blocked_avx2(
-    c: &mut [f64],
-    a: &[f64],
-    b: &[f64],
-    k: usize,
-    n: usize,
-    lt: usize,
-    jt: usize,
-) {
-    blocked_body(c, a, b, k, n, lt, jt);
+/// Declares `$name`: [`blocked_body`] compiled with the `$features`
+/// target features on x86_64 (the portable build elsewhere and under
+/// Miri, where only `Baseline` runs). Wider vectors, still no FMA.
+///
+/// # Safety (of each instantiation)
+/// On x86_64 the host must support `$features`.
+macro_rules! blocked_for {
+    ($name:ident, $features:literal) => {
+        #[cfg_attr(all(target_arch = "x86_64", not(miri)), target_feature(enable = $features))]
+        unsafe fn $name(
+            c: &mut [f64],
+            a: &[f64],
+            b: &[f64],
+            k: usize,
+            n: usize,
+            lt: usize,
+            jt: usize,
+        ) {
+            blocked_body(c, a, b, k, n, lt, jt);
+        }
+    };
 }
 
+blocked_for!(blocked_avx2, "avx2");
+blocked_for!(blocked_avx512, "avx512f,avx2");
+
 /// Columns of the [`Kernel::Blocked`] register tile: one cache line of
-/// a `B` row, two AVX2 vectors.
+/// a `B` row, two AVX2 vectors or one AVX-512 vector.
 const STRIP: usize = 8;
 
 /// The [`Kernel::Blocked`] loop: `jt`-column × `lt`-deep tiles of `B`
@@ -449,7 +491,7 @@ fn blocked_body(c: &mut [f64], a: &[f64], b: &[f64], k: usize, n: usize, lt: usi
 
 /// `C[i][j..j + STRIP] += A[i][l]·B[l][j..j + STRIP]` for the four rows
 /// `i` of `quad` and ascending `l` in `l0..l1`. The 4 × [`STRIP`] block
-/// of `C` stays in locals (registers, under AVX2) from the first `l` to
+/// of `C` stays in locals (registers, under AVX2/AVX-512) from the first `l` to
 /// the last, and each `B` row segment is loaded once for all four rows.
 /// Each element still sees `c = c + a·b`, rounded twice per `l`.
 #[inline(always)]
@@ -771,10 +813,16 @@ mod tests {
     }
 
     fn impls() -> Vec<MicrokernelImpl> {
-        let mut v = vec![MicrokernelImpl::Scalar];
-        if MicrokernelImpl::detect() == MicrokernelImpl::Avx2 {
-            v.push(MicrokernelImpl::Avx2);
-        }
+        let v = MicrokernelImpl::available();
+        let skipped: Vec<_> = [
+            MicrokernelImpl::Scalar,
+            MicrokernelImpl::Avx2,
+            MicrokernelImpl::Avx512,
+        ]
+        .into_iter()
+        .filter(|mk| !v.contains(mk))
+        .collect();
+        eprintln!("microkernel arms compared: {v:?}; skipped, not on this host: {skipped:?}");
         v
     }
 
@@ -898,10 +946,8 @@ mod tests {
     fn microkernel_impls_agree_bitwise_at_shared_kc() {
         // The cross-impl half of the determinism contract: same kc ⇒
         // same bits, whatever the tile shape. mc/nc deliberately differ
-        // between the two runs to show they are bitwise-neutral.
-        if MicrokernelImpl::detect() != MicrokernelImpl::Avx2 {
-            return;
-        }
+        // between the scalar run and the others to show they are
+        // bitwise-neutral.
         let (m, k, n) = (45, 33, 52);
         let a = Matrix::random(m, k, 91);
         let b = Matrix::random(k, n, 92);
@@ -918,20 +964,22 @@ mod tests {
             },
             MicrokernelImpl::Scalar,
         );
-        let mut simd = Matrix::zeros(m, n);
-        gemm_acc_with_microkernel(
-            &mut simd,
-            &a,
-            &b,
-            Kernel::Packed {
-                mc: 30,
-                kc: 8,
-                nc: 40,
-                threads: 2,
-            },
-            MicrokernelImpl::Avx2,
-        );
-        assert_eq!(scalar, simd);
+        for mk in impls() {
+            let mut simd = Matrix::zeros(m, n);
+            gemm_acc_with_microkernel(
+                &mut simd,
+                &a,
+                &b,
+                Kernel::Packed {
+                    mc: 30,
+                    kc: 8,
+                    nc: 40,
+                    threads: 2,
+                },
+                mk,
+            );
+            assert_eq!(scalar, simd, "{mk:?}");
+        }
     }
 
     #[test]

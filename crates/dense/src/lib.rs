@@ -11,8 +11,9 @@
 //!   register-tiled fast path and the unpacked tiled loop the host
 //!   reference verifies with, both accumulating (`C += A·B`),
 //! * [`pack`] / [`microkernel`] / [`pool`] — the packed kernel's panel
-//!   layouts, runtime-dispatched register-tiled microkernels (AVX2+FMA
-//!   `6×8` with a portable `4×8` fallback), and its parallel-for on
+//!   layouts, runtime-dispatched register-tiled microkernels (AVX-512
+//!   `12×8`, AVX2+FMA `6×8`, a portable `4×8` fallback — one tile body
+//!   compiled per ISA), and its parallel-for on
 //!   scoped threads with per-thread scratch buffers,
 //! * [`tune`] — cache detection, blocking-parameter sweeps, and the
 //!   persisted tuning file behind `cubemm tune-kernel`,

@@ -2,38 +2,41 @@
 //! dispatch point.
 //!
 //! One call computes a single `mr × nr` tile of `C += A·B` from packed
-//! panels (see [`crate::pack`] for the layout). Two implementations live
-//! behind [`MicrokernelImpl`]:
+//! panels (see [`crate::pack`] for the layout). One const-generic tile
+//! body is compiled once per instruction set, with the tile shape that
+//! fills that ISA's register file, and [`MicrokernelImpl`] names the
+//! instantiations (the BLIS structure: one microkernel shape per ISA):
 //!
-//! * **`Avx2`** (x86_64 with AVX2+FMA, runtime-detected): an explicit
-//!   `f64x4` kernel over a `6 × 8` tile — twelve 256-bit accumulators,
-//!   two packed-`B` loads and six `A` broadcasts feeding twelve
-//!   `vfmadd231pd` per `k` step (the BLIS Haswell shape; 15 of the 16
-//!   architectural `ymm` registers are live).
+//! * **`Avx512`** (x86_64 with AVX-512F+FMA, runtime-detected): a
+//!   `12 × 8` tile on 512-bit `zmm` vectors — twelve accumulators, one
+//!   packed-`B` load and twelve broadcast `vfmadd231pd` per `k` step.
+//! * **`Avx2`** (x86_64 with AVX2+FMA, runtime-detected): a `6 × 8` tile
+//!   on 256-bit `ymm` vectors — twelve accumulators, two `B` loads and
+//!   six broadcasts feeding twelve `vfmadd231pd` per `k` step (the BLIS
+//!   Haswell shape).
 //! * **`Scalar`** (everything else, `cfg(miri)`, and the
-//!   `CUBEMM_FORCE_SCALAR=1` override): the portable `4 × 8` tile with
-//!   one `f64::mul_add` per element step.
+//!   `CUBEMM_FORCE_SCALAR=1` override): the portable `4 × 8` tile.
 //!
 //! Pack, GEMM-driver, and ABFT code never name a lane width: they ask the
 //! active impl for its `mr()`/`nr()` and call [`MicrokernelImpl::run`].
 //!
 //! # Bitwise contract
 //!
-//! Both kernels compute every `C` element as the *same* float sequence:
-//! one private accumulator per element, updated by a fused multiply-add
-//! (single rounding) for `k` ascending, then one plain add into `C` per
-//! `kc` block. `f64::mul_add` and `vfmadd` are both correctly rounded,
-//! so for a fixed `kc` split the product is **bit-for-bit identical**
-//! across `Scalar`/`Avx2` and across every tile shape and thread count
-//! (pinned by `tests/determinism.rs`). On targets that lack a hardware
-//! FMA the scalar kernel falls back to the (slower, still correctly
-//! rounded) libm `fma`, preserving the bits.
+//! Every instantiation computes every `C` element as the *same* float
+//! sequence: one private accumulator per element, updated by a fused
+//! multiply-add (single rounding) for `k` ascending, then one plain add
+//! into `C` per `kc` block. `f64::mul_add` and `vfmadd` are both
+//! correctly rounded, so for a fixed `kc` split the product is
+//! **bit-for-bit identical** across `Scalar`/`Avx2`/`Avx512` and across
+//! every tile shape and thread count (pinned by `tests/determinism.rs`).
+//! On targets that lack a hardware FMA the scalar kernel falls back to
+//! the (slower, still correctly rounded) libm `fma`, preserving the bits.
 
 use std::sync::OnceLock;
 
 /// Largest microkernel tile height any impl uses (panel-slice bound for
 /// stack-allocated scratch in pack/microkernel internals).
-pub const MAX_MR: usize = 8;
+pub const MAX_MR: usize = 12;
 /// Largest microkernel tile width any impl uses.
 pub const MAX_NR: usize = 8;
 
@@ -47,35 +50,78 @@ pub const AVX2_MR: usize = 6;
 /// Tile width of the AVX2 microkernel.
 pub const AVX2_NR: usize = 8;
 
+/// Tile height of the AVX-512 microkernel.
+pub const AVX512_MR: usize = 12;
+/// Tile width of the AVX-512 microkernel.
+pub const AVX512_NR: usize = 8;
+
 /// Which register-tiled inner kernel the packed GEMM runs.
 ///
 /// The selection is a pure function of the host: [`MicrokernelImpl::active`]
 /// caches the runtime-detected best kernel for the process. Code that
 /// needs a *specific* impl (the forced-scalar determinism suite, the
-/// `packed-scalar` bench rows) passes one explicitly through
-/// [`crate::gemm::gemm_acc_with_microkernel`].
+/// per-impl bench rows) passes one of [`MicrokernelImpl::available`]
+/// explicitly through [`crate::gemm::gemm_acc_with_microkernel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicrokernelImpl {
     /// Portable `4 × 8` tile, `f64::mul_add` per element step.
     Scalar,
-    /// `6 × 8` tile of `f64x4` FMA intrinsics (x86_64, AVX2+FMA).
+    /// `6 × 8` tile on `ymm` vectors (x86_64, AVX2+FMA).
     Avx2,
+    /// `12 × 8` tile on `zmm` vectors (x86_64, AVX-512F+FMA).
+    Avx512,
 }
 
 impl MicrokernelImpl {
-    /// Detects the best implementation the host can run. Ignores the
-    /// `CUBEMM_FORCE_SCALAR` override; most callers want
-    /// [`MicrokernelImpl::active`].
-    pub fn detect() -> MicrokernelImpl {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return MicrokernelImpl::Avx2;
+    /// Every impl, narrowest ISA first.
+    const ALL: [MicrokernelImpl; 3] = [
+        MicrokernelImpl::Scalar,
+        MicrokernelImpl::Avx2,
+        MicrokernelImpl::Avx512,
+    ];
+
+    /// Whether this host can run `self` (`Scalar` always; the vector
+    /// impls where their features are detected, never under Miri).
+    pub fn runs_here(self) -> bool {
+        match self {
+            MicrokernelImpl::Scalar => true,
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            MicrokernelImpl::Avx2 => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
             }
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            MicrokernelImpl::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f") && MicrokernelImpl::Avx2.runs_here()
+            }
+            #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+            _ => false,
         }
-        MicrokernelImpl::Scalar
+    }
+
+    /// [`MicrokernelImpl::runs_here`], answered from the cached
+    /// [`MicrokernelImpl::active`] on the per-call paths that almost
+    /// always run the active impl.
+    #[inline]
+    pub(crate) fn is_active_or_runs_here(self) -> bool {
+        self == MicrokernelImpl::active() || self.runs_here()
+    }
+
+    /// Every impl this host can run, narrowest ISA first: what tests and
+    /// benches iterate so that no arm the host has goes unchecked.
+    pub fn available() -> Vec<MicrokernelImpl> {
+        Self::ALL.into_iter().filter(|mk| mk.runs_here()).collect()
+    }
+
+    /// Detects the best implementation the host can run: the widest of
+    /// [`MicrokernelImpl::available`]. Ignores the `CUBEMM_FORCE_SCALAR`
+    /// override; most callers want [`MicrokernelImpl::active`].
+    pub fn detect() -> MicrokernelImpl {
+        Self::ALL
+            .into_iter()
+            .rev()
+            .find(|mk| mk.runs_here())
+            .unwrap_or(MicrokernelImpl::Scalar)
     }
 
     /// The process-wide selected implementation: [`MicrokernelImpl::detect`]
@@ -100,6 +146,7 @@ impl MicrokernelImpl {
         match self {
             MicrokernelImpl::Scalar => SCALAR_MR,
             MicrokernelImpl::Avx2 => AVX2_MR,
+            MicrokernelImpl::Avx512 => AVX512_MR,
         }
     }
 
@@ -109,6 +156,7 @@ impl MicrokernelImpl {
         match self {
             MicrokernelImpl::Scalar => SCALAR_NR,
             MicrokernelImpl::Avx2 => AVX2_NR,
+            MicrokernelImpl::Avx512 => AVX512_NR,
         }
     }
 
@@ -118,6 +166,7 @@ impl MicrokernelImpl {
         match self {
             MicrokernelImpl::Scalar => "scalar-4x8",
             MicrokernelImpl::Avx2 => "avx2-6x8",
+            MicrokernelImpl::Avx512 => "avx512-12x8",
         }
     }
 
@@ -137,29 +186,21 @@ impl MicrokernelImpl {
     /// over the `mr` rows × `nr` columns footprint. Distinct tiles may
     /// be updated concurrently from several threads **only if their
     /// footprints are disjoint** (the packed driver gives every tile
-    /// exactly one writer). An `Avx2` value must only be run on a host
-    /// where AVX2 and FMA were detected.
+    /// exactly one writer). A vector impl must only be run where
+    /// [`MicrokernelImpl::runs_here`] holds.
     pub unsafe fn run(self, ap: &[f64], bp: &[f64], c: *mut f64, ldc: usize, mr: usize, nr: usize) {
         debug_assert_eq!(ap.len() % self.mr(), 0);
         debug_assert_eq!(bp.len() % self.nr(), 0);
         debug_assert_eq!(ap.len() / self.mr(), bp.len() / self.nr());
         debug_assert!(mr <= self.mr() && nr <= self.nr() && nr <= ldc);
-        match self {
-            MicrokernelImpl::Scalar => {
-                // SAFETY: forwarded caller contract (footprint validity).
-                unsafe { scalar_microkernel(ap, bp, c, ldc, mr, nr) }
-            }
-            MicrokernelImpl::Avx2 => {
-                #[cfg(all(target_arch = "x86_64", not(miri)))]
-                // SAFETY: forwarded caller contract; the caller guarantees
-                // AVX2+FMA were detected before constructing this variant.
-                unsafe {
-                    avx2_microkernel(ap, bp, c, ldc, mr, nr)
-                }
-                #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-                // SAFETY: forwarded caller contract (footprint validity).
-                unsafe {
-                    scalar_microkernel(ap, bp, c, ldc, mr, nr)
+        // SAFETY: forwarded caller contract: the footprint is valid, and
+        // a vector impl runs only where its features were detected.
+        unsafe {
+            match self {
+                MicrokernelImpl::Scalar => scalar_tile(ap, bp, c, ldc, mr, nr),
+                MicrokernelImpl::Avx2 => tile_avx2::<AVX2_MR, AVX2_NR>(ap, bp, c, ldc, mr, nr),
+                MicrokernelImpl::Avx512 => {
+                    tile_avx512::<AVX512_MR, AVX512_NR>(ap, bp, c, ldc, mr, nr)
                 }
             }
         }
@@ -181,9 +222,11 @@ impl MicrokernelImpl {
         debug_assert_eq!(b.len(), k * n);
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         {
-            if self == MicrokernelImpl::Avx2 {
-                // SAFETY: an `Avx2` value is only constructed on a host
-                // where AVX2 and FMA were detected.
+            // `Avx512` runs the AVX2 build too: at these sizes the loop
+            // is bound by its loads and edges, not its vector width.
+            if self != MicrokernelImpl::Scalar && self.is_active_or_runs_here() {
+                // SAFETY: AVX2 and FMA were just detected (`Avx512`
+                // requires both).
                 return unsafe { unpacked_avx2(c, a, b, k, n) };
             }
             if std::arch::is_x86_feature_detected!("fma") {
@@ -293,21 +336,37 @@ unsafe fn unpacked_fma(c: &mut [f64], a: &[f64], b: &[f64], k: usize, n: usize) 
     unpacked_body(c, a, b, k, n);
 }
 
-/// The portable tile body, generic so the FMA-target wrapper below can
-/// re-instantiate it with hardware fused multiply-adds.
+/// The one register-tile body every impl instantiates: `C[0..mr, 0..nr]
+/// += Ap · Bp` over an `MR × NR` tile of private accumulators, held in
+/// registers across the whole `k` loop.
+///
+/// Compiled for a vector ISA, each accumulator row becomes `NR / lanes`
+/// vector registers and each row step one broadcast of `A` feeding one
+/// `vfmadd` per register, with the `B` row loaded once per `k` step.
+/// `MR × NR` is chosen per ISA so the accumulators fill the register
+/// file without spilling. The plain index loops are deliberate: written
+/// with zipped iterators, the `ymm` builds split a row across `xmm`
+/// halves and spilled an accumulator (about 30 % slower).
 ///
 /// # Safety
 /// See [`MicrokernelImpl::run`].
 #[inline(always)]
-unsafe fn scalar_body(ap: &[f64], bp: &[f64], c: *mut f64, ldc: usize, mr: usize, nr: usize) {
-    let mut acc = [[0.0f64; SCALAR_NR]; SCALAR_MR];
-    for (av, bv) in ap.chunks_exact(SCALAR_MR).zip(bp.chunks_exact(SCALAR_NR)) {
-        for i in 0..SCALAR_MR {
+unsafe fn tile_body<const MR: usize, const NR: usize>(
+    ap: &[f64],
+    bp: &[f64],
+    c: *mut f64,
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    let mut acc = [[0.0f64; NR]; MR];
+    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+        for i in 0..MR {
             let ai = av[i];
-            for j in 0..SCALAR_NR {
+            for j in 0..NR {
                 // One fused multiply-add per element step: the single
-                // rounding is what makes this path bit-identical to the
-                // AVX2 kernel's vfmadd lanes.
+                // rounding is what makes every instantiation agree bit
+                // for bit, whatever its tile or lanes.
                 acc[i][j] = ai.mul_add(bv[j], acc[i][j]);
             }
         }
@@ -323,121 +382,64 @@ unsafe fn scalar_body(ap: &[f64], bp: &[f64], c: *mut f64, ldc: usize, mr: usize
     }
 }
 
-/// Dispatches the scalar tile to the FMA-compiled instantiation when the
-/// hardware has one (so `mul_add` is a single instruction, not a libm
-/// call), falling back to the portable build.
+/// The scalar tile: the FMA-compiled instantiation when the hardware has
+/// one (so `mul_add` is a single instruction, not a libm call), the
+/// portable build otherwise — bit-identical, both correctly rounded.
 ///
 /// # Safety
 /// See [`MicrokernelImpl::run`].
-unsafe fn scalar_microkernel(
-    ap: &[f64],
-    bp: &[f64],
-    c: *mut f64,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
+unsafe fn scalar_tile(ap: &[f64], bp: &[f64], c: *mut f64, ldc: usize, mr: usize, nr: usize) {
+    // SAFETY: `tile_fma` runs only where fma was detected; tile contract
+    // forwarded from the caller.
+    unsafe {
+        if has_fma() {
+            tile_fma::<SCALAR_MR, SCALAR_NR>(ap, bp, c, ldc, mr, nr)
+        } else {
+            tile_body::<SCALAR_MR, SCALAR_NR>(ap, bp, c, ldc, mr, nr)
+        }
+    }
+}
+
+/// Whether the host has hardware FMA (never under Miri).
+fn has_fma() -> bool {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        if std::arch::is_x86_feature_detected!("fma") {
-            // SAFETY: the fma feature was just detected; tile contract
-            // forwarded from the caller.
-            return unsafe { scalar_body_fma(ap, bp, c, ldc, mr, nr) };
+    return std::arch::is_x86_feature_detected!("fma");
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    false
+}
+
+/// Declares `$name`: [`tile_body`] compiled with the `$features` target
+/// features on x86_64 (the portable build elsewhere and under Miri,
+/// where no impl but `Scalar` ever runs).
+///
+/// # Safety (of each instantiation)
+/// See [`MicrokernelImpl::run`]; on x86_64 the host must support
+/// `$features`.
+macro_rules! tile_for {
+    ($name:ident, $features:literal) => {
+        #[doc = concat!("[`tile_body`] under `", $features, "`; see [`tile_for`].")]
+        #[cfg_attr(all(target_arch = "x86_64", not(miri)), target_feature(enable = $features))]
+        unsafe fn $name<const MR: usize, const NR: usize>(
+            ap: &[f64],
+            bp: &[f64],
+            c: *mut f64,
+            ldc: usize,
+            mr: usize,
+            nr: usize,
+        ) {
+            // SAFETY: tile contract forwarded from the caller.
+            unsafe { tile_body::<MR, NR>(ap, bp, c, ldc, mr, nr) }
         }
-    }
-    // SAFETY: tile contract forwarded from the caller.
-    unsafe { scalar_body(ap, bp, c, ldc, mr, nr) }
-}
-
-/// The portable tile recompiled with the `fma` target feature, so every
-/// `f64::mul_add` lowers to one `vfmadd` instruction (bit-identical to
-/// the libm fallback — both are correctly rounded).
-///
-/// # Safety
-/// See [`MicrokernelImpl::run`]; additionally the host must support the
-/// `fma` target feature.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "fma")]
-unsafe fn scalar_body_fma(ap: &[f64], bp: &[f64], c: *mut f64, ldc: usize, mr: usize, nr: usize) {
-    // SAFETY: tile contract forwarded from the caller.
-    unsafe { scalar_body(ap, bp, c, ldc, mr, nr) }
-}
-
-/// The `6 × 8` AVX2+FMA tile: twelve `f64x4` accumulators held in
-/// registers across the whole `k` loop.
-///
-/// # Safety
-/// See [`MicrokernelImpl::run`]; additionally the host must support the
-/// `avx2` and `fma` target features (the dispatcher checked).
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn avx2_microkernel(ap: &[f64], bp: &[f64], c: *mut f64, ldc: usize, mr: usize, nr: usize) {
-    use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd,
     };
-    let kc = bp.len() / AVX2_NR;
-    // acc[i][h] covers C[i][4h .. 4h+4]; 12 ymm registers, plus two for
-    // the B panel and one broadcast — LLVM keeps all of them resident.
-    let mut acc = [[_mm256_setzero_pd(); 2]; AVX2_MR];
-    let mut a = ap.as_ptr();
-    let mut b = bp.as_ptr();
-    for _ in 0..kc {
-        // SAFETY: `b` walks bp in NR-sized steps for kc = bp.len()/NR
-        // iterations, so both 4-lane loads stay inside the panel.
-        // Packed panels are f64-aligned; loadu has no alignment demand.
-        let b0 = unsafe { _mm256_loadu_pd(b) };
-        // SAFETY: as above, offset 4 of the 8-wide step.
-        let b1 = unsafe { _mm256_loadu_pd(b.add(4)) };
-        for (i, accr) in acc.iter_mut().enumerate() {
-            // SAFETY: `a` walks ap in MR-sized steps for kc =
-            // ap.len()/MR iterations; i < MR keeps the lane in-step.
-            let ai = unsafe { _mm256_set1_pd(*a.add(i)) };
-            accr[0] = _mm256_fmadd_pd(ai, b0, accr[0]);
-            accr[1] = _mm256_fmadd_pd(ai, b1, accr[1]);
-        }
-        // SAFETY: the loop bounds above keep both pointers inside their
-        // panels until the final (unused) post-increment.
-        a = unsafe { a.add(AVX2_MR) };
-        // SAFETY: as above.
-        b = unsafe { b.add(AVX2_NR) };
-    }
-    if mr == AVX2_MR && nr == AVX2_NR {
-        for (i, accr) in acc.iter().enumerate() {
-            // SAFETY: full tile: i < MR = mr rows inside the caller's
-            // footprint; each row touches columns 0..8 = nr <= ldc.
-            let crow = unsafe { c.add(i * ldc) };
-            // SAFETY: see above — both halves of row i are in bounds;
-            // unaligned C rows are allowed (loadu/storeu).
-            unsafe {
-                _mm256_storeu_pd(crow, _mm256_add_pd(_mm256_loadu_pd(crow), accr[0]));
-                _mm256_storeu_pd(
-                    crow.add(4),
-                    _mm256_add_pd(_mm256_loadu_pd(crow.add(4)), accr[1]),
-                );
-            }
-        }
-    } else {
-        // Ragged edge: spill the accumulators and mask the write-back.
-        let mut spill = [[0.0f64; AVX2_NR]; AVX2_MR];
-        for (i, accr) in acc.iter().enumerate() {
-            // SAFETY: spill rows are 8 f64s — exactly two 4-lane stores.
-            unsafe {
-                _mm256_storeu_pd(spill[i].as_mut_ptr(), accr[0]);
-                _mm256_storeu_pd(spill[i].as_mut_ptr().add(4), accr[1]);
-            }
-        }
-        for (i, row) in spill.iter().take(mr).enumerate() {
-            // SAFETY: take(mr)/take(nr) clamp the walk to the mr × nr
-            // live region of the caller-guaranteed footprint.
-            let crow = unsafe { c.add(i * ldc) };
-            for (j, &v) in row.iter().take(nr).enumerate() {
-                // SAFETY: see above; j < nr <= ldc keeps the offset in row i.
-                unsafe { *crow.add(j) += v };
-            }
-        }
-    }
 }
+
+// FMA brings 256-bit AVX along, so the scalar tile's rows vectorize
+// too. The `6 × 8` `ymm` tile is twelve accumulators, two `B` loads and
+// six broadcasts per `k` step; the `12 × 8` `zmm` tile twelve
+// accumulators, one `B` load and twelve broadcast FMAs.
+tile_for!(tile_fma, "fma");
+tile_for!(tile_avx2, "avx2,fma");
+tile_for!(tile_avx512, "avx512f,avx2,fma");
 
 #[cfg(test)]
 mod tests {
@@ -446,10 +448,16 @@ mod tests {
     use crate::Matrix;
 
     fn impls() -> Vec<MicrokernelImpl> {
-        let mut v = vec![MicrokernelImpl::Scalar];
-        if MicrokernelImpl::detect() == MicrokernelImpl::Avx2 {
-            v.push(MicrokernelImpl::Avx2);
-        }
+        let v = MicrokernelImpl::available();
+        let skipped: Vec<_> = [
+            MicrokernelImpl::Scalar,
+            MicrokernelImpl::Avx2,
+            MicrokernelImpl::Avx512,
+        ]
+        .into_iter()
+        .filter(|mk| !v.contains(mk))
+        .collect();
+        eprintln!("microkernel arms compared: {v:?}; skipped, not on this host: {skipped:?}");
         v
     }
 
@@ -509,44 +517,81 @@ mod tests {
         }
     }
 
+    /// `C += A·B` for an `m × k · k × n` product through `mk`'s tiles
+    /// alone: every `kc`-deep block packed whole, every tile run.
+    fn tiles(mk: MicrokernelImpl, a: &Matrix, b: &Matrix, kc: usize) -> Matrix {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let (mr, nr) = (mk.mr(), mk.nr());
+        let mut c = Matrix::zeros(m, n);
+        for pc in (0..k).step_by(kc) {
+            let kcw = kc.min(k - pc);
+            let mut ap = vec![0.0; packed_a_len(m, kcw, mr)];
+            let mut bp = vec![0.0; packed_b_len(kcw, n, nr)];
+            pack_a(a, 0, pc, m, kcw, mr, &mut ap);
+            pack_b(b, pc, 0, kcw, n, nr, &mut bp);
+            for ir in 0..m.div_ceil(mr) {
+                for jr in 0..n.div_ceil(nr) {
+                    // SAFETY: the tile's rows ir·mr .. and columns jr·nr ..
+                    // are clamped to the m × n `C`; `mk` runs here.
+                    unsafe {
+                        mk.run(
+                            &ap[ir * mr * kcw..(ir + 1) * mr * kcw],
+                            &bp[jr * nr * kcw..(jr + 1) * nr * kcw],
+                            c.as_mut_slice().as_mut_ptr().add(ir * mr * n + jr * nr),
+                            n,
+                            mr.min(m - ir * mr),
+                            nr.min(n - jr * nr),
+                        )
+                    };
+                }
+            }
+        }
+        c
+    }
+
     #[test]
-    fn impls_agree_bitwise_on_one_tile() {
-        // The bitwise contract at its smallest scope: one full scalar
-        // tile vs the same region of one AVX2 tile (when the host has
-        // it). Padding rows/columns of the wider tile accumulate zeros
-        // and are masked off, so the live region must match exactly.
-        if MicrokernelImpl::detect() != MicrokernelImpl::Avx2 {
-            return;
+    fn impls_agree_bitwise_on_ragged_tiles_and_kc_splits() {
+        // The bitwise contract at the tile level: every arm the host
+        // runs, on row counts that end a tile of each height raggedly,
+        // ragged column counts, and a depth that crosses `kc` blocks.
+        // Padding rows/columns of the wider tiles accumulate zeros and
+        // are masked off, so the live region must match exactly.
+        let arms = impls();
+        for (m, k, n) in [
+            (4, 23, 8),
+            (13, 9, 11),
+            (25, 40, 17),
+            (12, 1, 8),
+            (7, 33, 3),
+        ] {
+            let a = Matrix::random(m, k, 41 + m as u64);
+            let b = Matrix::random(k, n, 42 + n as u64);
+            for kc in [k, 16, 5] {
+                let want = tiles(MicrokernelImpl::Scalar, &a, &b, kc);
+                for &mk in &arms {
+                    assert_eq!(tiles(mk, &a, &b, kc), want, "{mk:?} {m}x{k}x{n} kc={kc}");
+                }
+            }
         }
-        let (m, k, n) = (SCALAR_MR, 23, SCALAR_NR);
-        let a = Matrix::random(m, k, 41);
-        let b = Matrix::random(k, n, 42);
-        let mut got = [Matrix::zeros(m, n), Matrix::zeros(m, n)];
-        for (mi, mk) in [MicrokernelImpl::Scalar, MicrokernelImpl::Avx2]
-            .into_iter()
-            .enumerate()
-        {
-            let mut ap = vec![0.0; packed_a_len(m, k, mk.mr())];
-            let mut bp = vec![0.0; packed_b_len(k, n, mk.nr())];
-            pack_a(&a, 0, 0, m, k, mk.mr(), &mut ap);
-            pack_b(&b, 0, 0, k, n, mk.nr(), &mut bp);
-            // SAFETY: m × n row-major with ldc = n; m <= mk.mr() and
-            // n <= mk.nr() masked tile; Avx2 only runs when detected.
-            unsafe { mk.run(&ap, &bp, got[mi].as_mut_slice().as_mut_ptr(), n, m, n) };
-        }
-        assert_eq!(got[0], got[1], "scalar vs avx2 tile bits");
     }
 
     #[test]
     fn names_and_shapes_are_consistent() {
         assert_eq!(MicrokernelImpl::Scalar.name(), "scalar-4x8");
         assert_eq!(MicrokernelImpl::Avx2.name(), "avx2-6x8");
+        assert_eq!(MicrokernelImpl::Avx512.name(), "avx512-12x8");
         assert_eq!(MicrokernelImpl::Scalar.mr(), 4);
         assert_eq!(MicrokernelImpl::Avx2.mr(), 6);
-        for mk in [MicrokernelImpl::Scalar, MicrokernelImpl::Avx2] {
+        assert_eq!(MicrokernelImpl::Avx512.mr(), 12);
+        for mk in MicrokernelImpl::ALL {
             assert!(mk.mr() <= MAX_MR && mk.nr() <= MAX_NR);
         }
-        // active() is stable across calls within a process.
+        // The host's arms: scalar first, the detected one last, and
+        // active() stable across calls within a process.
+        let arms = MicrokernelImpl::available();
+        assert_eq!(arms.first(), Some(&MicrokernelImpl::Scalar));
+        assert_eq!(arms.last(), Some(&MicrokernelImpl::detect()));
+        assert!(arms.iter().all(|mk| mk.runs_here()));
         assert_eq!(MicrokernelImpl::active(), MicrokernelImpl::active());
     }
 }

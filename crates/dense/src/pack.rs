@@ -7,7 +7,7 @@
 //! where `mr × nr` is the register-tile shape of the *active*
 //! microkernel ([`crate::microkernel::MicrokernelImpl`] — the packers
 //! take the lane widths as parameters so the same code serves the
-//! scalar `4×8` and the AVX2 `6×8` tiles):
+//! scalar `4×8`, the AVX2 `6×8` and the AVX-512 `12×8` tiles):
 //!
 //! ```text
 //! A block (mc × kc)  →  ⌈mc/mr⌉ row panels, each kc steps of mr values:
@@ -23,10 +23,13 @@
 //! from [`crate::pool::take_scratch`] carry unspecified contents.
 //!
 //! Alignment: panels are stored at `f64` (8-byte) granularity and the
-//! SIMD kernel reads them with unaligned loads (`_mm256_loadu_pd`),
-//! which cost the same as aligned loads on every AVX2-era core — so no
-//! over-alignment of the scratch buffers is needed, and a panel stride
-//! of `nr·kc` keeps successive `k` steps on one or two cache lines.
+//! vector tiles read them with unaligned loads, so a panel stride of
+//! `nr·kc` keeps successive `k` steps on one or two cache lines. The
+//! `12×8` `zmm` tile's one 64-byte `B` load per `k` step splits a line
+//! unless the buffer starts on one; leasing 64-byte-aligned scratch
+//! was tried and moved `run_compute` by nothing measurable (four
+//! alternating pairs, two each way), so buffers keep the allocator's
+//! alignment.
 //!
 //! [`pack_a_panel`]/[`pack_b_panel`] expose single-panel granularity so
 //! the parallel driver can fan the packing itself out across threads

@@ -18,7 +18,7 @@ use crate::Matrix;
 /// Panics if the matrix dimensions are not divisible by `q`.
 pub fn square(m: &Matrix, q: usize, i: usize, j: usize) -> Matrix {
     assert!(
-        m.rows() % q == 0 && m.cols() % q == 0,
+        m.rows().is_multiple_of(q) && m.cols().is_multiple_of(q),
         "matrix not divisible into {q}x{q} blocks"
     );
     let (br, bc) = (m.rows() / q, m.cols() / q);
@@ -98,7 +98,7 @@ pub fn f_index(q: usize, i: usize, j: usize) -> usize {
 /// columns into `q²` groups (block shape `n/q × n/q²`).
 pub fn wide(m: &Matrix, q: usize, k: usize, f: usize) -> Matrix {
     assert!(
-        m.rows() % q == 0 && m.cols() % (q * q) == 0,
+        m.rows().is_multiple_of(q) && m.cols().is_multiple_of(q * q),
         "matrix not divisible for Figure 8 layout"
     );
     let (br, bc) = (m.rows() / q, m.cols() / (q * q));
@@ -109,7 +109,7 @@ pub fn wide(m: &Matrix, q: usize, k: usize, f: usize) -> Matrix {
 /// groups, columns into `q` groups (block shape `n/q² × n/q`).
 pub fn tall(m: &Matrix, q: usize, f: usize, k: usize) -> Matrix {
     assert!(
-        m.rows() % (q * q) == 0 && m.cols() % q == 0,
+        m.rows().is_multiple_of(q * q) && m.cols().is_multiple_of(q),
         "matrix not divisible for Figure 9 layout"
     );
     let (br, bc) = (m.rows() / (q * q), m.cols() / q);

@@ -61,9 +61,10 @@ pub fn static_defaults(mk: MicrokernelImpl) -> Blocking {
             kc: DEFAULT_KC,
             nc: DEFAULT_NC,
         },
-        // The 6×8 FMA tile retires ~2 loads per 12 FMAs, so it tolerates
-        // (and profits from) much wider B macro panels.
-        MicrokernelImpl::Avx2 => Blocking {
+        // The vector tiles retire 2 (6×8 ymm) or 1 (12×8 zmm) panel loads
+        // per 12 FMAs, so they tolerate (and profit from) much wider B
+        // macro panels. 96 rows is a whole number of either tile.
+        MicrokernelImpl::Avx2 | MicrokernelImpl::Avx512 => Blocking {
             mc: 96,
             kc: DEFAULT_KC,
             nc: 2048,
@@ -431,7 +432,9 @@ mod tests {
         assert!(bl.kc >= 1);
         assert!(bl.nc >= MicrokernelImpl::Scalar.nr());
         assert_eq!(d.kc, DEFAULT_KC, "static kc shared across impls");
-        assert_eq!(static_defaults(MicrokernelImpl::Avx2).kc, DEFAULT_KC);
+        for mk in [MicrokernelImpl::Avx2, MicrokernelImpl::Avx512] {
+            assert_eq!(static_defaults(mk).kc, DEFAULT_KC, "{mk:?}");
+        }
     }
 
     #[test]
@@ -446,7 +449,11 @@ mod tests {
 
     #[test]
     fn candidate_grid_is_nonempty_aligned_and_pruned() {
-        for mk in [MicrokernelImpl::Scalar, MicrokernelImpl::Avx2] {
+        for mk in [
+            MicrokernelImpl::Scalar,
+            MicrokernelImpl::Avx2,
+            MicrokernelImpl::Avx512,
+        ] {
             for full in [false, true] {
                 let grid = candidates(mk, CacheInfo::FALLBACK, full);
                 assert!(!grid.is_empty());

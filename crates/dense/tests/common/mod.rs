@@ -7,15 +7,23 @@ use cubemm_dense::pack::{pack_a, pack_b, packed_a_len, packed_b_len};
 use cubemm_dense::{Matrix, MatrixView};
 
 /// Every side length the small-shape suites combine: 1 through 8 (every
-/// ragged edge of both register tiles) and 16.
-pub const SIDES: [usize; 9] = [1, 2, 3, 4, 5, 6, 7, 8, 16];
+/// ragged edge of the 4- and 6-row tiles and of every 8-wide one), 13
+/// (one past the 12-row tile) and 16.
+pub const SIDES: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 13, 16];
 
-/// Every microkernel the host can execute.
+/// Every microkernel the host can execute, printed so that a host
+/// without a vector arm shows it as skipped rather than passed.
 pub fn impls() -> Vec<MicrokernelImpl> {
-    let mut v = vec![MicrokernelImpl::Scalar];
-    if MicrokernelImpl::detect() == MicrokernelImpl::Avx2 {
-        v.push(MicrokernelImpl::Avx2);
-    }
+    let v = MicrokernelImpl::available();
+    let skipped: Vec<_> = [
+        MicrokernelImpl::Scalar,
+        MicrokernelImpl::Avx2,
+        MicrokernelImpl::Avx512,
+    ]
+    .into_iter()
+    .filter(|mk| !v.contains(mk))
+    .collect();
+    eprintln!("microkernel arms compared: {v:?}; skipped, not on this host: {skipped:?}");
     v
 }
 

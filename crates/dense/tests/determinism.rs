@@ -5,13 +5,15 @@
 //!
 //! 1. across **thread counts** (each C microtile has exactly one
 //!    writer; scheduling picks who computes, never what),
-//! 2. across **microkernel implementations** (scalar 4×8 and AVX2 6×8
-//!    both accumulate each element as one correctly-rounded FMA chain
-//!    in ascending k — tile shape and mc/nc never touch the bits).
+//! 2. across **microkernel implementations** (scalar 4×8, AVX2 6×8 and
+//!    AVX-512 12×8 all accumulate each element as one correctly-rounded
+//!    FMA chain in ascending k — tile shape and mc/nc never touch the
+//!    bits).
 //!
-//! The SIMD half is `#[cfg]`-gated on what the host can run, so CI
-//! exercises whichever paths the runner supports; the scalar fallback
-//! is additionally pinned by a CUBEMM_FORCE_SCALAR=1 run of this same
+//! The vector arms run where the host can run them
+//! (`MicrokernelImpl::available`, printed by each test, so a runner
+//! without one shows it as skipped); the scalar fallback is
+//! additionally pinned by a CUBEMM_FORCE_SCALAR=1 run of this same
 //! suite (see .github/workflows/ci.yml).
 
 //!
@@ -28,9 +30,9 @@ use cubemm_dense::microkernel::MicrokernelImpl;
 use cubemm_dense::{abft, tune, Matrix};
 
 /// Runs `gemm_acc`'s default kernel at `(m, k, n)` on every microkernel
-/// and on the dispatched one, and asserts each matches the packed path
-/// written out, for every operand family.
-fn matches_the_packed_path(m: usize, k: usize, n: usize) {
+/// in `arms` and on the dispatched one, and asserts each matches the
+/// packed path written out, for every operand family.
+fn matches_the_packed_path(arms: &[MicrokernelImpl], m: usize, k: usize, n: usize) {
     for values in Values::ALL {
         let (a, b, c0) = values.operands(m, k, n);
         let what = |mk: MicrokernelImpl| format!("{values:?} {m}x{k}x{n} {}", mk.name());
@@ -45,7 +47,7 @@ fn matches_the_packed_path(m: usize, k: usize, n: usize) {
             );
             want
         };
-        for mk in impls() {
+        for &mk in arms {
             let mut got = c0.clone();
             gemm_acc_with_microkernel(&mut got, &a, &b, Kernel::packed(), mk);
             assert_same_bits(&got, &oracle(mk), &what(mk));
@@ -60,11 +62,12 @@ fn matches_the_packed_path(m: usize, k: usize, n: usize) {
 
 #[test]
 fn small_shapes_match_the_packed_path_bitwise() {
+    let arms = impls();
     for m in SIDES {
         for k in SIDES {
             for n in SIDES {
                 assert!(m * k * n <= SMALL_MAX_ELEMS);
-                matches_the_packed_path(m, k, n);
+                matches_the_packed_path(&arms, m, k, n);
             }
         }
     }
@@ -82,8 +85,9 @@ fn the_small_shape_threshold_edge_matches_the_packed_path_bitwise() {
         (1, 256, 256),
         (1, 257, 16),
     ];
+    let arms = impls();
     for (m, k, n) in edge {
-        matches_the_packed_path(m, k, n);
+        matches_the_packed_path(&arms, m, k, n);
     }
     assert_eq!(16 * 16 * 256, SMALL_MAX_ELEMS);
 }
@@ -94,9 +98,10 @@ fn an_explicit_kc_below_k_keeps_the_packed_path() {
     // takes one fold per kc block, which the one-chain small loop would
     // not reproduce. Those bits must be the split ones.
     let mut split_differs = false;
-    for (m, k, n) in [(4, 7, 4), (5, 16, 3), (8, 9, 8), (16, 16, 16)] {
+    let arms = impls();
+    for (m, k, n) in [(4, 7, 4), (5, 16, 3), (8, 9, 8), (13, 10, 9), (16, 16, 16)] {
         let (a, b, c0) = Values::Random.operands(m, k, n);
-        for mk in impls() {
+        for &mk in &arms {
             let kernel = Kernel::Packed {
                 mc: 0,
                 kc: 3,
@@ -116,12 +121,16 @@ fn an_explicit_kc_below_k_keeps_the_packed_path() {
     assert!(split_differs, "no shape told a kc split from one chain");
 }
 
-/// The ragged/edge-padded shape set: exact tiles for both `mr` values
-/// (4 and 6), single-row/column spills, primes, and empties.
-const SHAPES: [(usize, usize, usize); 12] = [
+/// The ragged/edge-padded shape set: exact tiles for every `mr` (4, 6
+/// and 12), single-row/column spills, one row past the 12-row tile,
+/// primes, and empties.
+const SHAPES: [(usize, usize, usize); 15] = [
     (1, 1, 1),
     (4, 8, 8),
     (6, 8, 8),
+    (12, 8, 8),
+    (11, 9, 7),
+    (25, 29, 17),
     (5, 5, 5),
     (7, 11, 3),
     (12, 5, 16),
@@ -147,13 +156,14 @@ fn packed(threads: usize) -> Kernel {
 
 #[test]
 fn simd_and_scalar_agree_bitwise_on_all_shapes() {
+    let arms = impls();
     for (case, &(m, k, n)) in SHAPES.iter().enumerate() {
         let seed = 4000 + case as u64;
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
         let mut want = Matrix::zeros(m, n);
         gemm_acc_with_microkernel(&mut want, &a, &b, packed(1), MicrokernelImpl::Scalar);
-        for mk in impls() {
+        for &mk in &arms {
             for threads in [1usize, 2, 4, 8] {
                 let mut got = Matrix::zeros(m, n);
                 gemm_acc_with_microkernel(&mut got, &a, &b, packed(threads), mk);
@@ -215,17 +225,21 @@ fn abft_augmented_frames_ride_the_contract() {
     // tolerance — so ABFT verdicts must not depend on the host's
     // microkernel or thread count either. Bitwise-identical augmented
     // products make that trivially true.
+    // A 22-row frame ends every tile height raggedly (12 + 10, 6·3 + 4,
+    // 4·5 + 2); `packed` crosses its `kc = 7` three times, and
+    // `packed_mt(2)` runs the default blocking.
     let na = 21;
     let a = Matrix::random(na, na, 55);
     let b = Matrix::random(na, na, 56);
     let (af, bf) = abft::augment(&a, &b, na + 1);
-    let mut want = Matrix::zeros(na + 1, na + 1);
-    gemm_acc_with_microkernel(&mut want, &af, &bf, packed(1), MicrokernelImpl::Scalar);
-    for mk in impls() {
-        for threads in [1usize, 4] {
+    let arms = impls();
+    for kernel in [packed(1), packed(4), Kernel::packed_mt(2)] {
+        let mut want = Matrix::zeros(na + 1, na + 1);
+        gemm_acc_with_microkernel(&mut want, &af, &bf, kernel, MicrokernelImpl::Scalar);
+        for &mk in &arms {
             let mut got = Matrix::zeros(na + 1, na + 1);
-            gemm_acc_with_microkernel(&mut got, &af, &bf, packed(threads), mk);
-            assert_eq!(got, want, "{mk:?} with {threads} threads");
+            gemm_acc_with_microkernel(&mut got, &af, &bf, kernel, mk);
+            assert_eq!(got, want, "{mk:?} with {kernel:?}");
             let mut cf = got;
             let tol = abft::default_tolerance(&cf);
             assert_eq!(

@@ -31,9 +31,9 @@ fn kernels() -> Vec<Kernel> {
     ks
 }
 
-/// Ragged shapes: nothing divides the register tiles (scalar 4×8 or
-/// AVX2 6×8) or the default cache blocks, plus exact-tile shapes for
-/// both `mr` values and empty/degenerate extents.
+/// Ragged shapes: nothing divides the register tiles (scalar 4×8, AVX2
+/// 6×8 or AVX-512 12×8) or the default cache blocks, plus exact-tile
+/// shapes for every `mr` value and empty/degenerate extents.
 const SHAPES: [(usize, usize, usize); 13] = [
     (1, 1, 1),
     (2, 3, 4),

@@ -8,8 +8,9 @@
 //! to the loop the repository verified against before the kernel was
 //! rewritten. That loop is frozen below as the oracle.
 //!
-//! Both compiled instantiations are driven explicitly where the host
-//! can run them; the baseline is additionally pinned as the *dispatched*
+//! Every compiled instantiation (baseline, AVX2, AVX-512) is driven
+//! explicitly where the host can run it, and each test prints which it
+//! compared; the baseline is additionally pinned as the *dispatched*
 //! one by the CUBEMM_FORCE_SCALAR=1 run of this suite, and miri runs it
 //! on its reduced shape set (see .github/workflows/ci.yml).
 
@@ -44,12 +45,15 @@ fn frozen_blocked(c: &mut Matrix, a: &Matrix, b: &Matrix, tile: usize) {
     }
 }
 
-/// Every instantiation the host can execute.
+/// Every instantiation the host can execute, printed so that a host
+/// without a vector build shows it as skipped rather than passed.
 fn isas() -> Vec<ReferenceIsa> {
-    let mut v = vec![ReferenceIsa::Baseline];
-    if ReferenceIsa::detect() == ReferenceIsa::Avx2 {
-        v.push(ReferenceIsa::Avx2);
-    }
+    let v = ReferenceIsa::available();
+    let skipped: Vec<_> = [ReferenceIsa::Avx2, ReferenceIsa::Avx512]
+        .into_iter()
+        .filter(|isa| !v.contains(isa))
+        .collect();
+    eprintln!("reference instantiations compared: {v:?}; skipped, not on this host: {skipped:?}");
     v
 }
 

@@ -24,12 +24,12 @@ pub fn dns_cannon_overhead(
     port: PortModel,
 ) -> Option<Overhead> {
     let r = 1usize << (2 * mesh_bits);
-    if p % r != 0 {
+    if !p.is_multiple_of(r) {
         return None;
     }
     let s = p / r;
     let logs = (s as f64).log2();
-    if s == 0 || (logs as u32) % 3 != 0 && s != 1 {
+    if s == 0 || !(logs as u32).is_multiple_of(3) && s != 1 {
         return None;
     }
     let n2 = (n * n) as f64;
@@ -62,7 +62,7 @@ pub fn dns_cannon_overhead(
 /// whose multi-port form carries `g²M`.
 pub fn flat_all3d_overhead(n: usize, p: usize, port: PortModel) -> Option<Overhead> {
     let dim = (p as f64).log2() as u32;
-    if p < 16 || !p.is_power_of_two() || dim % 4 != 0 {
+    if p < 16 || !p.is_power_of_two() || !dim.is_multiple_of(4) {
         return None;
     }
     let g = (1usize << (dim / 4)) as f64;

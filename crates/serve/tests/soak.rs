@@ -40,10 +40,14 @@ const SOAK_SEED: u64 = 0x5EED_50AC;
 /// run healthy — the ratios the quarantine assertions below expect.
 fn job_line(i: usize) -> String {
     let n = [8usize, 12, 16][i % 3];
-    let p = if i % 7 == 0 { 16 } else { 4 };
+    let p = if i.is_multiple_of(7) { 16 } else { 4 };
     let seed = i % 11;
     let priority = i % 10;
-    let algo = if i % 13 == 0 { "auto" } else { "cannon" };
+    let algo = if i.is_multiple_of(13) {
+        "auto"
+    } else {
+        "cannon"
+    };
     format!(
         r#"{{"id":"soak-{i}","n":{n},"p":{p},"algo":"{algo}","seed":{seed},"priority":{priority}}}"#
     )

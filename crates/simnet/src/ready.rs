@@ -37,7 +37,7 @@ impl Ready {
     pub(crate) fn full(len: usize, seed: Option<u64>) -> Self {
         let mut words = vec![!0u64; len.div_ceil(64)];
         if let Some(last) = words.last_mut() {
-            if len % 64 != 0 {
+            if !len.is_multiple_of(64) {
                 *last = (1 << (len % 64)) - 1;
             }
         }

@@ -30,7 +30,7 @@ impl SupernodeGrid {
     pub fn new(p: usize, mesh_bits: u32) -> Result<Self, TopologyError> {
         let dim = crate::bits::log2_exact(p).ok_or(TopologyError::NotPowerOfTwo(p))?;
         let intra = 2 * mesh_bits;
-        if dim < intra || (dim - intra) % 3 != 0 {
+        if dim < intra || !(dim - intra).is_multiple_of(3) {
             return Err(TopologyError::IndivisibleDimension { dim, divisor: 3 });
         }
         Ok(SupernodeGrid {
